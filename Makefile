@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-check fmt fmt-check vet lint ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
+.PHONY: all build test race benchmark-test bench bench-json bench-check fmt fmt-check vet lint ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
 
 all: build
 
@@ -15,6 +15,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# benchmark/ is a module of its own (replace repro => ../), so ./... above
+# does not reach it: its unit tests plus the 1/20-scale pass of every
+# workload against real server processes.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
 # One iteration per benchmark: a smoke run of every table/figure generator,
 # with -benchmem so per-op allocations are visible.
 bench:
@@ -24,7 +30,7 @@ bench:
 # allocs/op, B/op, actions/sec). Commit the output as BENCH_<PR>.json to
 # extend the cross-PR performance trajectory; CI uploads the same file as a
 # workflow artifact.
-BENCH_JSON ?= BENCH_PR9.json
+BENCH_JSON ?= BENCH_PR14.json
 bench-json:
 	$(GO) run ./cmd/simbench -exp tput,par,query,mem -scale smoke -json $(BENCH_JSON)
 
@@ -35,7 +41,7 @@ bench-json:
 # (simbench -check-retries, min-of-N) before failing, since 1-CPU scheduler
 # noise is one-sided. The fresh snapshot goes to a scratch file; the
 # committed baseline is never overwritten.
-BENCH_BASELINE ?= BENCH_PR9.json
+BENCH_BASELINE ?= BENCH_PR14.json
 bench-check:
 	$(GO) run ./cmd/simbench -exp tput,par,query,mem -scale smoke \
 		-json bench-fresh.json -check $(BENCH_BASELINE)
@@ -115,4 +121,4 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-ci: fmt-check lint build race bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke bench-check
+ci: fmt-check lint build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke bench-check

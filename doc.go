@@ -9,14 +9,17 @@
 // → package correspondence. The benchmarks in bench_test.go regenerate
 // every table and figure of the paper's evaluation at laptop scale.
 //
-// Beyond the paper, the ingestion engine is checkpoint-sharded with a
-// zero-allocation element hot path: oracle elements are plain values over
-// shared influence-set views, and sim.Config's Parallelism option flattens
-// each action's (checkpoint × oracle-shard) fan-out into one persistent
-// worker-pool loop (default 1 = serial, bit-identical results at any
-// width). BatchSize groups actions so stream-index and checkpoint
-// maintenance amortize across a batch (default 1 = per-action, exact
-// legacy behavior; queries are exact at batch boundaries). The README's
+// Beyond the paper, the ingestion engine has a zero-allocation element hot
+// path — oracle elements are plain values over shared influence-set views —
+// and the sieve-style oracles keep their candidate instances' state
+// user-major: one bit row per user answers "seed of which instances" and
+// "covered by which instances" for all O(log k / β) instances in one probe.
+// sim.Config's Parallelism option feeds each action's live checkpoints
+// through one persistent worker-pool loop (default 1 = serial,
+// bit-identical results at any width). BatchSize groups actions so
+// stream-index and checkpoint maintenance amortize across a batch
+// (default 1 = per-action, exact legacy behavior; queries are exact at
+// batch boundaries). The README's
 // "Performance architecture" section and the committed BENCH_*.json
 // snapshots (regenerated by `make bench-json`) document the hot-path
 // performance trajectory across PRs. See the sim package documentation for

@@ -8,9 +8,9 @@ import (
 )
 
 // The parallel-scaling experiment is an extension beyond the paper: it
-// measures the checkpoint-sharded feed engine (every live checkpoint's
-// oracle shards flattened into one parallel loop per element, plus batched
-// ingestion) against the serial per-action baseline on the RMAT-driven
+// measures the checkpoint-sharded feed engine (the live checkpoints'
+// oracles fed by one parallel loop per element, plus batched ingestion)
+// against the serial per-action baseline on the RMAT-driven
 // SYN-O stream under SIC, the paper's headline configuration.
 func init() {
 	register(Experiment{

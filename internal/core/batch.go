@@ -54,7 +54,7 @@ func (f *Framework) ProcessBatch(actions []stream.Action) error {
 			create = f.processed%int64(f.cfg.L) == 0
 		}
 		if create {
-			f.cps = append(f.cps, newCheckpoint(a.ID, f.cfg.Oracle(f.cfg.K)))
+			f.cps = append(f.cps, &checkpoint{start: a.ID, oracle: f.cfg.Oracle(f.cfg.K)})
 			f.lastCpStart = a.ID
 			f.cpCreated++
 		}

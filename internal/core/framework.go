@@ -15,9 +15,8 @@
 //
 // The per-action feed is checkpoint-sharded: each contributor's element is
 // materialized once as a shared influence-set view, and when Config.Pool is
-// set, the (checkpoint × oracle-shard) cells of every live checkpoint whose
-// oracle implements oracle.Sharded are flattened into one pool.Run call —
-// parallel width Σ_cp shards(cp), results bit-identical to the serial path.
+// set, the live checkpoints — distinct oracles with disjoint state — are
+// fed by one pool.Run call, results bit-identical to the serial path.
 // ProcessBatch ingests a whole slice of actions at once, feeding each
 // checkpoint one element per distinct contributor of the batch and running
 // window maintenance once per batch.
@@ -65,13 +64,12 @@ type Config struct {
 	// the suffixes of the current window.
 	ByTime bool
 	// Pool, when non-nil, parallelizes the per-action fan-out: each
-	// contributor's element is offered to the shards of every live
-	// checkpoint whose oracle implements oracle.Sharded through one Pool.Run
-	// call, so the parallel width is the sum of all checkpoints' shard
-	// counts. Shards of one oracle — and distinct checkpoints — never share
-	// mutable state, so results are bit-identical to the serial path. A nil
-	// Pool keeps the fan-out serial. The pool is shared, not owned: the
-	// framework never closes it.
+	// contributor's element is offered to every live checkpoint's oracle
+	// through one Pool.Run call, so the parallel width is the number of
+	// live checkpoints. Distinct checkpoints never share mutable state, so
+	// results are bit-identical to the serial path. A nil Pool keeps the
+	// fan-out serial. The pool is shared, not owned: the framework never
+	// closes it.
 	Pool *pool.Pool
 	// UsersHint pre-sizes the stream index's per-user maps for the expected
 	// number of distinct users (0 = grow incrementally).
@@ -108,33 +106,20 @@ func (c Config) validate() error {
 
 // checkpoint pairs an oracle with the time of the first action it has
 // observed; it is the Λ_t[x] of the paper, covering the suffix of the window
-// that begins at start. sharded caches the oracle's Sharded interface
-// (nil when unsupported) so the hot path never repeats the type assertion.
+// that begins at start.
 type checkpoint struct {
-	start   stream.ActionID
-	oracle  oracle.Oracle
-	sharded oracle.Sharded
+	start  stream.ActionID
+	oracle oracle.Oracle
 }
 
-// newCheckpoint builds a checkpoint for start, detecting shard support once.
-func newCheckpoint(start stream.ActionID, orc oracle.Oracle) *checkpoint {
-	cp := &checkpoint{start: start, oracle: orc}
-	cp.sharded, _ = orc.(oracle.Sharded)
-	return cp
+// cpFeed is one checkpoint's share of an element's parallel fan-out: the
+// oracle and the element sliced to its suffix. Element is embedded by
+// value: the slice of these is reused scratch, and building one allocates
+// nothing.
+type cpFeed struct {
+	orc oracle.Oracle
+	e   oracle.Element
 }
-
-// feedUnit is one (checkpoint-oracle, shard) cell of an element's parallel
-// fan-out. Element is embedded by value: the unit slice is reused scratch,
-// and building a unit allocates nothing.
-type feedUnit struct {
-	orc   oracle.Sharded
-	shard int
-	e     oracle.Element
-}
-
-// minParallelUnits is the fan-out width below which the shard handoffs cost
-// more than they parallelize and the feed stays on the caller.
-const minParallelUnits = 8
 
 // Framework runs either IC or SIC over a social stream. It is not safe for
 // concurrent use.
@@ -157,11 +142,12 @@ type Framework struct {
 	batchContrib []stream.UserID
 	batchGains   []batchGain
 
-	// Parallel fan-out machinery: pool (nil = serial), the reused work-unit
-	// scratch, and the one cached closure handed to pool.Run — allocated at
-	// construction so the per-action feed performs no heap allocation.
+	// Parallel fan-out machinery: pool (nil = serial), the reused
+	// per-checkpoint scratch, and the one cached closure handed to pool.Run
+	// — allocated at construction so the per-action feed performs no heap
+	// allocation.
 	pool   *pool.Pool
-	units  []feedUnit
+	feeds  []cpFeed
 	feedFn func(i int)
 
 	// Cumulative counters for the experiment harness.
@@ -181,10 +167,7 @@ func New(cfg Config) (*Framework, error) {
 	}
 	f := &Framework{cfg: cfg, st: stream.NewSized(cfg.UsersHint), pool: cfg.Pool}
 	f.st.SetCold(cfg.Cold, cfg.ColdBudget)
-	f.feedFn = func(i int) {
-		u := &f.units[i]
-		u.orc.FeedShard(u.shard, u.e)
-	}
+	f.feedFn = func(i int) { f.feeds[i].orc.Process(f.feeds[i].e) }
 	return f, nil
 }
 
@@ -235,7 +218,7 @@ func (f *Framework) Process(a stream.Action) error {
 		create = f.processed%int64(f.cfg.L) == 0
 	}
 	if create {
-		f.cps = append(f.cps, newCheckpoint(a.ID, f.cfg.Oracle(f.cfg.K)))
+		f.cps = append(f.cps, &checkpoint{start: a.ID, oracle: f.cfg.Oracle(f.cfg.K)})
 		f.lastCpStart = a.ID
 		f.cpCreated++
 	}
@@ -278,25 +261,22 @@ func (f *Framework) Process(a stream.Action) error {
 // feedContributor emits one contributor's element to every live checkpoint:
 // the per-action hot path of both frameworks. The influence set is
 // materialized once (a view into the stream's recency log) and sliced per
-// checkpoint; with a pool, the (checkpoint × oracle-shard) cells are
-// flattened into f.units and executed by one pool.Run call, giving parallel
-// width Σ_cp shards(cp) — wide even under SIC, where a single oracle holds
-// only O(log k / β) instances. Nothing on this path allocates in steady
-// state: elements are values over a shared prefix view, the unit slice is
-// reused scratch, and feedFn is the one closure cached at construction.
+// checkpoint; with a pool, the per-checkpoint Process calls are collected in
+// f.feeds and executed by one pool.Run call. Nothing on this path allocates
+// in steady state: elements are values over a shared prefix view, the feed
+// slice is reused scratch, and feedFn is the one closure cached at
+// construction.
 //
-// Bit-identity with the serial path holds because the serial part of each
-// oracle's element (Prepare: counters, grid retuning) runs here in
-// checkpoint order, and the flattened FeedShard cells touch pairwise
-// disjoint state (distinct checkpoints are distinct oracles; shards of one
-// oracle are disjoint by the Sharded contract).
+// Bit-identity with the serial path holds because each oracle still sees
+// its own elements in stream order, and distinct checkpoints are distinct
+// oracles that only read the shared prefix view.
 func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool) {
 	list := f.st.InfluenceRecency(u, f.cps[0].start)
 	if len(list) == 0 {
 		return
 	}
 	parallel := f.pool.Workers() > 1
-	f.units = f.units[:0]
+	f.feeds = f.feeds[:0]
 	for _, cp := range f.cps {
 		prefix := stream.PrefixFor(list, cp.start)
 		if len(prefix) == 0 {
@@ -304,26 +284,13 @@ func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool) {
 		}
 		e := oracle.Element{User: u, Latest: latest, LatestValid: latestValid, Prefix: prefix}
 		f.elemFed++
-		if !parallel || cp.sharded == nil {
-			cp.oracle.Process(e)
-			continue
-		}
-		if !cp.sharded.Prepare(e) {
-			continue
-		}
-		for s, n := 0, cp.sharded.Shards(); s < n; s++ {
-			f.units = append(f.units, feedUnit{orc: cp.sharded, shard: s, e: e})
-		}
-	}
-	if n := len(f.units); n > 0 {
-		if n >= minParallelUnits {
-			f.pool.Run(n, f.feedFn)
+		if parallel {
+			f.feeds = append(f.feeds, cpFeed{orc: cp.oracle, e: e})
 		} else {
-			for i := 0; i < n; i++ {
-				f.feedFn(i)
-			}
+			cp.oracle.Process(e)
 		}
 	}
+	f.pool.Run(len(f.feeds), f.feedFn)
 }
 
 // expire removes checkpoints whose start precedes the window start. IC

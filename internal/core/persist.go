@@ -108,7 +108,7 @@ func (f *Framework) Restore(r io.Reader) error {
 		if err := p.RestoreState(wire.NewReader(bytes.NewReader(payload))); err != nil {
 			return fmt.Errorf("core: restoring checkpoint at %d: %w", start, err)
 		}
-		cps = append(cps, newCheckpoint(start, orc))
+		cps = append(cps, &checkpoint{start: start, oracle: orc})
 	}
 	if err := rr.Err(); err != nil {
 		return fmt.Errorf("core: restoring: %w", err)

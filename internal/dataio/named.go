@@ -1,7 +1,6 @@
 package dataio
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,19 +45,15 @@ func (rec namedActionJSON) action() (NamedAction, error) {
 // WriteNDJSONNamed writes name-mode actions as NDJSON, "parent" omitted for
 // roots — the ingest body format for trackers with Spec.Names set.
 func WriteNDJSONNamed(w io.Writer, actions []NamedAction) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	enc := json.NewEncoder(bw)
-	for _, a := range actions {
+	return writeNDJSON(w, len(actions), func(i int) any {
+		a := actions[i]
 		rec := namedActionJSON{ID: int64(a.ID), User: a.User}
 		if a.Parent != stream.NoParent {
 			p := int64(a.Parent)
 			rec.Parent = &p
 		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+		return rec
+	})
 }
 
 // ReadNDJSONNamed streams name-mode actions from NDJSON input to visit,

@@ -1,7 +1,6 @@
 package dataio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -23,19 +22,40 @@ type actionJSON struct {
 // "parent":…} object per line, with "parent" omitted for roots. This is the
 // ingest body format of the simserve HTTP API (internal/server).
 func WriteNDJSON(w io.Writer, actions []stream.Action) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	enc := json.NewEncoder(bw) // Encode appends the newline NDJSON needs
-	for _, a := range actions {
+	return writeNDJSON(w, len(actions), func(i int) any {
+		a := actions[i]
 		rec := actionJSON{ID: int64(a.ID), User: uint32(a.User)}
 		if !a.Root() {
 			p := int64(a.Parent)
 			rec.Parent = &p
 		}
-		if err := enc.Encode(rec); err != nil {
+		return rec
+	})
+}
+
+// ndjsonFlushBytes is how much encoded output writeNDJSON gathers before
+// handing it to the destination: enough that a file sees few writes, while
+// the staging buffer, grown on demand, costs a four-action request body
+// (api.Client.Ingest) a few hundred bytes rather than a fixed megabyte.
+const ndjsonFlushBytes = 64 << 10
+
+// writeNDJSON encodes record(0) … record(n-1), one JSON object per line.
+func writeNDJSON(w io.Writer, n int, record func(i int) any) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf) // Encode appends the newline NDJSON needs
+	for i := 0; i < n; i++ {
+		if err := enc.Encode(record(i)); err != nil {
 			return err
 		}
+		if buf.Len() >= ndjsonFlushBytes {
+			if _, err := w.Write(buf.Bytes()); err != nil {
+				return err
+			}
+			buf.Reset()
+		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // action converts a decoded record, rejecting invalid parents. A missing

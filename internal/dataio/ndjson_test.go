@@ -95,3 +95,57 @@ func TestReadAutoSniffsNDJSON(t *testing.T) {
 		t.Fatalf("ReadAuto NDJSON = %v, want %v", got, want)
 	}
 }
+
+// TestWriteNDJSONSmallBatchAllocation pins the writers' staging cost to the
+// size of what they encode: a four-action request body (the trickle-shaped
+// call api.Client.Ingest makes per request) must not pay for a fixed
+// megabyte buffer. A multi-flush batch must still arrive whole.
+func TestWriteNDJSONSmallBatchAllocation(t *testing.T) {
+	actions := []stream.Action{
+		{ID: 1, User: 7, Parent: stream.NoParent},
+		{ID: 2, User: 3, Parent: 1},
+		{ID: 5, User: 7, Parent: 2},
+		{ID: 9, User: 1, Parent: stream.NoParent},
+	}
+	named := make([]NamedAction, len(actions))
+	for i, a := range actions {
+		named[i] = NamedAction{ID: a.ID, User: "u" + strings.Repeat("x", i), Parent: a.Parent}
+	}
+	var body bytes.Buffer
+	for name, write := range map[string]func() error{
+		"WriteNDJSON":      func() error { return WriteNDJSON(&body, actions) },
+		"WriteNDJSONNamed": func() error { return WriteNDJSONNamed(&body, named) },
+	} {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body.Reset()
+				if err := write(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > 4<<10 {
+			t.Errorf("%s of 4 actions allocates %d B per call, want <= 4 KiB", name, got)
+		}
+	}
+
+	big := make([]stream.Action, 20000) // > ndjsonFlushBytes of output
+	for i := range big {
+		big[i] = stream.Action{ID: stream.ActionID(i + 1), User: stream.UserID(i % 97), Parent: stream.NoParent}
+	}
+	body.Reset()
+	if err := WriteNDJSON(&body, big); err != nil {
+		t.Fatal(err)
+	}
+	if body.Len() <= ndjsonFlushBytes {
+		t.Fatalf("big batch encoded to %d B; it does not cross a flush", body.Len())
+	}
+	var back []stream.Action
+	if err := ReadNDJSON(&body, func(a stream.Action) bool { back = append(back, a); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, big) {
+		t.Fatal("multi-flush round trip mismatch")
+	}
+}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/stream"
@@ -9,70 +10,112 @@ import (
 	"repro/internal/uintset"
 )
 
-// sieveInst is one candidate solution of a sieve-style oracle, associated
-// with one guess opt of the optimal value. SieveStreaming admits an element
-// when the marginal gain clears the residual threshold
-// (opt/2 − f(CX)) / (k − |CX|) (paper Eq. 2); ThresholdStream uses the flat
-// threshold opt/(2k). The state is identical either way.
-type sieveInst struct {
-	opt     float64
-	seeds   []stream.UserID
-	inSeeds *uintset.Set
-	cov     *submod.Coverage
-	// gainUB caches, per non-seed candidate, an upper bound on its marginal
-	// gain. Coverage growth only shrinks a candidate's gain, and between two
-	// elements for the same user its influence set gains at most the
-	// element's Latest member — so cached + weight(Latest) stays an upper
-	// bound, and most re-offers are rejected with one lookup instead of a
-	// scan over the influence set (the CELF idea applied inside a sieve
-	// instance).
-	gainUB *uintset.Map
+// fib is 2^64 / phi, the Fibonacci hashing multiplier (as in uintset).
+const fib = 11400714819323198485
+
+// rowTable is an open-addressing hash map from a user to a fixed-width bit
+// row, bit s standing for instance slot s of the owning grid. Key and row
+// are interleaved — cell i is cells[i*stride : (i+1)*stride], word 0 holding
+// key+1 (0 = empty) and the rest the row — so a probe and the row it finds
+// share a cache line. Entries are never deleted: a row whose bits were all
+// cleared stays behind as a zero row, which reads the same as absent.
+type rowTable struct {
+	stride int // 1 + words per row
+	cells  []uint64
+	mask   uint64 // cell count − 1
+	count  int
 }
 
-// instPool is a free list of retired sieve instances: retune() drops
-// instances whose OPT guess fell behind m, and on a hot stream m grows many
-// times, so recycling the coverage set, gain cache and seed slice removes a
-// steady source of garbage from the ingestion path.
-type instPool struct {
-	free []*sieveInst
-	w    submod.Weights
+const minRowCells = 16
+
+func newRowTable(words int) rowTable {
+	return rowTable{stride: 1 + words, cells: make([]uint64, minRowCells*(1+words)), mask: minRowCells - 1}
 }
 
-func (p *instPool) get(opt float64) *sieveInst {
-	if n := len(p.free); n > 0 {
-		inst := p.free[n-1]
-		p.free = p.free[:n-1]
-		inst.opt = opt
-		return inst
-	}
-	return &sieveInst{
-		opt:     opt,
-		inSeeds: uintset.New(8),
-		cov:     submod.NewCoverage(p.w),
-		gainUB:  uintset.NewMap(0),
+// find returns k's row (a view into the table, valid until the next row
+// call), or nil when k has none.
+func (t *rowTable) find(k uint32) []uint64 {
+	key := uint64(k) + 1
+	for i := (uint64(k) * fib >> 32) & t.mask; ; i = (i + 1) & t.mask {
+		o := int(i) * t.stride
+		switch t.cells[o] {
+		case key:
+			return t.cells[o+1 : o+t.stride]
+		case 0:
+			return nil
+		}
 	}
 }
 
-func (p *instPool) put(inst *sieveInst) {
-	inst.seeds = inst.seeds[:0]
-	inst.inSeeds.Reset()
-	inst.cov.Reset()
-	inst.gainUB.Reset()
-	p.free = append(p.free, inst)
+// row returns k's row, inserting a zero row when k has none. The view is
+// valid until the next row call.
+func (t *rowTable) row(k uint32) []uint64 {
+	if uint64(t.count)*4 >= (t.mask+1)*3 { // keep load factor below 3/4
+		t.grow()
+	}
+	key := uint64(k) + 1
+	for i := (uint64(k) * fib >> 32) & t.mask; ; i = (i + 1) & t.mask {
+		o := int(i) * t.stride
+		switch t.cells[o] {
+		case 0:
+			t.cells[o] = key
+			t.count++
+			fallthrough
+		case key:
+			return t.cells[o+1 : o+t.stride]
+		}
+	}
+}
+
+func (t *rowTable) grow() {
+	old := t.cells
+	t.cells = make([]uint64, 2*len(old))
+	t.mask = 2*t.mask + 1
+	t.count = 0
+	for o := 0; o < len(old); o += t.stride {
+		if old[o] != 0 {
+			copy(t.row(uint32(old[o]-1)), old[o+1:o+t.stride])
+		}
+	}
+}
+
+// clearBits clears the bits of mask in every row.
+func (t *rowTable) clearBits(mask []uint64) {
+	for o := 0; o < len(t.cells); o += t.stride {
+		for wi, m := range mask {
+			t.cells[o+1+wi] &^= m
+		}
+	}
 }
 
 // grid is the machinery shared by the two sieve-style oracles
 // (SieveStreaming and ThresholdStream): OPT guesses (1+β)^j maintained on a
 // grid over [m, 2km] for the largest observed singleton value m, one
-// candidate instance per guess, a free list recycling retired instances,
-// and a monotone best-ever answer cache. The only algorithmic difference
-// between the two oracles is the admission threshold, selected by flat.
+// candidate solution ("instance") per guess, and a monotone best-ever
+// answer cache. The only algorithmic difference between the two oracles is
+// the admission threshold, selected by flat: SieveStreaming admits an
+// element when the marginal gain clears the residual threshold
+// (opt/2 − f(CX)) / (k − |CX|) (paper Eq. 2), ThresholdStream uses the flat
+// opt/(2k).
 //
-// The live instances form a contiguous exponent range [jLo, jLo+len(insts))
-// and are stored in a slice: the per-element instance sweep is the hottest
-// loop of the IC/SIC frameworks. grid implements the full Oracle and
-// Sharded method sets with one shard per instance, so the frameworks can
-// fan the sweep across every live checkpoint at once.
+// The state is user-major. Every element is offered to every instance, so
+// instead of one hash set per instance the grid keeps one table per
+// question — seedOf: in which instances is this user a seed; cov: which
+// instances' solutions cover this user — whose rows hold one bit per
+// instance slot. One probe answers the question for all instances at once:
+// an element costs one seedOf probe, one row-OR for the seed merge, a sweep
+// over the cached thresholds, and one cov probe per influence-set member
+// shared by every instance still scanning. Per-instance scalars live in
+// slot-indexed arrays.
+//
+// A slot is the bit position an instance occupies for its lifetime. The
+// live instances form a contiguous exponent range [jLo, jLo+len(order)),
+// order mapping each to its slot; retune retires the slots whose guess left
+// [m, 2km] — one sweep clears their bit from both tables — and hands them
+// to the guesses entering it. Slot numbers never reach an answer: refresh,
+// Candidates and SaveState walk order, and instances do not interact, so
+// every admission decision equals the one an instance with private sets
+// would make.
 type grid struct {
 	k    int
 	beta float64
@@ -80,16 +123,40 @@ type grid struct {
 	flat bool // true = ThresholdStream's opt/(2k); false = Sieve's residual
 
 	m     float64 // max singleton value observed
-	insts []*sieveInst
+	order []int   // order[i] = slot of the instance guessing (1+β)^(jLo+i)
 	jLo   int
 	logB  float64 // log(1+beta), cached
-	pool  instPool
+
+	seedOf rowTable // user → slots holding the user as a seed
+	cov    rowTable // user → slots whose solution covers the user
+	live   []uint64 // slots in use
+	full   []uint64 // live slots holding k seeds
+
+	// Per-slot state. thr caches the admission threshold: it moves only
+	// when the slot's value or seed count does, which is far rarer than
+	// the per-element test that reads it.
+	opt   []float64
+	value []float64
+	thr   []float64
+	seeds [][]stream.UserID
+	// gainUB caches, per slot and non-seed candidate, an upper bound on the
+	// candidate's marginal gain. Coverage growth only shrinks a candidate's
+	// gain, and between two elements for the same user its influence set
+	// gains at most the element's Latest member — so cached + weight(Latest)
+	// stays an upper bound, and most re-offers are rejected with one lookup
+	// instead of a scan over the influence set (the CELF idea applied
+	// inside a sieve instance). It stays a sparse map per slot: most users
+	// never pass a slot's singleton test, and a dense row of bounds per
+	// user would cost slots × 8 bytes for every user of every checkpoint.
+	gainUB []uintset.Map
+
+	// Per-element scratch.
+	zero []uint64  // the empty mask
+	und  []uint64  // slots still scanning the element
+	adm  []uint64  // slots admitting the element
+	gain []float64 // per-slot marginal gain accumulated by the scan
 
 	elements int64
-
-	// cur is the prepared element's singleton value, set serially in
-	// Prepare and read-only during the concurrent FeedShard calls.
-	cur float64
 
 	// bestVal/bestSeeds remember the best solution ever observed (kept
 	// monotone for SIC's Lemma 2: instance deletion during retune could
@@ -108,7 +175,35 @@ func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
 	if beta <= 0 || beta >= 1 {
 		panic("oracle: beta must be in (0, 1)")
 	}
-	return grid{k: k, beta: beta, w: w, flat: flat, logB: math.Log1p(beta), pool: instPool{w: w}}
+	logB := math.Log1p(beta)
+	// retune keeps at most ⌊log₁₊β 2k⌋ + 2 guesses alive (its rounding
+	// slack included), and retires before it allocates.
+	words := (int(math.Floor(math.Log(2*float64(k))/logB+1e-9)) + 2 + 63) / 64
+	slots := 64 * words
+	masks := make([]uint64, 5*words)
+	return grid{
+		k: k, beta: beta, w: w, flat: flat, logB: logB,
+		seedOf: newRowTable(words),
+		cov:    newRowTable(words),
+		live:   masks[0*words : 1*words : 1*words],
+		full:   masks[1*words : 2*words : 2*words],
+		zero:   masks[2*words : 3*words : 3*words],
+		und:    masks[3*words : 4*words : 4*words],
+		adm:    masks[4*words : 5*words : 5*words],
+		opt:    make([]float64, slots),
+		value:  make([]float64, slots),
+		thr:    make([]float64, slots),
+		gain:   make([]float64, slots),
+		seeds:  make([][]stream.UserID, slots),
+		gainUB: make([]uintset.Map, slots),
+	}
+}
+
+func (g *grid) weight(v stream.UserID) float64 {
+	if g.w == nil {
+		return 1
+	}
+	return g.w.Weight(v)
 }
 
 // singleton returns f({e}): the element's full value, an upper bound on its
@@ -124,140 +219,243 @@ func (g *grid) singleton(e Element) float64 {
 	return v
 }
 
-// Prepare implements Sharded: counters, singleton evaluation and
-// threshold-grid retuning — the serial prefix of one element.
-func (g *grid) Prepare(e Element) bool {
+// threshold computes slot s's admission threshold from its current state.
+// A full slot's residual divides by zero; full slots are never tested.
+func (g *grid) threshold(s int) float64 {
+	if g.flat {
+		return g.opt[s] / (2 * float64(g.k))
+	}
+	return (g.opt[s]/2 - g.value[s]) / float64(g.k-len(g.seeds[s]))
+}
+
+// Process implements Oracle.
+func (g *grid) Process(e Element) {
 	g.elements++
 	sv := g.singleton(e)
 	if sv == 0 {
-		return false
+		return
 	}
 	if sv > g.m {
 		g.m = sv
 		g.retune()
 	}
-	g.cur = sv
 	g.dirty = true
-	return true
-}
-
-// Shards implements Sharded: one shard per live instance.
-func (g *grid) Shards() int { return len(g.insts) }
-
-// FeedShard implements Sharded: offer the prepared element to instance i.
-// Instances never share mutable state, so distinct shards may run
-// concurrently with bit-identical admission decisions.
-func (g *grid) FeedShard(i int, e Element) { g.feed(g.insts[i], e, g.cur) }
-
-// Process implements Oracle: the serial sweep, equivalent to Prepare
-// followed by feeding every shard in order.
-func (g *grid) Process(e Element) {
-	if !g.Prepare(e) {
-		return
-	}
-	for _, inst := range g.insts {
-		g.feed(inst, e, g.cur)
-	}
+	g.feed(e, sv)
 }
 
 // retune maintains the instance range after m grew: instances whose OPT
-// guess fell below m are recycled through the free list (they can no longer
-// be the right guess), and instances up to 2km are created. Lazy
-// instantiation preserves the guarantee because a fresh instance only needs
-// to see elements arriving after the point where its guess became plausible
+// guess fell below m are retired (they can no longer be the right guess)
+// and their slots reused for the guesses up to 2km. Lazy instantiation
+// preserves the guarantee because a fresh instance only needs to see
+// elements arriving after the point where its guess became plausible
 // (Badanidiyuru et al. §4). The monotone best-ever cache keeps Value() from
 // dipping when instances are dropped.
 func (g *grid) retune() {
 	g.refresh() // bank the current best before dropping instances
 	lo := int(math.Ceil(math.Log(g.m)/g.logB - 1e-9))
 	hi := int(math.Floor(math.Log(2*float64(g.k)*g.m)/g.logB + 1e-9))
-	next := make([]*sieveInst, hi-lo+1)
-	for old, inst := range g.insts {
+	next := make([]int, hi-lo+1)
+	for i := range next {
+		next[i] = -1
+	}
+	retired := make([]uint64, len(g.live))
+	for old, s := range g.order {
 		if j := old + g.jLo; j < lo || j > hi {
-			g.pool.put(inst)
+			retired[s>>6] |= 1 << (s & 63)
+			g.live[s>>6] &^= 1 << (s & 63)
+			g.full[s>>6] &^= 1 << (s & 63)
+			g.seeds[s] = g.seeds[s][:0]
+			g.value[s] = 0
+			g.gainUB[s].Reset()
 		} else {
-			next[j-lo] = inst
+			next[j-lo] = s
 		}
+	}
+	if !isZero(retired) {
+		g.seedOf.clearBits(retired)
+		g.cov.clearBits(retired)
 	}
 	for j := lo; j <= hi; j++ {
-		if next[j-lo] == nil {
-			next[j-lo] = g.pool.get(math.Pow(1+g.beta, float64(j)))
+		if next[j-lo] < 0 {
+			next[j-lo] = g.open(math.Pow(1+g.beta, float64(j)))
 		}
 	}
-	g.insts, g.jLo = next, lo
+	g.order, g.jLo = next, lo
 }
 
-// feed offers the current element to one instance. singleton, the element's
+// open claims the lowest free slot for a fresh instance guessing opt.
+func (g *grid) open(opt float64) int {
+	for wi, l := range g.live {
+		if free := ^l; free != 0 {
+			b := bits.TrailingZeros64(free)
+			g.live[wi] |= 1 << b
+			s := wi<<6 | b
+			g.opt[s] = opt
+			g.thr[s] = g.threshold(s)
+			return s
+		}
+	}
+	panic("oracle: sieve grid out of instance slots")
+}
+
+func isZero(mask []uint64) bool {
+	for _, m := range mask {
+		if m != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// cover adds v to the solution of every slot in mask, crediting v's weight
+// to the slots that did not cover it yet. Slots are credited one member at
+// a time, members in the caller's order — the accumulation order a private
+// per-instance coverage set would see, so weighted values match bit for
+// bit.
+func (g *grid) cover(v stream.UserID, mask []uint64) {
+	row := g.cov.row(uint32(v))
+	for wi, m := range mask {
+		fresh := m &^ row[wi]
+		if fresh == 0 {
+			continue
+		}
+		row[wi] |= fresh
+		w := g.weight(v)
+		for ; fresh != 0; fresh &= fresh - 1 {
+			s := wi<<6 | bits.TrailingZeros64(fresh)
+			g.value[s] += w
+			g.thr[s] = g.threshold(s)
+		}
+	}
+}
+
+// feed offers the element to every live instance. singleton, the element's
 // full value, upper-bounds its marginal gain and lets instances with high
 // thresholds reject without scanning coverage.
-func (g *grid) feed(inst *sieveInst, e Element, singleton float64) {
-	if inst.inSeeds.Has(uint32(e.User)) {
-		// e.User is already a seed: its influence set grew, merge the
-		// coverage. No threshold test — the candidate stores users, so this
-		// costs no budget and only increases the value (Theorem 2's
-		// monotonicity). With Latest metadata the merge is a single insert.
+func (g *grid) feed(e Element, singleton float64) {
+	u := uint32(e.User)
+	seedIn := g.seedOf.find(u)
+	if seedIn == nil {
+		seedIn = g.zero
+	} else if !isZero(seedIn) {
+		// e.User is already a seed in these slots: its influence set grew,
+		// merge the coverage. No threshold test — the candidate stores
+		// users, so this costs no budget and only increases the value
+		// (Theorem 2's monotonicity). With Latest metadata the merge is a
+		// single row-OR.
 		if e.LatestValid {
-			inst.cov.Add(e.Latest)
-			return
+			g.cover(e.Latest, seedIn)
+		} else {
+			for _, c := range e.Prefix {
+				g.cover(c.V, seedIn)
+			}
 		}
-		for _, c := range e.Prefix {
-			inst.cov.Add(c.V)
-		}
-		return
 	}
-	if len(inst.seeds) >= g.k {
-		return
-	}
-	var threshold float64
-	if g.flat {
-		threshold = inst.opt / (2 * float64(g.k))
-	} else {
-		threshold = (inst.opt/2 - inst.cov.Value()) / float64(g.k-len(inst.seeds))
-	}
-	if singleton < threshold {
-		return // gain <= singleton cannot clear the threshold
-	}
+
+	// Threshold sweep over the slots that could still admit e.User: the
+	// singleton test, then the cached gain bound, leave in und the slots
+	// that have to scan the influence set.
+	wLatest := 1.0
 	if e.LatestValid {
-		if ub, ok := inst.gainUB.Get(uint32(e.User)); ok {
-			w := 1.0
-			if g.w != nil {
-				w = g.w.Weight(e.Latest)
-			}
-			ub += w
-			if ub < threshold {
-				// Still below the bar even if the new member is uncovered.
-				inst.gainUB.Set(uint32(e.User), ub)
-				return
-			}
-		}
+		wLatest = g.weight(e.Latest)
 	}
-	// Accumulate the marginal gain only until the admission condition is
-	// decided: gain can only grow, so the scan stops at the threshold.
-	gain := 0.0
+	for wi := range g.und {
+		var und uint64
+		for c := g.live[wi] &^ g.full[wi] &^ seedIn[wi]; c != 0; c &= c - 1 {
+			b := bits.TrailingZeros64(c)
+			s := wi<<6 | b
+			thr := g.thr[s]
+			if singleton < thr {
+				continue // gain <= singleton cannot clear the threshold
+			}
+			if e.LatestValid {
+				if ub, ok := g.gainUB[s].Get(u); ok {
+					ub += wLatest
+					if ub < thr {
+						// Still below the bar even if the new member is uncovered.
+						g.gainUB[s].Set(u, ub)
+						continue
+					}
+				}
+			}
+			und |= 1 << b
+			g.gain[s] = 0
+		}
+		g.und[wi] = und
+	}
+	if isZero(g.und) {
+		return
+	}
+
+	// Scan: one cov probe per member serves every slot still undecided.
+	// Each slot accumulates its marginal gain only until its admission
+	// condition is decided: gain can only grow, so a slot leaves the scan
+	// at its threshold.
+	clear(g.adm)
 	for _, c := range e.Prefix {
-		gain += inst.cov.Gain(c.V)
-		if gain >= threshold && gain > 0 {
-			inst.seeds = append(inst.seeds, e.User)
-			inst.inSeeds.Add(uint32(e.User))
-			for _, c2 := range e.Prefix {
-				inst.cov.Add(c2.V)
+		covered := g.cov.find(uint32(c.V))
+		if covered == nil {
+			covered = g.zero
+		}
+		for wi, und := range g.und {
+			unc := und &^ covered[wi]
+			if unc == 0 {
+				continue
 			}
-			return
+			w := g.weight(c.V)
+			for ; unc != 0; unc &= unc - 1 {
+				b := bits.TrailingZeros64(unc)
+				s := wi<<6 | b
+				g.gain[s] += w
+				if g.gain[s] >= g.thr[s] && g.gain[s] > 0 {
+					g.adm[wi] |= 1 << b
+					g.und[wi] &^= 1 << b
+				}
+			}
+		}
+		if isZero(g.und) {
+			break
 		}
 	}
-	inst.gainUB.Set(uint32(e.User), gain)
+	for wi, und := range g.und {
+		for ; und != 0; und &= und - 1 {
+			s := wi<<6 | bits.TrailingZeros64(und)
+			g.gainUB[s].Set(u, g.gain[s])
+		}
+	}
+	if isZero(g.adm) {
+		return
+	}
+	seedIn = g.seedOf.row(u)
+	for wi, adm := range g.adm {
+		seedIn[wi] |= adm
+		for ; adm != 0; adm &= adm - 1 {
+			b := bits.TrailingZeros64(adm)
+			s := wi<<6 | b
+			g.seeds[s] = append(g.seeds[s], e.User)
+			if len(g.seeds[s]) >= g.k {
+				g.full[wi] |= 1 << b
+			}
+		}
+	}
+	// gain > 0 means every admitting slot is credited at least one member
+	// here, so cover re-derives its threshold with the new seed count.
+	for _, c := range e.Prefix {
+		g.cover(c.V, g.adm)
+	}
 }
 
-// refresh folds the current best instance into the monotone best-ever cache.
+// refresh folds the current best instance into the monotone best-ever
+// cache; ties go to the lowest guess.
 func (g *grid) refresh() {
 	if !g.dirty {
 		return
 	}
 	g.dirty = false
-	for _, inst := range g.insts {
-		if v := inst.cov.Value(); v > g.bestVal {
+	for _, s := range g.order {
+		if v := g.value[s]; v > g.bestVal {
 			g.bestVal = v
-			g.bestSeeds = append(g.bestSeeds[:0], inst.seeds...)
+			g.bestSeeds = append(g.bestSeeds[:0], g.seeds[s]...)
 		}
 	}
 }
@@ -292,12 +490,12 @@ func (g *grid) Candidates() []stream.UserID {
 		}
 	}
 	add(g.bestSeeds)
-	for _, inst := range g.insts {
-		add(inst.seeds)
+	for _, s := range g.order {
+		add(g.seeds[s])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Stats implements Oracle.
-func (g *grid) Stats() Stats { return Stats{Instances: len(g.insts), Elements: g.elements} }
+func (g *grid) Stats() Stats { return Stats{Instances: len(g.order), Elements: g.elements} }

@@ -29,8 +29,8 @@ import (
 // checkpoint frameworks materialize one recency list per contributor and
 // slice it per checkpoint, so the same backing array serves every element
 // of the fan-out. Oracles read only the .V members and must not retain or
-// mutate the slice beyond the Process/FeedShard call — it aliases stream
-// state that the next Ingest may rewrite. Duplicate users never occur
+// mutate the slice beyond the Process call — it aliases stream state that
+// the next Ingest may rewrite. Duplicate users never occur
 // (the recency list holds each influenced user once).
 //
 // Latest, when LatestValid, is the only member possibly added since this
@@ -99,41 +99,6 @@ type CandidateSource interface {
 	Candidates() []stream.UserID
 }
 
-// Sharded is implemented by oracles whose per-element work splits into
-// mutually independent shards — the sieve-style oracles, whose candidate
-// instances never share mutable state. It lets the checkpoint frameworks
-// flatten one action's (checkpoint × shard) fan-out into a single parallel
-// loop, so the parallel width is the sum of all live checkpoints' shard
-// counts instead of one oracle's instance count.
-//
-// The calling protocol replaces Process for one element e:
-//
-//	if orc.Prepare(e) {
-//	    for s := 0; s < orc.Shards(); s++ { orc.FeedShard(s, e) }
-//	}
-//
-// Prepare runs the serial prefix of the element (counters, threshold-grid
-// retuning) and reports whether the element needs feeding at all. The
-// FeedShard calls may then run concurrently with each other — each shard
-// touches disjoint state — but must all complete before the next Prepare or
-// Process call on the same oracle, and e must be identical across the
-// calls. Feeding every shard exactly once is equivalent to Process(e):
-// admission decisions are bit-identical to the serial sweep.
-type Sharded interface {
-	Oracle
-	// Prepare runs the serial per-element work and reports whether the
-	// element must be offered to the shards (false: zero-value element,
-	// fully handled).
-	Prepare(e Element) bool
-	// Shards returns the current number of independent shards. Valid until
-	// the next Prepare/Process call; may change as the threshold grid
-	// retunes.
-	Shards() int
-	// FeedShard offers the prepared element to shard s ∈ [0, Shards()).
-	// Distinct shards may be fed concurrently.
-	FeedShard(s int, e Element)
-}
-
 // Factory creates a fresh oracle for a cardinality constraint k. The IC and
 // SIC frameworks call it once per checkpoint.
 type Factory func(k int) Oracle
@@ -167,11 +132,9 @@ func (k Kind) String() string {
 
 // NewFactory returns a Factory for the given algorithm. beta is the
 // approximation/efficiency knob of the sieve-style oracles (ignored by the
-// swap oracles), w the influence weights (nil = cardinality).
-//
-// The sieve-style oracles implement Sharded; parallelism is driven by the
-// caller (the checkpoint frameworks fan shards of every live checkpoint
-// across one pool), so the factory itself is parallelism-agnostic.
+// swap oracles), w the influence weights (nil = cardinality). Oracles made
+// by one factory share nothing mutable (w must be safe for concurrent
+// reads), so a caller may Process distinct oracles concurrently.
 func NewFactory(kind Kind, beta float64, w submod.Weights) Factory {
 	switch kind {
 	case SieveStreaming:

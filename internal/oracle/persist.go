@@ -1,10 +1,13 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/stream"
+	"repro/internal/uintset"
 	"repro/internal/wire"
 )
 
@@ -43,24 +46,53 @@ const (
 const maxLen = wire.MaxLen
 
 // SaveState implements Persistent for the sieve-style oracles. Per
-// instance it serializes the OPT guess (as float bits — thresholds must
-// restore exactly), the admitted seed list in admission order (order is
-// semantic: it is the tie-break of the best-instance answer), the coverage
-// accumulator and the CELF-style gain-bound cache.
+// instance, in exponent order, it serializes the OPT guess (as float bits —
+// thresholds must restore exactly), the admitted seed list in admission
+// order (order is semantic: it is the tie-break of the best-instance
+// answer), the covered users sorted and delta-coded with the accumulated
+// value, and the CELF-style gain-bound cache.
+//
+// The value is stored as raw float bits rather than recomputed on restore:
+// under weighted objectives the accumulated sum depends on the historical
+// order of additions, and restoring the exact bits is what keeps a resumed
+// oracle's admission thresholds — and therefore its decisions — identical
+// to an uninterrupted run.
+//
+// The layout is instance-major although the state is not: it is the format
+// snapshots have always carried, and slot numbers stay out of it. One sweep
+// of cov yields every covered user's row in ascending user order; each
+// instance's member list is that sequence filtered by the instance's bit.
 func (g *grid) SaveState(w *wire.Writer) error {
 	w.Uvarint(gridPayloadVersion)
 	w.Varint(g.elements)
 	w.F64(g.m)
 	w.Varint(int64(g.jLo))
-	w.Uvarint(uint64(len(g.insts)))
-	for _, inst := range g.insts {
-		w.F64(inst.opt)
-		w.Uvarint(uint64(len(inst.seeds)))
-		for _, s := range inst.seeds {
-			w.Uvarint(uint64(s))
+	w.Uvarint(uint64(len(g.order)))
+	users, rows := g.cov.sorted()
+	words := g.cov.stride - 1
+	for _, s := range g.order {
+		w.F64(g.opt[s])
+		w.Uvarint(uint64(len(g.seeds[s])))
+		for _, u := range g.seeds[s] {
+			w.Uvarint(uint64(u))
 		}
-		inst.cov.Save(w)
-		saveGainUB(w, inst)
+		wi, bit := s>>6, uint64(1)<<(s&63)
+		n := 0
+		for i := range users {
+			if rows[i*words+wi]&bit != 0 {
+				n++
+			}
+		}
+		w.Uvarint(uint64(n))
+		prev := uint32(0)
+		for i, u := range users {
+			if rows[i*words+wi]&bit != 0 {
+				w.Uvarint(uint64(u - prev))
+				prev = u
+			}
+		}
+		w.F64(g.value[s])
+		saveGainUB(w, &g.gainUB[s])
 	}
 	w.F64(g.bestVal)
 	w.Uvarint(uint64(len(g.bestSeeds)))
@@ -71,16 +103,35 @@ func (g *grid) SaveState(w *wire.Writer) error {
 	return w.Err()
 }
 
-// saveGainUB emits an instance's gain-bound cache sorted by key for
+// sorted returns the users with a non-zero row in ascending order, and
+// their rows concatenated in the same order.
+func (t *rowTable) sorted() (users []uint32, rows []uint64) {
+	cells := make([]int, 0, t.count) // offsets of the occupied, non-zero cells
+	for o := 0; o < len(t.cells); o += t.stride {
+		if t.cells[o] != 0 && !isZero(t.cells[o+1:o+t.stride]) {
+			cells = append(cells, o)
+		}
+	}
+	slices.SortFunc(cells, func(a, b int) int { return cmp.Compare(t.cells[a], t.cells[b]) })
+	users = make([]uint32, len(cells))
+	rows = make([]uint64, 0, len(cells)*(t.stride-1))
+	for i, o := range cells {
+		users[i] = uint32(t.cells[o] - 1)
+		rows = append(rows, t.cells[o+1:o+t.stride]...)
+	}
+	return users, rows
+}
+
+// saveGainUB emits a slot's gain-bound cache sorted by key for
 // deterministic output; cache content (not layout) is what admission
 // decisions read.
-func saveGainUB(w *wire.Writer, inst *sieveInst) {
+func saveGainUB(w *wire.Writer, m *uintset.Map) {
 	type kv struct {
 		k uint32
 		v float64
 	}
-	entries := make([]kv, 0, inst.gainUB.Len())
-	inst.gainUB.ForEach(func(k uint32, v float64) bool {
+	entries := make([]kv, 0, m.Len())
+	m.ForEach(func(k uint32, v float64) bool {
 		entries = append(entries, kv{k, v})
 		return true
 	})
@@ -92,7 +143,8 @@ func saveGainUB(w *wire.Writer, inst *sieveInst) {
 	}
 }
 
-// RestoreState implements Persistent for the sieve-style oracles.
+// RestoreState implements Persistent for the sieve-style oracles: saved
+// instance i takes slot i.
 func (g *grid) RestoreState(r *wire.Reader) error {
 	if v := r.Uvarint(); r.Err() == nil && v != gridPayloadVersion {
 		return fmt.Errorf("oracle: unsupported sieve payload version %d", v)
@@ -101,22 +153,37 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 	g.m = r.F64()
 	g.jLo = int(r.Varint())
 	n := r.Len(maxLen)
-	g.insts = make([]*sieveInst, 0, min(n, 1<<16))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		inst := g.pool.get(r.F64())
+	if r.Err() == nil && n > len(g.opt) {
+		return fmt.Errorf("oracle: sieve payload holds %d instances, k=%d beta=%v allows %d", n, g.k, g.beta, len(g.opt))
+	}
+	g.order = make([]int, 0, n)
+	for s := 0; s < n && r.Err() == nil; s++ {
+		wi, bit := s>>6, uint64(1)<<(s&63)
+		g.live[wi] |= bit
+		g.opt[s] = r.F64()
 		ns := r.Len(maxLen)
 		for j := 0; j < ns && r.Err() == nil; j++ {
 			u := stream.UserID(r.Uvarint())
-			inst.seeds = append(inst.seeds, u)
-			inst.inSeeds.Add(uint32(u))
+			g.seeds[s] = append(g.seeds[s], u)
+			g.seedOf.row(uint32(u))[wi] |= bit
 		}
-		inst.cov.Restore(r)
+		if len(g.seeds[s]) >= g.k {
+			g.full[wi] |= bit
+		}
+		nm := r.Len(maxLen)
+		prev := uint32(0)
+		for j := 0; j < nm && r.Err() == nil; j++ {
+			prev += uint32(r.Uvarint())
+			g.cov.row(prev)[wi] |= bit
+		}
+		g.value[s] = r.F64()
 		ng := r.Len(maxLen)
 		for j := 0; j < ng && r.Err() == nil; j++ {
 			k := uint32(r.Uvarint())
-			inst.gainUB.Set(k, r.F64())
+			g.gainUB[s].Set(k, r.F64())
 		}
-		g.insts = append(g.insts, inst)
+		g.thr[s] = g.threshold(s)
+		g.order = append(g.order, s)
 	}
 	g.bestVal = r.F64()
 	nb := r.Len(maxLen)

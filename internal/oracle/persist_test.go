@@ -123,33 +123,6 @@ func TestPersistDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestPersistShardedAfterRestore drives a restored sieve grid through the
-// Sharded protocol and asserts identity with the serial continuation of the
-// original — restore must preserve shard structure, not only answers.
-func TestPersistShardedAfterRestore(t *testing.T) {
-	elems := persistElements(300, 23)
-	src := NewSieve(5, 0.15, nil)
-	for _, e := range elems[:200] {
-		src.Process(e)
-	}
-	dst := NewSieve(5, 0.15, nil)
-	saveRestore(t, src, dst)
-	if got, want := dst.Shards(), src.Shards(); got != want {
-		t.Fatalf("restored Shards = %d, want %d", got, want)
-	}
-	for _, e := range elems[200:] {
-		src.Process(e)
-		if dst.Prepare(e) {
-			for s := 0; s < dst.Shards(); s++ {
-				dst.FeedShard(s, e)
-			}
-		}
-		if src.Value() != dst.Value() {
-			t.Fatalf("sharded continuation diverged: %v vs %v", src.Value(), dst.Value())
-		}
-	}
-}
-
 func TestPersistTruncated(t *testing.T) {
 	for _, tc := range persistCases {
 		t.Run(tc.name, func(t *testing.T) {

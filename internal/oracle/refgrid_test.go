@@ -1,0 +1,538 @@
+package oracle
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/stream"
+	"repro/internal/submod"
+	"repro/internal/uintset"
+	"repro/internal/wire"
+)
+
+// sieveInst is one candidate solution of a sieve-style oracle, associated
+// with one guess opt of the optimal value. SieveStreaming admits an element
+// when the marginal gain clears the residual threshold
+// (opt/2 − f(CX)) / (k − |CX|) (paper Eq. 2); ThresholdStream uses the flat
+// threshold opt/(2k). The state is identical either way.
+type sieveInst struct {
+	opt     float64
+	seeds   []stream.UserID
+	inSeeds *uintset.Set
+	cov     *submod.Coverage
+	// gainUB caches, per non-seed candidate, an upper bound on its marginal
+	// gain. Coverage growth only shrinks a candidate's gain, and between two
+	// elements for the same user its influence set gains at most the
+	// element's Latest member — so cached + weight(Latest) stays an upper
+	// bound, and most re-offers are rejected with one lookup instead of a
+	// scan over the influence set (the CELF idea applied inside a sieve
+	// instance).
+	gainUB *uintset.Map
+}
+
+// instPool is a free list of retired sieve instances: retune() drops
+// instances whose OPT guess fell behind m, and on a hot stream m grows many
+// times, so recycling the coverage set, gain cache and seed slice removes a
+// steady source of garbage from the ingestion path.
+type instPool struct {
+	free []*sieveInst
+	w    submod.Weights
+}
+
+func (p *instPool) get(opt float64) *sieveInst {
+	if n := len(p.free); n > 0 {
+		inst := p.free[n-1]
+		p.free = p.free[:n-1]
+		inst.opt = opt
+		return inst
+	}
+	return &sieveInst{
+		opt:     opt,
+		inSeeds: uintset.New(8),
+		cov:     submod.NewCoverage(p.w),
+		gainUB:  uintset.NewMap(0),
+	}
+}
+
+func (p *instPool) put(inst *sieveInst) {
+	inst.seeds = inst.seeds[:0]
+	inst.inSeeds.Reset()
+	inst.cov.Reset()
+	inst.gainUB.Reset()
+	p.free = append(p.free, inst)
+}
+
+// refGrid is the instance-major sieve grid this package shipped before its
+// state went user-major, kept as the reference the new grid is compared
+// against: one private seed set, coverage set and gain-bound map per
+// candidate instance, every element offered to each instance in turn. It
+// states the admission rule in its plainest form; grid must agree with it
+// after every element (TestGridMatchesReference).
+type refGrid struct {
+	k    int
+	beta float64
+	w    submod.Weights
+	flat bool // true = ThresholdStream's opt/(2k); false = Sieve's residual
+
+	m     float64 // max singleton value observed
+	insts []*sieveInst
+	jLo   int
+	logB  float64 // log(1+beta), cached
+	pool  instPool
+
+	elements int64
+
+	// bestVal/bestSeeds remember the best solution ever observed (kept
+	// monotone for SIC's Lemma 2: instance deletion during retune could
+	// otherwise make Value() dip; the remembered seed set stays valid
+	// because influence sets only grow within a checkpoint's suffix).
+	// dirty marks bestVal stale after new elements.
+	bestVal   float64
+	bestSeeds []stream.UserID
+	dirty     bool
+}
+
+func newRefGrid(k int, beta float64, w submod.Weights, flat bool) *refGrid {
+	if k < 1 {
+		panic("oracle: k must be >= 1")
+	}
+	if beta <= 0 || beta >= 1 {
+		panic("oracle: beta must be in (0, 1)")
+	}
+	return &refGrid{k: k, beta: beta, w: w, flat: flat, logB: math.Log1p(beta), pool: instPool{w: w}}
+}
+
+// singleton returns f({e}): the element's full value, an upper bound on its
+// marginal gain for every instance.
+func (g *refGrid) singleton(e Element) float64 {
+	if g.w == nil {
+		return float64(len(e.Prefix))
+	}
+	v := 0.0
+	for _, c := range e.Prefix {
+		v += g.w.Weight(c.V)
+	}
+	return v
+}
+
+// Process implements Oracle: the serial sweep over every instance.
+func (g *refGrid) Process(e Element) {
+	g.elements++
+	sv := g.singleton(e)
+	if sv == 0 {
+		return
+	}
+	if sv > g.m {
+		g.m = sv
+		g.retune()
+	}
+	g.dirty = true
+	for _, inst := range g.insts {
+		g.feed(inst, e, sv)
+	}
+}
+
+// retune maintains the instance range after m grew: instances whose OPT
+// guess fell below m are recycled through the free list (they can no longer
+// be the right guess), and instances up to 2km are created. Lazy
+// instantiation preserves the guarantee because a fresh instance only needs
+// to see elements arriving after the point where its guess became plausible
+// (Badanidiyuru et al. §4). The monotone best-ever cache keeps Value() from
+// dipping when instances are dropped.
+func (g *refGrid) retune() {
+	g.refresh() // bank the current best before dropping instances
+	lo := int(math.Ceil(math.Log(g.m)/g.logB - 1e-9))
+	hi := int(math.Floor(math.Log(2*float64(g.k)*g.m)/g.logB + 1e-9))
+	next := make([]*sieveInst, hi-lo+1)
+	for old, inst := range g.insts {
+		if j := old + g.jLo; j < lo || j > hi {
+			g.pool.put(inst)
+		} else {
+			next[j-lo] = inst
+		}
+	}
+	for j := lo; j <= hi; j++ {
+		if next[j-lo] == nil {
+			next[j-lo] = g.pool.get(math.Pow(1+g.beta, float64(j)))
+		}
+	}
+	g.insts, g.jLo = next, lo
+}
+
+// feed offers the current element to one instance. singleton, the element's
+// full value, upper-bounds its marginal gain and lets instances with high
+// thresholds reject without scanning coverage.
+func (g *refGrid) feed(inst *sieveInst, e Element, singleton float64) {
+	if inst.inSeeds.Has(uint32(e.User)) {
+		// e.User is already a seed: its influence set grew, merge the
+		// coverage. No threshold test — the candidate stores users, so this
+		// costs no budget and only increases the value (Theorem 2's
+		// monotonicity). With Latest metadata the merge is a single insert.
+		if e.LatestValid {
+			inst.cov.Add(e.Latest)
+			return
+		}
+		for _, c := range e.Prefix {
+			inst.cov.Add(c.V)
+		}
+		return
+	}
+	if len(inst.seeds) >= g.k {
+		return
+	}
+	var threshold float64
+	if g.flat {
+		threshold = inst.opt / (2 * float64(g.k))
+	} else {
+		threshold = (inst.opt/2 - inst.cov.Value()) / float64(g.k-len(inst.seeds))
+	}
+	if singleton < threshold {
+		return // gain <= singleton cannot clear the threshold
+	}
+	if e.LatestValid {
+		if ub, ok := inst.gainUB.Get(uint32(e.User)); ok {
+			w := 1.0
+			if g.w != nil {
+				w = g.w.Weight(e.Latest)
+			}
+			ub += w
+			if ub < threshold {
+				// Still below the bar even if the new member is uncovered.
+				inst.gainUB.Set(uint32(e.User), ub)
+				return
+			}
+		}
+	}
+	// Accumulate the marginal gain only until the admission condition is
+	// decided: gain can only grow, so the scan stops at the threshold.
+	gain := 0.0
+	for _, c := range e.Prefix {
+		gain += inst.cov.Gain(c.V)
+		if gain >= threshold && gain > 0 {
+			inst.seeds = append(inst.seeds, e.User)
+			inst.inSeeds.Add(uint32(e.User))
+			for _, c2 := range e.Prefix {
+				inst.cov.Add(c2.V)
+			}
+			return
+		}
+	}
+	inst.gainUB.Set(uint32(e.User), gain)
+}
+
+// refresh folds the current best instance into the monotone best-ever cache.
+func (g *refGrid) refresh() {
+	if !g.dirty {
+		return
+	}
+	g.dirty = false
+	for _, inst := range g.insts {
+		if v := inst.cov.Value(); v > g.bestVal {
+			g.bestVal = v
+			g.bestSeeds = append(g.bestSeeds[:0], inst.seeds...)
+		}
+	}
+}
+
+// Value implements Oracle.
+func (g *refGrid) Value() float64 {
+	g.refresh()
+	return g.bestVal
+}
+
+// Seeds implements Oracle.
+func (g *refGrid) Seeds() []stream.UserID {
+	g.refresh()
+	return g.bestSeeds
+}
+
+// Candidates implements CandidateSource: the deduplicated union of every
+// live instance's seed set plus the monotone best-ever answer, sorted
+// ascending. Instances with different OPT guesses admit different users, so
+// the union is a strictly richer pool than Seeds() — exactly what a
+// distributed merge layer wants to re-score.
+func (g *refGrid) Candidates() []stream.UserID {
+	g.refresh()
+	seen := uintset.New(8)
+	var out []stream.UserID
+	add := func(users []stream.UserID) {
+		for _, u := range users {
+			if !seen.Has(uint32(u)) {
+				seen.Add(uint32(u))
+				out = append(out, u)
+			}
+		}
+	}
+	add(g.bestSeeds)
+	for _, inst := range g.insts {
+		add(inst.seeds)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Stats implements Oracle.
+func (g *refGrid) Stats() Stats { return Stats{Instances: len(g.insts), Elements: g.elements} }
+
+// SaveState writes the reference grid in payload version 1, each instance's
+// coverage set sorted and delta-coded the way submod.Coverage.Save wrote it
+// when the sets were private.
+func (g *refGrid) SaveState(w *wire.Writer) error {
+	w.Uvarint(gridPayloadVersion)
+	w.Varint(g.elements)
+	w.F64(g.m)
+	w.Varint(int64(g.jLo))
+	w.Uvarint(uint64(len(g.insts)))
+	for _, inst := range g.insts {
+		w.F64(inst.opt)
+		w.Uvarint(uint64(len(inst.seeds)))
+		for _, s := range inst.seeds {
+			w.Uvarint(uint64(s))
+		}
+		members := make([]uint32, 0, inst.cov.Len())
+		for v := uint32(0); len(members) < inst.cov.Len(); v++ {
+			if inst.cov.Has(stream.UserID(v)) {
+				members = append(members, v)
+			}
+		}
+		w.Uvarint(uint64(len(members)))
+		prev := uint32(0)
+		for _, m := range members {
+			w.Uvarint(uint64(m - prev))
+			prev = m
+		}
+		w.F64(inst.cov.Value())
+		saveGainUB(w, inst.gainUB)
+	}
+	w.F64(g.bestVal)
+	w.Uvarint(uint64(len(g.bestSeeds)))
+	for _, s := range g.bestSeeds {
+		w.Uvarint(uint64(s))
+	}
+	w.Bool(g.dirty)
+	return w.Err()
+}
+
+// randomElements synthesizes a set-stream: users re-emit growing influence
+// sets, the way the checkpoint frameworks feed oracles.
+func randomElements(seed int64, users, rounds, maxSet int) []Element {
+	rng := rand.New(rand.NewSource(seed))
+	sets := make(map[stream.UserID][]stream.UserID, users)
+	var out []Element
+	for r := 0; r < rounds; r++ {
+		u := stream.UserID(rng.Intn(users))
+		v := stream.UserID(rng.Intn(maxSet))
+		grew := true
+		for _, w := range sets[u] {
+			if w == v {
+				grew = false
+				break
+			}
+		}
+		if grew {
+			sets[u] = append(sets[u], v)
+		}
+		set := append([]stream.UserID(nil), sets[u]...)
+		e := SliceElement(u, set)
+		if grew {
+			e.Latest, e.LatestValid = v, true
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// churnElements is a growing-singleton stream: every element's set is one
+// member larger than the last, so m rises on each one and the grid keeps
+// retiring instances and reusing their slots.
+func churnElements(n int) []Element {
+	set := make([]stream.UserID, 0, n)
+	out := make([]Element, 0, n)
+	for i := 0; i < n; i++ {
+		set = append(set, stream.UserID(i))
+		e := SliceElement(stream.UserID(i%7), set)
+		e.Latest, e.LatestValid = stream.UserID(i), true
+		out = append(out, e)
+	}
+	return out
+}
+
+func testWeights() submod.Weights {
+	return submod.WeightFunc(func(v stream.UserID) float64 { return 1 + float64(v%5)/3 })
+}
+
+func stateBytes(t *testing.T, o interface{ SaveState(*wire.Writer) error }) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.SaveState(wire.NewWriter(&buf)); err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestGridMatchesReference is the bit-identity contract of the user-major
+// layout: for both admission rules, cardinality and weighted objectives,
+// one-word and multi-word rows, with and without Latest metadata, the grid
+// and the instance-major reference agree on Value after every element and
+// on Seeds, Candidates, Stats and the serialized state periodically. The
+// stream ends in a growing-singleton run that retires and reuses slots.
+func TestGridMatchesReference(t *testing.T) {
+	shapes := []struct {
+		k    int
+		beta float64
+	}{{10, .1}, {50, .1}, {5, .3}, {3, .5}, {200, .05}, {200, .04}}
+	for _, flat := range []bool{false, true} {
+		for _, weighted := range []bool{false, true} {
+			for _, sh := range shapes {
+				for _, latest := range []bool{true, false} {
+					name := fmt.Sprintf("flat=%v/weighted=%v/k=%d/beta=%v/latest=%v", flat, weighted, sh.k, sh.beta, latest)
+					t.Run(name, func(t *testing.T) {
+						var w submod.Weights
+						if weighted {
+							w = testWeights()
+						}
+						got := newGrid(sh.k, sh.beta, w, flat)
+						ref := newRefGrid(sh.k, sh.beta, w, flat)
+						elems := append(randomElements(int64(sh.k), 80, 2500, 400), churnElements(150)...)
+						for i, e := range elems {
+							e.LatestValid = e.LatestValid && latest
+							got.Process(e)
+							ref.Process(e)
+							if gv, rv := got.Value(), ref.Value(); gv != rv {
+								t.Fatalf("element %d: value %v, reference %v", i, gv, rv)
+							}
+							if i%97 != 0 && i != len(elems)-1 {
+								continue
+							}
+							if gs, rs := got.Seeds(), ref.Seeds(); !reflect.DeepEqual(gs, rs) {
+								t.Fatalf("element %d: seeds %v, reference %v", i, gs, rs)
+							}
+							if gc, rc := got.Candidates(), ref.Candidates(); !reflect.DeepEqual(gc, rc) {
+								t.Fatalf("element %d: candidates %v, reference %v", i, gc, rc)
+							}
+							if gs, rs := got.Stats(), ref.Stats(); gs != rs {
+								t.Fatalf("element %d: stats %+v, reference %+v", i, gs, rs)
+							}
+							if !bytes.Equal(stateBytes(t, &got), stateBytes(t, ref)) {
+								t.Fatalf("element %d: SaveState bytes differ from the reference's", i)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+	if w := len(newGrid(200, .04, nil, false).live); w != 3 {
+		t.Fatalf("k=200 beta=.04 uses %d mask words, want the 3-word case covered", w)
+	}
+}
+
+// TestInstanceRecycling pins the slot lifecycle on the stream built to
+// stress it: singleton values that keep growing force a retune on every
+// element, and a reused slot must be indistinguishable from a fresh one —
+// a stale cov or seedOf bit, gain bound or seed list left behind by retune
+// diverges the grid from the reference, which shares nothing between
+// instances.
+func TestInstanceRecycling(t *testing.T) {
+	got := NewSieve(5, 0.3, nil)
+	ref := newRefGrid(5, 0.3, nil, false)
+	reused := 0
+	used := map[int]bool{} // slots some instance has held
+	for i, e := range churnElements(200) {
+		before := append([]int(nil), got.order...)
+		got.Process(e)
+		ref.Process(e)
+		for _, s := range got.order {
+			if used[s] && !slices.Contains(before, s) {
+				reused++
+			}
+			used[s] = true
+		}
+		if gv, rv := got.Value(), ref.Value(); gv != rv {
+			t.Fatalf("element %d: value %v, reference %v", i, gv, rv)
+		}
+	}
+	if got.Value() <= 0 {
+		t.Fatal("oracle made no progress")
+	}
+	if reused == 0 {
+		t.Fatal("stream never reused a slot; recycling path untested")
+	}
+	if !reflect.DeepEqual(got.Seeds(), ref.Seeds()) {
+		t.Fatalf("seeds diverged: %v vs %v", got.Seeds(), ref.Seeds())
+	}
+	if !bytes.Equal(stateBytes(t, got), stateBytes(t, ref)) {
+		t.Fatal("SaveState bytes differ from the reference's")
+	}
+}
+
+// goldenCases name SaveState payloads written by the instance-major grid at
+// the commit before the layout change (testdata/grid_v1_<name>.bin), each
+// after goldenStream.
+var goldenCases = []struct {
+	name     string
+	kind     Kind
+	k        int
+	beta     float64
+	weighted bool
+}{
+	{"sieve_k50_b10", SieveStreaming, 50, 0.1, false},
+	{"threshold_k10_b10_weighted", ThresholdStream, 10, 0.1, true},
+	{"sieve_k200_b03_weighted", SieveStreaming, 200, 0.03, true},
+}
+
+func goldenStream() []Element {
+	return append(randomElements(11, 60, 3000, 300), churnElements(120)...)
+}
+
+// TestGoldenStateV1 is the upgrade contract: payloads written before the
+// layout change restore, re-save byte for byte, and are exactly what the
+// new grid writes after the same stream — so old snapshots load and a
+// tracker recovered across the upgrade equals an uninterrupted one.
+func TestGoldenStateV1(t *testing.T) {
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "grid_v1_"+tc.name+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w submod.Weights
+			if tc.weighted {
+				w = testWeights()
+			}
+			restored := NewFactory(tc.kind, tc.beta, w)(tc.k).(Persistent)
+			if err := restored.RestoreState(wire.NewReader(bytes.NewReader(want))); err != nil {
+				t.Fatalf("RestoreState: %v", err)
+			}
+			if !bytes.Equal(stateBytes(t, restored), want) {
+				t.Fatal("restored payload does not re-save byte-identically")
+			}
+			fresh := NewFactory(tc.kind, tc.beta, w)(tc.k).(Persistent)
+			for _, e := range goldenStream() {
+				fresh.Process(e)
+			}
+			if !bytes.Equal(stateBytes(t, fresh), want) {
+				t.Fatal("replaying the stream does not reproduce the payload")
+			}
+			// Restored and replayed must also keep deciding alike.
+			for i, e := range randomElements(12, 60, 500, 300) {
+				restored.Process(e)
+				fresh.Process(e)
+				if rv, fv := restored.Value(), fresh.Value(); rv != fv {
+					t.Fatalf("element %d after restore: value %v, replayed %v", i, rv, fv)
+				}
+			}
+			if !bytes.Equal(stateBytes(t, restored), stateBytes(t, fresh)) {
+				t.Fatal("restored and replayed grids diverged")
+			}
+		})
+	}
+}

@@ -12,9 +12,9 @@ import (
 // (paper Eq. 2). Guarantees a (1/2 − β) approximation on the append-only
 // element stream, hence on SIM for its suffix by Theorem 2.
 //
-// All grid maintenance (instance free list, retuning, the monotone
-// best-ever answer cache) and the Sharded protocol — one shard per
-// candidate instance — live in the embedded grid, shared with Threshold.
+// All instance state and grid maintenance (the user-major bit-row tables,
+// retuning, the monotone best-ever answer cache) live in the embedded grid,
+// shared with Threshold.
 type Sieve struct {
 	grid
 }

@@ -12,8 +12,7 @@ import (
 // (1/2 − β) guarantee with a slightly different admission pattern.
 //
 // Everything except the admission threshold is identical to Sieve and lives
-// in the embedded grid, including the Sharded protocol (one shard per
-// candidate instance).
+// in the embedded grid.
 type Threshold struct {
 	grid
 }

@@ -1,7 +1,7 @@
 // Package pool provides a small persistent worker pool for data-parallel
 // loops over mutually independent shards — the concurrency substrate of the
-// parallel ingestion engine. The checkpoint frameworks flatten one action's
-// (checkpoint × oracle-shard) fan-out into a single Run call, so the pool
+// parallel ingestion engine. The checkpoint frameworks feed one element to
+// every live checkpoint's oracle with a single Run call, so the pool
 // sits directly on the ingestion hot path: workers stay parked between
 // elements, and a steady-state Run performs no heap allocation — run
 // descriptors are recycled through a sync.Pool and workers receive a small

@@ -358,6 +358,89 @@ func TestChaosKillMidSpill(t *testing.T) {
 	checkAnswer(t, "post-recovery ingest", tr2.Snapshot(), serialReference(t, durableStream(2600)))
 }
 
+// TestChaosKillTwiceAcrossRespill is the double-crash row of the spill
+// matrix: spill and snapshot, kill -9, recover by replaying a WAL tail long
+// enough to re-spill — which retires segments the on-disk snapshot still
+// names — then kill -9 again before any new snapshot covers the change. The
+// second recovery loads that same snapshot, so every segment it names must
+// have survived the first recovery's boot GC; it must boot and equal the
+// uninterrupted reference.
+func TestChaosKillTwiceAcrossRespill(t *testing.T) {
+	actions := durableStream(2400)
+	spec := durableSpec
+	spec.MemoryBudgetBytes = 4096
+	spec.SnapshotWALBytes = 2048
+
+	// Life 1: spill under frequent snapshots, so the last snapshot names
+	// cold segments.
+	dir := t.TempDir()
+	reg := NewRegistry()
+	reg.SetDataDir(dir)
+	tr, err := reg.Add("t", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitChunks(t, tr, actions[:1200], 100)
+	if snap := tr.Snapshot(); snap.Spills == 0 || snap.ColdUsers == 0 {
+		t.Fatalf("budget never built a cold tier: %+v", snap)
+	}
+	crash1 := t.TempDir()
+	copyTree(t, filepath.Join(dir, "t"), filepath.Join(crash1, "t"))
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Life 2: never snapshots, so its whole ingest stays a WAL tail on top
+	// of life 1's snapshot.
+	spec.SnapshotWALBytes = 1 << 30
+	reg2 := NewRegistry()
+	reg2.SetDataDir(crash1)
+	tr2, err := reg2.Add("t", spec)
+	if err != nil {
+		t.Fatalf("first recovery: %v", err)
+	}
+	submitChunks(t, tr2, actions[1200:], 100)
+	crash2 := t.TempDir()
+	copyTree(t, filepath.Join(crash1, "t"), filepath.Join(crash2, "t"))
+	if err := reg2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Life 3: replays that tail, re-spilling as it goes, and is killed
+	// straight after boot.
+	reg3 := NewRegistry()
+	reg3.SetDataDir(crash2)
+	tr3, err := reg3.Add("t", spec)
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	want := serialReference(t, actions)
+	snap3 := tr3.Snapshot()
+	checkAnswer(t, "recovered across the re-spill", snap3, want)
+	files, err := filepath.Glob(filepath.Join(crash2, "t", "spill", "seg-*.sim2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) <= snap3.ColdSegments {
+		t.Fatalf("replay retired no segment (%d files, %d live); the row is vacuous", len(files), snap3.ColdSegments)
+	}
+	crash3 := t.TempDir()
+	copyTree(t, filepath.Join(crash2, "t"), filepath.Join(crash3, "t"))
+	if err := reg3.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Life 4: the same snapshot and WAL again.
+	reg4 := NewRegistry()
+	reg4.SetDataDir(crash3)
+	tr4, err := reg4.Add("t", spec)
+	if err != nil {
+		t.Fatalf("recovery after the second kill: %v", err)
+	}
+	defer reg4.Close()
+	checkAnswer(t, "recovered after the second kill", tr4.Snapshot(), want)
+}
+
 // TestChaosCorruptReferencedSegment flips bytes in every cold segment of a
 // crash image: a snapshot that references a now-corrupt segment must fail
 // recovery loudly instead of serving silently wrong influence data.

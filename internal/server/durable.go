@@ -188,6 +188,12 @@ func recoverTracker(fs fault.FS, clock fault.Clock, dir string, cfg sim.Config, 
 		return nil, nil, info, err
 	}
 
+	// Before replay, while the tracker references exactly the segments the
+	// snapshot names.
+	if err := collectStrays(tr); err != nil {
+		return nil, nil, info, err
+	}
+
 	last := tr.LastID()
 	info.WALBatches, info.WALActions, err = replayWAL(fs, filepath.Join(dir, walFileName), func(batch []sim.Action) error {
 		// Skip records entirely covered by the snapshot (the crash-window

@@ -179,21 +179,11 @@ func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.F
 	}
 	if dataDir != "" {
 		tr, dur, info, err = recoverTracker(fs, clock, dataDir, cfg, spec.SnapshotWALBytes, names)
-	} else {
-		tr, err = sim.New(cfg)
+	} else if tr, err = sim.New(cfg); err == nil {
+		err = collectStrays(tr) // nothing on disk names a segment
 	}
 	if err != nil {
 		return nil, err
-	}
-	// Boot GC: recovery re-adopted exactly the segments the snapshot (plus
-	// WAL-replay respills) references; anything else in the spill dir is a
-	// stray from a pre-crash spill that never made a snapshot. Runs before
-	// the loop starts, so the single-writer rule holds.
-	if spillDir != "" {
-		if _, gerr := tr.GC(); gerr != nil {
-			tr.Close()
-			return nil, fmt.Errorf("server: collecting stray cold segments: %w", gerr)
-		}
 	}
 	queue := spec.Queue
 	if queue <= 0 {
@@ -219,6 +209,22 @@ func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.F
 	t.publish() // queries before the first ingest see the recovered snapshot
 	go t.loop()
 	return t, nil
+}
+
+// collectStrays deletes the cold segment files tr holds no reference to. It
+// is the boot GC, valid only while tr's references are exactly those of
+// what is on disk: a tracker just loaded from the snapshot (everything else
+// in the spill dir is a stray from a pre-crash spill that never made a
+// snapshot) or a fresh one. Once WAL replay has re-spilled, a zero-reference
+// segment may be one the on-disk snapshot still names; those wait for the
+// next covering snapshot (gcCold), as in steady state. On failure tr is
+// closed.
+func collectStrays(tr *sim.Tracker) error {
+	if _, err := tr.GC(); err != nil {
+		tr.Close()
+		return fmt.Errorf("server: collecting stray cold segments: %w", err)
+	}
+	return nil
 }
 
 // Recovery reports what boot restored for a durable tracker; ok is false

@@ -17,13 +17,12 @@
 //	    seeds := tr.Seeds() // current influential users
 //	}
 //
-// The ingestion hot path is a checkpoint-sharded feed with a
-// zero-allocation element path: influence sets reach the oracles as shared
-// slice views rather than closures, and two Config options scale it with
-// cores, both defaulting to the exact legacy serial behavior. Parallelism
-// (default 1) flattens each action's (checkpoint × oracle-shard) fan-out
-// into one worker-pool loop — parallel width is the sum of ALL live
-// checkpoints' instance counts — with bit-identical results at any width;
+// The ingestion hot path is a per-checkpoint feed with a zero-allocation
+// element path: influence sets reach the oracles as shared slice views
+// rather than closures, and two Config options reshape it, both defaulting
+// to the exact legacy serial behavior. Parallelism (default 1) feeds each
+// action's live checkpoints — distinct oracles with disjoint state —
+// through one worker-pool loop, with bit-identical results at any width;
 // BatchSize (default 1) groups actions so the stream index, oracle feeding
 // and window maintenance amortize across a batch, with results exact at
 // batch boundaries and every query flushing first. Trackers with
@@ -249,17 +248,16 @@ type Config struct {
 	// An extension beyond the paper; the approximation guarantees carry
 	// over because expiry is timestamp-driven either way.
 	TimeBased bool
-	// Parallelism is the number of worker goroutines the checkpoint-sharded
-	// feed engine fans each action's oracle updates across. Every live
-	// checkpoint's sieve-style oracle splits into mutually independent
-	// shards (one per candidate instance), and one parallel loop covers the
-	// shards of ALL checkpoints at once — so the width scales with the sum
-	// of the checkpoints' instance counts and stays wide even under SIC's
-	// few-instances-per-oracle regime. The fan-out changes no admission
-	// decision: results are bit-identical to the serial path at any width.
-	// 1 (or 0, the zero value) keeps the exact legacy serial path; a
-	// negative value selects GOMAXPROCS. Ignored by the swap oracles
-	// (BlogWatch, MkC), which expose no shards. Trackers with
+	// Parallelism is the number of worker goroutines each action's oracle
+	// updates are fanned across. The unit of work is a whole checkpoint:
+	// live checkpoints are distinct oracles (of any kind) with disjoint
+	// state, so one parallel loop runs their Process calls side by side,
+	// and the useful width is bounded by the number of live checkpoints
+	// (⌈N/L⌉ under IC, O(log N / β) under SIC). The fan-out changes no
+	// admission decision — every oracle still sees its own elements in
+	// stream order — so results are bit-identical to the serial path at
+	// any width. 1 (or 0, the zero value) keeps the exact legacy serial
+	// path; a negative value selects GOMAXPROCS. Trackers with
 	// Parallelism > 1 own worker goroutines; call Close to release them.
 	Parallelism int
 	// BatchSize groups ingested actions: Process enqueues, and every
