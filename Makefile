@@ -30,7 +30,7 @@ bench:
 # allocs/op, B/op, actions/sec). Commit the output as BENCH_<PR>.json to
 # extend the cross-PR performance trajectory; CI uploads the same file as a
 # workflow artifact.
-BENCH_JSON ?= BENCH_PR14.json
+BENCH_JSON ?= BENCH_PR15.json
 bench-json:
 	$(GO) run ./cmd/simbench -exp tput,par,query,mem -scale smoke -json $(BENCH_JSON)
 
@@ -41,7 +41,7 @@ bench-json:
 # (simbench -check-retries, min-of-N) before failing, since 1-CPU scheduler
 # noise is one-sided. The fresh snapshot goes to a scratch file; the
 # committed baseline is never overwritten.
-BENCH_BASELINE ?= BENCH_PR14.json
+BENCH_BASELINE ?= BENCH_PR15.json
 bench-check:
 	$(GO) run ./cmd/simbench -exp tput,par,query,mem -scale smoke \
 		-json bench-fresh.json -check $(BENCH_BASELINE)

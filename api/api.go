@@ -397,6 +397,12 @@ type TrackerMetricsResponse struct {
 	ColdSegments  int   `json:"cold_segments"`
 	Spills        int64 `json:"spills"`
 	ColdFaults    int64 `json:"cold_faults"`
+	// Oracle-feed work since boot (see sim.Snapshot): how many of the
+	// elements fed to checkpoint oracles (/stats' elements_fed) had their
+	// influence set scanned against the candidate solutions' coverage, and
+	// how many members those scans probed.
+	Scans       int64 `json:"scans"`
+	ScanMembers int64 `json:"scan_members"`
 	// Boot recovery shape, for durable trackers: whether a snapshot was
 	// mapped in (cold segments re-adopted, not replayed) and how much WAL
 	// tail was replayed on top. The spill smoke test asserts segment-mapped

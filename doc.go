@@ -13,7 +13,10 @@
 // path — oracle elements are plain values over shared influence-set views —
 // and the sieve-style oracles keep their candidate instances' state
 // user-major: one bit row per user answers "seed of which instances" and
-// "covered by which instances" for all O(log k / β) instances in one probe.
+// "covered by which instances" for all O(log k / β) instances in one probe,
+// and a per-instance gain bound that grows only by what an element can have
+// changed lets most re-offered elements be rejected without walking their
+// influence set.
 // sim.Config's Parallelism option feeds each action's live checkpoints
 // through one persistent worker-pool loop (default 1 = serial,
 // bit-identical results at any width). BatchSize groups actions so

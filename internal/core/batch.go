@@ -46,19 +46,7 @@ func (f *Framework) ProcessBatch(actions []stream.Action) error {
 	// A checkpoint opened mid-batch starts at its opening action's ID, so
 	// the prefix query below feeds it exactly its own suffix.
 	for _, d := range deltas {
-		a := d.Action
-		create := false
-		if f.cfg.ByTime {
-			create = f.processed == 0 || a.ID >= f.lastCpStart+stream.ActionID(f.cfg.L)
-		} else {
-			create = f.processed%int64(f.cfg.L) == 0
-		}
-		if create {
-			f.cps = append(f.cps, &checkpoint{start: a.ID, oracle: f.cfg.Oracle(f.cfg.K)})
-			f.lastCpStart = a.ID
-			f.cpCreated++
-		}
-		f.processed++
+		f.admit(d.Action.ID)
 		// Sample the live-checkpoint count per action (the cpSamples
 		// definition) here, where creations are exactly timed; expiry and
 		// pruning land at batch granularity, so AvgCheckpoints can lag the

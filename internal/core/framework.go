@@ -14,9 +14,13 @@
 // (Theorems 3–5).
 //
 // The per-action feed is checkpoint-sharded: each contributor's element is
-// materialized once as a shared influence-set view, and when Config.Pool is
-// set, the live checkpoints — distinct oracles with disjoint state — are
-// fed by one pool.Run call, results bit-identical to the serial path.
+// materialized once as a shared influence-set view and cut per checkpoint by
+// one walk over it (checkpoints ascend by start, so the cuts only shorten),
+// and when Config.Pool is set, the live checkpoints — distinct oracles with
+// disjoint state — are fed by one pool.Run call, results bit-identical to
+// the serial path. Checkpoints come and go at every slide; an oracle that
+// can Reset itself is handed from a deleted checkpoint to a new one through
+// a small free list instead of being grown from nothing each time.
 // ProcessBatch ingests a whole slice of actions at once, feeding each
 // checkpoint one element per distinct contributor of the batch and running
 // window maintenance once per batch.
@@ -112,6 +116,21 @@ type checkpoint struct {
 	oracle oracle.Oracle
 }
 
+// recycler is implemented by oracles that can return to their freshly
+// constructed state while keeping the memory they grew (the sieve-style
+// oracles). A Reset oracle must be indistinguishable from one the factory
+// just made: same answers, same future decisions, same saved bytes.
+type recycler interface {
+	oracle.Oracle
+	Reset()
+}
+
+// maxFreeOracles bounds the oracle free list. A slide deletes about as many
+// checkpoints as it creates, so the list rarely needs to hold more than the
+// one oracle waiting for the next slide; the bound keeps a burst of
+// deletions from pinning its memory.
+const maxFreeOracles = 2
+
 // cpFeed is one checkpoint's share of an element's parallel fan-out: the
 // oracle and the element sliced to its suffix. Element is embedded by
 // value: the slice of these is reused scratch, and building one allocates
@@ -131,6 +150,10 @@ type Framework struct {
 	// (start before the window start): the retained Λ[x0] of Algorithm 2
 	// that upper-bounds the optimum of the current window.
 	cps []*checkpoint
+
+	// free holds the Reset oracles of deleted checkpoints for the next
+	// creations, at most maxFreeOracles of them.
+	free []recycler
 
 	processed   int64 // actions ingested
 	lastCpStart stream.ActionID
@@ -155,6 +178,9 @@ type Framework struct {
 	cpDeleted int64
 	cpSamples int64 // sum over actions of live checkpoint count
 	elemFed   int64 // oracle elements fed (the O(dN) term of §4.2)
+	// Scan work of the oracles already deleted; Stats adds the live ones'.
+	// Not saved, like the oracle counters it sums.
+	deadScans, deadScanMembers int64
 }
 
 // New validates cfg and returns an empty framework.
@@ -208,21 +234,7 @@ func (f *Framework) Process(a stream.Action) error {
 		return err
 	}
 
-	// Create a checkpoint on the first action of each slide batch
-	// (Algorithm 1 line 2; §5.3 for L > 1). In time-based mode a batch is L
-	// time units rather than L actions.
-	create := false
-	if f.cfg.ByTime {
-		create = f.processed == 0 || a.ID >= f.lastCpStart+stream.ActionID(f.cfg.L)
-	} else {
-		create = f.processed%int64(f.cfg.L) == 0
-	}
-	if create {
-		f.cps = append(f.cps, &checkpoint{start: a.ID, oracle: f.cfg.Oracle(f.cfg.K)})
-		f.lastCpStart = a.ID
-		f.cpCreated++
-	}
-	f.processed++
+	f.admit(a.ID)
 
 	// Feed the action to every checkpoint through the Set-Stream Mapping
 	// (§4.2): each contributor u of the action re-emits (u, I_s(u)) with the
@@ -258,11 +270,52 @@ func (f *Framework) Process(a stream.Action) error {
 	return nil
 }
 
+// admit counts one ingested action, first opening a checkpoint when the
+// action starts a slide batch (Algorithm 1 line 2; §5.3 for L > 1; in
+// time-based mode a batch is L time units rather than L actions). It is the
+// one place checkpoints are created: the oracle comes off the free list when
+// a deleted checkpoint left one there, from the factory otherwise.
+func (f *Framework) admit(id stream.ActionID) {
+	var create bool
+	if f.cfg.ByTime {
+		create = f.processed == 0 || id >= f.lastCpStart+stream.ActionID(f.cfg.L)
+	} else {
+		create = f.processed%int64(f.cfg.L) == 0
+	}
+	if create {
+		var orc oracle.Oracle
+		if n := len(f.free); n > 0 {
+			orc, f.free = f.free[n-1], f.free[:n-1]
+		} else {
+			orc = f.cfg.Oracle(f.cfg.K)
+		}
+		f.cps = append(f.cps, &checkpoint{start: id, oracle: orc})
+		f.lastCpStart = id
+		f.cpCreated++
+	}
+	f.processed++
+}
+
+// retire takes a deleted checkpoint's oracle out of service: its scan
+// counters are banked, and if it can Reset it goes on the free list.
+func (f *Framework) retire(cp *checkpoint) {
+	st := cp.oracle.Stats()
+	f.deadScans += st.Scans
+	f.deadScanMembers += st.ScanMembers
+	if r, ok := cp.oracle.(recycler); ok && len(f.free) < maxFreeOracles {
+		r.Reset()
+		f.free = append(f.free, r)
+	}
+}
+
 // feedContributor emits one contributor's element to every live checkpoint:
 // the per-action hot path of both frameworks. The influence set is
 // materialized once (a view into the stream's recency log) and sliced per
-// checkpoint; with a pool, the per-checkpoint Process calls are collected in
-// f.feeds and executed by one pool.Run call. Nothing on this path allocates
+// checkpoint — the list descends in time and the checkpoints ascend by
+// start, so each cut is found by walking on from the previous one, and once
+// a checkpoint's prefix is empty so is every later one's. With a pool, the
+// per-checkpoint Process calls are collected in f.feeds and executed by one
+// pool.Run call. Nothing on this path allocates
 // in steady state: elements are values over a shared prefix view, the feed
 // slice is reused scratch, and feedFn is the one closure cached at
 // construction.
@@ -277,12 +330,15 @@ func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool) {
 	}
 	parallel := f.pool.Workers() > 1
 	f.feeds = f.feeds[:0]
+	cut := len(list)
 	for _, cp := range f.cps {
-		prefix := stream.PrefixFor(list, cp.start)
-		if len(prefix) == 0 {
-			continue
+		for cut > 0 && list[cut-1].T < cp.start {
+			cut--
 		}
-		e := oracle.Element{User: u, Latest: latest, LatestValid: latestValid, Prefix: prefix}
+		if cut == 0 {
+			break
+		}
+		e := oracle.Element{User: u, Latest: latest, LatestValid: latestValid, Prefix: list[:cut]}
 		f.elemFed++
 		if parallel {
 			f.feeds = append(f.feeds, cpFeed{orc: cp.oracle, e: e})
@@ -306,6 +362,9 @@ func (f *Framework) expire(windowStart stream.ActionID) {
 		n-- // keep the newest expired checkpoint as Λ[x0]
 	}
 	if n > 0 {
+		for _, cp := range f.cps[:n] {
+			f.retire(cp)
+		}
 		f.cpDeleted += int64(n)
 		f.cps = append(f.cps[:0], f.cps[n:]...)
 	}
@@ -323,6 +382,7 @@ func (f *Framework) prune() {
 		for i+2 < len(f.cps) &&
 			f.cps[i+1].oracle.Value() >= band*vi &&
 			f.cps[i+2].oracle.Value() >= band*vi {
+			f.retire(f.cps[i+1])
 			f.cps = append(f.cps[:i+1], f.cps[i+2:]...)
 			f.cpDeleted++
 		}
@@ -411,6 +471,13 @@ type FrameworkStats struct {
 	Deleted        int64
 	AvgCheckpoints float64
 	ElementsFed    int64
+	// Scans and ScanMembers sum oracle.Stats' counters of the same names
+	// over every checkpoint oracle this framework has run, deleted ones
+	// included: how many fed elements had their influence set scanned, and
+	// how many members those scans probed. Like the oracle counters they
+	// restart at zero on a restored framework.
+	Scans       int64
+	ScanMembers int64
 }
 
 // Stats returns cumulative maintenance counters.
@@ -420,6 +487,13 @@ func (f *Framework) Stats() FrameworkStats {
 		Created:     f.cpCreated,
 		Deleted:     f.cpDeleted,
 		ElementsFed: f.elemFed,
+		Scans:       f.deadScans,
+		ScanMembers: f.deadScanMembers,
+	}
+	for _, cp := range f.cps {
+		st := cp.oracle.Stats()
+		s.Scans += st.Scans
+		s.ScanMembers += st.ScanMembers
 	}
 	if f.processed > 0 {
 		s.AvgCheckpoints = float64(f.cpSamples) / float64(f.processed)

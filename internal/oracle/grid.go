@@ -79,6 +79,24 @@ func (t *rowTable) grow() {
 	}
 }
 
+// reset empties the table, keeping its memory unless it is oversized.
+func (t *rowTable) reset() {
+	if oversized(int(t.mask)+1, t.count) {
+		*t = newRowTable(t.stride - 1)
+		return
+	}
+	clear(t.cells)
+	t.count = 0
+}
+
+// oversized reports whether a table or map being reset was under a quarter
+// full (tiny ones aside): it was grown by an earlier, longer-lived owner of
+// the grid. Reset gives such memory back rather than carry it through the
+// short lives most checkpoints have — kept, every recycled grid ratchets up
+// to the largest any checkpoint ever needed, which costs resident memory
+// and time (retune sweeps whole tables).
+func oversized(capacity, used int) bool { return capacity > 4*used+minRowCells }
+
 // clearBits clears the bits of mask in every row.
 func (t *rowTable) clearBits(mask []uint64) {
 	for o := 0; o < len(t.cells); o += t.stride {
@@ -103,10 +121,11 @@ func (t *rowTable) clearBits(mask []uint64) {
 // question — seedOf: in which instances is this user a seed; cov: which
 // instances' solutions cover this user — whose rows hold one bit per
 // instance slot. One probe answers the question for all instances at once:
-// an element costs one seedOf probe, one row-OR for the seed merge, a sweep
-// over the cached thresholds, and one cov probe per influence-set member
-// shared by every instance still scanning. Per-instance scalars live in
-// slot-indexed arrays.
+// an element costs one seedOf probe, one row-OR for the seed merge, one cov
+// probe for its Latest member, a sweep over the cached thresholds and gain
+// bounds, and — only when some instance cannot decide from its bound — one
+// cov probe per influence-set member shared by every instance still
+// scanning. Per-instance scalars live in slot-indexed arrays.
 //
 // A slot is the bit position an instance occupies for its lifetime. The
 // live instances form a contiguous exponent range [jLo, jLo+len(order)),
@@ -124,6 +143,7 @@ type grid struct {
 
 	m     float64 // max singleton value observed
 	order []int   // order[i] = slot of the instance guessing (1+β)^(jLo+i)
+	spare []int   // retune builds the next order here, then swaps the two
 	jLo   int
 	logB  float64 // log(1+beta), cached
 
@@ -140,29 +160,37 @@ type grid struct {
 	thr   []float64
 	seeds [][]stream.UserID
 	// gainUB caches, per slot and non-seed candidate, an upper bound on the
-	// candidate's marginal gain. Coverage growth only shrinks a candidate's
-	// gain, and between two elements for the same user its influence set
-	// gains at most the element's Latest member — so cached + weight(Latest)
-	// stays an upper bound, and most re-offers are rejected with one lookup
-	// instead of a scan over the influence set (the CELF idea applied
-	// inside a sieve instance). It stays a sparse map per slot: most users
-	// never pass a slot's singleton test, and a dense row of bounds per
-	// user would cost slots × 8 bytes for every user of every checkpoint.
+	// candidate's marginal gain: the gain its last scan in the slot found,
+	// plus the weight of every Latest member offered since that the slot
+	// did not cover at the time. Between two elements for the same user the
+	// influence set gains at most the element's Latest member (the Element
+	// contract), and coverage only grows, so the sum bounds the true gain;
+	// thresholds never rise, so a bound below one keeps rejecting with one
+	// lookup instead of a scan over the influence set (the CELF idea
+	// applied inside a sieve instance). It stays a sparse map per slot:
+	// most users never pass a slot's singleton test, and a dense row of
+	// bounds per user would cost slots × 8 bytes for every user of every
+	// checkpoint.
 	gainUB []uintset.Map
 
-	// Per-element scratch.
-	zero []uint64  // the empty mask
-	und  []uint64  // slots still scanning the element
-	adm  []uint64  // slots admitting the element
-	gain []float64 // per-slot marginal gain accumulated by the scan
+	// Scratch, per element (und, adm, gain) and per retune (retired).
+	zero    []uint64  // the empty mask
+	und     []uint64  // slots still scanning the element
+	adm     []uint64  // slots admitting the element
+	retired []uint64  // slots retune is retiring
+	gain    []float64 // per-slot marginal gain accumulated by the scan
 
-	elements int64
+	// Work counters (Stats). Only elements is part of the saved state.
+	elements    int64
+	scans       int64 // elements whose influence set was scanned
+	scanMembers int64 // members probed by those scans
 
 	// bestVal/bestSeeds remember the best solution ever observed (kept
 	// monotone for SIC's Lemma 2: instance deletion during retune could
 	// otherwise make Value() dip; the remembered seed set stays valid
 	// because influence sets only grow within a checkpoint's suffix).
-	// dirty marks bestVal stale after new elements.
+	// dirty marks bestVal stale: some slot's value has risen above it since
+	// the last refresh.
 	bestVal   float64
 	bestSeeds []stream.UserID
 	dirty     bool
@@ -180,22 +208,26 @@ func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
 	// slack included), and retires before it allocates.
 	words := (int(math.Floor(math.Log(2*float64(k))/logB+1e-9)) + 2 + 63) / 64
 	slots := 64 * words
-	masks := make([]uint64, 5*words)
+	masks := make([]uint64, 6*words)
+	orders := make([]int, 2*slots)
 	return grid{
 		k: k, beta: beta, w: w, flat: flat, logB: logB,
-		seedOf: newRowTable(words),
-		cov:    newRowTable(words),
-		live:   masks[0*words : 1*words : 1*words],
-		full:   masks[1*words : 2*words : 2*words],
-		zero:   masks[2*words : 3*words : 3*words],
-		und:    masks[3*words : 4*words : 4*words],
-		adm:    masks[4*words : 5*words : 5*words],
-		opt:    make([]float64, slots),
-		value:  make([]float64, slots),
-		thr:    make([]float64, slots),
-		gain:   make([]float64, slots),
-		seeds:  make([][]stream.UserID, slots),
-		gainUB: make([]uintset.Map, slots),
+		order:   orders[:0:slots],
+		spare:   orders[slots:slots],
+		seedOf:  newRowTable(words),
+		cov:     newRowTable(words),
+		live:    masks[0*words : 1*words : 1*words],
+		full:    masks[1*words : 2*words : 2*words],
+		zero:    masks[2*words : 3*words : 3*words],
+		und:     masks[3*words : 4*words : 4*words],
+		adm:     masks[4*words : 5*words : 5*words],
+		retired: masks[5*words : 6*words : 6*words],
+		opt:     make([]float64, slots),
+		value:   make([]float64, slots),
+		thr:     make([]float64, slots),
+		gain:    make([]float64, slots),
+		seeds:   make([][]stream.UserID, slots),
+		gainUB:  make([]uintset.Map, slots),
 	}
 }
 
@@ -239,8 +271,34 @@ func (g *grid) Process(e Element) {
 		g.m = sv
 		g.retune()
 	}
-	g.dirty = true
 	g.feed(e, sv)
+}
+
+// Reset returns the grid to its freshly constructed state — every answer,
+// every future admission decision and the SaveState bytes equal a new
+// grid's — while keeping the tables, gain-bound maps and seed lists it grew
+// (those not oversized), so a checkpoint framework can hand a dead
+// checkpoint's oracle to the next checkpoint instead of growing one from
+// nothing.
+func (g *grid) Reset() {
+	g.m, g.jLo, g.order = 0, 0, g.order[:0]
+	g.seedOf.reset()
+	g.cov.reset()
+	clear(g.live)
+	clear(g.full)
+	// Retired slots were emptied by retune; the live ones still hold state.
+	// value is the only per-slot scalar read before open rewrites it.
+	clear(g.value)
+	for s := range g.seeds {
+		g.seeds[s] = g.seeds[s][:0]
+		if m := &g.gainUB[s]; oversized(m.Cap(), m.Len()) {
+			*m = uintset.Map{}
+		} else {
+			m.Reset()
+		}
+	}
+	g.elements, g.scans, g.scanMembers = 0, 0, 0
+	g.bestVal, g.bestSeeds, g.dirty = 0, g.bestSeeds[:0], false
 }
 
 // retune maintains the instance range after m grew: instances whose OPT
@@ -254,11 +312,12 @@ func (g *grid) retune() {
 	g.refresh() // bank the current best before dropping instances
 	lo := int(math.Ceil(math.Log(g.m)/g.logB - 1e-9))
 	hi := int(math.Floor(math.Log(2*float64(g.k)*g.m)/g.logB + 1e-9))
-	next := make([]int, hi-lo+1)
+	next := g.spare[:hi-lo+1]
 	for i := range next {
 		next[i] = -1
 	}
-	retired := make([]uint64, len(g.live))
+	retired := g.retired
+	clear(retired)
 	for old, s := range g.order {
 		if j := old + g.jLo; j < lo || j > hi {
 			retired[s>>6] |= 1 << (s & 63)
@@ -280,7 +339,7 @@ func (g *grid) retune() {
 			next[j-lo] = g.open(math.Pow(1+g.beta, float64(j)))
 		}
 	}
-	g.order, g.jLo = next, lo
+	g.order, g.spare, g.jLo = next, g.order[:0], lo
 }
 
 // open claims the lowest free slot for a fresh instance guessing opt.
@@ -325,6 +384,9 @@ func (g *grid) cover(v stream.UserID, mask []uint64) {
 			s := wi<<6 | bits.TrailingZeros64(fresh)
 			g.value[s] += w
 			g.thr[s] = g.threshold(s)
+			if g.value[s] > g.bestVal {
+				g.dirty = true
+			}
 		}
 	}
 }
@@ -354,10 +416,17 @@ func (g *grid) feed(e Element, singleton float64) {
 
 	// Threshold sweep over the slots that could still admit e.User: the
 	// singleton test, then the cached gain bound, leave in und the slots
-	// that have to scan the influence set.
-	wLatest := 1.0
+	// that have to scan the influence set. The bound grows by Latest's
+	// weight only in the slots that do not cover Latest — elsewhere the
+	// element brought nothing the slot's last scan did not count. One cov
+	// probe answers that for every slot; it comes after the seed merge,
+	// which may move the table.
+	wLatest, latestCov := 0.0, g.zero
 	if e.LatestValid {
 		wLatest = g.weight(e.Latest)
+		if row := g.cov.find(uint32(e.Latest)); row != nil {
+			latestCov = row
+		}
 	}
 	for wi := range g.und {
 		var und uint64
@@ -370,10 +439,15 @@ func (g *grid) feed(e Element, singleton float64) {
 			}
 			if e.LatestValid {
 				if ub, ok := g.gainUB[s].Get(u); ok {
-					ub += wLatest
-					if ub < thr {
-						// Still below the bar even if the new member is uncovered.
-						g.gainUB[s].Set(u, ub)
+					grew := latestCov[wi]&(1<<b) == 0
+					if grew {
+						ub += wLatest
+					}
+					if ub < thr || ub <= 0 {
+						// Admission needs gain >= thr and gain > 0.
+						if grew {
+							g.gainUB[s].Set(u, ub)
+						}
 						continue
 					}
 				}
@@ -386,6 +460,7 @@ func (g *grid) feed(e Element, singleton float64) {
 	if isZero(g.und) {
 		return
 	}
+	g.scans++
 
 	// Scan: one cov probe per member serves every slot still undecided.
 	// Each slot accumulates its marginal gain only until its admission
@@ -393,6 +468,7 @@ func (g *grid) feed(e Element, singleton float64) {
 	// at its threshold.
 	clear(g.adm)
 	for _, c := range e.Prefix {
+		g.scanMembers++
 		covered := g.cov.find(uint32(c.V))
 		if covered == nil {
 			covered = g.zero
@@ -498,4 +574,6 @@ func (g *grid) Candidates() []stream.UserID {
 }
 
 // Stats implements Oracle.
-func (g *grid) Stats() Stats { return Stats{Instances: len(g.order), Elements: g.elements} }
+func (g *grid) Stats() Stats {
+	return Stats{Instances: len(g.order), Elements: g.elements, Scans: g.scans, ScanMembers: g.scanMembers}
+}

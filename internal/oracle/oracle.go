@@ -39,7 +39,14 @@ import (
 // changes exactly when an action with this user on its contributor chain
 // arrives, and every such action is delivered as an element. This lets
 // oracles update an already-admitted seed's coverage in O(1) instead of
-// re-merging the whole set.
+// re-merging the whole set — and admission leans on it just as hard: the
+// sieve-style oracles reject a re-offered candidate from a cached gain
+// bound that they grow by Latest's weight alone (grid.feed), so an element
+// that claims LatestValid while its set gained some other member, or lost
+// one, makes them reject candidates they should have admitted. A caller
+// that cannot name the one new member leaves LatestValid false (as
+// core.ProcessBatch does for a contributor several performers reached in
+// one batch); the oracles then rescan.
 type Element struct {
 	User        stream.UserID
 	Latest      stream.UserID
@@ -66,6 +73,15 @@ type Stats struct {
 	Instances int
 	// Elements is the number of set-stream elements processed.
 	Elements int64
+	// Scans is the number of those elements whose influence set had to be
+	// walked against the solutions' coverage because no cheaper test decided
+	// every candidate solution, and ScanMembers the members those walks
+	// probed: the work behind the O(d·g·N) update cost, and what the gain
+	// bounds exist to avoid. Counted since construction, Reset or restore —
+	// unlike Elements they are not part of the saved state — and zero for
+	// the oracles that keep no coverage to scan.
+	Scans       int64
+	ScanMembers int64
 }
 
 // Oracle is an append-only streaming submodular maximizer under a

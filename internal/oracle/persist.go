@@ -156,7 +156,7 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 	if r.Err() == nil && n > len(g.opt) {
 		return fmt.Errorf("oracle: sieve payload holds %d instances, k=%d beta=%v allows %d", n, g.k, g.beta, len(g.opt))
 	}
-	g.order = make([]int, 0, n)
+	g.order = g.order[:0]
 	for s := 0; s < n && r.Err() == nil; s++ {
 		wi, bit := s>>6, uint64(1)<<(s&63)
 		g.live[wi] |= bit

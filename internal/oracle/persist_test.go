@@ -79,7 +79,9 @@ func TestPersistRoundTripContinuation(t *testing.T) {
 				append([]stream.UserID{}, got...), append([]stream.UserID{}, want...)) {
 				t.Fatalf("restored Seeds = %v, want %v", got, want)
 			}
-			if got, want := dst.Stats(), src.Stats(); got != want {
+			want := src.Stats()
+			want.Scans, want.ScanMembers = 0, 0 // work counters are not saved
+			if got := dst.Stats(); got != want {
 				t.Fatalf("restored Stats = %+v, want %+v", got, want)
 			}
 

@@ -321,27 +321,33 @@ func (g *refGrid) SaveState(w *wire.Writer) error {
 	return w.Err()
 }
 
-// randomElements synthesizes a set-stream: users re-emit growing influence
-// sets, the way the checkpoint frameworks feed oracles.
-func randomElements(seed int64, users, rounds, maxSet int) []Element {
-	rng := rand.New(rand.NewSource(seed))
-	sets := make(map[stream.UserID][]stream.UserID, users)
-	var out []Element
+// setStream synthesizes a set-stream the way the checkpoint frameworks feed
+// oracles: users re-emit influence sets that grow by at most one member per
+// element, and Latest names that member. It keeps the sets, so a stream can
+// be taken in instalments.
+type setStream struct {
+	rng           *rand.Rand
+	users, maxSet int
+	sets          map[stream.UserID][]stream.UserID
+}
+
+func newSetStream(seed int64, users, maxSet int) *setStream {
+	return &setStream{
+		rng: rand.New(rand.NewSource(seed)), users: users, maxSet: maxSet,
+		sets: make(map[stream.UserID][]stream.UserID, users),
+	}
+}
+
+func (g *setStream) take(rounds int) []Element {
+	out := make([]Element, 0, rounds)
 	for r := 0; r < rounds; r++ {
-		u := stream.UserID(rng.Intn(users))
-		v := stream.UserID(rng.Intn(maxSet))
-		grew := true
-		for _, w := range sets[u] {
-			if w == v {
-				grew = false
-				break
-			}
-		}
+		u := stream.UserID(g.rng.Intn(g.users))
+		v := stream.UserID(g.rng.Intn(g.maxSet))
+		grew := !slices.Contains(g.sets[u], v)
 		if grew {
-			sets[u] = append(sets[u], v)
+			g.sets[u] = append(g.sets[u], v)
 		}
-		set := append([]stream.UserID(nil), sets[u]...)
-		e := SliceElement(u, set)
+		e := SliceElement(u, g.sets[u])
 		if grew {
 			e.Latest, e.LatestValid = v, true
 		}
@@ -350,19 +356,65 @@ func randomElements(seed int64, users, rounds, maxSet int) []Element {
 	return out
 }
 
+func randomElements(seed int64, users, rounds, maxSet int) []Element {
+	return newSetStream(seed, users, maxSet).take(rounds)
+}
+
 // churnElements is a growing-singleton stream: every element's set is one
 // member larger than the last, so m rises on each one and the grid keeps
-// retiring instances and reusing their slots.
+// retiring instances and reusing their slots. Seven users take turns at one
+// shared, growing set, two elements a turn: the first adopts everything the
+// others added since the user's last turn — several members, so it carries
+// no Latest — and the second adds one more, which Latest names. The users
+// are the stream's own (1000–1006), so it can follow a setStream.
 func churnElements(n int) []Element {
 	set := make([]stream.UserID, 0, n)
 	out := make([]Element, 0, n)
 	for i := 0; i < n; i++ {
 		set = append(set, stream.UserID(i))
-		e := SliceElement(stream.UserID(i%7), set)
-		e.Latest, e.LatestValid = stream.UserID(i), true
+		e := SliceElement(stream.UserID(1000+i/2%7), set)
+		if i%2 == 1 {
+			e.Latest, e.LatestValid = stream.UserID(i), true
+		}
 		out = append(out, e)
 	}
 	return out
+}
+
+// checkLatestContract fails the test unless elems honours what the sieve
+// grid's admission rule takes from Element's contract: a user's influence
+// set never loses a member from one of its elements to the next, and an
+// element with LatestValid gained no member other than Latest.
+func checkLatestContract(t *testing.T, elems []Element) {
+	t.Helper()
+	prev := map[stream.UserID]map[stream.UserID]bool{}
+	for i, e := range elems {
+		cur := make(map[stream.UserID]bool, len(e.Prefix))
+		for _, c := range e.Prefix {
+			cur[c.V] = true
+			if e.LatestValid && c.V != e.Latest && !prev[e.User][c.V] {
+				t.Fatalf("element %d: user %d gained %d, Latest says %d", i, e.User, c.V, e.Latest)
+			}
+		}
+		for v := range prev[e.User] {
+			if !cur[v] {
+				t.Fatalf("element %d: user %d lost member %d", i, e.User, v)
+			}
+		}
+		prev[e.User] = cur
+	}
+}
+
+// TestGeneratorsHonourLatestContract: the identity tests below compare two
+// admission rules that are both sound only on streams honouring the
+// contract, so every generator is held to it.
+func TestGeneratorsHonourLatestContract(t *testing.T) {
+	checkLatestContract(t, randomElements(1, 80, 2500, 400))
+	checkLatestContract(t, churnElements(150))
+	checkLatestContract(t, append(randomElements(2, 80, 500, 400), churnElements(150)...))
+	checkLatestContract(t, persistElements(400, 17))
+	written, cont := goldenStream()
+	checkLatestContract(t, append(written[:goldenRandom:goldenRandom], cont...))
 }
 
 func testWeights() submod.Weights {
@@ -378,12 +430,103 @@ func stateBytes(t *testing.T, o interface{ SaveState(*wire.Writer) error }) []by
 	return buf.Bytes()
 }
 
+// gridPayload is a version-1 sieve payload taken apart: rest is everything
+// but the gain bounds, in payload order (floats as their bits), and
+// bounds[i] instance i's.
+type gridPayload struct {
+	rest   []uint64
+	bounds []map[stream.UserID]float64
+}
+
+func parseGridPayload(t *testing.T, payload []byte) gridPayload {
+	t.Helper()
+	r := wire.NewReader(bytes.NewReader(payload))
+	p := gridPayload{rest: make([]uint64, 0, len(payload))} // a value takes at least a byte
+	keep := func(v ...uint64) { p.rest = append(p.rest, v...) }
+	f64 := func() uint64 { return math.Float64bits(r.F64()) }
+	users := func() {
+		n := r.Len(maxLen)
+		keep(uint64(n))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			keep(r.Uvarint())
+		}
+	}
+	keep(r.Uvarint(), uint64(r.Varint()), f64(), uint64(r.Varint()))
+	n := r.Len(maxLen)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		keep(f64())
+		users() // seeds
+		users() // covered members, delta-coded
+		keep(f64())
+		ub := map[stream.UserID]float64{}
+		for j, ng := 0, r.Len(maxLen); j < ng && r.Err() == nil; j++ {
+			u := stream.UserID(r.Uvarint())
+			ub[u] = r.F64()
+		}
+		p.bounds = append(p.bounds, ub)
+	}
+	keep(f64())
+	users() // best seeds
+	dirty := uint64(0)
+	if r.Bool() {
+		dirty = 1
+	}
+	keep(dirty)
+	if err := r.Err(); err != nil {
+		t.Fatalf("parsing sieve payload: %v", err)
+	}
+	return p
+}
+
+// checkStateAgainstReference compares the grid's saved state with the
+// reference's. Everything but the gain bounds must be equal. The bounds are
+// where the two rules differ — the reference adds Latest's weight on every
+// re-offer, the grid only where the slot does not cover Latest, and each
+// rescans when its own bound reaches the threshold — so the grid's are held
+// to what makes them bounds. Both rules cache an entry at the same moments
+// (a first scan that rejects), so the entries are the same; and for every
+// entry an instance can still read, the user's true marginal gain,
+// recomputed from the reference's private coverage and the user's latest
+// set, is at most the grid's bound, which is at most the set's full value
+// (every weight the rule adds belongs to a distinct member).
+func checkStateAgainstReference(t *testing.T, got interface{ SaveState(*wire.Writer) error }, ref *refGrid, last map[stream.UserID]Element) {
+	t.Helper()
+	gp, rp := parseGridPayload(t, stateBytes(t, got)), parseGridPayload(t, stateBytes(t, ref))
+	if !slices.Equal(gp.rest, rp.rest) {
+		t.Fatal("SaveState payloads differ from the reference's outside the gain bounds")
+	}
+	const ulps = 1e-9 // bound and gain sum the same weights in different orders
+	for i, inst := range ref.insts {
+		if len(gp.bounds[i]) != len(rp.bounds[i]) {
+			t.Fatalf("instance %d: %d gain bounds, reference %d", i, len(gp.bounds[i]), len(rp.bounds[i]))
+		}
+		for u := range rp.bounds[i] {
+			ub, ok := gp.bounds[i][u]
+			if !ok {
+				t.Fatalf("instance %d: no gain bound for user %d", i, u)
+			}
+			if len(inst.seeds) >= ref.k || inst.inSeeds.Has(uint32(u)) {
+				continue // full, or u admitted since: the entry is never read again
+			}
+			gain := 0.0
+			for _, c := range last[u].Prefix {
+				gain += inst.cov.Gain(c.V)
+			}
+			if full := ref.singleton(last[u]); ub < gain-ulps || ub > full+ulps {
+				t.Fatalf("instance %d user %d: bound %v outside [true gain %v, set value %v]", i, u, ub, gain, full)
+			}
+		}
+	}
+}
+
 // TestGridMatchesReference is the bit-identity contract of the user-major
-// layout: for both admission rules, cardinality and weighted objectives,
-// one-word and multi-word rows, with and without Latest metadata, the grid
-// and the instance-major reference agree on Value after every element and
-// on Seeds, Candidates, Stats and the serialized state periodically. The
-// stream ends in a growing-singleton run that retires and reuses slots.
+// layout and of the delta-exact gain bounds: for both admission rules,
+// cardinality and weighted objectives, one-word and multi-word rows, with
+// and without Latest metadata, the grid and the instance-major reference —
+// which keeps the looser bound rule the grid shipped with — agree on Value
+// after every element and on Seeds, Candidates, Stats and the serialized
+// state (checkStateAgainstReference) periodically. The stream ends in a
+// growing-singleton run that retires and reuses slots.
 func TestGridMatchesReference(t *testing.T) {
 	shapes := []struct {
 		k    int
@@ -402,10 +545,12 @@ func TestGridMatchesReference(t *testing.T) {
 						got := newGrid(sh.k, sh.beta, w, flat)
 						ref := newRefGrid(sh.k, sh.beta, w, flat)
 						elems := append(randomElements(int64(sh.k), 80, 2500, 400), churnElements(150)...)
+						last := map[stream.UserID]Element{}
 						for i, e := range elems {
 							e.LatestValid = e.LatestValid && latest
 							got.Process(e)
 							ref.Process(e)
+							last[e.User] = e
 							if gv, rv := got.Value(), ref.Value(); gv != rv {
 								t.Fatalf("element %d: value %v, reference %v", i, gv, rv)
 							}
@@ -418,12 +563,15 @@ func TestGridMatchesReference(t *testing.T) {
 							if gc, rc := got.Candidates(), ref.Candidates(); !reflect.DeepEqual(gc, rc) {
 								t.Fatalf("element %d: candidates %v, reference %v", i, gc, rc)
 							}
-							if gs, rs := got.Stats(), ref.Stats(); gs != rs {
+							gs, rs := got.Stats(), ref.Stats()
+							if gs.Scans > gs.Elements || gs.ScanMembers < gs.Scans {
+								t.Fatalf("element %d: stats %+v: more scans than elements, or scans that probed nothing", i, gs)
+							}
+							gs.Scans, gs.ScanMembers = 0, 0 // the reference does not count its work
+							if gs != rs {
 								t.Fatalf("element %d: stats %+v, reference %+v", i, gs, rs)
 							}
-							if !bytes.Equal(stateBytes(t, &got), stateBytes(t, ref)) {
-								t.Fatalf("element %d: SaveState bytes differ from the reference's", i)
-							}
+							checkStateAgainstReference(t, &got, ref, last)
 						}
 					})
 				}
@@ -446,10 +594,12 @@ func TestInstanceRecycling(t *testing.T) {
 	ref := newRefGrid(5, 0.3, nil, false)
 	reused := 0
 	used := map[int]bool{} // slots some instance has held
+	last := map[stream.UserID]Element{}
 	for i, e := range churnElements(200) {
 		before := append([]int(nil), got.order...)
 		got.Process(e)
 		ref.Process(e)
+		last[e.User] = e
 		for _, s := range got.order {
 			if used[s] && !slices.Contains(before, s) {
 				reused++
@@ -469,14 +619,67 @@ func TestInstanceRecycling(t *testing.T) {
 	if !reflect.DeepEqual(got.Seeds(), ref.Seeds()) {
 		t.Fatalf("seeds diverged: %v vs %v", got.Seeds(), ref.Seeds())
 	}
-	if !bytes.Equal(stateBytes(t, got), stateBytes(t, ref)) {
-		t.Fatal("SaveState bytes differ from the reference's")
+	checkStateAgainstReference(t, got, ref, last)
+}
+
+// TestGridResetIsFresh: a grid that ran one stream and was Reset is a fresh
+// grid — same answers after every element of a second stream, same
+// candidates, counters and SaveState bytes — whatever the first stream left
+// behind in its tables, gain-bound maps, seed lists and retired slots.
+func TestGridResetIsFresh(t *testing.T) {
+	first := append(randomElements(5, 80, 2500, 400), churnElements(150)...)
+	second := append(randomElements(6, 90, 2000, 300), churnElements(120)...)
+	for _, sh := range []struct {
+		k    int
+		beta float64
+	}{{10, .1}, {200, .04}} { // one- and three-word rows
+		for _, flat := range []bool{false, true} {
+			for _, weighted := range []bool{false, true} {
+				t.Run(fmt.Sprintf("k=%d/beta=%v/flat=%v/weighted=%v", sh.k, sh.beta, flat, weighted), func(t *testing.T) {
+					var w submod.Weights
+					if weighted {
+						w = testWeights()
+					}
+					used, fresh := newGrid(sh.k, sh.beta, w, flat), newGrid(sh.k, sh.beta, w, flat)
+					for _, e := range first {
+						used.Process(e)
+					}
+					used.Value()
+					used.Reset()
+					if !bytes.Equal(stateBytes(t, &used), stateBytes(t, &fresh)) {
+						t.Fatal("a reset grid does not save like a new one")
+					}
+					for i, e := range second {
+						used.Process(e)
+						fresh.Process(e)
+						if uv, fv := used.Value(), fresh.Value(); uv != fv {
+							t.Fatalf("element %d: value %v, fresh grid %v", i, uv, fv)
+						}
+						if i%97 != 0 && i != len(second)-1 {
+							continue
+						}
+						if us, fs := used.Seeds(), fresh.Seeds(); !slices.Equal(us, fs) {
+							t.Fatalf("element %d: seeds %v, fresh grid %v", i, us, fs)
+						}
+						if uc, fc := used.Candidates(), fresh.Candidates(); !slices.Equal(uc, fc) {
+							t.Fatalf("element %d: candidates %v, fresh grid %v", i, uc, fc)
+						}
+						if us, fs := used.Stats(), fresh.Stats(); us != fs {
+							t.Fatalf("element %d: stats %+v, fresh grid %+v", i, us, fs)
+						}
+						if !bytes.Equal(stateBytes(t, &used), stateBytes(t, &fresh)) {
+							t.Fatalf("element %d: SaveState bytes differ from the fresh grid's", i)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
 // goldenCases name SaveState payloads written by the instance-major grid at
 // the commit before the layout change (testdata/grid_v1_<name>.bin), each
-// after goldenStream.
+// after goldenStream's written part.
 var goldenCases = []struct {
 	name     string
 	kind     Kind
@@ -489,15 +692,45 @@ var goldenCases = []struct {
 	{"sieve_k200_b03_weighted", SieveStreaming, 200, 0.03, true},
 }
 
-func goldenStream() []Element {
-	return append(randomElements(11, 60, 3000, 300), churnElements(120)...)
+// goldenRandom is how many setStream elements open the golden stream.
+const goldenRandom = 3000
+
+// goldenStream returns the stream the golden payloads were written after
+// and 500 elements continuing it. The written part ends in the churn tail
+// as it was then: seven users sharing one growing set, so each element grew
+// its user's set by seven members while Latest named one. That breaks
+// Element's contract — the bounds it cached for users 0–6 bound nothing —
+// and the tail survives only because the committed bytes came after it;
+// users 0–6 stay silent in the continuation, so nothing leans on them.
+func goldenStream() (written, cont []Element) {
+	g := newSetStream(11, 60, 300)
+	written = g.take(goldenRandom)
+	set := make([]stream.UserID, 0, 120)
+	for i := 0; i < 120; i++ {
+		set = append(set, stream.UserID(i))
+		e := SliceElement(stream.UserID(i%7), set)
+		e.Latest, e.LatestValid = stream.UserID(i), true
+		written = append(written, e)
+	}
+	for _, e := range g.take(600) {
+		if e.User >= 7 && len(cont) < 500 {
+			cont = append(cont, e)
+		}
+	}
+	return written, cont
 }
 
 // TestGoldenStateV1 is the upgrade contract: payloads written before the
-// layout change restore, re-save byte for byte, and are exactly what the
-// new grid writes after the same stream — so old snapshots load and a
-// tracker recovered across the upgrade equals an uninterrupted one.
+// layout change restore and re-save byte for byte, are what the reference
+// (the rule that wrote them) still writes after the same stream, and a grid
+// restored from one keeps deciding like that reference — the bounds an old
+// snapshot carries are looser than the grid would have cached, and still
+// bounds.
 func TestGoldenStateV1(t *testing.T) {
+	written, cont := goldenStream()
+	if len(cont) != 500 {
+		t.Fatalf("continuation has %d elements, want 500", len(cont))
+	}
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", "grid_v1_"+tc.name+".bin"))
@@ -515,23 +748,25 @@ func TestGoldenStateV1(t *testing.T) {
 			if !bytes.Equal(stateBytes(t, restored), want) {
 				t.Fatal("restored payload does not re-save byte-identically")
 			}
-			fresh := NewFactory(tc.kind, tc.beta, w)(tc.k).(Persistent)
-			for _, e := range goldenStream() {
-				fresh.Process(e)
+			ref := newRefGrid(tc.k, tc.beta, w, tc.kind == ThresholdStream)
+			for _, e := range written {
+				ref.Process(e)
 			}
-			if !bytes.Equal(stateBytes(t, fresh), want) {
-				t.Fatal("replaying the stream does not reproduce the payload")
+			if !bytes.Equal(stateBytes(t, ref), want) {
+				t.Fatal("the reference no longer reproduces the payload from its stream")
 			}
-			// Restored and replayed must also keep deciding alike.
-			for i, e := range randomElements(12, 60, 500, 300) {
+			for i, e := range cont {
 				restored.Process(e)
-				fresh.Process(e)
-				if rv, fv := restored.Value(), fresh.Value(); rv != fv {
-					t.Fatalf("element %d after restore: value %v, replayed %v", i, rv, fv)
+				ref.Process(e)
+				if rv, fv := restored.Value(), ref.Value(); rv != fv {
+					t.Fatalf("element %d after restore: value %v, reference %v", i, rv, fv)
 				}
 			}
-			if !bytes.Equal(stateBytes(t, restored), stateBytes(t, fresh)) {
-				t.Fatal("restored and replayed grids diverged")
+			if rs, fs := restored.Seeds(), ref.Seeds(); !reflect.DeepEqual(rs, fs) {
+				t.Fatalf("after restore: seeds %v, reference %v", rs, fs)
+			}
+			if rc, fc := restored.(CandidateSource).Candidates(), ref.Candidates(); !reflect.DeepEqual(rc, fc) {
+				t.Fatalf("after restore: candidates %v, reference %v", rc, fc)
 			}
 		})
 	}

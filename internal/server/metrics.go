@@ -16,6 +16,8 @@ import (
 //	simserve_value{tracker="..."}                    current influence value
 //	simserve_checkpoints_live{tracker="..."}         live checkpoints
 //	simserve_elements_fed_total{tracker="..."}       oracle updates (the O(d·N) term)
+//	simserve_scans_total{tracker="..."}              fed elements whose influence set was scanned, since boot
+//	simserve_scan_members_total{tracker="..."}       influence-set members those scans probed, since boot
 //	simserve_queue_depth{tracker="..."}              commands waiting for the ingest loop
 //	simserve_queue_capacity{tracker="..."}           ingest queue bound
 //	simserve_queue_high_water{tracker="..."}         deepest the queue has been
@@ -50,6 +52,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "simserve_value{tracker=%q} %g\n", name, snap.Value)
 		fmt.Fprintf(w, "simserve_checkpoints_live{tracker=%q} %d\n", name, snap.Checkpoints)
 		fmt.Fprintf(w, "simserve_elements_fed_total{tracker=%q} %d\n", name, snap.ElementsFed)
+		fmt.Fprintf(w, "simserve_scans_total{tracker=%q} %d\n", name, snap.Scans)
+		fmt.Fprintf(w, "simserve_scan_members_total{tracker=%q} %d\n", name, snap.ScanMembers)
 		fmt.Fprintf(w, "simserve_queue_depth{tracker=%q} %d\n", name, depth)
 		fmt.Fprintf(w, "simserve_queue_capacity{tracker=%q} %d\n", name, capacity)
 		retries, rearms, shed, highWater := t.Counters()

@@ -193,6 +193,8 @@ func (s *Server) handleTrackerMetrics(w http.ResponseWriter, r *http.Request) {
 		ColdSegments:        snap.ColdSegments,
 		Spills:              snap.Spills,
 		ColdFaults:          snap.ColdFaults,
+		Scans:               snap.Scans,
+		ScanMembers:         snap.ScanMembers,
 	}
 	if info, durable := t.Recovery(); durable {
 		resp.RecoveredSnapshot = info.SnapshotLoaded

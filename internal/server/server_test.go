@@ -707,6 +707,28 @@ func TestMetricsAndList(t *testing.T) {
 		}
 	}
 
+	// The oracle-feed work counters: same numbers on both metrics
+	// endpoints, and never more scans than elements fed.
+	tm, err := client.TrackerMetrics(ctx, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := client.Stats(ctx, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.Scans <= 0 || tm.Scans > stats.Stats.ElementsFed || tm.ScanMembers < tm.Scans {
+		t.Errorf("scans = %d, scan members = %d with %d elements fed", tm.Scans, tm.ScanMembers, stats.Stats.ElementsFed)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`simserve_scans_total{tracker="default"} %d`, tm.Scans),
+		fmt.Sprintf(`simserve_scan_members_total{tracker="default"} %d`, tm.ScanMembers),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics output missing %q:\n%s", want, body)
+		}
+	}
+
 	list, err := client.List(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -198,6 +198,9 @@ func (m *Map) Get(k uint32) (float64, bool) {
 // Len returns the number of entries.
 func (m *Map) Len() int { return m.count }
 
+// Cap returns the number of slots the map holds memory for.
+func (m *Map) Cap() int { return len(m.keys) }
+
 // ForEach visits every entry in unspecified order; stops early when visit
 // returns false.
 func (m *Map) ForEach(visit func(k uint32, v float64) bool) {

@@ -172,6 +172,16 @@ func TestMapGrowthKeepsEntries(t *testing.T) {
 			t.Fatalf("lost entry %d: %v %v", i, v, ok)
 		}
 	}
+	grown := m.Cap()
+	if grown*3 < 5000*4 {
+		t.Fatalf("Cap = %d holds 5000 entries above the 3/4 load bound", grown)
+	}
+	if m.Reset(); m.Cap() != grown || m.Len() != 0 {
+		t.Fatalf("after Reset: Cap = %d, Len = %d, want %d, 0", m.Cap(), m.Len(), grown)
+	}
+	if (&Map{}).Cap() != 0 {
+		t.Fatal("zero Map holds memory")
+	}
 }
 
 func TestMapMatchesReference(t *testing.T) {

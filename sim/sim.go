@@ -622,6 +622,14 @@ type Snapshot struct {
 	ElementsFed        int64   `json:"elements_fed"`
 	CheckpointsCreated int64   `json:"checkpoints_created"`
 	CheckpointsDeleted int64   `json:"checkpoints_deleted"`
+	// Scans counts the fed elements whose influence set a sieve-style
+	// oracle had to walk because its cached thresholds and gain bounds could
+	// not decide every candidate solution, and ScanMembers the members those
+	// walks probed — the oracle-feed work behind ElementsFed. Unlike the
+	// counters above they are not saved: a loaded tracker counts from zero.
+	// Always zero for the swap oracles, which keep no coverage to scan.
+	Scans       int64 `json:"scans"`
+	ScanMembers int64 `json:"scan_members"`
 	// Tiered window state (memory accounting). ResidentBytes estimates the
 	// stream index's total resident footprint; HotLogBytes and ColdLogBytes
 	// split the contribution-log entries into the in-memory and the
@@ -701,6 +709,8 @@ func (t *Tracker) Snapshot() Snapshot {
 		ElementsFed:        fs.ElementsFed,
 		CheckpointsCreated: fs.Created,
 		CheckpointsDeleted: fs.Deleted,
+		Scans:              fs.Scans,
+		ScanMembers:        fs.ScanMembers,
 		ResidentBytes:      st.RetainedBytesEstimate(),
 		HotLogBytes:        ts.HotLogBytes,
 		ColdLogBytes:       ts.ColdLogBytes,

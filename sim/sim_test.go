@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/stream"
 	"repro/sim"
 )
 
@@ -194,6 +195,50 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	if st.Processed != 200 || st.ElementsFed == 0 || st.AvgCheckpoints <= 0 {
 		t.Fatalf("stats not populated: %+v", st)
+	}
+}
+
+// TestScanCountersWithinFeed: the sieve oracles' work counters can only
+// count what the framework fed them — at most one scan per element, at most
+// the element's influence set per scan. The feed is recomputed here from a
+// second stream index: under IC with a window as long as the stream nothing
+// expires, so the checkpoints live after an action are the ones it fed.
+func TestScanCountersWithinFeed(t *testing.T) {
+	actions := randomActions(8, 1500, 40)
+	tr, err := sim.New(sim.Config{K: 5, WindowSize: len(actions), Slide: 25, Framework: sim.IC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := stream.New()
+	var fed, members int64
+	for _, a := range actions {
+		if err := tr.Process(a); err != nil {
+			t.Fatal(err)
+		}
+		d, err := mirror.Ingest(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts := tr.CheckpointStarts()
+		for _, u := range d.Contributors {
+			list := mirror.InfluenceRecency(u, starts[0])
+			for _, s := range starts {
+				if n := len(stream.PrefixFor(list, s)); n > 0 {
+					fed++
+					members += int64(n)
+				}
+			}
+		}
+	}
+	snap := tr.Snapshot()
+	if snap.ElementsFed != fed {
+		t.Fatalf("elements fed = %d, recomputed %d", snap.ElementsFed, fed)
+	}
+	if snap.Scans <= 0 || snap.Scans > fed {
+		t.Fatalf("scans = %d, want in (0, %d elements fed]", snap.Scans, fed)
+	}
+	if snap.ScanMembers < snap.Scans || snap.ScanMembers > members {
+		t.Fatalf("scan members = %d, want in [%d scans, %d members fed]", snap.ScanMembers, snap.Scans, members)
 	}
 }
 
