@@ -30,9 +30,9 @@ bench:
 # allocs/op, B/op, actions/sec). Commit the output as BENCH_<PR>.json to
 # extend the cross-PR performance trajectory; CI uploads the same file as a
 # workflow artifact.
-BENCH_JSON ?= BENCH_PR15.json
+BENCH_JSON ?= BENCH_PR16.json
 bench-json:
-	$(GO) run ./cmd/simbench -exp tput,par,query,mem -scale smoke -json $(BENCH_JSON)
+	$(GO) run ./cmd/simbench -exp tput,query,mem -scale smoke -json $(BENCH_JSON)
 
 # CI bench regression guard: rerun the committed baseline's experiments and
 # fail on a large hot-path regression (>25% allocs/op — deterministic — or
@@ -41,9 +41,9 @@ bench-json:
 # (simbench -check-retries, min-of-N) before failing, since 1-CPU scheduler
 # noise is one-sided. The fresh snapshot goes to a scratch file; the
 # committed baseline is never overwritten.
-BENCH_BASELINE ?= BENCH_PR15.json
+BENCH_BASELINE ?= BENCH_PR16.json
 bench-check:
-	$(GO) run ./cmd/simbench -exp tput,par,query,mem -scale smoke \
+	$(GO) run ./cmd/simbench -exp tput,query,mem -scale smoke \
 		-json bench-fresh.json -check $(BENCH_BASELINE)
 
 # Run the serving layer (cmd/simserve) on :8384 with a default tracker.

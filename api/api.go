@@ -78,14 +78,13 @@ type Spec struct {
 	K      int `json:"k"`
 	Window int `json:"window"`
 	// Slide, Beta, Framework ("sic"/"ic"), Oracle ("sieve", "threshold",
-	// "blogwatch", "mkc"), TimeBased, Parallelism, Batch and ExpectedUsers
+	// "blogwatch", "mkc"), TimeBased, Batch and ExpectedUsers
 	// map onto the sim.Config fields of the same meaning.
 	Slide         int           `json:"slide,omitempty"`
 	Beta          float64       `json:"beta,omitempty"`
 	Framework     sim.Framework `json:"framework,omitempty"`
 	Oracle        sim.Oracle    `json:"oracle,omitempty"`
 	TimeBased     bool          `json:"time_based,omitempty"`
-	Parallelism   int           `json:"parallelism,omitempty"`
 	Batch         int           `json:"batch,omitempty"`
 	ExpectedUsers int           `json:"expected_users,omitempty"`
 	// Names switches the tracker to name-mode ingest: NDJSON "user" fields
@@ -130,7 +129,6 @@ func (s Spec) Config() sim.Config {
 		Framework:     s.Framework,
 		Oracle:        s.Oracle,
 		TimeBased:     s.TimeBased,
-		Parallelism:   s.Parallelism,
 		BatchSize:     s.Batch,
 		ExpectedUsers: s.ExpectedUsers,
 	}

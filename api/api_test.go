@@ -36,6 +36,12 @@ func TestReadSpecs(t *testing.T) {
 	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "windoww": 9}}}`)); err == nil {
 		t.Error("typo in spec field should fail")
 	}
+	// The removed "parallelism" field is rejected by name, not ignored: a
+	// spec that still sets it says so at startup.
+	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "window": 10, "parallelism": 4}}}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "parallelism"`) {
+		t.Errorf(`spec with "parallelism": err = %v, want an unknown-field error naming it`, err)
+	}
 	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {}}`)); err == nil {
 		t.Error("empty spec should fail")
 	}

@@ -56,10 +56,6 @@ func BenchmarkFig11ThroughputL(b *testing.B) { runExperiment(b, "fig11") }
 // BenchmarkFig12ThroughputU regenerates Fig 12 (throughput vs user count).
 func BenchmarkFig12ThroughputU(b *testing.B) { runExperiment(b, "fig12") }
 
-// BenchmarkParScaling measures the checkpoint-sharded/batched feed engine
-// against the serial per-action baseline (extension beyond the paper).
-func BenchmarkParScaling(b *testing.B) { runExperiment(b, "par") }
-
 // BenchmarkTput regenerates the streaming ingestion hot-path experiment
 // (ns/op, allocs/op and B/op per ingested action — the BENCH_*.json anchor).
 func BenchmarkTput(b *testing.B) { runExperiment(b, "tput") }

@@ -7,14 +7,13 @@
 //	simbench -exp fig5,fig7        # run selected experiments
 //	simbench -scale smoke          # fast pass (seconds, coarser numbers)
 //	simbench -window 20000 -k 50   # override individual sizes
-//	simbench -exp par              # parallel/batched ingestion scaling
-//	simbench -parallelism 4 -batch 100 -exp fig7   # sharded engine for any run
-//	simbench -exp tput,par -json BENCH.json        # machine-readable snapshot
+//	simbench -batch 100 -exp fig7  # batched ingestion for any run
+//	simbench -exp tput -json BENCH.json   # machine-readable snapshot
 //
 // Experiment IDs: table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// par (checkpoint-sharded ingestion scaling), tput (hot-path ns/allocs/B
-// per action) and query (lazy relational operators vs the materialized
-// reference), all extensions beyond the paper. -json writes every run's
+// tput (hot-path ns/allocs/B per action) and query (lazy relational
+// operators vs the materialized reference), both extensions beyond the
+// paper. -json writes every run's
 // metrics as a Snapshot (see internal/bench.WriteJSON), the format committed
 // as BENCH_<PR>.json to track performance across PRs.
 // See DESIGN.md §5 for the mapping from each ID to the paper's artefact and
@@ -45,7 +44,6 @@ func main() {
 		mc      = flag.Int("mc", 0, "override Monte-Carlo rounds")
 		samples = flag.Int("samples", 0, "override quality sample count")
 		seed    = flag.Int64("seed", 0, "override random seed")
-		par     = flag.Int("parallelism", 0, "checkpoint-shard worker width for streaming runs (1 = serial, -1 = GOMAXPROCS)")
 		batch   = flag.Int("batch", 0, "ingestion batch size for streaming runs (1 = per-action)")
 		jsonOut = flag.String("json", "", "write a machine-readable benchmark snapshot (ns/op, allocs/op, B/op, actions/sec per experiment) to this file")
 		check   = flag.String("check", "", "compare this run against a baseline BENCH_<PR>.json and exit 1 on regression (the CI bench guard)")
@@ -99,11 +97,6 @@ func main() {
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
-	}
-	if *par != 0 {
-		// Negative values flow through to sim.New, which maps them to
-		// GOMAXPROCS.
-		sc.Parallelism = *par
 	}
 	if *batch > 0 {
 		sc.BatchSize = *batch

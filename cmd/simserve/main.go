@@ -31,6 +31,9 @@
 //
 //	simserve -addr :8384 -k 10 -window 50000 -data-dir /var/lib/simserve
 //
+// The recovered tracker continues exactly as the uninterrupted one would
+// have, at any -batch, provided it restarts with the same -batch.
+//
 // (Re-running -replay of a static file against a recovered tracker will
 // report stream-order conflicts: those actions are already ingested.)
 //
@@ -71,7 +74,6 @@ func main() {
 		beta      = flag.Float64("beta", 0.1, "beta knob")
 		framework = flag.String("framework", "sic", "framework: sic or ic")
 		orc       = flag.String("oracle", "sieve", "oracle: sieve, threshold, blogwatch, mkc")
-		par       = flag.Int("parallelism", 0, "checkpoint-shard worker width (1 = serial, -1 = GOMAXPROCS)")
 		batch     = flag.Int("batch", 0, "sim ingestion batch size (1 = per-action)")
 		users     = flag.Int("users", 0, "expected distinct users (stream index pre-sizing hint)")
 		queue     = flag.Int("queue", 0, "ingest queue capacity in batches (0 = default 256)")
@@ -83,7 +85,6 @@ func main() {
 		spillDir  = flag.String("spill-dir", "", "cold-tier root: per-tracker spilled segment files under <dir>/<name>/ (default with -data-dir: <data-dir>/<name>/spill)")
 		memBudget = flag.Int64("memory-budget", 0, "resident contribution-log byte budget for the flag-built tracker; past it, idle users' logs spill to the cold tier (0 = never spill; needs -spill-dir or -data-dir)")
 		names     = flag.Bool("names", false, "name-mode tracker: NDJSON \"user\" fields are string names, interned to dense IDs")
-		unsafeRec = flag.Bool("unsafe-batch-recovery", false, "allow batch > 1 together with -data-dir even though crash recovery is only batch-for-batch identical at batch=1")
 		faultSpec = flag.String("fault", "", "TESTING ONLY: inject filesystem faults into the durable path; semicolon-separated rules like op=sync,path=wal.log,after=2,times=1,err=ENOSPC (see internal/fault)")
 		faultSeed = flag.Int64("fault-seed", 0, "TESTING ONLY: derive one deterministic fault rule from this seed (non-zero; composes with -fault)")
 		version   = flag.Bool("version", false, "print build/version info and exit")
@@ -133,11 +134,11 @@ func main() {
 			fatalf("%v", err)
 		}
 		for sname, sp := range specs {
-			// A spec whose durability guarantees don't hold is refused, not
+			// A spec that cannot be served as configured is refused, not
 			// fatal: the server keeps serving its other trackers, /v1/healthz
 			// reports the name and reason under "refused", and requests to
 			// the refused tracker answer 503 with the same reason.
-			if err := validateSpec(sname, sp, *dataDir != "", *spillDir != "", *unsafeRec); err != nil {
+			if err := validateSpec(sname, sp, *dataDir != "", *spillDir != ""); err != nil {
 				reg.Refuse(sname, err.Error())
 				log.Printf("tracker %q refused (serving degraded): %v", sname, err)
 				continue
@@ -161,11 +162,11 @@ func main() {
 		sp := api.Spec{
 			K: *k, Window: *window, Slide: *slide, Beta: *beta,
 			Framework: fwk, Oracle: o,
-			Parallelism: *par, Batch: *batch, ExpectedUsers: *users, Queue: *queue,
+			Batch: *batch, ExpectedUsers: *users, Queue: *queue,
 			SnapshotWALBytes: *snapBytes, Names: *names,
 			MemoryBudgetBytes: *memBudget,
 		}
-		if err := validateSpec(*name, sp, *dataDir != "", *spillDir != "", *unsafeRec); err != nil {
+		if err := validateSpec(*name, sp, *dataDir != "", *spillDir != ""); err != nil {
 			reg.Refuse(*name, err.Error())
 			log.Printf("tracker %q refused (serving degraded): %v", *name, err)
 		} else {

@@ -7,38 +7,6 @@ import (
 	"repro/api"
 )
 
-// TestValidateSpecBatchDurability pins the startup guard of ISSUE 6: a
-// durable tracker with sim-level batching must be rejected unless the
-// operator explicitly opts into approximate recovery.
-func TestValidateSpecBatchDurability(t *testing.T) {
-	cases := []struct {
-		name    string
-		batch   int
-		durable bool
-		unsafe  bool
-		wantErr bool
-	}{
-		{"memory-only batched", 8, false, false, false},
-		{"durable unbatched", 0, true, false, false},
-		{"durable batch=1", 1, true, false, false},
-		{"durable batched", 8, true, false, true},
-		{"durable batched, escape hatch", 8, true, true, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			sp := api.Spec{K: 5, Window: 100, Batch: c.batch}
-			err := validateSpec("default", sp, c.durable, false, c.unsafe)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("validateSpec(batch=%d durable=%v unsafe=%v) = %v, wantErr=%v",
-					c.batch, c.durable, c.unsafe, err, c.wantErr)
-			}
-			if err != nil && !strings.Contains(err.Error(), "unsafe-batch-recovery") {
-				t.Errorf("error %q does not point at the escape hatch", err)
-			}
-		})
-	}
-}
-
 // TestValidateSpecMemoryBudget pins the spill-directory guard: a memory
 // budget is only accepted when the tracker has somewhere to spill.
 func TestValidateSpecMemoryBudget(t *testing.T) {
@@ -59,7 +27,7 @@ func TestValidateSpecMemoryBudget(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sp := api.Spec{K: 5, Window: 100, MemoryBudgetBytes: c.budget}
-			err := validateSpec("default", sp, c.durable, c.spill, false)
+			err := validateSpec("default", sp, c.durable, c.spill)
 			if (err != nil) != c.wantErr {
 				t.Fatalf("validateSpec(budget=%d durable=%v spill=%v) = %v, wantErr=%v",
 					c.budget, c.durable, c.spill, err, c.wantErr)

@@ -6,25 +6,10 @@ import (
 	"repro/api"
 )
 
-// validateSpec rejects tracker configurations whose durability guarantees
-// do not hold. The one known hazard: sim-level batching (batch > 1)
-// combined with a data dir. WAL recovery replays logged batches through the
-// same ingestion path as live traffic, but a batched tracker buffers
-// actions internally and flushes on its own schedule — after a crash the
-// replayed flush boundaries can differ from the live ones, so the recovered
-// answer sequence is only guaranteed identical at batch=1. The
-// -unsafe-batch-recovery flag overrides the check for operators who accept
-// approximate recovery in exchange for batched-ingest throughput.
-//
-// It also refuses a memory budget that has nowhere to spill: the budget
-// only means something with a spill directory (-spill-dir, or implicitly
-// <data-dir>/<name>/spill on a durable server).
-func validateSpec(name string, sp api.Spec, durable, spill, unsafeBatchRecovery bool) error {
-	if durable && sp.Batch > 1 && !unsafeBatchRecovery {
-		return fmt.Errorf(
-			"tracker %q: batch=%d with -data-dir: recovery is only batch-for-batch identical at batch=1; set batch to 1 or pass -unsafe-batch-recovery to accept approximate recovery",
-			name, sp.Batch)
-	}
+// validateSpec refuses a memory budget that has nowhere to spill: the
+// budget only means something with a spill directory (-spill-dir, or
+// implicitly <data-dir>/<name>/spill on a durable server).
+func validateSpec(name string, sp api.Spec, durable, spill bool) error {
 	if sp.MemoryBudgetBytes < 0 {
 		return fmt.Errorf("tracker %q: memory_budget_bytes must be >= 0, got %d", name, sp.MemoryBudgetBytes)
 	}

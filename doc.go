@@ -16,17 +16,12 @@
 // "covered by which instances" for all O(log k / β) instances in one probe,
 // and a per-instance gain bound that grows only by what an element can have
 // changed lets most re-offered elements be rejected without walking their
-// influence set.
-// sim.Config's Parallelism option feeds each action's live checkpoints
-// through one persistent worker-pool loop (default 1 = serial,
-// bit-identical results at any width). BatchSize groups actions so
-// stream-index and checkpoint maintenance amortize across a batch
-// (default 1 = per-action, exact legacy behavior; queries are exact at
-// batch boundaries). The README's
-// "Performance architecture" section and the committed BENCH_*.json
-// snapshots (regenerated by `make bench-json`) document the hot-path
-// performance trajectory across PRs. See the sim package documentation for
-// details.
+// influence set. sim.Config's BatchSize groups actions so stream-index and
+// checkpoint maintenance amortize across a batch (default 1 = per-action;
+// queries are exact at batch boundaries). The README's "Performance
+// architecture" section and the committed BENCH_*.json snapshots
+// (regenerated by `make bench-json`) document the hot-path performance
+// trajectory across PRs. See the sim package documentation for details.
 //
 // The repository also runs as a service: cmd/simserve (internal/server)
 // keeps named trackers alive behind an HTTP API with NDJSON streaming

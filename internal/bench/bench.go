@@ -79,10 +79,6 @@ type Scale struct {
 	Samples int
 	// Seed fixes all randomness.
 	Seed int64
-	// Parallelism is the checkpoint-shard worker width used by the
-	// streaming runs (sim.Config.Parallelism) — a tracker-level setting,
-	// not per-oracle. 1 = serial, the legacy default.
-	Parallelism int
 	// BatchSize is the ingestion batch size used by the streaming runs
 	// (sim.Config.BatchSize). 1 = per-action, the legacy default.
 	BatchSize int
@@ -92,17 +88,16 @@ type Scale struct {
 // streams. Suitable for cmd/simbench on a laptop (minutes).
 func ScaleDefault() Scale {
 	return Scale{
-		Users:       20000,
-		StreamLen:   60000,
-		Window:      10000,
-		Slide:       100,
-		K:           25,
-		Beta:        0.1,
-		MCRounds:    500,
-		Samples:     4,
-		Seed:        1,
-		Parallelism: 1,
-		BatchSize:   1,
+		Users:     20000,
+		StreamLen: 60000,
+		Window:    10000,
+		Slide:     100,
+		K:         25,
+		Beta:      0.1,
+		MCRounds:  500,
+		Samples:   4,
+		Seed:      1,
+		BatchSize: 1,
 	}
 }
 
@@ -110,17 +105,16 @@ func ScaleDefault() Scale {
 // (seconds).
 func ScaleSmoke() Scale {
 	return Scale{
-		Users:       2000,
-		StreamLen:   8000,
-		Window:      2000,
-		Slide:       50,
-		K:           10,
-		Beta:        0.1,
-		MCRounds:    100,
-		Samples:     2,
-		Seed:        1,
-		Parallelism: 1,
-		BatchSize:   1,
+		Users:     2000,
+		StreamLen: 8000,
+		Window:    2000,
+		Slide:     50,
+		K:         10,
+		Beta:      0.1,
+		MCRounds:  100,
+		Samples:   2,
+		Seed:      1,
+		BatchSize: 1,
 	}
 }
 

@@ -55,7 +55,7 @@ func TestDatasetsShape(t *testing.T) {
 func TestRunFrameworkProducesMetrics(t *testing.T) {
 	sc := ScaleSmoke()
 	ds := Datasets(sc)[3] // SYN-N is the cheapest (short distances)
-	m := runFramework(ds, sim.SIC, sc.K, sc.Window, sc.Slide, 0.2, 1, 1)
+	m := runFramework(ds, sim.SIC, sc.K, sc.Window, sc.Slide, 0.2, 1)
 	if m.AvgValue <= 0 {
 		t.Errorf("AvgValue = %v", m.AvgValue)
 	}
@@ -70,8 +70,8 @@ func TestRunFrameworkProducesMetrics(t *testing.T) {
 func TestICVsSICMetricShapes(t *testing.T) {
 	sc := ScaleSmoke()
 	ds := Datasets(sc)[3]
-	ic := runFramework(ds, sim.IC, sc.K, sc.Window, sc.Slide, 0.2, 1, 1)
-	sic := runFramework(ds, sim.SIC, sc.K, sc.Window, sc.Slide, 0.2, 1, 1)
+	ic := runFramework(ds, sim.IC, sc.K, sc.Window, sc.Slide, 0.2, 1)
+	sic := runFramework(ds, sim.SIC, sc.K, sc.Window, sc.Slide, 0.2, 1)
 	// Fig 6 shape: IC pins ceil(N/L) checkpoints, SIC keeps far fewer.
 	wantIC := float64((sc.Window + sc.Slide - 1) / sc.Slide)
 	if ic.AvgCheckpoints < wantIC-1 {
@@ -124,7 +124,7 @@ func TestRunThroughputCoversAllMethods(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"abl-fastpath", "abl-greedy", "abl-oracle", "fig10", "fig11", "fig12", "fig2-4", "fig5", "fig6", "fig7", "fig8", "fig9", "mem", "par", "query", "table2", "table3", "tput"}
+	want := []string{"abl-fastpath", "abl-greedy", "abl-oracle", "fig10", "fig11", "fig12", "fig2-4", "fig5", "fig6", "fig7", "fig8", "fig9", "mem", "query", "table2", "table3", "tput"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("experiments = %d, want %d", len(got), len(want))
@@ -151,9 +151,9 @@ func TestTputRecordsJSONMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := Metrics()
-	// 4 per-config rows + 1 whole-experiment total.
-	if len(recs) != 5 {
-		t.Fatalf("records = %d, want 5: %+v", len(recs), recs)
+	// 3 per-config rows + 1 whole-experiment total.
+	if len(recs) != 4 {
+		t.Fatalf("records = %d, want 4: %+v", len(recs), recs)
 	}
 	streaming := 0
 	for _, r := range recs {
@@ -170,8 +170,8 @@ func TestTputRecordsJSONMetrics(t *testing.T) {
 			}
 		}
 	}
-	if streaming != 4 {
-		t.Errorf("streaming records = %d, want 4", streaming)
+	if streaming != 3 {
+		t.Errorf("streaming records = %d, want 3", streaming)
 	}
 
 	var buf bytes.Buffer

@@ -75,7 +75,7 @@ func TestMergeMin(t *testing.T) {
 	rerun := []Record{
 		{Experiment: "tput", Name: "SIC", NsPerOp: 110, AllocsPerOp: 10, BytesPerOp: 500, ActionsPerSec: 9000},
 		{Experiment: "tput", Name: "IC", NsPerOp: 260, AllocsPerOp: 20, BytesPerOp: 900, ActionsPerSec: 3000},
-		{Experiment: "par", Name: "p2", NsPerOp: 50, AllocsPerOp: 5},
+		{Experiment: "query", Name: "topk/lazy", NsPerOp: 50, AllocsPerOp: 5},
 	}
 	got := MergeMin(first, rerun)
 	if len(got) != 3 {
@@ -91,8 +91,8 @@ func TestMergeMin(t *testing.T) {
 	if r := byKey["tput/IC"]; r.NsPerOp != 200 || r.ActionsPerSec != 4000 {
 		t.Errorf("tput/IC: ns=%v aps=%v, want first-run 200/4000 kept", r.NsPerOp, r.ActionsPerSec)
 	}
-	if r := byKey["par/p2"]; r.NsPerOp != 50 {
-		t.Errorf("par/p2 not passed through: %+v", r)
+	if r := byKey["query/topk/lazy"]; r.NsPerOp != 50 {
+		t.Errorf("query/topk/lazy not passed through: %+v", r)
 	}
 
 	// A noisy first run that regresses past tolerance must pass after the

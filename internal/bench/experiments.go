@@ -28,7 +28,7 @@ func sweep(sc Scale, ds Dataset, fw sim.Framework, beta float64) runMetrics {
 	if m, ok := sweepCache[key]; ok {
 		return m
 	}
-	m := runFramework(ds, fw, sc.K, sc.Window, sc.Slide, beta, sc.Parallelism, sc.BatchSize)
+	m := runFramework(ds, fw, sc.K, sc.Window, sc.Slide, beta, sc.BatchSize)
 	sweepCache[key] = m
 	return m
 }

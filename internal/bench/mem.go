@@ -64,7 +64,7 @@ type memRun struct {
 func runMemTracker(ds Dataset, sc Scale, budget int64) memRun {
 	cfg := sim.Config{
 		K: sc.K, WindowSize: sc.Window, Slide: sc.Slide, Beta: sc.Beta,
-		Parallelism: sc.Parallelism, BatchSize: sc.BatchSize,
+		BatchSize: sc.BatchSize,
 	}
 	if budget > 0 {
 		dir, err := os.MkdirTemp("", "simbench-spill-")

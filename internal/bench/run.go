@@ -27,8 +27,8 @@ type runMetrics struct {
 	// AllocsPerAction and BytesPerAction are mean heap allocations per
 	// ingested action over the WHOLE ingest loop (warm-up included; tracker
 	// construction excluded — measurement starts after sim.New), measured
-	// with runtime.ReadMemStats. Pool workers' allocations are included.
-	// They back the tput experiment and the BENCH_*.json trajectory.
+	// with runtime.ReadMemStats. They back the tput experiment and the
+	// BENCH_*.json trajectory.
 	AllocsPerAction float64
 	BytesPerAction  float64
 }
@@ -36,14 +36,13 @@ type runMetrics struct {
 // runFramework streams ds through one tracker configuration, measuring
 // values at slide boundaries and post-warm-up throughput. The first full
 // window is warm-up: the paper's metrics likewise average over windows, not
-// over the initial fill. parallelism and batchSize select the ingestion
-// engine configuration (1/1 = the legacy serial per-action path); the flush
-// at each slide boundary is timed so batched runs are charged their full
-// ingestion cost.
-func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, parallelism, batchSize int) runMetrics {
+// over the initial fill. batchSize is the ingestion batch size (1 = the
+// per-action path); the flush at each slide boundary is timed so batched
+// runs are charged their full ingestion cost.
+func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batchSize int) runMetrics {
 	tr, err := sim.New(sim.Config{
 		K: k, WindowSize: n, Slide: l, Beta: beta, Framework: fw,
-		Parallelism: parallelism, BatchSize: batchSize,
+		BatchSize: batchSize,
 	})
 	if err != nil {
 		panic(err)
@@ -201,8 +200,8 @@ func runThroughput(ds Dataset, sc Scale, k, n, l int, beta float64) throughputRu
 		ds.Actions = ds.Actions[:span]
 	}
 	out := throughputRun{}
-	out["SIC"] = runFramework(ds, sim.SIC, k, n, l, beta, sc.Parallelism, sc.BatchSize).Throughput
-	out["IC"] = runFramework(ds, sim.IC, k, n, l, beta, sc.Parallelism, sc.BatchSize).Throughput
+	out["SIC"] = runFramework(ds, sim.SIC, k, n, l, beta, sc.BatchSize).Throughput
+	out["IC"] = runFramework(ds, sim.IC, k, n, l, beta, sc.BatchSize).Throughput
 
 	// Baselines: replay the window with a bare stream index, then time one
 	// recompute per sample point.

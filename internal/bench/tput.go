@@ -8,9 +8,9 @@ import (
 )
 
 // The tput experiment is the streaming-throughput hot path in isolation: IC
-// and SIC ingesting the RMAT-driven SYN-O stream, serial and
-// checkpoint-sharded, reporting the testing.B-style ns/op, allocs/op and
-// B/op per ingested action alongside actions/sec. It is the anchor of the
+// and SIC ingesting the RMAT-driven SYN-O stream, per action and batched,
+// reporting the testing.B-style ns/op, allocs/op and B/op per ingested
+// action alongside actions/sec. It is the anchor of the
 // BENCH_*.json trajectory: every PR reruns it (make bench-json) and commits
 // the snapshot, so per-action allocation regressions are visible in review.
 func init() {
@@ -24,14 +24,13 @@ func init() {
 func runTput(sc Scale) Table {
 	ds := synODataset(sc)
 	type cfg struct {
-		fw         sim.Framework
-		par, batch int
+		fw    sim.Framework
+		batch int
 	}
 	cfgs := []cfg{
-		{sim.SIC, 1, 1},
-		{sim.IC, 1, 1},
-		{sim.SIC, sharedWidth(sc), 1},
-		{sim.SIC, 1, sc.Slide},
+		{sim.SIC, 1},
+		{sim.IC, 1},
+		{sim.SIC, sc.Slide},
 	}
 	t := Table{
 		ID:     "tput",
@@ -43,8 +42,8 @@ func runTput(sc Scale) Table {
 		},
 	}
 	for _, c := range cfgs {
-		name := fmt.Sprintf("%v/p%d/b%d", c.fw, c.par, c.batch)
-		m := runFramework(ds, c.fw, sc.K, sc.Window, sc.Slide, sc.Beta, c.par, c.batch)
+		name := fmt.Sprintf("%v/b%d", c.fw, c.batch)
+		m := runFramework(ds, c.fw, sc.K, sc.Window, sc.Slide, sc.Beta, c.batch)
 		recordRun("tput", name, m)
 		t.Rows = append(t.Rows, []string{
 			name, f1(m.Throughput), f1(m.NsPerAction), f1(m.AllocsPerAction),
@@ -52,17 +51,4 @@ func runTput(sc Scale) Table {
 		})
 	}
 	return t
-}
-
-// sharedWidth picks the parallel width for tput's sharded row: the Scale's
-// configured parallelism when set above 1, else a FIXED width of 4. The
-// fallback is deliberately host-independent — the row's name is the join
-// key of the cross-PR BENCH_*.json trajectory, so it must not vary with
-// the machine's core count (speed varies across hosts regardless; the
-// allocs/op column is the stable signal).
-func sharedWidth(sc Scale) int {
-	if sc.Parallelism > 1 {
-		return sc.Parallelism
-	}
-	return 4
 }

@@ -84,11 +84,10 @@ func (f *Framework) ProcessBatch(actions []stream.Action) error {
 
 	// Feed each contributor's post-batch influence set to every checkpoint
 	// through the Set-Stream Mapping (feedContributor: one recency-sorted
-	// materialization per contributor serves every checkpoint as a prefix,
-	// with the fan-out checkpoint-sharded across the pool exactly as in
-	// Process). A contributor that gained members from several distinct
-	// performers is fed without Latest metadata and seed updates fall back
-	// to a full merge.
+	// materialization per contributor serves every checkpoint as a prefix).
+	// A contributor that gained members from several distinct performers is
+	// fed without Latest metadata and seed updates fall back to a full
+	// merge.
 	for i, u := range f.batchContrib {
 		g := f.batchGains[i]
 		f.feedContributor(u, g.latest, !g.multi)

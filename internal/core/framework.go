@@ -13,23 +13,20 @@
 // O(log N / β) of them while guaranteeing an ε(1−β)/2 approximation
 // (Theorems 3–5).
 //
-// The per-action feed is checkpoint-sharded: each contributor's element is
-// materialized once as a shared influence-set view and cut per checkpoint by
-// one walk over it (checkpoints ascend by start, so the cuts only shorten),
-// and when Config.Pool is set, the live checkpoints — distinct oracles with
-// disjoint state — are fed by one pool.Run call, results bit-identical to
-// the serial path. Checkpoints come and go at every slide; an oracle that
-// can Reset itself is handed from a deleted checkpoint to a new one through
-// a small free list instead of being grown from nothing each time.
+// The per-action feed materializes each contributor's element once as a
+// shared influence-set view and cuts it per checkpoint by one walk over it
+// (checkpoints ascend by start, so the cuts only shorten). Checkpoints come
+// and go at every slide; an oracle that can Reset itself is handed from a
+// deleted checkpoint to a new one through a small free list instead of
+// being grown from nothing each time.
 // ProcessBatch ingests a whole slice of actions at once, feeding each
 // checkpoint one element per distinct contributor of the batch and running
 // window maintenance once per batch.
 //
-// A Framework is single-writer: it is not safe for concurrent use, and the
-// Pool only fans out the internals of one Process call. Concurrent serving
-// is layered on top by internal/server, which owns each Framework (via
-// sim.Tracker) from one ingest goroutine and publishes immutable snapshots
-// for readers.
+// A Framework is single-writer: it is not safe for concurrent use.
+// Concurrent serving is layered on top by internal/server, which owns each
+// Framework (via sim.Tracker) from one ingest goroutine and publishes
+// immutable snapshots for readers.
 package core
 
 import (
@@ -37,7 +34,6 @@ import (
 	"fmt"
 
 	"repro/internal/oracle"
-	"repro/internal/pool"
 	"repro/internal/stream"
 )
 
@@ -67,14 +63,6 @@ type Config struct {
 	// guarantees carry over unchanged — the checkpoints still cover exactly
 	// the suffixes of the current window.
 	ByTime bool
-	// Pool, when non-nil, parallelizes the per-action fan-out: each
-	// contributor's element is offered to every live checkpoint's oracle
-	// through one Pool.Run call, so the parallel width is the number of
-	// live checkpoints. Distinct checkpoints never share mutable state, so
-	// results are bit-identical to the serial path. A nil Pool keeps the
-	// fan-out serial. The pool is shared, not owned: the framework never
-	// closes it.
-	Pool *pool.Pool
 	// UsersHint pre-sizes the stream index's per-user maps for the expected
 	// number of distinct users (0 = grow incrementally).
 	UsersHint int
@@ -83,9 +71,9 @@ type Config struct {
 	// spill to immutable segment files at the window's expiry boundary
 	// whenever resident log bytes exceed the budget, and fault back in on
 	// demand. Results are bit-identical with or without a cold tier; only
-	// memory residency and I/O change. Like Pool, the store is runtime
-	// environment, not logical configuration — it is shared, never
-	// serialized, and must outlive the framework (the owner closes it).
+	// memory residency and I/O change. The store is runtime environment,
+	// not logical configuration — it is shared, never serialized, and must
+	// outlive the framework (the owner closes it).
 	Cold stream.ColdStore
 	// ColdBudget is the resident hot-log byte budget that triggers spilling
 	// (0 = never spill).
@@ -131,15 +119,6 @@ type recycler interface {
 // deletions from pinning its memory.
 const maxFreeOracles = 2
 
-// cpFeed is one checkpoint's share of an element's parallel fan-out: the
-// oracle and the element sliced to its suffix. Element is embedded by
-// value: the slice of these is reused scratch, and building one allocates
-// nothing.
-type cpFeed struct {
-	orc oracle.Oracle
-	e   oracle.Element
-}
-
 // Framework runs either IC or SIC over a social stream. It is not safe for
 // concurrent use.
 type Framework struct {
@@ -165,14 +144,6 @@ type Framework struct {
 	batchContrib []stream.UserID
 	batchGains   []batchGain
 
-	// Parallel fan-out machinery: pool (nil = serial), the reused
-	// per-checkpoint scratch, and the one cached closure handed to pool.Run
-	// — allocated at construction so the per-action feed performs no heap
-	// allocation.
-	pool   *pool.Pool
-	feeds  []cpFeed
-	feedFn func(i int)
-
 	// Cumulative counters for the experiment harness.
 	cpCreated int64
 	cpDeleted int64
@@ -191,9 +162,8 @@ func New(cfg Config) (*Framework, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &Framework{cfg: cfg, st: stream.NewSized(cfg.UsersHint), pool: cfg.Pool}
+	f := &Framework{cfg: cfg, st: stream.NewSized(cfg.UsersHint)}
 	f.st.SetCold(cfg.Cold, cfg.ColdBudget)
-	f.feedFn = func(i int) { f.feeds[i].orc.Process(f.feeds[i].e) }
 	return f, nil
 }
 
@@ -313,23 +283,14 @@ func (f *Framework) retire(cp *checkpoint) {
 // materialized once (a view into the stream's recency log) and sliced per
 // checkpoint — the list descends in time and the checkpoints ascend by
 // start, so each cut is found by walking on from the previous one, and once
-// a checkpoint's prefix is empty so is every later one's. With a pool, the
-// per-checkpoint Process calls are collected in f.feeds and executed by one
-// pool.Run call. Nothing on this path allocates
-// in steady state: elements are values over a shared prefix view, the feed
-// slice is reused scratch, and feedFn is the one closure cached at
-// construction.
-//
-// Bit-identity with the serial path holds because each oracle still sees
-// its own elements in stream order, and distinct checkpoints are distinct
-// oracles that only read the shared prefix view.
+// a checkpoint's prefix is empty so is every later one's. Nothing on this
+// path allocates in steady state: elements are values over a shared prefix
+// view.
 func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool) {
 	list := f.st.InfluenceRecency(u, f.cps[0].start)
 	if len(list) == 0 {
 		return
 	}
-	parallel := f.pool.Workers() > 1
-	f.feeds = f.feeds[:0]
 	cut := len(list)
 	for _, cp := range f.cps {
 		for cut > 0 && list[cut-1].T < cp.start {
@@ -338,15 +299,9 @@ func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool) {
 		if cut == 0 {
 			break
 		}
-		e := oracle.Element{User: u, Latest: latest, LatestValid: latestValid, Prefix: list[:cut]}
 		f.elemFed++
-		if parallel {
-			f.feeds = append(f.feeds, cpFeed{orc: cp.oracle, e: e})
-		} else {
-			cp.oracle.Process(e)
-		}
+		cp.oracle.Process(oracle.Element{User: u, Latest: latest, LatestValid: latestValid, Prefix: list[:cut]})
 	}
-	f.pool.Run(len(f.feeds), f.feedFn)
 }
 
 // expire removes checkpoints whose start precedes the window start. IC

@@ -22,7 +22,7 @@ const corePayloadVersion = 1
 // chain snapshot of the durable-tracker contract.
 //
 // Save fails if the configured oracle does not implement oracle.Persistent.
-// Configuration (K, N, L, Beta, the oracle factory, Pool) is deliberately
+// Configuration (K, N, L, Beta, the oracle factory) is deliberately
 // not serialized: Restore targets a Framework freshly built from the same
 // Config, and the caller (sim.Tracker.SaveTo) records and validates the
 // config scalars at its own layer.
@@ -67,9 +67,8 @@ func (f *Framework) Save(w io.Writer) error {
 // Restore replaces the receiver's state with one saved by Save. The
 // receiver must be freshly constructed by New with a Config equivalent to
 // the saving framework's (same K, N, L, Beta, Sparse, ByTime and an Oracle
-// factory producing the same oracle kind with the same weights); Pool,
-// UsersHint and the factory's parallelism are free to differ — they change
-// execution, never results.
+// factory producing the same oracle kind with the same weights); UsersHint
+// is free to differ — it changes execution, never results.
 func (f *Framework) Restore(r io.Reader) error {
 	rr := wire.NewReader(r)
 	if v := rr.Uvarint(); rr.Err() == nil && v != corePayloadVersion {

@@ -101,6 +101,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 		rules  string
 		names  bool // name-mode tracker: exercises the names.log path too
 		rearms bool // expect the poisoned-log re-arm path to have run
+		batch  int  // sim batching: replay must flush where the live loop did
 	}{
 		{name: "wal-write-eio", rules: "op=write,path=wal.log,after=2,times=1,err=EIO"},
 		{name: "wal-write-torn-enospc", rules: "op=write,path=wal.log,after=1,times=2,err=ENOSPC,short"},
@@ -113,6 +114,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 		{name: "names-write-eio", rules: "op=write,path=names.log,times=1,err=EIO", names: true},
 		{name: "names-poisoned-rollback", rules: "op=write,path=names.log,times=1,err=EIO;op=truncate,path=names.log,after=1,times=1,err=EIO", names: true, rearms: true},
 		{name: "slow-disk-delay", rules: "op=sync,path=wal.log,times=4,delay=5ms,delayonly"},
+		{name: "wal-write-eio-batch7", rules: "op=write,path=wal.log,after=2,times=1,err=EIO", batch: 7},
 	}
 	actions := durableStream(2400)
 	numericWant := serialReference(t, actions)
@@ -123,9 +125,19 @@ func TestChaosCrashMatrix(t *testing.T) {
 	namedWant := serialReference(t, internStream(actions, intern.New(0)))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			spec := durableSpec
+			spec.SnapshotWALBytes = 2048 // several snapshot cycles over the stream
+			spec.Names = tc.names
+			spec.Batch = tc.batch
 			want := numericWant
 			if tc.names {
 				want = namedWant
+			}
+			if tc.batch > 1 {
+				// Batched answers depend on where the stream is flushed: the
+				// reference flushes after each 100-action submit, as the
+				// loop does.
+				want = chunkedReference(t, spec, actions, 100)
 			}
 			rules, err := fault.ParseRules(tc.rules)
 			if err != nil {
@@ -139,9 +151,6 @@ func TestChaosCrashMatrix(t *testing.T) {
 			reg := NewRegistry()
 			reg.SetFS(inj)
 			reg.SetDataDir(dir)
-			spec := durableSpec
-			spec.SnapshotWALBytes = 2048 // several snapshot cycles over the stream
-			spec.Names = tc.names
 			tr, err := reg.Add("t", spec)
 			if err != nil {
 				t.Fatal(err)

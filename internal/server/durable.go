@@ -60,8 +60,12 @@ import (
 // replay wal.log — skipping batches whose newest ID is not beyond the
 // snapshot — through the same ProcessAll path the live loop uses, so a
 // batch that was partially rejected live (stream-order conflict) replays to
-// the identical partially-applied state. A torn WAL tail (the crash's
-// unacknowledged in-flight append) is dropped by the frame parser.
+// the identical partially-applied state. One WAL record is one flush
+// boundary: the live loop and replay apply a record through the same
+// applyRecord, which flushes sim-level batching (Spec.Batch > 1) behind it,
+// so the recovered tracker is the uninterrupted one at any batch size —
+// provided it restarts with the same Batch. A torn WAL tail (the crash's unacknowledged in-flight
+// append) is dropped by the frame parser.
 const (
 	snapshotFileName = "snapshot.sim2"
 	snapshotTempName = "snapshot.sim2.tmp"
@@ -213,16 +217,14 @@ func recoverTracker(fs fault.FS, clock fault.Clock, dir string, cfg sim.Config, 
 		if covered {
 			return nil
 		}
-		if err := tr.ProcessAll(batch); err != nil {
-			// Stream-order rejections replay the live outcome (prefix
-			// applied, batch aborted, client saw 409) — not a recovery
-			// failure. Anything else is.
-			if errors.Is(err, sim.ErrNonMonotonicID) || errors.Is(err, sim.ErrBadParent) {
-				return nil
-			}
-			return err
+		// Stream-order rejections replay the live outcome (prefix applied,
+		// batch aborted, client saw 409) — not a recovery failure. Anything
+		// else is.
+		err := applyRecord(tr, batch)
+		if errors.Is(err, sim.ErrNonMonotonicID) || errors.Is(err, sim.ErrBadParent) {
+			return nil
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		tr.Close()

@@ -43,13 +43,29 @@ func submitChunks(t *testing.T, tr *Tracked, actions []sim.Action, chunk int) {
 // serialReference replays actions through a bare sim.Tracker.
 func serialReference(t *testing.T, actions []sim.Action) sim.Snapshot {
 	t.Helper()
-	tr, err := sim.New(durableSpec.Config())
+	return chunkedReference(t, durableSpec, actions, len(actions))
+}
+
+// chunkedReference replays actions through a bare sim.Tracker built from
+// spec, flushing sim batching after every chunk actions the way the ingest
+// loop does after every submitted batch. At Batch <= 1 the chunking is
+// immaterial.
+func chunkedReference(t *testing.T, spec api.Spec, actions []sim.Action, chunk int) sim.Snapshot {
+	t.Helper()
+	tr, err := sim.New(spec.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if err := tr.ProcessAll(actions); err != nil {
-		t.Fatal(err)
+	for len(actions) > 0 {
+		n := min(chunk, len(actions))
+		if err := tr.ProcessAll(actions[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		actions = actions[n:]
 	}
 	return tr.Snapshot()
 }
@@ -109,56 +125,72 @@ func TestDurableGracefulRestart(t *testing.T) {
 // TestDurableCrashRecovery simulates kill -9: the data directory is copied
 // while the tracker is live (snapshots and WAL are fsynced, so the copy is
 // what a crash would leave) and a fresh registry recovers from the copy.
-// The recovered answer must match an uninterrupted serial replay, both with
-// and without a mid-life snapshot in the mix.
+// The recovered tracker must be the live one — same answer at the crash
+// point, and the same answer again after both ingest more — at every sim
+// batch size, both with and without a mid-life snapshot in the mix. 120
+// actions per submit is a multiple of neither 7 nor 50, so a replay that ran
+// WAL records together would cut different ingestion batches.
 func TestDurableCrashRecovery(t *testing.T) {
-	actions := durableStream(2400)
+	all := durableStream(3000)
+	// 22 submits before the crash leave a two-record tail behind the last
+	// 2048-byte snapshot; 3 more follow it.
+	actions, more := all[:2640], all[2640:]
 	for _, walLimit := range []int64{0, 2048} { // 0: WAL-only; 2048: snapshot + WAL tail
 		t.Run(fmt.Sprintf("walLimit=%d", walLimit), func(t *testing.T) {
-			dir := t.TempDir()
-			spec := durableSpec
-			spec.SnapshotWALBytes = walLimit
+			for _, batch := range []int{1, 7, 50} {
+				t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+					dir := t.TempDir()
+					spec := durableSpec
+					spec.SnapshotWALBytes = walLimit
+					spec.Batch = batch
 
-			reg := NewRegistry()
-			reg.SetDataDir(dir)
-			tr, err := reg.Add("t", spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			submitChunks(t, tr, actions, 100)
+					reg := NewRegistry()
+					reg.SetDataDir(dir)
+					tr, err := reg.Add("t", spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer reg.Close()
+					submitChunks(t, tr, actions, 120)
+					live := *tr.Snapshot()
 
-			// "Crash": copy the synced files out from under the live server.
-			crashDir := t.TempDir()
-			copyTree(t, filepath.Join(dir, "t"), filepath.Join(crashDir, "t"))
-			if walLimit > 0 {
-				if _, err := os.Stat(filepath.Join(crashDir, "t", snapshotFileName)); err != nil {
-					t.Fatalf("expected a mid-life snapshot to exist: %v", err)
-				}
-			}
-			if err := reg.Close(); err != nil {
-				t.Fatal(err)
-			}
+					// "Crash": copy the synced files out from under the live server.
+					crashDir := t.TempDir()
+					copyTree(t, filepath.Join(dir, "t"), filepath.Join(crashDir, "t"))
+					if walLimit > 0 {
+						if _, err := os.Stat(filepath.Join(crashDir, "t", snapshotFileName)); err != nil {
+							t.Fatalf("expected a mid-life snapshot to exist: %v", err)
+						}
+					}
 
-			reg2 := NewRegistry()
-			reg2.SetDataDir(crashDir)
-			tr2, err := reg2.Add("t", spec)
-			if err != nil {
-				t.Fatalf("crash recovery Add: %v", err)
-			}
-			defer reg2.Close()
-			info, _ := tr2.Recovery()
-			if walLimit > 0 && !info.SnapshotLoaded {
-				t.Fatalf("expected snapshot-backed recovery, got %+v", info)
-			}
-			if walLimit == 0 && info.WALBatches == 0 {
-				t.Fatalf("expected WAL replay, got %+v", info)
-			}
-			checkAnswer(t, "crash-recovered", tr2.Snapshot(), serialReference(t, actions))
+					reg2 := NewRegistry()
+					reg2.SetDataDir(crashDir)
+					tr2, err := reg2.Add("t", spec)
+					if err != nil {
+						t.Fatalf("crash recovery Add: %v", err)
+					}
+					defer reg2.Close()
+					info, _ := tr2.Recovery()
+					if walLimit > 0 && (!info.SnapshotLoaded || info.WALBatches < 2) {
+						t.Fatalf("expected a snapshot plus a WAL tail of several records, got %+v", info)
+					}
+					if walLimit == 0 && info.WALBatches == 0 {
+						t.Fatalf("expected WAL replay, got %+v", info)
+					}
+					checkAnswer(t, "crash-recovered vs live", tr2.Snapshot(), live)
+					if batch == 1 {
+						checkAnswer(t, "crash-recovered vs serial", tr2.Snapshot(), serialReference(t, actions))
+					}
 
-			// The recovered tracker keeps serving: ingest more on top.
-			more := durableStream(3000)[2400:]
-			submitChunks(t, tr2, more, 100)
-			checkAnswer(t, "post-recovery ingest", tr2.Snapshot(), serialReference(t, durableStream(3000)))
+					// The recovered tracker keeps serving: ingest more on both.
+					submitChunks(t, tr, more, 120)
+					submitChunks(t, tr2, more, 120)
+					checkAnswer(t, "post-recovery ingest vs live", tr2.Snapshot(), *tr.Snapshot())
+					if batch == 1 {
+						checkAnswer(t, "post-recovery ingest vs serial", tr2.Snapshot(), serialReference(t, all))
+					}
+				})
+			}
 		})
 	}
 }

@@ -352,7 +352,7 @@ func (t *Tracked) apply(c command) {
 			}
 		}
 		if err == nil {
-			err = t.tr.ProcessAll(c.batch)
+			err = applyRecord(t.tr, c.batch)
 		}
 		t.publish()
 		if t.dur != nil {
@@ -377,6 +377,20 @@ func (t *Tracked) apply(c command) {
 	if c.reply != nil {
 		c.reply <- outcome{err: err, processed: t.snap.Load().Processed}
 	}
+}
+
+// applyRecord applies one submitted batch — one WAL record on a durable
+// tracker — and flushes sim-level batching behind it, also after a
+// stream-order rejection that left a valid prefix buffered. One record = one
+// flush boundary: the live loop and WAL replay (recoverTracker) both come
+// through here, so they cut the stream into the same ingestion batches and
+// a recovered tracker is the uninterrupted one at any Spec.Batch.
+func applyRecord(tr *sim.Tracker, batch []sim.Action) error {
+	err := tr.ProcessAll(batch)
+	if ferr := tr.Flush(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // tryRearm attempts to recover a poisoned durable path, on the loop

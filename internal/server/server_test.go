@@ -51,7 +51,7 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 	specs := map[string]api.Spec{
 		"sic-sieve":    {K: 5, Window: 400},
 		"ic-threshold": {K: 5, Window: 400, Framework: sim.IC, Oracle: sim.ThresholdStream},
-		"sic-batched":  {K: 5, Window: 400, Batch: 64, Parallelism: 2},
+		"sic-batched":  {K: 5, Window: 400, Batch: 64},
 	}
 	actions := testStream(2000)
 	for name, spec := range specs {
@@ -109,8 +109,8 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 
 			// Serial reference replay of the same actions, mirroring the
 			// served call sequence: one ProcessAll per POSTed chunk followed
-			// by a snapshot (the ingest loop publishes — and therefore
-			// flushes sim batching — after every applied batch).
+			// by a snapshot (the ingest loop flushes sim batching and
+			// publishes after every applied batch).
 			ref, err := sim.New(spec.Config())
 			if err != nil {
 				t.Fatal(err)
@@ -410,9 +410,9 @@ func TestErrorContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A tracker refused at startup (simserve's refuse-and-serve path for
-	// spec validation failures, e.g. batch>1 without -data-dir) serves 503
-	// with the refusal reason instead of vanishing into a 404.
-	reg.Refuse("badbatch", "durable batching (batch=3) without unsafe-batch-recovery")
+	// spec validation failures, e.g. a memory budget with nowhere to spill)
+	// serves 503 with the refusal reason instead of vanishing into a 404.
+	reg.Refuse("badbudget", "memory_budget_bytes=1048576 needs a spill directory")
 	handler := server.New(reg)
 	handler.MaxBodyBytes = 1 << 10 // make 413 reachable with a small body
 	srv := httptest.NewServer(handler)
@@ -445,9 +445,9 @@ func TestErrorContract(t *testing.T) {
 		{"undecodable query body", "POST", "/v1/trackers/default/query", "not json", 400},
 		{"unknown query field", "POST", "/v1/trackers/default/query", `{"plam":{}}`, 400},
 		{"bad plan", "POST", "/v1/trackers/default/query", `{"plan":{"scan":"bogus"}}`, 400},
-		{"refused tracker read", "GET", "/v1/trackers/badbatch/seeds", "", 503},
-		{"refused tracker ingest", "POST", "/v1/trackers/badbatch/actions", `{"id":1,"user":1}` + "\n", 503},
-		{"refused tracker query", "POST", "/v1/trackers/badbatch/query", `{"plan":{"scan":"seeds"}}`, 503},
+		{"refused tracker read", "GET", "/v1/trackers/badbudget/seeds", "", 503},
+		{"refused tracker ingest", "POST", "/v1/trackers/badbudget/actions", `{"id":1,"user":1}` + "\n", 503},
+		{"refused tracker query", "POST", "/v1/trackers/badbudget/query", `{"plan":{"scan":"seeds"}}`, 503},
 	}
 	check := func(t *testing.T, resp *http.Response, wantCode int) {
 		t.Helper()
@@ -486,7 +486,7 @@ func TestErrorContract(t *testing.T) {
 
 	// The refusal reason survives the envelope round trip, and healthz
 	// reports the tracker as refused with a degraded status.
-	resp0, err := http.Get(srv.URL + "/v1/trackers/badbatch/seeds")
+	resp0, err := http.Get(srv.URL + "/v1/trackers/badbudget/seeds")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestErrorContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp0.Body.Close()
-	if !strings.Contains(refusedErr.Error, "unsafe-batch-recovery") {
+	if !strings.Contains(refusedErr.Error, "needs a spill directory") {
 		t.Fatalf("refusal reason lost: %q", refusedErr.Error)
 	}
 	hresp, err := http.Get(srv.URL + "/v1/healthz")
@@ -510,8 +510,8 @@ func TestErrorContract(t *testing.T) {
 	if health.Status != "degraded" {
 		t.Fatalf("healthz status = %q with a refused tracker, want degraded", health.Status)
 	}
-	if reason, ok := health.Refused["badbatch"]; !ok || !strings.Contains(reason, "unsafe-batch-recovery") {
-		t.Fatalf("healthz refused map = %v, want badbatch with its reason", health.Refused)
+	if reason, ok := health.Refused["badbudget"]; !ok || !strings.Contains(reason, "needs a spill directory") {
+		t.Fatalf("healthz refused map = %v, want badbudget with its reason", health.Refused)
 	}
 
 	// 503 while draining: close the registry under the live listener.

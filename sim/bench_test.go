@@ -11,7 +11,7 @@ import (
 // full pass of an RMAT-generated SYN-O stream through a Tracker. Allocations
 // are reported per processed action, which makes `go test -bench=Ingest
 // -benchmem ./sim` the regression gate for the zero-allocation element path.
-func benchIngest(b *testing.B, fw sim.Framework, parallelism int) {
+func benchIngest(b *testing.B, fw sim.Framework) {
 	b.Helper()
 	actions := gen.Stream(gen.SynO(800, 6000, 1500, 42))
 	b.ReportAllocs()
@@ -19,8 +19,7 @@ func benchIngest(b *testing.B, fw sim.Framework, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tr, err := sim.New(sim.Config{
-			K: 8, WindowSize: 1500, Slide: 100, Beta: 0.1,
-			Framework: fw, Parallelism: parallelism,
+			K: 8, WindowSize: 1500, Slide: 100, Beta: 0.1, Framework: fw,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -41,11 +40,8 @@ func benchIngest(b *testing.B, fw sim.Framework, parallelism int) {
 	b.ReportMetric(float64(len(actions)), "actions/op")
 }
 
-// BenchmarkIngestSIC is the paper's headline configuration: SIC, serial.
-func BenchmarkIngestSIC(b *testing.B) { benchIngest(b, sim.SIC, 1) }
+// BenchmarkIngestSIC is the paper's headline configuration.
+func BenchmarkIngestSIC(b *testing.B) { benchIngest(b, sim.SIC) }
 
-// BenchmarkIngestIC is the dense-checkpoint variant: IC, serial.
-func BenchmarkIngestIC(b *testing.B) { benchIngest(b, sim.IC, 1) }
-
-// BenchmarkIngestSICParallel exercises the checkpoint-sharded fan-out.
-func BenchmarkIngestSICParallel(b *testing.B) { benchIngest(b, sim.SIC, 4) }
+// BenchmarkIngestIC is the dense-checkpoint variant.
+func BenchmarkIngestIC(b *testing.B) { benchIngest(b, sim.IC) }

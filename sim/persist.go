@@ -91,19 +91,23 @@ func (t *Tracker) SaveTo(w io.Writer) error {
 // validated against the snapshot and a mismatch is an error. Weights and
 // Filter themselves cannot be serialized (they are arbitrary Go values);
 // the caller supplies them again via cfg, and supplying different ones than
-// at save time yields undefined results. Parallelism, BatchSize and
-// ExpectedUsers are runtime knobs: they may differ freely from the saving
-// configuration and change only execution, never results.
+// at save time yields undefined results. BatchSize, ExpectedUsers and
+// MemoryBudgetBytes are runtime knobs: they may differ freely from the
+// saving configuration without changing the restored state (a different
+// BatchSize groups the actions that follow differently).
 //
-// The returned tracker owns worker goroutines when cfg.Parallelism > 1,
-// exactly as if built by New; release them with Close.
+// The returned tracker owns an open segment store when cfg.SpillDir is set,
+// exactly as if built by New; release it with Close. A failed Load closes
+// the store itself.
 func Load(r io.Reader, cfg Config) (*Tracker, error) {
 	t, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if err := t.load(r); err != nil {
-		t.pool.Close()
+		if t.store != nil {
+			t.store.Close()
+		}
 		return nil, err
 	}
 	return t, nil

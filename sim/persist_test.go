@@ -7,8 +7,39 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/sim"
 )
+
+// identityDatasets generates all four evaluation stream shapes (Reddit-like,
+// Twitter-like, SYN-O, SYN-N) at a scale small enough that the full
+// cross-products of the identity suites stay fast under -race.
+func identityDatasets() []struct {
+	name    string
+	actions []sim.Action
+} {
+	const (
+		users  = 500
+		stream = 2600
+		window = 700
+		seed   = 11
+	)
+	cfgs := []gen.Config{
+		gen.RedditLike(users, stream, window, seed),
+		gen.TwitterLike(users, stream, window, seed),
+		gen.SynO(users, stream, window, seed),
+		gen.SynN(users, stream, window, seed),
+	}
+	out := make([]struct {
+		name    string
+		actions []sim.Action
+	}, len(cfgs))
+	for i, c := range cfgs {
+		out[i].name = c.Name
+		out[i].actions = gen.Stream(c)
+	}
+	return out
+}
 
 // TestSaveLoadRoundTripIdentity is the acceptance matrix of the durable
 // tracker contract: for every generated dataset, both frameworks (IC and
@@ -105,10 +136,9 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 	}
 }
 
-// TestSaveLoadAcrossRuntimeKnobs pins that Parallelism and BatchSize are
-// runtime knobs of the snapshot contract: a snapshot from a serial tracker
-// loads into a parallel one (and vice versa) and — for parallelism, which
-// is bit-identical by design — continues identically.
+// TestSaveLoadAcrossRuntimeKnobs pins that ExpectedUsers is a runtime knob
+// of the snapshot contract: a snapshot from a tracker grown incrementally
+// loads into a pre-sized one and continues identically.
 func TestSaveLoadAcrossRuntimeKnobs(t *testing.T) {
 	ds := identityDatasets()[2] // SYN-O
 	base := sim.Config{K: 6, WindowSize: 700, Slide: 50, Beta: 0.1}
@@ -139,11 +169,11 @@ func TestSaveLoadAcrossRuntimeKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wide := base
-	wide.Parallelism = 4
-	resumed, err := sim.Load(bytes.NewReader(snap.Bytes()), wide)
+	sized := base
+	sized.ExpectedUsers = 4096
+	resumed, err := sim.Load(bytes.NewReader(snap.Bytes()), sized)
 	if err != nil {
-		t.Fatalf("Load with Parallelism=4: %v", err)
+		t.Fatalf("Load with ExpectedUsers=4096: %v", err)
 	}
 	defer resumed.Close()
 	for _, a := range ds.actions[cut:] {
@@ -155,10 +185,10 @@ func TestSaveLoadAcrossRuntimeKnobs(t *testing.T) {
 		}
 	}
 	if v, rv := resumed.Value(), ref.Value(); v != rv {
-		t.Fatalf("parallel-resumed value %v != serial %v", v, rv)
+		t.Fatalf("pre-sized resumed value %v != reference %v", v, rv)
 	}
 	if s, rs := resumed.Seeds(), ref.Seeds(); !reflect.DeepEqual(s, rs) {
-		t.Fatalf("parallel-resumed seeds %v != serial %v", s, rs)
+		t.Fatalf("pre-sized resumed seeds %v != reference %v", s, rs)
 	}
 }
 

@@ -19,14 +19,10 @@
 //
 // The ingestion hot path is a per-checkpoint feed with a zero-allocation
 // element path: influence sets reach the oracles as shared slice views
-// rather than closures, and two Config options reshape it, both defaulting
-// to the exact legacy serial behavior. Parallelism (default 1) feeds each
-// action's live checkpoints — distinct oracles with disjoint state —
-// through one worker-pool loop, with bit-identical results at any width;
-// BatchSize (default 1) groups actions so the stream index, oracle feeding
-// and window maintenance amortize across a batch, with results exact at
-// batch boundaries and every query flushing first. Trackers with
-// Parallelism > 1 own worker goroutines — release them with Close.
+// rather than closures. One Config option reshapes it: BatchSize (default
+// 1, the exact per-action behavior) groups actions so the stream index,
+// oracle feeding and window maintenance amortize across a batch, with
+// results exact at batch boundaries and every query flushing first.
 //
 // A Tracker is single-writer: only one goroutine may call Process and the
 // query methods. For concurrent readers, the owner calls Snapshot — an
@@ -50,7 +46,6 @@ import (
 	"repro/internal/dataio"
 	"repro/internal/fault"
 	"repro/internal/oracle"
-	"repro/internal/pool"
 	"repro/internal/stream"
 	"repro/internal/submod"
 )
@@ -248,17 +243,9 @@ type Config struct {
 	// An extension beyond the paper; the approximation guarantees carry
 	// over because expiry is timestamp-driven either way.
 	TimeBased bool
-	// Parallelism is the number of worker goroutines each action's oracle
-	// updates are fanned across. The unit of work is a whole checkpoint:
-	// live checkpoints are distinct oracles (of any kind) with disjoint
-	// state, so one parallel loop runs their Process calls side by side,
-	// and the useful width is bounded by the number of live checkpoints
-	// (⌈N/L⌉ under IC, O(log N / β) under SIC). The fan-out changes no
-	// admission decision — every oracle still sees its own elements in
-	// stream order — so results are bit-identical to the serial path at
-	// any width. 1 (or 0, the zero value) keeps the exact legacy serial
-	// path; a negative value selects GOMAXPROCS. Trackers with
-	// Parallelism > 1 own worker goroutines; call Close to release them.
+	// Deprecated: ignored. The parallel checkpoint feed it selected never
+	// measured faster than the serial one and was removed; results were
+	// bit-identical at every width, so ignoring it changes no answer.
 	Parallelism int
 	// BatchSize groups ingested actions: Process enqueues, and every
 	// BatchSize actions the whole group is ingested at once, feeding each
@@ -290,8 +277,8 @@ type Config struct {
 	// spilling. 0 (the default) never spills — the tier stays attached for
 	// recovery of snapshots that reference cold segments, but no new
 	// segments are written. Setting a budget without a SpillDir is an
-	// error. Like Parallelism, this is a runtime knob: it may differ
-	// freely between a saving and a restoring tracker.
+	// error. This is a runtime knob: it may differ freely between a saving
+	// and a restoring tracker.
 	MemoryBudgetBytes int64
 	// SpillFS routes the cold tier's filesystem operations, defaulting to
 	// the real filesystem. The serving layer passes its fault-injectable
@@ -300,13 +287,11 @@ type Config struct {
 }
 
 // Tracker continuously answers one SIM query. It is not safe for concurrent
-// use: Parallelism only fans out the internal oracle updates of a single
-// Process call.
+// use.
 type Tracker struct {
 	fw       *core.Framework
 	filter   func(Action) bool
 	orc      Oracle
-	pool     *pool.Pool
 	store    *dataio.SegmentStore // cold tier; nil without Config.SpillDir
 	weighted bool                 // non-nil Weights at construction; echoed into snapshots
 
@@ -315,9 +300,9 @@ type Tracker struct {
 	lastID    ActionID // newest accepted ID, including still-buffered ones
 }
 
-// New validates cfg and returns a ready Tracker. If cfg.Parallelism is
-// above 1 the tracker owns worker goroutines; release them with Close when
-// the tracker is no longer needed.
+// New validates cfg and returns a ready Tracker. If cfg.SpillDir is set the
+// tracker owns an open segment store; release it with Close when the
+// tracker is no longer needed.
 func New(cfg Config) (*Tracker, error) {
 	if cfg.Beta == 0 {
 		cfg.Beta = 0.1
@@ -330,12 +315,6 @@ func New(cfg Config) (*Tracker, error) {
 	}
 	if cfg.BatchSize < 0 {
 		return nil, fmt.Errorf("sim: BatchSize must be >= 0, got %d", cfg.BatchSize)
-	}
-	par := cfg.Parallelism
-	if par < 0 {
-		par = 0 // pool.New(0) selects GOMAXPROCS
-	} else if par == 0 {
-		par = 1 // the documented default: serial
 	}
 	if cfg.ExpectedUsers < 0 {
 		return nil, fmt.Errorf("sim: ExpectedUsers must be >= 0, got %d", cfg.ExpectedUsers)
@@ -359,7 +338,6 @@ func New(cfg Config) (*Tracker, error) {
 		}
 		store, cold = st, st
 	}
-	p := pool.New(par)
 	fw, err := core.New(core.Config{
 		K:          cfg.K,
 		N:          cfg.WindowSize,
@@ -368,13 +346,11 @@ func New(cfg Config) (*Tracker, error) {
 		Oracle:     oracle.NewFactory(cfg.Oracle.kind(), cfg.Beta, cfg.Weights),
 		Sparse:     cfg.Framework == SIC,
 		ByTime:     cfg.TimeBased,
-		Pool:       p,
 		UsersHint:  cfg.ExpectedUsers,
 		Cold:       cold,
 		ColdBudget: cfg.MemoryBudgetBytes,
 	})
 	if err != nil {
-		p.Close()
 		if store != nil {
 			store.Close()
 		}
@@ -385,7 +361,7 @@ func New(cfg Config) (*Tracker, error) {
 		bs = 1
 	}
 	return &Tracker{
-		fw: fw, filter: cfg.Filter, orc: cfg.Oracle, pool: p, store: store,
+		fw: fw, filter: cfg.Filter, orc: cfg.Oracle, store: store,
 		weighted: cfg.Weights != nil, batchSize: bs, lastID: -1,
 	}, nil
 }
@@ -454,15 +430,12 @@ func (t *Tracker) flushed() *core.Framework {
 	return t.fw
 }
 
-// Close releases the tracker's worker goroutines (a no-op for serial
-// trackers) and the cold tier's segment store (a no-op without a SpillDir),
-// and flushes any buffered actions. The tracker remains queryable after
-// Close as long as nothing needs a cold read, but further Process calls on
-// a Parallelism > 1 tracker will panic; it is safe to omit Close for
+// Close flushes any buffered actions and releases the cold tier's segment
+// store (a no-op without a SpillDir). The tracker remains queryable after
+// Close as long as nothing needs a cold read; it is safe to omit Close for
 // process-lifetime trackers on a default configuration.
 func (t *Tracker) Close() error {
 	err := t.Flush()
-	t.pool.Close()
 	if t.store != nil {
 		if cerr := t.store.Close(); err == nil {
 			err = cerr

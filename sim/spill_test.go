@@ -3,8 +3,11 @@ package sim_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/sim"
@@ -168,6 +171,66 @@ func TestSpillSnapshotRoundTrip(t *testing.T) {
 		if c := restored.CheckpointStarts(); !reflect.DeepEqual(c, w.starts) {
 			t.Fatalf("boundary %d: restored checkpoints %v != original %v", wi, c, w.starts)
 		}
+	}
+}
+
+// TestFailedLoadClosesSegmentStore: New maps every segment in the spill
+// directory before Load reads a byte of the snapshot, so a snapshot that
+// fails to load must not leave those mappings behind. Linux only: the
+// mappings are observed in /proc/self/maps.
+func TestFailedLoadClosesSegmentStore(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("needs /proc/self/maps")
+	}
+	ds := identityDatasets()[2] // SYN-O
+	dir := t.TempDir()
+	cfg := sim.Config{
+		K: 6, WindowSize: 700, Slide: 50, Beta: 0.1,
+		SpillDir: dir, MemoryBudgetBytes: spillBudget,
+	}
+	tr, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.ProcessAll(ds.actions[:1300]); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mapped := func() bool {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(string(maps), filepath.Join(dir, "seg-"))
+	}
+
+	// The probe sees what it should: a loaded tracker holds mappings until
+	// it is closed.
+	ok, err := sim.Load(bytes.NewReader(buf.Bytes()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapped() {
+		t.Fatal("no segment mapped by a successful Load; the test would observe nothing")
+	}
+	if err := ok.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if mapped() {
+		t.Fatal("segments still mapped after Close")
+	}
+
+	if _, err := sim.Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), cfg); err == nil {
+		t.Fatal("truncated snapshot loaded")
+	}
+	if mapped() {
+		t.Fatal("failed Load left the segment store open: segments still mapped")
 	}
 }
 
