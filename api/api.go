@@ -20,6 +20,7 @@
 //	GET  /v1/trackers/{name}/metrics             TrackerMetricsResponse
 //	GET  /v1/trackers/{name}/influence?user=U    InfluenceResponse
 //	GET  /v1/trackers/{name}/candidates          CandidatesResponse
+//	GET  /v1/trackers/{name}/candidates?ranked=1 CandidatesResponse, ranked form (simserve only)
 //	POST /v1/trackers/{name}/query               QueryRequest -> QueryResponse
 //	GET  /metrics                                Prometheus text format
 //
@@ -174,7 +175,10 @@ type IngestResponse struct {
 	Processed int64 `json:"processed"`
 }
 
-// SeedsResponse answers GET /v1/trackers/{name}/seeds.
+// SeedsResponse answers GET /v1/trackers/{name}/seeds. A router merges its
+// shards' ranked candidates (CandidatesResponse) into this answer; on a
+// name-mode tracker its Seeds then holds each seed's dense ID on the shard
+// that owns it, which says nothing across shards — Names is the identity.
 type SeedsResponse struct {
 	Seeds       []sim.UserID `json:"seeds"`
 	Value       float64      `json:"value"`
@@ -216,7 +220,9 @@ type CheckpointsResponse struct {
 
 // CandidateSeed is one entry of CandidatesResponse: a shard-local candidate
 // seed together with its current influence set — everything a merge layer
-// needs to re-score the candidate against candidates from other partitions.
+// needs to re-score the candidate against candidates from other partitions
+// — or, in the ranked form, with the marginal gain the shard's own greedy
+// pass picked it at and no set.
 type CandidateSeed struct {
 	User sim.UserID `json:"user"`
 	// Name is the candidate's external name on name-mode trackers. Dense
@@ -224,22 +230,40 @@ type CandidateSeed struct {
 	// trackers; names are the only cross-shard identity in name mode.
 	Name string `json:"name,omitempty"`
 	// Influenced is the candidate's current influence set within the
-	// window (Definition 1), ascending.
+	// window (Definition 1), most recently influenced first; null in the
+	// ranked form.
 	Influenced []sim.UserID `json:"influenced"`
 	// InfluencedNames carries the influence set as external names,
 	// index-aligned with Influenced, on name-mode trackers only.
 	InfluencedNames []string `json:"influenced_names,omitempty"`
 	// Coverage is the influence objective of this candidate alone
-	// (cardinality of Influenced under the default unweighted objective).
+	// (cardinality of its influence set under the default unweighted
+	// objective), in both forms.
 	Coverage float64 `json:"coverage"`
+	// Gain, in the ranked form only, is the candidate's marginal gain at
+	// its pick: what it adds to the coverage of the candidates listed
+	// before it. Gains never increase down the list and equal gains are
+	// listed in ascending User order.
+	Gain float64 `json:"gain,omitempty"`
 }
 
 // CandidatesResponse answers GET /v1/trackers/{name}/candidates: the
 // answering checkpoint's full candidate pool (a superset of /seeds for the
-// sieve-style oracles) with per-candidate influence sets. This is the
-// shard-local half of the distributed two-round scheme: a router unions the
-// pools of every shard and runs one exact greedy pass over the reported
-// sets (see internal/router).
+// sieve-style oracles), ascending by user, with per-candidate influence
+// sets.
+//
+// With ?ranked=1 a simserve answers in the ranked form instead — the
+// shard-local half of a router's merged /seeds: at most K candidates, the
+// picks of one exact lazy-greedy pass over that same pool in pick order,
+// each with its marginal Gain and without its set. User partitioning keeps
+// the shards' influence universes disjoint, so a pick on one shard changes
+// no gain on another and the router obtains the greedy ranking of the union
+// of all pools by merging the shards' rankings on (Gain descending, User
+// ascending), without ever seeing a set (see internal/router). A router
+// serves only the full form; it ignores the parameter.
+//
+// Both forms are computed from the tracker's published snapshot and never
+// wait for the ingest loop.
 type CandidatesResponse struct {
 	Candidates []CandidateSeed `json:"candidates"`
 	// K echoes the tracker's cardinality budget.
@@ -401,6 +425,13 @@ type TrackerMetricsResponse struct {
 	// how many members those scans probed.
 	Scans       int64 `json:"scans"`
 	ScanMembers int64 `json:"scan_members"`
+	// How publishes since boot got the snapshot's candidate pool (see
+	// sim.Snapshot): read in full, or carried over from the previous
+	// snapshot with ViewRefreshed entries re-read. ViewReuses ÷ (ViewRebuilds
+	// + ViewReuses) is the hit rate of the incremental view.
+	ViewRebuilds  int64 `json:"view_rebuilds"`
+	ViewReuses    int64 `json:"view_reuses"`
+	ViewRefreshed int64 `json:"view_refreshed"`
 	// Boot recovery shape, for durable trackers: whether a snapshot was
 	// mapped in (cold segments re-adopted, not replayed) and how much WAL
 	// tail was replayed on top. The spill smoke test asserts segment-mapped

@@ -286,6 +286,16 @@ func (c *Client) Candidates(ctx context.Context, name string) (CandidatesRespons
 	return out, err
 }
 
+// CandidatesRanked fetches GET /v1/trackers/{name}/candidates?ranked=1 from
+// a simserve: at most K candidates in greedy pick order with their marginal
+// gains and no influence sets (see CandidatesResponse) — what a router
+// merges into /seeds.
+func (c *Client) CandidatesRanked(ctx context.Context, name string) (CandidatesResponse, error) {
+	var out CandidatesResponse
+	err := c.do(ctx, http.MethodGet, trackerPath(name, "/candidates")+"?ranked=1", "", nil, &out, true)
+	return out, err
+}
+
 // ClusterHealth fetches GET /v1/healthz from a router (cmd/simrouter),
 // which answers with the cluster-shaped DTO instead of HealthResponse.
 func (c *Client) ClusterHealth(ctx context.Context) (ClusterHealthResponse, error) {

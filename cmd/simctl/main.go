@@ -10,6 +10,7 @@
 //	echo '{"plan":{"scan":"seeds","ops":[{"op":"topk","col":"influence","k":3,"desc":true}]}}' |
 //	    simctl query default -
 //	simctl influence default 42
+//	simctl candidates default -ranked
 //
 // Non-2xx responses exit 1 and print the server's error envelope (message +
 // HTTP status) on stderr, so smoke scripts can assert the error contract.
@@ -43,7 +44,9 @@ commands:
   stats <tracker>            GET /v1/trackers/{name}/stats
   metrics <tracker>          GET /v1/trackers/{name}/metrics (state + self-healing counters)
   influence <tracker> <user> GET /v1/trackers/{name}/influence (user: ID, or name with -names)
-  candidates <tracker>       GET /v1/trackers/{name}/candidates (shard-local seed pool)
+  candidates <tracker> [-ranked]
+                             GET /v1/trackers/{name}/candidates (shard-local seed pool; -ranked:
+                             what a simserve hands a router — its greedy picks with gains, no sets)
   ingest <tracker> <file>    POST NDJSON actions ("-" = stdin; string users with -names)
   query <tracker> <file>     POST a JSON plan ("-" = stdin; bare plan or {"plan":...,"limit":N})
 
@@ -144,6 +147,12 @@ func run(ctx context.Context, c *api.Client, names, router bool, cmd string, arg
 		t, err := tracker()
 		if err != nil {
 			return nil, err
+		}
+		if len(args) > 1 {
+			if args[1] != "-ranked" {
+				return nil, fmt.Errorf("candidates: unknown argument %q", args[1])
+			}
+			return c.CandidatesRanked(ctx, t)
 		}
 		return c.Candidates(ctx, t)
 	case "influence":

@@ -139,10 +139,16 @@ func SelectNaive(st *stream.Stream, start stream.ActionID, k int, w submod.Weigh
 	return seeds, best
 }
 
-// SelectSets runs lazy greedy maximum coverage over materialized sets; it is
-// the offline reference the oracle comparison (Table 2 experiment) measures
-// against.
-func SelectSets(sets map[stream.UserID][]stream.UserID, k int, w submod.Weights) ([]stream.UserID, float64) {
+// RankSets runs lazy greedy maximum coverage over materialized sets and
+// returns up to k picks in pick order, each with the marginal gain it was
+// picked at. Gains never increase along the sequence (submodularity) and
+// candidates with equal gains come out in ascending user order — exact
+// greedy with that tie-break, whatever the lazy evaluation re-scored on the
+// way — so rankings over disjoint universes merge by (gain descending, user
+// ascending) into the ranking of their union: a pick in one universe moves
+// no gain in another (internal/router's /seeds). Selection stops early when
+// no candidate adds anything.
+func RankSets(sets map[stream.UserID][]stream.UserID, k int, w submod.Weights) (seeds []stream.UserID, gains []float64) {
 	cov := submod.NewCoverage(w)
 	gainOf := func(u stream.UserID) float64 {
 		g := 0.0
@@ -151,12 +157,11 @@ func SelectSets(sets map[stream.UserID][]stream.UserID, k int, w submod.Weights)
 		}
 		return g
 	}
-	q := queue{}
+	q := make(queue, 0, len(sets))
 	for u := range sets {
 		q = append(q, candidate{user: u, gain: gainOf(u), round: 0})
 	}
 	heap.Init(&q)
-	var seeds []stream.UserID
 	for len(seeds) < k && q.Len() > 0 {
 		top := heap.Pop(&q).(candidate)
 		if top.round == len(seeds) {
@@ -164,6 +169,7 @@ func SelectSets(sets map[stream.UserID][]stream.UserID, k int, w submod.Weights)
 				break
 			}
 			seeds = append(seeds, top.user)
+			gains = append(gains, top.gain)
 			for _, v := range sets[top.user] {
 				cov.Add(v)
 			}
@@ -173,5 +179,18 @@ func SelectSets(sets map[stream.UserID][]stream.UserID, k int, w submod.Weights)
 		top.round = len(seeds)
 		heap.Push(&q, top)
 	}
-	return seeds, cov.Value()
+	return seeds, gains
+}
+
+// SelectSets is RankSets for callers that want the objective value of the
+// selection rather than its breakdown: the offline reference the oracle
+// comparison (Table 2 experiment) measures against. The value is the sum of
+// the picks' gains.
+func SelectSets(sets map[stream.UserID][]stream.UserID, k int, w submod.Weights) ([]stream.UserID, float64) {
+	seeds, gains := RankSets(sets, k, w)
+	value := 0.0
+	for _, g := range gains {
+		value += g
+	}
+	return seeds, value
 }

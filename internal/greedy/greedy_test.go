@@ -224,3 +224,87 @@ func TestSelectSetsEmpty(t *testing.T) {
 		t.Fatalf("empty sets: %v %v", seeds, val)
 	}
 }
+
+// TestRankSetsOrder pins the two properties a merge of rankings rests on
+// (internal/router's /seeds): gains never increase down a ranking, and equal
+// gains come out in ascending user order — so rankings over disjoint
+// universes, merged by (gain descending, user ascending), are the ranking of
+// the union. Small universes and small sets make ties the common case. Each
+// gain must also be the pick's true marginal gain, and SelectSets' value
+// their sum.
+func TestRankSetsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		// parts disjoint universes: users and members of part p are ≡ p
+		// (mod parts), so no set reaches into another part.
+		parts := 1 + rng.Intn(4)
+		k := 1 + rng.Intn(8)
+		union := map[stream.UserID][]stream.UserID{}
+		part := make([]map[stream.UserID][]stream.UserID, parts)
+		for p := range part {
+			part[p] = map[stream.UserID][]stream.UserID{}
+			for n := rng.Intn(12); n > 0; n-- {
+				u := stream.UserID(rng.Intn(40)*parts + p)
+				var set []stream.UserID // distinct members, as influence sets have
+				for _, m := range rng.Perm(10)[:rng.Intn(5)] {
+					set = append(set, stream.UserID(m*parts+p))
+				}
+				part[p][u], union[u] = set, set
+			}
+		}
+
+		seeds, gains := RankSets(union, k, nil)
+		if len(seeds) != len(gains) || len(seeds) > k {
+			t.Fatalf("trial %d: %d seeds, %d gains, k=%d", trial, len(seeds), len(gains), k)
+		}
+		covered := map[stream.UserID]bool{}
+		for i, u := range seeds {
+			gain := 0.0
+			for _, v := range union[u] {
+				if !covered[v] {
+					covered[v] = true
+					gain++
+				}
+			}
+			if gains[i] != gain || gain <= 0 {
+				t.Fatalf("trial %d: pick %d (user %d) reports gain %v, adds %v", trial, i, u, gains[i], gain)
+			}
+			if i > 0 && (gains[i] > gains[i-1] || gains[i] == gains[i-1] && u < seeds[i-1]) {
+				t.Fatalf("trial %d: pick %d (user %d, gain %v) out of order after user %d, gain %v",
+					trial, i, u, gains[i], seeds[i-1], gains[i-1])
+			}
+		}
+		if s, v := SelectSets(union, k, nil); !reflect.DeepEqual(s, seeds) || v != float64(len(covered)) {
+			t.Fatalf("trial %d: SelectSets = %v, %v; ranking %v covers %d", trial, s, v, seeds, len(covered))
+		}
+
+		// Merge the parts' own rankings and compare with the union's.
+		type pick struct {
+			u stream.UserID
+			g float64
+		}
+		var merged []pick
+		for _, sets := range part {
+			s, g := RankSets(sets, k, nil)
+			for i := range s {
+				merged = append(merged, pick{s[i], g[i]})
+			}
+		}
+		sort.SliceStable(merged, func(i, j int) bool {
+			if merged[i].g != merged[j].g {
+				return merged[i].g > merged[j].g
+			}
+			return merged[i].u < merged[j].u
+		})
+		merged = merged[:min(k, len(merged))]
+		if len(merged) != len(seeds) {
+			t.Fatalf("trial %d: merge of %d rankings has %d picks, the union's ranking %d", trial, parts, len(merged), len(seeds))
+		}
+		for i, m := range merged {
+			if m.u != seeds[i] || m.g != gains[i] {
+				t.Fatalf("trial %d: merged pick %d = user %d gain %v, union picks user %d gain %v",
+					trial, i, m.u, m.g, seeds[i], gains[i])
+			}
+		}
+	}
+}

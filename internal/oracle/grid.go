@@ -194,6 +194,13 @@ type grid struct {
 	bestVal   float64
 	bestSeeds []stream.UserID
 	dirty     bool
+
+	// poolVer counts the changes to what Candidates returns: a seed admitted
+	// to a slot, slots retired by retune, a new best-ever seed set, Reset.
+	// It is what lets a caller keep work it derived from the pool
+	// (PoolVersion); it is not saved state, and RestoreState, which only
+	// ever fills a fresh grid, leaves it alone.
+	poolVer uint64
 }
 
 func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
@@ -299,6 +306,7 @@ func (g *grid) Reset() {
 	}
 	g.elements, g.scans, g.scanMembers = 0, 0, 0
 	g.bestVal, g.bestSeeds, g.dirty = 0, g.bestSeeds[:0], false
+	g.poolVer++
 }
 
 // retune maintains the instance range after m grew: instances whose OPT
@@ -333,6 +341,7 @@ func (g *grid) retune() {
 	if !isZero(retired) {
 		g.seedOf.clearBits(retired)
 		g.cov.clearBits(retired)
+		g.poolVer++
 	}
 	for j := lo; j <= hi; j++ {
 		if next[j-lo] < 0 {
@@ -502,6 +511,7 @@ func (g *grid) feed(e Element, singleton float64) {
 	if isZero(g.adm) {
 		return
 	}
+	g.poolVer++
 	seedIn = g.seedOf.row(u)
 	for wi, adm := range g.adm {
 		seedIn[wi] |= adm
@@ -532,6 +542,7 @@ func (g *grid) refresh() {
 		if v := g.value[s]; v > g.bestVal {
 			g.bestVal = v
 			g.bestSeeds = append(g.bestSeeds[:0], g.seeds[s]...)
+			g.poolVer++
 		}
 	}
 }
@@ -571,6 +582,12 @@ func (g *grid) Candidates() []stream.UserID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// PoolVersion implements CandidateSource.
+func (g *grid) PoolVersion() uint64 {
+	g.refresh()
+	return g.poolVer
 }
 
 // Stats implements Oracle.

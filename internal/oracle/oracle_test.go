@@ -3,6 +3,7 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -426,5 +427,81 @@ func BenchmarkSwapProcess(b *testing.B) {
 			set[j] = stream.UserID(rng.Intn(10000))
 		}
 		o.Process(SliceElement(stream.UserID(rng.Intn(2000)), set))
+	}
+}
+
+// TestPoolVersionTracksCandidates: whenever Candidates returns a different
+// pool than at the previous element, PoolVersion has moved — the promise
+// sim.Tracker's published candidate view is built on. The stream mixes
+// ordinary admissions with the retune churn that retires instances, and a
+// Reset in the middle hands the oracle to a "new checkpoint".
+func TestPoolVersionTracksCandidates(t *testing.T) {
+	for _, flat := range []bool{false, true} {
+		g := newGrid(4, 0.2, nil, flat)
+		elems := append(randomElements(5, 40, 1500, 30), churnElements(60)...)
+		pool, ver, moved := g.Candidates(), g.PoolVersion(), 0
+		step := func(label string, i int) {
+			t.Helper()
+			p, v := g.Candidates(), g.PoolVersion()
+			if !slices.Equal(p, pool) {
+				moved++
+				if v == ver {
+					t.Fatalf("flat=%v %s %d: pool went %v -> %v at version %d", flat, label, i, pool, p, v)
+				}
+			}
+			pool, ver = p, v
+		}
+		for i, e := range elems {
+			g.Process(e)
+			step("element", i)
+			if i == len(elems)/2 {
+				g.Reset()
+				step("reset after element", i)
+			}
+		}
+		if moved < 20 {
+			t.Fatalf("flat=%v: the pool changed %d times: the stream exercised nothing", flat, moved)
+		}
+	}
+}
+
+// TestPoolVersionCountsNewBest covers the pool change no admission or
+// retirement announces. User 7 is admitted only by the low guesses; user 1's
+// growing set retires those, leaving 7 in the pool through the best-ever
+// answer alone; once a surviving instance overtakes that answer, 7 drops out
+// of the pool on a refresh — and the version must move with it.
+func TestPoolVersionCountsNewBest(t *testing.T) {
+	g := newGrid(2, 0.2, nil, false)
+	set := func(lo, n int) []stream.UserID {
+		s := make([]stream.UserID, n)
+		for i := range s {
+			s[i] = stream.UserID(lo + i)
+		}
+		return s
+	}
+	g.Process(SliceElement(1, set(100, 10)))
+	g.Process(SliceElement(7, set(200, 3)))
+	pool, ver := g.Candidates(), g.PoolVersion()
+	if !slices.Equal(pool, []stream.UserID{1, 7}) {
+		t.Fatalf("pool = %v, want [1 7]", pool)
+	}
+	quiet := false // 7 left the pool on an element that admitted and retired nothing
+	for n := 11; n <= 40; n++ {
+		e := SliceElement(1, set(100, n))
+		e.Latest, e.LatestValid = stream.UserID(100+n-1), true
+		before := g.poolVer
+		g.Process(e)
+		unannounced := g.poolVer == before
+		p, v := g.Candidates(), g.PoolVersion()
+		if !slices.Equal(p, pool) {
+			if v == ver {
+				t.Fatalf("|I(1)|=%d: pool went %v -> %v at version %d", n, pool, p, v)
+			}
+			quiet = quiet || unannounced
+		}
+		pool, ver = p, v
+	}
+	if !slices.Equal(pool, []stream.UserID{1}) || !quiet {
+		t.Fatalf("pool = %v, changed by a refresh alone: %v; the script no longer reaches the case", pool, quiet)
 	}
 }

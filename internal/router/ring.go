@@ -4,10 +4,10 @@
 // ingest out over the typed api.Client (riding its RetryPolicy), and merges
 // reads back into the single-server wire shapes — additive merges for
 // value/stats/checkpoints (exact: shard influence universes are disjoint
-// under user partitioning), one exact greedy re-score over shard-reported
-// candidate influence sets for /seeds (the GreeDi-style two-round scheme),
-// and per-shard plan pushdown with router-side topk/limit re-application
-// for /query.
+// under user partitioning), a merge of shard-ranked candidates for /seeds
+// (the GreeDi-style two-round scheme: each shard runs the exact greedy pass
+// over its own pool, the router merges the pick sequences), and per-shard
+// plan pushdown with router-side topk/limit re-application for /query.
 //
 // # Partitioning
 //
@@ -21,8 +21,8 @@
 // paper's semantics restricted to the shard's sub-stream. The influenced
 // users a shard reports are actors of its own sub-stream, so the shard
 // universes are DISJOINT — additive read merges are exact sums, never
-// double counts, and the merged seed re-score is an exact greedy pass over
-// the union of shard candidate pools.
+// double counts, and merging the shards' greedy rankings by marginal gain
+// yields exactly the greedy pass over the union of their candidate pools.
 //
 // # Partial results
 //

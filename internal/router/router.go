@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/intern"
 	"repro/internal/dataio"
-	"repro/internal/greedy"
 	"repro/query"
 	"repro/sim"
 )
@@ -532,80 +530,71 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, false, api.IngestResponse{Accepted: total, Processed: sum})
 }
 
-// handleSeeds is the distributed seed selection: scatter the candidates
-// endpoint, union the shard-local pools, and run one exact lazy-greedy
-// pass over the reported influence sets (greedy.SelectSets). User
-// partitioning makes shard influence universes disjoint, so the reported
-// coverage of the merged selection is exact — the final pass is a true
-// re-score, not an estimate. Name-mode pools merge by external name
-// through a router-local intern table (shard-dense IDs carry no
-// cross-shard meaning).
+// handleSeeds is the distributed seed selection: every shard ranks its own
+// candidate pool (the ranked form of its candidates endpoint: its lazy-greedy
+// picks in order, each with its marginal gain, no influence sets) and the
+// router merges the rankings. User partitioning makes shard influence
+// universes disjoint, so a pick on one shard changes no marginal gain on
+// another, and greedy over the union of the pools is exactly the merge of
+// the shards' own greedy sequences by (gain descending, user ascending) —
+// the order each sequence already has. Value is the sum of the merged gains:
+// the exact coverage of the selection in the partitioned universe.
+//
+// Name-mode shards number users independently, so there a tie between
+// shards goes to the lower shard index instead of the lower user ID, Seeds
+// carries each seed's ID on its own shard, and Names is the identity.
 func (rt *Router) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	resps := make([]api.CandidatesResponse, len(rt.shards))
 	errs := rt.scatter(func(i int, s *shard) error {
 		var err error
-		resps[i], err = s.client.Candidates(r.Context(), name)
+		resps[i], err = s.client.CandidatesRanked(r.Context(), name)
 		return err
 	})
 	partial, ok := rt.gather(w, errs)
 	if !ok {
 		return
 	}
-	var tb *intern.Table
-	if rt.nameMode(r.Context(), name, resps, errs) {
-		tb = intern.New(0)
-	}
+	named := rt.nameMode(r.Context(), name, resps, errs)
+	out := api.SeedsResponse{Seeds: []sim.UserID{}, WindowStart: -1, Partial: partial}
 	k := 0
-	sets := make(map[sim.UserID][]sim.UserID)
-	var processed int64
-	ws := sim.ActionID(-1)
+	ranks := make([][]api.CandidateSeed, len(rt.shards)) // each shard's picks not merged yet
 	for i := range rt.shards {
 		if errs[i] != nil {
 			continue
 		}
 		resp := resps[i]
-		if resp.K > k {
-			k = resp.K
-		}
-		processed += resp.Processed
+		k = max(k, resp.K)
+		out.Processed += resp.Processed
 		rt.noteProcessed(name, i, resp.Processed)
-		if ws < 0 || resp.WindowStart < ws {
-			ws = resp.WindowStart
+		if out.WindowStart < 0 || resp.WindowStart < out.WindowStart {
+			out.WindowStart = resp.WindowStart
 		}
-		for _, c := range resp.Candidates {
-			key := c.User
-			inf := c.Influenced
-			if tb != nil {
-				key = sim.UserID(tb.Intern(c.Name))
-				inf = make([]sim.UserID, len(c.InfluencedNames))
-				for j, nm := range c.InfluencedNames {
-					inf[j] = sim.UserID(tb.Intern(nm))
-				}
+		ranks[i] = resp.Candidates
+	}
+	for len(out.Seeds) < k {
+		best := -1
+		for i, rank := range ranks {
+			if len(rank) == 0 {
+				continue
 			}
-			// Shard universes are disjoint, so a key repeats only if the
-			// same shard reported it twice; appending unions defensively.
-			sets[key] = append(sets[key], inf...)
+			if best < 0 || rank[0].Gain > ranks[best][0].Gain ||
+				(!named && rank[0].Gain == ranks[best][0].Gain && rank[0].User < ranks[best][0].User) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		pick := ranks[best][0]
+		ranks[best] = ranks[best][1:]
+		out.Seeds = append(out.Seeds, pick.User)
+		out.Value += pick.Gain
+		if named {
+			out.Names = append(out.Names, pick.Name)
 		}
 	}
-	seeds, value := greedy.SelectSets(sets, k, nil)
-	if seeds == nil {
-		seeds = []sim.UserID{}
-	}
-	resp := api.SeedsResponse{
-		Seeds:       seeds,
-		Value:       value,
-		WindowStart: ws,
-		Processed:   processed,
-		Partial:     partial,
-	}
-	if tb != nil {
-		resp.Names = make([]string, len(seeds))
-		for i, u := range seeds {
-			resp.Names[i], _ = tb.Name(uint32(u))
-		}
-	}
-	writeJSON(w, http.StatusOK, partial, resp)
+	writeJSON(w, http.StatusOK, partial, out)
 }
 
 // nameMode reports whether the tracker is name-mode, preferring the spec

@@ -18,6 +18,9 @@ import (
 //	simserve_elements_fed_total{tracker="..."}       oracle updates (the O(d·N) term)
 //	simserve_scans_total{tracker="..."}              fed elements whose influence set was scanned, since boot
 //	simserve_scan_members_total{tracker="..."}       influence-set members those scans probed, since boot
+//	simserve_view_rebuilds_total{tracker="..."}      publishes that read the whole candidate pool, since boot
+//	simserve_view_reuses_total{tracker="..."}        publishes that carried the previous snapshot's pool over
+//	simserve_view_refreshed_total{tracker="..."}     pool entries those carry-overs still re-read
 //	simserve_queue_depth{tracker="..."}              commands waiting for the ingest loop
 //	simserve_queue_capacity{tracker="..."}           ingest queue bound
 //	simserve_queue_high_water{tracker="..."}         deepest the queue has been
@@ -54,6 +57,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "simserve_elements_fed_total{tracker=%q} %d\n", name, snap.ElementsFed)
 		fmt.Fprintf(w, "simserve_scans_total{tracker=%q} %d\n", name, snap.Scans)
 		fmt.Fprintf(w, "simserve_scan_members_total{tracker=%q} %d\n", name, snap.ScanMembers)
+		fmt.Fprintf(w, "simserve_view_rebuilds_total{tracker=%q} %d\n", name, snap.ViewRebuilds)
+		fmt.Fprintf(w, "simserve_view_reuses_total{tracker=%q} %d\n", name, snap.ViewReuses)
+		fmt.Fprintf(w, "simserve_view_refreshed_total{tracker=%q} %d\n", name, snap.ViewRefreshed)
 		fmt.Fprintf(w, "simserve_queue_depth{tracker=%q} %d\n", name, depth)
 		fmt.Fprintf(w, "simserve_queue_capacity{tracker=%q} %d\n", name, capacity)
 		retries, rearms, shed, highWater := t.Counters()

@@ -95,14 +95,14 @@ type outcome struct {
 // Tracked is one served tracker: a sim.Tracker owned by a single-writer
 // goroutine, fed through a bounded command channel (backpressure: Submit
 // blocks while the queue is full), with an atomically published read
-// snapshot refreshed after every applied command.
+// snapshot refreshed after every applied batch.
 //
 // The split mirrors the serve/analyze separation argued for by Polynesia:
 // the write path (ingest loop) is strictly serial — sim.Tracker is not safe
-// for concurrent use — while reads either consume the immutable published
-// Snapshot (no coordination at all) or run as closures on the loop itself
-// (Query) when they need state that is not precomputed, such as per-user
-// influence sets.
+// for concurrent use — while reads consume the immutable published Snapshot
+// (no coordination at all). The exception is state the snapshot does not
+// carry — the influence set of a user outside the candidate pool — which is
+// read by a closure on the loop itself (Query).
 type Tracked struct {
 	name    string
 	spec    api.Spec
@@ -290,7 +290,7 @@ func (t *Tracked) Snapshot() *sim.Snapshot { return t.snap.Load() }
 func (t *Tracked) PrevSnapshot() *sim.Snapshot { return t.prev.Load() }
 
 // loop is the single writer: it owns t.tr, applies commands in arrival
-// order, and republishes the read snapshot after each one. Durable trackers
+// order, and republishes the read snapshot after each batch. Durable trackers
 // additionally run a periodic recovery probe: while the durable path is
 // poisoned (degraded-readonly), each tick attempts a re-arm — fresh
 // covering snapshot, WAL recreated empty — so ingest resumes by itself once
@@ -369,10 +369,10 @@ func (t *Tracked) apply(c command) {
 			}
 		}
 	case c.query != nil:
+		// Nothing to publish afterwards: every batch is flushed before its
+		// own publish (applyRecord), so a read closure finds nothing
+		// buffered and leaves the tracker's answer as it was.
 		c.query(t.tr)
-		// Queries flush actions buffered by sim batching, which can
-		// sharpen the answer; keep the published snapshot in step.
-		t.publish()
 	}
 	if c.reply != nil {
 		c.reply <- outcome{err: err, processed: t.snap.Load().Processed}
@@ -522,8 +522,9 @@ func (t *Tracked) SubmitAsync(ctx context.Context, batch []sim.Action) error {
 
 // Query runs fn on the tracker from the single-writer loop, after
 // everything submitted before it, and waits for completion. fn may call any
-// Tracker method but must copy out what it needs; it must not retain the
-// *sim.Tracker.
+// of the Tracker's read methods but must copy out what it needs; it must not
+// retain the *sim.Tracker, and it must not ingest — nothing is published
+// after it.
 func (t *Tracked) Query(ctx context.Context, fn func(*sim.Tracker)) error {
 	c := command{query: fn, reply: make(chan outcome, 1)}
 	if err := t.enqueue(ctx, c); err != nil {

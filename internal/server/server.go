@@ -12,14 +12,15 @@
 // order is total. A full queue applies backpressure briefly, then admission
 // control sheds the request (ErrOverloaded → 429) once it has waited past
 // the tracker's enqueue deadline, so a wedged loop cannot wedge every HTTP
-// handler goroutine with it. After every applied command the loop
-// publishes an immutable
-// sim.Snapshot through an atomic pointer; the GET handlers for seeds,
-// value, window, checkpoints and stats — and the relational /query endpoint
-// (package query) — read only that snapshot and therefore never contend
-// with ingestion. Queries that need non-precomputed state (per-user
-// influence sets for arbitrary users) run as closures on the ingest loop
-// itself (Tracked.Query), serialized with the writes. Closing a Tracked
+// handler goroutine with it. After every applied batch the loop publishes an
+// immutable sim.Snapshot through an atomic pointer; the GET handlers for
+// seeds, value, window, checkpoints, stats and candidates — and the
+// relational /query endpoint (package query) — read only that snapshot and
+// therefore never contend with ingestion, and no read publishes one. The
+// snapshot carries the candidate pool's influence sets, so /influence reads
+// it too for any pool member; only for a user outside the pool does it run
+// as a closure on the ingest loop itself (Tracked.Query), serialized with
+// the writes. Closing a Tracked
 // first rejects new work, then drains everything already queued, then
 // releases the tracker's worker goroutines — the graceful-drain path wired
 // to SIGTERM in cmd/simserve.
@@ -47,6 +48,7 @@ import (
 
 	"repro/api"
 	"repro/internal/dataio"
+	"repro/internal/greedy"
 	"repro/query"
 	"repro/sim"
 )
@@ -195,6 +197,9 @@ func (s *Server) handleTrackerMetrics(w http.ResponseWriter, r *http.Request) {
 		ColdFaults:          snap.ColdFaults,
 		Scans:               snap.Scans,
 		ScanMembers:         snap.ScanMembers,
+		ViewRebuilds:        snap.ViewRebuilds,
+		ViewReuses:          snap.ViewReuses,
+		ViewRefreshed:       snap.ViewRefreshed,
 	}
 	if info, durable := t.Recovery(); durable {
 		resp.RecoveredSnapshot = info.SnapshotLoaded
@@ -486,50 +491,61 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCandidates serves the answering checkpoint's full candidate pool
-// with per-candidate influence sets — the shard-local half of the
-// scatter-gather seed selection (see internal/router). Influence sets need
-// the live stream index, so like /influence this runs as a closure on the
-// ingest loop, serialized after everything already queued. On name-mode
-// trackers each candidate (and its influence set) also carries external
-// names, the only identity comparable across trackers.
+// handleCandidates serves the answering checkpoint's candidate pool from
+// the published snapshot — the shard-local half of the scatter-gather seed
+// selection (see internal/router). The full form lists every pool member
+// with its influence set; ?ranked=1 lists at most K of them, the picks of
+// one lazy-greedy pass over those sets in pick order with their marginal
+// gains and no sets, ranked here on the reading goroutine. On name-mode
+// trackers each candidate (and, in the full form, its influence set) also
+// carries external names, the only identity comparable across trackers.
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tracked(w, r)
 	if !ok {
 		return
 	}
-	var resp api.CandidatesResponse
-	qErr := t.Query(r.Context(), func(tr *sim.Tracker) {
-		users := tr.Candidates()
-		resp.K = t.Spec().K
-		resp.Value = tr.Value()
-		resp.WindowStart = tr.WindowStart()
-		resp.Processed = tr.Processed()
-		resp.Candidates = make([]api.CandidateSeed, 0, len(users))
-		for _, u := range users {
-			inf := tr.InfluenceSet(u)
-			if inf == nil {
-				inf = []sim.UserID{}
-			}
-			resp.Candidates = append(resp.Candidates, api.CandidateSeed{
-				User:       u,
-				Influenced: inf,
-				Coverage:   float64(len(inf)),
-			})
-		}
-	})
-	if qErr != nil {
-		if errors.Is(qErr, ErrOverloaded) {
-			writeRetryable(w, http.StatusTooManyRequests, "%v", qErr)
+	ranked := false
+	if p := r.URL.Query().Get("ranked"); p != "" {
+		var err error
+		if ranked, err = strconv.ParseBool(p); err != nil {
+			writeError(w, http.StatusBadRequest, "bad ranked parameter %q", p)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, "%v", qErr)
-		return
+	}
+	snap := t.Snapshot()
+	resp := api.CandidatesResponse{
+		K:           t.Spec().K,
+		Value:       snap.Value,
+		WindowStart: snap.WindowStart,
+		Processed:   snap.Processed,
+	}
+	if ranked {
+		sets := make(map[sim.UserID][]sim.UserID, len(snap.Candidates))
+		for _, c := range snap.Candidates {
+			sets[c.User] = c.Influenced
+		}
+		users, gains := greedy.RankSets(sets, resp.K, nil)
+		resp.Candidates = make([]api.CandidateSeed, len(users))
+		for i, u := range users {
+			resp.Candidates[i] = api.CandidateSeed{User: u, Coverage: float64(len(sets[u])), Gain: gains[i]}
+		}
+	} else {
+		resp.Candidates = make([]api.CandidateSeed, len(snap.Candidates))
+		for i, c := range snap.Candidates {
+			resp.Candidates[i] = api.CandidateSeed{
+				User:       c.User,
+				Influenced: c.Influenced,
+				Coverage:   float64(len(c.Influenced)),
+			}
+		}
 	}
 	if tb := t.Names(); tb != nil {
 		for i := range resp.Candidates {
 			c := &resp.Candidates[i]
 			c.Name, _ = tb.Name(uint32(c.User))
+			if ranked {
+				continue
+			}
 			c.InfluencedNames = make([]string, len(c.Influenced))
 			for j, v := range c.Influenced {
 				c.InfluencedNames[j], _ = tb.Name(uint32(v))
@@ -539,9 +555,11 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleInfluence serves per-user influence sets. Unlike the other reads
-// this needs the live stream index, so it runs as a closure on the ingest
-// loop, serialized after everything already queued. The user parameter is a
+// handleInfluence serves per-user influence sets: from the published
+// snapshot when it holds the user's set (the candidate pool, seeds
+// included), otherwise from the live stream index, as a closure on the
+// ingest loop serialized after everything already queued — the one read that
+// can wait for ingest or be shed by its queue. The user parameter is a
 // decimal ID on numeric trackers and an external name on name-mode ones
 // (404 when the name has never been ingested).
 func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
@@ -572,8 +590,16 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		}
 		u = sim.UserID(u64)
 	}
+	resp.User = u
+	snap := t.Snapshot()
+	if set, ok := snap.Influence(u); ok {
+		resp.Influenced = set
+		resp.Count = len(set)
+		resp.WindowStart = snap.WindowStart
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
 	qErr := t.Query(r.Context(), func(tr *sim.Tracker) {
-		resp.User = u
 		resp.Influenced = tr.InfluenceSet(u)
 		resp.WindowStart = tr.WindowStart()
 		if resp.Influenced == nil {

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +19,8 @@ import (
 	"repro/api"
 	"repro/internal/dataio"
 	"repro/internal/gen"
+	"repro/internal/greedy"
+	"repro/internal/router"
 	"repro/internal/server"
 	"repro/query"
 	"repro/sim"
@@ -108,15 +112,17 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 			wg.Wait()
 
 			// Serial reference replay of the same actions, mirroring the
-			// served call sequence: one ProcessAll per POSTed chunk followed
-			// by a snapshot (the ingest loop flushes sim batching and
-			// publishes after every applied batch).
+			// served call sequence: the boot publish, then one ProcessAll
+			// per POSTed chunk followed by a snapshot (the ingest loop
+			// flushes sim batching and publishes after every applied batch).
+			// The concurrent reads above must not have added a publish: the
+			// snapshot counts them (ViewRebuilds + ViewReuses).
 			ref, err := sim.New(spec.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ref.Close()
-			var want sim.Snapshot
+			want := ref.Snapshot()
 			for i := 0; i < len(actions); i += 100 {
 				if err := ref.ProcessAll(actions[i:min(i+100, len(actions))]); err != nil {
 					t.Fatal(err)
@@ -195,30 +201,63 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 	}
 }
 
-// TestQueryBlockedLoopIndependence is the HTAP-split proof: /query must
-// answer even while the single-writer ingest loop is wedged, because plan
-// execution reads only the atomically published snapshot. A closure parked
-// on the loop simulates the wedge; influence (which DOES ride the loop)
-// would block here, /query must not.
+// TestQueryBlockedLoopIndependence is the HTAP-split proof: reads must
+// answer even while the single-writer ingest loop is wedged and its queue is
+// full, because they touch only the atomically published snapshot — /query,
+// both forms of /candidates, /influence for a user the snapshot holds, and so
+// a router's merged /seeds over two shards in that state. A closure parked on
+// each loop simulates the wedge and one queued batch fills each queue.
+// /influence for a user outside the snapshot is the one read that still rides
+// the loop: it is shed with 429 once the enqueue deadline passes.
 func TestQueryBlockedLoopIndependence(t *testing.T) {
-	client, reg := newTestServer(t, api.Spec{K: 3, Window: 200})
+	spec := api.Spec{K: 3, Window: 200, Queue: 1, EnqueueDeadlineMillis: 50}
 	ctx := context.Background()
-	if _, err := client.Ingest(ctx, "default", testStream(500)); err != nil {
+	var shards []*api.Client
+	var regs []*server.Registry
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		client, reg := newTestServer(t, spec)
+		shards, regs, addrs = append(shards, client), append(regs, reg), append(addrs, client.BaseURL)
+	}
+	rt, err := router.New(addrs, router.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	cluster := api.NewClient(front.URL)
+	actions := testStream(500)
+	if _, err := cluster.Ingest(ctx, "default", actions); err != nil {
 		t.Fatal(err)
 	}
 
-	tk, _ := reg.Get("default")
 	release := make(chan struct{})
-	parked := make(chan struct{})
-	loopDone := make(chan error, 1)
-	go func() {
-		loopDone <- tk.Query(context.Background(), func(*sim.Tracker) {
-			close(parked)
-			<-release
-		})
-	}()
-	<-parked // the ingest loop is now blocked inside the closure
+	loopDone := make(chan error, len(regs))
+	for _, reg := range regs {
+		tk, _ := reg.Get("default")
+		parked := make(chan struct{})
+		go func() {
+			loopDone <- tk.Query(context.Background(), func(*sim.Tracker) {
+				close(parked)
+				<-release
+			})
+		}()
+		<-parked // the ingest loop is now blocked inside the closure
+		next := actions[len(actions)-1].ID + 1
+		if err := tk.SubmitAsync(ctx, []sim.Action{{ID: next, User: 1, Parent: sim.NoParent}}); err != nil {
+			t.Fatalf("filling the queue: %v", err)
+		}
+		if depth, capacity := tk.QueueDepth(); depth != capacity {
+			t.Fatalf("queue holds %d of %d: not full", depth, capacity)
+		}
+	}
 
+	client := shards[0]
+	snap, err := client.Snapshot(ctx, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := client.Query(ctx, "default", api.QueryRequest{Plan: query.Plan{
 		Scan: "seeds",
 		Ops:  []query.Op{{Op: "topk", Col: "influence", K: 3, Desc: true}},
@@ -226,12 +265,59 @@ func TestQueryBlockedLoopIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query with a blocked ingest loop: %v", err)
 	}
-	if len(res.Rows) == 0 || res.Processed != 500 {
+	if len(res.Rows) == 0 || res.Processed != snap.Processed {
 		t.Fatalf("query under blocked loop: %d rows, processed=%d", len(res.Rows), res.Processed)
 	}
+	full, err := client.Candidates(ctx, "default")
+	if err != nil {
+		t.Fatalf("candidates with a blocked ingest loop: %v", err)
+	}
+	if len(full.Candidates) < len(snap.Seeds) || full.Processed != snap.Processed {
+		t.Fatalf("candidates under blocked loop: %d candidates, processed=%d", len(full.Candidates), full.Processed)
+	}
+	ranked, err := client.CandidatesRanked(ctx, "default")
+	if err != nil {
+		t.Fatalf("ranked candidates with a blocked ingest loop: %v", err)
+	}
+	if len(ranked.Candidates) == 0 || ranked.Processed != snap.Processed {
+		t.Fatalf("ranked candidates under blocked loop: %d picks, processed=%d", len(ranked.Candidates), ranked.Processed)
+	}
+	seed := snap.Seeds[0]
+	inf, err := client.Influence(ctx, "default", fmt.Sprint(seed))
+	if err != nil {
+		t.Fatalf("influence of a seed with a blocked ingest loop: %v", err)
+	}
+	if !reflect.DeepEqual(inf.Influenced, snap.SeedInfluence[0].Influenced) || inf.Count != len(inf.Influenced) {
+		t.Fatalf("influence(%d) under blocked loop = %+v, snapshot holds %v", seed, inf, snap.SeedInfluence[0].Influenced)
+	}
+	merged, err := cluster.Seeds(ctx, "default")
+	if err != nil {
+		t.Fatalf("router /seeds over shards with blocked ingest loops: %v", err)
+	}
+	if len(merged.Seeds) == 0 || merged.Partial || merged.Processed != int64(len(actions)) {
+		t.Fatalf("router /seeds under blocked loops: %+v", merged)
+	}
+
+	// A user the snapshot does not hold still needs the live index.
+	const outsider = 1 << 20
+	if _, ok := snap.Influence(outsider); ok {
+		t.Fatalf("user %d is in the snapshot's pool", outsider)
+	}
+	_, err = client.Influence(ctx, "default", fmt.Sprint(outsider))
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusTooManyRequests {
+		t.Fatalf("influence of an unpublished user under a full queue: %v, want 429", err)
+	}
+
 	close(release)
-	if err := <-loopDone; err != nil {
-		t.Fatal(err)
+	for range regs {
+		if err := <-loopDone; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Unwedged, the same request goes through the loop and answers.
+	if inf, err := client.Influence(ctx, "default", fmt.Sprint(outsider)); err != nil || inf.Count != 0 {
+		t.Fatalf("influence of an unpublished user after release: %+v, %v", inf, err)
 	}
 }
 
@@ -384,8 +470,12 @@ func TestShutdownDrainsQueue(t *testing.T) {
 	if err := ref.ProcessAll(actions); err != nil {
 		t.Fatal(err)
 	}
-	if want := ref.Snapshot(); !reflect.DeepEqual(*snap, want) {
-		t.Errorf("drained snapshot differs from serial replay:\n got %+v\nwant %+v", *snap, want)
+	// The replay publishes once where the server published per batch; the
+	// view counters tell the two histories apart, the state must not.
+	got, want := *snap, ref.Snapshot()
+	got.ViewRebuilds, got.ViewReuses, got.ViewRefreshed = want.ViewRebuilds, want.ViewReuses, want.ViewRefreshed
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("drained snapshot differs from serial replay:\n got %+v\nwant %+v", got, want)
 	}
 
 	// After Close, all entry points fail with ErrClosed.
@@ -720,9 +810,17 @@ func TestMetricsAndList(t *testing.T) {
 	if tm.Scans <= 0 || tm.Scans > stats.Stats.ElementsFed || tm.ScanMembers < tm.Scans {
 		t.Errorf("scans = %d, scan members = %d with %d elements fed", tm.Scans, tm.ScanMembers, stats.Stats.ElementsFed)
 	}
+	// The view counters: one publish at boot and one per applied batch, and
+	// none for the reads above.
+	if tm.ViewRebuilds+tm.ViewReuses != 2 {
+		t.Errorf("view rebuilds = %d, reuses = %d after boot and one batch", tm.ViewRebuilds, tm.ViewReuses)
+	}
 	for _, want := range []string{
 		fmt.Sprintf(`simserve_scans_total{tracker="default"} %d`, tm.Scans),
 		fmt.Sprintf(`simserve_scan_members_total{tracker="default"} %d`, tm.ScanMembers),
+		fmt.Sprintf(`simserve_view_rebuilds_total{tracker="default"} %d`, tm.ViewRebuilds),
+		fmt.Sprintf(`simserve_view_reuses_total{tracker="default"} %d`, tm.ViewReuses),
+		fmt.Sprintf(`simserve_view_refreshed_total{tracker="default"} %d`, tm.ViewRefreshed),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics output missing %q:\n%s", want, body)
@@ -819,5 +917,108 @@ func TestRawWireCompatibility(t *testing.T) {
 	}
 	if len(qr.Rows) != 1 || qr.Processed != 50 {
 		t.Errorf("raw query response: %+v", qr)
+	}
+}
+
+// candidatesFixture boots a tracker over the first 400 actions of the test
+// stream — numeric, or name-mode with users named "user-<id>".
+func candidatesFixture(t *testing.T, names bool) *api.Client {
+	t.Helper()
+	ctx := context.Background()
+	client, _ := newTestServer(t, api.Spec{K: 3, Window: 200, Names: names})
+	var err error
+	if names {
+		var named []api.NamedAction
+		for _, a := range testStream(400) {
+			named = append(named, api.NamedAction{ID: a.ID, User: fmt.Sprintf("user-%d", a.User), Parent: a.Parent})
+		}
+		_, err = client.IngestNamed(ctx, "default", named)
+	} else {
+		_, err = client.Ingest(ctx, "default", testStream(400))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client
+}
+
+// TestCandidatesWireCompatibility pins the full form of /candidates to the
+// bytes the endpoint produced when it still ran on the ingest loop (the
+// golden files were written by that implementation): the ranked form and the
+// move to the snapshot must not show on the wire — no "gain" key, candidates
+// ascending by user, an empty pool as [] rather than null.
+func TestCandidatesWireCompatibility(t *testing.T) {
+	empty, _ := newTestServer(t, api.Spec{K: 3, Window: 200})
+	for _, c := range []struct {
+		golden string
+		client *api.Client
+	}{
+		{"candidates_empty.golden", empty},
+		{"candidates_numeric.golden", candidatesFixture(t, false)},
+		{"candidates_names.golden", candidatesFixture(t, true)},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(c.client.BaseURL + "/v1/trackers/default/candidates")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: /candidates body changed:\n got %s\nwant %s", c.golden, got, want)
+		}
+	}
+}
+
+// TestCandidatesRanked: the ranked form is the greedy ranking of exactly the
+// pool the full form lists — same picks, same order, same gains — without
+// the sets, and with names on a name-mode tracker.
+func TestCandidatesRanked(t *testing.T) {
+	ctx := context.Background()
+	for _, names := range []bool{false, true} {
+		client := candidatesFixture(t, names)
+		full, err := client.Candidates(ctx, "default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, err := client.CandidatesRanked(ctx, "default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := map[sim.UserID][]sim.UserID{}
+		nameOf := map[sim.UserID]string{}
+		for _, c := range full.Candidates {
+			sets[c.User], nameOf[c.User] = c.Influenced, c.Name
+		}
+		users, gains := greedy.RankSets(sets, full.K, nil)
+		if len(users) == 0 || len(ranked.Candidates) != len(users) {
+			t.Fatalf("names=%v: %d ranked candidates, greedy over the full pool picks %d", names, len(ranked.Candidates), len(users))
+		}
+		for i, c := range ranked.Candidates {
+			if c.User != users[i] || c.Gain != gains[i] || c.Coverage != float64(len(sets[c.User])) || c.Name != nameOf[c.User] {
+				t.Errorf("names=%v: ranked[%d] = %+v, want user %d (%q) gain %v coverage %d",
+					names, i, c, users[i], nameOf[users[i]], gains[i], len(sets[users[i]]))
+			}
+			if c.Influenced != nil || c.InfluencedNames != nil {
+				t.Errorf("names=%v: ranked[%d] carries a set: %+v", names, i, c)
+			}
+		}
+		if ranked.K != full.K || ranked.Value != full.Value || ranked.WindowStart != full.WindowStart || ranked.Processed != full.Processed {
+			t.Errorf("names=%v: ranked envelope %+v differs from the full form's %+v", names, ranked, full)
+		}
+		resp, err := http.Get(client.BaseURL + "/v1/trackers/default/candidates?ranked=maybe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("names=%v: ranked=maybe answered %d, want 400", names, resp.StatusCode)
+		}
 	}
 }

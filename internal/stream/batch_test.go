@@ -49,6 +49,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 			d.Contributors = append([]UserID(nil), d.Contributors...)
 			gotDeltas = append(gotDeltas, d)
 		}
+		checkLogBytes(t, batched)
 		lo = hi
 	}
 

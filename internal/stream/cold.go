@@ -332,9 +332,7 @@ func (s *Stream) maybeSpill() {
 		}
 		s.cold[u] = exts[i]
 		s.coldBytes += int64(exts[i].Count) * contribBytes
-		l := s.logs[u]
-		l.list = nil
-		delete(s.logs, u)
+		s.dropLog(u, s.logs[u])
 	}
 	s.hotBytes -= reclaims
 	s.tier.Spills++

@@ -103,6 +103,7 @@ func TestStreamSpillLifecycle(t *testing.T) {
 	// check: hot is 9 entries = 144 bytes, the spill must move the five
 	// longest-idle logs (users 2..6) to reach the 75-byte low watermark.
 	s.Advance(2)
+	checkLogBytes(t, s)
 	ts := s.TierStats()
 	if ts.Spills != 1 || ts.ColdUsers != 5 || ts.SpilledLogs != 5 {
 		t.Fatalf("after first spill: %+v", ts)
@@ -159,6 +160,7 @@ func TestStreamSpillLifecycle(t *testing.T) {
 	if _, err := s.Ingest(Action{ID: 11, User: 3, Parent: NoParent}); err != nil {
 		t.Fatal(err)
 	}
+	checkLogBytes(t, s)
 	if store.reads != reads {
 		t.Fatalf("ingest read the cold store %d times", store.reads-reads)
 	}
@@ -192,6 +194,7 @@ func TestStreamSpillLifecycle(t *testing.T) {
 	// The horizon does not move, but the early-return path still runs the
 	// budget check: hot is now 13 entries = 208 bytes against budget 100.
 	s.Advance(2)
+	checkLogBytes(t, s)
 	ts = s.TierStats()
 	if ts.SpillErrs != 1 {
 		t.Fatalf("failed spill not counted: %+v", ts)
@@ -212,6 +215,7 @@ func TestStreamSpillLifecycle(t *testing.T) {
 	// deduped, still one extent per user).
 	store.writeErr, store.readErr = nil, nil
 	s.Advance(2)
+	checkLogBytes(t, s)
 	ts = s.TierStats()
 	if ts.Spills != 2 || ts.SpilledLogs != 5+9 {
 		t.Fatalf("healed spill did not run: %+v", ts)
@@ -230,6 +234,7 @@ func TestStreamSpillLifecycle(t *testing.T) {
 	// reference drains with them.
 	reads = store.reads
 	s.Advance(20)
+	checkLogBytes(t, s)
 	ts = s.TierStats()
 	if ts.ColdUsers != 0 || ts.ColdLogBytes != 0 {
 		t.Fatalf("expired extents survived Advance: %+v", ts)

@@ -193,6 +193,7 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 		}
 		s.logs[u] = l
 		s.hotBytes += int64(len(l.list)) * contribBytes
+		s.capBytes += int64(cap(l.list)) * contribBytes
 	}
 
 	s.totalActions = rr.Varint()

@@ -33,6 +33,7 @@ func persistIngest(t *testing.T, s *Stream, actions []Action, window ActionID) {
 		if h := a.ID - window + 1; h > 0 {
 			s.Advance(h)
 		}
+		checkLogBytes(t, s)
 	}
 }
 
@@ -50,6 +51,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("Restore: %v", err)
 	}
 
+	checkLogBytes(t, r)
 	if r.Last() != s.Last() || r.Horizon() != s.Horizon() || r.Len() != s.Len() {
 		t.Fatalf("restored scalars differ: last %d/%d horizon %d/%d len %d/%d",
 			r.Last(), s.Last(), r.Horizon(), s.Horizon(), r.Len(), s.Len())
@@ -68,6 +70,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 			if h := a.ID - 300 + 1; h > 0 {
 				st.Advance(h)
 			}
+			checkLogBytes(t, st)
 		}
 		u := a.User
 		got := r.InfluenceRecency(u, r.Horizon())

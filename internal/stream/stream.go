@@ -111,6 +111,14 @@ type Stream struct {
 	contribBuf []UserID
 	expireBuf  []UserID
 
+	// touched lists the contributors whose log ingest has changed since the
+	// last DrainTouched, repeats included, so a reader that caches influence
+	// sets between drains (sim.Tracker's published view) can refresh exactly
+	// those. It holds at most maxTouched users; touchedLost records that
+	// more were dropped and the reader must assume every log changed.
+	touched     []UserID
+	touchedLost bool
+
 	// logChunk is an arena of userLog headers handed out to first-touched
 	// users: allocating them in blocks replaces one heap object per new
 	// user with one per logChunkSize users on the ingestion path.
@@ -139,6 +147,7 @@ type Stream struct {
 	store     ColdStore
 	budget    int64
 	hotBytes  int64 // resident log-entry bytes (contribBytes per hot entry)
+	capBytes  int64 // the same logs at capacity: contribBytes per allocated entry
 	coldBytes int64 // on-disk log-entry bytes across live extents
 	tier      TierStats
 	coldErr   error
@@ -148,6 +157,11 @@ type Stream struct {
 
 // logChunkSize is the arena block size for userLog headers.
 const logChunkSize = 256
+
+// maxTouched bounds Stream.touched. Past a few hundred touched logs a reader
+// does as well re-reading the few hundred sets it caches as looking each
+// touched user up in them, so there is nothing to gain from a longer list.
+const maxTouched = 1024
 
 // New returns an empty Stream.
 func New() *Stream { return NewSized(0) }
@@ -262,10 +276,16 @@ func (s *Stream) ingest(a Action, arena []UserID) ([]UserID, int, error) {
 			s.logChunk = s.logChunk[1:]
 			s.logs[u] = l
 		}
-		n0 := len(l.list)
+		n0, c0 := len(l.list), cap(l.list)
 		l.touch(a.User, a.ID)
 		if len(l.list) != n0 {
 			s.hotBytes += contribBytes
+			s.capBytes += int64(cap(l.list)-c0) * contribBytes
+		}
+		if len(s.touched) < maxTouched {
+			s.touched = append(s.touched, u)
+		} else {
+			s.touchedLost = true
 		}
 	}
 
@@ -310,12 +330,7 @@ func (s *Stream) Advance(horizon ActionID) {
 				l.prune(horizon)
 				s.hotBytes -= int64(n0-len(l.list)) * contribBytes
 				if len(l.list) == 0 {
-					// Release the backing array explicitly: the header
-					// lives in a logChunk arena that stays reachable while
-					// any sibling is live, so a dangling list field would
-					// pin the dead user's contributions indefinitely.
-					l.list = nil
-					delete(s.logs, u)
+					s.dropLog(u, l)
 				}
 			}
 			if s.cold != nil {
@@ -336,6 +351,26 @@ func (s *Stream) Advance(horizon ActionID) {
 	// Spilling happens only here, at the expiry boundary: the per-action
 	// ingest path never performs I/O.
 	s.maybeSpill()
+}
+
+// dropLog removes u's hot log l from the index: expiry emptied it, or a spill
+// moved it to the cold tier. The backing array is released explicitly — the
+// header lives in a logChunk arena that stays reachable while any sibling is
+// live, so a dangling list field would pin the dead log indefinitely.
+func (s *Stream) dropLog(u UserID, l *userLog) {
+	s.capBytes -= int64(cap(l.list)) * contribBytes
+	l.list = nil
+	delete(s.logs, u)
+}
+
+// DrainTouched returns the contributors whose log ingest has changed since
+// the previous call, in touch order with repeats, and starts a new list. ok
+// is false when the list overflowed: some touched users are missing from it.
+// The slice is valid until the next Ingest or IngestBatch.
+func (s *Stream) DrainTouched() (users []UserID, ok bool) {
+	users, ok = s.touched, !s.touchedLost
+	s.touched, s.touchedLost = s.touched[:0], false
+	return users, ok
 }
 
 // release drops the liveness reference of action id and collects any records
@@ -506,6 +541,8 @@ func (s *Stream) Stats() Stats {
 // shared logs against per-checkpoint influence sets. Per-entry constants
 // fold in map bucket overhead; log entries are counted at capacity (the
 // bytes actually pinned), a Contrib being 16 bytes with alignment padding.
+// Every term is a length or a maintained counter, so the estimate is O(1):
+// snapshots take it on every publish.
 func (s *Stream) RetainedBytesEstimate() int64 {
 	const (
 		idxEntry  = 48 // 8B key + 8B pointer + 16B record + bucket overhead
@@ -518,9 +555,7 @@ func (s *Stream) RetainedBytesEstimate() int64 {
 	var b int64
 	b += int64(len(s.idx)) * idxEntry
 	b += int64(len(s.logs)) * logsEntry
-	for _, l := range s.logs {
-		b += int64(cap(l.list)) * contribBytes
-	}
+	b += s.capBytes
 	b += int64(len(s.logChunk)) * headerSz
 	b += int64(len(s.seen)) * seenEntry
 	b += int64(len(s.userSet)) * userEntry

@@ -29,6 +29,7 @@ func ingestAll(t *testing.T, s *Stream, actions []Action) {
 		if _, err := s.Ingest(a); err != nil {
 			t.Fatalf("Ingest(%v): %v", a, err)
 		}
+		checkLogBytes(t, s)
 	}
 }
 
@@ -347,6 +348,7 @@ func TestRandomStreamMatchesBruteForce(t *testing.T) {
 		if i > window {
 			s.Advance(ActionID(i - window + 1))
 		}
+		checkLogBytes(t, s)
 		if i%500 != 0 {
 			continue
 		}

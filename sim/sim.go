@@ -39,7 +39,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -298,6 +301,8 @@ type Tracker struct {
 	batchSize int
 	batch     []Action
 	lastID    ActionID // newest accepted ID, including still-buffered ones
+
+	view poolView // the candidate pool as Snapshot last published it
 }
 
 // New validates cfg and returns a ready Tracker. If cfg.SpillDir is set the
@@ -545,25 +550,37 @@ func (t *Tracker) CheckpointStarts() []ActionID { return t.flushed().CheckpointS
 // allocated. Buffered actions are flushed first.
 func (t *Tracker) CheckpointValues() []float64 { return t.flushed().CheckpointValues() }
 
-// SeedInfluence is one seed user's influence set as captured by a Snapshot:
-// the users the seed currently influences within the window (Definition 1),
-// in the stream index's recency order. It is the row source of the query
-// layer's "influence" scan (package query), which must run entirely off the
-// immutable snapshot so analytics never touch the ingest path.
+// SeedInfluence is one user's influence set as captured by a Snapshot — a
+// seed's (Snapshot.SeedInfluence) or a pool candidate's
+// (Snapshot.Candidates): the users it currently influences within the window
+// (Definition 1), in the stream index's recency order. It is the row source
+// of the query layer's "influence" scan (package query) and of the serving
+// layer's /candidates and /influence, which must run entirely off the
+// immutable snapshot so reads never touch the ingest path.
 type SeedInfluence struct {
-	// User is the seed.
+	// User is the seed or candidate.
 	User UserID `json:"user"`
 	// Influenced is I(User) for the current window; never nil.
 	Influenced []UserID `json:"influenced"`
 }
 
 // Snapshot is an immutable, JSON-marshalable view of a Tracker's current
-// answer and maintenance counters. A Snapshot shares no memory with the
-// Tracker that produced it, so it may be published to — and read by — any
-// number of goroutines while the owning goroutine keeps ingesting. This is
-// the read path of the serving layer (internal/server): the single-writer
-// ingest loop calls Tracker.Snapshot after each applied batch and query
-// handlers only ever touch the published Snapshot.
+// answer and maintenance counters. Nothing a Snapshot holds is ever written
+// again, by the Tracker or anyone else, so it may be published to — and read
+// by — any number of goroutines while the owning goroutine keeps ingesting.
+// This is the read path of the serving layer (internal/server): the
+// single-writer ingest loop calls Tracker.Snapshot after each applied batch
+// and read handlers only ever touch the published Snapshot.
+//
+// Consecutive snapshots of one Tracker share memory with each other, never
+// with the live index: the Influenced slice of a Candidates entry whose set
+// did not change between two publishes is the same slice in both (as is the
+// whole Candidates slice when no entry changed), and each SeedInfluence
+// entry aliases the Candidates entry of the same user. That is safe because
+// those slices are written once, when they are copied out of the index, and
+// a changed set is published as a fresh copy instead of an edit; it is what
+// makes a publish cost what changed rather than the size of the pool.
+// Holders must treat every slice as read-only.
 type Snapshot struct {
 	// Framework / Oracle echo the configuration.
 	Framework Framework `json:"framework"`
@@ -584,10 +601,16 @@ type Snapshot struct {
 	CheckpointValues []float64  `json:"checkpoint_values"`
 	// SeedInfluence holds, in Seeds order, each seed's influence set within
 	// the current window — the per-user rows the query layer's scans pull
-	// from without ever touching the live tracker. Capturing it costs one
-	// slice copy per seed (the sets are contiguous log prefixes), bounded by
-	// K sets per snapshot.
+	// from without ever touching the live tracker. Seeds are pool members,
+	// so each entry is a view of the same user's Candidates entry.
 	SeedInfluence []SeedInfluence `json:"seed_influence"`
+	// Candidates is the answering checkpoint's candidate pool (what
+	// Tracker.Candidates returns: a superset of Seeds), ascending by user so
+	// a lookup is a binary search (Snapshot.Influence), each with its
+	// influence set at WindowStart. It is what lets the serving layer
+	// answer /candidates — the shard half of a cluster's merged /seeds — and
+	// /influence for any pool member without going to the ingest loop.
+	Candidates []SeedInfluence `json:"candidates"`
 	// AvgCheckpoints / ElementsFed / CheckpointsCreated /
 	// CheckpointsDeleted are the cumulative maintenance counters of Stats
 	// and the experiment harness.
@@ -603,6 +626,16 @@ type Snapshot struct {
 	// Always zero for the swap oracles, which keep no coverage to scan.
 	Scans       int64 `json:"scans"`
 	ScanMembers int64 `json:"scan_members"`
+	// ViewRebuilds / ViewReuses count how this tracker's Snapshot calls got
+	// Candidates: read from the index entry by entry (the answering
+	// checkpoint or its pool changed, or too many logs did to track), or
+	// carried over from the previous snapshot with only the changed entries
+	// re-read — ViewRefreshed counts those. ViewReuses ÷ (ViewRebuilds +
+	// ViewReuses) is the view's hit rate and ViewRefreshed ÷ ViewReuses what
+	// a hit still costs. Counted since construction or Load, like the scans.
+	ViewRebuilds  int64 `json:"view_rebuilds"`
+	ViewReuses    int64 `json:"view_reuses"`
+	ViewRefreshed int64 `json:"view_refreshed"`
 	// Tiered window state (memory accounting). ResidentBytes estimates the
 	// stream index's total resident footprint; HotLogBytes and ColdLogBytes
 	// split the contribution-log entries into the in-memory and the
@@ -635,11 +668,109 @@ func (s *Snapshot) Stats() Stats {
 	}
 }
 
+// Influence returns the influence set the snapshot holds for u — u is a
+// member of the candidate pool, seeds included — or ok=false when it holds
+// none. The slice is the snapshot's own: read-only.
+func (s *Snapshot) Influence(u UserID) (set []UserID, ok bool) {
+	i, ok := poolIndex(s.Candidates, u)
+	if !ok {
+		return nil, false
+	}
+	return s.Candidates[i].Influenced, true
+}
+
+// poolIndex finds u in a candidate pool, which ascends by user.
+func poolIndex(pool []SeedInfluence, u UserID) (int, bool) {
+	return slices.BinarySearchFunc(pool, u, func(c SeedInfluence, u UserID) int {
+		return cmp.Compare(c.User, u)
+	})
+}
+
+// poolView is the candidate pool as the last Snapshot published it, kept so
+// that the next one re-reads only what moved. The pool slice and the sets in
+// it are shared with published snapshots and therefore never written: a
+// refresh replaces entries in a copy of the slice.
+type poolView struct {
+	// start and version are core.Framework.PoolVersion when the view was
+	// built; valid is false until then, and for oracles that have none.
+	valid   bool
+	start   ActionID
+	version uint64
+	pool    []SeedInfluence
+	// goodTo[i] is the time of pool[i]'s oldest member: the entry stands
+	// until the window start passes it (math.MaxInt64 for an empty set,
+	// which has nothing to lose), or until its user's log is touched, which
+	// is recorded here as math.MinInt64.
+	goodTo []ActionID
+
+	rebuilds, reuses, refreshed int64
+}
+
+// publishPool brings the view up to the tracker's current state at window
+// start ws and returns the pool to publish. An entry is re-read from the
+// index only if its user's log was touched since the last publish or its
+// oldest member left the window; everything is re-read when the answering
+// checkpoint or the membership of its pool changed, or when the stream lost
+// track of which logs were touched.
+func (t *Tracker) publishPool(fw *core.Framework, ws ActionID) []SeedInfluence {
+	v := &t.view
+	st := fw.Stream()
+	touched, tracked := st.DrainTouched()
+	start, version, versioned := fw.PoolVersion()
+	if !v.valid || !versioned || !tracked || start != v.start || version != v.version {
+		users := fw.CandidateSeeds()
+		v.pool = make([]SeedInfluence, len(users))
+		v.goodTo = slices.Grow(v.goodTo[:0], len(users))[:len(users)]
+		for i, u := range users {
+			v.pool[i], v.goodTo[i] = readInfluence(st, u, ws)
+		}
+		v.valid, v.start, v.version = versioned, start, version
+		v.rebuilds++
+		return v.pool
+	}
+	v.reuses++
+	for _, u := range touched {
+		if i, ok := poolIndex(v.pool, u); ok {
+			v.goodTo[i] = math.MinInt64
+		}
+	}
+	shared := true // v.pool is still the slice the last snapshot holds
+	for i, c := range v.pool {
+		if v.goodTo[i] >= ws {
+			continue
+		}
+		if shared {
+			v.pool, shared = slices.Clone(v.pool), false
+		}
+		v.pool[i], v.goodTo[i] = readInfluence(st, c.User, ws)
+		v.refreshed++
+	}
+	return v.pool
+}
+
+// readInfluence copies I(u) for the window starting at ws out of the index,
+// with the time of its oldest member (math.MaxInt64 when empty). The set is
+// deliberately non-nil: a Snapshot must survive a JSON round trip
+// bit-identically, and null decodes to nil.
+func readInfluence(st *stream.Stream, u UserID, ws ActionID) (SeedInfluence, ActionID) {
+	list := st.InfluenceRecency(u, ws)
+	set := make([]UserID, len(list))
+	for i, c := range list {
+		set[i] = c.V
+	}
+	oldest := ActionID(math.MaxInt64)
+	if n := len(list); n > 0 {
+		oldest = list[n-1].T
+	}
+	return SeedInfluence{User: u, Influenced: set}, oldest
+}
+
 // Snapshot flushes buffered actions and captures the tracker's current
 // answer and counters in one self-contained value. Like every query method
 // it must be called by the goroutine that owns the Tracker; unlike the
 // other queries, the returned value is safe to hand to other goroutines —
-// the seed slice and checkpoint slices are copies.
+// it shares nothing with the tracker's live state (see Snapshot for what
+// consecutive snapshots share with each other).
 func (t *Tracker) Snapshot() Snapshot {
 	fw := t.flushed()
 	fs := fw.Stats()
@@ -648,19 +779,18 @@ func (t *Tracker) Snapshot() Snapshot {
 		fwk = SIC
 	}
 	seeds := append([]UserID{}, fw.Seeds()...)
-	// Capture each seed's influence set so snapshot consumers (the query
-	// layer's scans) need no access to the live stream index. Slices are
-	// deliberately non-nil: a Snapshot must survive a JSON round trip
-	// bit-identically, and null decodes to nil.
-	infl := make([]SeedInfluence, 0, len(seeds))
 	ws := fw.WindowStart()
 	st := fw.Stream()
-	for _, u := range seeds {
-		set := st.InfluenceSet(u, ws)
-		if set == nil {
-			set = []UserID{}
+	pool := t.publishPool(fw, ws)
+	// Seeds are pool members, so their sets are already captured; an oracle
+	// whose pool left one out gets it read here.
+	infl := make([]SeedInfluence, len(seeds))
+	for i, u := range seeds {
+		if j, ok := poolIndex(pool, u); ok {
+			infl[i] = pool[j]
+		} else {
+			infl[i], _ = readInfluence(st, u, ws)
 		}
-		infl = append(infl, SeedInfluence{User: u, Influenced: set})
 	}
 	ts := st.TierStats()
 	coldSegs := 0
@@ -678,12 +808,16 @@ func (t *Tracker) Snapshot() Snapshot {
 		CheckpointStarts:   fw.CheckpointStarts(),
 		CheckpointValues:   fw.CheckpointValues(),
 		SeedInfluence:      infl,
+		Candidates:         pool,
 		AvgCheckpoints:     fs.AvgCheckpoints,
 		ElementsFed:        fs.ElementsFed,
 		CheckpointsCreated: fs.Created,
 		CheckpointsDeleted: fs.Deleted,
 		Scans:              fs.Scans,
 		ScanMembers:        fs.ScanMembers,
+		ViewRebuilds:       t.view.rebuilds,
+		ViewReuses:         t.view.reuses,
+		ViewRefreshed:      t.view.refreshed,
 		ResidentBytes:      st.RetainedBytesEstimate(),
 		HotLogBytes:        ts.HotLogBytes,
 		ColdLogBytes:       ts.ColdLogBytes,

@@ -113,7 +113,8 @@ func TestSnapshotJSON(t *testing.T) {
 	if err := tr.ProcessAll(fig1Actions()); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(tr.Snapshot())
+	snap := tr.Snapshot()
+	raw, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +129,8 @@ func TestSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, tr.Snapshot()) {
-		t.Errorf("snapshot did not survive a JSON round-trip:\n got %+v\nwant %+v", back, tr.Snapshot())
+	if !reflect.DeepEqual(back, snap) {
+		t.Errorf("snapshot did not survive a JSON round-trip:\n got %+v\nwant %+v", back, snap)
 	}
 }
 
