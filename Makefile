@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race benchmark-test bench bench-json bench-check fmt fmt-check vet lint ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
+.PHONY: all build test race benchmark-test bench bench-json bench-check loc fmt fmt-check vet lint ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
 
 all: build
 
@@ -100,6 +100,11 @@ fuzz-smoke:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# Size of the program: non-test Go lines outside the benchmark module and its
+# build directory — the figure the simplicity PRs report before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 fmt:
 	gofmt -w .

@@ -1,8 +1,10 @@
 // Package api is the public wire surface of the simserve HTTP API: the
 // request/response DTOs of every /v1 endpoint, the tracker Spec document
-// format, the error contract, and a typed Client. The server
-// (internal/server) marshals these exact types, so a program that imports
-// api is coupled to the wire format by the compiler rather than by
+// format, the error contract — both the typed Client that reads it and the
+// writers (WriteJSON, WriteError, Error.Write) the two serving binaries
+// answer through — and the request caps. The server (internal/server) and
+// the router (internal/router) marshal these exact types, so a program that
+// imports api is coupled to the wire format by the compiler rather than by
 // hand-maintained JSON literals.
 //
 // # Endpoints
@@ -25,11 +27,13 @@
 //	GET  /metrics                                Prometheus text format
 //
 // A scatter-gather router (cmd/simrouter) serves the same tracker routes
-// over a shard fleet, plus a cluster-shaped GET /v1/healthz
-// (ClusterHealthResponse). When a shard is down the router answers merged
-// reads from the survivors, sets the X-Partial: true response header, and
-// marks the DTO's Partial field — callers choose between a partial answer
-// and an error, the router never fails the whole read for one dead shard.
+// over a shard fleet — every one except {name} itself, {name}/metrics and
+// /metrics — plus a cluster-shaped GET /v1/healthz (ClusterHealthResponse).
+// When a shard is down the router answers merged reads (list, seeds,
+// candidates, value, window, checkpoints, stats, query) from the survivors,
+// sets the X-Partial: true response header, and marks the DTO's Partial
+// field — callers choose between a partial answer and an error, the router
+// never fails the whole read for one dead shard.
 //
 // # Error contract
 //
@@ -67,6 +71,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/dataio"
 	"repro/query"
 	"repro/sim"
 )
@@ -101,8 +106,7 @@ type Spec struct {
 	// EnqueueDeadlineMillis bounds how long an ingest waits for space in a
 	// full queue before the server sheds it with 429 (admission control: a
 	// wedged ingest loop must not wedge HTTP handlers). 0 means the server
-	// default (2000 ms); negative disables shedding — callers block until
-	// their request context expires.
+	// default (2000 ms); ReadSpecs rejects a negative value.
 	EnqueueDeadlineMillis int `json:"enqueue_deadline_ms,omitempty"`
 	// SnapshotWALBytes is the write-ahead-log size that triggers a
 	// snapshot+truncate on a durable registry (one with a data dir). 0
@@ -154,17 +158,18 @@ func ReadSpecs(r io.Reader) (map[string]Spec, error) {
 	if len(f.Trackers) == 0 {
 		return nil, fmt.Errorf("api: spec declares no trackers")
 	}
+	for name, sp := range f.Trackers {
+		if sp.EnqueueDeadlineMillis < 0 {
+			return nil, fmt.Errorf("api: tracker %q: enqueue_deadline_ms must be >= 0, got %d", name, sp.EnqueueDeadlineMillis)
+		}
+	}
 	return f.Trackers, nil
 }
 
 // NamedAction is one action of a name-mode ingest: like sim.Action but with
 // the user as an external string name. Parent is -1 (or sim.NoParent) for
 // root actions.
-type NamedAction struct {
-	ID     sim.ActionID
-	User   string
-	Parent sim.ActionID
-}
+type NamedAction = dataio.NamedAction
 
 // IngestResponse answers POST /v1/trackers/{name}/actions.
 type IngestResponse struct {
@@ -273,6 +278,8 @@ type CandidatesResponse struct {
 	Value       float64      `json:"value"`
 	WindowStart sim.ActionID `json:"window_start"`
 	Processed   int64        `json:"processed"`
+	// Partial marks a router answer computed without every shard.
+	Partial bool `json:"partial,omitempty"`
 }
 
 // InfluenceResponse answers GET /v1/trackers/{name}/influence?user=U: the

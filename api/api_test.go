@@ -45,6 +45,12 @@ func TestReadSpecs(t *testing.T) {
 	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {}}`)); err == nil {
 		t.Error("empty spec should fail")
 	}
+	// A negative enqueue deadline used to mean "never shed"; nothing set it,
+	// the mode is gone, and a spec that asks for it is told so.
+	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "window": 10, "enqueue_deadline_ms": -1}}}`)); err == nil ||
+		!strings.Contains(err.Error(), "enqueue_deadline_ms") {
+		t.Errorf("negative enqueue_deadline_ms: err = %v, want a rejection naming the field", err)
+	}
 	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "window": 10, "oracle": "bogus"}}}`)); err == nil {
 		t.Error("unknown oracle name should fail")
 	}

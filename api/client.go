@@ -328,12 +328,8 @@ func (c *Client) Ingest(ctx context.Context, name string, actions []sim.Action) 
 // IngestNamed POSTs actions as one NDJSON batch to a name-mode tracker
 // (Spec.Names): users are external string names, interned server-side.
 func (c *Client) IngestNamed(ctx context.Context, name string, actions []NamedAction) (IngestResponse, error) {
-	recs := make([]dataio.NamedAction, len(actions))
-	for i, a := range actions {
-		recs[i] = dataio.NamedAction{ID: a.ID, User: a.User, Parent: a.Parent}
-	}
 	var body bytes.Buffer
-	if err := dataio.WriteNDJSONNamed(&body, recs); err != nil {
+	if err := dataio.WriteNDJSONNamed(&body, actions); err != nil {
 		return IngestResponse{}, fmt.Errorf("api: encoding batch: %w", err)
 	}
 	var out IngestResponse

@@ -214,8 +214,8 @@ func openArg(args []string, i int) (io.Reader, func(), error) {
 func ingest(ctx context.Context, c *api.Client, tracker string, names bool, r io.Reader) (api.IngestResponse, error) {
 	if names {
 		var batch []api.NamedAction
-		err := dataio.ReadNDJSONNamed(r, func(a dataio.NamedAction) bool {
-			batch = append(batch, api.NamedAction{ID: a.ID, User: a.User, Parent: a.Parent})
+		err := dataio.ReadNDJSONNamed(r, func(a api.NamedAction) bool {
+			batch = append(batch, a)
 			return true
 		})
 		if err != nil {

@@ -1,12 +1,10 @@
 // Command simgen generates synthetic social action streams in the formats
 // consumed by simtrack and simserve: TSV ("id<TAB>user<TAB>parent", parent
-// = -1 for roots), the compact SIM1 binary format, or NDJSON (the simserve
-// ingest body format).
+// = -1 for roots) or NDJSON (the simserve ingest body format).
 //
 // Usage:
 //
 //	simgen -preset twitter -users 10000 -actions 100000 > twitter.tsv
-//	simgen -preset syn-o -window 20000 -seed 7 -format binary -out syn.bin
 //	simgen -preset syn-o -actions 50000 -format ndjson -out syn.ndjson
 //
 // With -post, simgen becomes a load generator: instead of writing a file it
@@ -41,7 +39,7 @@ func main() {
 		actions = flag.Int("actions", 100000, "stream length")
 		window  = flag.Int("window", 10000, "window size N the stream is scaled for")
 		seed    = flag.Int64("seed", 1, "random seed")
-		format  = flag.String("format", "tsv", "output format: tsv, binary or ndjson")
+		format  = flag.String("format", "tsv", "output format: tsv or ndjson")
 		out     = flag.String("out", "", "output path (default stdout)")
 		post    = flag.String("post", "", "load-generator mode: POST the stream as NDJSON chunks to this simserve ingest URL instead of writing it")
 		chunk   = flag.Int("chunk", 1000, "actions per POST in -post mode")
@@ -87,8 +85,6 @@ func main() {
 	switch *format {
 	case "tsv":
 		err = dataio.WriteTSV(w, actionsOut)
-	case "binary":
-		err = dataio.WriteBinary(w, actionsOut)
 	case "ndjson":
 		err = dataio.WriteNDJSON(w, actionsOut)
 	default:

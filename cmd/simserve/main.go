@@ -19,9 +19,9 @@
 //	curl -s localhost:8384/v1/trackers/default/seeds
 //	curl -s localhost:8384/metrics
 //
-// -replay feeds a recorded stream (TSV, SIM1 binary or NDJSON; "-" for
-// stdin) through the same ingest path at startup; -follow keeps tailing the
-// file for appended actions, turning a growing log into a live feed.
+// -replay feeds a recorded stream (TSV or NDJSON; "-" for stdin) through the
+// same ingest path at startup; -follow keeps tailing the file for appended
+// actions, turning a growing log into a live feed.
 //
 // -data-dir enables durability: each tracker keeps a SIM2 snapshot plus a
 // write-ahead log under <dir>/<name>/, appends every applied batch to the
@@ -77,7 +77,7 @@ func main() {
 		batch     = flag.Int("batch", 0, "sim ingestion batch size (1 = per-action)")
 		users     = flag.Int("users", 0, "expected distinct users (stream index pre-sizing hint)")
 		queue     = flag.Int("queue", 0, "ingest queue capacity in batches (0 = default 256)")
-		replay    = flag.String("replay", "", "replay a stream file (TSV/SIM1/NDJSON, \"-\" = stdin) into the flag-built tracker")
+		replay    = flag.String("replay", "", "replay a stream file (TSV/NDJSON, \"-\" = stdin) into the flag-built tracker")
 		follow    = flag.Bool("follow", false, "keep tailing the -replay file for appended actions")
 		chunk     = flag.Int("replay-chunk", 512, "actions per replay ingest batch")
 		dataDir   = flag.String("data-dir", "", "durability root: per-tracker snapshot + write-ahead log under <dir>/<name>/; on boot, trackers recover their state from it")

@@ -3,11 +3,11 @@
 // practitioner would run against a live feed.
 //
 // Input is either the TSV format "id<TAB>user<TAB>parent" (parent −1 for
-// roots) or the SIM1 binary format, both as produced by simgen, read from a
-// file or stdin (format auto-detected):
+// roots) or NDJSON, both as produced by simgen, read from a file or stdin
+// (format auto-detected):
 //
 //	simgen -preset twitter | simtrack -k 10 -window 50000 -report 25000
-//	simtrack -in twitter.bin -framework ic -oracle threshold
+//	simtrack -in twitter.ndjson -framework ic -oracle threshold
 package main
 
 import (
@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		in        = flag.String("in", "", "input stream file, TSV or SIM1 binary (default stdin)")
+		in        = flag.String("in", "", "input stream file, TSV or NDJSON (default stdin)")
 		k         = flag.Int("k", 10, "seed budget k")
 		window    = flag.Int("window", 50000, "window size N")
 		slide     = flag.Int("slide", 1, "slide length L")

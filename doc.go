@@ -19,16 +19,16 @@
 // influence set. sim.Config's BatchSize groups actions so stream-index and
 // checkpoint maintenance amortize across a batch (default 1 = per-action;
 // queries are exact at batch boundaries). The README's "Performance
-// architecture" section and the committed BENCH_*.json snapshots
-// (regenerated by `make bench-json`) document the hot-path performance
-// trajectory across PRs. See the sim package documentation for details.
+// architecture" section and the committed BENCH_*.json baseline
+// (regenerated by `make bench-json`; its git history is the trajectory
+// across PRs) document the hot-path performance. See the sim package documentation for details.
 //
 // The repository also runs as a service: cmd/simserve (internal/server)
 // keeps named trackers alive behind an HTTP API with NDJSON streaming
 // ingest, a single-writer ingest loop per tracker, lock-free snapshot
 // reads (sim.Snapshot), a text /metrics endpoint and drain-on-SIGTERM
-// shutdown. cmd/simgen generates workloads in the TSV/SIM1/NDJSON formats
-// of internal/dataio and doubles as a load generator (-post).
+// shutdown. cmd/simgen generates workloads in the TSV/NDJSON formats of
+// internal/dataio and doubles as a load generator (-post).
 //
 // Tracker state is durable end to end: every layer that owns state
 // carries a versioned Save/Restore contract (stream index, oracle

@@ -66,13 +66,10 @@ func init() {
 				},
 			}
 			for _, ds := range Datasets(sc) {
-				st := stream.New()
-				for _, a := range ds.Actions {
-					if _, err := st.Ingest(a); err != nil {
-						panic(err)
-					}
+				s, err := stream.Summarize(ds.Actions)
+				if err != nil {
+					panic(err)
 				}
-				s := st.Stats()
 				t.Rows = append(t.Rows, []string{
 					ds.Name, i0(s.Users), fmt.Sprintf("%d", s.Actions),
 					f1(s.AvgRespDist), f2(s.AvgDepth), f2(s.RootFraction),

@@ -3,20 +3,16 @@
 //
 //   - TSV: one action per line, "id<TAB>user<TAB>parent" with parent −1 for
 //     roots. Human-inspectable; produced by simgen and consumed by simtrack.
-//   - Binary: a compact varint encoding (~5x smaller, ~10x faster to parse),
-//     with a magic header for sniffing. Suited to large generated datasets.
 //   - NDJSON: one {"id":…,"user":…,"parent":…} object per line ("parent"
 //     omitted for roots) — the ingest body format of the simserve HTTP API.
 //
-// All formats stream: readers deliver actions through a callback without
+// Both formats stream: readers deliver actions through a callback without
 // materializing the whole dataset, and ReadAuto sniffs the format from the
-// first bytes (binary magic, then '{' for NDJSON, else TSV).
+// first bytes ('{' for NDJSON, else TSV).
 package dataio
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -24,12 +20,6 @@ import (
 
 	"repro/internal/stream"
 )
-
-// binaryMagic starts every binary stream file.
-var binaryMagic = [4]byte{'S', 'I', 'M', '1'}
-
-// ErrBadMagic is returned when a binary stream has the wrong header.
-var ErrBadMagic = errors.New("dataio: not a SIM1 binary stream")
 
 // WriteTSV writes actions in the TSV format.
 func WriteTSV(w io.Writer, actions []stream.Action) error {
@@ -89,97 +79,17 @@ func ReadTSV(r io.Reader, visit func(stream.Action) bool) error {
 	return sc.Err()
 }
 
-// WriteBinary writes actions in the SIM1 binary format: the magic header
-// followed by one record per action — uvarint delta-encoded ID, uvarint
-// user, and the parent encoded as a uvarint backward distance (0 = root).
-// Delta and distance coding keep typical streams to a few bytes per action.
-func WriteBinary(w io.Writer, actions []stream.Action) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [3 * binary.MaxVarintLen64]byte
-	prev := stream.ActionID(0)
-	for _, a := range actions {
-		if a.ID <= prev {
-			return fmt.Errorf("dataio: non-monotonic ID %d after %d", a.ID, prev)
-		}
-		n := binary.PutUvarint(buf[:], uint64(a.ID-prev))
-		n += binary.PutUvarint(buf[n:], uint64(a.User))
-		dist := uint64(0)
-		if !a.Root() {
-			if a.Parent >= a.ID {
-				return fmt.Errorf("dataio: action %d has parent %d in the future", a.ID, a.Parent)
-			}
-			dist = uint64(a.ID - a.Parent)
-		}
-		n += binary.PutUvarint(buf[n:], dist)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		prev = a.ID
-	}
-	return bw.Flush()
-}
-
-// ReadBinary streams actions from SIM1 binary input to visit, stopping early
-// if visit returns false.
-func ReadBinary(r io.Reader, visit func(stream.Action) bool) error {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("dataio: reading header: %w", err)
-	}
-	if magic != binaryMagic {
-		return ErrBadMagic
-	}
-	prev := stream.ActionID(0)
-	for {
-		delta, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("dataio: reading id: %w", err)
-		}
-		user, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("dataio: reading user: %w", err)
-		}
-		dist, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("dataio: reading parent: %w", err)
-		}
-		if delta == 0 {
-			return errors.New("dataio: zero ID delta")
-		}
-		id := prev + stream.ActionID(delta)
-		a := stream.Action{ID: id, User: stream.UserID(user), Parent: stream.NoParent}
-		if dist > 0 {
-			a.Parent = id - stream.ActionID(dist)
-		}
-		prev = id
-		if !visit(a) {
-			return nil
-		}
-	}
-}
-
-// ReadAuto sniffs the format (binary magic, '{' for NDJSON, else TSV) and
-// streams the actions. The NDJSON sniff skips leading whitespace — blank or
+// ReadAuto sniffs the format ('{' for NDJSON, else TSV) and streams the
+// actions. The NDJSON sniff skips leading whitespace — blank or
 // CRLF-terminated lines before the first object are legal inter-value
 // whitespace, so a body that starts with them is still NDJSON. Empty input
 // is zero actions in any format and succeeds.
 func ReadAuto(r io.Reader, visit func(stream.Action) bool) error {
 	br := bufio.NewReaderSize(r, 1<<20)
-	head, err := br.Peek(4)
-	if err == nil && [4]byte(head) == binaryMagic {
-		return ReadBinary(br, visit)
-	}
 	// Peek far enough to see past leading whitespace. 512 bytes of pure
 	// whitespace before any payload byte means the input is effectively
 	// blank whatever the format; TSV handles that as zero actions.
-	head, _ = br.Peek(512)
+	head, _ := br.Peek(512)
 	for _, b := range head {
 		if b == ' ' || b == '\t' || b == '\r' || b == '\n' {
 			continue

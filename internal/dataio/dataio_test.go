@@ -2,7 +2,6 @@ package dataio
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,34 +34,6 @@ func TestTSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sampleActions()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleActions()) {
-		t.Fatalf("round trip: %v", got)
-	}
-}
-
-func TestBinaryIsSmallerThanTSV(t *testing.T) {
-	actions := gen.Stream(gen.TwitterLike(500, 20000, 4000, 1))
-	var tsv, bin bytes.Buffer
-	if err := WriteTSV(&tsv, actions); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&bin, actions); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len()*2 >= tsv.Len() {
-		t.Fatalf("binary %d bytes not < half of TSV %d bytes", bin.Len(), tsv.Len())
-	}
-}
-
 func TestTSVSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# header\n\n1\t2\t-1\n   \n2\t3\t1\n"
 	got, err := ReadAll(strings.NewReader(in))
@@ -90,42 +61,14 @@ func TestParseTSVLineErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRejectsBadInput(t *testing.T) {
-	if err := ReadBinary(strings.NewReader("nope"), nil); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	if err := ReadBinary(strings.NewReader("x"), nil); err == nil {
-		t.Fatal("short header accepted")
-	}
-	// Truncated record.
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sampleActions()); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-1]
-	err := ReadBinary(bytes.NewReader(trunc), func(stream.Action) bool { return true })
-	if err == nil {
-		t.Fatal("truncated record accepted")
-	}
-}
-
-func TestWriteBinaryValidates(t *testing.T) {
-	if err := WriteBinary(&bytes.Buffer{}, []stream.Action{{ID: 2, User: 1}, {ID: 2, User: 1}}); err == nil {
-		t.Fatal("duplicate ID accepted")
-	}
-	if err := WriteBinary(&bytes.Buffer{}, []stream.Action{{ID: 2, User: 1, Parent: 3}}); err == nil {
-		t.Fatal("future parent accepted")
-	}
-}
-
 func TestReadAutoDetectsBoth(t *testing.T) {
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, sampleActions()); err != nil {
+	var nd bytes.Buffer
+	if err := WriteNDJSON(&nd, sampleActions()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&bin)
+	got, err := ReadAll(&nd)
 	if err != nil || len(got) != 4 {
-		t.Fatalf("auto binary: %v %v", got, err)
+		t.Fatalf("auto ndjson: %v %v", got, err)
 	}
 	var tsv bytes.Buffer
 	if err := WriteTSV(&tsv, sampleActions()); err != nil {
@@ -139,11 +82,11 @@ func TestReadAutoDetectsBoth(t *testing.T) {
 
 func TestEarlyStop(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sampleActions()); err != nil {
+	if err := WriteTSV(&buf, sampleActions()); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := ReadBinary(&buf, func(stream.Action) bool { n++; return n < 2 }); err != nil {
+	if err := ReadTSV(&buf, func(stream.Action) bool { n++; return n < 2 }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -156,12 +99,12 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		cfg := gen.Config{Users: 50, Actions: 300, RootProb: 0.4, MeanRespDist: 30, Seed: seed}
 		actions := gen.Stream(cfg)
-		var tsv, bin bytes.Buffer
-		if WriteTSV(&tsv, actions) != nil || WriteBinary(&bin, actions) != nil {
+		var tsv, nd bytes.Buffer
+		if WriteTSV(&tsv, actions) != nil || WriteNDJSON(&nd, actions) != nil {
 			return false
 		}
 		a, err1 := ReadAll(&tsv)
-		b, err2 := ReadAll(&bin)
+		b, err2 := ReadAll(&nd)
 		return err1 == nil && err2 == nil && reflect.DeepEqual(a, actions) && reflect.DeepEqual(b, actions)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

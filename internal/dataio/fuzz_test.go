@@ -3,6 +3,7 @@ package dataio
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/stream"
@@ -97,35 +98,33 @@ func FuzzSnapshotReader(f *testing.F) {
 	})
 }
 
-// FuzzReadAuto drives the format sniffer (SIM1 binary magic, '{' for
-// NDJSON, TSV fallback) with arbitrary bytes. Invariants: no panic, finite
-// work, and every action delivered before an error satisfies the formats'
-// stated guarantees (monotonic IDs for binary input).
+// FuzzReadAuto drives the format sniffer ('{' for NDJSON, TSV fallback) with
+// arbitrary bytes. Invariants: no panic, finite work, and the sniff decides
+// the parser — an input whose first non-blank byte is '{' yields what
+// ReadNDJSON yields, any other what ReadTSV yields.
 func FuzzReadAuto(f *testing.F) {
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, sim2Actions()); err != nil {
+	var nd bytes.Buffer
+	if err := WriteNDJSON(&nd, sim2Actions()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(bin.Bytes())
+	f.Add(nd.Bytes())
 	f.Add([]byte("{\"id\":1,\"user\":2}\n{\"id\":3,\"user\":4,\"parent\":1}\n"))
 	f.Add([]byte("1\t2\t-1\n3\t4\t1\n"))
 	f.Add([]byte("  \r\n\t {\"id\":9,\"user\":1}\n"))
 	f.Add([]byte("# comment\n5\t6\t-1\n"))
-	f.Add([]byte("SIM1\x01\x02\x03"))
+	f.Add([]byte("SIM1\x01\x02\x03")) // the retired binary magic: now one bad TSV line
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sniffedBinary := len(data) >= 4 && bytes.Equal(data[:4], binaryMagic[:])
-		var prev stream.ActionID
-		err := ReadAuto(bytes.NewReader(data), func(a stream.Action) bool {
-			if sniffedBinary {
-				if a.ID <= prev {
-					t.Fatalf("binary reader delivered non-monotonic ID %d after %d", a.ID, prev)
-				}
-				prev = a.ID
-			}
-			return true
-		})
-		_ = err
+		read := ReadTSV
+		if trimmed := bytes.TrimLeft(data[:min(len(data), 512)], " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
+			read = ReadNDJSON
+		}
+		var got, want []stream.Action
+		gotErr := ReadAuto(bytes.NewReader(data), func(a stream.Action) bool { got = append(got, a); return true })
+		wantErr := read(bytes.NewReader(data), func(a stream.Action) bool { want = append(want, a); return true })
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadAuto = %v (err %v), the sniffed format's reader = %v (err %v)", got, gotErr, want, wantErr)
+		}
 	})
 }
 

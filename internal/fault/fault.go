@@ -1,11 +1,11 @@
 // Package fault is the injectable environment seam of the durable serving
-// path. Production code takes a fault.FS (plus Clock/Sleeper) instead of
-// calling the os package directly; in normal operation that is OS(), a
-// zero-cost passthrough, and under test (or the chaos smoke) it is an
-// Injector that deterministically fails the Nth matching operation, returns
-// short writes, injects latency, or simulates ENOSPC/EIO — the harness that
-// lets every failure edge of the WAL, snapshot, lock and names.log paths be
-// exercised without root, loop devices, or flaky timing.
+// path. Production code takes a fault.FS instead of calling the os package
+// directly; in normal operation that is OS(), a zero-cost passthrough, and
+// under test (or the chaos smoke) it is an Injector that deterministically
+// fails the Nth matching operation, returns short writes, injects latency
+// (through a Sleeper a test can substitute), or simulates ENOSPC/EIO — the
+// harness that lets every failure edge of the WAL, snapshot, lock and
+// names.log paths be exercised without root, loop devices, or flaky timing.
 package fault
 
 import (
@@ -53,11 +53,6 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 }
 
-// Clock abstracts wall-clock reads so backoff schedules are testable.
-type Clock interface {
-	Now() time.Time
-}
-
 // Sleeper abstracts blocking delays so tests never sleep for real.
 type Sleeper interface {
 	Sleep(d time.Duration)
@@ -84,19 +79,3 @@ func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name
 
 // OS returns the real filesystem.
 func OS() FS { return osFS{} }
-
-// wallClock is the real clock.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
-
-// WallClock returns the real time source.
-func WallClock() Clock { return wallClock{} }
-
-// realSleeper blocks with time.Sleep.
-type realSleeper struct{}
-
-func (realSleeper) Sleep(d time.Duration) { time.Sleep(d) }
-
-// RealSleeper returns a Sleeper backed by time.Sleep.
-func RealSleeper() Sleeper { return realSleeper{} }

@@ -10,13 +10,11 @@ import (
 // ingest replays a generated stream to obtain its Table 3 statistics.
 func ingest(t *testing.T, actions []stream.Action) stream.Stats {
 	t.Helper()
-	st := stream.New()
-	for _, a := range actions {
-		if _, err := st.Ingest(a); err != nil {
-			t.Fatalf("generated invalid stream: %v (%v)", err, a)
-		}
+	st, err := stream.Summarize(actions)
+	if err != nil {
+		t.Fatalf("generated invalid stream: %v", err)
 	}
-	return st.Stats()
+	return st
 }
 
 func TestStreamIsValidAndComplete(t *testing.T) {

@@ -2,11 +2,10 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,14 +22,6 @@ import (
 // Override at link time like internal/server.Version.
 var Version = "dev"
 
-// DefaultMaxBodyBytes caps an ingest request body, mirroring
-// internal/server's cap.
-const DefaultMaxBodyBytes = 64 << 20
-
-// DefaultQueryRowLimit mirrors internal/server's default row cap, applied
-// to the merged row stream after per-shard pushdown.
-const DefaultQueryRowLimit = 10000
-
 // errShardDown marks a shard skipped because the router already considers
 // it unreachable; the background probe will bring it back.
 var errShardDown = errors.New("router: shard is down")
@@ -45,7 +36,7 @@ type Options struct {
 	// ProbeInterval paces the background re-probe of down shards; 0 means
 	// 1s.
 	ProbeInterval time.Duration
-	// MaxBodyBytes caps ingest bodies; 0 means DefaultMaxBodyBytes.
+	// MaxBodyBytes caps ingest bodies; 0 means api.DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 }
 
@@ -60,7 +51,7 @@ func (o Options) withDefaults() Options {
 		o.ProbeInterval = time.Second
 	}
 	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = DefaultMaxBodyBytes
+		o.MaxBodyBytes = api.DefaultMaxBodyBytes
 	}
 	return o
 }
@@ -149,16 +140,18 @@ func New(addrs []string, opts Options) (*Router, error) {
 		fmt.Fprintln(w, "ok")
 	})
 	m.HandleFunc("GET /v1/healthz", rt.handleClusterHealth)
-	m.HandleFunc("GET /v1/trackers", rt.handleList)
-	m.HandleFunc("POST /v1/trackers/{name}/actions", rt.handleIngest)
-	m.HandleFunc("GET /v1/trackers/{name}/seeds", rt.handleSeeds)
-	m.HandleFunc("GET /v1/trackers/{name}/value", rt.handleValue)
-	m.HandleFunc("GET /v1/trackers/{name}/window", rt.handleWindow)
-	m.HandleFunc("GET /v1/trackers/{name}/checkpoints", rt.handleCheckpoints)
-	m.HandleFunc("GET /v1/trackers/{name}/stats", rt.handleStats)
-	m.HandleFunc("GET /v1/trackers/{name}/candidates", rt.handleCandidates)
-	m.HandleFunc("GET /v1/trackers/{name}/influence", rt.handleInfluence)
+	// Every merged read is one row: the shard call and the fold over its
+	// answers (ARCHITECTURE.md "Cluster topology" has the same table).
+	m.HandleFunc("GET /v1/trackers", read(rt, list, mergeList))
+	m.HandleFunc("GET /v1/trackers/{name}/seeds", read(rt, (*api.Client).CandidatesRanked, mergeSeeds))
+	m.HandleFunc("GET /v1/trackers/{name}/candidates", read(rt, (*api.Client).Candidates, mergeCandidates))
+	m.HandleFunc("GET /v1/trackers/{name}/value", read(rt, (*api.Client).Value, mergeValue))
+	m.HandleFunc("GET /v1/trackers/{name}/window", read(rt, (*api.Client).Window, mergeWindow))
+	m.HandleFunc("GET /v1/trackers/{name}/checkpoints", read(rt, (*api.Client).Checkpoints, mergeCheckpoints))
+	m.HandleFunc("GET /v1/trackers/{name}/stats", read(rt, (*api.Client).Stats, mergeStats))
 	m.HandleFunc("POST /v1/trackers/{name}/query", rt.handleQuery)
+	m.HandleFunc("POST /v1/trackers/{name}/actions", rt.handleIngest)
+	m.HandleFunc("GET /v1/trackers/{name}/influence", rt.handleInfluence)
 	rt.mux = m
 	go rt.probeLoop()
 	return rt, nil
@@ -250,79 +243,69 @@ func (rt *Router) gather(w http.ResponseWriter, errs []error) (partial, ok bool)
 		}
 		var apiErr *api.Error
 		if errors.As(err, &apiErr) {
-			writeAPIError(w, apiErr)
+			apiErr.Write(w)
 			return false, false
 		}
 		partial = true
 	}
 	if answered == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shard reachable")
+		api.WriteError(w, http.StatusServiceUnavailable, "no shard reachable")
 		return false, false
 	}
 	return partial, true
 }
 
-// writeJSON emits v with status code, flagging partial merges with the
-// X-Partial header (set before the status line goes out).
-func writeJSON(w http.ResponseWriter, code int, partial bool, v any) {
-	if partial {
-		w.Header().Set("X-Partial", "true")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+// head is what every merged DTO says about the cluster as a whole, folded
+// once for all of them (see ask): the lifetime processed total, the oldest
+// window start still covered, and whether a shard is missing from the answer.
+type head struct {
+	Processed   int64
+	WindowStart sim.ActionID
+	Partial     bool
 }
 
-// writeError emits the api.ErrorResponse envelope — the same error
-// contract as a single server, so clients need no router-specific casing.
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, false, api.ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
+// add folds one answered shard's counters into h. A tracker that has
+// processed nothing reports a window start of −N, which is no window at all,
+// so the oldest start is taken over the shards that have processed something
+// and is the first shard's only when none has — the merged value does not
+// depend on which shard is the empty one.
+func (h *head) add(first bool, processed int64, windowStart sim.ActionID) {
+	if first || (processed > 0 && (h.Processed == 0 || windowStart < h.WindowStart)) {
+		h.WindowStart = windowStart
+	}
+	h.Processed += processed
 }
 
-// writeAPIError passes a shard's error through unchanged, Retry-After
-// included.
-func writeAPIError(w http.ResponseWriter, e *api.Error) {
-	if e.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int(e.RetryAfter/time.Second)))
-	}
-	writeError(w, e.Code, "%s", e.Message)
-}
-
-// specFor resolves a tracker's spec, consulting the cache first and then
-// the shard fleet's /v1/trackers (any healthy shard will do: the fleet is
-// homogeneously configured). The spec drives routing decisions the router
-// cannot infer from a request alone — most importantly whether the tracker
-// is name-mode (hash raw names) or numeric (hash IDs).
-func (rt *Router) specFor(ctx context.Context, name string) (api.Spec, error) {
-	rt.mu.RLock()
-	sp, ok := rt.specs[name]
-	rt.mu.RUnlock()
-	if ok {
-		return sp, nil
-	}
-	var lastErr error = &api.Error{Code: http.StatusNotFound, Message: fmt.Sprintf("unknown tracker %q", name)}
-	for _, s := range rt.shards {
-		if s.isDown() {
-			continue
-		}
-		resp, err := s.client.List(ctx)
-		if err != nil {
-			s.noteErr(err)
-			lastErr = err
-			continue
-		}
-		rt.mu.Lock()
-		for _, ti := range resp.Trackers {
+// note is the one place that knows where each shard DTO (resp points at
+// one) keeps the counters head folds. It returns them, and refreshes what the router remembers of
+// shard i between requests: procCache, and from a tracker list the specs too.
+func (rt *Router) note(name string, i int, resp any) (processed int64, windowStart sim.ActionID) {
+	switch r := resp.(type) {
+	case *api.ListResponse:
+		for _, ti := range r.Trackers {
+			rt.mu.Lock()
 			rt.specs[ti.Name] = ti.Spec
+			rt.mu.Unlock()
+			rt.noteProcessed(ti.Name, i, ti.Processed)
 		}
-		sp, ok = rt.specs[name]
-		rt.mu.Unlock()
-		if ok {
-			return sp, nil
-		}
-		return api.Spec{}, &api.Error{Code: http.StatusNotFound, Message: fmt.Sprintf("unknown tracker %q", name)}
+		return 0, 0
+	case *api.CandidatesResponse:
+		processed, windowStart = r.Processed, r.WindowStart
+	case *api.WindowResponse:
+		processed, windowStart = r.Processed, r.WindowStart
+	case *api.QueryResponse:
+		processed, windowStart = r.Processed, r.WindowStart
+	case *api.ValueResponse:
+		processed = r.Processed
+	case *api.StatsResponse:
+		processed = r.Stats.Processed
+	case *api.CheckpointsResponse: // carries neither
+		return 0, 0
+	default:
+		panic(fmt.Sprintf("router: no counters known for a shard's %T: add it to note", resp))
 	}
-	return api.Spec{}, lastErr
+	rt.noteProcessed(name, i, processed)
+	return processed, windowStart
 }
 
 // noteProcessed records shard i's last reported lifetime processed count
@@ -345,6 +328,265 @@ func (rt *Router) cachedProcessed(name string, i int) int64 {
 		return c[i]
 	}
 	return 0
+}
+
+// ask is the scatter-gather under every merged read of tracker name: run call
+// on every live shard, let gather decide the outcome, and return the answered
+// shards' responses — in shard-index order, so float sums over them are
+// reproducible — with the head folded over them. ok=false means the response
+// is already written.
+func ask[T any](rt *Router, w http.ResponseWriter, name string, call func(*api.Client) (T, error)) (parts []T, h head, ok bool) {
+	resps := make([]T, len(rt.shards))
+	errs := rt.scatter(func(i int, s *shard) (err error) {
+		resps[i], err = call(s.client)
+		return err
+	})
+	if h.Partial, ok = rt.gather(w, errs); !ok {
+		return nil, h, false
+	}
+	for i := range resps {
+		if errs[i] == nil {
+			processed, windowStart := rt.note(name, i, &resps[i])
+			h.add(len(parts) == 0, processed, windowStart)
+			parts = append(parts, resps[i])
+		}
+	}
+	return parts, h, true
+}
+
+// writeMerged emits a merged answer, flagging one computed without every
+// shard with the X-Partial header (set before the status line goes out).
+func writeMerged(w http.ResponseWriter, partial bool, v any) {
+	if partial {
+		w.Header().Set("X-Partial", "true")
+	}
+	api.WriteJSON(w, http.StatusOK, v)
+}
+
+// read is every merged GET: ask each shard through call, fold the answers
+// with merge — a pure function of the head and at least one part, gather
+// having answered 503 otherwise — and write once.
+func read[T, M any](rt *Router, call func(*api.Client, context.Context, string) (T, error), merge func(head, []T) M) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		parts, h, ok := ask(rt, w, name, func(c *api.Client) (T, error) { return call(c, r.Context(), name) })
+		if ok {
+			writeMerged(w, h.Partial, merge(h, parts))
+		}
+	}
+}
+
+// list adapts the one shard call that takes no tracker name to read.
+func list(c *api.Client, ctx context.Context, _ string) (api.ListResponse, error) {
+	return c.List(ctx)
+}
+
+// mergeList merges the shard fleets' tracker lists. The fleet is
+// homogeneously configured, so specs come from the first shard that
+// reports a tracker and Processed counts sum across shards.
+func mergeList(h head, parts []api.ListResponse) api.ListResponse {
+	merged := api.ListResponse{Trackers: []api.TrackerInfo{}, Partial: h.Partial}
+	index := map[string]int{}
+	for _, p := range parts {
+		for _, ti := range p.Trackers {
+			if j, seen := index[ti.Name]; seen {
+				merged.Trackers[j].Processed += ti.Processed
+			} else {
+				index[ti.Name] = len(merged.Trackers)
+				merged.Trackers = append(merged.Trackers, ti)
+			}
+		}
+	}
+	slices.SortFunc(merged.Trackers, func(a, b api.TrackerInfo) int { return strings.Compare(a.Name, b.Name) })
+	return merged
+}
+
+// mergeSeeds is the distributed seed selection: every shard ranks its own
+// candidate pool (the ranked form of its candidates endpoint: its lazy-greedy
+// picks in order, each with its marginal gain, no influence sets) and the
+// router merges the rankings. User partitioning makes shard influence
+// universes disjoint, so a pick on one shard changes no marginal gain on
+// another, and greedy over the union of the pools is exactly the merge of
+// the shards' own greedy sequences by (gain descending, user ascending) —
+// the order each sequence already has. Value is the sum of the merged gains:
+// the exact coverage of the selection in the partitioned universe.
+//
+// Name-mode shards — told apart by their candidates, every one of which
+// carries its name — number users independently, so there a tie between
+// shards goes to the lower shard index instead of the lower user ID, Seeds
+// carries each seed's ID on its own shard, and Names is the identity.
+func mergeSeeds(h head, parts []api.CandidatesResponse) api.SeedsResponse {
+	out := api.SeedsResponse{Seeds: []sim.UserID{}, WindowStart: h.WindowStart, Processed: h.Processed, Partial: h.Partial}
+	k := 0
+	ranks := make([][]api.CandidateSeed, len(parts)) // each shard's picks not merged yet
+	for i, p := range parts {
+		k = max(k, p.K)
+		ranks[i] = p.Candidates
+	}
+	for len(out.Seeds) < k {
+		best := -1
+		for i, rank := range ranks {
+			if len(rank) == 0 {
+				continue
+			}
+			if best < 0 || rank[0].Gain > ranks[best][0].Gain ||
+				(rank[0].Name == "" && rank[0].Gain == ranks[best][0].Gain && rank[0].User < ranks[best][0].User) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		pick := ranks[best][0]
+		ranks[best] = ranks[best][1:]
+		out.Seeds = append(out.Seeds, pick.User)
+		out.Value += pick.Gain
+		if pick.Name != "" {
+			out.Names = append(out.Names, pick.Name)
+		}
+	}
+	return out
+}
+
+// mergeCandidates is the merged candidate pool: the concatenation of the
+// shard pools (disjoint universes — no dedup needed), K as the fleet's
+// budget, Value as the additive sum of shard-local objectives.
+func mergeCandidates(h head, parts []api.CandidatesResponse) api.CandidatesResponse {
+	merged := api.CandidatesResponse{
+		Candidates: []api.CandidateSeed{}, WindowStart: h.WindowStart, Processed: h.Processed, Partial: h.Partial,
+	}
+	for _, p := range parts {
+		merged.K = max(merged.K, p.K)
+		merged.Value += p.Value
+		merged.Candidates = append(merged.Candidates, p.Candidates...)
+	}
+	return merged
+}
+
+// mergeValue sums the shard objectives: shard influence universes are
+// disjoint, so the sum never double counts — the merge is exact, not a
+// bound (see ARCHITECTURE.md "Cluster topology").
+func mergeValue(h head, parts []api.ValueResponse) api.ValueResponse {
+	out := api.ValueResponse{Processed: h.Processed, Partial: h.Partial}
+	for _, p := range parts {
+		out.Value += p.Value
+	}
+	return out
+}
+
+// mergeWindow reports the merged window: the oldest window start any shard
+// still covers, with the cluster-total processed count — the head itself.
+func mergeWindow(h head, _ []api.WindowResponse) api.WindowResponse {
+	return api.WindowResponse{WindowStart: h.WindowStart, Processed: h.Processed, Partial: h.Partial}
+}
+
+// mergeCheckpoints merges checkpoint ledgers by start ID: starts union
+// (sorted ascending, as a single server reports them), values summing
+// where shards share a start — exact for the same disjoint-universe
+// reason as /value.
+func mergeCheckpoints(h head, parts []api.CheckpointsResponse) api.CheckpointsResponse {
+	byStart := make(map[sim.ActionID]float64)
+	for _, p := range parts {
+		for j, start := range p.Starts {
+			v := 0.0
+			if j < len(p.Values) {
+				v = p.Values[j]
+			}
+			byStart[start] += v
+		}
+	}
+	out := api.CheckpointsResponse{
+		Checkpoints: len(byStart),
+		Starts:      make([]sim.ActionID, 0, len(byStart)),
+		Values:      make([]float64, 0, len(byStart)),
+		Partial:     h.Partial,
+	}
+	for start := range byStart {
+		out.Starts = append(out.Starts, start)
+	}
+	slices.Sort(out.Starts)
+	for _, start := range out.Starts {
+		out.Values = append(out.Values, byStart[start])
+	}
+	return out
+}
+
+// mergeStats sums the shard counters. Processed, ElementsFed, queue
+// depths and checkpoint totals add; AvgCheckpoints is the processed-
+// weighted mean so the cluster figure matches what one tracker over the
+// union stream would report for the same per-action checkpoint counts.
+func mergeStats(h head, parts []api.StatsResponse) api.StatsResponse {
+	out := api.StatsResponse{Partial: h.Partial}
+	out.Stats.Framework, out.Stats.Oracle = parts[0].Stats.Framework, parts[0].Stats.Oracle
+	out.Stats.Processed = h.Processed
+	var weighted float64
+	for _, p := range parts {
+		out.Stats.Checkpoints += p.Stats.Checkpoints
+		out.Stats.ElementsFed += p.Stats.ElementsFed
+		weighted += p.Stats.AvgCheckpoints * float64(p.Stats.Processed)
+		out.CheckpointsCreated += p.CheckpointsCreated
+		out.CheckpointsDeleted += p.CheckpointsDeleted
+		out.QueueDepth += p.QueueDepth
+		out.QueueCapacity += p.QueueCapacity
+	}
+	if h.Processed > 0 {
+		out.Stats.AvgCheckpoints = weighted / float64(h.Processed)
+	}
+	return out
+}
+
+// mergeQuery concatenates the shards' row streams in shard order; handleQuery
+// re-applies the plan's trailing operators and the row limit to the result.
+func mergeQuery(h head, parts []api.QueryResponse) api.QueryResponse {
+	out := api.QueryResponse{Columns: parts[0].Columns, Processed: h.Processed, WindowStart: h.WindowStart, Partial: h.Partial}
+	for _, p := range parts {
+		out.Rows = append(out.Rows, p.Rows...)
+		out.Truncated = out.Truncated || p.Truncated
+	}
+	return out
+}
+
+// spec resolves the spec of the tracker a request names, consulting the
+// cache first and then the shard fleet's /v1/trackers (any healthy shard will
+// do: the fleet is homogeneously configured). The spec drives the routing
+// decision the router cannot infer from a request alone: whether the tracker
+// is name-mode (hash raw names) or numeric (hash IDs). When it cannot be had
+// the answer is the last asked shard's own error, 503 for a shard that could
+// not be reached, 404 when none could be asked; ok=false means that response
+// is already written.
+func (rt *Router) spec(w http.ResponseWriter, r *http.Request) (name string, sp api.Spec, ok bool) {
+	name = r.PathValue("name")
+	cached := func() bool {
+		rt.mu.RLock()
+		defer rt.mu.RUnlock()
+		sp, ok = rt.specs[name]
+		return ok
+	}
+	if cached() {
+		return name, sp, true
+	}
+	unknown := &api.Error{Code: http.StatusNotFound, Message: fmt.Sprintf("unknown tracker %q", name)}
+	fail := unknown
+	for i, s := range rt.shards {
+		if s.isDown() {
+			continue
+		}
+		resp, err := s.client.List(r.Context())
+		if err == nil {
+			rt.note(name, i, &resp)
+			if cached() {
+				return name, sp, true
+			}
+			fail = unknown
+			break
+		}
+		s.noteErr(err)
+		if !errors.As(err, &fail) {
+			fail = &api.Error{Code: http.StatusServiceUnavailable, Message: fmt.Sprintf("resolving tracker %q: %v", name, err)}
+		}
+	}
+	fail.Write(w)
+	return name, sp, false
 }
 
 // handleClusterHealth probes every shard — down ones included, so a GET
@@ -387,44 +629,7 @@ func (rt *Router) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, false, resp)
-}
-
-// handleList merges the shard fleets' tracker lists. The fleet is
-// homogeneously configured, so specs come from the first shard that
-// reports a tracker and Processed counts sum across shards.
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	resps := make([]api.ListResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.List(r.Context())
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
-	if !ok {
-		return
-	}
-	merged := api.ListResponse{Trackers: []api.TrackerInfo{}, Partial: partial}
-	index := map[string]int{}
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		for _, ti := range resps[i].Trackers {
-			rt.mu.Lock()
-			rt.specs[ti.Name] = ti.Spec
-			rt.mu.Unlock()
-			rt.noteProcessed(ti.Name, i, ti.Processed)
-			if j, seen := index[ti.Name]; seen {
-				merged.Trackers[j].Processed += ti.Processed
-			} else {
-				index[ti.Name] = len(merged.Trackers)
-				merged.Trackers = append(merged.Trackers, ti)
-			}
-		}
-	}
-	sort.Slice(merged.Trackers, func(a, b int) bool { return merged.Trackers[a].Name < merged.Trackers[b].Name })
-	writeJSON(w, http.StatusOK, partial, merged)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleIngest partitions the NDJSON body by acting user and fans the
@@ -436,15 +641,8 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // response body names the shards that did apply their part (per-shard
 // atomicity: the router does not undo applied sub-batches).
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	sp, err := rt.specFor(r.Context(), name)
-	if err != nil {
-		var apiErr *api.Error
-		if errors.As(err, &apiErr) {
-			writeAPIError(w, apiErr)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "resolving tracker %q: %v", name, err)
+	name, sp, ok := rt.spec(w, r)
+	if !ok {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)
@@ -452,10 +650,11 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	numParts := make([][]sim.Action, n)
 	nameParts := make([][]api.NamedAction, n)
 	total := 0
+	var err error
 	if sp.Names {
-		err = dataio.ReadNDJSONNamed(body, func(a dataio.NamedAction) bool {
+		err = dataio.ReadNDJSONNamed(body, func(a api.NamedAction) bool {
 			i := rt.ring.ShardForName(a.User)
-			nameParts[i] = append(nameParts[i], api.NamedAction{ID: a.ID, User: a.User, Parent: a.Parent})
+			nameParts[i] = append(nameParts[i], a)
 			total++
 			return true
 		})
@@ -470,10 +669,10 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
+			api.WriteError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	processed := make([]int64, n)
@@ -513,286 +712,19 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if failErr != nil {
-		code := http.StatusServiceUnavailable
-		msg := failErr.Error()
+		fail := &api.Error{Code: http.StatusServiceUnavailable, Message: failErr.Error()}
 		var apiErr *api.Error
 		if errors.As(failErr, &apiErr) {
-			code = apiErr.Code
-			msg = apiErr.Message
+			fail.Code, fail.Message = apiErr.Code, apiErr.Message
 		}
-		if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
+		if fail.Temporary() {
+			fail.RetryAfter = time.Second
 		}
-		writeError(w, code, "shards %v failed (%s); shards %v applied their sub-batches",
-			failedOwners, msg, applied)
+		fail.Message = fmt.Sprintf("shards %v failed (%s); shards %v applied their sub-batches", failedOwners, fail.Message, applied)
+		fail.Write(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, false, api.IngestResponse{Accepted: total, Processed: sum})
-}
-
-// handleSeeds is the distributed seed selection: every shard ranks its own
-// candidate pool (the ranked form of its candidates endpoint: its lazy-greedy
-// picks in order, each with its marginal gain, no influence sets) and the
-// router merges the rankings. User partitioning makes shard influence
-// universes disjoint, so a pick on one shard changes no marginal gain on
-// another, and greedy over the union of the pools is exactly the merge of
-// the shards' own greedy sequences by (gain descending, user ascending) —
-// the order each sequence already has. Value is the sum of the merged gains:
-// the exact coverage of the selection in the partitioned universe.
-//
-// Name-mode shards number users independently, so there a tie between
-// shards goes to the lower shard index instead of the lower user ID, Seeds
-// carries each seed's ID on its own shard, and Names is the identity.
-func (rt *Router) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	resps := make([]api.CandidatesResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.CandidatesRanked(r.Context(), name)
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
-	if !ok {
-		return
-	}
-	named := rt.nameMode(r.Context(), name, resps, errs)
-	out := api.SeedsResponse{Seeds: []sim.UserID{}, WindowStart: -1, Partial: partial}
-	k := 0
-	ranks := make([][]api.CandidateSeed, len(rt.shards)) // each shard's picks not merged yet
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		resp := resps[i]
-		k = max(k, resp.K)
-		out.Processed += resp.Processed
-		rt.noteProcessed(name, i, resp.Processed)
-		if out.WindowStart < 0 || resp.WindowStart < out.WindowStart {
-			out.WindowStart = resp.WindowStart
-		}
-		ranks[i] = resp.Candidates
-	}
-	for len(out.Seeds) < k {
-		best := -1
-		for i, rank := range ranks {
-			if len(rank) == 0 {
-				continue
-			}
-			if best < 0 || rank[0].Gain > ranks[best][0].Gain ||
-				(!named && rank[0].Gain == ranks[best][0].Gain && rank[0].User < ranks[best][0].User) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		pick := ranks[best][0]
-		ranks[best] = ranks[best][1:]
-		out.Seeds = append(out.Seeds, pick.User)
-		out.Value += pick.Gain
-		if named {
-			out.Names = append(out.Names, pick.Name)
-		}
-	}
-	writeJSON(w, http.StatusOK, partial, out)
-}
-
-// nameMode reports whether the tracker is name-mode, preferring the spec
-// cache and falling back to inspecting the candidate responses (a
-// candidate with a name ⇒ name mode) so seeds still merge correctly if the
-// spec lookup raced a shard restart.
-func (rt *Router) nameMode(ctx context.Context, name string, resps []api.CandidatesResponse, errs []error) bool {
-	if sp, err := rt.specFor(ctx, name); err == nil {
-		return sp.Names
-	}
-	for i := range resps {
-		if errs[i] != nil {
-			continue
-		}
-		for _, c := range resps[i].Candidates {
-			return c.Name != ""
-		}
-	}
-	return false
-}
-
-// handleCandidates serves the merged candidate pool: the concatenation of
-// the shard pools (disjoint universes — no dedup needed), K as the fleet's
-// budget, Value as the additive sum of shard-local objectives.
-func (rt *Router) handleCandidates(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	resps := make([]api.CandidatesResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.Candidates(r.Context(), name)
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
-	if !ok {
-		return
-	}
-	merged := api.CandidatesResponse{Candidates: []api.CandidateSeed{}, WindowStart: -1}
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		resp := resps[i]
-		if resp.K > merged.K {
-			merged.K = resp.K
-		}
-		merged.Value += resp.Value
-		merged.Processed += resp.Processed
-		if merged.WindowStart < 0 || resp.WindowStart < merged.WindowStart {
-			merged.WindowStart = resp.WindowStart
-		}
-		merged.Candidates = append(merged.Candidates, resp.Candidates...)
-	}
-	writeJSON(w, http.StatusOK, partial, merged)
-}
-
-// handleValue sums the shard objectives: shard influence universes are
-// disjoint, so the sum never double counts — the merge is exact, not a
-// bound (see ARCHITECTURE.md "Cluster topology").
-func (rt *Router) handleValue(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	resps := make([]api.ValueResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.Value(r.Context(), name)
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
-	if !ok {
-		return
-	}
-	out := api.ValueResponse{Partial: partial}
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		out.Value += resps[i].Value
-		out.Processed += resps[i].Processed
-		rt.noteProcessed(name, i, resps[i].Processed)
-	}
-	writeJSON(w, http.StatusOK, partial, out)
-}
-
-// handleWindow reports the merged window: the oldest window start any
-// shard still covers, with the cluster-total processed count.
-func (rt *Router) handleWindow(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	resps := make([]api.WindowResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.Window(r.Context(), name)
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
-	if !ok {
-		return
-	}
-	out := api.WindowResponse{WindowStart: -1, Partial: partial}
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		if out.WindowStart < 0 || resps[i].WindowStart < out.WindowStart {
-			out.WindowStart = resps[i].WindowStart
-		}
-		out.Processed += resps[i].Processed
-	}
-	writeJSON(w, http.StatusOK, partial, out)
-}
-
-// handleCheckpoints merges checkpoint ledgers by start ID: starts union
-// (sorted ascending, as a single server reports them), values summing
-// where shards share a start — exact for the same disjoint-universe
-// reason as /value.
-func (rt *Router) handleCheckpoints(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	resps := make([]api.CheckpointsResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.Checkpoints(r.Context(), name)
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
-	if !ok {
-		return
-	}
-	byStart := make(map[sim.ActionID]float64)
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		for j, start := range resps[i].Starts {
-			v := 0.0
-			if j < len(resps[i].Values) {
-				v = resps[i].Values[j]
-			}
-			byStart[start] += v
-		}
-	}
-	out := api.CheckpointsResponse{
-		Checkpoints: len(byStart),
-		Starts:      make([]sim.ActionID, 0, len(byStart)),
-		Values:      make([]float64, 0, len(byStart)),
-		Partial:     partial,
-	}
-	for start := range byStart {
-		out.Starts = append(out.Starts, start)
-	}
-	sort.Slice(out.Starts, func(a, b int) bool { return out.Starts[a] < out.Starts[b] })
-	for _, start := range out.Starts {
-		out.Values = append(out.Values, byStart[start])
-	}
-	writeJSON(w, http.StatusOK, partial, out)
-}
-
-// handleStats sums the shard counters. Processed, ElementsFed, queue
-// depths and checkpoint totals add; AvgCheckpoints is the processed-
-// weighted mean so the cluster figure matches what one tracker over the
-// union stream would report for the same per-action checkpoint counts.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	resps := make([]api.StatsResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.Stats(r.Context(), name)
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
-	if !ok {
-		return
-	}
-	var out api.StatsResponse
-	first := true
-	var weighted float64
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		resp := resps[i]
-		if first {
-			out.Stats.Framework = resp.Stats.Framework
-			out.Stats.Oracle = resp.Stats.Oracle
-			first = false
-		}
-		out.Stats.Processed += resp.Stats.Processed
-		out.Stats.Checkpoints += resp.Stats.Checkpoints
-		out.Stats.ElementsFed += resp.Stats.ElementsFed
-		weighted += resp.Stats.AvgCheckpoints * float64(resp.Stats.Processed)
-		out.CheckpointsCreated += resp.CheckpointsCreated
-		out.CheckpointsDeleted += resp.CheckpointsDeleted
-		out.QueueDepth += resp.QueueDepth
-		out.QueueCapacity += resp.QueueCapacity
-		rt.noteProcessed(name, i, resp.Stats.Processed)
-	}
-	if out.Stats.Processed > 0 {
-		out.Stats.AvgCheckpoints = weighted / float64(out.Stats.Processed)
-	}
-	out.Partial = partial
-	writeJSON(w, http.StatusOK, partial, out)
+	api.WriteJSON(w, http.StatusOK, api.IngestResponse{Accepted: total, Processed: sum})
 }
 
 // handleInfluence routes to the single shard that owns the user: all of a
@@ -800,36 +732,29 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 // shard, so this read needs no merge at all. A down owner is a plain 503 —
 // there is no partial answer to a single-owner read.
 func (rt *Router) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	sp, err := rt.specFor(r.Context(), name)
-	if err != nil {
-		var apiErr *api.Error
-		if errors.As(err, &apiErr) {
-			writeAPIError(w, apiErr)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "resolving tracker %q: %v", name, err)
+	name, sp, ok := rt.spec(w, r)
+	if !ok {
 		return
 	}
 	user := r.URL.Query().Get("user")
 	var idx int
 	if sp.Names {
 		if user == "" {
-			writeError(w, http.StatusBadRequest, "missing user parameter")
+			api.WriteError(w, http.StatusBadRequest, "missing user parameter")
 			return
 		}
 		idx = rt.ring.ShardForName(user)
 	} else {
 		u64, perr := strconv.ParseUint(user, 10, 32)
 		if perr != nil {
-			writeError(w, http.StatusBadRequest, "bad or missing user parameter %q", user)
+			api.WriteError(w, http.StatusBadRequest, "bad or missing user parameter %q", user)
 			return
 		}
 		idx = rt.ring.ShardForID(sim.UserID(u64))
 	}
 	s := rt.shards[idx]
 	if s.isDown() {
-		writeError(w, http.StatusServiceUnavailable, "shard %s owning user %q is down", s.addr, user)
+		api.WriteError(w, http.StatusServiceUnavailable, "shard %s owning user %q is down", s.addr, user)
 		return
 	}
 	resp, err := s.client.Influence(r.Context(), name, user)
@@ -837,115 +762,64 @@ func (rt *Router) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		s.noteErr(err)
 		var apiErr *api.Error
 		if errors.As(err, &apiErr) {
-			writeAPIError(w, apiErr)
+			apiErr.Write(w)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, "shard %s: %v", s.addr, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "shard %s: %v", s.addr, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, false, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleQuery pushes the plan down to every shard unchanged and merges the
 // row streams in shard order. Order- and cardinality-sensitive trailing
 // operators (topk, limit) are re-applied router-side on the merged stream:
 // a per-shard topk keeps each shard's local top K, so the union is a
-// superset of the global top K and one more sort/truncate yields exactly
-// the single-server answer. A topk buried mid-plan (followed by joins or
+// superset of the global top K and one more topk yields exactly the
+// single-server answer. A topk buried mid-plan (followed by joins or
 // filters) cannot be re-applied after the fact; the merged result is then
 // the union of per-shard answers, which is the documented pushdown
 // semantics.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req api.QueryRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad query request: %v", err)
-		return
-	}
-	if req.Limit < 0 {
-		writeError(w, http.StatusBadRequest, "bad query request: negative limit %d", req.Limit)
-		return
-	}
-	resps := make([]api.QueryResponse, len(rt.shards))
-	errs := rt.scatter(func(i int, s *shard) error {
-		var err error
-		resps[i], err = s.client.Query(r.Context(), name, req)
-		return err
-	})
-	partial, ok := rt.gather(w, errs)
+	req, limit, ok := api.DecodeQuery(w, r)
 	if !ok {
 		return
 	}
-	out := api.QueryResponse{WindowStart: -1, Partial: partial}
-	for i := range rt.shards {
-		if errs[i] != nil {
-			continue
-		}
-		resp := resps[i]
-		if out.Columns == nil {
-			out.Columns = resp.Columns
-		}
-		out.Rows = append(out.Rows, resp.Rows...)
-		out.Truncated = out.Truncated || resp.Truncated
-		out.Processed += resp.Processed
-		if out.WindowStart < 0 || resp.WindowStart < out.WindowStart {
-			out.WindowStart = resp.WindowStart
-		}
+	parts, h, ok := ask(rt, w, name, func(c *api.Client) (api.QueryResponse, error) {
+		return c.Query(r.Context(), name, req)
+	})
+	if !ok {
+		return
 	}
-	out.Rows = reapplyTrailing(req.Plan.Ops, out.Columns, out.Rows)
-	limit := req.Limit
-	if limit == 0 || limit > DefaultQueryRowLimit {
-		limit = DefaultQueryRowLimit
+	out := mergeQuery(h, parts)
+	rows, truncated, err := reapplyTrailing(req.Plan.Ops, out.Columns, out.Rows, limit)
+	if err != nil {
+		// Every shard compiled these operators against these columns.
+		api.WriteError(w, http.StatusInternalServerError, "re-applying the plan to the merged rows: %v", err)
+		return
 	}
-	if len(out.Rows) > limit {
-		out.Rows = out.Rows[:limit]
-		out.Truncated = true
-	}
-	if out.Rows == nil {
-		out.Rows = []query.Row{}
-	}
-	writeJSON(w, http.StatusOK, partial, out)
+	out.Rows, out.Truncated = rows, out.Truncated || truncated
+	writeMerged(w, h.Partial, out)
 }
 
-// reapplyTrailing re-runs the plan's trailing topk/limit operators on the
-// merged rows. Only the trailing run is sound to replay: an operator
-// sandwiched between others already had its output transformed per-shard.
-func reapplyTrailing(ops []query.Op, columns []string, rows []query.Row) []query.Row {
+// reapplyTrailing re-runs the plan's trailing topk/limit operators — the
+// query package's own, whose topk is stable on input order — on the merged
+// rows and cuts the result to limit rows. Only the trailing run is sound to
+// replay: an operator sandwiched between others already had its output
+// transformed per-shard.
+func reapplyTrailing(ops []query.Op, columns []string, rows []query.Row, limit int) ([]query.Row, bool, error) {
 	start := len(ops)
 	for start > 0 && (ops[start-1].Op == "topk" || ops[start-1].Op == "limit") {
 		start--
 	}
-	for _, op := range ops[start:] {
-		switch op.Op {
-		case "topk":
-			ci := -1
-			for i, c := range columns {
-				if c == op.Col {
-					ci = i
-					break
-				}
-			}
-			if ci < 0 {
-				continue
-			}
-			desc := op.Desc
-			sort.SliceStable(rows, func(a, b int) bool {
-				cmp := rows[a][ci].Compare(rows[b][ci])
-				if desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			})
-			if op.K >= 0 && len(rows) > op.K {
-				rows = rows[:op.K]
-			}
-		case "limit":
-			if op.N >= 0 && len(rows) > op.N {
-				rows = rows[:op.N]
-			}
-		}
+	rel, err := (&query.Plan{Ops: ops[start:]}).Over(query.Rows(columns, rows), query.Env{})
+	if err != nil {
+		return nil, false, err
 	}
-	return rows
+	rows, truncated := query.Collect(rel, limit)
+	if rows == nil {
+		rows = []query.Row{}
+	}
+	return rows, truncated, nil
 }

@@ -109,7 +109,6 @@ type RecoveryInfo struct {
 type durability struct {
 	dir      string
 	fs       fault.FS
-	clock    fault.Clock
 	lock     fault.File // exclusive data-dir flock, held for the tracker's lifetime
 	wal      *wal
 	walLimit int64
@@ -149,12 +148,9 @@ type durability struct {
 // returns it with the open durable state. With no prior files it starts
 // fresh. A snapshot that exists but fails to load is a hard error: silently
 // starting empty would masquerade as data loss.
-func recoverTracker(fs fault.FS, clock fault.Clock, dir string, cfg sim.Config, walLimit int64, names *intern.Table) (*sim.Tracker, *durability, RecoveryInfo, error) {
+func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, names *intern.Table) (*sim.Tracker, *durability, RecoveryInfo, error) {
 	if fs == nil {
 		fs = fault.OS()
-	}
-	if clock == nil {
-		clock = fault.WallClock()
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, RecoveryInfo{}, fmt.Errorf("server: creating data dir: %w", err)
@@ -240,10 +236,10 @@ func recoverTracker(fs fault.FS, clock fault.Clock, dir string, cfg sim.Config, 
 		walLimit = DefaultSnapshotWALBytes
 	}
 	d := &durability{
-		dir: dir, fs: fs, clock: clock, lock: lock, wal: w, walLimit: walLimit,
+		dir: dir, fs: fs, lock: lock, wal: w, walLimit: walLimit,
 		// Deterministic per-boot jitter stream; the seed value is irrelevant
 		// to correctness (jitter only de-synchronizes retry storms).
-		rng: rand.New(rand.NewSource(clock.Now().UnixNano())),
+		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if names != nil {
 		if err := d.openNames(names); err != nil {
@@ -403,7 +399,7 @@ func (d *durability) maybeSnapshot(tr *sim.Tracker, force bool) bool {
 	if !force && d.wal.size < d.walLimit {
 		return false
 	}
-	if !force && d.clock.Now().Before(d.nextAttempt) {
+	if !force && time.Now().Before(d.nextAttempt) {
 		return false // backing off after a recent failure
 	}
 	if err := d.writeSnapshot(tr); err != nil {
@@ -436,7 +432,7 @@ func (d *durability) snapshotFailed(err error) {
 		}
 	}
 	wait := d.backoff/2 + time.Duration(d.rng.Int63n(int64(d.backoff/2)+1))
-	d.nextAttempt = d.clock.Now().Add(wait)
+	d.nextAttempt = time.Now().Add(wait)
 }
 
 // snapshotSucceeded clears the degraded-durability signal and backoff.
@@ -452,7 +448,7 @@ func (d *durability) snapshotSucceeded() {
 // when the tracker is fully durable again. Attempts respect the snapshot
 // backoff schedule so a still-sick disk is probed, not hammered.
 func (d *durability) rearm(tr *sim.Tracker) bool {
-	if d.clock.Now().Before(d.nextAttempt) {
+	if time.Now().Before(d.nextAttempt) {
 		return false
 	}
 	if err := d.writeSnapshot(tr); err != nil {

@@ -351,14 +351,14 @@ func TestDataDirLock(t *testing.T) {
 	if _, err := reg.Add("default", durableSpec); err != nil {
 		t.Fatal(err)
 	}
-	if tr, _, _, err := recoverTracker(nil, nil, filepath.Join(dir, "default"), durableSpec.Config(), 0, nil); err == nil {
+	if tr, _, _, err := recoverTracker(nil, filepath.Join(dir, "default"), durableSpec.Config(), 0, nil); err == nil {
 		tr.Close()
 		t.Fatal("second recovery of a locked data dir succeeded")
 	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, d, _, err := recoverTracker(nil, nil, filepath.Join(dir, "default"), durableSpec.Config(), 0, nil)
+	tr, d, _, err := recoverTracker(nil, filepath.Join(dir, "default"), durableSpec.Config(), 0, nil)
 	if err != nil {
 		t.Fatalf("recovery after Close: %v", err)
 	}

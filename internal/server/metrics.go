@@ -11,8 +11,7 @@ import (
 //
 //	simserve_uptime_seconds                          server uptime
 //	simserve_trackers                                registered trackers
-//	simserve_ingested_total{tracker="..."}           accepted actions
-//	simserve_actions_per_sec{tracker="..."}          lifetime average ingest rate
+//	simserve_ingested_total{tracker="..."}           accepted actions (rate() of it is the ingest rate)
 //	simserve_value{tracker="..."}                    current influence value
 //	simserve_checkpoints_live{tracker="..."}         live checkpoints
 //	simserve_elements_fed_total{tracker="..."}       oracle updates (the O(d·N) term)
@@ -46,12 +45,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		snap := t.Snapshot()
 		depth, capacity := t.QueueDepth()
-		rate := 0.0
-		if up := time.Since(t.Started()).Seconds(); up > 0 {
-			rate = float64(snap.Processed) / up
-		}
 		fmt.Fprintf(w, "simserve_ingested_total{tracker=%q} %d\n", name, snap.Processed)
-		fmt.Fprintf(w, "simserve_actions_per_sec{tracker=%q} %.1f\n", name, rate)
 		fmt.Fprintf(w, "simserve_value{tracker=%q} %g\n", name, snap.Value)
 		fmt.Fprintf(w, "simserve_checkpoints_live{tracker=%q} %d\n", name, snap.Checkpoints)
 		fmt.Fprintf(w, "simserve_elements_fed_total{tracker=%q} %d\n", name, snap.ElementsFed)

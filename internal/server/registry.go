@@ -104,13 +104,12 @@ type outcome struct {
 // carry — the influence set of a user outside the candidate pool — which is
 // read by a closure on the loop itself (Query).
 type Tracked struct {
-	name    string
-	spec    api.Spec
-	tr      *sim.Tracker
-	in      chan command
-	quit    chan struct{} // closed by Close: unblocks pending enqueues
-	done    chan struct{} // closed when the loop has drained and exited
-	started time.Time
+	name string
+	spec api.Spec
+	tr   *sim.Tracker
+	in   chan command
+	quit chan struct{} // closed by Close: unblocks pending enqueues
+	done chan struct{} // closed when the loop has drained and exited
 
 	// names interns external user names to dense IDs on name-mode trackers
 	// (Spec.Names); nil otherwise. Handlers intern concurrently (the table
@@ -130,8 +129,7 @@ type Tracked struct {
 	state atomic.Int32
 
 	// enqueueDeadline bounds the wait for space in a full queue before
-	// shedding (ErrOverloaded); < 0 means block until the context expires
-	// (the pre-admission-control behavior).
+	// shedding (ErrOverloaded).
 	enqueueDeadline time.Duration
 	// shed counts commands rejected by the enqueue deadline; qHighWater is
 	// the deepest the queue has been at an enqueue.
@@ -156,9 +154,9 @@ type Tracked struct {
 // dataDir (snapshot + WAL replay) and every subsequent batch is logged
 // before it is applied. A non-empty spillDir attaches the cold tier there
 // (see sim.Config.SpillDir); cold segments referenced by the recovered
-// snapshot are mapped from it instead of replayed. fs/clock are the
-// environment seam (nil = real).
-func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.FS, clock fault.Clock) (*Tracked, error) {
+// snapshot are mapped from it instead of replayed. fs is the environment
+// seam (nil = the real filesystem).
+func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.FS) (*Tracked, error) {
 	var (
 		tr    *sim.Tracker
 		dur   *durability
@@ -178,7 +176,7 @@ func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.F
 		}
 	}
 	if dataDir != "" {
-		tr, dur, info, err = recoverTracker(fs, clock, dataDir, cfg, spec.SnapshotWALBytes, names)
+		tr, dur, info, err = recoverTracker(fs, dataDir, cfg, spec.SnapshotWALBytes, names)
 	} else if tr, err = sim.New(cfg); err == nil {
 		err = collectStrays(tr) // nothing on disk names a segment
 	}
@@ -200,7 +198,6 @@ func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.F
 		in:              make(chan command, queue),
 		quit:            make(chan struct{}),
 		done:            make(chan struct{}),
-		started:         time.Now(),
 		names:           names,
 		dur:             dur,
 		recovered:       info,
@@ -272,9 +269,6 @@ func (t *Tracked) Spec() api.Spec { return t.spec }
 // Names returns the tracker's intern table on name-mode trackers
 // (Spec.Names), nil otherwise.
 func (t *Tracked) Names() *intern.Table { return t.names }
-
-// Started returns when the tracker began serving.
-func (t *Tracked) Started() time.Time { return t.started }
 
 // QueueDepth returns the number of commands waiting for the ingest loop and
 // the queue's capacity.
@@ -435,8 +429,7 @@ func (t *Tracked) publish() {
 // to the tracker's enqueue deadline; past it the command is shed with
 // ErrOverloaded (admission control: a wedged consumer must not wedge HTTP
 // handlers too). It fails with ErrClosed once draining has begun and with
-// ctx.Err() if the caller's context expires first. A negative deadline
-// restores the unbounded-blocking behavior.
+// ctx.Err() if the caller's context expires first.
 func (t *Tracked) enqueue(ctx context.Context, c command) error {
 	t.mu.Lock()
 	if t.closed {
@@ -451,17 +444,6 @@ func (t *Tracked) enqueue(ctx context.Context, c command) error {
 		t.noteQueueDepth()
 		return nil
 	default:
-	}
-	if t.enqueueDeadline < 0 { // explicit opt-out: block until ctx/close
-		select {
-		case t.in <- c:
-			t.noteQueueDepth()
-			return nil
-		case <-t.quit:
-			return ErrClosed
-		case <-ctx.Done():
-			return ctx.Err()
-		}
 	}
 	timer := time.NewTimer(t.enqueueDeadline)
 	defer timer.Stop()
@@ -566,7 +548,6 @@ type Registry struct {
 	dataDir   string
 	spillBase string
 	fs        fault.FS
-	clock     fault.Clock
 }
 
 // NewRegistry returns an empty registry.
@@ -621,14 +602,6 @@ func (r *Registry) SetFS(fs fault.FS) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fs = fs
-}
-
-// SetClock overrides the time source of trackers added afterwards (backoff
-// schedules); nil means the wall clock. Call before Add.
-func (r *Registry) SetClock(c fault.Clock) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = c
 }
 
 // SetDataDir enables durability for trackers added afterwards: each gets
@@ -689,7 +662,7 @@ func (r *Registry) Add(name string, spec api.Spec) (*Tracked, error) {
 		// a snapshot taken under one (the budget is a runtime knob).
 		spillDir = filepath.Join(dir, "spill")
 	}
-	t, err := newTracked(name, spec, dir, spillDir, r.fs, r.clock)
+	t, err := newTracked(name, spec, dir, spillDir, r.fs)
 	if err != nil {
 		return nil, fmt.Errorf("server: tracker %q: %w", name, err)
 	}

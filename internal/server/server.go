@@ -38,7 +38,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -53,18 +52,6 @@ import (
 	"repro/sim"
 )
 
-// DefaultMaxBodyBytes caps an ingest request body (64 MiB, roughly 3M
-// NDJSON actions).
-const DefaultMaxBodyBytes = 64 << 20
-
-// DefaultQueryRowLimit caps the rows a /query response returns when the
-// request does not set its own limit. Truncation is reported in the
-// response, never an error.
-const DefaultQueryRowLimit = 10000
-
-// maxQueryBodyBytes caps a /query request body; plans are small.
-const maxQueryBodyBytes = 1 << 20
-
 // Version is the build version reported by GET /v1/healthz and the
 // simserve -version flag. Override at link time:
 //
@@ -77,7 +64,7 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 
-	// MaxBodyBytes caps ingest request bodies; 0 means DefaultMaxBodyBytes.
+	// MaxBodyBytes caps ingest request bodies; 0 means api.DefaultMaxBodyBytes.
 	// Set before serving.
 	MaxBodyBytes int64
 }
@@ -88,12 +75,12 @@ func New(reg *Registry) *Server {
 	s.mux.HandleFunc("POST /v1/trackers/{name}/actions", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/trackers/{name}/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/trackers", s.handleList)
-	s.mux.HandleFunc("GET /v1/trackers/{name}", s.handleSnapshot)
-	s.mux.HandleFunc("GET /v1/trackers/{name}/seeds", s.handleSeeds)
-	s.mux.HandleFunc("GET /v1/trackers/{name}/value", s.handleValue)
-	s.mux.HandleFunc("GET /v1/trackers/{name}/window", s.handleWindow)
-	s.mux.HandleFunc("GET /v1/trackers/{name}/checkpoints", s.handleCheckpoints)
-	s.mux.HandleFunc("GET /v1/trackers/{name}/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/trackers/{name}", s.read(snapshot))
+	s.mux.HandleFunc("GET /v1/trackers/{name}/seeds", s.read(seeds))
+	s.mux.HandleFunc("GET /v1/trackers/{name}/value", s.read(value))
+	s.mux.HandleFunc("GET /v1/trackers/{name}/window", s.read(window))
+	s.mux.HandleFunc("GET /v1/trackers/{name}/checkpoints", s.read(checkpoints))
+	s.mux.HandleFunc("GET /v1/trackers/{name}/stats", s.read(stats))
 	s.mux.HandleFunc("GET /v1/trackers/{name}/metrics", s.handleTrackerMetrics)
 	s.mux.HandleFunc("GET /v1/trackers/{name}/influence", s.handleInfluence)
 	s.mux.HandleFunc("GET /v1/trackers/{name}/candidates", s.handleCandidates)
@@ -153,7 +140,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if len(degraded) > 0 || len(states) > 0 || len(refused) > 0 {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, api.HealthResponse{
+	api.WriteJSON(w, http.StatusOK, api.HealthResponse{
 		Status:        status,
 		Version:       Version,
 		GoVersion:     runtime.Version(),
@@ -207,7 +194,7 @@ func (s *Server) handleTrackerMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.RecoveredWALBatches = info.WALBatches
 		resp.RecoveredWALActions = info.WALActions
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ServeHTTP dispatches to the v1 API.
@@ -220,30 +207,16 @@ func (s *Server) Registry() *Registry { return s.reg }
 // HTTP listener has shut down so in-flight requests finish first.
 func (s *Server) Close() error { return s.reg.Close() }
 
-// writeJSON emits v with status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
-}
+// retryAfterHint is the Retry-After value sent with the 429 and 503
+// responses that promise the request was not applied. Coarse on purpose: it
+// tells well-behaved clients to back off, not when recovery will actually
+// finish.
+const retryAfterHint = time.Second
 
-// writeError emits the api.ErrorResponse envelope: every non-2xx body is
-// {"error": ..., "code": <the HTTP status>}.
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
-}
-
-// retryAfterHint is the Retry-After value (seconds) sent with 429 and 503
-// responses. Coarse on purpose: it tells well-behaved clients to back off,
-// not when recovery will actually finish.
-const retryAfterHint = "1"
-
-// writeRetryable emits a 429/503 with a Retry-After header, the signal
-// that the request was NOT applied and may safely be retried.
-func writeRetryable(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Retry-After", retryAfterHint)
-	writeError(w, code, format, args...)
+// writeRetryable emits a 429/503 for err with a Retry-After header, the
+// signal that the request was NOT applied and may safely be retried.
+func writeRetryable(w http.ResponseWriter, code int, err error) {
+	(&api.Error{Code: code, Message: err.Error(), RetryAfter: retryAfterHint}).Write(w)
 }
 
 // tracked resolves the {name} path value, answering 404 when unknown and
@@ -255,10 +228,10 @@ func (s *Server) tracked(w http.ResponseWriter, r *http.Request) (*Tracked, bool
 	t, ok := s.reg.Get(name)
 	if !ok {
 		if reason, refused := s.reg.RefusedReason(name); refused {
-			writeError(w, http.StatusServiceUnavailable, "tracker %q refused at startup: %s", name, reason)
+			api.WriteError(w, http.StatusServiceUnavailable, "tracker %q refused at startup: %s", name, reason)
 			return nil, false
 		}
-		writeError(w, http.StatusNotFound, "unknown tracker %q", name)
+		api.WriteError(w, http.StatusNotFound, "unknown tracker %q", name)
 		return nil, false
 	}
 	return t, true
@@ -282,12 +255,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if t.State() == StateDegradedReadOnly {
 		// Fast path: no point parsing megabytes of NDJSON that the loop
 		// will refuse. Reads stay up; ingest resumes after the re-arm.
-		writeRetryable(w, http.StatusServiceUnavailable, "%v", ErrReadOnly)
+		writeRetryable(w, http.StatusServiceUnavailable, ErrReadOnly)
 		return
 	}
 	maxBody := s.MaxBodyBytes
 	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
+		maxBody = api.DefaultMaxBodyBytes
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	var batch []sim.Action
@@ -310,10 +283,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
+			api.WriteError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	processed := t.Snapshot().Processed
@@ -324,29 +297,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			case errors.Is(err, ErrOverloaded):
 				// Admission control: the queue stayed full past the
 				// enqueue deadline. Shed, not applied — back off and retry.
-				writeRetryable(w, http.StatusTooManyRequests, "%v", err)
+				writeRetryable(w, http.StatusTooManyRequests, err)
 			case errors.Is(err, ErrReadOnly):
 				// Degraded-readonly: the durability path is poisoned.
 				// Rejected unapplied; the tracker re-arms itself when the
 				// disk heals.
-				writeRetryable(w, http.StatusServiceUnavailable, "%v", err)
+				writeRetryable(w, http.StatusServiceUnavailable, err)
 			case errors.Is(err, ErrDurability):
 				// WAL append failed: the batch was rejected unapplied so
 				// the log never lags the tracker. Retryable server fault.
-				writeRetryable(w, http.StatusServiceUnavailable, "%v", err)
+				writeRetryable(w, http.StatusServiceUnavailable, err)
 			case errors.Is(err, ErrClosed),
 				errors.Is(err, context.Canceled),
 				errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusServiceUnavailable, "%v", err)
+				api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			default:
 				// Stream-order violation: the batch aborted at the
 				// offending action; everything before it is applied.
-				writeError(w, http.StatusConflict, "%v", err)
+				api.WriteError(w, http.StatusConflict, "%v", err)
 			}
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, api.IngestResponse{
+	api.WriteJSON(w, http.StatusOK, api.IngestResponse{
 		Accepted:  len(batch),
 		Processed: processed,
 	})
@@ -363,20 +336,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
-	dec.DisallowUnknownFields()
-	var req api.QueryRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad query request: %v", err)
+	req, limit, ok := api.DecodeQuery(w, r)
+	if !ok {
 		return
-	}
-	if req.Limit < 0 {
-		writeError(w, http.StatusBadRequest, "bad query request: negative limit %d", req.Limit)
-		return
-	}
-	limit := req.Limit
-	if limit == 0 || limit > DefaultQueryRowLimit {
-		limit = DefaultQueryRowLimit
 	}
 	snap := t.Snapshot()
 	env := query.Env{Current: snap, Previous: t.PrevSnapshot()}
@@ -385,14 +347,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rel, err := req.Plan.Open(env)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rows, truncated := query.Collect(rel, limit)
 	if rows == nil {
 		rows = []query.Row{}
 	}
-	writeJSON(w, http.StatusOK, api.QueryResponse{
+	api.WriteJSON(w, http.StatusOK, api.QueryResponse{
 		Columns:     []string(rel.Schema()),
 		Rows:        rows,
 		Truncated:   truncated,
@@ -414,21 +376,23 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			Processed: t.Snapshot().Processed,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if t, ok := s.tracked(w, r); ok {
-		writeJSON(w, http.StatusOK, t.Snapshot())
+// read wraps the reads that are a projection of the published snapshot and
+// nothing else: resolve the tracker, load its snapshot, write the DTO build
+// makes of the two.
+func (s *Server) read(build func(*Tracked, *sim.Snapshot) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if t, ok := s.tracked(w, r); ok {
+			api.WriteJSON(w, http.StatusOK, build(t, t.Snapshot()))
+		}
 	}
 }
 
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tracked(w, r)
-	if !ok {
-		return
-	}
-	snap := t.Snapshot()
+func snapshot(_ *Tracked, snap *sim.Snapshot) any { return snap }
+
+func seeds(t *Tracked, snap *sim.Snapshot) any {
 	resp := api.SeedsResponse{
 		Seeds:       snap.Seeds,
 		Value:       snap.Value,
@@ -441,54 +405,34 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 			resp.Names[i], _ = tb.Name(uint32(u))
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tracked(w, r)
-	if !ok {
-		return
-	}
-	snap := t.Snapshot()
-	writeJSON(w, http.StatusOK, api.ValueResponse{Value: snap.Value, Processed: snap.Processed})
+func value(_ *Tracked, snap *sim.Snapshot) any {
+	return api.ValueResponse{Value: snap.Value, Processed: snap.Processed}
 }
 
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tracked(w, r)
-	if !ok {
-		return
-	}
-	snap := t.Snapshot()
-	writeJSON(w, http.StatusOK, api.WindowResponse{WindowStart: snap.WindowStart, Processed: snap.Processed})
+func window(_ *Tracked, snap *sim.Snapshot) any {
+	return api.WindowResponse{WindowStart: snap.WindowStart, Processed: snap.Processed}
 }
 
-func (s *Server) handleCheckpoints(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tracked(w, r)
-	if !ok {
-		return
-	}
-	snap := t.Snapshot()
-	writeJSON(w, http.StatusOK, api.CheckpointsResponse{
+func checkpoints(_ *Tracked, snap *sim.Snapshot) any {
+	return api.CheckpointsResponse{
 		Checkpoints: snap.Checkpoints,
 		Starts:      snap.CheckpointStarts,
 		Values:      snap.CheckpointValues,
-	})
+	}
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tracked(w, r)
-	if !ok {
-		return
-	}
-	snap := t.Snapshot()
+func stats(t *Tracked, snap *sim.Snapshot) any {
 	depth, capacity := t.QueueDepth()
-	writeJSON(w, http.StatusOK, api.StatsResponse{
+	return api.StatsResponse{
 		Stats:              snap.Stats(),
 		CheckpointsCreated: snap.CheckpointsCreated,
 		CheckpointsDeleted: snap.CheckpointsDeleted,
 		QueueDepth:         depth,
 		QueueCapacity:      capacity,
-	})
+	}
 }
 
 // handleCandidates serves the answering checkpoint's candidate pool from
@@ -508,7 +452,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	if p := r.URL.Query().Get("ranked"); p != "" {
 		var err error
 		if ranked, err = strconv.ParseBool(p); err != nil {
-			writeError(w, http.StatusBadRequest, "bad ranked parameter %q", p)
+			api.WriteError(w, http.StatusBadRequest, "bad ranked parameter %q", p)
 			return
 		}
 	}
@@ -552,7 +496,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleInfluence serves per-user influence sets: from the published
@@ -572,12 +516,12 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	var resp api.InfluenceResponse
 	if tb := t.Names(); tb != nil {
 		if userParam == "" {
-			writeError(w, http.StatusBadRequest, "missing user parameter")
+			api.WriteError(w, http.StatusBadRequest, "missing user parameter")
 			return
 		}
 		id, ok := tb.Lookup(userParam)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown user %q", userParam)
+			api.WriteError(w, http.StatusNotFound, "unknown user %q", userParam)
 			return
 		}
 		u = sim.UserID(id)
@@ -585,7 +529,7 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	} else {
 		u64, err := strconv.ParseUint(userParam, 10, 32)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad or missing user parameter %q", userParam)
+			api.WriteError(w, http.StatusBadRequest, "bad or missing user parameter %q", userParam)
 			return
 		}
 		u = sim.UserID(u64)
@@ -596,7 +540,7 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 		resp.Influenced = set
 		resp.Count = len(set)
 		resp.WindowStart = snap.WindowStart
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	qErr := t.Query(r.Context(), func(tr *sim.Tracker) {
@@ -609,11 +553,11 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	})
 	if qErr != nil {
 		if errors.Is(qErr, ErrOverloaded) {
-			writeRetryable(w, http.StatusTooManyRequests, "%v", qErr)
+			writeRetryable(w, http.StatusTooManyRequests, qErr)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, "%v", qErr)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", qErr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }

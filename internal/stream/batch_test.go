@@ -62,9 +62,6 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		t.Fatal("deltas diverged")
 	}
 
-	if s, b := serial.Stats(), batched.Stats(); s != b {
-		t.Fatalf("stats diverged: serial %+v batch %+v", s, b)
-	}
 	for u := UserID(0); u < 30; u++ {
 		if s, b := serial.InfluenceSet(u, 1), batched.InfluenceSet(u, 1); !reflect.DeepEqual(s, b) {
 			t.Fatalf("influence set of %d diverged: %v vs %v", u, s, b)

@@ -16,11 +16,11 @@ import (
 const streamPayloadVersion = 2
 
 // Save serializes the stream's complete mutable state — the diffusion index
-// (with reference counts), the per-user contribution logs, the retained
-// window and the cumulative statistics — so that Restore yields a stream
-// that behaves bit-identically to this one on every future Ingest, Advance
-// and influence query. Map-backed state is emitted in sorted key order, so
-// saving the same stream twice produces identical bytes.
+// (with reference counts), the per-user contribution logs and the retained
+// window — so that Restore yields a stream that behaves bit-identically to
+// this one on every future Ingest, Advance and influence query. Map-backed
+// state is emitted in sorted key order, so saving the same stream twice
+// produces identical bytes.
 //
 // The transient query machinery (generation marks, contributor arenas, the
 // userLog header arena) is deliberately not serialized: it is scratch that
@@ -77,23 +77,14 @@ func (s *Stream) Save(w io.Writer) error {
 		}
 	}
 
-	// Cumulative statistics (Table 3 reproduction) and the all-time user
-	// set, sorted and delta-encoded.
-	ww.Varint(s.totalActions)
-	ww.Varint(s.totalDepth)
-	ww.Varint(s.totalRespDist)
-	ww.Varint(s.respActions)
-	all := make([]UserID, 0, len(s.userSet))
-	for u := range s.userSet {
-		all = append(all, u)
+	// Where the payload used to carry history-sized state — four cumulative
+	// Table 3 counters and the all-time user set, which grew with every user
+	// ever seen — it now carries zeros and an empty set: the layout stands,
+	// so either side of the change reads the other's payloads.
+	for i := 0; i < 4; i++ {
+		ww.Varint(0)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	ww.Uvarint(uint64(len(all)))
-	prev := uint64(0)
-	for _, u := range all {
-		ww.Uvarint(uint64(u) - prev)
-		prev = uint64(u)
-	}
+	ww.Uvarint(0)
 
 	// Cold tier (v2): the extent table references segments by ID instead of
 	// embedding their entries, so snapshot size and save time scale with the
@@ -196,16 +187,13 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 		s.capBytes += int64(cap(l.list)) * contribBytes
 	}
 
-	s.totalActions = rr.Varint()
-	s.totalDepth = rr.Varint()
-	s.totalRespDist = rr.Varint()
-	s.respActions = rr.Varint()
-	nUsers := rr.Len(wire.MaxLen)
-	s.userSet = make(map[UserID]struct{}, min(nUsers, 1<<20))
-	prev := uint64(0)
-	for i := 0; i < nUsers && rr.Err() == nil; i++ {
-		prev += rr.Uvarint()
-		s.userSet[UserID(prev)] = struct{}{}
+	// Four counters and a delta-coded user set nothing reads any more (see
+	// Save); payloads written before that carry real ones.
+	for i := 0; i < 4; i++ {
+		rr.Varint()
+	}
+	for i, n := 0, rr.Len(wire.MaxLen); i < n && rr.Err() == nil; i++ {
+		rr.Uvarint()
 	}
 
 	if version >= 2 {

@@ -102,3 +102,81 @@ func TestDrainTouched(t *testing.T) {
 		t.Fatalf("after the overflowed drain: touched %v, ok=%v", users, ok)
 	}
 }
+
+// TestStateBoundedByWindow: what a stream holds, and what it saves, follows
+// the window and not the history behind it. 200 000 users act once each
+// through a 100-action window; afterwards the resident estimate is under a
+// fixed cap, and the payload is byte for byte that of a stream that has only
+// ever seen the window.
+func TestStateBoundedByWindow(t *testing.T) {
+	const window, users = 100, 200000
+	s := New()
+	for i := 1; i <= users; i++ {
+		ingestAll(t, s, []Action{{ID: ActionID(i), User: UserID(i), Parent: NoParent}})
+		s.Advance(ActionID(i - window + 1))
+	}
+	if got, limit := s.RetainedBytesEstimate(), int64(128<<10); got > limit {
+		t.Errorf("RetainedBytesEstimate = %d bytes for a %d-action window after %d users, want at most %d", got, window, users, limit)
+	}
+	fresh := New()
+	for i := users - window + 1; i <= users; i++ {
+		ingestAll(t, fresh, []Action{{ID: ActionID(i), User: UserID(i), Parent: NoParent}})
+	}
+	fresh.Advance(s.Horizon())
+	var long, short bytes.Buffer
+	if err := s.Save(&long); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Save(&short); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(long.Bytes(), short.Bytes()) {
+		t.Errorf("Save after %d users is %d bytes, a stream that saw only the window saves %d", users, long.Len(), short.Len())
+	}
+}
+
+// TestSeenClearingKeepsDedup: emptying the mark table between generations
+// changes no answer. A crowd of one-off users pushes it past its bound many
+// times over while a few regulars keep replying to each other; every action's
+// contributors must be its chain as retained, each user once, in first-met
+// order — deduplicated here with a fresh set per action.
+func TestSeenClearingKeepsDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := New()
+	cleared := 0
+	for i := 1; i <= 20000; i++ {
+		a := Action{ID: ActionID(i), User: UserID(1000 + i), Parent: NoParent}
+		if i%3 == 0 {
+			a.User = UserID(rng.Intn(20))
+			a.Parent = ActionID(i - 1 - rng.Intn(min(i-1, 50)))
+		}
+		before := len(s.seen)
+		d, err := s.Ingest(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.seen) < before {
+			cleared++
+		}
+		var want []UserID
+		met := map[UserID]bool{}
+		for id := a.ID; id != NoParent; {
+			rec, ok := s.idx[id]
+			if !ok {
+				break
+			}
+			if !met[rec.user] {
+				met[rec.user] = true
+				want = append(want, rec.user)
+			}
+			id = rec.parent
+		}
+		if !slices.Equal(d.Contributors, want) {
+			t.Fatalf("action %v: contributors %v, its retained chain has %v", a, d.Contributors, want)
+		}
+		s.Advance(a.ID - 200)
+	}
+	if cleared < 2 {
+		t.Fatalf("the mark table was emptied %d times: the test proves nothing", cleared)
+	}
+}

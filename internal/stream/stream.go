@@ -104,7 +104,8 @@ type Stream struct {
 
 	// seen implements O(1) amortized deduplication for Contributors and
 	// Influence without clearing a map per call: an entry is "marked" when
-	// its stored generation equals gen.
+	// its stored generation equals gen. nextGen keeps it the size of the
+	// window, not of history.
 	seen map[UserID]uint64
 	gen  uint64
 
@@ -131,14 +132,6 @@ type Stream struct {
 	batchOffs  []int
 	deltaBuf   []Delta
 
-	// Cumulative statistics over all ingested actions (not only retained
-	// ones); used to reproduce Table 3.
-	totalActions  int64
-	totalDepth    int64
-	totalRespDist int64
-	respActions   int64
-	userSet       map[UserID]struct{}
-
 	// Cold tier (see cold.go): per-user extents of spilled logs, the
 	// segment store behind them, and the hot-tier budget that drives
 	// spilling. A nil store disables the tier entirely; the hot path only
@@ -157,6 +150,10 @@ type Stream struct {
 
 // logChunkSize is the arena block size for userLog headers.
 const logChunkSize = 256
+
+// seenSlack is how far Stream.seen may outgrow twice the live logs before
+// nextGen empties it.
+const seenSlack = 1024
 
 // maxTouched bounds Stream.touched. Past a few hundred touched logs a reader
 // does as well re-reading the few hundred sets it caches as looking each
@@ -180,7 +177,6 @@ func NewSized(usersHint int) *Stream {
 		horizon: 0,
 		last:    -1,
 		seen:    make(map[UserID]uint64, usersHint),
-		userSet: make(map[UserID]struct{}, usersHint),
 	}
 }
 
@@ -193,6 +189,20 @@ func (s *Stream) Horizon() ActionID { return s.horizon }
 
 // Len returns the number of retained actions.
 func (s *Stream) Len() int { return len(s.window) - s.wstart }
+
+// nextGen starts a new deduplication generation: nothing is marked. Marks of
+// past generations are dead weight, and a user an action in the window marks
+// has a log or a cold extent, so once seen holds more than twice that many
+// entries (plus slack for small windows) most of them belong to users long
+// expired and it is emptied — an absent entry reads as unmarked, gen only
+// rises. As many marks again as there are live users come between two
+// clearings, so the cost stays O(1) amortized per mark.
+func (s *Stream) nextGen() {
+	s.gen++
+	if len(s.seen) > 2*(len(s.logs)+len(s.cold))+seenSlack {
+		clear(s.seen)
+	}
+}
 
 // mark returns true the first time it is called for u in the current
 // generation.
@@ -244,7 +254,7 @@ func (s *Stream) ingest(a Action, arena []UserID) ([]UserID, int, error) {
 	s.window = append(s.window, a)
 
 	// Resolve the ancestor chain and record contributions.
-	s.gen++
+	s.nextGen()
 	base := len(arena)
 	depth := 0
 	if s.mark(a.User) {
@@ -288,14 +298,6 @@ func (s *Stream) ingest(a Action, arena []UserID) ([]UserID, int, error) {
 			s.touchedLost = true
 		}
 	}
-
-	s.totalActions++
-	s.totalDepth += int64(depth)
-	if !a.Root() {
-		s.totalRespDist += int64(a.ID - a.Parent)
-		s.respActions++
-	}
-	s.userSet[a.User] = struct{}{}
 
 	return arena, depth, nil
 }
@@ -495,7 +497,7 @@ func (s *Stream) Contributors(id ActionID, buf []UserID) []UserID {
 	if !ok {
 		return buf
 	}
-	s.gen++
+	s.nextGen()
 	if s.mark(rec.user) {
 		buf = append(buf, rec.user)
 	}
@@ -512,8 +514,8 @@ func (s *Stream) Contributors(id ActionID, buf []UserID) []UserID {
 	return buf
 }
 
-// Stats summarizes the whole stream seen so far (not only the retained
-// window); it backs the Table 3 reproduction.
+// Stats summarizes a whole action stream, not a window of it; it backs the
+// Table 3 reproduction.
 type Stats struct {
 	Users        int
 	Actions      int64
@@ -522,17 +524,35 @@ type Stats struct {
 	RootFraction float64
 }
 
-// Stats returns cumulative statistics over all ingested actions.
-func (s *Stream) Stats() Stats {
-	st := Stats{Users: len(s.userSet), Actions: s.totalActions}
-	if s.respActions > 0 {
-		st.AvgRespDist = float64(s.totalRespDist) / float64(s.respActions)
+// Summarize computes the Table 3 statistics of actions by ingesting them into
+// a bare Stream that never expires anything, so every chain is resolved to
+// its root. It is offline accounting: a serving Stream keeps no history-sized
+// state for it.
+func Summarize(actions []Action) (Stats, error) {
+	s := New()
+	users := map[UserID]struct{}{}
+	var depth, respDist, responses int64
+	for _, a := range actions {
+		d, err := s.Ingest(a)
+		if err != nil {
+			return Stats{}, err
+		}
+		users[a.User] = struct{}{}
+		depth += int64(d.Depth)
+		if !a.Root() {
+			respDist += int64(a.ID - a.Parent)
+			responses++
+		}
 	}
-	if s.totalActions > 0 {
-		st.AvgDepth = float64(s.totalDepth) / float64(s.totalActions)
-		st.RootFraction = float64(s.totalActions-s.respActions) / float64(s.totalActions)
+	st := Stats{Users: len(users), Actions: int64(len(actions))}
+	if responses > 0 {
+		st.AvgRespDist = float64(respDist) / float64(responses)
 	}
-	return st
+	if st.Actions > 0 {
+		st.AvgDepth = float64(depth) / float64(st.Actions)
+		st.RootFraction = float64(st.Actions-responses) / float64(st.Actions)
+	}
+	return st, nil
 }
 
 // RetainedBytesEstimate is a rough accounting of RESIDENT live index size
@@ -548,7 +568,6 @@ func (s *Stream) RetainedBytesEstimate() int64 {
 		idxEntry  = 48 // 8B key + 8B pointer + 16B record + bucket overhead
 		logsEntry = 40 // 4B key + 8B pointer + 24B arena-held header + bucket overhead
 		seenEntry = 24 // 4B key + 8B generation + bucket overhead
-		userEntry = 16 // 4B key + bucket overhead
 		coldEntry = 56 // 4B key + 32B extent + bucket overhead
 		headerSz  = 24 // one userLog header still unhanded in the arena block
 	)
@@ -558,7 +577,6 @@ func (s *Stream) RetainedBytesEstimate() int64 {
 	b += s.capBytes
 	b += int64(len(s.logChunk)) * headerSz
 	b += int64(len(s.seen)) * seenEntry
-	b += int64(len(s.userSet)) * userEntry
 	b += int64(len(s.cold)) * coldEntry
 	b += int64(cap(s.window)) * 24
 	return b

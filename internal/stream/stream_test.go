@@ -284,9 +284,10 @@ func TestInfluencersEnumeration(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := New()
-	ingestAll(t, s, paperStream())
-	st := s.Stats()
+	st, err := Summarize(paperStream())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Users != 6 {
 		t.Errorf("Users = %d, want 6", st.Users)
 	}
@@ -454,8 +455,8 @@ func TestNewSizedMatchesNew(t *testing.T) {
 			}
 		}
 		s.Advance(200)
-		if s.Stats() != ref.Stats() {
-			t.Fatalf("hint %d: stats %+v != %+v", hint, s.Stats(), ref.Stats())
+		if s.Len() != ref.Len() || s.Last() != ref.Last() {
+			t.Fatalf("hint %d: %d retained up to %d, want %d up to %d", hint, s.Len(), s.Last(), ref.Len(), ref.Last())
 		}
 		for u := UserID(0); u < 37; u++ {
 			if got, want := s.InfluenceSet(u, 200), ref.InfluenceSet(u, 200); !reflect.DeepEqual(got, want) {

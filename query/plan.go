@@ -110,7 +110,13 @@ func (p *Plan) Open(env Env) (Relation, error) {
 	default:
 		return nil, fmt.Errorf("query: plan needs a scan or compare source")
 	}
+	return p.Over(rel, env)
+}
 
+// Over applies the plan's operator chain to rel in place of the plan's own
+// source: what Open does once it has opened that source, and what a router
+// does to re-run a plan's trailing operators over its shards' merged rows.
+func (p *Plan) Over(rel Relation, env Env) (Relation, error) {
 	for i, op := range p.Ops {
 		var err error
 		rel, err = applyOp(rel, op, env)

@@ -201,12 +201,19 @@ func CompareCheckpoints(old, cur *sim.Snapshot) Relation {
 	return &sliceRelation{schema: compareCheckpointsSchema, rows: rows}
 }
 
-// sliceRelation serves precomputed rows (the compare sources and the eager
-// reference evaluator's intermediates).
+// sliceRelation serves precomputed rows (the compare sources, the eager
+// reference evaluator's intermediates, and Rows).
 type sliceRelation struct {
 	schema Schema
 	rows   []Row
 	i      int
+}
+
+// Rows is the relation over rows already in hand — a router's merge of its
+// shards' answers — under the given column names. It yields the rows
+// themselves, in order.
+func Rows(columns []string, rows []Row) Relation {
+	return &sliceRelation{schema: Schema(columns), rows: rows}
 }
 
 func (s *sliceRelation) Schema() Schema { return s.schema }
