@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race benchmark-test bench bench-json bench-check loc fmt fmt-check vet lint ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
+.PHONY: all build test race benchmark-test bench loc fmt fmt-check vet lint ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
 
 all: build
 
@@ -25,26 +25,6 @@ benchmark-test:
 # with -benchmem so per-op allocations are visible.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
-
-# Machine-readable benchmark snapshot of the streaming hot path (ns/op,
-# allocs/op, B/op, actions/sec). Commit the output as BENCH_<PR>.json to
-# extend the cross-PR performance trajectory; CI uploads the same file as a
-# workflow artifact.
-BENCH_JSON ?= BENCH_PR16.json
-bench-json:
-	$(GO) run ./cmd/simbench -exp tput,query,mem -scale smoke -json $(BENCH_JSON)
-
-# CI bench regression guard: rerun the committed baseline's experiments and
-# fail on a large hot-path regression (>25% allocs/op — deterministic — or
-# >50% ns/op, loose because shared 1-CPU runners are noisy; tune with
-# simbench -check-allocs-tol / -check-ns-tol). A ns/op breach is retried
-# (simbench -check-retries, min-of-N) before failing, since 1-CPU scheduler
-# noise is one-sided. The fresh snapshot goes to a scratch file; the
-# committed baseline is never overwritten.
-BENCH_BASELINE ?= BENCH_PR16.json
-bench-check:
-	$(GO) run ./cmd/simbench -exp tput,query,mem -scale smoke \
-		-json bench-fresh.json -check $(BENCH_BASELINE)
 
 # Run the serving layer (cmd/simserve) on :8384 with a default tracker.
 # Override flags with SERVE_FLAGS, e.g. make serve SERVE_FLAGS='-k 20 -window 100000'.
@@ -126,4 +106,4 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-ci: fmt-check lint build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke bench-check
+ci: fmt-check lint build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke

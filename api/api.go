@@ -9,7 +9,6 @@
 //
 // # Endpoints
 //
-//	GET  /healthz                                plain "ok" liveness probe
 //	GET  /v1/healthz                             HealthResponse
 //	GET  /v1/trackers                            ListResponse
 //	GET  /v1/trackers/{name}                     sim.Snapshot
@@ -338,16 +337,9 @@ type HealthResponse struct {
 	// States maps tracker names to their serving state: "ok" (full
 	// service), "degraded-readonly" (the durability path is poisoned —
 	// reads and queries keep answering, ingest gets 503 until the tracker
-	// re-arms), or "recovering" (a re-arm attempt is in flight). Status is
-	// "degraded" whenever any tracker is not "ok".
+	// re-arms), or "recovering" (a re-arm attempt is running right now).
+	// Status is "degraded" whenever any tracker is not "ok".
 	States map[string]string `json:"states,omitempty"`
-	// Refused maps tracker names that were declared in the spec but refused
-	// at startup (e.g. batch > 1 with -data-dir: batched recovery cannot
-	// guarantee identity) to the refusal reason. Refused trackers answer
-	// every /v1/trackers/{name}/... request with 503 and the same reason
-	// through the standard error contract, so a probe and a client see one
-	// consistent story. Status is "degraded" whenever Refused is non-empty.
-	Refused map[string]string `json:"refused,omitempty"`
 	// Memory maps tracker names to their tiered-window memory facts —
 	// present only for trackers running with a memory budget, so a probe
 	// can watch residency and cold-tier growth without per-tracker calls.

@@ -57,5 +57,5 @@ func BenchmarkFig11ThroughputL(b *testing.B) { runExperiment(b, "fig11") }
 func BenchmarkFig12ThroughputU(b *testing.B) { runExperiment(b, "fig12") }
 
 // BenchmarkTput regenerates the streaming ingestion hot-path experiment
-// (ns/op, allocs/op and B/op per ingested action — the BENCH_*.json anchor).
+// (ns/op, allocs/op and B/op per ingested action).
 func BenchmarkTput(b *testing.B) { runExperiment(b, "tput") }

@@ -74,7 +74,7 @@ func main() {
 		beta      = flag.Float64("beta", 0.1, "beta knob")
 		framework = flag.String("framework", "sic", "framework: sic or ic")
 		orc       = flag.String("oracle", "sieve", "oracle: sieve, threshold, blogwatch, mkc")
-		batch     = flag.Int("batch", 0, "sim ingestion batch size (1 = per-action)")
+		batch     = flag.Int("batch", 0, "sim ingestion batch size within each submitted batch (1 = per-action)")
 		users     = flag.Int("users", 0, "expected distinct users (stream index pre-sizing hint)")
 		queue     = flag.Int("queue", 0, "ingest queue capacity in batches (0 = default 256)")
 		replay    = flag.String("replay", "", "replay a stream file (TSV/NDJSON, \"-\" = stdin) into the flag-built tracker")
@@ -134,15 +134,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		for sname, sp := range specs {
-			// A spec that cannot be served as configured is refused, not
-			// fatal: the server keeps serving its other trackers, /v1/healthz
-			// reports the name and reason under "refused", and requests to
-			// the refused tracker answer 503 with the same reason.
-			if err := validateSpec(sname, sp, *dataDir != "", *spillDir != ""); err != nil {
-				reg.Refuse(sname, err.Error())
-				log.Printf("tracker %q refused (serving degraded): %v", sname, err)
-				continue
-			}
 			t, err := reg.Add(sname, sp)
 			if err != nil {
 				fatalf("%v", err)
@@ -166,17 +157,12 @@ func main() {
 			SnapshotWALBytes: *snapBytes, Names: *names,
 			MemoryBudgetBytes: *memBudget,
 		}
-		if err := validateSpec(*name, sp, *dataDir != "", *spillDir != ""); err != nil {
-			reg.Refuse(*name, err.Error())
-			log.Printf("tracker %q refused (serving degraded): %v", *name, err)
-		} else {
-			t, err := reg.Add(*name, sp)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			log.Printf("tracker %q: k=%d window=%d framework=%v oracle=%v", *name, *k, *window, fwk, o)
-			logRecovery(t)
+		t, err := reg.Add(*name, sp)
+		if err != nil {
+			fatalf("%v", err)
 		}
+		log.Printf("tracker %q: k=%d window=%d framework=%v oracle=%v", *name, *k, *window, fwk, o)
+		logRecovery(t)
 	}
 
 	srv := server.New(reg)
@@ -189,9 +175,6 @@ func main() {
 	if *replay != "" {
 		t, ok := reg.Get(replayTarget)
 		if !ok {
-			if reason, refused := reg.RefusedReason(replayTarget); refused {
-				fatalf("-replay targets tracker %q, refused at startup: %s", replayTarget, reason)
-			}
 			fatalf("-replay targets unknown tracker %q", replayTarget)
 		}
 		go func() { replayDone <- runReplay(ctx, t, *replay, *follow, *chunk) }()

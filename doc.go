@@ -16,12 +16,12 @@
 // "covered by which instances" for all O(log k / β) instances in one probe,
 // and a per-instance gain bound that grows only by what an element can have
 // changed lets most re-offered elements be rejected without walking their
-// influence set. sim.Config's BatchSize groups actions so stream-index and
-// checkpoint maintenance amortize across a batch (default 1 = per-action;
-// queries are exact at batch boundaries). The README's "Performance
-// architecture" section and the committed BENCH_*.json baseline
-// (regenerated by `make bench-json`; its git history is the trajectory
-// across PRs) document the hot-path performance. See the sim package documentation for details.
+// influence set. sim.Config's BatchSize groups actions within one
+// ProcessAll call so stream-index and checkpoint maintenance amortize across
+// a batch (default 1 = per-action; Process is per-action always). The
+// README's "Performance architecture" section documents the hot-path
+// performance and benchmark/ measures it end to end. See the sim package
+// documentation for details.
 //
 // The repository also runs as a service: cmd/simserve (internal/server)
 // keeps named trackers alive behind an HTTP API with NDJSON streaming

@@ -179,10 +179,7 @@ func Lookup(id string) (Experiment, bool) {
 	return e, ok
 }
 
-// Run executes one experiment and prints its table. Streaming experiments
-// (tput, par) record fine-grained per-configuration rows into the JSON
-// collector as they run; use RunMeasured to additionally record a
-// whole-experiment "total" row.
+// Run executes one experiment and prints its table.
 func Run(id string, sc Scale, w io.Writer) error {
 	e, ok := Lookup(id)
 	if !ok {

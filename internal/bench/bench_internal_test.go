@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -142,57 +141,9 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestTputRecordsJSONMetrics(t *testing.T) {
-	ResetMetrics()
-	defer ResetMetrics()
-	sc := ScaleSmoke()
-	var tab bytes.Buffer
-	if err := RunMeasured("tput", sc, &tab); err != nil {
-		t.Fatal(err)
-	}
-	recs := Metrics()
-	// 3 per-config rows + 1 whole-experiment total.
-	if len(recs) != 4 {
-		t.Fatalf("records = %d, want 4: %+v", len(recs), recs)
-	}
-	streaming := 0
-	for _, r := range recs {
-		if r.Experiment != "tput" {
-			t.Errorf("record experiment = %q, want tput", r.Experiment)
-		}
-		if r.NsPerOp <= 0 || r.AllocsPerOp <= 0 || r.BytesPerOp <= 0 {
-			t.Errorf("record %q has non-positive metrics: %+v", r.Name, r)
-		}
-		if r.Name != "total" {
-			streaming++
-			if r.ActionsPerSec <= 0 {
-				t.Errorf("streaming record %q missing actions/sec: %+v", r.Name, r)
-			}
-		}
-	}
-	if streaming != 3 {
-		t.Errorf("streaming records = %d, want 3", streaming)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot does not round-trip: %v\n%s", err, buf.String())
-	}
-	if snap.GoVersion == "" || snap.NumCPU < 1 || len(snap.Records) != len(recs) {
-		t.Fatalf("snapshot incomplete: %+v", snap)
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := Run("nope", ScaleSmoke(), &bytes.Buffer{}); err == nil {
 		t.Fatal("expected error")
-	}
-	if err := RunMeasured("nope", ScaleSmoke(), &bytes.Buffer{}); err == nil {
-		t.Fatal("expected error from RunMeasured")
 	}
 }
 

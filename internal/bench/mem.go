@@ -97,19 +97,13 @@ func runMemTracker(ds Dataset, sc Scale, budget int64) memRun {
 		r.peakHot = max(r.peakHot, snap.HotLogBytes)
 	}
 	start := time.Now()
-	for i, a := range ds.Actions {
-		if err := tr.Process(a); err != nil {
+	for off := 0; off < len(ds.Actions); off += sc.Slide {
+		if err := tr.ProcessAll(ds.Actions[off:min(off+sc.Slide, len(ds.Actions))]); err != nil {
 			panic(err)
 		}
-		if (i+1)%sc.Slide == 0 {
-			if err := tr.Flush(); err != nil {
-				panic(err)
-			}
-			sample()
-		}
+		sample()
 	}
 	elapsed := time.Since(start)
-	sample()
 	runtime.GC()
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
@@ -131,7 +125,6 @@ func runMemBench(sc Scale) Table {
 		Notes: []string{
 			"budget = peak unbudgeted hot-log bytes / 4; resident = stream RetainedBytesEstimate sampled at slide boundaries",
 			"hot/cold = log-entry bytes resident in RAM vs spilled to cold segment files; heapΔ = GC'd HeapAlloc growth over the run",
-			"JSON rows: bytes_per_op = peak resident bytes (ns/op and allocs/op deliberately 0: memory rows are not latency-guarded; tput rows guard the hot path)",
 		},
 	}
 	kb := func(b int64) string { return fmt.Sprintf("%.1fKB", float64(b)/1024) }
@@ -148,19 +141,6 @@ func runMemBench(sc Scale) Table {
 				kb(row.r.finalHot) + "/" + kb(row.r.finalCold),
 				i0(int(row.r.spills)), i0(int(row.r.faults)), i0(row.r.segments),
 				kb(row.r.heapDelta), f1(row.r.throughput),
-			})
-			// Memory rows carry bytes only: a 0 ns/op / 0 allocs/op record is
-			// never latency-flagged by CompareSnapshots (base <= 0 skips).
-			record(Record{
-				Experiment:    "mem",
-				Name:          ds.Name + "/" + row.mode,
-				BytesPerOp:    float64(row.r.peakResident),
-				ActionsPerSec: row.r.throughput,
-			})
-			record(Record{
-				Experiment: "mem",
-				Name:       ds.Name + "/" + row.mode + "/hot-log",
-				BytesPerOp: float64(row.r.peakHot),
 			})
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf(

@@ -12,10 +12,9 @@ import (
 // The query experiment measures the relational read path (package query)
 // against a snapshot of the SYN-O stream: the same plan executed lazily
 // (Plan.Open, the /v1 query endpoint's path) and through the materialized
-// reference evaluator (Plan.Materialize). The lazy rows are the regression
-// guard of ISSUE 6: allocs/op must stay O(k)-ish — bounded by plan output,
-// not by scan input — so a snapshot row here catches any operator that
-// starts materializing its input.
+// reference evaluator (Plan.Materialize). The lazy rows are where to look
+// for an operator that starts materializing its input: their allocs/op must
+// stay O(k)-ish — bounded by plan output, not by scan input.
 func init() {
 	register(Experiment{
 		ID:    "query",
@@ -81,7 +80,6 @@ func runQueryBench(sc Scale) Table {
 	const iters = 100
 	for _, c := range cfgs {
 		rows, m := measurePlan(c.plan, env, c.materialize, iters)
-		recordRun("query", c.name, m)
 		t.Rows = append(t.Rows, []string{
 			c.name, i0(rows), f1(m.NsPerAction), f1(m.AllocsPerAction), f1(m.BytesPerAction),
 		})

@@ -27,8 +27,7 @@ type runMetrics struct {
 	// AllocsPerAction and BytesPerAction are mean heap allocations per
 	// ingested action over the WHOLE ingest loop (warm-up included; tracker
 	// construction excluded — measurement starts after sim.New), measured
-	// with runtime.ReadMemStats. They back the tput experiment and the
-	// BENCH_*.json trajectory.
+	// with runtime.ReadMemStats. They back the tput experiment.
 	AllocsPerAction float64
 	BytesPerAction  float64
 }
@@ -37,8 +36,8 @@ type runMetrics struct {
 // values at slide boundaries and post-warm-up throughput. The first full
 // window is warm-up: the paper's metrics likewise average over windows, not
 // over the initial fill. batchSize is the ingestion batch size (1 = the
-// per-action path); the flush at each slide boundary is timed so batched
-// runs are charged their full ingestion cost.
+// per-action path); the stream is fed one slide per ProcessAll call, so a
+// batch never straddles a boundary an answer is read at.
 func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batchSize int) runMetrics {
 	tr, err := sim.New(sim.Config{
 		K: k, WindowSize: n, Slide: l, Beta: beta, Framework: fw,
@@ -58,22 +57,19 @@ func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batch
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for i, a := range ds.Actions {
-		timed := i >= warm
-		boundary := (i+1)%l == 0
+	var timedActions int
+	for off := 0; off < len(ds.Actions); off += l {
+		slide := ds.Actions[off:min(off+l, len(ds.Actions))]
+		timed := off+len(slide) > warm
 		startT := time.Now()
-		if err := tr.Process(a); err != nil {
+		if err := tr.ProcessAll(slide); err != nil {
 			panic(err)
-		}
-		if boundary {
-			if err := tr.Flush(); err != nil {
-				panic(err)
-			}
 		}
 		if timed {
 			elapsed += time.Since(startT)
+			timedActions += len(slide)
 		}
-		if boundary && i >= warm {
+		if timed && len(slide) == l {
 			sumVal += tr.Value()
 			sumCp += float64(tr.Stats().Checkpoints)
 			boundaries++
@@ -86,7 +82,7 @@ func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batch
 		m.AvgValue = sumVal / float64(boundaries)
 		m.AvgCheckpoints = sumCp / float64(boundaries)
 	}
-	if timedActions := len(ds.Actions) - warm; timedActions > 0 && elapsed > 0 {
+	if timedActions > 0 && elapsed > 0 {
 		m.Throughput = float64(timedActions) / elapsed.Seconds()
 		m.NsPerAction = float64(elapsed.Nanoseconds()) / float64(timedActions)
 	}

@@ -17,16 +17,24 @@ import (
 // TestErrorEnvelopeBytes pins what a client sees on a refused request — the
 // status, the Retry-After header and the body, byte for byte — from a
 // simserve and from a simrouter in front of it. The literals were captured
-// from the tree before the envelope moved into package api (PR 17); SHARD
-// and ADDR stand for a shard's base URL and host:port where a message names
-// them.
+// from the tree before the envelope moved into package api (PR 17), the two
+// draining-tracker 503s from the tree before PR 19 took away the refused
+// pseudo-state they used to show; SHARD and ADDR stand for a shard's base URL
+// and host:port where a message names them.
 func TestErrorEnvelopeBytes(t *testing.T) {
 	reg := server.NewRegistry()
 	tk, err := reg.Add("default", api.Spec{K: 2, Window: 100, Queue: 1, EnqueueDeadlineMillis: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.Refuse("badbudget", "memory_budget_bytes=1048576 needs a spill directory")
+	// A tracker that has begun draining: still registered, ingest gets 503.
+	draining, err := reg.Add("draining", api.Spec{K: 2, Window: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := draining.Close(); err != nil {
+		t.Fatal(err)
+	}
 	srv := server.New(reg)
 	srv.MaxBodyBytes = 1 << 10
 	shard := httptest.NewServer(srv)
@@ -89,7 +97,7 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 		{"server 404", shard.URL, "GET", "/v1/trackers/nope/value", "", 404, "", `{"error":"unknown tracker \"nope\"","code":404}`},
 		{"server 413", shard.URL, "POST", "/v1/trackers/default/actions", big, 413, "", `{"error":"body exceeds 1024 bytes","code":413}`},
 		{"server 429", shard.URL, "POST", "/v1/trackers/default/actions", one, 429, "1", `{"error":"server: ingest queue overloaded","code":429}`},
-		{"server 503", shard.URL, "GET", "/v1/trackers/badbudget/seeds", "", 503, "", `{"error":"tracker \"badbudget\" refused at startup: memory_budget_bytes=1048576 needs a spill directory","code":503}`},
+		{"server 503", shard.URL, "POST", "/v1/trackers/draining/actions", one, 503, "", `{"error":"server: tracker is draining","code":503}`},
 		{"router 400 parameter", front.URL, "GET", "/v1/trackers/default/influence?user=bogus", "", 400, "", `{"error":"bad or missing user parameter \"bogus\"","code":400}`},
 		{"router 400 query body", front.URL, "POST", "/v1/trackers/default/query", `{"plan":{"scan":"seeds"},"limit":-1}`, 400, "", `{"error":"bad query request: negative limit -1","code":400}`},
 		{"router 400 from the shards", front.URL, "POST", "/v1/trackers/default/query", `{"plan":{"scan":"bogus"}}`, 400, "", `{"error":"query: unknown scan \"bogus\" (want seeds, checkpoints or influence)","code":400}`},
@@ -98,7 +106,7 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 		{"router 413", front.URL, "POST", "/v1/trackers/default/actions", big, 413, "", `{"error":"body exceeds 1024 bytes","code":413}`},
 		{"router 429 ingest", front.URL, "POST", "/v1/trackers/default/actions", one, 429, "1", `{"error":"shards [SHARD] failed (server: ingest queue overloaded); shards [] applied their sub-batches","code":429}`},
 		{"router 429 owner read", front.URL, "GET", "/v1/trackers/default/influence?user=77", "", 429, "1", `{"error":"server: ingest queue overloaded","code":429}`},
-		{"router 503 from the shards", front.URL, "GET", "/v1/trackers/badbudget/seeds", "", 503, "", `{"error":"tracker \"badbudget\" refused at startup: memory_budget_bytes=1048576 needs a spill directory","code":503}`},
+		{"router 503 from the shards", front.URL, "POST", "/v1/trackers/draining/actions", one, 503, "1", `{"error":"shards [SHARD] failed (server: tracker is draining); shards [] applied their sub-batches","code":503}`},
 		{"router 503 no shard", lonelyFront.URL, "GET", "/v1/trackers/default/value", "", 503, "", `{"error":"no shard reachable","code":503}`},
 		{"router 503 no shard to resolve a spec", lonelyFront.URL, "POST", "/v1/trackers/default/actions", one, 503, "", `{"error":"resolving tracker \"default\": api: GET /v1/trackers: Get \"SHARD/v1/trackers\": dial tcp ADDR: connect: connection refused","code":503}`},
 	}

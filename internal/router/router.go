@@ -135,10 +135,6 @@ func New(addrs []string, opts Options) (*Router, error) {
 		rt.shards = append(rt.shards, &shard{addr: strings.TrimRight(a, "/"), client: c})
 	}
 	m := http.NewServeMux()
-	m.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 	m.HandleFunc("GET /v1/healthz", rt.handleClusterHealth)
 	// Every merged read is one row: the shard call and the fold over its
 	// answers (ARCHITECTURE.md "Cluster topology" has the same table).

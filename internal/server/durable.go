@@ -1,10 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,6 +27,7 @@ import (
 //	snapshot.sim2       latest complete snapshot (sim.Tracker.SaveTo)
 //	snapshot.sim2.tmp   in-flight snapshot write; never loaded
 //	wal.log             batches applied since that snapshot (see wal.go)
+//	names.log           name-mode trackers: every interned name, in ID order
 //
 // Write path (all on the tracker's single-writer ingest loop): every batch
 // is appended to the WAL and fsynced BEFORE it is applied and the refreshed
@@ -46,26 +47,24 @@ import (
 //     retries with capped exponential backoff + jitter instead of
 //     re-attempting on every batch; /v1/healthz reports the condition and
 //     the retry counter until a write succeeds.
-//   - A failed WAL append rejects the batch (503, retryable: the in-memory
-//     state never runs ahead of the log) after rolling the partial record
-//     back out of the log. Only a rollback that itself fails poisons the
-//     log; the tracker then enters degraded-readonly mode (reads keep
-//     serving, ingest sheds with 503 + Retry-After) and a periodic probe
-//     re-arms the WAL — fresh covering snapshot, log recreated empty — once
-//     the disk heals.
-//   - names.log appends get the same rollback treatment: a partial name
-//     record is truncated back out so a retry cannot append after junk.
+//   - A failed append to either log (both are appendLogs, see appendlog.go)
+//     rejects the batch (503, retryable: the in-memory state never runs
+//     ahead of the log) after rolling the partial record back out of the
+//     file. Only a rollback that itself fails poisons the log; the tracker
+//     then enters degraded-readonly mode (reads keep serving, ingest sheds
+//     with 503 + Retry-After) and a periodic probe runs a checkpoint — fresh
+//     covering snapshot, poisoned log recreated — once the disk heals.
 //
 // Recovery (tracker construction): load snapshot.sim2 if present, then
 // replay wal.log — skipping batches whose newest ID is not beyond the
-// snapshot — through the same ProcessAll path the live loop uses, so a
+// snapshot — through the same ProcessAll call the live loop makes, so a
 // batch that was partially rejected live (stream-order conflict) replays to
-// the identical partially-applied state. One WAL record is one flush
-// boundary: the live loop and replay apply a record through the same
-// applyRecord, which flushes sim-level batching (Spec.Batch > 1) behind it,
-// so the recovered tracker is the uninterrupted one at any batch size —
-// provided it restarts with the same Batch. A torn WAL tail (the crash's unacknowledged in-flight
-// append) is dropped by the frame parser.
+// the identical partially-applied state. One WAL record is one ProcessAll
+// call, and a call holds nothing over to the next, so sim-level batching
+// (Spec.Batch > 1) cuts the stream in the same places live and on replay:
+// the recovered tracker is the uninterrupted one at any batch size —
+// provided it restarts with the same Batch. A torn WAL tail (the crash's
+// unacknowledged in-flight append) is dropped by the frame parser.
 const (
 	snapshotFileName = "snapshot.sim2"
 	snapshotTempName = "snapshot.sim2.tmp"
@@ -86,13 +85,6 @@ var (
 	snapshotBackoffMax  = 30 * time.Second
 )
 
-// ErrDurability wraps disk failures of the durable path (WAL and names-log
-// appends). Batches rejected with it were NOT applied: the in-memory state
-// never runs ahead of the log. The condition is transient — the log was
-// rolled back to its pre-append state — so callers may retry (HTTP: 503 +
-// Retry-After).
-var ErrDurability = errors.New("server: durability failure")
-
 // RecoveryInfo summarizes what a durable tracker's boot recovered.
 type RecoveryInfo struct {
 	// SnapshotLoaded reports whether a snapshot file was restored.
@@ -112,18 +104,13 @@ type durability struct {
 	lock     fault.File // exclusive data-dir flock, held for the tracker's lifetime
 	wal      *wal
 	walLimit int64
-	// namesFile / namesPersisted persist a name-mode tracker's intern table
-	// as an append-only log of length-prefixed names in ID order (names.log).
-	// Unlike the WAL it is never truncated: it IS the authoritative name→ID
-	// mapping, append-only by construction since IDs are dense and stable.
-	// Nil for numeric-ID trackers. namesSize is the byte offset after the
-	// last successful append (the rollback target); namesBroken records an
-	// append whose rollback also failed — junk is on disk, so appends are
-	// refused until namesRearm truncates it away.
-	namesFile      fault.File
+	// names persists a name-mode tracker's intern table as an append-only log
+	// of length-prefixed names in ID order (names.log); namesPersisted counts
+	// the names in it. Unlike the WAL it is never emptied: it IS the
+	// authoritative name→ID mapping, append-only by construction since IDs are
+	// dense and stable. Nil for numeric-ID trackers.
+	names          *appendLog
 	namesPersisted int
-	namesSize      int64
-	namesBroken    error
 
 	// snapErr publishes the most recent snapshot failure (reported via
 	// /v1/healthz as a degraded-durability signal: the WAL keeps growing
@@ -132,8 +119,8 @@ type durability struct {
 	// the ingest loop, read by the HTTP health handler — hence atomic.
 	// Holds a string; empty means healthy.
 	snapErr atomic.Value
-	// snapRetries counts failed snapshot attempts; rearms counts poisoned-
-	// WAL recoveries. Loop-written, handler-read.
+	// snapRetries counts failed checkpoint attempts; rearms counts recoveries
+	// from a poisoned log. Loop-written, handler-read.
 	snapRetries atomic.Int64
 	rearms      atomic.Int64
 
@@ -216,7 +203,7 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		// Stream-order rejections replay the live outcome (prefix applied,
 		// batch aborted, client saw 409) — not a recovery failure. Anything
 		// else is.
-		err := applyRecord(tr, batch)
+		err := tr.ProcessAll(batch)
 		if errors.Is(err, sim.ErrNonMonotonicID) || errors.Is(err, sim.ErrBadParent) {
 			return nil
 		}
@@ -254,9 +241,9 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 
 // openNames replays names.log into the intern table — restoring the dense
 // name→ID mapping the snapshot and WAL reference — and opens the log for
-// appending. A torn trailing record (crash mid-append) is truncated away;
-// the IDs it would have named cannot appear in the WAL, whose batches are
-// only acknowledged after their names are on disk.
+// appending. A torn trailing record (crash mid-append) is cut away; the IDs
+// it would have named cannot appear in the WAL, whose batches are only
+// acknowledged after their names are on disk.
 func (d *durability) openNames(tb *intern.Table) error {
 	path := filepath.Join(d.dir, namesFileName)
 	data, err := d.fs.ReadFile(path)
@@ -272,148 +259,88 @@ func (d *durability) openNames(tb *intern.Table) error {
 		tb.Intern(string(data[off+n : off+n+int(l)]))
 		off += n + int(l)
 	}
-	f, err := d.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: opening %s: %w", path, err)
+	if d.names, err = openAppendLog(d.fs, path, int64(off)); err != nil {
+		return err
 	}
-	if err := f.Truncate(int64(off)); err != nil { // drop the torn tail, if any
-		f.Close()
-		return fmt.Errorf("server: truncating %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("server: seeking %s: %w", path, err)
-	}
-	d.namesFile = f
 	d.namesPersisted = tb.Len()
-	d.namesSize = int64(off)
 	return nil
 }
 
 // logNames appends names interned since the last call (fsync included);
 // called by the ingest loop BEFORE the WAL append of the batch that may
-// reference them. On failure the batch must not be logged or applied, and
-// the partial record is rolled back (truncated) so a retry cannot append
-// after junk; a rollback that itself fails marks the names log broken —
-// poisoned(), degraded-readonly — until namesRearm truncates it away.
+// reference them. On failure the batch must not be logged or applied. The
+// in-memory table keeps every name either way — the not-yet-persisted suffix
+// is simply appended again by the next call.
 func (d *durability) logNames(tb *intern.Table) error {
-	if d.namesBroken != nil {
-		return fmt.Errorf("%w: names log unusable after failed rollback: %v", ErrDurability, d.namesBroken)
-	}
 	fresh := tb.AppendedSince(d.namesPersisted)
 	if len(fresh) == 0 {
 		return nil
 	}
-	w := wire.NewWriter(d.namesFile)
+	var rec bytes.Buffer
+	w := wire.NewWriter(&rec)
 	for _, name := range fresh {
 		w.Bytes([]byte(name))
 	}
-	err := w.Err()
-	if err == nil {
-		err = d.namesFile.Sync()
-	}
-	if err != nil {
-		return d.rollbackNames(fmt.Errorf("%w: names log: %v", ErrDurability, err))
-	}
-	pos, err := d.namesFile.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return d.rollbackNames(fmt.Errorf("%w: names log: %v", ErrDurability, err))
+	if err := d.names.append(rec.Bytes()); err != nil {
+		return err
 	}
 	d.namesPersisted += len(fresh)
-	d.namesSize = pos
-	return nil
-}
-
-// rollbackNames restores names.log to its last-good size after a failed
-// append and returns cause. If the truncate (or its sync) fails, junk may
-// linger at the tail and the log is marked broken until namesRearm.
-func (d *durability) rollbackNames(cause error) error {
-	if err := d.namesFile.Truncate(d.namesSize); err != nil {
-		d.namesBroken = fmt.Errorf("%v; rollback truncate: %v", cause, err)
-		return cause
-	}
-	if err := d.namesFile.Sync(); err != nil {
-		d.namesBroken = fmt.Errorf("%v; rollback sync: %v", cause, err)
-		return cause
-	}
-	if _, err := d.namesFile.Seek(d.namesSize, io.SeekStart); err != nil {
-		d.namesBroken = fmt.Errorf("%v; rollback seek: %v", cause, err)
-		return cause
-	}
-	return cause
-}
-
-// namesRearm recovers a broken names log: reopen the file and truncate it
-// back to the last-good size (dropping rollback junk). The in-memory table
-// keeps every name — only the not-yet-persisted suffix re-appends on the
-// next logNames.
-func (d *durability) namesRearm() error {
-	_ = d.namesFile.Close()
-	path := filepath.Join(d.dir, namesFileName)
-	f, err := d.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: names rearm: %w", err)
-	}
-	if err := f.Truncate(d.namesSize); err != nil {
-		f.Close()
-		return fmt.Errorf("server: names rearm: %w", err)
-	}
-	if _, err := f.Seek(d.namesSize, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("server: names rearm: %w", err)
-	}
-	d.namesFile = f
-	d.namesBroken = nil
-	return nil
-}
-
-// logBatch appends one batch to the WAL; called by the ingest loop before
-// applying the batch. On failure the batch must not be applied.
-func (d *durability) logBatch(batch []sim.Action) error {
-	if err := d.wal.append(batch); err != nil {
-		return fmt.Errorf("%w: %v", ErrDurability, err)
-	}
 	return nil
 }
 
 // poisoned reports whether the durable path is unusable (WAL or names log
 // holding junk a failed rollback left behind): ingest must stop — the
-// degraded-readonly state — until rearm succeeds.
+// degraded-readonly state — until a checkpoint has recreated the log.
 func (d *durability) poisoned() bool {
-	return d.wal.broken != nil || d.namesBroken != nil
+	return d.wal.broken != nil || (d.names != nil && d.names.broken != nil)
 }
 
-// maybeSnapshot writes a snapshot and truncates the WAL once the log has
-// outgrown its threshold, reporting whether a fresh snapshot was published
-// (the caller may then collect cold segments the new manifest no longer
-// references). force skips the threshold (the graceful-shutdown final
-// snapshot). Runs on the ingest loop; tr is safe to use. Failures are
-// remembered, not fatal: the WAL keeps every batch, so durability degrades
-// to longer replays, never to loss — and retries are paced by capped
-// exponential backoff with jitter instead of hammering a sick disk on
-// every subsequent batch.
-func (d *durability) maybeSnapshot(tr *sim.Tracker, force bool) bool {
-	if d.wal.size == 0 {
+// due reports whether the backoff schedule allows a checkpoint attempt now.
+func (d *durability) due() bool { return !time.Now().Before(d.nextAttempt) }
+
+// checkpoint makes snapshot.sim2 cover everything applied and then puts each
+// log back in order behind it: a poisoned one is recreated (the WAL empty,
+// names.log at its last good size), a healthy WAL is emptied. It is both the
+// steady-state snapshot+truncate — taken once the WAL has outgrown its
+// threshold and the backoff allows, or unconditionally when force is set
+// (graceful shutdown, the recovery probe) — and the repair of a poisoned
+// path. Runs on the ingest loop; tr is safe to use.
+//
+// It reports whether a fresh snapshot was published: the caller may then
+// collect cold segments the new manifest no longer references, even if a log
+// operation behind it failed — the snapshot is on disk and covering either
+// way, and the next attempt owns the rest. Whether the path is durable again
+// is poisoned()'s to say.
+//
+// Failures are remembered, not fatal: the WAL keeps every batch, so
+// durability degrades to longer replays, never to loss — and retries are
+// paced by capped exponential backoff with jitter instead of hammering a
+// sick disk on every subsequent batch.
+func (d *durability) checkpoint(tr *sim.Tracker, force bool) (published bool) {
+	if d.wal.size == 0 && !d.poisoned() {
 		return false // the last snapshot (or empty state) already covers everything
 	}
-	if !force && d.wal.size < d.walLimit {
+	if !force && (d.wal.size < d.walLimit || !d.due()) {
 		return false
-	}
-	if !force && time.Now().Before(d.nextAttempt) {
-		return false // backing off after a recent failure
 	}
 	if err := d.writeSnapshot(tr); err != nil {
 		d.snapshotFailed(err)
 		return false
 	}
-	if err := d.wal.reset(); err != nil {
-		d.snapshotFailed(err)
-		// The snapshot itself is published and covering; only the truncate
-		// failed. Still report success so segment GC can run — the WAL
-		// retry path owns the rest.
-		return true
+	var err error
+	if d.wal.broken != nil {
+		err = d.wal.rearm(0)
+	} else {
+		err = d.wal.reset()
 	}
-	d.snapshotSucceeded()
+	if err == nil && d.names != nil && d.names.broken != nil {
+		err = d.names.rearm(d.names.size)
+	}
+	if err != nil {
+		d.snapshotFailed(err)
+	} else {
+		d.snapshotSucceeded()
+	}
 	return true
 }
 
@@ -442,40 +369,6 @@ func (d *durability) snapshotSucceeded() {
 	d.nextAttempt = time.Time{}
 }
 
-// rearm recovers a poisoned durable path, on the ingest loop: persist a
-// fresh snapshot covering every acknowledged batch, then recreate the WAL
-// empty (dropping rollback junk) and repair the names log. Returns true
-// when the tracker is fully durable again. Attempts respect the snapshot
-// backoff schedule so a still-sick disk is probed, not hammered.
-func (d *durability) rearm(tr *sim.Tracker) bool {
-	if time.Now().Before(d.nextAttempt) {
-		return false
-	}
-	if err := d.writeSnapshot(tr); err != nil {
-		d.snapshotFailed(err)
-		return false
-	}
-	if d.wal.broken != nil {
-		if err := d.wal.rearm(); err != nil {
-			d.snapshotFailed(err)
-			return false
-		}
-	} else if err := d.wal.reset(); err != nil {
-		// Not poisoned, but the snapshot now covers the log: truncate it.
-		d.snapshotFailed(err)
-		return false
-	}
-	if d.namesBroken != nil {
-		if err := d.namesRearm(); err != nil {
-			d.snapshotFailed(err)
-			return false
-		}
-	}
-	d.snapshotSucceeded()
-	d.rearms.Add(1)
-	return true
-}
-
 // snapshotErr returns the most recent snapshot failure message, or "" when
 // the durable path is healthy. Safe to call from any goroutine.
 func (d *durability) snapshotErr() string {
@@ -499,8 +392,8 @@ func (d *durability) close() {
 	if d.wal != nil {
 		d.wal.close()
 	}
-	if d.namesFile != nil {
-		d.namesFile.Close()
+	if d.names != nil {
+		d.names.close()
 	}
 	if d.lock != nil {
 		d.lock.Close()

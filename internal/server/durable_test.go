@@ -47,9 +47,8 @@ func serialReference(t *testing.T, actions []sim.Action) sim.Snapshot {
 }
 
 // chunkedReference replays actions through a bare sim.Tracker built from
-// spec, flushing sim batching after every chunk actions the way the ingest
-// loop does after every submitted batch. At Batch <= 1 the chunking is
-// immaterial.
+// spec, one ProcessAll call per chunk actions the way the ingest loop makes
+// one per submitted batch. At Batch <= 1 the chunking is immaterial.
 func chunkedReference(t *testing.T, spec api.Spec, actions []sim.Action, chunk int) sim.Snapshot {
 	t.Helper()
 	tr, err := sim.New(spec.Config())
@@ -60,9 +59,6 @@ func chunkedReference(t *testing.T, spec api.Spec, actions []sim.Action, chunk i
 	for len(actions) > 0 {
 		n := min(chunk, len(actions))
 		if err := tr.ProcessAll(actions[:n]); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		actions = actions[n:]

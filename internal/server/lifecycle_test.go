@@ -1,0 +1,153 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/fault"
+)
+
+// edge is one serving-state transition as Tracked.move reports it.
+type edge struct{ from, to TrackerState }
+
+// recordMoves installs the move trace for the rest of the test. Call it
+// before the tracker is built and after the registry's Close is deferred
+// with t.Cleanup, so the hook outlives the loop that reads it.
+func recordMoves(t *testing.T) (moves func() []edge) {
+	t.Helper()
+	var mu sync.Mutex
+	var seen []edge
+	traceMove = func(_ *Tracked, from, to TrackerState) {
+		mu.Lock()
+		seen = append(seen, edge{from, to})
+		mu.Unlock()
+	}
+	t.Cleanup(func() { traceMove = nil })
+	return func() []edge {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]edge(nil), seen...)
+	}
+}
+
+// poisonedTracker boots a durable tracker, ingests a little, then breaks
+// wal.log so that the next append fails, its rollback fails and every attempt
+// to recreate the file fails too — until the injector is cleared.
+func poisonedTracker(t *testing.T) (*Tracked, *fault.Injector, func() []edge) {
+	t.Helper()
+	inj := fault.NewInjector(fault.OS())
+	reg := NewRegistry()
+	reg.SetFS(inj)
+	reg.SetDataDir(t.TempDir())
+	moves := recordMoves(t)
+	t.Cleanup(func() { _ = reg.Close() }) // runs before recordMoves' cleanup
+	tr, err := reg.Add("default", durableSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions := durableStream(300)
+	submitChunks(t, tr, actions[:200], 100)
+	if len(moves()) != 0 {
+		t.Fatalf("healthy ingest moved the state: %v", moves())
+	}
+	for _, op := range []fault.Op{fault.OpWrite, fault.OpTruncate, fault.OpOpen} {
+		inj.Add(fault.Rule{Op: op, Path: walFileName})
+	}
+	if _, err := tr.Submit(context.Background(), actions[200:]); !errors.Is(err, ErrDurability) {
+		t.Fatalf("poisoning submit: err = %v, want ErrDurability", err)
+	}
+	return tr, inj, moves
+}
+
+// waitFor polls cond until it holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLifecycleEdges drives every row of the lifecycle table and asserts,
+// through the trace move keeps for tests, that nothing else is ever stored:
+// the state enters recovering once per recovery attempt that actually runs,
+// and a probe tick the backoff declines makes no move at all.
+func TestLifecycleEdges(t *testing.T) {
+	t.Run("every edge", func(t *testing.T) {
+		compressTimers(t)
+		tr, inj, moves := poisonedTracker(t)
+		failed := edge{StateRecovering, StateDegradedReadOnly}
+		waitFor(t, "a failed recovery attempt", func() bool {
+			m := moves()
+			return len(m) > 0 && m[len(m)-1] == failed
+		})
+		inj.Clear() // the disk heals
+		waitFor(t, "recovery", func() bool { return tr.State() == StateOK })
+
+		got := moves()
+		taken := map[edge]bool{}
+		attempts := int64(0)
+		for _, e := range got {
+			taken[e] = true
+			if e.to == StateRecovering {
+				attempts++
+			}
+		}
+		want := map[edge]bool{}
+		for from, tos := range lifecycle {
+			for _, to := range tos {
+				want[edge{from, to}] = true
+			}
+		}
+		if !reflect.DeepEqual(taken, want) {
+			t.Fatalf("edges taken %v, want exactly the table's %v (trace %v)", taken, want, got)
+		}
+		if first, last := got[0], got[len(got)-1]; first != (edge{StateOK, StateDegradedReadOnly}) || last != (edge{StateRecovering, StateOK}) {
+			t.Fatalf("trace runs %v … %v, want ok → degraded-readonly … recovering → ok", first, last)
+		}
+		// Every attempt ended one way or the other, and nothing else entered
+		// recovering: no snapshot is attempted outside the probe while the
+		// log is poisoned.
+		retries, rearms, _, _ := tr.Counters()
+		if rearms != 1 || attempts != retries+rearms {
+			t.Fatalf("%d moves into recovering for %d failed + %d successful attempts", attempts, retries, rearms)
+		}
+	})
+
+	t.Run("no move inside the backoff", func(t *testing.T) {
+		compressTimers(t)
+		snapshotBackoffBase, snapshotBackoffMax = time.Hour, time.Hour
+		tr, _, moves := poisonedTracker(t)
+		want := []edge{
+			{StateOK, StateDegradedReadOnly},
+			{StateDegradedReadOnly, StateRecovering},
+			{StateRecovering, StateDegradedReadOnly},
+		}
+		waitFor(t, "the first, failing attempt", func() bool { return len(moves()) >= len(want) })
+		time.Sleep(20 * rearmProbeInterval) // ticks the hour-long backoff declines
+		if got := moves(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %v, want %v and nothing after it", got, want)
+		}
+		if st := tr.State(); st != StateDegradedReadOnly {
+			t.Fatalf("state = %v between attempts, want degraded-readonly", st)
+		}
+	})
+}
+
+// TestMoveRefusesUnlistedEdge: an edge the table does not hold is a bug, and
+// move says so instead of storing it.
+func TestMoveRefusesUnlistedEdge(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ok → recovering was taken; it is not in the table")
+		}
+	}()
+	(&Tracked{name: "t"}).move(StateRecovering)
+}

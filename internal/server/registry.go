@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,11 +58,25 @@ const (
 	// StateDegradedReadOnly: the durable log is poisoned; reads and queries
 	// keep answering, ingest sheds with 503 until the disk heals.
 	StateDegradedReadOnly
-	// StateRecovering: a re-arm probe is in flight (fresh snapshot + log
-	// recreation); transitions to ok on success, back to degraded on
-	// failure.
+	// StateRecovering: a recovery attempt is running right now (fresh
+	// snapshot + log recreation); ok on success, back to degraded on failure.
 	StateRecovering
 )
+
+// lifecycle is every transition a tracker's serving state can make, from →
+// to: an append whose rollback failed degrades it, a recovery attempt the
+// backoff lets run takes it to recovering, and the attempt's outcome decides
+// the rest. Tracked.move is the only writer of the state and takes no other
+// edge.
+var lifecycle = map[TrackerState][]TrackerState{
+	StateOK:               {StateDegradedReadOnly},
+	StateDegradedReadOnly: {StateRecovering},
+	StateRecovering:       {StateOK, StateDegradedReadOnly},
+}
+
+// traceMove, when non-nil, sees every transition move makes. Tests set it
+// before building a tracker; nothing else does.
+var traceMove func(t *Tracked, from, to TrackerState)
 
 func (s TrackerState) String() string {
 	switch s {
@@ -125,7 +140,7 @@ type Tracked struct {
 	recovered RecoveryInfo
 
 	// state is the serving state (ok / degraded-readonly / recovering),
-	// written by the ingest loop, read by handlers and Submit.
+	// written by the ingest loop through move, read by handlers and Submit.
 	state atomic.Int32
 
 	// enqueueDeadline bounds the wait for space in a full queue before
@@ -214,8 +229,8 @@ func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.F
 // in the spill dir is a stray from a pre-crash spill that never made a
 // snapshot) or a fresh one. Once WAL replay has re-spilled, a zero-reference
 // segment may be one the on-disk snapshot still names; those wait for the
-// next covering snapshot (gcCold), as in steady state. On failure tr is
-// closed.
+// next covering snapshot (Tracked.checkpoint), as in steady state. On failure
+// tr is closed.
 func collectStrays(tr *sim.Tracker) error {
 	if _, err := tr.GC(); err != nil {
 		tr.Close()
@@ -248,8 +263,25 @@ func (t *Tracked) DurabilityError() string {
 // the log.
 func (t *Tracked) State() TrackerState { return TrackerState(t.state.Load()) }
 
+// move takes the lifecycle edge from the current state to to, on the loop
+// goroutine. Asking for the state the tracker is already in is not a move;
+// asking for an edge the table does not hold is a bug.
+func (t *Tracked) move(to TrackerState) {
+	from := t.State()
+	if from == to {
+		return
+	}
+	if !slices.Contains(lifecycle[from], to) {
+		panic(fmt.Sprintf("server: tracker %q: no lifecycle edge %v → %v", t.name, from, to))
+	}
+	t.state.Store(int32(to))
+	if traceMove != nil {
+		traceMove(t, from, to)
+	}
+}
+
 // Counters returns the tracker's robustness counters: failed snapshot
-// attempts (retried with backoff), poisoned-WAL re-arms, requests shed by
+// attempts (retried with backoff), poisoned-log re-arms, requests shed by
 // the enqueue deadline, and the ingest queue's high-water depth. Safe from
 // any goroutine.
 func (t *Tracked) Counters() (snapshotRetries, walRearms, shedRequests, queueHighWater int64) {
@@ -286,11 +318,11 @@ func (t *Tracked) PrevSnapshot() *sim.Snapshot { return t.prev.Load() }
 // loop is the single writer: it owns t.tr, applies commands in arrival
 // order, and republishes the read snapshot after each batch. Durable trackers
 // additionally run a periodic recovery probe: while the durable path is
-// poisoned (degraded-readonly), each tick attempts a re-arm — fresh
-// covering snapshot, WAL recreated empty — so ingest resumes by itself once
-// the disk heals. The loop exits when the command channel is closed (by
-// Close) after draining everything still queued — the graceful-drain
-// guarantee.
+// poisoned (degraded-readonly), each tick the backoff allows attempts a
+// checkpoint — fresh covering snapshot, poisoned log recreated — so ingest
+// resumes by itself once the disk heals. The loop exits when the command
+// channel is closed (by Close) after draining everything still queued — the
+// graceful-drain guarantee.
 func (t *Tracked) loop() {
 	defer close(t.done)
 	var probeC <-chan time.Time
@@ -307,9 +339,7 @@ func (t *Tracked) loop() {
 				// replay entirely. Still on the loop goroutine, so t.tr is
 				// safe to serialize.
 				if t.dur != nil {
-					if t.dur.maybeSnapshot(t.tr, true) {
-						t.gcCold()
-					}
+					t.checkpoint(true)
 					t.dur.close()
 				}
 				return
@@ -342,30 +372,29 @@ func (t *Tracked) apply(c command) {
 				err = t.dur.logNames(t.names)
 			}
 			if err == nil {
-				err = t.dur.logBatch(c.batch)
+				err = t.dur.wal.append(c.batch)
 			}
 		}
 		if err == nil {
-			err = applyRecord(t.tr, c.batch)
+			// One submitted batch — one WAL record — is one ProcessAll call,
+			// here and on replay (recoverTracker): the call holds nothing
+			// over, so both cut the stream into the same ingestion batches.
+			err = t.tr.ProcessAll(c.batch)
 		}
 		t.publish()
 		if t.dur != nil {
 			if t.dur.poisoned() {
 				// This batch's failure (or an earlier one's) left junk the
-				// rollback could not remove: flip to degraded-readonly; the
-				// probe takes it from here.
-				t.state.Store(int32(StateDegradedReadOnly))
-			} else if t.dur.maybeSnapshot(t.tr, false) {
-				// The fresh on-disk snapshot's segment manifest now matches
-				// the in-memory extents exactly, so cold segments no longer
-				// referenced are unreachable from any recovery — collect them.
-				t.gcCold()
+				// rollback could not remove: degraded-readonly; the probe
+				// takes it from here.
+				t.move(StateDegradedReadOnly)
+			} else {
+				t.checkpoint(false)
 			}
 		}
 	case c.query != nil:
-		// Nothing to publish afterwards: every batch is flushed before its
-		// own publish (applyRecord), so a read closure finds nothing
-		// buffered and leaves the tracker's answer as it was.
+		// Nothing to publish afterwards: reads leave the tracker's answer
+		// as it was.
 		c.query(t.tr)
 	}
 	if c.reply != nil {
@@ -373,44 +402,34 @@ func (t *Tracked) apply(c command) {
 	}
 }
 
-// applyRecord applies one submitted batch — one WAL record on a durable
-// tracker — and flushes sim-level batching behind it, also after a
-// stream-order rejection that left a valid prefix buffered. One record = one
-// flush boundary: the live loop and WAL replay (recoverTracker) both come
-// through here, so they cut the stream into the same ingestion batches and
-// a recovered tracker is the uninterrupted one at any Spec.Batch.
-func applyRecord(tr *sim.Tracker, batch []sim.Action) error {
-	err := tr.ProcessAll(batch)
-	if ferr := tr.Flush(); err == nil {
-		err = ferr
-	}
-	return err
-}
-
 // tryRearm attempts to recover a poisoned durable path, on the loop
-// goroutine. The state dance is observable: recovering while the probe
-// runs, ok on success, back to degraded-readonly on failure (the probe
-// fires again next tick, paced by the snapshot backoff schedule).
+// goroutine: recovering while the attempt runs, ok on success, back to
+// degraded-readonly on failure. A tick inside the backoff the last failure
+// scheduled attempts nothing and moves nothing.
 func (t *Tracked) tryRearm() {
-	if t.dur == nil || !t.dur.poisoned() {
+	if !t.dur.poisoned() || !t.dur.due() {
 		return
 	}
-	t.state.Store(int32(StateRecovering))
-	if t.dur.rearm(t.tr) {
-		t.state.Store(int32(StateOK))
-		t.gcCold() // the re-arm snapshot covers the live extents
+	t.move(StateRecovering)
+	t.checkpoint(true)
+	if t.dur.poisoned() {
+		t.move(StateDegradedReadOnly)
 		return
 	}
-	t.state.Store(int32(StateDegradedReadOnly))
+	t.dur.rearms.Add(1)
+	t.move(StateOK)
 }
 
-// gcCold collects unreferenced cold segment files after a successful
-// snapshot, on the loop goroutine. Failure is benign — the files are
-// retried by the next snapshot's GC — so it is logged via the durability
-// error channel only implicitly (not at all): a stray file costs disk,
-// never correctness.
-func (t *Tracked) gcCold() {
-	_, _ = t.tr.GC()
+// checkpoint runs durability.checkpoint and, when that published a snapshot,
+// collects the cold segments nothing references any more: the fresh
+// snapshot's segment manifest matches the in-memory extents exactly, so they
+// are unreachable from any recovery. A failed collection is benign — the
+// files are retried after the next snapshot — and goes unreported: a stray
+// file costs disk, never correctness.
+func (t *Tracked) checkpoint(force bool) {
+	if t.dur.checkpoint(t.tr, force) {
+		_, _ = t.tr.GC()
+	}
 }
 
 // publish refreshes the shared read snapshot, rotating the old one into
@@ -544,7 +563,6 @@ func (t *Tracked) Close() error {
 type Registry struct {
 	mu        sync.RWMutex
 	trackers  map[string]*Tracked
-	refused   map[string]string
 	dataDir   string
 	spillBase string
 	fs        fault.FS
@@ -553,46 +571,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{trackers: make(map[string]*Tracked)}
-}
-
-// Refuse records that the named tracker was declared but could not be
-// served (e.g. its spec combines batch > 1 with durability, which cannot
-// guarantee recovery identity). The server keeps running: /v1/healthz
-// reports the name and reason under "refused" (status "degraded"), and
-// every /v1/trackers/{name}/... request answers 503 with the same reason
-// through the standard error contract — one consistent story for probes
-// and clients instead of a crash at boot.
-func (r *Registry) Refuse(name, reason string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.refused == nil {
-		r.refused = make(map[string]string)
-	}
-	r.refused[name] = reason
-}
-
-// RefusedReason returns why the named tracker was refused at startup, if it
-// was (see Refuse).
-func (r *Registry) RefusedReason(name string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	reason, ok := r.refused[name]
-	return reason, ok
-}
-
-// Refused returns a copy of the refused-tracker map (name → reason), nil
-// when nothing was refused.
-func (r *Registry) Refused() map[string]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.refused) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(r.refused))
-	for n, reason := range r.refused {
-		out[n] = reason
-	}
-	return out
 }
 
 // SetFS routes all durable-path filesystem access of trackers added
@@ -633,7 +611,8 @@ func (r *Registry) SetSpillDir(dir string) {
 
 // Add builds the tracker described by spec, registers it under name and
 // starts its ingest loop. On a durable registry (SetDataDir) the tracker
-// first recovers its state from disk.
+// first recovers its state from disk. A spec that cannot be served as
+// configured is an error, whatever is wrong with it.
 func (r *Registry) Add(name string, spec api.Spec) (*Tracked, error) {
 	if name == "" {
 		return nil, errors.New("server: tracker name must not be empty")
@@ -661,6 +640,10 @@ func (r *Registry) Add(name string, spec api.Spec) (*Tracked, error) {
 		// without a budget it is what re-adopts cold segments referenced by
 		// a snapshot taken under one (the budget is a runtime knob).
 		spillDir = filepath.Join(dir, "spill")
+	case spec.MemoryBudgetBytes > 0:
+		return nil, fmt.Errorf(
+			"server: tracker %q: memory_budget_bytes=%d needs a spill directory: pass -spill-dir (or -data-dir, which spills under the tracker's data directory)",
+			name, spec.MemoryBudgetBytes)
 	}
 	t, err := newTracked(name, spec, dir, spillDir, r.fs)
 	if err != nil {

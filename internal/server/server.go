@@ -39,7 +39,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -85,16 +84,11 @@ func New(reg *Registry) *Server {
 	s.mux.HandleFunc("GET /v1/trackers/{name}/influence", s.handleInfluence)
 	s.mux.HandleFunc("GET /v1/trackers/{name}/candidates", s.handleCandidates)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	return s
 }
 
-// handleHealth serves the structured probe endpoint (the plain /healthz
-// stays as the minimal liveness check). Status degrades when a durable
+// handleHealth serves the probe endpoint. Status degrades when a durable
 // tracker's snapshot writes are failing (ingestion still works, the WAL
 // keeps every batch, but the log grows until the condition clears) or when
 // a tracker's durability path is poisoned outright and it is serving in
@@ -135,9 +129,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	refused := s.reg.Refused()
 	status := "ok"
-	if len(degraded) > 0 || len(states) > 0 || len(refused) > 0 {
+	if len(degraded) > 0 || len(states) > 0 {
 		status = "degraded"
 	}
 	api.WriteJSON(w, http.StatusOK, api.HealthResponse{
@@ -149,7 +142,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Durable:       s.reg.DataDir() != "",
 		Degraded:      degraded,
 		States:        states,
-		Refused:       refused,
 		Memory:        memory,
 	})
 }
@@ -219,18 +211,11 @@ func writeRetryable(w http.ResponseWriter, code int, err error) {
 	(&api.Error{Code: code, Message: err.Error(), RetryAfter: retryAfterHint}).Write(w)
 }
 
-// tracked resolves the {name} path value, answering 404 when unknown and
-// 503 — with the startup refusal reason — for trackers the registry refused
-// to serve (Registry.Refuse), so clients see the same story /v1/healthz
-// tells instead of a misleading "unknown tracker".
+// tracked resolves the {name} path value, answering 404 when unknown.
 func (s *Server) tracked(w http.ResponseWriter, r *http.Request) (*Tracked, bool) {
 	name := r.PathValue("name")
 	t, ok := s.reg.Get(name)
 	if !ok {
-		if reason, refused := s.reg.RefusedReason(name); refused {
-			api.WriteError(w, http.StatusServiceUnavailable, "tracker %q refused at startup: %s", name, reason)
-			return nil, false
-		}
 		api.WriteError(w, http.StatusNotFound, "unknown tracker %q", name)
 		return nil, false
 	}

@@ -499,10 +499,6 @@ func TestErrorContract(t *testing.T) {
 	if _, err := reg.Add("default", api.Spec{K: 2, Window: 100}); err != nil {
 		t.Fatal(err)
 	}
-	// A tracker refused at startup (simserve's refuse-and-serve path for
-	// spec validation failures, e.g. a memory budget with nowhere to spill)
-	// serves 503 with the refusal reason instead of vanishing into a 404.
-	reg.Refuse("badbudget", "memory_budget_bytes=1048576 needs a spill directory")
 	handler := server.New(reg)
 	handler.MaxBodyBytes = 1 << 10 // make 413 reachable with a small body
 	srv := httptest.NewServer(handler)
@@ -535,9 +531,6 @@ func TestErrorContract(t *testing.T) {
 		{"undecodable query body", "POST", "/v1/trackers/default/query", "not json", 400},
 		{"unknown query field", "POST", "/v1/trackers/default/query", `{"plam":{}}`, 400},
 		{"bad plan", "POST", "/v1/trackers/default/query", `{"plan":{"scan":"bogus"}}`, 400},
-		{"refused tracker read", "GET", "/v1/trackers/badbudget/seeds", "", 503},
-		{"refused tracker ingest", "POST", "/v1/trackers/badbudget/actions", `{"id":1,"user":1}` + "\n", 503},
-		{"refused tracker query", "POST", "/v1/trackers/badbudget/query", `{"plan":{"scan":"seeds"}}`, 503},
 	}
 	check := func(t *testing.T, resp *http.Response, wantCode int) {
 		t.Helper()
@@ -572,36 +565,6 @@ func TestErrorContract(t *testing.T) {
 			}
 			check(t, resp, c.wantCode)
 		})
-	}
-
-	// The refusal reason survives the envelope round trip, and healthz
-	// reports the tracker as refused with a degraded status.
-	resp0, err := http.Get(srv.URL + "/v1/trackers/badbudget/seeds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refusedErr api.ErrorResponse
-	if err := json.NewDecoder(resp0.Body).Decode(&refusedErr); err != nil {
-		t.Fatal(err)
-	}
-	resp0.Body.Close()
-	if !strings.Contains(refusedErr.Error, "needs a spill directory") {
-		t.Fatalf("refusal reason lost: %q", refusedErr.Error)
-	}
-	hresp, err := http.Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health api.HealthResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if health.Status != "degraded" {
-		t.Fatalf("healthz status = %q with a refused tracker, want degraded", health.Status)
-	}
-	if reason, ok := health.Refused["badbudget"]; !ok || !strings.Contains(reason, "needs a spill directory") {
-		t.Fatalf("healthz refused map = %v, want badbudget with its reason", health.Refused)
 	}
 
 	// 503 while draining: close the registry under the live listener.
@@ -844,15 +807,6 @@ func TestMetricsAndList(t *testing.T) {
 		t.Errorf("health = %+v", health)
 	}
 
-	hresp, err := http.Get(client.BaseURL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hbody, _ := io.ReadAll(hresp.Body)
-	hresp.Body.Close()
-	if strings.TrimSpace(string(hbody)) != "ok" {
-		t.Errorf("healthz = %q", hbody)
-	}
 }
 
 // TestRegistryAdd covers registry-level validation.
@@ -875,6 +829,45 @@ func TestRegistryAdd(t *testing.T) {
 	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddMemoryBudgetNeedsSpillDir pins the spill-directory guard: a memory
+// budget is only accepted when the tracker has somewhere to spill, and the
+// error — which stops simserve's boot — says which flags provide one.
+func TestAddMemoryBudgetNeedsSpillDir(t *testing.T) {
+	cases := []struct {
+		name     string
+		budget   int64
+		durable  bool
+		spill    bool
+		wantHint string // "" = Add succeeds
+	}{
+		{"no budget", 0, false, false, ""},
+		{"budget, nowhere to spill", 1 << 20, false, false, "-spill-dir"},
+		{"budget with spill dir", 1 << 20, false, true, ""},
+		{"budget with data dir", 1 << 20, true, false, ""},
+		{"negative budget", -1, true, true, "MemoryBudgetBytes"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := server.NewRegistry()
+			defer reg.Close()
+			if c.durable {
+				reg.SetDataDir(t.TempDir())
+			}
+			if c.spill {
+				reg.SetSpillDir(t.TempDir())
+			}
+			_, err := reg.Add("default", api.Spec{K: 5, Window: 100, MemoryBudgetBytes: c.budget})
+			if (err != nil) != (c.wantHint != "") {
+				t.Fatalf("Add(budget=%d durable=%v spill=%v) = %v, want error: %v",
+					c.budget, c.durable, c.spill, err, c.wantHint != "")
+			}
+			if err != nil && !strings.Contains(err.Error(), c.wantHint) {
+				t.Errorf("error %q does not mention %q", err, c.wantHint)
+			}
+		})
 	}
 }
 

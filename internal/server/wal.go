@@ -28,20 +28,17 @@ import (
 // (the live 409 path, which applies the prefix and drops the rest) replays
 // to exactly the same state.
 //
-// The log has a single appender (the tracker's ingest loop), so torn writes
-// can only occur at the tail — a kill -9 mid-append. Replay therefore stops
-// at the first frame that fails to parse or checksum: everything before it
-// was written by a completed, synced append; everything from it on was
-// never acknowledged. A *failed* append (short write, ENOSPC, fsync error)
-// is rolled back by truncating the file to its pre-append size, so the
-// rejected record's bytes cannot linger mid-log where they would make
-// replay stop early and drop batches acknowledged after them; if the
-// rollback itself fails the log is poisoned — every later append is
-// refused — which keeps the invariant that acknowledged records are never
-// preceded by junk. A poisoned log is not terminal: once a fresh snapshot
-// has made every acknowledged batch durable again, rearm recreates the log
-// empty (junk and all gone) and appends resume — the serving layer's
-// degraded-readonly → recovering → ok cycle (see registry.go).
+// The file underneath is an appendLog (appendlog.go): one Write and one fsync
+// per record, a failed append rolled back out of the file, poisoning when the
+// rollback fails too. Replay stops at the first frame that fails to parse or
+// checksum: everything before it was written by a completed, synced append;
+// everything from it on was never acknowledged. A poisoned log is not
+// terminal: once a fresh snapshot has made every acknowledged batch durable
+// again the log is recreated empty (junk and all gone) and appends resume —
+// the serving layer's degraded-readonly → recovering → ok cycle (see
+// registry.go). A crash between that snapshot's rename and the truncate is
+// safe: replay skips snapshot-covered records by ID and stops at the junk
+// tail, before which every record is covered.
 
 // walRecordTag starts every WAL record.
 const walRecordTag = byte('B')
@@ -50,42 +47,27 @@ const walRecordTag = byte('B')
 // the tail fails fast instead of attempting a giant allocation.
 const maxWALRecordBytes = 1 << 30
 
-// wal is an append-only, fsync-per-append batch log. All file access goes
-// through the fault.FS seam so every failure edge (short write, ENOSPC,
-// fsync error, failed rollback) is injectable.
+// wal frames batches onto an appendLog; size (promoted) is also the
+// snapshot-policy input.
 type wal struct {
-	fs     fault.FS
-	f      fault.File
-	path   string
-	size   int64        // current file size, the snapshot-policy input
-	buf    bytes.Buffer // payload scratch, reused across appends
-	frame  bytes.Buffer // framed-record scratch, reused across appends
-	broken error        // a failed append that could not be rolled back
+	*appendLog
+	buf   bytes.Buffer // payload scratch, reused across appends
+	frame bytes.Buffer // framed-record scratch, reused across appends
 }
 
-// openWAL opens (creating if needed) the log at path for appending.
+// openWAL opens (creating if needed) the log at path for appending, keeping
+// whatever it holds: replayWAL has already read it.
 func openWAL(fs fault.FS, path string) (*wal, error) {
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := openAppendLog(fs, path, -1)
 	if err != nil {
-		return nil, fmt.Errorf("server: opening WAL: %w", err)
+		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("server: opening WAL: %w", err)
-	}
-	return &wal{fs: fs, f: f, path: path, size: st.Size()}, nil
+	return &wal{appendLog: l}, nil
 }
 
-// append frames, writes and fsyncs one batch. Only after append returns nil
-// may the batch be applied and acknowledged. A failed append is rolled back
-// (see the package comment), so the error means the log is exactly as it
-// was before the call — or poisoned, refusing everything thereafter.
+// append frames one batch and appends it; see appendLog.append for what a
+// nil and a non-nil return promise.
 func (w *wal) append(batch []sim.Action) error {
-	if w.broken != nil {
-		return fmt.Errorf("server: WAL unusable after failed rollback: %w", w.broken)
-	}
-
 	// Payload, via the same wire primitives every snapshot layer uses
 	// (bytes.Buffer writes cannot fail, so enc.Err is statically nil).
 	w.buf.Reset()
@@ -108,69 +90,8 @@ func (w *wal) append(batch []sim.Action) error {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
 	w.frame.Write(crc[:])
-
-	prev := w.size
-	n, err := w.f.Write(w.frame.Bytes())
-	w.size += int64(n)
-	if err != nil {
-		return w.rollback(prev, fmt.Errorf("server: WAL append: %w", err))
-	}
-	if err := w.f.Sync(); err != nil {
-		// The record may be fully written but is not durable — and the batch
-		// is about to be rejected, so it must not resurface on replay.
-		return w.rollback(prev, fmt.Errorf("server: WAL sync: %w", err))
-	}
-	return nil
+	return w.appendLog.append(w.frame.Bytes())
 }
-
-// rollback restores the log to its pre-append size after a failed append
-// and returns cause. The truncation is itself synced so the rejected bytes
-// cannot reappear after a crash. If any step fails the log is poisoned:
-// appending past leftover junk would strand every later record behind a
-// frame replay treats as the torn tail.
-func (w *wal) rollback(prev int64, cause error) error {
-	if err := w.f.Truncate(prev); err != nil {
-		w.broken = fmt.Errorf("%w; rollback truncate: %v", cause, err)
-		return w.broken
-	}
-	if err := w.f.Sync(); err != nil {
-		w.broken = fmt.Errorf("%w; rollback sync: %v", cause, err)
-		return w.broken
-	}
-	w.size = prev
-	return cause
-}
-
-// reset truncates the log after a successful snapshot. With O_APPEND,
-// subsequent appends land at the new end of file.
-func (w *wal) reset() error {
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("server: WAL truncate: %w", err)
-	}
-	w.size = 0
-	return nil
-}
-
-// rearm recovers a poisoned log by recreating it empty: close the (possibly
-// unusable) handle and reopen with O_TRUNC, dropping any rollback junk.
-// Callers MUST have persisted a snapshot covering every acknowledged batch
-// first — rearm discards the log's contents. A crash between that snapshot's
-// rename and this truncate is safe: replay skips snapshot-covered records by
-// ID and stops at the junk tail, before which every record is covered.
-func (w *wal) rearm() error {
-	_ = w.f.Close() // best effort; the fd may already be dead
-	f, err := w.fs.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: WAL rearm: %w", err)
-	}
-	w.f = f
-	w.size = 0
-	w.broken = nil
-	return nil
-}
-
-// close releases the file handle.
-func (w *wal) close() error { return w.f.Close() }
 
 // replayWAL streams the log's batches to apply in append order. It
 // tolerates a torn tail (see the package comment above): parsing stops

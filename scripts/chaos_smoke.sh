@@ -36,7 +36,7 @@ fetch() {
 
 wait_up() {
     i=0
-    until fetch "$1/healthz" >/dev/null 2>&1; do
+    until fetch "$1/v1/healthz" >/dev/null 2>&1; do
         i=$((i + 1))
         [ "$i" -lt 100 ] || { echo "server on $1 did not come up" >&2; exit 1; }
         sleep 0.1

@@ -15,7 +15,7 @@ import (
 const (
 	sectionConfig  = "CFG0" // configuration scalars, validated against Load's Config
 	sectionCore    = "CORE" // framework state: stream index + checkpoint chain
-	sectionTracker = "TRK0" // tracker-level state (newest accepted ID)
+	sectionTracker = "TRK0" // newest accepted ID, an echo of CORE's: written, not read back
 )
 
 // simConfigVersion versions the CFG0 payload.
@@ -27,15 +27,11 @@ const simConfigVersion = 1
 // versioned header, CRC per section, length-prefixed sections that unknown
 // readers can skip).
 //
-// Buffered actions are flushed first, so the snapshot always covers
-// everything Processed; a tracker restored from it by Load and fed the rest
-// of the stream produces bit-identical Seeds, Value and CheckpointStarts to
-// one that was never interrupted. SaveTo does not mutate observable state
-// beyond that flush and may be called at any point between Process calls.
+// A tracker restored from it by Load and fed the rest of the stream produces
+// bit-identical Seeds, Value and CheckpointStarts to one that was never
+// interrupted. SaveTo does not mutate observable state and may be called at
+// any point between Process calls.
 func (t *Tracker) SaveTo(w io.Writer) error {
-	if err := t.Flush(); err != nil {
-		return err
-	}
 	sw, err := dataio.NewSnapshotWriter(w)
 	if err != nil {
 		return err
@@ -75,7 +71,7 @@ func (t *Tracker) SaveTo(w io.Writer) error {
 
 	buf.Reset()
 	tw := wire.NewWriter(&buf)
-	tw.Varint(int64(t.lastID))
+	tw.Varint(int64(t.LastID()))
 	if err := tw.Err(); err != nil {
 		return err
 	}
@@ -144,14 +140,9 @@ func (t *Tracker) load(r io.Reader) error {
 				return fmt.Errorf("sim: %w", err)
 			}
 			sawCore = true
-		case sectionTracker:
-			tr := wire.NewReader(bytes.NewReader(payload))
-			t.lastID = ActionID(tr.Varint())
-			if err := tr.Err(); err != nil {
-				return fmt.Errorf("sim: reading tracker section: %w", err)
-			}
 		default:
-			// Unknown section from a newer writer: skip.
+			// TRK0 (the stream index in CORE already holds the last ID), or an
+			// unknown section from a newer writer: skip.
 		}
 	}
 	if !sawConfig || !sawCore {

@@ -192,22 +192,25 @@ func TestSaveLoadAcrossRuntimeKnobs(t *testing.T) {
 	}
 }
 
-// TestSaveToFlushesBatchBuffer asserts a SaveTo mid-batch covers every
-// Processed action: the buffered tail is flushed into the snapshot, not
-// dropped.
+// TestSaveLoadBatchedTracker: a batched tracker saved between two ProcessAll
+// calls — 100 actions each at BatchSize 64, so every call ends on a short
+// batch — restores to the tracker that was never interrupted, and stays it
+// through the rest of the stream.
 func TestSaveLoadBatchedTracker(t *testing.T) {
 	ds := identityDatasets()[0]
 	cfg := sim.Config{K: 5, WindowSize: 500, Slide: 25, Beta: 0.1, BatchSize: 64}
+	cut := 700
+	ref, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
 	tr, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := 777 // deliberately not a multiple of BatchSize
-	for _, a := range ds.actions[:cut] {
-		if err := tr.Process(a); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedCalls(t, ref, ds.actions[:cut], 100)
+	feedCalls(t, tr, ds.actions[:cut], 100)
 	var snap bytes.Buffer
 	if err := tr.SaveTo(&snap); err != nil {
 		t.Fatalf("SaveTo: %v", err)
@@ -221,15 +224,18 @@ func TestSaveLoadBatchedTracker(t *testing.T) {
 	}
 	defer resumed.Close()
 	if got := resumed.Processed(); got != int64(cut) {
-		t.Fatalf("restored Processed = %d, want %d (batch buffer lost?)", got, cut)
+		t.Fatalf("restored Processed = %d, want %d", got, cut)
 	}
-	for _, a := range ds.actions[cut:] {
-		if err := resumed.Process(a); err != nil {
-			t.Fatal(err)
-		}
+	if got, want := resumed.LastID(), ref.LastID(); got != want {
+		t.Fatalf("restored LastID = %d, want %d", got, want)
 	}
+	feedCalls(t, ref, ds.actions[cut:], 100)
+	feedCalls(t, resumed, ds.actions[cut:], 100)
 	if got := resumed.Processed(); got != int64(len(ds.actions)) {
 		t.Fatalf("final Processed = %d, want %d", got, len(ds.actions))
+	}
+	if !bytes.Equal(savedState(t, resumed), savedState(t, ref)) {
+		t.Fatal("resumed batched tracker diverged from the uninterrupted one")
 	}
 }
 

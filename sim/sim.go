@@ -20,9 +20,10 @@
 // The ingestion hot path is a per-checkpoint feed with a zero-allocation
 // element path: influence sets reach the oracles as shared slice views
 // rather than closures. One Config option reshapes it: BatchSize (default
-// 1, the exact per-action behavior) groups actions so the stream index,
-// oracle feeding and window maintenance amortize across a batch, with
-// results exact at batch boundaries and every query flushing first.
+// 1, the exact per-action behavior) groups actions within one ProcessAll
+// call so the stream index, oracle feeding and window maintenance amortize
+// across a batch; Process is per-action. Nothing is held over between
+// calls: when ProcessAll returns, everything it accepted is applied.
 //
 // A Tracker is single-writer: only one goroutine may call Process and the
 // query methods. For concurrent readers, the owner calls Snapshot — an
@@ -250,16 +251,17 @@ type Config struct {
 	// measured faster than the serial one and was removed; results were
 	// bit-identical at every width, so ignoring it changes no answer.
 	Parallelism int
-	// BatchSize groups ingested actions: Process enqueues, and every
-	// BatchSize actions the whole group is ingested at once, feeding each
-	// checkpoint one element per distinct contributor of the batch instead
-	// of one per contributing action and running window maintenance once
-	// per batch. 1 (or 0, the zero value) is exact per-action legacy
-	// behavior. With larger batches the oracles see the same monotone
-	// influence-set growth at coarser granularity, so approximation
-	// guarantees hold but seed sets may differ from the serial run within
-	// the guarantee band; queries (Seeds, Value, …) flush pending actions
-	// first and are therefore always exact for everything Processed.
+	// BatchSize groups actions within one ProcessAll call: the slice is cut
+	// into batches of BatchSize accepted actions (the last one shorter) and
+	// each is ingested at once, feeding each checkpoint one element per
+	// distinct contributor of the batch instead of one per contributing
+	// action and running window maintenance once per batch. Process is
+	// per-action whatever the value, and 1 (or 0, the zero value) makes
+	// ProcessAll per-action too. With larger batches the oracles see the
+	// same monotone influence-set growth at coarser granularity, so
+	// approximation guarantees hold but seed sets may differ from the serial
+	// run within the guarantee band. Answers depend on where the calls cut
+	// the stream: hand ProcessAll what arrived between two slide boundaries.
 	BatchSize int
 	// ExpectedUsers, when positive, pre-sizes the stream index's per-user
 	// maps for that many distinct users, avoiding rehash churn during the
@@ -299,8 +301,7 @@ type Tracker struct {
 	weighted bool                 // non-nil Weights at construction; echoed into snapshots
 
 	batchSize int
-	batch     []Action
-	lastID    ActionID // newest accepted ID, including still-buffered ones
+	chunk     []Action // ProcessAll's batch scratch; empty between calls
 
 	view poolView // the candidate pool as Snapshot last published it
 }
@@ -367,86 +368,79 @@ func New(cfg Config) (*Tracker, error) {
 	}
 	return &Tracker{
 		fw: fw, filter: cfg.Filter, orc: cfg.Oracle, store: store,
-		weighted: cfg.Weights != nil, batchSize: bs, lastID: -1,
+		weighted: cfg.Weights != nil, batchSize: bs,
 	}, nil
 }
 
-// Process ingests one action. Actions must arrive with strictly increasing
-// IDs; an action referencing itself or a future action as parent is
-// rejected. Filtered-out actions are silently skipped. With BatchSize > 1
-// the action may be buffered; it is fully applied by the time the batch
-// fills, Flush is called, or any query method runs.
+// Process ingests one action, per-action at any BatchSize. Actions must
+// arrive with strictly increasing IDs; an action referencing itself or a
+// future action as parent is rejected. Filtered-out actions are silently
+// skipped.
 func (t *Tracker) Process(a Action) error {
 	if t.filter != nil && !t.filter(a) {
 		return nil
 	}
-	if t.batchSize <= 1 {
-		if err := t.fw.Process(a); err != nil {
-			return err
-		}
-		t.lastID = a.ID
-		return nil
-	}
-	// Validate on entry so errors surface at the offending Process call,
-	// never from a later flush.
-	if a.ID <= t.lastID {
-		return stream.ErrNonMonotonicID
-	}
-	if !a.Root() && a.Parent >= a.ID {
-		return stream.ErrBadParent
-	}
-	t.lastID = a.ID
-	t.batch = append(t.batch, a)
-	if len(t.batch) >= t.batchSize {
-		return t.Flush()
-	}
-	return nil
+	return t.fw.Process(a)
 }
 
-// ProcessAll ingests a slice of actions, stopping at the first error. With
-// BatchSize > 1 the slice is cut directly into ingestion batches.
+// ProcessAll ingests a slice of actions and returns with all of it applied.
+// With BatchSize > 1 it cuts the slice into ingestion batches of that many
+// accepted (unfiltered) actions, the last one shorter. It stops at the first
+// stream-order error, with everything before the offending action applied —
+// the batch that action would have joined is ingested short.
 func (t *Tracker) ProcessAll(actions []Action) error {
-	for _, a := range actions {
-		if err := t.Process(a); err != nil {
-			return fmt.Errorf("action %v: %w", a, err)
+	if t.batchSize <= 1 {
+		for _, a := range actions {
+			if err := t.Process(a); err != nil {
+				return fmt.Errorf("action %v: %w", a, err)
+			}
 		}
-	}
-	return nil
-}
-
-// Flush applies any actions still buffered by batching. It is a no-op when
-// the buffer is empty or BatchSize is 1.
-func (t *Tracker) Flush() error {
-	if len(t.batch) == 0 {
 		return nil
 	}
-	batch := t.batch
-	t.batch = t.batch[:0]
-	return t.fw.ProcessBatch(batch)
-}
-
-// flushed drains the batch buffer before a query. Buffered actions were
-// validated by Process, so ingestion cannot fail; a failure here means
-// internal state corruption.
-func (t *Tracker) flushed() *core.Framework {
-	if err := t.Flush(); err != nil {
-		panic(fmt.Sprintf("sim: flush of validated batch failed: %v", err))
-	}
-	return t.fw
-}
-
-// Close flushes any buffered actions and releases the cold tier's segment
-// store (a no-op without a SpillDir). The tracker remains queryable after
-// Close as long as nothing needs a cold read; it is safe to omit Close for
-// process-lifetime trackers on a default configuration.
-func (t *Tracker) Close() error {
-	err := t.Flush()
-	if t.store != nil {
-		if cerr := t.store.Close(); err == nil {
-			err = cerr
+	// Validate on entry, as the stream will: a batch is ingested whole or not
+	// at all, so the offending action must never reach one.
+	var bad error
+	last := t.LastID()
+	chunk := t.chunk[:0]
+	for _, a := range actions {
+		if t.filter != nil && !t.filter(a) {
+			continue
+		}
+		switch {
+		case a.ID <= last:
+			bad = ErrNonMonotonicID
+		case !a.Root() && a.Parent >= a.ID:
+			bad = ErrBadParent
+		}
+		if bad != nil {
+			bad = fmt.Errorf("action %v: %w", a, bad)
+			break
+		}
+		last = a.ID
+		chunk = append(chunk, a)
+		if len(chunk) == t.batchSize {
+			if err := t.fw.ProcessBatch(chunk); err != nil {
+				return err
+			}
+			chunk = chunk[:0]
 		}
 	}
-	return err
+	t.chunk = chunk[:0]
+	if err := t.fw.ProcessBatch(chunk); err != nil {
+		return err
+	}
+	return bad
+}
+
+// Close releases the cold tier's segment store (a no-op without a
+// SpillDir). The tracker remains queryable after Close as long as nothing
+// needs a cold read; it is safe to omit Close for process-lifetime trackers
+// on a default configuration.
+func (t *Tracker) Close() error {
+	if t.store == nil {
+		return nil
+	}
+	return t.store.Close()
 }
 
 // GC deletes cold segment files that no live extent references. Call it
@@ -464,44 +458,37 @@ func (t *Tracker) GC() (removed int, err error) {
 
 // Seeds returns the current solution: at most K users who (approximately)
 // maximize the influence objective over the current window. The slice is
-// owned by the Tracker and valid until the next Process call. Buffered
-// actions are flushed first, so the answer always covers everything
-// Processed.
-func (t *Tracker) Seeds() []UserID { return t.flushed().Seeds() }
+// owned by the Tracker and valid until the next Process call.
+func (t *Tracker) Seeds() []UserID { return t.fw.Seeds() }
 
 // Value returns the influence objective of the current solution as
-// maintained by the answering checkpoint. Buffered actions are flushed
-// first.
-func (t *Tracker) Value() float64 { return t.flushed().Value() }
+// maintained by the answering checkpoint.
+func (t *Tracker) Value() float64 { return t.fw.Value() }
 
 // Candidates returns the answering checkpoint's candidate seed pool: a
 // superset of Seeds() for the sieve-style oracles (union of all live
 // candidate solutions), Seeds() itself for the swap oracles. A scatter-
 // gather router unions these pools across shards and re-scores the merged
-// pool with one exact greedy pass. Buffered actions are flushed first. The
-// slice is freshly allocated and owned by the caller.
-func (t *Tracker) Candidates() []UserID { return t.flushed().CandidateSeeds() }
+// pool with one exact greedy pass. The slice is freshly allocated and owned
+// by the caller.
+func (t *Tracker) Candidates() []UserID { return t.fw.CandidateSeeds() }
 
 // InfluenceSet returns the users currently influenced by u within the
-// window (Definition 1 of the paper). Buffered actions are flushed first.
+// window (Definition 1 of the paper).
 func (t *Tracker) InfluenceSet(u UserID) []UserID {
-	fw := t.flushed()
-	return fw.Stream().InfluenceSet(u, fw.WindowStart())
+	return t.fw.Stream().InfluenceSet(u, t.fw.WindowStart())
 }
 
 // WindowStart returns the ID of the first action of the current window.
-// Buffered actions are flushed first.
-func (t *Tracker) WindowStart() ActionID { return t.flushed().WindowStart() }
+func (t *Tracker) WindowStart() ActionID { return t.fw.WindowStart() }
 
-// Processed returns the number of accepted (unfiltered) actions, including
-// any still buffered by batching.
-func (t *Tracker) Processed() int64 { return t.fw.Processed() + int64(len(t.batch)) }
+// Processed returns the number of accepted (unfiltered) actions.
+func (t *Tracker) Processed() int64 { return t.fw.Processed() }
 
-// LastID returns the ID of the newest accepted action, including any still
-// buffered by batching, or -1 when nothing has been accepted yet. The
-// serving layer's crash recovery uses it to skip write-ahead-log entries
-// already covered by a restored snapshot.
-func (t *Tracker) LastID() ActionID { return t.lastID }
+// LastID returns the ID of the newest accepted action, or -1 when nothing
+// has been accepted yet. The serving layer's crash recovery uses it to skip
+// write-ahead-log entries already covered by a restored snapshot.
+func (t *Tracker) LastID() ActionID { return t.fw.Stream().Last() }
 
 // Stats summarizes the tracker's internal state. It marshals to JSON with
 // the frameworks and oracles spelled by name, so it can be served verbatim
@@ -521,10 +508,9 @@ type Stats struct {
 	ElementsFed int64 `json:"elements_fed"`
 }
 
-// Stats returns a snapshot of maintenance counters. Buffered actions are
-// flushed first.
+// Stats returns a snapshot of maintenance counters.
 func (t *Tracker) Stats() Stats {
-	fs := t.flushed().Stats()
+	fs := t.fw.Stats()
 	fwk := IC
 	if t.fw.Config().Sparse {
 		fwk = SIC
@@ -542,13 +528,12 @@ func (t *Tracker) Stats() Stats {
 // CheckpointStarts returns the start IDs of the live checkpoints in
 // ascending order (under SIC the first entry may precede the window start:
 // the retained Λ[x0] of Algorithm 2). The slice is freshly allocated.
-// Buffered actions are flushed first.
-func (t *Tracker) CheckpointStarts() []ActionID { return t.flushed().CheckpointStarts() }
+func (t *Tracker) CheckpointStarts() []ActionID { return t.fw.CheckpointStarts() }
 
 // CheckpointValues returns the oracle values of the live checkpoints in
 // ascending start order, parallel to CheckpointStarts. The slice is freshly
-// allocated. Buffered actions are flushed first.
-func (t *Tracker) CheckpointValues() []float64 { return t.flushed().CheckpointValues() }
+// allocated.
+func (t *Tracker) CheckpointValues() []float64 { return t.fw.CheckpointValues() }
 
 // SeedInfluence is one user's influence set as captured by a Snapshot — a
 // seed's (Snapshot.SeedInfluence) or a pool candidate's
@@ -765,14 +750,14 @@ func readInfluence(st *stream.Stream, u UserID, ws ActionID) (SeedInfluence, Act
 	return SeedInfluence{User: u, Influenced: set}, oldest
 }
 
-// Snapshot flushes buffered actions and captures the tracker's current
-// answer and counters in one self-contained value. Like every query method
+// Snapshot captures the tracker's current answer and counters in one
+// self-contained value. Like every query method
 // it must be called by the goroutine that owns the Tracker; unlike the
 // other queries, the returned value is safe to hand to other goroutines —
 // it shares nothing with the tracker's live state (see Snapshot for what
 // consecutive snapshots share with each other).
 func (t *Tracker) Snapshot() Snapshot {
-	fw := t.flushed()
+	fw := t.fw
 	fs := fw.Stats()
 	fwk := IC
 	if fw.Config().Sparse {
@@ -829,6 +814,5 @@ func (t *Tracker) Snapshot() Snapshot {
 }
 
 // Internal returns the underlying framework for the benchmark harness and
-// white-box examples, flushing buffered actions first. Treat it as
-// read-only.
-func (t *Tracker) Internal() *core.Framework { return t.flushed() }
+// white-box examples. Treat it as read-only.
+func (t *Tracker) Internal() *core.Framework { return t.fw }

@@ -88,9 +88,10 @@ func TestSnapshotMatchesQueries(t *testing.T) {
 	}
 }
 
-// TestSnapshotFlushesBatch asserts Snapshot covers actions still buffered by
-// batching at the moment of the call.
-func TestSnapshotFlushesBatch(t *testing.T) {
+// TestProcessAllAppliesShortLastBatch asserts a call's last batch, however
+// far short of BatchSize, is applied before ProcessAll returns: the Snapshot
+// that follows covers it.
+func TestProcessAllAppliesShortLastBatch(t *testing.T) {
 	tr, err := sim.New(sim.Config{K: 2, WindowSize: 8, BatchSize: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestSnapshotFlushesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap := tr.Snapshot(); snap.Processed != 8 {
-		t.Fatalf("snapshot processed %d, want 8 (buffered batch not flushed)", snap.Processed)
+		t.Fatalf("snapshot processed %d, want 8 (short batch not applied)", snap.Processed)
 	}
 }
 
