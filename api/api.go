@@ -424,6 +424,11 @@ type TrackerMetricsResponse struct {
 	// how many members those scans probed.
 	Scans       int64 `json:"scans"`
 	ScanMembers int64 `json:"scan_members"`
+	// ElementsUnchanged counts, since boot, the (contributor, checkpoint)
+	// pairs ingest touched without changing the influence set and so did not
+	// feed; against /stats' elements_fed — which counts the changed sets, the
+	// only ones fed — it is the share of duplicate offers on this stream.
+	ElementsUnchanged int64 `json:"elements_unchanged"`
 	// How publishes since boot got the snapshot's candidate pool (see
 	// sim.Snapshot): read in full, or carried over from the previous
 	// snapshot with ViewRefreshed entries re-read. ViewReuses ÷ (ViewRebuilds

@@ -7,18 +7,25 @@ import (
 // batchGain records which performers a contributor's influence set may have
 // gained during the current batch: latest is the first one seen, multi is
 // set when a second distinct performer appears (disabling the O(1) fast
-// path for that contributor's elements).
+// path for that contributor's elements). prev is the minimum stream.Delta.Prev
+// over the contributor's touches in the batch: the checkpoints that start
+// after it are the ones whose set the batch changed. That is exact for a
+// checkpoint opened mid-batch too — a touch that lands at or after its start
+// changes its set, and the earliest such touch has prev < start, its
+// previous entry being older than the checkpoint; with no such touch the
+// prefix is empty and feedContributor stops there.
 type batchGain struct {
 	latest stream.UserID
 	multi  bool
+	prev   stream.ActionID
 }
 
 // ProcessBatch ingests a batch of actions at once, amortizing the per-action
 // maintenance of Process across the batch: the stream index is updated in
 // one IngestBatch call, each checkpoint oracle then receives ONE element per
-// distinct contributor of the batch (instead of one per contributing
-// action), and window expiry, SIC pruning and horizon advance run once at
-// the batch boundary.
+// distinct contributor of the batch whose set there the batch changed
+// (instead of one per contributing action), and window expiry, SIC pruning
+// and horizon advance run once at the batch boundary.
 //
 // Semantics: checkpoint creation keeps the exact per-action cadence of
 // Process, and every oracle element carries the contributor's influence set
@@ -69,28 +76,31 @@ func (f *Framework) ProcessBatch(actions []stream.Action) error {
 	f.batchGains = f.batchGains[:0]
 	for _, d := range deltas {
 		p := d.Action.User
-		for _, u := range d.Contributors {
+		for j, u := range d.Contributors {
 			if i, ok := f.batchSeen[u]; ok {
-				if f.batchGains[i].latest != p {
-					f.batchGains[i].multi = true
+				g := &f.batchGains[i]
+				if g.latest != p {
+					g.multi = true
 				}
+				g.prev = min(g.prev, d.Prev[j])
 				continue
 			}
 			f.batchSeen[u] = len(f.batchContrib)
 			f.batchContrib = append(f.batchContrib, u)
-			f.batchGains = append(f.batchGains, batchGain{latest: p})
+			f.batchGains = append(f.batchGains, batchGain{latest: p, prev: d.Prev[j]})
 		}
 	}
 
-	// Feed each contributor's post-batch influence set to every checkpoint
-	// through the Set-Stream Mapping (feedContributor: one recency-sorted
-	// materialization per contributor serves every checkpoint as a prefix).
+	// Feed each contributor's post-batch influence set to the checkpoints
+	// where the batch changed it, through the Set-Stream Mapping
+	// (feedContributor: one recency-sorted materialization per contributor
+	// serves every checkpoint as a prefix).
 	// A contributor that gained members from several distinct performers is
 	// fed without Latest metadata and seed updates fall back to a full
 	// merge.
 	for i, u := range f.batchContrib {
 		g := f.batchGains[i]
-		f.feedContributor(u, g.latest, !g.multi)
+		f.feedContributor(u, g.latest, !g.multi, g.prev)
 	}
 
 	// Batch-boundary maintenance: expiry, SIC pruning and horizon advance

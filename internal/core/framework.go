@@ -13,15 +13,21 @@
 // O(log N / β) of them while guaranteeing an ε(1−β)/2 approximation
 // (Theorems 3–5).
 //
-// The per-action feed materializes each contributor's element once as a
-// shared influence-set view and cuts it per checkpoint by one walk over it
+// The Set-Stream Mapping (§4.2) emits an element 〈u, I_s(u)〉 when an action
+// updates I_s(u), and that is what the feed does: a contributor's element
+// reaches the checkpoints that start after the performer's previous
+// contribution to it (stream.Delta.Prev) — for an older start the performer
+// was a member already and the oracle has seen this very set. Every oracle's
+// guarantee needs each version of a set offered once; none uses a second
+// offer. The feed materializes each contributor's element once as a shared
+// influence-set view and cuts it per checkpoint by one walk over it
 // (checkpoints ascend by start, so the cuts only shorten). Checkpoints come
 // and go at every slide; an oracle that can Reset itself is handed from a
 // deleted checkpoint to a new one through a small free list instead of
 // being grown from nothing each time.
 // ProcessBatch ingests a whole slice of actions at once, feeding each
-// checkpoint one element per distinct contributor of the batch and running
-// window maintenance once per batch.
+// checkpoint one element per distinct contributor of the batch whose set
+// there the batch changed and running window maintenance once per batch.
 //
 // A Framework is single-writer: it is not safe for concurrent use.
 // Concurrent serving is layered on top by internal/server, which owns each
@@ -150,6 +156,10 @@ type Framework struct {
 	cpDeleted int64
 	cpSamples int64 // sum over actions of live checkpoint count
 	elemFed   int64 // oracle elements fed (the O(dN) term of §4.2)
+	// Checkpoints a contributor was not fed to because its set there had not
+	// changed; with elemFed, what an unconditional feed would have emitted.
+	// Not saved: the payload is what it was before the counter existed.
+	elemUnchanged int64
 	// Scan work of the oracles already deleted; Stats adds the live ones'.
 	// Not saved, like the oracle counters it sums.
 	deadScans, deadScanMembers int64
@@ -207,16 +217,14 @@ func (f *Framework) Process(a stream.Action) error {
 
 	f.admit(a.ID)
 
-	// Feed the action to every checkpoint through the Set-Stream Mapping
-	// (§4.2): each contributor u of the action re-emits (u, I_s(u)) with the
-	// influence set evaluated for the checkpoint's own suffix. The suffixes
-	// are nested, so one recency-sorted materialization per contributor
-	// serves every checkpoint as a prefix (stream.InfluenceRecency). The
-	// current action's performer is the only member an element can have
-	// gained since u's previous element on the same checkpoint — the O(1)
-	// seed-update fast path (Latest).
-	for _, u := range d.Contributors {
-		f.feedContributor(u, a.User, true)
+	// Feed the action through the Set-Stream Mapping (§4.2): a contributor u
+	// of the action emits (u, I_s(u)) to the checkpoints whose suffix set the
+	// action changed, those that start after the performer's previous
+	// contribution to u (feedContributor). The performer is the one member
+	// each fed element gained since u's previous element on the same
+	// checkpoint — the O(1) seed-update fast path (Latest).
+	for i, u := range d.Contributors {
+		f.feedContributor(u, a.User, true, d.Prev[i])
 	}
 
 	// Expire checkpoints that no longer cover a suffix of the window.
@@ -279,21 +287,40 @@ func (f *Framework) retire(cp *checkpoint) {
 	}
 }
 
-// feedContributor emits one contributor's element to every live checkpoint:
-// the per-action hot path of both frameworks. The influence set is
-// materialized once (a view into the stream's recency log) and sliced per
-// checkpoint — the list descends in time and the checkpoints ascend by
+// feedContributor emits one contributor's element to the live checkpoints
+// whose influence set for u changed: the per-action hot path of both
+// frameworks, and the only place an oracle is fed. prev is the latest time
+// before which everything u gained was already there — the performer's
+// previous contribution to u (stream.Delta.Prev), the minimum over the
+// touches when a batch made several. A checkpoint with start <= prev holds
+// that contribution inside its suffix: I_start(u) is the set its oracle was
+// last handed, and it is skipped (counted in elemUnchanged). When that is
+// every checkpoint, nothing is materialized at all.
+//
+// For the others the influence set is materialized once (a view into the
+// stream's recency log), from the oldest changed checkpoint on, and sliced
+// per checkpoint — the list descends in time and the checkpoints ascend by
 // start, so each cut is found by walking on from the previous one, and once
 // a checkpoint's prefix is empty so is every later one's. Nothing on this
 // path allocates in steady state: elements are values over a shared prefix
 // view.
-func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool) {
-	list := f.st.InfluenceRecency(u, f.cps[0].start)
-	if len(list) == 0 {
+func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool, prev stream.ActionID) {
+	first := f.firstAfter(prev)
+	if first == len(f.cps) {
+		f.elemUnchanged += int64(first)
 		return
 	}
+	list := f.st.InfluenceRecency(u, f.cps[first].start)
+	if prev < 0 {
+		// The hot log held no entry; under a cold tier the query above may
+		// have found the old one in u's extent.
+		if cold := f.st.ColdPrev(); cold >= 0 {
+			first = f.firstAfter(cold)
+		}
+	}
+	f.elemUnchanged += int64(first)
 	cut := len(list)
-	for _, cp := range f.cps {
+	for _, cp := range f.cps[first:] {
 		for cut > 0 && list[cut-1].T < cp.start {
 			cut--
 		}
@@ -303,6 +330,17 @@ func (f *Framework) feedContributor(u, latest stream.UserID, latestValid bool) {
 		f.elemFed++
 		cp.oracle.Process(oracle.Element{User: u, Latest: latest, LatestValid: latestValid, Prefix: list[:cut]})
 	}
+}
+
+// firstAfter returns the index of the oldest checkpoint that starts after t
+// (len(f.cps) when none does). It walks down from the newest: the
+// checkpoints an action changes are the few youngest ones.
+func (f *Framework) firstAfter(t stream.ActionID) int {
+	n := len(f.cps)
+	for n > 0 && f.cps[n-1].start > t {
+		n--
+	}
+	return n
 }
 
 // expire removes checkpoints whose start precedes the window start. IC
@@ -447,7 +485,16 @@ type FrameworkStats struct {
 	Created        int64
 	Deleted        int64
 	AvgCheckpoints float64
-	ElementsFed    int64
+	// ElementsFed counts the set-stream elements the oracles received: one
+	// per (contributor, checkpoint) whose influence set the action or batch
+	// changed. ElementsUnchanged counts the pairs skipped because it had
+	// not — the contributor's set for that checkpoint was non-empty and
+	// already held the performer — so ElementsUnchanged ÷ (ElementsFed +
+	// ElementsUnchanged) is the share of re-offers on this stream. Unlike
+	// ElementsFed, and like the scan counters below, ElementsUnchanged is
+	// not saved: it restarts at zero on a restored framework.
+	ElementsFed       int64
+	ElementsUnchanged int64
 	// Scans and ScanMembers sum oracle.Stats' counters of the same names
 	// over every checkpoint oracle this framework has run, deleted ones
 	// included: how many fed elements had their influence set scanned, and
@@ -460,12 +507,13 @@ type FrameworkStats struct {
 // Stats returns cumulative maintenance counters.
 func (f *Framework) Stats() FrameworkStats {
 	s := FrameworkStats{
-		Processed:   f.processed,
-		Created:     f.cpCreated,
-		Deleted:     f.cpDeleted,
-		ElementsFed: f.elemFed,
-		Scans:       f.deadScans,
-		ScanMembers: f.deadScanMembers,
+		Processed:         f.processed,
+		Created:           f.cpCreated,
+		Deleted:           f.cpDeleted,
+		ElementsFed:       f.elemFed,
+		ElementsUnchanged: f.elemUnchanged,
+		Scans:             f.deadScans,
+		ScanMembers:       f.deadScanMembers,
 	}
 	for _, cp := range f.cps {
 		st := cp.oracle.Stats()

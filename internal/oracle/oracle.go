@@ -33,20 +33,23 @@ import (
 // the next Ingest may rewrite. Duplicate users never occur
 // (the recency list holds each influenced user once).
 //
-// Latest, when LatestValid, is the only member possibly added since this
+// Latest, when LatestValid, is the one member the set gained since this
 // user's previous element on the same oracle (the current action's
-// performer): within one checkpoint's append-only suffix, an influence set
-// changes exactly when an action with this user on its contributor chain
-// arrives, and every such action is delivered as an element. This lets
-// oracles update an already-admitted seed's coverage in O(1) instead of
-// re-merging the whole set — and admission leans on it just as hard: the
-// sieve-style oracles reject a re-offered candidate from a cached gain
-// bound that they grow by Latest's weight alone (grid.feed), so an element
-// that claims LatestValid while its set gained some other member, or lost
-// one, makes them reject candidates they should have admitted. A caller
-// that cannot name the one new member leaves LatestValid false (as
-// core.ProcessBatch does for a contributor several performers reached in
-// one batch); the oracles then rescan.
+// performer). The caller guarantees it: core.Framework delivers an element
+// to a checkpoint only when the action (or batch) changed the user's
+// influence set for that checkpoint's suffix — the performer's previous
+// contribution, stream.Delta.Prev, is older than the checkpoint — so every
+// version of a set is offered once, no set is offered twice, and a
+// LatestValid element really gained Latest. This lets oracles update an
+// already-admitted seed's coverage in O(1) instead of re-merging the whole
+// set — and admission leans on it just as hard: the sieve-style oracles
+// reject a re-offered candidate from a cached gain bound that they grow by
+// Latest's weight alone (grid.feed), so an element that claims LatestValid
+// while its set gained some other member, or lost one, makes them reject
+// candidates they should have admitted. A caller that cannot name the one
+// new member leaves LatestValid false (as core.ProcessBatch does for a
+// contributor several performers reached in one batch); the oracles then
+// rescan.
 type Element struct {
 	User        stream.UserID
 	Latest      stream.UserID

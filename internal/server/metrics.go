@@ -14,7 +14,8 @@ import (
 //	simserve_ingested_total{tracker="..."}           accepted actions (rate() of it is the ingest rate)
 //	simserve_value{tracker="..."}                    current influence value
 //	simserve_checkpoints_live{tracker="..."}         live checkpoints
-//	simserve_elements_fed_total{tracker="..."}       oracle updates (the O(d·N) term)
+//	simserve_elements_fed_total{tracker="..."}       oracle updates (the O(d·N) term): elements whose influence set changed
+//	simserve_elements_unchanged_total{tracker="..."} touched (contributor, checkpoint) pairs not fed, the set being unchanged, since boot
 //	simserve_scans_total{tracker="..."}              fed elements whose influence set was scanned, since boot
 //	simserve_scan_members_total{tracker="..."}       influence-set members those scans probed, since boot
 //	simserve_view_rebuilds_total{tracker="..."}      publishes that read the whole candidate pool, since boot
@@ -49,6 +50,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "simserve_value{tracker=%q} %g\n", name, snap.Value)
 		fmt.Fprintf(w, "simserve_checkpoints_live{tracker=%q} %d\n", name, snap.Checkpoints)
 		fmt.Fprintf(w, "simserve_elements_fed_total{tracker=%q} %d\n", name, snap.ElementsFed)
+		fmt.Fprintf(w, "simserve_elements_unchanged_total{tracker=%q} %d\n", name, snap.ElementsUnchanged)
 		fmt.Fprintf(w, "simserve_scans_total{tracker=%q} %d\n", name, snap.Scans)
 		fmt.Fprintf(w, "simserve_scan_members_total{tracker=%q} %d\n", name, snap.ScanMembers)
 		fmt.Fprintf(w, "simserve_view_rebuilds_total{tracker=%q} %d\n", name, snap.ViewRebuilds)

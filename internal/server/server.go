@@ -176,6 +176,7 @@ func (s *Server) handleTrackerMetrics(w http.ResponseWriter, r *http.Request) {
 		ColdFaults:          snap.ColdFaults,
 		Scans:               snap.Scans,
 		ScanMembers:         snap.ScanMembers,
+		ElementsUnchanged:   snap.ElementsUnchanged,
 		ViewRebuilds:        snap.ViewRebuilds,
 		ViewReuses:          snap.ViewReuses,
 		ViewRefreshed:       snap.ViewRefreshed,

@@ -773,6 +773,9 @@ func TestMetricsAndList(t *testing.T) {
 	if tm.Scans <= 0 || tm.Scans > stats.Stats.ElementsFed || tm.ScanMembers < tm.Scans {
 		t.Errorf("scans = %d, scan members = %d with %d elements fed", tm.Scans, tm.ScanMembers, stats.Stats.ElementsFed)
 	}
+	if tm.ElementsUnchanged <= 0 {
+		t.Errorf("elements unchanged = %d after 100 actions: no action repeated a contribution?", tm.ElementsUnchanged)
+	}
 	// The view counters: one publish at boot and one per applied batch, and
 	// none for the reads above.
 	if tm.ViewRebuilds+tm.ViewReuses != 2 {
@@ -781,6 +784,7 @@ func TestMetricsAndList(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf(`simserve_scans_total{tracker="default"} %d`, tm.Scans),
 		fmt.Sprintf(`simserve_scan_members_total{tracker="default"} %d`, tm.ScanMembers),
+		fmt.Sprintf(`simserve_elements_unchanged_total{tracker="default"} %d`, tm.ElementsUnchanged),
 		fmt.Sprintf(`simserve_view_rebuilds_total{tracker="default"} %d`, tm.ViewRebuilds),
 		fmt.Sprintf(`simserve_view_reuses_total{tracker="default"} %d`, tm.ViewReuses),
 		fmt.Sprintf(`simserve_view_refreshed_total{tracker="default"} %d`, tm.ViewRefreshed),
@@ -939,7 +943,10 @@ func candidatesFixture(t *testing.T, names bool) *api.Client {
 // bytes the endpoint produced when it still ran on the ingest loop (the
 // golden files were written by that implementation): the ranked form and the
 // move to the snapshot must not show on the wire — no "gain" key, candidates
-// ascending by user, an empty pool as [] rather than null.
+// ascending by user, an empty pool as [] rather than null. The files pin the
+// pool's content too, so the two non-empty ones were re-captured when the
+// feed stopped re-offering unchanged sets (PR 20): user 32 left the pool and
+// user 17 joined it, every key and every other member as before.
 func TestCandidatesWireCompatibility(t *testing.T) {
 	empty, _ := newTestServer(t, api.Spec{K: 3, Window: 200})
 	for _, c := range []struct {

@@ -32,6 +32,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Contributors = append([]UserID(nil), d.Contributors...)
+		d.Prev = append([]ActionID(nil), d.Prev...)
 		wantDeltas = append(wantDeltas, d)
 	}
 
@@ -47,6 +48,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		}
 		for _, d := range ds {
 			d.Contributors = append([]UserID(nil), d.Contributors...)
+			d.Prev = append([]ActionID(nil), d.Prev...)
 			gotDeltas = append(gotDeltas, d)
 		}
 		checkLogBytes(t, batched)

@@ -1,6 +1,9 @@
 package stream
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Tiered window state: the per-user contribution logs are split into a hot
 // tier (the in-RAM userLogs of stream.go) and a cold tier of immutable
@@ -165,6 +168,7 @@ func (s *Stream) logPrefix(u UserID, start ActionID) ([]Contrib, error) {
 		// unbudgeted streams pay one nil check here and nothing else.
 		return hot, nil
 	}
+	s.coldPrev = -1
 	ext, ok := s.cold[u]
 	if !ok || ext.MaxT < start {
 		// No extent, or every cold entry predates the suffix: the newest
@@ -188,6 +192,7 @@ func (s *Stream) logPrefix(u UserID, start ActionID) ([]Contrib, error) {
 	// Both tiers populated: hot entries are all newer than cold ones (times
 	// are globally monotone), so the merged prefix is hot followed by the
 	// cold entries whose user has not re-contributed since the spill.
+	s.coldPrev = s.missedPrev(u, cold)
 	out := append(s.mergeBuf[:0], hot...)
 	for _, c := range cold {
 		stale := false
@@ -204,6 +209,43 @@ func (s *Stream) logPrefix(u UserID, start ActionID) ([]Contrib, error) {
 	s.readBuf = cold[:0]
 	s.mergeBuf = out
 	return out, nil
+}
+
+// missedPrev looks up, in u's cold entries, the performers the current
+// ingestion call inserted into u's hot log in front of the extent (coldMiss)
+// — the entries logPrefix's merge is about to drop as stale — and returns
+// the oldest of their times, or -1 when there is no such performer or one of
+// them has no cold entry either.
+func (s *Stream) missedPrev(u UserID, cold []Contrib) ActionID {
+	prev := ActionID(-1)
+	for _, m := range s.coldMiss {
+		if m.u != u {
+			continue
+		}
+		i := slices.IndexFunc(cold, func(c Contrib) bool { return c.V == m.v })
+		if i < 0 {
+			return -1
+		}
+		if prev < 0 || cold[i].T < prev {
+			prev = cold[i].T
+		}
+	}
+	return prev
+}
+
+// ColdPrev completes, under a cold tier, the Delta.Prev values of -1 that the
+// current ingestion call reported for contributor u, once u's influence set
+// has been queried (InfluenceRecency(u, start), the last query made): the
+// oldest time at which a performer missing from u's hot log still stood in
+// u's cold extent at or after start, or -1 when some such performer stood in
+// neither tier from start on — the same answer an unbudgeted stream's Prev
+// gives for every suffix start >= start. The merge that drops those stale
+// cold entries finds them, so it costs no read of its own.
+func (s *Stream) ColdPrev() ActionID {
+	if s.cold == nil {
+		return -1
+	}
+	return s.coldPrev
 }
 
 // dropDeadExtent removes u's cold extent if its newest entry has expired,

@@ -40,19 +40,23 @@ type userLog struct {
 // touch records a contribution (v, t); t must be the newest time ever seen
 // (actions arrive in timestamp order). v moves to — or is inserted at — the
 // front. Cost is v's current recency rank; recently active users sit near
-// the front, so the common case is short.
-func (l *userLog) touch(v UserID, t ActionID) {
+// the front, so the common case is short. It returns the time of the entry
+// v held until now, -1 when it held none: for every suffix start at or
+// before that time v was a member already, and this touch changed nothing.
+func (l *userLog) touch(v UserID, t ActionID) ActionID {
 	list := l.list
 	for i := range list {
 		if list[i].V == v {
+			prev := list[i].T
 			copy(list[1:i+1], list[:i])
 			list[0] = Contrib{v, t}
-			return
+			return prev
 		}
 	}
 	l.list = append(l.list, Contrib{})
 	copy(l.list[1:], l.list)
 	l.list[0] = Contrib{v, t}
+	return -1
 }
 
 // prune truncates entries whose latest contribution predates horizon. A user
@@ -68,18 +72,29 @@ func (l *userLog) prefix(start ActionID) []Contrib {
 	return PrefixFor(l.list, start)
 }
 
-// Delta describes the effect of ingesting one action: the set of users whose
-// influence sets grew (the action's user plus every distinct user on its
-// ancestor chain) and the chain depth. It is what the Set-Stream Mapping
-// (paper §4.2) feeds to each checkpoint oracle.
+// Delta describes the effect of ingesting one action: the users whose
+// contribution log it touched (the action's user plus every distinct user on
+// its ancestor chain), the time up to which each of them already counted the
+// performer, and the chain depth. It is what the Set-Stream Mapping (paper
+// §4.2) turns into set-stream elements: the influence set I_s(u) of
+// contributor u gained Action.User for the suffix starts s > Prev and is
+// unchanged for the others. The Stream only reports that; the caller
+// (core.Framework) is what feeds a checkpoint only when its set changed.
 type Delta struct {
 	// Action is the ingested action.
 	Action Action
-	// Contributors lists, without duplicates, the users whose influence set
-	// gained Action.User: Action.User itself and the users of all ancestor
-	// actions. The slice is owned by the Stream and valid until the next
-	// Ingest call.
+	// Contributors lists, without duplicates, the users this action counts
+	// Action.User as influenced by: Action.User itself and the users of all
+	// ancestor actions. The slice is owned by the Stream and valid until the
+	// next Ingest call.
 	Contributors []UserID
+	// Prev is parallel to Contributors: the time of the performer's previous
+	// contribution to that contributor as its hot log held it, -1 when the
+	// hot log held none. Under a cold tier a -1 may hide an older entry in
+	// the contributor's spilled extent, which ingest never reads; ColdPrev
+	// completes it once the contributor's influence set is queried. Owned
+	// and valid like Contributors.
+	Prev []ActionID
 	// Depth is the number of ancestors of the action in its diffusion tree
 	// (0 for a root action). Table 3 of the paper reports its average as
 	// "Avg. depth"; it is the d in the O(d·g·N) update cost of IC.
@@ -110,6 +125,7 @@ type Stream struct {
 	gen  uint64
 
 	contribBuf []UserID
+	prevBuf    []ActionID
 	expireBuf  []UserID
 
 	// touched lists the contributors whose log ingest has changed since the
@@ -129,6 +145,7 @@ type Stream struct {
 	// the whole batch plus the per-action offsets into it, so every Delta of
 	// a batch stays readable until the next ingestion call.
 	batchArena []UserID
+	batchPrev  []ActionID
 	batchOffs  []int
 	deltaBuf   []Delta
 
@@ -146,7 +163,17 @@ type Stream struct {
 	coldErr   error
 	readBuf   []Contrib // scratch for cold-extent decodes (logPrefix, spill folds)
 	mergeBuf  []Contrib // scratch for merged both-tier views (logPrefix)
+	// coldMiss lists the (contributor, performer) touches of the current
+	// ingestion call that found no hot entry while the contributor holds a
+	// cold extent: the Delta.Prev values only the extent can complete.
+	// coldPrev is what logPrefix's last merge completed them to (ColdPrev).
+	coldMiss []missedTouch
+	coldPrev ActionID
 }
+
+// missedTouch is a touch of u's log by performer v whose previous entry, if
+// there is one, lies in u's cold extent.
+type missedTouch struct{ u, v UserID }
 
 // logChunkSize is the arena block size for userLog headers.
 const logChunkSize = 256
@@ -216,25 +243,27 @@ func (s *Stream) mark(u UserID) bool {
 
 // Ingest appends one action to the stream, updates the diffusion index and
 // contribution logs, and returns the delta to feed to checkpoint oracles.
-// The returned Delta's Contributors slice is reused across calls.
+// The returned Delta's Contributors and Prev slices are reused across calls.
 func (s *Stream) Ingest(a Action) (Delta, error) {
-	buf, depth, err := s.ingest(a, s.contribBuf[:0])
+	s.coldMiss = s.coldMiss[:0]
+	buf, prevs, depth, err := s.ingest(a, s.contribBuf[:0], s.prevBuf[:0])
 	if err != nil {
 		return Delta{}, err
 	}
-	s.contribBuf = buf
-	return Delta{Action: a, Contributors: buf, Depth: depth}, nil
+	s.contribBuf, s.prevBuf = buf, prevs
+	return Delta{Action: a, Contributors: buf, Prev: prevs, Depth: depth}, nil
 }
 
 // ingest performs the per-action index and log maintenance shared by Ingest
 // and IngestBatch, appending the action's distinct contributors to arena and
-// returning the extended arena with the chain depth.
-func (s *Stream) ingest(a Action, arena []UserID) ([]UserID, int, error) {
+// the performer's previous time in each one's log to prevs (Delta.Prev), and
+// returning the extended slices with the chain depth.
+func (s *Stream) ingest(a Action, arena []UserID, prevs []ActionID) ([]UserID, []ActionID, int, error) {
 	if a.ID <= s.last {
-		return arena, 0, ErrNonMonotonicID
+		return arena, prevs, 0, ErrNonMonotonicID
 	}
 	if !a.Root() && a.Parent >= a.ID {
-		return arena, 0, ErrBadParent
+		return arena, prevs, 0, ErrBadParent
 	}
 	s.last = a.ID
 
@@ -286,12 +315,18 @@ func (s *Stream) ingest(a Action, arena []UserID) ([]UserID, int, error) {
 			s.logChunk = s.logChunk[1:]
 			s.logs[u] = l
 		}
-		n0, c0 := len(l.list), cap(l.list)
-		l.touch(a.User, a.ID)
-		if len(l.list) != n0 {
+		c0 := cap(l.list)
+		prev := l.touch(a.User, a.ID)
+		if prev < 0 {
 			s.hotBytes += contribBytes
 			s.capBytes += int64(cap(l.list)-c0) * contribBytes
+			if _, spilled := s.cold[u]; spilled {
+				// The entry this touch supersedes may be in the extent:
+				// remembered, not read (ColdPrev).
+				s.coldMiss = append(s.coldMiss, missedTouch{u, a.User})
+			}
 		}
+		prevs = append(prevs, prev)
 		if len(s.touched) < maxTouched {
 			s.touched = append(s.touched, u)
 		} else {
@@ -299,7 +334,7 @@ func (s *Stream) ingest(a Action, arena []UserID) ([]UserID, int, error) {
 		}
 	}
 
-	return arena, depth, nil
+	return arena, prevs, depth, nil
 }
 
 // Advance raises the retention horizon: actions with ID < horizon are

@@ -254,14 +254,15 @@ type Config struct {
 	// BatchSize groups actions within one ProcessAll call: the slice is cut
 	// into batches of BatchSize accepted actions (the last one shorter) and
 	// each is ingested at once, feeding each checkpoint one element per
-	// distinct contributor of the batch instead of one per contributing
-	// action and running window maintenance once per batch. Process is
-	// per-action whatever the value, and 1 (or 0, the zero value) makes
-	// ProcessAll per-action too. With larger batches the oracles see the
-	// same monotone influence-set growth at coarser granularity, so
-	// approximation guarantees hold but seed sets may differ from the serial
-	// run within the guarantee band. Answers depend on where the calls cut
-	// the stream: hand ProcessAll what arrived between two slide boundaries.
+	// distinct contributor of the batch whose set there it changed, instead
+	// of one per contributing action, and running window maintenance once
+	// per batch. Process is per-action whatever the value, and 1 (or 0, the
+	// zero value) makes ProcessAll per-action too. With larger batches the
+	// oracles see the same monotone influence-set growth at coarser
+	// granularity, so approximation guarantees hold but seed sets may differ
+	// from the serial run within the guarantee band. Answers depend on where
+	// the calls cut the stream: hand ProcessAll what arrived between two
+	// slide boundaries.
 	BatchSize int
 	// ExpectedUsers, when positive, pre-sizes the stream index's per-user
 	// maps for that many distinct users, avoiding rehash churn during the
@@ -504,7 +505,10 @@ type Stats struct {
 	// AvgCheckpoints is the average number of live checkpoints per action,
 	// the quantity plotted in the paper's Figure 6.
 	AvgCheckpoints float64 `json:"avg_checkpoints"`
-	// ElementsFed counts oracle updates (the O(d·N) term of §4.2).
+	// ElementsFed counts oracle updates (the O(d·N) term of §4.2): one per
+	// contributor of an action or batch and checkpoint whose influence set
+	// for that contributor it changed. A checkpoint the performer already
+	// counted for is not fed again (Snapshot.ElementsUnchanged counts those).
 	ElementsFed int64 `json:"elements_fed"`
 }
 
@@ -598,11 +602,19 @@ type Snapshot struct {
 	Candidates []SeedInfluence `json:"candidates"`
 	// AvgCheckpoints / ElementsFed / CheckpointsCreated /
 	// CheckpointsDeleted are the cumulative maintenance counters of Stats
-	// and the experiment harness.
+	// and the experiment harness. ElementsFed counts the elements whose
+	// influence set changed — the only ones a checkpoint receives.
 	AvgCheckpoints     float64 `json:"avg_checkpoints"`
 	ElementsFed        int64   `json:"elements_fed"`
 	CheckpointsCreated int64   `json:"checkpoints_created"`
 	CheckpointsDeleted int64   `json:"checkpoints_deleted"`
+	// ElementsUnchanged counts the (contributor, checkpoint) pairs an action
+	// or batch touched without changing the set — the performer's previous
+	// contribution already lay inside the checkpoint's suffix — and which
+	// were therefore not fed: ElementsUnchanged ÷ (ElementsFed +
+	// ElementsUnchanged) is the share of duplicate offers on this stream.
+	// Not saved, like the scans below: a loaded tracker counts from zero.
+	ElementsUnchanged int64 `json:"elements_unchanged"`
 	// Scans counts the fed elements whose influence set a sieve-style
 	// oracle had to walk because its cached thresholds and gain bounds could
 	// not decide every candidate solution, and ScanMembers the members those
@@ -798,6 +810,7 @@ func (t *Tracker) Snapshot() Snapshot {
 		ElementsFed:        fs.ElementsFed,
 		CheckpointsCreated: fs.Created,
 		CheckpointsDeleted: fs.Deleted,
+		ElementsUnchanged:  fs.ElementsUnchanged,
 		Scans:              fs.Scans,
 		ScanMembers:        fs.ScanMembers,
 		ViewRebuilds:       t.view.rebuilds,

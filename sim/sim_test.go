@@ -201,8 +201,12 @@ func TestStatsSnapshot(t *testing.T) {
 // TestScanCountersWithinFeed: the sieve oracles' work counters can only
 // count what the framework fed them — at most one scan per element, at most
 // the element's influence set per scan. The feed is recomputed here from a
-// second stream index: under IC with a window as long as the stream nothing
-// expires, so the checkpoints live after an action are the ones it fed.
+// second stream index by the Set-Stream Mapping's rule — a contributor's
+// element reaches the checkpoints that start after the performer's previous
+// contribution to it (Delta.Prev) and hold a non-empty set — and the
+// checkpoints it skips are ElementsUnchanged. Under IC with a window as long
+// as the stream nothing expires, so the checkpoints live after an action are
+// the ones it fed.
 func TestScanCountersWithinFeed(t *testing.T) {
 	actions := randomActions(8, 1500, 40)
 	tr, err := sim.New(sim.Config{K: 5, WindowSize: len(actions), Slide: 25, Framework: sim.IC})
@@ -210,7 +214,7 @@ func TestScanCountersWithinFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	mirror := stream.New()
-	var fed, members int64
+	var fed, unchanged, members int64
 	for _, a := range actions {
 		if err := tr.Process(a); err != nil {
 			t.Fatal(err)
@@ -220,10 +224,15 @@ func TestScanCountersWithinFeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		starts := tr.CheckpointStarts()
-		for _, u := range d.Contributors {
+		for i, u := range d.Contributors {
 			list := mirror.InfluenceRecency(u, starts[0])
 			for _, s := range starts {
-				if n := len(stream.PrefixFor(list, s)); n > 0 {
+				n := len(stream.PrefixFor(list, s))
+				switch {
+				case n == 0:
+				case s <= d.Prev[i]:
+					unchanged++
+				default:
 					fed++
 					members += int64(n)
 				}
@@ -231,8 +240,8 @@ func TestScanCountersWithinFeed(t *testing.T) {
 		}
 	}
 	snap := tr.Snapshot()
-	if snap.ElementsFed != fed {
-		t.Fatalf("elements fed = %d, recomputed %d", snap.ElementsFed, fed)
+	if snap.ElementsFed != fed || snap.ElementsUnchanged != unchanged {
+		t.Fatalf("elements fed = %d, unchanged = %d; recomputed %d, %d", snap.ElementsFed, snap.ElementsUnchanged, fed, unchanged)
 	}
 	if snap.Scans <= 0 || snap.Scans > fed {
 		t.Fatalf("scans = %d, want in (0, %d elements fed]", snap.Scans, fed)

@@ -23,6 +23,11 @@ const spillBudget = 4096
 // running under a tight memory budget (spilling and faulting cold segments
 // throughout) produces identical Seeds(), Value() and CheckpointStarts()
 // to an unbudgeted tracker at every slide boundary. Run under -race in CI.
+//
+// The batch=7 cells feed each slide through ProcessAll at BatchSize 7: which
+// checkpoints an element reaches depends on the time of the performer's
+// previous contribution (stream.Delta.Prev), and that time must read the same
+// whether a hot log or a cold extent held the entry, on the batch path too.
 func TestSpillIdentity(t *testing.T) {
 	const (
 		window = 700
@@ -32,54 +37,62 @@ func TestSpillIdentity(t *testing.T) {
 	for _, ds := range identityDatasets() {
 		for _, fw := range []sim.Framework{sim.SIC, sim.IC} {
 			for _, byTime := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%v/byTime=%v", ds.name, fw, byTime)
-				t.Run(name, func(t *testing.T) {
-					base := sim.Config{
-						K: k, WindowSize: window, Slide: slide, Beta: 0.1,
-						Framework: fw, TimeBased: byTime,
+				for _, batch := range []int{1, 7} {
+					name := fmt.Sprintf("%s/%v/byTime=%v", ds.name, fw, byTime)
+					if batch > 1 {
+						name += fmt.Sprintf("/batch=%d", batch)
 					}
-					ref, err := sim.New(base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer ref.Close()
-					budgeted := base
-					budgeted.SpillDir = t.TempDir()
-					budgeted.MemoryBudgetBytes = spillBudget
-					tr, err := sim.New(budgeted)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer tr.Close()
+					t.Run(name, func(t *testing.T) {
+						base := sim.Config{
+							K: k, WindowSize: window, Slide: slide, Beta: 0.1,
+							Framework: fw, TimeBased: byTime, BatchSize: batch,
+						}
+						ref, err := sim.New(base)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer ref.Close()
+						budgeted := base
+						budgeted.SpillDir = t.TempDir()
+						budgeted.MemoryBudgetBytes = spillBudget
+						tr, err := sim.New(budgeted)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer tr.Close()
 
-					for i, a := range ds.actions {
-						if err := ref.Process(a); err != nil {
-							t.Fatal(err)
+						for lo := 0; lo < len(ds.actions); lo += slide {
+							hi := min(lo+slide, len(ds.actions))
+							if err := ref.ProcessAll(ds.actions[lo:hi]); err != nil {
+								t.Fatal(err)
+							}
+							if err := tr.ProcessAll(ds.actions[lo:hi]); err != nil {
+								t.Fatal(err)
+							}
+							if v, rv := tr.Value(), ref.Value(); v != rv {
+								t.Fatalf("action %d: budgeted value %v != unbudgeted %v", hi, v, rv)
+							}
+							if s, rs := tr.Seeds(), ref.Seeds(); !reflect.DeepEqual(s, rs) {
+								t.Fatalf("action %d: budgeted seeds %v != unbudgeted %v", hi, s, rs)
+							}
+							if c, rc := tr.CheckpointStarts(), ref.CheckpointStarts(); !reflect.DeepEqual(c, rc) {
+								t.Fatalf("action %d: budgeted checkpoints %v != unbudgeted %v", hi, c, rc)
+							}
 						}
-						if err := tr.Process(a); err != nil {
-							t.Fatal(err)
+						snap := tr.Snapshot()
+						if snap.Spills == 0 {
+							t.Fatalf("budget %d never spilled (hot=%d): the test exercised nothing", spillBudget, snap.HotLogBytes)
 						}
-						if (i+1)%slide != 0 {
-							continue
+						refSnap := ref.Snapshot()
+						if refSnap.Spills != 0 || refSnap.ColdSegments != 0 {
+							t.Fatalf("unbudgeted tracker touched the cold tier: %+v", refSnap)
 						}
-						if v, rv := tr.Value(), ref.Value(); v != rv {
-							t.Fatalf("action %d: budgeted value %v != unbudgeted %v", i+1, v, rv)
+						if snap.ElementsFed != refSnap.ElementsFed || snap.ElementsUnchanged != refSnap.ElementsUnchanged {
+							t.Fatalf("budgeted fed %d elements and skipped %d unchanged, unbudgeted %d and %d",
+								snap.ElementsFed, snap.ElementsUnchanged, refSnap.ElementsFed, refSnap.ElementsUnchanged)
 						}
-						if s, rs := tr.Seeds(), ref.Seeds(); !reflect.DeepEqual(s, rs) {
-							t.Fatalf("action %d: budgeted seeds %v != unbudgeted %v", i+1, s, rs)
-						}
-						if c, rc := tr.CheckpointStarts(), ref.CheckpointStarts(); !reflect.DeepEqual(c, rc) {
-							t.Fatalf("action %d: budgeted checkpoints %v != unbudgeted %v", i+1, c, rc)
-						}
-					}
-					snap := tr.Snapshot()
-					if snap.Spills == 0 {
-						t.Fatalf("budget %d never spilled (hot=%d): the test exercised nothing", spillBudget, snap.HotLogBytes)
-					}
-					if refSnap := ref.Snapshot(); refSnap.Spills != 0 || refSnap.ColdSegments != 0 {
-						t.Fatalf("unbudgeted tracker touched the cold tier: %+v", refSnap)
-					}
-				})
+					})
+				}
 			}
 		}
 	}
