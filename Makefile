@@ -16,10 +16,11 @@ race:
 	$(GO) test -race ./...
 
 # benchmark/ is a module of its own (replace repro => ../), so ./... above
-# does not reach it: its unit tests plus the 1/20-scale pass of every
-# workload against real server processes.
+# does not reach it: vet (an API change here breaks only that build), its
+# unit tests plus the 1/20-scale pass of every workload against real server
+# processes.
 benchmark-test:
-	cd benchmark && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration per benchmark: a smoke run of every table/figure generator,
 # with -benchmem so per-op allocations are visible.

@@ -34,28 +34,15 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := sim.Config{K: *k, WindowSize: *window, Slide: *slide, Beta: *beta}
-	switch *framework {
-	case "sic":
-		cfg.Framework = sim.SIC
-	case "ic":
-		cfg.Framework = sim.IC
-	default:
-		fatalf("unknown framework %q", *framework)
+	fwk, err := sim.ParseFramework(*framework)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	switch *orc {
-	case "sieve":
-		cfg.Oracle = sim.SieveStreaming
-	case "threshold":
-		cfg.Oracle = sim.ThresholdStream
-	case "blogwatch":
-		cfg.Oracle = sim.BlogWatch
-	case "mkc":
-		cfg.Oracle = sim.MkC
-	default:
-		fatalf("unknown oracle %q", *orc)
+	o, err := sim.ParseOracle(*orc)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	tr, err := sim.New(cfg)
+	tr, err := sim.New(sim.Config{K: *k, WindowSize: *window, Slide: *slide, Beta: *beta, Framework: fwk, Oracle: o})
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -16,9 +16,11 @@
 // "covered by which instances" for all O(log k / β) instances in one probe,
 // and a per-instance gain bound that grows only by what an element can have
 // changed lets most re-offered elements be rejected without walking their
-// influence set. sim.Config's BatchSize groups actions within one
-// ProcessAll call so stream-index and checkpoint maintenance amortize across
-// a batch (default 1 = per-action; Process is per-action always). The
+// influence set. There is one ingest path, stream → core → sim, written in
+// terms of a batch: sim.Config's BatchSize says how many actions of one
+// ProcessAll call share a batch, so stream-index and checkpoint maintenance
+// amortize across it (default 1 = per-action, which is also what Process is
+// at any BatchSize). The
 // README's "Performance architecture" section documents the hot-path
 // performance and benchmark/ measures it end to end. See the sim package
 // documentation for details.

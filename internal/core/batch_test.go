@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -63,8 +66,8 @@ func TestProcessBatchStructureMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestProcessBatchSingleIsExact: a 1-action batch must take the legacy path
-// bit-exactly, Latest fast path included.
+// TestProcessBatchSingleIsExact: Process is a 1-action ProcessBatch, Latest
+// fast path included.
 func TestProcessBatchSingleIsExact(t *testing.T) {
 	cfg := Config{K: 4, N: 100, L: 10, Beta: 0.1, Sparse: true,
 		Oracle: oracle.NewFactory(oracle.SieveStreaming, 0.1, nil)}
@@ -110,5 +113,133 @@ func TestProcessBatchSIC(t *testing.T) {
 	}
 	if err := f.ProcessBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestProcessBatchOrderRule: every kind of stream-order violation, first,
+// in the middle and last in a batch of 1 and of 7, under IC and SIC —
+// ProcessBatch returns the stream's sentinel and leaves the framework in the
+// state (Save bytes) of one that was handed the actions before the offender.
+func TestProcessBatchOrderRule(t *testing.T) {
+	violations := []struct {
+		name  string
+		spoil func(a *stream.Action, last stream.ActionID)
+		want  error
+	}{
+		{"id-equal", func(a *stream.Action, last stream.ActionID) { a.ID = last }, stream.ErrNonMonotonicID},
+		{"id-lower", func(a *stream.Action, last stream.ActionID) { a.ID = last - 3 }, stream.ErrNonMonotonicID},
+		{"parent-self", func(a *stream.Action, _ stream.ActionID) { a.Parent = a.ID }, stream.ErrBadParent},
+		{"parent-future", func(a *stream.Action, _ stream.ActionID) { a.Parent = a.ID + 2 }, stream.ErrBadParent},
+	}
+	positions := []struct {
+		size int
+		pos  []int
+	}{{1, []int{0}}, {7, []int{0, 3, 6}}}
+	const warm = 120 // past the first expiry of a 60-action window
+	actions := batchTestActions(29, warm+7, 15)
+	save := func(f *Framework) []byte {
+		var buf bytes.Buffer
+		if err := f.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, sparse := range []bool{false, true} {
+		cfg := Config{K: 3, N: 60, L: 5, Beta: 0.2, Sparse: sparse,
+			Oracle: oracle.NewFactory(oracle.SieveStreaming, 0.2, nil)}
+		for _, v := range violations {
+			for _, at := range positions {
+				for _, pos := range at.pos {
+					t.Run(fmt.Sprintf("sparse=%v/%s/size=%d/pos=%d", sparse, v.name, at.size, pos), func(t *testing.T) {
+						got, want := MustNew(cfg), MustNew(cfg)
+						for _, f := range []*Framework{got, want} {
+							for lo := 0; lo < warm; lo += at.size {
+								if err := f.ProcessBatch(actions[lo:min(lo+at.size, warm)]); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+						batch := append([]stream.Action(nil), actions[warm:warm+at.size]...)
+						last := stream.ActionID(warm)
+						if pos > 0 {
+							last = batch[pos-1].ID
+						}
+						v.spoil(&batch[pos], last)
+
+						if err := want.ProcessBatch(batch[:pos]); err != nil {
+							t.Fatal(err)
+						}
+						if err := got.ProcessBatch(batch); !errors.Is(err, v.want) {
+							t.Fatalf("err = %v, want %v", err, v.want)
+						}
+						if got.Processed() != int64(warm+pos) {
+							t.Fatalf("processed = %d, want %d", got.Processed(), warm+pos)
+						}
+						if !bytes.Equal(save(got), save(want)) {
+							t.Fatal("framework state differs from one fed the prefix alone")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointSampleRule pins what AvgCheckpoints averages. Per-action
+// processing samples the live checkpoints after each action's maintenance:
+// the two constants are cpSamples as the commit before ProcessBatch became
+// the only ingest function reported it for this very loop (its separate
+// Process, run on this stream and configuration in a scratch clone of that
+// commit). A batch of n samples its first n−1 actions after their admission
+// and the last after the batch-end maintenance.
+func TestCheckpointSampleRule(t *testing.T) {
+	actions := batchTestActions(17, 1500, 40)
+	for _, c := range []struct {
+		sparse  bool
+		samples int64
+	}{{true, 17833}, {false, 40650}} {
+		cfg := Config{K: 5, N: 300, L: 10, Beta: 0.1, Sparse: c.sparse,
+			Oracle: oracle.NewFactory(oracle.SieveStreaming, 0.1, nil)}
+		f := MustNew(cfg)
+		for _, a := range actions {
+			if err := f.Process(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.cpSamples != c.samples {
+			t.Errorf("sparse=%v: Process × %d sampled %d checkpoints, the per-action engine sampled %d",
+				c.sparse, len(actions), f.cpSamples, c.samples)
+		}
+		if got, want := f.Stats().AvgCheckpoints, float64(c.samples)/float64(len(actions)); got != want {
+			t.Errorf("sparse=%v: AvgCheckpoints = %v, want %v", c.sparse, got, want)
+		}
+
+		const n = 25
+		f = MustNew(cfg)
+		held := false // some batch end deleted checkpoints its admissions had counted
+		for lo := 0; lo < len(actions); lo += n {
+			before, live := f.cpSamples, int64(f.Checkpoints())
+			want := int64(0)
+			for i := 0; i < n; i++ {
+				if (lo+i)%cfg.L == 0 {
+					live++ // this admission opens a checkpoint; nothing is deleted before the batch ends
+				}
+				if i < n-1 {
+					want += live
+				}
+			}
+			if err := f.ProcessBatch(actions[lo : lo+n]); err != nil {
+				t.Fatal(err)
+			}
+			held = held || int64(f.Checkpoints()) < live
+			want += int64(f.Checkpoints())
+			if got := f.cpSamples - before; got != want {
+				t.Fatalf("sparse=%v: batch at %d sampled %d, want %d admissions plus one post-maintenance count = %d",
+					c.sparse, lo, got, n-1, want)
+			}
+		}
+		if !held {
+			t.Fatalf("sparse=%v: vacuous run: no batch end deleted a checkpoint", c.sparse)
+		}
 	}
 }

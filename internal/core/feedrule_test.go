@@ -114,7 +114,7 @@ func checkFeedRule(t *testing.T, f *Framework, actions []stream.Action, batch, u
 		for _, cp := range f.cps {
 			rec := cp.oracle.(*recOracle)
 			for u := stream.UserID(0); int(u) < users; u++ {
-				if want, got := mirror.InfluenceSize(u, cp.start), rec.last[u]; want != got {
+				if want, got := len(mirror.InfluenceSet(u, cp.start)), rec.last[u]; want != got {
 					t.Fatalf("t=%d: checkpoint %d last saw %d members of I(%d), the set has %d", at, cp.start, got, u, want)
 				}
 			}

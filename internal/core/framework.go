@@ -25,9 +25,12 @@
 // and go at every slide; an oracle that can Reset itself is handed from a
 // deleted checkpoint to a new one through a small free list instead of
 // being grown from nothing each time.
-// ProcessBatch ingests a whole slice of actions at once, feeding each
-// checkpoint one element per distinct contributor of the batch whose set
-// there the batch changed and running window maintenance once per batch.
+//
+// ProcessBatch is the one ingest function: it admits a slice of actions,
+// feeds each checkpoint one element per distinct contributor of the batch
+// whose set there the batch changed, and runs window maintenance once, after
+// the last of them. The paper's per-action algorithm is a batch of one
+// (Process).
 //
 // A Framework is single-writer: it is not safe for concurrent use.
 // Concurrent serving is layered on top by internal/server, which owns each
@@ -144,12 +147,12 @@ type Framework struct {
 	processed   int64 // actions ingested
 	lastCpStart stream.ActionID
 
-	// Batch-feed scratch (ProcessBatch): the distinct contributors of the
-	// current batch in first-touch order, with the per-contributor gain
-	// metadata that keeps the oracles' O(1) fast path alive under batching.
-	batchSeen    map[stream.UserID]int // contributor -> index into batchContrib
-	batchContrib []stream.UserID
-	batchGains   []batchGain
+	// Batch-feed scratch (ProcessBatch, batches of two or more): the distinct
+	// contributors of the current batch in first-touch order, with the
+	// per-contributor gain metadata that keeps the oracles' O(1) fast path
+	// alive under batching.
+	batchSeen  map[stream.UserID]int // contributor -> index into batchGains
+	batchGains []batchGain
 
 	// Cumulative counters for the experiment harness.
 	cpCreated int64
@@ -207,46 +210,134 @@ func (f *Framework) WindowStart() stream.ActionID {
 	return ws
 }
 
-// Process ingests one action and performs the checkpoint maintenance of
-// Algorithm 1 (IC) or Algorithm 2 (SIC).
+// Process is ProcessBatch for one action: Algorithm 1 (IC) or Algorithm 2
+// (SIC) as the paper states it, with maintenance after every action.
 func (f *Framework) Process(a stream.Action) error {
-	d, err := f.st.Ingest(a)
-	if err != nil {
+	return f.ProcessBatch([]stream.Action{a})
+}
+
+// batchGain records which performers contributor u's influence set may have
+// gained during the current batch: latest is the first one seen, multi is
+// set when a second distinct performer appears (disabling the O(1) fast
+// path for that contributor's elements). prev is the minimum stream.Delta.Prev
+// over the contributor's touches in the batch: the checkpoints that start
+// after it are the ones whose set the batch changed. That is exact for a
+// checkpoint opened mid-batch too — a touch that lands at or after its start
+// changes its set, and the earliest such touch has prev < start, its
+// previous entry being older than the checkpoint; with no such touch the
+// prefix is empty and feedContributor stops there.
+type batchGain struct {
+	u, latest stream.UserID
+	multi     bool
+	prev      stream.ActionID
+}
+
+// ProcessBatch ingests actions and performs the checkpoint maintenance of
+// Algorithm 1 (IC) or Algorithm 2 (SIC). It is the one function that admits,
+// feeds and maintains: the stream index is updated in one IngestBatch call,
+// each checkpoint oracle then receives ONE element per distinct contributor
+// of the batch whose set there the batch changed (instead of one per
+// contributing action), and window expiry, SIC pruning and horizon advance
+// run once at the batch boundary. A batch of one is the paper's per-action
+// algorithm.
+//
+// Semantics: checkpoint creation keeps its per-action cadence at any batch
+// size, and every oracle element carries the contributor's influence set
+// evaluated after the whole batch — a coarser-grained notification of the
+// same monotone set growth per-action processing reports. Each checkpoint
+// still observes its full suffix (a contributor's element covers all of its
+// batch contributions), so the oracles' approximation guarantees are
+// unchanged; only the intra-batch admission interleaving may differ from
+// per-action processing. Queries are exact at batch boundaries, matching
+// the L-action slide granularity the paper already guarantees results at.
+//
+// On a stream-order error (stream.ErrNonMonotonicID, stream.ErrBadParent)
+// the actions before the offending one are processed as a shorter batch and
+// the error is returned; the offender and everything behind it are dropped.
+func (f *Framework) ProcessBatch(actions []stream.Action) error {
+	deltas, err := f.st.IngestBatch(actions)
+	if len(deltas) == 0 {
 		return err
 	}
+	last := len(deltas) - 1
 
-	f.admit(a.ID)
+	// Checkpoint creation, per action (Algorithm 1 line 2; §5.3 for L > 1).
+	// A checkpoint opened mid-batch starts at its opening action's ID, so
+	// the prefix query below feeds it exactly its own suffix. cpSamples
+	// counts the live checkpoints once per action: after its admission,
+	// where creations are exactly timed, except for the last action, counted
+	// after the maintenance below — so a batch of one samples what the paper
+	// plots (Figure 6), and a longer one lags it by at most the deletions
+	// its boundary holds back.
+	for _, d := range deltas[:last] {
+		f.admit(d.Action.ID)
+		f.cpSamples += int64(len(f.cps))
+	}
+	f.admit(deltas[last].Action.ID)
 
-	// Feed the action through the Set-Stream Mapping (§4.2): a contributor u
-	// of the action emits (u, I_s(u)) to the checkpoints whose suffix set the
-	// action changed, those that start after the performer's previous
-	// contribution to u (feedContributor). The performer is the one member
-	// each fed element gained since u's previous element on the same
-	// checkpoint — the O(1) seed-update fast path (Latest).
-	for i, u := range d.Contributors {
-		f.feedContributor(u, a.User, true, d.Prev[i])
+	// Feed the batch through the Set-Stream Mapping (§4.2): a contributor u
+	// emits (u, I_s(u)), evaluated after the batch, to the checkpoints whose
+	// suffix set the batch changed — those that start after the performer's
+	// previous contribution to u (feedContributor: one recency-sorted
+	// materialization per contributor serves every checkpoint as a prefix).
+	if last == 0 {
+		// One action: its contributors are distinct already, and its
+		// performer is the one member each fed element gained since u's
+		// previous element on the same checkpoint — the O(1) seed-update
+		// fast path (Latest).
+		d := deltas[0]
+		for i, u := range d.Contributors {
+			f.feedContributor(u, d.Action.User, true, d.Prev[i])
+		}
+	} else {
+		// Distinct contributors of the batch, in first-touch order so
+		// batched runs are deterministic. Alongside each contributor, track
+		// the distinct performers its influence set may have gained this
+		// batch: when there is exactly one, the Latest fast path stays valid
+		// (Latest only has to cover every member possibly added since the
+		// contributor's previous element — Add is idempotent and the
+		// gain-bound update is an upper bound, so an already-known performer
+		// is harmless). A contributor that gained members from several is
+		// fed without Latest and seed updates fall back to a full merge.
+		if f.batchSeen == nil {
+			f.batchSeen = map[stream.UserID]int{}
+		}
+		clear(f.batchSeen)
+		f.batchGains = f.batchGains[:0]
+		for _, d := range deltas {
+			p := d.Action.User
+			for j, u := range d.Contributors {
+				if i, ok := f.batchSeen[u]; ok {
+					g := &f.batchGains[i]
+					if g.latest != p {
+						g.multi = true
+					}
+					g.prev = min(g.prev, d.Prev[j])
+					continue
+				}
+				f.batchSeen[u] = len(f.batchGains)
+				f.batchGains = append(f.batchGains, batchGain{u: u, latest: p, prev: d.Prev[j]})
+			}
+		}
+		for _, g := range f.batchGains {
+			f.feedContributor(g.u, g.latest, !g.multi, g.prev)
+		}
 	}
 
-	// Expire checkpoints that no longer cover a suffix of the window.
-	ws := a.ID - stream.ActionID(f.cfg.N) + 1
+	// Batch-boundary maintenance, against the window of the last action:
+	// expire checkpoints that no longer cover a suffix of it, prune (SIC),
+	// and release stream state older than the oldest checkpoint — under SIC
+	// the retained Λ[x0] keeps the horizon slightly behind the window start.
+	ws := deltas[last].Action.ID - stream.ActionID(f.cfg.N) + 1
 	f.expire(ws)
-
 	if f.cfg.Sparse {
 		f.prune()
 	}
-
-	// Release stream state older than the oldest checkpoint; under SIC the
-	// retained Λ[x0] keeps the horizon slightly behind the window start.
 	if len(f.cps) > 0 {
-		h := f.cps[0].start
-		if ws < h {
-			h = ws
-		}
-		f.st.Advance(h)
+		f.st.Advance(min(f.cps[0].start, ws))
 	}
-
 	f.cpSamples += int64(len(f.cps))
-	return nil
+	return err
 }
 
 // admit counts one ingested action, first opening a checkpoint when the

@@ -1,7 +1,6 @@
 package dataio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -59,23 +58,5 @@ func WriteNDJSONNamed(w io.Writer, actions []NamedAction) error {
 // ReadNDJSONNamed streams name-mode actions from NDJSON input to visit,
 // stopping early if visit returns false. Mirrors ReadNDJSON.
 func ReadNDJSONNamed(r io.Reader, visit func(NamedAction) bool) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	for n := 1; ; n++ {
-		var rec namedActionJSON
-		err := dec.Decode(&rec)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("record %d: dataio: bad NDJSON action: %w", n, err)
-		}
-		a, err := rec.action()
-		if err != nil {
-			return fmt.Errorf("record %d: %w", n, err)
-		}
-		if !visit(a) {
-			return nil
-		}
-	}
+	return readNDJSON[namedActionJSON](r, visit)
 }

@@ -71,17 +71,6 @@ func (rec actionJSON) action() (stream.Action, error) {
 	return a, nil
 }
 
-// ParseNDJSONLine parses one NDJSON action line.
-func ParseNDJSONLine(line []byte) (stream.Action, error) {
-	var rec actionJSON
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return stream.Action{}, fmt.Errorf("dataio: bad NDJSON action: %w", err)
-	}
-	return rec.action()
-}
-
 // ReadNDJSON streams actions from NDJSON input to visit, stopping early if
 // visit returns false. One json.Decoder consumes the whole input (NDJSON is
 // a valid JSON value stream), so parsing does not allocate a reader and
@@ -89,10 +78,16 @@ func ParseNDJSONLine(line []byte) (stream.Action, error) {
 // hot path. Blank lines are skipped (inter-value whitespace); errors name
 // the 1-based record.
 func ReadNDJSON(r io.Reader, visit func(stream.Action) bool) error {
+	return readNDJSON[actionJSON](r, visit)
+}
+
+// readNDJSON is the decode loop of ReadNDJSON and ReadNDJSONNamed: R is the
+// wire form of a record, A the action it converts to.
+func readNDJSON[R interface{ action() (A, error) }, A any](r io.Reader, visit func(A) bool) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	for n := 1; ; n++ {
-		var rec actionJSON
+		var rec R
 		err := dec.Decode(&rec)
 		if err == io.EOF {
 			return nil

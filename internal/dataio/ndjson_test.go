@@ -42,7 +42,12 @@ func TestNDJSONOmitsParentForRoots(t *testing.T) {
 	}
 }
 
-func TestParseNDJSONLine(t *testing.T) {
+// TestReadNDJSONRecordRules: what one record may and may not say.
+func TestReadNDJSONRecordRules(t *testing.T) {
+	parse := func(line string) (got stream.Action, err error) {
+		err = ReadNDJSON(strings.NewReader(line), func(a stream.Action) bool { got = a; return true })
+		return got, err
+	}
 	cases := []struct {
 		line string
 		want stream.Action
@@ -57,13 +62,13 @@ func TestParseNDJSONLine(t *testing.T) {
 		{`not json`, stream.Action{}, false},
 	}
 	for _, c := range cases {
-		got, err := ParseNDJSONLine([]byte(c.line))
+		got, err := parse(c.line)
 		if (err == nil) != c.ok {
-			t.Errorf("ParseNDJSONLine(%q) err = %v, want ok=%v", c.line, err, c.ok)
+			t.Errorf("ReadNDJSON(%q) err = %v, want ok=%v", c.line, err, c.ok)
 			continue
 		}
 		if c.ok && got != c.want {
-			t.Errorf("ParseNDJSONLine(%q) = %v, want %v", c.line, got, c.want)
+			t.Errorf("ReadNDJSON(%q) = %v, want %v", c.line, got, c.want)
 		}
 	}
 }

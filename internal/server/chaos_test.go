@@ -93,20 +93,25 @@ func TestChaosCrashMatrix(t *testing.T) {
 	// Rule paths name the exact files (snapshot.sim2, not "snapshot"): the
 	// subtest name is part of t.TempDir(), so a loose substring would match
 	// every file in the data dir. Boot-time operations on the same files
-	// (the recovery open of snapshot.sim2, the names.log torn-tail
-	// truncate) are skipped with after= so the fault lands on the live path
-	// the cell is about.
+	// (the recovery open of snapshot.sim2, the torn-tail truncate of wal.log
+	// and of names.log) are skipped with after= so the fault lands on the
+	// live path the cell is about.
 	cases := []struct {
 		name   string
 		rules  string
 		names  bool // name-mode tracker: exercises the names.log path too
 		rearms bool // expect the poisoned-log re-arm path to have run
 		batch  int  // sim batching: replay must flush where the live loop did
+		// tornCrash kills the server mid-append halfway through the stream (a
+		// torn record at the WAL's tail) and carries on from the recovered
+		// image, with no snapshot taken: everything acknowledged since is in
+		// the WAL alone when the final crash comes.
+		tornCrash bool
 	}{
 		{name: "wal-write-eio", rules: "op=write,path=wal.log,after=2,times=1,err=EIO"},
 		{name: "wal-write-torn-enospc", rules: "op=write,path=wal.log,after=1,times=2,err=ENOSPC,short"},
 		{name: "wal-sync-eio", rules: "op=sync,path=wal.log,after=3,times=2,err=EIO"},
-		{name: "wal-poisoned-rollback", rules: "op=write,path=wal.log,after=4,times=1,err=EIO;op=truncate,path=wal.log,times=1,err=EIO", rearms: true},
+		{name: "wal-poisoned-rollback", rules: "op=write,path=wal.log,after=4,times=1,err=EIO;op=truncate,path=wal.log,after=1,times=1,err=EIO", rearms: true},
 		{name: "snapshot-open-eio", rules: "op=open,path=snapshot.sim2,after=1,times=1,err=EIO"},
 		{name: "snapshot-write-enospc", rules: "op=write,path=snapshot.sim2,times=2,err=ENOSPC"},
 		{name: "snapshot-sync-eio", rules: "op=sync,path=snapshot.sim2,times=1,err=EIO"},
@@ -115,6 +120,9 @@ func TestChaosCrashMatrix(t *testing.T) {
 		{name: "names-poisoned-rollback", rules: "op=write,path=names.log,times=1,err=EIO;op=truncate,path=names.log,after=1,times=1,err=EIO", names: true, rearms: true},
 		{name: "slow-disk-delay", rules: "op=sync,path=wal.log,times=4,delay=5ms,delayonly"},
 		{name: "wal-write-eio-batch7", rules: "op=write,path=wal.log,after=2,times=1,err=EIO", batch: 7},
+		// The failed write is the third append after the torn crash: its
+		// rollback target must be the cut file's end.
+		{name: "wal-torn-tail-double-crash", rules: "op=write,path=wal.log,after=14,times=1,err=EIO", tornCrash: true},
 	}
 	actions := durableStream(2400)
 	numericWant := serialReference(t, actions)
@@ -129,6 +137,9 @@ func TestChaosCrashMatrix(t *testing.T) {
 			spec.SnapshotWALBytes = 2048 // several snapshot cycles over the stream
 			spec.Names = tc.names
 			spec.Batch = tc.batch
+			if tc.tornCrash {
+				spec.SnapshotWALBytes = 0 // the default threshold: never reached here
+			}
 			want := numericWant
 			if tc.names {
 				want = namedWant
@@ -156,6 +167,20 @@ func TestChaosCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			for rest := actions; len(rest) > 0; {
+				if tc.tornCrash && len(rest) == len(actions)/2 {
+					torn := t.TempDir()
+					copyTree(t, filepath.Join(dir, "t"), filepath.Join(torn, "t"))
+					tearWALTail(t, filepath.Join(torn, "t", walFileName))
+					if err := reg.Close(); err != nil {
+						t.Fatal(err)
+					}
+					dir, reg = torn, NewRegistry()
+					reg.SetFS(inj)
+					reg.SetDataDir(dir)
+					if tr, err = reg.Add("t", spec); err != nil {
+						t.Fatalf("recovery with torn WAL tail: %v", err)
+					}
+				}
 				n := min(100, len(rest))
 				batch := rest[:n]
 				if tc.names {

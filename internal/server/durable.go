@@ -182,7 +182,8 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 	}
 
 	last := tr.LastID()
-	info.WALBatches, info.WALActions, err = replayWAL(fs, filepath.Join(dir, walFileName), func(batch []sim.Action) error {
+	var walSize int64
+	info.WALBatches, info.WALActions, walSize, err = replayWAL(fs, filepath.Join(dir, walFileName), func(batch []sim.Action) error {
 		// Skip records entirely covered by the snapshot (the crash-window
 		// leftovers between snapshot rename and WAL truncate). Snapshots are
 		// taken at batch boundaries, so coverage is all-or-nothing per
@@ -214,7 +215,7 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		return nil, nil, info, err
 	}
 
-	w, err := openWAL(fs, filepath.Join(dir, walFileName))
+	w, err := openWAL(fs, filepath.Join(dir, walFileName), walSize)
 	if err != nil {
 		tr.Close()
 		return nil, nil, info, err

@@ -192,10 +192,14 @@ func TestDurableCrashRecovery(t *testing.T) {
 }
 
 // TestDurableTornWALTail appends garbage to the WAL (a torn final write)
-// and asserts recovery stops cleanly at the tear instead of failing.
+// and asserts recovery stops cleanly at the tear instead of failing — and
+// cuts it away: what the recovered tracker acknowledges next must survive a
+// second kill -9, which it does not if those records were appended behind
+// the junk, where replay never looks.
 func TestDurableTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	actions := durableStream(1000)
+	all := durableStream(1500)
+	actions, more := all[:1000], all[1000:]
 
 	reg := NewRegistry()
 	reg.SetDataDir(dir)
@@ -210,16 +214,7 @@ func TestDurableTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the tail: a record header claiming more bytes than exist.
-	walPath := filepath.Join(crashDir, "t", walFileName)
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{walRecordTag, 0xff, 0x07, 'x', 'y'}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearWALTail(t, filepath.Join(crashDir, "t", walFileName))
 
 	reg2 := NewRegistry()
 	reg2.SetDataDir(crashDir)
@@ -229,6 +224,32 @@ func TestDurableTornWALTail(t *testing.T) {
 	}
 	defer reg2.Close()
 	checkAnswer(t, "torn-tail recovery", tr2.Snapshot(), serialReference(t, actions))
+
+	submitChunks(t, tr2, more, 250)
+	crashDir2 := t.TempDir()
+	copyTree(t, filepath.Join(crashDir, "t"), filepath.Join(crashDir2, "t"))
+	reg3 := NewRegistry()
+	reg3.SetDataDir(crashDir2)
+	tr3, err := reg3.Add("t", durableSpec)
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer reg3.Close()
+	checkAnswer(t, "second crash after a torn tail", tr3.Snapshot(), serialReference(t, all))
+}
+
+// tearWALTail leaves what a kill -9 mid-append leaves at the end of the WAL:
+// a record header claiming more bytes than exist.
+func tearWALTail(t *testing.T, walPath string) {
+	t.Helper()
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte{walRecordTag, 0xff, 0x07, 'x', 'y'}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDurableConflictBatchReplay pins that a live stream-order rejection
@@ -367,7 +388,7 @@ func TestDataDirLock(t *testing.T) {
 // strand them behind what replay treats as the torn tail.
 func TestWALRollbackPoison(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := openWAL(fault.OS(), path)
+	w, err := openWAL(fault.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,9 +409,9 @@ func TestWALRollbackPoison(t *testing.T) {
 		t.Fatalf("poisoned WAL accepted an append (err = %v)", err)
 	}
 	// The record synced before the failure is still replayable.
-	batches, actions, err := replayWAL(fault.OS(), path, func([]sim.Action) error { return nil })
-	if err != nil || batches != 1 || actions != 1 {
-		t.Fatalf("replay after poison: batches=%d actions=%d err=%v", batches, actions, err)
+	batches, actions, size, err := replayWAL(fault.OS(), path, func([]sim.Action) error { return nil })
+	if err != nil || batches != 1 || actions != 1 || size != w.size {
+		t.Fatalf("replay after poison: batches=%d actions=%d size=%d (appended %d) err=%v", batches, actions, size, w.size, err)
 	}
 }
 

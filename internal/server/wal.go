@@ -32,12 +32,14 @@ import (
 // per record, a failed append rolled back out of the file, poisoning when the
 // rollback fails too. Replay stops at the first frame that fails to parse or
 // checksum: everything before it was written by a completed, synced append;
-// everything from it on was never acknowledged. A poisoned log is not
-// terminal: once a fresh snapshot has made every acknowledged batch durable
-// again the log is recreated empty (junk and all gone) and appends resume —
-// the serving layer's degraded-readonly → recovering → ok cycle (see
-// registry.go). A crash between that snapshot's rename and the truncate is
-// safe: replay skips snapshot-covered records by ID and stops at the junk
+// everything from it on was never acknowledged, and recovery cuts it away
+// before the first new append (openWAL), or the records acknowledged from
+// then on would sit behind it, out of the next replay's reach. A poisoned log
+// is not terminal: once a fresh snapshot has made every acknowledged batch
+// durable again the log is recreated empty (junk and all gone) and appends
+// resume — the serving layer's degraded-readonly → recovering → ok cycle
+// (see registry.go). A crash between that snapshot's rename and the truncate
+// is safe: replay skips snapshot-covered records by ID and stops at the junk
 // tail, before which every record is covered.
 
 // walRecordTag starts every WAL record.
@@ -55,10 +57,11 @@ type wal struct {
 	frame bytes.Buffer // framed-record scratch, reused across appends
 }
 
-// openWAL opens (creating if needed) the log at path for appending, keeping
-// whatever it holds: replayWAL has already read it.
-func openWAL(fs fault.FS, path string) (*wal, error) {
-	l, err := openAppendLog(fs, path, -1)
+// openWAL opens (creating if needed) the log at path for appending behind its
+// first keep bytes — the length replayWAL parsed — and cuts away the torn tail
+// past them, so the next acknowledged record is one replay will reach.
+func openWAL(fs fault.FS, path string, keep int64) (*wal, error) {
+	l, err := openAppendLog(fs, path, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -93,57 +96,60 @@ func (w *wal) append(batch []sim.Action) error {
 	return w.appendLog.append(w.frame.Bytes())
 }
 
-// replayWAL streams the log's batches to apply in append order. It
-// tolerates a torn tail (see the package comment above): parsing stops
-// cleanly at the first incomplete or checksum-failing frame. A missing file
-// is an empty log. apply errors abort the replay.
-func replayWAL(fs fault.FS, path string, apply func(batch []sim.Action) error) (batches, actions int, err error) {
+// replayWAL streams the log's batches to apply in append order and returns,
+// as size, the length of the records it parsed. It tolerates a torn tail (see
+// the package comment above): parsing stops cleanly at the first incomplete
+// or checksum-failing frame, size bytes in. A missing file is an empty log.
+// apply errors abort the replay.
+func replayWAL(fs fault.FS, path string, apply func(batch []sim.Action) error) (batches, actions int, size int64, err error) {
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
+		return 0, 0, 0, nil
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("server: opening WAL for replay: %w", err)
+		return 0, 0, 0, fmt.Errorf("server: opening WAL for replay: %w", err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
 	for {
 		tag, err := br.ReadByte()
 		if err == io.EOF {
-			return batches, actions, nil
+			return batches, actions, size, nil
 		}
 		if err != nil {
-			return batches, actions, fmt.Errorf("server: reading WAL: %w", err)
+			return batches, actions, size, fmt.Errorf("server: reading WAL: %w", err)
 		}
 		if tag != walRecordTag {
-			return batches, actions, nil // torn tail
+			return batches, actions, size, nil // torn tail
 		}
 		n, err := binary.ReadUvarint(br)
 		if err != nil || n > maxWALRecordBytes {
-			return batches, actions, nil // torn tail
+			return batches, actions, size, nil // torn tail
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return batches, actions, nil // torn tail
+			return batches, actions, size, nil // torn tail
 		}
 		var crcBuf [4]byte
 		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return batches, actions, nil // torn tail
+			return batches, actions, size, nil // torn tail
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return batches, actions, nil // torn tail
+			return batches, actions, size, nil // torn tail
 		}
 		batch, err := decodeWALBatch(payload)
 		if err != nil {
 			// A CRC-valid record that does not decode is real corruption,
 			// not a torn write: surface it.
-			return batches, actions, fmt.Errorf("server: WAL record %d: %w", batches+1, err)
+			return batches, actions, size, fmt.Errorf("server: WAL record %d: %w", batches+1, err)
 		}
 		if err := apply(batch); err != nil {
-			return batches, actions, err
+			return batches, actions, size, err
 		}
 		batches++
 		actions += len(batch)
+		var lenBuf [binary.MaxVarintLen64]byte // tag + length + payload + CRC
+		size += int64(1 + binary.PutUvarint(lenBuf[:], n) + len(payload) + len(crcBuf))
 	}
 }
 

@@ -4,8 +4,10 @@
 // per-user influence sets for arbitrary suffixes of the window.
 //
 // The central structure is Stream, which ingests actions in timestamp order
-// and answers "which users does u influence, counting only actions at time
-// >= s" for any start s that is still within the retention horizon. This is
+// (IngestBatch, the one ingestion entry and the one place that order is
+// checked; Ingest is its one-action form) and answers "which users does u
+// influence, counting only actions at time >= s" for any start s that is
+// still within the retention horizon. This is
 // exactly the query a checkpoint oracle created at time s needs (paper §4.2,
 // Set-Stream Mapping), and sharing one index across all checkpoints is what
 // keeps the IC framework's memory linear in the window size instead of
@@ -50,7 +52,7 @@ func (a Action) String() string {
 	return fmt.Sprintf("<u%d, a%d>_%d", a.User, a.Parent, a.ID)
 }
 
-// Errors returned by Stream.Ingest.
+// Errors returned by Stream.IngestBatch and Stream.Ingest.
 var (
 	// ErrNonMonotonicID is returned when an ingested action's ID is not
 	// strictly greater than all previously ingested IDs.

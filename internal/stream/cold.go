@@ -175,25 +175,48 @@ func (s *Stream) logPrefix(u UserID, start ActionID) ([]Contrib, error) {
 		// cold time already misses, so the whole extent does — no I/O.
 		return hot, nil
 	}
-	cold, err := s.store.ReadLog(ext, s.readBuf[:0])
+	cold, err := s.readCold(ext)
 	if err != nil {
-		s.tier.ColdReadErrs++
-		if s.coldErr == nil {
-			s.coldErr = err
-		}
 		return hot, err
 	}
-	s.tier.ColdFaults++
 	cold = PrefixFor(cold, start)
 	if len(hot) == 0 {
-		s.readBuf = cold[:0]
 		return cold, nil
 	}
-	// Both tiers populated: hot entries are all newer than cold ones (times
-	// are globally monotone), so the merged prefix is hot followed by the
-	// cold entries whose user has not re-contributed since the spill.
 	s.coldPrev = s.missedPrev(u, cold)
-	out := append(s.mergeBuf[:0], hot...)
+	s.mergeBuf = mergeTiers(s.mergeBuf[:0], hot, cold)
+	return s.mergeBuf, nil
+}
+
+// readCold reads ext into the shared decode scratch and counts the fault; the
+// entries are valid until the next cold read. A failed read is counted and
+// kept sticky (ColdErr), and leaves the extent cold for a later retry.
+func (s *Stream) readCold(ext Extent) ([]Contrib, error) {
+	list, err := s.store.ReadLog(ext, s.readBuf[:0])
+	if err != nil {
+		s.tierFailed(&s.tier.ColdReadErrs, err)
+		return nil, err
+	}
+	s.readBuf = list[:0]
+	s.tier.ColdFaults++
+	return list, nil
+}
+
+// tierFailed counts one failed cold-tier operation and keeps the first such
+// error for ColdErr.
+func (s *Stream) tierFailed(counter *int64, err error) {
+	*counter++
+	if s.coldErr == nil {
+		s.coldErr = err
+	}
+}
+
+// mergeTiers appends to dst the merged log of a user present in both tiers:
+// hot entries are all newer than cold ones (times are globally monotone), so
+// it is hot followed by the cold entries whose user has not re-contributed
+// since the spill.
+func mergeTiers(dst, hot, cold []Contrib) []Contrib {
+	dst = append(dst, hot...)
 	for _, c := range cold {
 		stale := false
 		for _, h := range hot {
@@ -203,12 +226,10 @@ func (s *Stream) logPrefix(u UserID, start ActionID) ([]Contrib, error) {
 			}
 		}
 		if !stale {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	s.readBuf = cold[:0]
-	s.mergeBuf = out
-	return out, nil
+	return dst
 }
 
 // missedPrev looks up, in u's cold entries, the performers the current
@@ -304,8 +325,6 @@ func (s *Stream) maybeSpill() {
 	var (
 		users    []UserID
 		logs     [][]Contrib
-		olds     []Extent // zero-value when the user had no prior extent
-		hadOld   []bool
 		reclaims int64
 	)
 	for _, c := range cands {
@@ -313,41 +332,17 @@ func (s *Stream) maybeSpill() {
 			break
 		}
 		list := c.l.list
-		old, fold := s.cold[c.u]
-		if fold {
-			prev, err := s.store.ReadLog(old, s.readBuf[:0])
+		if old, fold := s.cold[c.u]; fold {
+			prev, err := s.readCold(old)
 			if err != nil {
-				s.tier.ColdReadErrs++
-				if s.coldErr == nil {
-					s.coldErr = err
-				}
 				continue
 			}
-			s.tier.ColdFaults++
-			// Lazy prune of the old extent, then the standard merge: hot
-			// residue first, cold entries that did not re-contribute after.
-			i := sort.Search(len(prev), func(i int) bool { return prev[i].T < s.horizon })
-			prev = prev[:i]
-			merged := append(make([]Contrib, 0, len(list)+len(prev)), list...)
-			for _, cc := range prev {
-				stale := false
-				for _, h := range list {
-					if h.V == cc.V {
-						stale = true
-						break
-					}
-				}
-				if !stale {
-					merged = append(merged, cc)
-				}
-			}
-			s.readBuf = prev[:0]
-			list = merged
+			// Lazy prune of the old extent, then the standard merge.
+			prev = PrefixFor(prev, s.horizon)
+			list = mergeTiers(make([]Contrib, 0, len(list)+len(prev)), list, prev)
 		}
 		users = append(users, c.u)
 		logs = append(logs, list)
-		olds = append(olds, old)
-		hadOld = append(hadOld, fold)
 		reclaims += int64(len(c.l.list)) * contribBytes
 	}
 	if len(logs) == 0 {
@@ -358,19 +353,17 @@ func (s *Stream) maybeSpill() {
 	if err != nil {
 		// The segment was not published: every log stays hot and correct,
 		// we are merely still over budget. The next Advance retries.
-		s.tier.SpillErrs++
-		if s.coldErr == nil {
-			s.coldErr = err
-		}
+		s.tierFailed(&s.tier.SpillErrs, err)
 		return
 	}
 	if s.cold == nil {
 		s.cold = make(map[UserID]Extent, len(exts))
 	}
 	for i, u := range users {
-		if hadOld[i] {
-			s.coldBytes -= int64(olds[i].Count) * contribBytes
-			s.store.Release(olds[i].Seg)
+		if old, folded := s.cold[u]; folded {
+			// Still the extent the fold above read: nothing replaced it yet.
+			s.coldBytes -= int64(old.Count) * contribBytes
+			s.store.Release(old.Seg)
 		}
 		s.cold[u] = exts[i]
 		s.coldBytes += int64(exts[i].Count) * contribBytes

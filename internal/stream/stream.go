@@ -86,7 +86,7 @@ type Delta struct {
 	// Contributors lists, without duplicates, the users this action counts
 	// Action.User as influenced by: Action.User itself and the users of all
 	// ancestor actions. The slice is owned by the Stream and valid until the
-	// next Ingest call.
+	// next ingestion call (Ingest or IngestBatch).
 	Contributors []UserID
 	// Prev is parallel to Contributors: the time of the performer's previous
 	// contribution to that contributor as its hot log held it, -1 when the
@@ -124,9 +124,7 @@ type Stream struct {
 	seen map[UserID]uint64
 	gen  uint64
 
-	contribBuf []UserID
-	prevBuf    []ActionID
-	expireBuf  []UserID
+	expireBuf []UserID
 
 	// touched lists the contributors whose log ingest has changed since the
 	// last DrainTouched, repeats included, so a reader that caches influence
@@ -141,9 +139,9 @@ type Stream struct {
 	// user with one per logChunkSize users on the ingestion path.
 	logChunk []userLog
 
-	// Batch ingestion scratch (see IngestBatch): one contributor arena for
-	// the whole batch plus the per-action offsets into it, so every Delta of
-	// a batch stays readable until the next ingestion call.
+	// Ingestion scratch (see IngestBatch): one contributor arena for the
+	// whole call plus the per-action offsets into it, so every Delta of a
+	// batch stays readable until the next ingestion call.
 	batchArena []UserID
 	batchPrev  []ActionID
 	batchOffs  []int
@@ -241,30 +239,11 @@ func (s *Stream) mark(u UserID) bool {
 	return true
 }
 
-// Ingest appends one action to the stream, updates the diffusion index and
-// contribution logs, and returns the delta to feed to checkpoint oracles.
-// The returned Delta's Contributors and Prev slices are reused across calls.
-func (s *Stream) Ingest(a Action) (Delta, error) {
-	s.coldMiss = s.coldMiss[:0]
-	buf, prevs, depth, err := s.ingest(a, s.contribBuf[:0], s.prevBuf[:0])
-	if err != nil {
-		return Delta{}, err
-	}
-	s.contribBuf, s.prevBuf = buf, prevs
-	return Delta{Action: a, Contributors: buf, Prev: prevs, Depth: depth}, nil
-}
-
-// ingest performs the per-action index and log maintenance shared by Ingest
-// and IngestBatch, appending the action's distinct contributors to arena and
-// the performer's previous time in each one's log to prevs (Delta.Prev), and
-// returning the extended slices with the chain depth.
-func (s *Stream) ingest(a Action, arena []UserID, prevs []ActionID) ([]UserID, []ActionID, int, error) {
-	if a.ID <= s.last {
-		return arena, prevs, 0, ErrNonMonotonicID
-	}
-	if !a.Root() && a.Parent >= a.ID {
-		return arena, prevs, 0, ErrBadParent
-	}
+// ingest performs the index and log maintenance of one action that has
+// passed IngestBatch's order check, appending the action's distinct
+// contributors to batchArena and the performer's previous time in each one's
+// log to batchPrev (Delta.Prev), and returning the chain depth.
+func (s *Stream) ingest(a Action) int {
 	s.last = a.ID
 
 	rec := &record{user: a.User, parent: a.Parent, refs: 1}
@@ -283,23 +262,9 @@ func (s *Stream) ingest(a Action, arena []UserID, prevs []ActionID) ([]UserID, [
 	s.window = append(s.window, a)
 
 	// Resolve the ancestor chain and record contributions.
-	s.nextGen()
-	base := len(arena)
-	depth := 0
-	if s.mark(a.User) {
-		arena = append(arena, a.User)
-	}
-	for pid := rec.parent; pid != NoParent; {
-		p, ok := s.idx[pid]
-		if !ok {
-			break
-		}
-		depth++
-		if s.mark(p.user) {
-			arena = append(arena, p.user)
-		}
-		pid = p.parent
-	}
+	base := len(s.batchArena)
+	arena, depth := s.chain(rec, s.batchArena)
+	s.batchArena = arena
 	for _, u := range arena[base:] {
 		// A spilled contributor grows a fresh hot log in front of its cold
 		// extent — ingest never reads the cold tier. The hot residue dedups
@@ -326,7 +291,7 @@ func (s *Stream) ingest(a Action, arena []UserID, prevs []ActionID) ([]UserID, [
 				s.coldMiss = append(s.coldMiss, missedTouch{u, a.User})
 			}
 		}
-		prevs = append(prevs, prev)
+		s.batchPrev = append(s.batchPrev, prev)
 		if len(s.touched) < maxTouched {
 			s.touched = append(s.touched, u)
 		} else {
@@ -334,7 +299,29 @@ func (s *Stream) ingest(a Action, arena []UserID, prevs []ActionID) ([]UserID, [
 		}
 	}
 
-	return arena, prevs, depth, nil
+	return depth
+}
+
+// chain walks the ancestor chain of the retained record rec and appends the
+// distinct users on it (rec's own user first) to buf, returning the extended
+// slice and the number of ancestors walked.
+func (s *Stream) chain(rec *record, buf []UserID) ([]UserID, int) {
+	s.nextGen()
+	s.mark(rec.user) // nothing else is marked yet
+	buf = append(buf, rec.user)
+	depth := 0
+	for pid := rec.parent; pid != NoParent; {
+		p, ok := s.idx[pid]
+		if !ok {
+			break
+		}
+		depth++
+		if s.mark(p.user) {
+			buf = append(buf, p.user)
+		}
+		pid = p.parent
+	}
+	return buf, depth
 }
 
 // Advance raises the retention horizon: actions with ID < horizon are
@@ -473,14 +460,6 @@ func (s *Stream) InfluenceSet(u UserID, start ActionID) []UserID {
 	return out
 }
 
-// InfluenceSize returns |I_s(u)|, the cardinality influence value of the
-// single user u for the suffix starting at start.
-func (s *Stream) InfluenceSize(u UserID, start ActionID) int {
-	n := 0
-	s.Influence(u, start, func(UserID) bool { n++; return true })
-	return n
-}
-
 // Influencers visits every user with a non-empty influence set for the
 // suffix starting at start. Visiting stops early if visit returns false.
 func (s *Stream) Influencers(start ActionID, visit func(UserID) bool) {
@@ -511,18 +490,6 @@ func (s *Stream) Influencers(start ActionID, visit func(UserID) bool) {
 	}
 }
 
-// Actions visits the retained actions with ID >= from in timestamp order.
-// Visiting stops early if visit returns false.
-func (s *Stream) Actions(from ActionID, visit func(Action) bool) {
-	w := s.window[s.wstart:]
-	i := sort.Search(len(w), func(i int) bool { return w[i].ID >= from })
-	for _, a := range w[i:] {
-		if !visit(a) {
-			return
-		}
-	}
-}
-
 // Contributors resolves the ancestor chain of the retained action id and
 // appends the distinct contributing users (the action's own user first) to
 // buf, returning the extended slice. It returns buf unchanged when id is not
@@ -532,20 +499,7 @@ func (s *Stream) Contributors(id ActionID, buf []UserID) []UserID {
 	if !ok {
 		return buf
 	}
-	s.nextGen()
-	if s.mark(rec.user) {
-		buf = append(buf, rec.user)
-	}
-	for pid := rec.parent; pid != NoParent; {
-		p, ok := s.idx[pid]
-		if !ok {
-			break
-		}
-		if s.mark(p.user) {
-			buf = append(buf, p.user)
-		}
-		pid = p.parent
-	}
+	buf, _ = s.chain(rec, buf)
 	return buf
 }
 

@@ -19,11 +19,13 @@
 //
 // The ingestion hot path is a per-checkpoint feed with a zero-allocation
 // element path: influence sets reach the oracles as shared slice views
-// rather than closures. One Config option reshapes it: BatchSize (default
-// 1, the exact per-action behavior) groups actions within one ProcessAll
-// call so the stream index, oracle feeding and window maintenance amortize
-// across a batch; Process is per-action. Nothing is held over between
-// calls: when ProcessAll returns, everything it accepted is applied.
+// rather than closures. There is one such path, ProcessAll → the
+// framework's ProcessBatch → the stream index's IngestBatch, and one Config
+// option says how it is cut: BatchSize (default 1, the paper's per-action
+// algorithm) groups actions within one ProcessAll call so the stream index,
+// oracle feeding and window maintenance amortize across a batch; Process is
+// ProcessAll for one action. Nothing is held over between calls: when
+// ProcessAll returns, everything it accepted is applied.
 //
 // A Tracker is single-writer: only one goroutine may call Process and the
 // query methods. For concurrent readers, the owner calls Snapshot — an
@@ -256,13 +258,13 @@ type Config struct {
 	// each is ingested at once, feeding each checkpoint one element per
 	// distinct contributor of the batch whose set there it changed, instead
 	// of one per contributing action, and running window maintenance once
-	// per batch. Process is per-action whatever the value, and 1 (or 0, the
-	// zero value) makes ProcessAll per-action too. With larger batches the
-	// oracles see the same monotone influence-set growth at coarser
-	// granularity, so approximation guarantees hold but seed sets may differ
-	// from the serial run within the guarantee band. Answers depend on where
-	// the calls cut the stream: hand ProcessAll what arrived between two
-	// slide boundaries.
+	// per batch. Process is a batch of one whatever the value, and 1 (or 0,
+	// the zero value) makes every batch of ProcessAll one too. With larger
+	// batches the oracles see the same monotone influence-set growth at
+	// coarser granularity, so approximation guarantees hold but seed sets
+	// may differ from the serial run within the guarantee band. Answers
+	// depend on where the calls cut the stream: hand ProcessAll what arrived
+	// between two slide boundaries.
 	BatchSize int
 	// ExpectedUsers, when positive, pre-sizes the stream index's per-user
 	// maps for that many distinct users, avoiding rehash churn during the
@@ -373,64 +375,46 @@ func New(cfg Config) (*Tracker, error) {
 	}, nil
 }
 
-// Process ingests one action, per-action at any BatchSize. Actions must
-// arrive with strictly increasing IDs; an action referencing itself or a
+// Process is ProcessAll for one action, per-action at any BatchSize. Actions
+// must arrive with strictly increasing IDs; an action referencing itself or a
 // future action as parent is rejected. Filtered-out actions are silently
 // skipped.
 func (t *Tracker) Process(a Action) error {
-	if t.filter != nil && !t.filter(a) {
-		return nil
-	}
-	return t.fw.Process(a)
+	return t.ProcessAll([]Action{a})
 }
 
-// ProcessAll ingests a slice of actions and returns with all of it applied.
-// With BatchSize > 1 it cuts the slice into ingestion batches of that many
-// accepted (unfiltered) actions, the last one shorter. It stops at the first
-// stream-order error, with everything before the offending action applied —
-// the batch that action would have joined is ingested short.
+// ProcessAll ingests a slice of actions and returns with all of it applied:
+// it drops what the Filter rejects, cuts the rest into ingestion batches of
+// BatchSize actions, the last one shorter, and hands each to the framework.
+// It stops at the first stream-order error, with everything before the
+// offending action applied — the batch that action would have joined is
+// ingested short.
 func (t *Tracker) ProcessAll(actions []Action) error {
-	if t.batchSize <= 1 {
-		for _, a := range actions {
-			if err := t.Process(a); err != nil {
-				return fmt.Errorf("action %v: %w", a, err)
-			}
-		}
-		return nil
-	}
-	// Validate on entry, as the stream will: a batch is ingested whole or not
-	// at all, so the offending action must never reach one.
-	var bad error
-	last := t.LastID()
 	chunk := t.chunk[:0]
 	for _, a := range actions {
 		if t.filter != nil && !t.filter(a) {
 			continue
 		}
-		switch {
-		case a.ID <= last:
-			bad = ErrNonMonotonicID
-		case !a.Root() && a.Parent >= a.ID:
-			bad = ErrBadParent
-		}
-		if bad != nil {
-			bad = fmt.Errorf("action %v: %w", a, bad)
-			break
-		}
-		last = a.ID
 		chunk = append(chunk, a)
 		if len(chunk) == t.batchSize {
-			if err := t.fw.ProcessBatch(chunk); err != nil {
+			if err := t.processBatch(chunk); err != nil {
 				return err
 			}
 			chunk = chunk[:0]
 		}
 	}
 	t.chunk = chunk[:0]
-	if err := t.fw.ProcessBatch(chunk); err != nil {
-		return err
+	return t.processBatch(chunk)
+}
+
+// processBatch hands one ingestion batch to the framework, naming the action
+// a stream-order error stopped at: the first one not applied.
+func (t *Tracker) processBatch(batch []Action) error {
+	before := t.fw.Processed()
+	if err := t.fw.ProcessBatch(batch); err != nil {
+		return fmt.Errorf("action %v: %w", batch[t.fw.Processed()-before], err)
 	}
-	return bad
+	return nil
 }
 
 // Close releases the cold tier's segment store (a no-op without a
