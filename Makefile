@@ -95,8 +95,11 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# The second line compiles the non-unix halves (lock_other.go) that no other
+# step builds, so "runs off unix" is checked rather than assumed.
 vet:
 	$(GO) vet ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./... && GOOS=windows GOARCH=amd64 $(GO) vet ./internal/dataio ./internal/server
 
 # staticcheck when installed (CI installs it; locally this soft-skips so a
 # bare container can still run `make ci`).

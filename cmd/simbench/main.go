@@ -17,8 +17,8 @@
 // call (sim.Config.BatchSize). Performance is gated elsewhere: end to end by
 // benchmark/ (BENCHMARK.json), allocations per action by sim's
 // TestIngestAllocCeiling.
-// See DESIGN.md §5 for the mapping from each ID to the paper's artefact and
-// EXPERIMENTS.md for recorded paper-vs-measured results.
+// See ARCHITECTURE.md "Paper section → package map" for what each ID
+// exercises and README "Reproducing the paper's evaluation" for the IDs.
 package main
 
 import (

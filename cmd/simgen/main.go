@@ -14,8 +14,8 @@
 //	simserve -addr :8384 -k 10 -window 50000 &
 //	simgen -preset syn-o -actions 100000 -post http://localhost:8384/v1/trackers/default/actions
 //
-// Presets: reddit, twitter, syn-o, syn-n (see DESIGN.md §4 for how each
-// relates to the paper's datasets).
+// Presets: reddit, twitter, syn-o, syn-n (package internal/gen says how each
+// relates to the paper's datasets: ARCHITECTURE.md "Paper section → package map").
 package main
 
 import (

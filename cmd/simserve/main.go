@@ -122,24 +122,16 @@ func main() {
 	if *spillDir != "" {
 		reg.SetSpillDir(*spillDir)
 	}
-	replayTarget := *name
+	specs := map[string]api.Spec{}
 	if *spec != "" {
 		f, err := os.Open(*spec)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		specs, err := api.ReadSpecs(f)
+		specs, err = api.ReadSpecs(f)
 		f.Close()
 		if err != nil {
 			fatalf("%v", err)
-		}
-		for sname, sp := range specs {
-			t, err := reg.Add(sname, sp)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			log.Printf("tracker %q: k=%d window=%d framework=%v oracle=%v", sname, sp.K, sp.Window, sp.Framework, sp.Oracle)
-			logRecovery(t)
 		}
 	} else {
 		fwk, err := sim.ParseFramework(*framework)
@@ -150,18 +142,29 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		sp := api.Spec{
+		specs[*name] = api.Spec{
 			K: *k, Window: *window, Slide: *slide, Beta: *beta,
 			Framework: fwk, Oracle: o,
 			Batch: *batch, ExpectedUsers: *users, Queue: *queue,
 			SnapshotWALBytes: *snapBytes, Names: *names,
 			MemoryBudgetBytes: *memBudget,
 		}
-		t, err := reg.Add(*name, sp)
+	}
+	if *replay != "" {
+		sp, ok := specs[*name]
+		if !ok {
+			fatalf("-replay targets unknown tracker %q", *name)
+		}
+		if err := checkReplayTarget(sp); err != nil {
+			fatalf("-replay into tracker %q: %v", *name, err)
+		}
+	}
+	for sname, sp := range specs {
+		t, err := reg.Add(sname, sp)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		log.Printf("tracker %q: k=%d window=%d framework=%v oracle=%v", *name, *k, *window, fwk, o)
+		log.Printf("tracker %q: k=%d window=%d framework=%v oracle=%v", sname, sp.K, sp.Window, sp.Framework, sp.Oracle)
 		logRecovery(t)
 	}
 
@@ -173,10 +176,7 @@ func main() {
 
 	replayDone := make(chan error, 1)
 	if *replay != "" {
-		t, ok := reg.Get(replayTarget)
-		if !ok {
-			fatalf("-replay targets unknown tracker %q", replayTarget)
-		}
+		t, _ := reg.Get(*name) // checked against specs above
 		go func() { replayDone <- runReplay(ctx, t, *replay, *follow, *chunk) }()
 	} else {
 		replayDone <- nil
@@ -225,6 +225,19 @@ func logRecovery(t *server.Tracked) {
 	snap := t.Snapshot()
 	log.Printf("tracker %q: recovered processed=%d (snapshot: loaded=%v processed=%d; wal: %d batches, %d actions)",
 		t.Name(), snap.Processed, info.SnapshotLoaded, info.SnapshotProcessed, info.WALBatches, info.WALActions)
+}
+
+// checkReplayTarget refuses -replay into a name-mode tracker. The replay
+// reader yields numeric user IDs and Submit takes them as already interned,
+// so they would share one ID space with the dense IDs the intern table hands
+// to HTTP ingest — the mix api.Spec.Names promises cannot happen.
+func checkReplayTarget(sp api.Spec) error {
+	if sp.Names {
+		return errors.New("the tracker is in name mode and -replay feeds numeric user IDs past its intern table: " +
+			"seeds would come back without names and names.log would never learn the IDs the WAL references; " +
+			"POST the stream to /v1/trackers/<name>/actions instead")
+	}
+	return nil
 }
 
 // runReplay streams a recorded action log into t through the same bounded

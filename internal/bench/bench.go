@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: one runnable experiment per
 // table and figure of the paper's evaluation (§6). Each experiment prints
-// the same series the paper plots, at laptop scale (DESIGN.md §5 maps every
-// experiment to its modules; EXPERIMENTS.md records paper-vs-measured).
+// the same series the paper plots, at laptop scale (ARCHITECTURE.md "Paper
+// section → package map" places it; README lists the experiment IDs).
 package bench
 
 import (

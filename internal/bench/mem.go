@@ -13,8 +13,8 @@ import (
 // The mem experiment measures what the tiered window state buys: for each
 // dataset, one unbudgeted run (everything hot, the pre-tiering behavior)
 // against one run under a constrained memory budget (a quarter of the
-// unbudgeted run's peak hot-log bytes), spilling cold user logs to mmap'd
-// segment files. Reported per run: the peak resident window-state estimate,
+// unbudgeted run's peak hot-log bytes), spilling cold user logs to segment
+// files. Reported per run: the peak resident window-state estimate,
 // its hot/cold log split, spill/fault traffic, the end-of-run heap delta
 // (runtime.MemStats ground truth for the estimate), and ingest throughput —
 // the cost side of the trade.

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,10 +31,10 @@ import (
 // published with the temp/fsync/rename dance (AtomicWriteFile), so a crash
 // mid-spill leaves only a *.tmp file, never a torn segment; every file is
 // CRC-validated in full once at open (or immediately after write), after
-// which extent reads skip per-read checksums. On platforms with mmap and a
-// real filesystem the validated file stays memory-mapped and reads are
-// zero-copy; otherwise reads are positioned I/O through the fault.FS seam,
-// which keeps every cold read an injectable fault point.
+// which extent reads skip per-read checksums. An extent is read by a
+// positioned read on a descriptor the store keeps open per segment, through
+// the fault.FS seam: every cold read is an injectable fault point, and a
+// failed one is an error the tier counts, on every platform.
 
 // Segment section tags and the segment layout version inside SGH0.
 const (
@@ -84,46 +84,19 @@ type segInfo struct {
 // hardening boundary for cold data: everything after a successful parse
 // trusts offsets arithmetically.
 func parseSegment(data []byte) (segInfo, error) {
-	var info segInfo
-	info.size = int64(len(data))
-	if len(data) < len(snapshotMagic) || !bytes.Equal(data[:4], snapshotMagic[:]) {
-		return info, ErrNotSnapshot
+	info := segInfo{size: int64(len(data))}
+	sr, err := readSnapshot(data)
+	if err != nil {
+		return info, err
 	}
-	off := 4
-	v, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return info, ErrSnapshotTruncated
-	}
-	if v > SnapshotVersion {
-		return info, fmt.Errorf("dataio: segment container version %d is newer than supported version %d", v, SnapshotVersion)
-	}
-	off += n
-	var sawHeader, sawData, sawEnd bool
-	for !sawEnd {
-		if off+4 > len(data) {
-			return info, ErrSnapshotTruncated
+	var sawHeader, sawData bool
+	for {
+		tag, payload, off, crc, err := sr.section()
+		if err == io.EOF {
+			break
 		}
-		tag := string(data[off : off+4])
-		off += 4
-		plen64, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return info, ErrSnapshotTruncated
-		}
-		off += n
-		if plen64 > maxSectionBytes {
-			return info, fmt.Errorf("%w: section %q claims %d bytes", ErrSnapshotCorrupt, tag, plen64)
-		}
-		plen := int(plen64)
-		if off+plen+4 > len(data) || off+plen+4 < off {
-			return info, ErrSnapshotTruncated
-		}
-		payload := data[off : off+plen]
-		off += plen
-		want := binary.LittleEndian.Uint32(data[off : off+4])
-		off += 4
-		got := crc32.Checksum(payload, snapshotCRC)
-		if got != want {
-			return info, fmt.Errorf("%w: section %q CRC mismatch (got %08x, want %08x)", ErrSnapshotCorrupt, tag, got, want)
+		if err != nil {
+			return info, err
 		}
 		switch tag {
 		case segHeaderTag:
@@ -139,12 +112,10 @@ func parseSegment(data []byte) (segInfo, error) {
 			}
 			sawHeader = true
 		case segDataTag:
-			info.dataOff = int64(off - 4 - plen)
-			info.dataLen = int64(plen)
-			info.dataCRC = want
+			info.dataOff = int64(off)
+			info.dataLen = int64(len(payload))
+			info.dataCRC = crc
 			sawData = true
-		case snapshotEndTag:
-			sawEnd = true
 		default:
 			// Unknown section from a newer writer: validated and skipped.
 		}
@@ -162,19 +133,29 @@ func parseSegment(data []byte) (segInfo, error) {
 type segment struct {
 	info segInfo
 	path string
-	refs int    // live extents referencing this segment
-	data []byte // whole-file mmap (nil on the seam/pread path)
+	refs int        // live extents referencing this segment
+	f    fault.File // read handle: nil until the first ReadLog and after a failed one
+}
+
+// close releases the segment's read handle, if it holds one.
+func (s *segment) close() error {
+	if s.f == nil {
+		return nil
+	}
+	err := s.f.Close()
+	s.f = nil
+	return err
 }
 
 // SegmentStore implements stream.ColdStore over a directory of segment
 // files. Like the Stream it backs, it is single-writer: one goroutine owns
 // all calls.
 type SegmentStore struct {
-	fs      fault.FS
-	dir     string
-	useMmap bool
-	nextID  stream.SegmentID
-	segs    map[stream.SegmentID]*segment
+	fs     fault.FS
+	dir    string
+	nextID stream.SegmentID
+	segs   map[stream.SegmentID]*segment
+	raw    []byte // extent bytes of the ReadLog in progress, reused
 	// invalid holds files that failed validation at open: they are never
 	// served (a snapshot referencing one fails its Retain loudly) and are
 	// deleted by the next GC.
@@ -193,11 +174,10 @@ func OpenSegmentStore(fs fault.FS, dir string) (*SegmentStore, error) {
 		return nil, fmt.Errorf("dataio: opening segment store: %w", err)
 	}
 	st := &SegmentStore{
-		fs:      fs,
-		dir:     dir,
-		useMmap: mmapSupported && fs == fault.OS(),
-		nextID:  1,
-		segs:    map[stream.SegmentID]*segment{},
+		fs:     fs,
+		dir:    dir,
+		nextID: 1,
+		segs:   map[stream.SegmentID]*segment{},
 	}
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
@@ -227,39 +207,20 @@ func OpenSegmentStore(fs fault.FS, dir string) (*SegmentStore, error) {
 	return st, nil
 }
 
-// loadSegment validates the file at path as segment id and (on the mmap
-// path) keeps it mapped.
+// loadSegment validates the file at path, in full, as segment id.
 func (st *SegmentStore) loadSegment(id stream.SegmentID, path string) (*segment, error) {
-	var data []byte
-	var mapped bool
-	if st.useMmap {
-		m, err := mapFile(path)
-		if err != nil {
-			return nil, err
-		}
-		data, mapped = m, true
-	} else {
-		d, err := st.fs.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		data = d
-	}
-	info, err := parseSegment(data)
-	if err == nil && info.id != id {
-		err = fmt.Errorf("%w: file %s carries segment ID %d", ErrSnapshotCorrupt, filepath.Base(path), uint64(info.id))
-	}
+	data, err := st.fs.ReadFile(path)
 	if err != nil {
-		if mapped {
-			unmapFile(data)
-		}
 		return nil, err
 	}
-	seg := &segment{info: info, path: path}
-	if mapped {
-		seg.data = data
+	info, err := parseSegment(data)
+	if err != nil {
+		return nil, err
 	}
-	return seg, nil
+	if info.id != id {
+		return nil, fmt.Errorf("%w: file %s carries segment ID %d", ErrSnapshotCorrupt, filepath.Base(path), uint64(info.id))
+	}
+	return &segment{info: info, path: path}, nil
 }
 
 // WriteLogs implements stream.ColdStore: one new immutable segment holding
@@ -311,7 +272,7 @@ func (st *SegmentStore) WriteLogs(logs [][]stream.Contrib) ([]stream.Extent, err
 
 	// Read the published file back through the same validation as boot:
 	// the extents handed out below are backed by bytes proven durable and
-	// well-formed, and the mmap path keeps this mapping for all reads.
+	// well-formed.
 	seg, err := st.loadSegment(id, path)
 	if err != nil {
 		st.fs.Remove(path)
@@ -346,34 +307,38 @@ func (st *SegmentStore) ReadLog(ext stream.Extent, buf []stream.Contrib) ([]stre
 		return nil, fmt.Errorf("dataio: extent [%d,+%d) outside segment %d data (%d bytes)",
 			ext.Off, n, uint64(ext.Seg), seg.info.dataLen)
 	}
-	var raw []byte
-	if seg.data != nil {
-		raw = seg.data[seg.info.dataOff+ext.Off : seg.info.dataOff+ext.Off+n]
-	} else {
-		f, err := st.fs.OpenFile(seg.path, os.O_RDONLY, 0)
-		if err != nil {
-			return nil, fmt.Errorf("dataio: reading segment %d: %w", uint64(ext.Seg), err)
-		}
-		if _, err := f.Seek(seg.info.dataOff+ext.Off, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dataio: reading segment %d: %w", uint64(ext.Seg), err)
-		}
-		raw = make([]byte, n)
-		if _, err := io.ReadFull(f, raw); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dataio: reading segment %d: %w", uint64(ext.Seg), err)
-		}
-		f.Close()
+	if err := st.readAt(seg, seg.info.dataOff+ext.Off, int(n)); err != nil {
+		return nil, fmt.Errorf("dataio: reading segment %d: %w", uint64(ext.Seg), err)
 	}
 	out := buf
-	for i := 0; i < ext.Count; i++ {
-		e := raw[i*segEntryBytes:]
+	for e := st.raw; len(e) > 0; e = e[segEntryBytes:] {
 		out = append(out, stream.Contrib{
 			V: stream.UserID(binary.LittleEndian.Uint32(e[0:4])),
 			T: stream.ActionID(binary.LittleEndian.Uint64(e[4:12])),
 		})
 	}
 	return out, nil
+}
+
+// readAt fills st.raw with the n bytes at offset off of seg's file, through a
+// handle opened at the segment's first read and kept until GC or Close. A
+// failed open leaves no handle and a failed read drops it, so the next read
+// starts from a fresh descriptor rather than retrying a dead one; running
+// out of descriptors (EMFILE) is a failed read like any other.
+func (st *SegmentStore) readAt(seg *segment, off int64, n int) error {
+	if seg.f == nil {
+		f, err := st.fs.OpenFile(seg.path, os.O_RDONLY, 0)
+		if err != nil {
+			return err
+		}
+		seg.f = f
+	}
+	st.raw = slices.Grow(st.raw[:0], n)[:n]
+	_, err := seg.f.ReadAt(st.raw, off)
+	if err != nil {
+		seg.close()
+	}
+	return err
 }
 
 // Retain implements stream.ColdStore.
@@ -424,41 +389,32 @@ func (st *SegmentStore) LiveSegments() int {
 // Library users managing their own SaveTo destinations should call it only
 // if those snapshots are gone or superseded.
 func (st *SegmentStore) GC() (removed int, err error) {
+	var doomed []string
 	for id, s := range st.segs {
-		if s.refs > 0 {
-			continue
-		}
-		if s.data != nil {
-			unmapFile(s.data)
-			s.data = nil
-		}
-		if rerr := st.fs.Remove(s.path); rerr != nil && err == nil {
-			err = rerr
-		} else if rerr == nil {
-			removed++
-		}
-		delete(st.segs, id)
-	}
-	for _, path := range st.invalid {
-		if rerr := st.fs.Remove(path); rerr != nil && err == nil {
-			err = rerr
-		} else if rerr == nil {
-			removed++
+		if s.refs == 0 {
+			s.close()
+			delete(st.segs, id)
+			doomed = append(doomed, s.path)
 		}
 	}
+	doomed = append(doomed, st.invalid...)
 	st.invalid = nil
+	for _, path := range doomed {
+		if rerr := st.fs.Remove(path); rerr == nil {
+			removed++
+		} else if err == nil {
+			err = rerr
+		}
+	}
 	return removed, err
 }
 
-// Close releases every mapping. The store must not be used afterwards.
+// Close releases every read handle. The store must not be used afterwards.
 func (st *SegmentStore) Close() error {
 	var err error
 	for _, s := range st.segs {
-		if s.data != nil {
-			if uerr := unmapFile(s.data); uerr != nil && err == nil {
-				err = uerr
-			}
-			s.data = nil
+		if cerr := s.close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	return err

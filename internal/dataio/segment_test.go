@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -23,8 +24,8 @@ func segLogs() [][]stream.Contrib {
 	}
 }
 
-// TestSegmentStoreRoundTrip drives the full lifecycle on the mmap path:
-// write, read every extent back, stat, release to zero, GC the file away.
+// TestSegmentStoreRoundTrip drives the full lifecycle: write, read every
+// extent back, stat, release to zero, GC the file (and its handle) away.
 func TestSegmentStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenSegmentStore(fault.OS(), dir)
@@ -139,9 +140,10 @@ func TestSegmentStoreReopen(t *testing.T) {
 	}
 }
 
-// TestSegmentStorePreadPath runs reads through an injected FS (which
-// disables mmap) and proves every cold read is an injectable fault point
-// that heals: a failed ReadLog leaves the segment intact for a later retry.
+// TestSegmentStorePreadPath proves every cold read is an injectable fault
+// point that heals: a failed lazy open leaves no handle, a failed read on an
+// open handle drops it, and either way the segment stays intact and the next
+// ReadLog reads it through a fresh descriptor.
 func TestSegmentStorePreadPath(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.NewInjector(fault.OS())
@@ -155,18 +157,33 @@ func TestSegmentStorePreadPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg := st.segs[exts[0].Seg]
+	if seg.f != nil {
+		t.Fatal("segment opened before its first read")
+	}
 
-	inj.Add(fault.Rule{Op: fault.OpOpen, Path: segPrefix, Times: 1, Err: syscall.EIO})
-	if _, err := st.ReadLog(exts[0], nil); err == nil {
-		t.Fatal("ReadLog succeeded through an injected open fault")
-	}
-	// The fault healed (times=1): the same extent must now read cleanly.
-	got, err := st.ReadLog(exts[0], nil)
-	if err != nil {
-		t.Fatalf("ReadLog after heal: %v", err)
-	}
-	if !reflect.DeepEqual(got, logs[0]) {
-		t.Fatalf("post-heal read %v, wrote %v", got, logs[0])
+	for _, op := range []fault.Op{fault.OpOpen, fault.OpRead} {
+		inj.Add(fault.Rule{Op: op, Path: segPrefix, Times: 1, Err: syscall.EIO})
+		if _, err := st.ReadLog(exts[0], nil); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("ReadLog through an injected %s fault: %v, want EIO", op, err)
+		}
+		if seg.f != nil {
+			t.Fatalf("failed %s left a handle behind", op)
+		}
+		// The fault healed (times=1): the same extent must now read cleanly,
+		// and keeps the handle it opened for the reads that follow.
+		for i := range exts {
+			got, err := st.ReadLog(exts[i], nil)
+			if err != nil {
+				t.Fatalf("ReadLog after healed %s fault: %v", op, err)
+			}
+			if !reflect.DeepEqual(got, logs[i]) {
+				t.Fatalf("post-heal read %v, wrote %v", got, logs[i])
+			}
+		}
+		if seg.f == nil {
+			t.Fatal("successful reads kept no handle")
+		}
 	}
 }
 

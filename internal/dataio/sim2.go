@@ -70,16 +70,10 @@ type SnapshotWriter struct {
 // NewSnapshotWriter writes the SIM2 header and returns a writer for the
 // sections that follow.
 func NewSnapshotWriter(w io.Writer) (*SnapshotWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	sw := &SnapshotWriter{w: bw}
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		sw.err = err
-		return nil, err
-	}
+	sw := &SnapshotWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	sw.w.Write(snapshotMagic[:])
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], SnapshotVersion)
-	if _, err := bw.Write(buf[:n]); err != nil {
-		sw.err = err
+	if _, err := sw.w.Write(binary.AppendUvarint(buf[:0], SnapshotVersion)); err != nil {
 		return nil, err
 	}
 	return sw, nil
@@ -106,28 +100,15 @@ func (sw *SnapshotWriter) Section(tag string, payload []byte) error {
 	return sw.writeSection(tag, payload)
 }
 
+// writeSection checks the last write only: a bufio.Writer keeps its first
+// error and returns it from every later call, Flush included.
 func (sw *SnapshotWriter) writeSection(tag string, payload []byte) error {
 	var buf [binary.MaxVarintLen64]byte
-	if _, err := sw.w.WriteString(tag); err != nil {
-		sw.err = err
-		return err
-	}
-	n := binary.PutUvarint(buf[:], uint64(len(payload)))
-	if _, err := sw.w.Write(buf[:n]); err != nil {
-		sw.err = err
-		return err
-	}
-	if _, err := sw.w.Write(payload); err != nil {
-		sw.err = err
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, snapshotCRC))
-	if _, err := sw.w.Write(crc[:]); err != nil {
-		sw.err = err
-		return err
-	}
-	return nil
+	sw.w.WriteString(tag)
+	sw.w.Write(binary.AppendUvarint(buf[:0], uint64(len(payload))))
+	sw.w.Write(payload)
+	_, sw.err = sw.w.Write(binary.LittleEndian.AppendUint32(buf[:0], crc32.Checksum(payload, snapshotCRC)))
+	return sw.err
 }
 
 // Close writes the end marker and flushes. The snapshot is complete — and
@@ -140,46 +121,45 @@ func (sw *SnapshotWriter) Close() error {
 		return nil
 	}
 	sw.closed = true
-	if err := sw.writeSection(snapshotEndTag, nil); err != nil {
-		return err
-	}
-	if err := sw.w.Flush(); err != nil {
-		sw.err = err
-		return err
-	}
-	return nil
+	sw.writeSection(snapshotEndTag, nil)
+	sw.err = sw.w.Flush()
+	return sw.err
 }
 
-// SnapshotReader iterates the sections of a SIM2 snapshot.
+// SnapshotReader iterates the sections of a SIM2 snapshot. It is the only
+// reader of the container framing: the segment validator walks its files
+// through the same section method.
 type SnapshotReader struct {
-	r    *bufio.Reader
+	data []byte // the whole image
+	off  int    // of the next section
 	err  error
-	done bool
 }
 
-// NewSnapshotReader validates the SIM2 header and returns a section
-// iterator. It fails with ErrNotSnapshot on a wrong magic and a descriptive
-// error on a container version newer than this reader understands.
+// NewSnapshotReader reads r to its end, validates the SIM2 header and
+// returns a section iterator. It fails with ErrNotSnapshot on a wrong magic
+// and a descriptive error on a container version newer than this reader
+// understands.
 func NewSnapshotReader(r io.Reader) (*SnapshotReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrNotSnapshot
-		}
-		return nil, fmt.Errorf("dataio: reading snapshot header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("dataio: reading snapshot: %w", err)
 	}
-	if magic != snapshotMagic {
+	return readSnapshot(data)
+}
+
+// readSnapshot is NewSnapshotReader over an image already in memory.
+func readSnapshot(data []byte) (*SnapshotReader, error) {
+	if len(data) < len(snapshotMagic) || [4]byte(data[:4]) != snapshotMagic {
 		return nil, ErrNotSnapshot
 	}
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
+	v, n := binary.Uvarint(data[4:])
+	if n <= 0 {
 		return nil, ErrSnapshotTruncated
 	}
 	if v > SnapshotVersion {
-		return nil, fmt.Errorf("dataio: SIM2 snapshot version %d is newer than supported version %d", v, SnapshotVersion)
+		return nil, fmt.Errorf("dataio: SIM2 container version %d is newer than supported version %d", v, SnapshotVersion)
 	}
-	return &SnapshotReader{r: br}, nil
+	return &SnapshotReader{data: data, off: 4 + n}, nil
 }
 
 // Next returns the next section's tag and payload (CRC-verified). It
@@ -187,62 +167,42 @@ func NewSnapshotReader(r io.Reader) (*SnapshotReader, error) {
 // with ErrSnapshotTruncated. Unknown tags are the caller's to skip — simply
 // call Next again.
 func (sr *SnapshotReader) Next() (tag string, payload []byte, err error) {
-	if sr.err != nil {
-		return "", nil, sr.err
+	if sr.err == nil {
+		tag, payload, _, _, sr.err = sr.section()
 	}
-	if sr.done {
-		return "", nil, io.EOF
-	}
-	var tagBuf [4]byte
-	if _, err := io.ReadFull(sr.r, tagBuf[:]); err != nil {
-		sr.err = ErrSnapshotTruncated
-		return "", nil, sr.err
-	}
-	n, err := binary.ReadUvarint(sr.r)
-	if err != nil {
-		sr.err = ErrSnapshotTruncated
-		return "", nil, sr.err
-	}
-	if n > maxSectionBytes {
-		sr.err = fmt.Errorf("%w: section %q claims %d bytes", ErrSnapshotCorrupt, tagBuf[:], n)
-		return "", nil, sr.err
-	}
-	payload, err = readPayload(sr.r, n)
-	if err != nil {
-		sr.err = ErrSnapshotTruncated
-		return "", nil, sr.err
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(sr.r, crcBuf[:]); err != nil {
-		sr.err = ErrSnapshotTruncated
-		return "", nil, sr.err
-	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	if got := crc32.Checksum(payload, snapshotCRC); got != want {
-		sr.err = fmt.Errorf("%w: section %q CRC mismatch (got %08x, want %08x)", ErrSnapshotCorrupt, tagBuf[:], got, want)
-		return "", nil, sr.err
-	}
-	if string(tagBuf[:]) == snapshotEndTag {
-		sr.done = true
-		return "", nil, io.EOF
-	}
-	return string(tagBuf[:]), payload, nil
+	return tag, payload, sr.err
 }
 
-// readPayload reads exactly n bytes, growing the buffer in bounded chunks:
-// a corrupt or hostile length prefix far larger than the actual input fails
-// after reading what is really there instead of allocating the claimed size
-// up front.
-func readPayload(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(n, chunk))
-	for uint64(len(buf)) < n {
-		step := min(n-uint64(len(buf)), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
+// section is Next plus where the payload lies in the image and the CRC
+// stored behind it, without Next's memory of a failure. The payload is a
+// sub-slice of the image, so a length prefix claiming more than the image
+// holds costs no allocation.
+func (sr *SnapshotReader) section() (tag string, payload []byte, payloadOff int, crc uint32, err error) {
+	rest := sr.data[sr.off:]
+	if len(rest) < 4 {
+		return "", nil, 0, 0, ErrSnapshotTruncated
 	}
-	return buf, nil
+	tag = string(rest[:4])
+	plen, n := binary.Uvarint(rest[4:])
+	if n <= 0 {
+		return "", nil, 0, 0, ErrSnapshotTruncated
+	}
+	if plen > maxSectionBytes {
+		return "", nil, 0, 0, fmt.Errorf("%w: section %q claims %d bytes", ErrSnapshotCorrupt, tag, plen)
+	}
+	rest = rest[4+n:]
+	if uint64(len(rest)) < plen+4 {
+		return "", nil, 0, 0, ErrSnapshotTruncated
+	}
+	payloadOff = sr.off + 4 + n
+	payload = rest[:plen:plen]
+	crc = binary.LittleEndian.Uint32(rest[plen:])
+	if got := crc32.Checksum(payload, snapshotCRC); got != crc {
+		return "", nil, 0, 0, fmt.Errorf("%w: section %q CRC mismatch (got %08x, want %08x)", ErrSnapshotCorrupt, tag, got, crc)
+	}
+	sr.off = payloadOff + int(plen) + 4
+	if tag == snapshotEndTag {
+		return "", nil, 0, 0, io.EOF
+	}
+	return tag, payload, payloadOff, crc, nil
 }

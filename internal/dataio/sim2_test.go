@@ -2,8 +2,10 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -161,5 +163,90 @@ func TestSnapshotWriterTagValidation(t *testing.T) {
 	sw2, _ := NewSnapshotWriter(&buf)
 	if err := sw2.Section("SEND", nil); err == nil {
 		t.Fatal("reserved end tag accepted")
+	}
+}
+
+// TestOneSectionWalk pins that the snapshot reader and the segment validator
+// read the container through the same walk: the same malformed image fails
+// both with the same error class. Every image derives from a valid segment
+// file, which is also a valid two-section snapshot.
+func TestOneSectionWalk(t *testing.T) {
+	base := validSegmentBytes(t, segLogs())
+	info, err := parseSegment(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Layout of base: 4 magic, 1 version, then SGH0 as 4 tag, 1 length byte
+	// (the header payload is a few uvarints), payload, 4 CRC.
+	const firstTag = 5
+	headLen := int(base[firstTag+4])
+	headCRC := firstTag + 4 + 1 + headLen
+	sections := readAllSections(t, base)
+	edit := func(off int, b byte) []byte {
+		img := bytes.Clone(base)
+		img[off] = b
+		return img
+	}
+	claim := func(n uint64) []byte {
+		return binary.AppendUvarint([]byte("SIM2\x01SGH0"), n)
+	}
+	cases := []struct {
+		name  string
+		image []byte
+		want  string
+	}{
+		{"valid", base, "ok"},
+		{"empty", nil, "not-snapshot"},
+		{"bad magic", edit(3, '1'), "not-snapshot"},
+		{"newer version", edit(4, 0x7f), "version"},
+		{"truncated in version", base[:4], "truncated"},
+		{"truncated in tag", base[:firstTag+2], "truncated"},
+		{"truncated in length", base[:firstTag+4], "truncated"},
+		{"truncated in payload", base[:firstTag+4+1+1], "truncated"},
+		{"truncated in CRC", base[:headCRC+2], "truncated"},
+		{"truncated in data payload", base[:info.dataOff+info.dataLen/2], "truncated"},
+		{"truncated before SEND", base[:len(base)-9], "truncated"},
+		{"truncated in SEND", base[:len(base)-3], "truncated"},
+		{"claim past the input", claim(1 << 20), "truncated"},
+		{"oversize claim", claim(maxSectionBytes + 1), "corrupt"},
+		{"flipped payload bit", edit(int(info.dataOff), base[info.dataOff]^0x10), "corrupt"},
+		{"flipped CRC bit", edit(headCRC, base[headCRC]^0x01), "corrupt"},
+		{"unknown section", buildSnapshot(t, map[string][]byte{
+			segHeaderTag: sections[segHeaderTag], "FUTR": []byte("from a future writer"), segDataTag: sections[segDataTag],
+		}, []string{segHeaderTag, "FUTR", segDataTag}), "ok"},
+		{"bytes after SEND", append(bytes.Clone(base), "trailing"...), "ok"},
+	}
+	class := func(err error) string {
+		switch {
+		case err == nil:
+			return "ok"
+		case errors.Is(err, ErrNotSnapshot):
+			return "not-snapshot"
+		case errors.Is(err, ErrSnapshotTruncated):
+			return "truncated"
+		case errors.Is(err, ErrSnapshotCorrupt):
+			return "corrupt"
+		case strings.Contains(err.Error(), "newer than supported"):
+			return "version"
+		}
+		return err.Error()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sr, err := NewSnapshotReader(bytes.NewReader(tc.image))
+			for err == nil {
+				_, _, err = sr.Next()
+			}
+			if err == io.EOF {
+				err = nil
+			}
+			if got := class(err); got != tc.want {
+				t.Errorf("SnapshotReader: %s (%v), want %s", got, err, tc.want)
+			}
+			_, err = parseSegment(tc.image)
+			if got := class(err); got != tc.want {
+				t.Errorf("parseSegment: %s (%v), want %s", got, err, tc.want)
+			}
+		})
 	}
 }

@@ -18,8 +18,8 @@ import (
 // implementations may fail or truncate any of these operations.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
-	io.Seeker
 	io.Closer
 	// Sync commits the file's contents to stable storage (fsync).
 	Sync() error

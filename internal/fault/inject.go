@@ -407,8 +407,12 @@ func (f *injFile) Close() error {
 	return f.f.Close()
 }
 
-func (f *injFile) Seek(offset int64, whence int) (int64, error) {
-	return f.f.Seek(offset, whence)
+// ReadAt is a read to the rules, like Read.
+func (f *injFile) ReadAt(p []byte, off int64) (int, error) {
+	if err, _ := f.in.check(OpRead, f.path); err != nil {
+		return 0, err
+	}
+	return f.f.ReadAt(p, off)
 }
 
 func (f *injFile) Stat() (os.FileInfo, error) { return f.f.Stat() }

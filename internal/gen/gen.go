@@ -18,8 +18,8 @@
 // user graph supplies power-law activity weights and response distances are
 // exponential with rate λ. The Reddit-like and Twitter-like presets tune
 // root probability and distances to hit Table 3's average depth (≈4.6 deep
-// comment trees vs ≈1.9 shallow retweet cascades). See DESIGN.md §4 for the
-// substitution rationale.
+// comment trees vs ≈1.9 shallow retweet cascades). ARCHITECTURE.md "Paper
+// section → package map" (row §6.1) places the substitution.
 package gen
 
 import (

@@ -21,7 +21,7 @@ import (
 // preserves descending recency). Queries materialize that merged prefix
 // into reused scratch on demand (logPrefix), reading the extent through the
 // store without changing what is resident; repeated reads are served by the
-// mmap page cache, not by re-inflating the hot tier.
+// OS page cache, not by re-inflating the hot tier.
 //
 // Spill writes happen only inside Advance, at the budget check, and only
 // while the hot tier exceeds the configured budget: the per-action ingest

@@ -187,13 +187,13 @@ func TestSpillSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFailedLoadClosesSegmentStore: New maps every segment in the spill
-// directory before Load reads a byte of the snapshot, so a snapshot that
-// fails to load must not leave those mappings behind. Linux only: the
-// mappings are observed in /proc/self/maps.
+// TestFailedLoadClosesSegmentStore: New opens the segment store before Load
+// reads a byte of the snapshot, so a snapshot that fails to load must not
+// leave the store's descriptors behind. Linux only: the descriptors are
+// observed in /proc/self/fd.
 func TestFailedLoadClosesSegmentStore(t *testing.T) {
 	if runtime.GOOS != "linux" {
-		t.Skip("needs /proc/self/maps")
+		t.Skip("needs /proc/self/fd")
 	}
 	ds := identityDatasets()[2] // SYN-O
 	dir := t.TempDir()
@@ -215,35 +215,44 @@ func TestFailedLoadClosesSegmentStore(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mapped := func() bool {
-		maps, err := os.ReadFile("/proc/self/maps")
+	held := func() bool {
+		fds, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return strings.Contains(string(maps), filepath.Join(dir, "seg-"))
+		for _, fd := range fds {
+			// A descriptor closed since ReadDir fails Readlink: not held.
+			if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); strings.HasPrefix(target, filepath.Join(dir, "seg-")) {
+				return true
+			}
+		}
+		return false
 	}
 
-	// The probe sees what it should: a loaded tracker holds mappings until
-	// it is closed.
+	// The probe sees what it should: a loaded tracker that has read cold
+	// extents holds descriptors until it is closed.
 	ok, err := sim.Load(bytes.NewReader(buf.Bytes()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mapped() {
-		t.Fatal("no segment mapped by a successful Load; the test would observe nothing")
+	if err := ok.ProcessAll(ds.actions[1300:1400]); err != nil {
+		t.Fatal(err)
+	}
+	if !held() {
+		t.Fatal("no segment held open by a loaded tracker that read cold; the test would observe nothing")
 	}
 	if err := ok.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if mapped() {
-		t.Fatal("segments still mapped after Close")
+	if held() {
+		t.Fatal("segments still held open after Close")
 	}
 
 	if _, err := sim.Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), cfg); err == nil {
 		t.Fatal("truncated snapshot loaded")
 	}
-	if mapped() {
-		t.Fatal("failed Load left the segment store open: segments still mapped")
+	if held() {
+		t.Fatal("failed Load left the segment store open: segments still held")
 	}
 }
 
