@@ -23,7 +23,9 @@ benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration per benchmark: a smoke run of every table/figure generator,
-# with -benchmem so per-op allocations are visible.
+# with -benchmem so per-op allocations are visible. BenchmarkIngestBulkShape
+# (sim/bench_test.go) is the `bulk` workload's engine configuration in
+# process: its ns/op over actions/op predicts that workload's ack time.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
 

@@ -89,7 +89,7 @@ func (t *rowTable) reset() {
 	t.count = 0
 }
 
-// oversized reports whether a table or map being reset was under a quarter
+// oversized reports whether a table being reset was under a quarter
 // full (tiny ones aside): it was grown by an earlier, longer-lived owner of
 // the grid. Reset gives such memory back rather than carry it through the
 // short lives most checkpoints have — kept, every recycled grid ratchets up
@@ -102,6 +102,99 @@ func (t *rowTable) clearBits(mask []uint64) {
 	for o := 0; o < len(t.cells); o += t.stride {
 		for wi, m := range mask {
 			t.cells[o+1+wi] &^= m
+		}
+	}
+}
+
+// boundTable maps a user to a fixed-width row of float64 gain bounds, entry
+// s belonging to instance slot s of the owning grid; a negative entry means
+// "no bound". Rows are packed in arrival order, boundChunk to an allocation,
+// and found through a small open-addressing index, so the table's memory is
+// its rows — a row is width × 8 bytes, an index cell 8 — with neither
+// load-factor slack nor, growing a chunk at a time, copies left as garbage.
+// Unlike the bit-row tables it keeps nothing across reset: a chunk costs one
+// allocation and no copy to get back, and rows kept from a longer-lived
+// owner were a third to a half more memory than the live checkpoints' rows.
+type boundTable struct {
+	width  int         // bounds per row
+	chunks [][]float64 // row r is chunks[r/boundChunk][r%boundChunk*width:][:width]
+	n      int         // rows in use
+	index  []uint64    // user<<32 | r+1; 0 = empty
+}
+
+const boundChunk = 8
+
+func newBoundTable(width int) boundTable {
+	return boundTable{width: width, index: make([]uint64, minRowCells)}
+}
+
+// find returns k's row, or nil when k has none.
+func (t *boundTable) find(k uint32) []float64 {
+	mask := uint64(len(t.index) - 1)
+	for i := (uint64(k) * fib >> 32) & mask; ; i = (i + 1) & mask {
+		switch c := t.index[i]; {
+		case c == 0:
+			return nil
+		case uint32(c>>32) == k:
+			return t.at(c)
+		}
+	}
+}
+
+// at returns the row an index cell names.
+func (t *boundTable) at(cell uint64) []float64 {
+	r := int(uint32(cell)) - 1
+	o := r % boundChunk * t.width
+	return t.chunks[r/boundChunk][o : o+t.width]
+}
+
+// insert appends a row of no bounds for k, which must have none, and returns
+// it.
+func (t *boundTable) insert(k uint32) []float64 {
+	if t.n == len(t.chunks)*boundChunk {
+		t.chunks = append(t.chunks, make([]float64, boundChunk*t.width))
+	}
+	if (t.n+1)*4 >= len(t.index)*3 { // keep load factor below 3/4
+		old := t.index
+		t.index = make([]uint64, 2*len(old))
+		for _, c := range old {
+			if c != 0 {
+				t.place(c)
+			}
+		}
+	}
+	t.n++
+	cell := uint64(k)<<32 | uint64(t.n)
+	t.place(cell)
+	row := t.at(cell)
+	for s := range row {
+		row[s] = -1
+	}
+	return row
+}
+
+func (t *boundTable) place(cell uint64) {
+	mask := uint64(len(t.index) - 1)
+	i := ((cell >> 32) * fib >> 32) & mask
+	for t.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = cell
+}
+
+// reset empties the table and lets its memory go.
+func (t *boundTable) reset() { *t = newBoundTable(t.width) }
+
+// clearSlots removes the bounds of the slots in mask from every row.
+func (t *boundTable) clearSlots(mask []uint64) {
+	for wi, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			s := wi<<6 | bits.TrailingZeros64(m)
+			for _, chunk := range t.chunks {
+				for o := s; o < len(chunk); o += t.width {
+					chunk[o] = -1
+				}
+			}
 		}
 	}
 }
@@ -122,19 +215,20 @@ func (t *rowTable) clearBits(mask []uint64) {
 // instances' solutions cover this user — whose rows hold one bit per
 // instance slot. One probe answers the question for all instances at once:
 // an element costs one seedOf probe, one row-OR for the seed merge, one cov
-// probe for its Latest member, a sweep over the cached thresholds and gain
-// bounds, and — only when some instance cannot decide from its bound — one
-// cov probe per influence-set member shared by every instance still
-// scanning. Per-instance scalars live in slot-indexed arrays.
+// probe for its Latest member, one gainUB probe for its user's row of gain
+// bounds, a sweep over the cached thresholds and that row, and — only when
+// some instance cannot decide from its bound — one cov probe per
+// influence-set member shared by every instance still scanning. Per-instance
+// scalars live in slot-indexed arrays.
 //
 // A slot is the bit position an instance occupies for its lifetime. The
 // live instances form a contiguous exponent range [jLo, jLo+len(order)),
 // order mapping each to its slot; retune retires the slots whose guess left
-// [m, 2km] — one sweep clears their bit from both tables — and hands them
-// to the guesses entering it. Slot numbers never reach an answer: refresh,
-// Candidates and SaveState walk order, and instances do not interact, so
-// every admission decision equals the one an instance with private sets
-// would make.
+// [m, 2km] — one sweep each clears their bit from both tables and their
+// column from the gain bounds — and hands them to the guesses entering it.
+// Slot numbers never reach an answer: refresh, Candidates and SaveState walk
+// order, and instances do not interact, so every admission decision equals
+// the one an instance with private sets would make.
 type grid struct {
 	k    int
 	beta float64
@@ -159,19 +253,24 @@ type grid struct {
 	value []float64
 	thr   []float64
 	seeds [][]stream.UserID
-	// gainUB caches, per slot and non-seed candidate, an upper bound on the
+	// gainUB caches, per non-seed candidate and slot, an upper bound on the
 	// candidate's marginal gain: the gain its last scan in the slot found,
 	// plus the weight of every Latest member offered since that the slot
 	// did not cover at the time. Between two elements for the same user the
 	// influence set gains at most the element's Latest member (the Element
 	// contract), and coverage only grows, so the sum bounds the true gain;
-	// thresholds never rise, so a bound below one keeps rejecting with one
-	// lookup instead of a scan over the influence set (the CELF idea
-	// applied inside a sieve instance). It stays a sparse map per slot:
-	// most users never pass a slot's singleton test, and a dense row of
-	// bounds per user would cost slots × 8 bytes for every user of every
-	// checkpoint.
-	gainUB []uintset.Map
+	// thresholds never rise, so a bound below one keeps rejecting without a
+	// scan over the influence set (the CELF idea applied inside a sieve
+	// instance). It is user-major like seedOf and cov — one probe per
+	// element finds the user's bounds in every slot — and a row is as wide
+	// as the most instances the grid ever holds, not the 64·W slots of a bit
+	// row. Only users some scan rejected have a row: measured on the
+	// benchmark's bulk stream that is 22–373 users per checkpoint, 5 548 rows
+	// of 50 bounds (2.2 MB) over a tracker, where one sparse map per slot
+	// held the same 54 071 bounds in 178 176 cells (2.85 MB) and cost an
+	// element 18 hash probes, one per slot that passed the singleton test or
+	// ended a scan undecided (ARCHITECTURE.md, "The gain bounds are rows").
+	gainUB boundTable
 
 	// Scratch, per element (und, adm, gain) and per retune (retired).
 	zero    []uint64  // the empty mask
@@ -213,7 +312,8 @@ func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
 	logB := math.Log1p(beta)
 	// retune keeps at most ⌊log₁₊β 2k⌋ + 2 guesses alive (its rounding
 	// slack included), and retires before it allocates.
-	words := (int(math.Floor(math.Log(2*float64(k))/logB+1e-9)) + 2 + 63) / 64
+	most := int(math.Floor(math.Log(2*float64(k))/logB+1e-9)) + 2
+	words := (most + 63) / 64
 	slots := 64 * words
 	masks := make([]uint64, 6*words)
 	orders := make([]int, 2*slots)
@@ -234,7 +334,7 @@ func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
 		thr:     make([]float64, slots),
 		gain:    make([]float64, slots),
 		seeds:   make([][]stream.UserID, slots),
-		gainUB:  make([]uintset.Map, slots),
+		gainUB:  newBoundTable(most),
 	}
 }
 
@@ -283,14 +383,15 @@ func (g *grid) Process(e Element) {
 
 // Reset returns the grid to its freshly constructed state — every answer,
 // every future admission decision and the SaveState bytes equal a new
-// grid's — while keeping the tables, gain-bound maps and seed lists it grew
-// (those not oversized), so a checkpoint framework can hand a dead
-// checkpoint's oracle to the next checkpoint instead of growing one from
-// nothing.
+// grid's — while keeping the bit-row tables and seed lists it grew (those
+// not oversized; the gain-bound rows go), so a checkpoint framework can hand
+// a dead checkpoint's oracle to the next checkpoint instead of growing one
+// from nothing.
 func (g *grid) Reset() {
 	g.m, g.jLo, g.order = 0, 0, g.order[:0]
 	g.seedOf.reset()
 	g.cov.reset()
+	g.gainUB.reset()
 	clear(g.live)
 	clear(g.full)
 	// Retired slots were emptied by retune; the live ones still hold state.
@@ -298,11 +399,6 @@ func (g *grid) Reset() {
 	clear(g.value)
 	for s := range g.seeds {
 		g.seeds[s] = g.seeds[s][:0]
-		if m := &g.gainUB[s]; oversized(m.Cap(), m.Len()) {
-			*m = uintset.Map{}
-		} else {
-			m.Reset()
-		}
 	}
 	g.elements, g.scans, g.scanMembers = 0, 0, 0
 	g.bestVal, g.bestSeeds, g.dirty = 0, g.bestSeeds[:0], false
@@ -333,7 +429,6 @@ func (g *grid) retune() {
 			g.full[s>>6] &^= 1 << (s & 63)
 			g.seeds[s] = g.seeds[s][:0]
 			g.value[s] = 0
-			g.gainUB[s].Reset()
 		} else {
 			next[j-lo] = s
 		}
@@ -341,6 +436,7 @@ func (g *grid) retune() {
 	if !isZero(retired) {
 		g.seedOf.clearBits(retired)
 		g.cov.clearBits(retired)
+		g.gainUB.clearSlots(retired)
 		g.poolVer++
 	}
 	for j := lo; j <= hi; j++ {
@@ -351,13 +447,18 @@ func (g *grid) retune() {
 	g.order, g.spare, g.jLo = next, g.order[:0], lo
 }
 
-// open claims the lowest free slot for a fresh instance guessing opt.
+// open claims the lowest free slot for a fresh instance guessing opt. The
+// slot is below the width of a gain-bound row: no more instances than that
+// are ever live, and the lowest free slot is at most their count.
 func (g *grid) open(opt float64) int {
 	for wi, l := range g.live {
 		if free := ^l; free != 0 {
 			b := bits.TrailingZeros64(free)
-			g.live[wi] |= 1 << b
 			s := wi<<6 | b
+			if s >= g.gainUB.width {
+				break
+			}
+			g.live[wi] |= 1 << b
 			g.opt[s] = opt
 			g.thr[s] = g.threshold(s)
 			return s
@@ -429,7 +530,7 @@ func (g *grid) feed(e Element, singleton float64) {
 	// weight only in the slots that do not cover Latest — elsewhere the
 	// element brought nothing the slot's last scan did not count. One cov
 	// probe answers that for every slot; it comes after the seed merge,
-	// which may move the table.
+	// which may move the table. One gainUB probe finds every slot's bound.
 	wLatest, latestCov := 0.0, g.zero
 	if e.LatestValid {
 		wLatest = g.weight(e.Latest)
@@ -437,6 +538,8 @@ func (g *grid) feed(e Element, singleton float64) {
 			latestCov = row
 		}
 	}
+	bounds := g.gainUB.find(u) // nil until a scan of e.User's set rejects
+	bounded := e.LatestValid && bounds != nil
 	for wi := range g.und {
 		var und uint64
 		for c := g.live[wi] &^ g.full[wi] &^ seedIn[wi]; c != 0; c &= c - 1 {
@@ -446,8 +549,8 @@ func (g *grid) feed(e Element, singleton float64) {
 			if singleton < thr {
 				continue // gain <= singleton cannot clear the threshold
 			}
-			if e.LatestValid {
-				if ub, ok := g.gainUB[s].Get(u); ok {
+			if bounded {
+				if ub := bounds[s]; ub >= 0 {
 					grew := latestCov[wi]&(1<<b) == 0
 					if grew {
 						ub += wLatest
@@ -455,7 +558,7 @@ func (g *grid) feed(e Element, singleton float64) {
 					if ub < thr || ub <= 0 {
 						// Admission needs gain >= thr and gain > 0.
 						if grew {
-							g.gainUB[s].Set(u, ub)
+							bounds[s] = ub
 						}
 						continue
 					}
@@ -502,10 +605,15 @@ func (g *grid) feed(e Element, singleton float64) {
 			break
 		}
 	}
-	for wi, und := range g.und {
-		for ; und != 0; und &= und - 1 {
-			s := wi<<6 | bits.TrailingZeros64(und)
-			g.gainUB[s].Set(u, g.gain[s])
+	if !isZero(g.und) {
+		if bounds == nil {
+			bounds = g.gainUB.insert(u)
+		}
+		for wi, und := range g.und {
+			for ; und != 0; und &= und - 1 {
+				s := wi<<6 | bits.TrailingZeros64(und)
+				bounds[s] = g.gain[s]
+			}
 		}
 	}
 	if isZero(g.adm) {

@@ -4,10 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/stream"
-	"repro/internal/uintset"
 	"repro/internal/wire"
 )
 
@@ -61,7 +59,8 @@ const maxLen = wire.MaxLen
 // The layout is instance-major although the state is not: it is the format
 // snapshots have always carried, and slot numbers stay out of it. One sweep
 // of cov yields every covered user's row in ascending user order; each
-// instance's member list is that sequence filtered by the instance's bit.
+// instance's member list is that sequence filtered by the instance's bit,
+// and its gain bounds the bounded users' rows filtered by its column.
 func (g *grid) SaveState(w *wire.Writer) error {
 	w.Uvarint(gridPayloadVersion)
 	w.Varint(g.elements)
@@ -70,6 +69,8 @@ func (g *grid) SaveState(w *wire.Writer) error {
 	w.Uvarint(uint64(len(g.order)))
 	users, rows := g.cov.sorted()
 	words := g.cov.stride - 1
+	bounded := slices.DeleteFunc(slices.Clone(g.gainUB.index), func(c uint64) bool { return c == 0 })
+	slices.Sort(bounded) // cells lead with the user: ascending user order
 	for _, s := range g.order {
 		w.F64(g.opt[s])
 		w.Uvarint(uint64(len(g.seeds[s])))
@@ -92,7 +93,19 @@ func (g *grid) SaveState(w *wire.Writer) error {
 			}
 		}
 		w.F64(g.value[s])
-		saveGainUB(w, &g.gainUB[s])
+		n = 0
+		for _, c := range bounded {
+			if g.gainUB.at(c)[s] >= 0 {
+				n++
+			}
+		}
+		w.Uvarint(uint64(n))
+		for _, c := range bounded {
+			if ub := g.gainUB.at(c)[s]; ub >= 0 {
+				w.Uvarint(c >> 32)
+				w.F64(ub)
+			}
+		}
 	}
 	w.F64(g.bestVal)
 	w.Uvarint(uint64(len(g.bestSeeds)))
@@ -122,27 +135,6 @@ func (t *rowTable) sorted() (users []uint32, rows []uint64) {
 	return users, rows
 }
 
-// saveGainUB emits a slot's gain-bound cache sorted by key for
-// deterministic output; cache content (not layout) is what admission
-// decisions read.
-func saveGainUB(w *wire.Writer, m *uintset.Map) {
-	type kv struct {
-		k uint32
-		v float64
-	}
-	entries := make([]kv, 0, m.Len())
-	m.ForEach(func(k uint32, v float64) bool {
-		entries = append(entries, kv{k, v})
-		return true
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-	w.Uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		w.Uvarint(uint64(e.k))
-		w.F64(e.v)
-	}
-}
-
 // RestoreState implements Persistent for the sieve-style oracles: saved
 // instance i takes slot i.
 func (g *grid) RestoreState(r *wire.Reader) error {
@@ -153,8 +145,8 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 	g.m = r.F64()
 	g.jLo = int(r.Varint())
 	n := r.Len(maxLen)
-	if r.Err() == nil && n > len(g.opt) {
-		return fmt.Errorf("oracle: sieve payload holds %d instances, k=%d beta=%v allows %d", n, g.k, g.beta, len(g.opt))
+	if most := g.gainUB.width; r.Err() == nil && n > most {
+		return fmt.Errorf("oracle: sieve payload holds %d instances, k=%d beta=%v allows %d", n, g.k, g.beta, most)
 	}
 	g.order = g.order[:0]
 	for s := 0; s < n && r.Err() == nil; s++ {
@@ -180,7 +172,13 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 		ng := r.Len(maxLen)
 		for j := 0; j < ng && r.Err() == nil; j++ {
 			k := uint32(r.Uvarint())
-			g.gainUB[s].Set(k, r.F64())
+			row := g.gainUB.find(k)
+			if row == nil {
+				row = g.gainUB.insert(k)
+			}
+			if row[s] = r.F64(); !(row[s] >= 0) && r.Err() == nil {
+				return fmt.Errorf("oracle: sieve payload holds gain bound %v for user %d", row[s], k)
+			}
 		}
 		g.thr[s] = g.threshold(s)
 		g.order = append(g.order, s)

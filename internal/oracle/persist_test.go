@@ -144,3 +144,48 @@ func TestPersistTruncated(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRejectsWhatNoGridSaves: hand-built version-1 sieve payloads a
+// grid of this k and β cannot have written are errors, not state — one more
+// instance than the grid ever holds (a gain-bound row has no column for it),
+// and a negative gain bound (which a row reads as "no bound").
+func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
+	most := NewSieve(4, 0.2, nil).gainUB.width
+	payload := func(instances int, bound float64) []byte {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		w.Uvarint(gridPayloadVersion)
+		w.Varint(1) // elements
+		w.F64(1)    // m
+		w.Varint(0) // jLo
+		w.Uvarint(uint64(instances))
+		for i := 0; i < instances; i++ {
+			w.F64(1)     // opt
+			w.Uvarint(0) // seeds
+			w.Uvarint(0) // covered members
+			w.F64(0)     // value
+			w.Uvarint(1) // gain bounds
+			w.Uvarint(7)
+			w.F64(bound)
+		}
+		w.F64(0)     // best value
+		w.Uvarint(0) // best seeds
+		w.Bool(false)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	restore := func(b []byte) error {
+		return NewSieve(4, 0.2, nil).RestoreState(wire.NewReader(bytes.NewReader(b)))
+	}
+	if err := restore(payload(most, 2)); err != nil {
+		t.Fatalf("%d instances, the most a grid holds: %v", most, err)
+	}
+	if err := restore(payload(most+1, 2)); err == nil {
+		t.Fatalf("payload with %d instances restored into a grid that holds %d", most+1, most)
+	}
+	if err := restore(payload(1, -2)); err == nil {
+		t.Fatal("payload with a negative gain bound restored")
+	}
+}

@@ -35,7 +35,7 @@ type sieveInst struct {
 	// bound, and most re-offers are rejected with one lookup instead of a
 	// scan over the influence set (the CELF idea applied inside a sieve
 	// instance).
-	gainUB *uintset.Map
+	gainUB map[uint32]float64
 }
 
 // instPool is a free list of retired sieve instances: retune() drops
@@ -58,7 +58,7 @@ func (p *instPool) get(opt float64) *sieveInst {
 		opt:     opt,
 		inSeeds: uintset.New(8),
 		cov:     submod.NewCoverage(p.w),
-		gainUB:  uintset.NewMap(0),
+		gainUB:  map[uint32]float64{},
 	}
 }
 
@@ -66,7 +66,7 @@ func (p *instPool) put(inst *sieveInst) {
 	inst.seeds = inst.seeds[:0]
 	inst.inSeeds.Reset()
 	inst.cov.Reset()
-	inst.gainUB.Reset()
+	clear(inst.gainUB)
 	p.free = append(p.free, inst)
 }
 
@@ -198,7 +198,7 @@ func (g *refGrid) feed(inst *sieveInst, e Element, singleton float64) {
 		return // gain <= singleton cannot clear the threshold
 	}
 	if e.LatestValid {
-		if ub, ok := inst.gainUB.Get(uint32(e.User)); ok {
+		if ub, ok := inst.gainUB[uint32(e.User)]; ok {
 			w := 1.0
 			if g.w != nil {
 				w = g.w.Weight(e.Latest)
@@ -206,7 +206,7 @@ func (g *refGrid) feed(inst *sieveInst, e Element, singleton float64) {
 			ub += w
 			if ub < threshold {
 				// Still below the bar even if the new member is uncovered.
-				inst.gainUB.Set(uint32(e.User), ub)
+				inst.gainUB[uint32(e.User)] = ub
 				return
 			}
 		}
@@ -225,7 +225,7 @@ func (g *refGrid) feed(inst *sieveInst, e Element, singleton float64) {
 			return
 		}
 	}
-	inst.gainUB.Set(uint32(e.User), gain)
+	inst.gainUB[uint32(e.User)] = gain
 }
 
 // refresh folds the current best instance into the monotone best-ever cache.
@@ -310,7 +310,16 @@ func (g *refGrid) SaveState(w *wire.Writer) error {
 			prev = m
 		}
 		w.F64(inst.cov.Value())
-		saveGainUB(w, inst.gainUB)
+		bounded := make([]uint32, 0, len(inst.gainUB))
+		for u := range inst.gainUB {
+			bounded = append(bounded, u)
+		}
+		slices.Sort(bounded)
+		w.Uvarint(uint64(len(bounded)))
+		for _, u := range bounded {
+			w.Uvarint(uint64(u))
+			w.F64(inst.gainUB[u])
+		}
 	}
 	w.F64(g.bestVal)
 	w.Uvarint(uint64(len(g.bestSeeds)))
@@ -625,7 +634,7 @@ func TestInstanceRecycling(t *testing.T) {
 // TestGridResetIsFresh: a grid that ran one stream and was Reset is a fresh
 // grid — same answers after every element of a second stream, same
 // candidates, counters and SaveState bytes — whatever the first stream left
-// behind in its tables, gain-bound maps, seed lists and retired slots.
+// behind in its tables, gain-bound rows, seed lists and retired slots.
 func TestGridResetIsFresh(t *testing.T) {
 	first := append(randomElements(5, 80, 2500, 400), churnElements(150)...)
 	second := append(randomElements(6, 90, 2000, 300), churnElements(120)...)

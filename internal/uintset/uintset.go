@@ -122,100 +122,3 @@ func (s *Set) ForEach(visit func(uint32) bool) {
 		}
 	}
 }
-
-// Map is an open-addressing hash map from uint32 keys to float64 values,
-// with the same design rationale as Set. The zero value is an empty, usable
-// map. Not safe for concurrent use.
-type Map struct {
-	keys  []uint64 // key+1; 0 = empty
-	vals  []float64
-	count int
-}
-
-// NewMap returns a map pre-sized for n entries.
-func NewMap(n int) *Map {
-	m := &Map{}
-	m.growMap(capFor(n))
-	return m
-}
-
-func (m *Map) growMap(to int) {
-	ok, ov := m.keys, m.vals
-	m.keys = make([]uint64, to)
-	m.vals = make([]float64, to)
-	m.count = 0
-	for i, k := range ok {
-		if k != 0 {
-			m.Set(uint32(k-1), ov[i])
-		}
-	}
-}
-
-// Set stores v under k.
-func (m *Map) Set(k uint32, v float64) {
-	if len(m.keys) == 0 {
-		m.growMap(minCap)
-	} else if m.count*4 >= len(m.keys)*3 {
-		m.growMap(len(m.keys) * 2)
-	}
-	mask := uint64(len(m.keys) - 1)
-	i := (uint64(k) * fib >> 32) & mask
-	for {
-		kv := m.keys[i]
-		if kv == 0 {
-			m.keys[i] = uint64(k) + 1
-			m.vals[i] = v
-			m.count++
-			return
-		}
-		if uint32(kv-1) == k {
-			m.vals[i] = v
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// Get returns the value stored under k, if any.
-func (m *Map) Get(k uint32) (float64, bool) {
-	if len(m.keys) == 0 {
-		return 0, false
-	}
-	mask := uint64(len(m.keys) - 1)
-	i := (uint64(k) * fib >> 32) & mask
-	for {
-		kv := m.keys[i]
-		if kv == 0 {
-			return 0, false
-		}
-		if uint32(kv-1) == k {
-			return m.vals[i], true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// Len returns the number of entries.
-func (m *Map) Len() int { return m.count }
-
-// Cap returns the number of slots the map holds memory for.
-func (m *Map) Cap() int { return len(m.keys) }
-
-// ForEach visits every entry in unspecified order; stops early when visit
-// returns false.
-func (m *Map) ForEach(visit func(k uint32, v float64) bool) {
-	for i, k := range m.keys {
-		if k != 0 {
-			if !visit(uint32(k-1), m.vals[i]) {
-				return
-			}
-		}
-	}
-}
-
-// Reset empties the map, keeping its capacity. Stale values behind cleared
-// keys are unreachable and overwritten on reuse.
-func (m *Map) Reset() {
-	clear(m.keys)
-	m.count = 0
-}

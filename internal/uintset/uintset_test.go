@@ -137,79 +137,6 @@ func TestMatchesMapSemantics(t *testing.T) {
 	}
 }
 
-func TestMapBasicOps(t *testing.T) {
-	var m Map
-	if _, ok := m.Get(1); ok || m.Len() != 0 {
-		t.Fatal("empty map misbehaves")
-	}
-	m.Set(1, 1.5)
-	m.Set(0, 2.5) // zero key
-	m.Set(1, 3.5) // overwrite
-	if v, ok := m.Get(1); !ok || v != 3.5 {
-		t.Fatalf("Get(1) = %v, %v", v, ok)
-	}
-	if v, ok := m.Get(0); !ok || v != 2.5 {
-		t.Fatalf("Get(0) = %v, %v", v, ok)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
-	}
-	if _, ok := m.Get(9); ok {
-		t.Fatal("phantom key")
-	}
-}
-
-func TestMapGrowthKeepsEntries(t *testing.T) {
-	m := NewMap(0)
-	for i := uint32(0); i < 5000; i++ {
-		m.Set(i*3, float64(i))
-	}
-	if m.Len() != 5000 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	for i := uint32(0); i < 5000; i++ {
-		if v, ok := m.Get(i * 3); !ok || v != float64(i) {
-			t.Fatalf("lost entry %d: %v %v", i, v, ok)
-		}
-	}
-	grown := m.Cap()
-	if grown*3 < 5000*4 {
-		t.Fatalf("Cap = %d holds 5000 entries above the 3/4 load bound", grown)
-	}
-	if m.Reset(); m.Cap() != grown || m.Len() != 0 {
-		t.Fatalf("after Reset: Cap = %d, Len = %d, want %d, 0", m.Cap(), m.Len(), grown)
-	}
-	if (&Map{}).Cap() != 0 {
-		t.Fatal("zero Map holds memory")
-	}
-}
-
-func TestMapMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := NewMap(0)
-		ref := map[uint32]float64{}
-		for op := 0; op < 1500; op++ {
-			k := uint32(rng.Intn(200))
-			if rng.Intn(2) == 0 {
-				v := rng.Float64()
-				m.Set(k, v)
-				ref[k] = v
-			} else {
-				v, ok := m.Get(k)
-				rv, rok := ref[k]
-				if ok != rok || (ok && v != rv) {
-					return false
-				}
-			}
-		}
-		return m.Len() == len(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkAddHas(b *testing.B) {
 	s := New(1024)
 	for i := 0; i < b.N; i++ {
