@@ -69,15 +69,16 @@ cluster-smoke:
 spill-smoke:
 	sh ./scripts/spill_smoke.sh
 
-# Short fuzz runs of the three hand-written parsers (also a CI step): the
-# SIM2 snapshot container, the stream-format sniffer, and the -fault rule
-# grammar. Seed corpora live in testdata/fuzz/; new crashers land there too.
+# Short fuzz runs of the four hand-written parsers (also a CI step): the
+# SIM2 snapshot container, the stream-format sniffer, the -fault rule grammar
+# and the WAL. Seed corpora live in testdata/fuzz/; new crashers land there too.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzReadAuto -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzSegment -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZTIME) ./internal/fault/
+	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Aggregate coverage profile (also uploaded as a CI artifact).
 cover:

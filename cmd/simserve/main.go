@@ -234,7 +234,7 @@ func logRecovery(t *server.Tracked) {
 func checkReplayTarget(sp api.Spec) error {
 	if sp.Names {
 		return errors.New("the tracker is in name mode and -replay feeds numeric user IDs past its intern table: " +
-			"seeds would come back without names and names.log would never learn the IDs the WAL references; " +
+			"seeds would come back without names, and the WAL would log IDs no name of the table was ever given; " +
 			"POST the stream to /v1/trackers/<name>/actions instead")
 	}
 	return nil

@@ -10,8 +10,8 @@
 // datalog engine, which plays the same trick for Datalog constants).
 //
 // IDs are assigned in first-appearance order starting at 0, which makes a
-// Table trivially persistable: a log of names in ID order reconstructs the
-// exact mapping (see AppendedSince / the serving layer's names.log).
+// Table trivially persistable: the names in ID order reconstruct the exact
+// mapping, and a persister writes only the names new since its last write.
 package intern
 
 import "sync"
@@ -82,8 +82,8 @@ func (t *Table) Len() int {
 }
 
 // AppendedSince returns a copy of the names with IDs >= from, in ID order —
-// the increment a persister must append to its log to cover everything
-// interned so far. A from at or beyond Len returns nil.
+// the increment a persister must write to cover everything interned so far
+// (from 0: the whole table). A from at or beyond Len returns nil.
 func (t *Table) AppendedSince(from int) []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -5,7 +5,7 @@
 // fails the Nth matching operation, returns short writes, injects latency
 // (through a Sleeper a test can substitute), or simulates ENOSPC/EIO — the
 // harness that lets every failure edge of the WAL, snapshot, lock and
-// names.log paths be exercised without root, loop devices, or flaky timing.
+// cold-segment paths be exercised without root, loop devices, or flaky timing.
 package fault
 
 import (
@@ -25,8 +25,6 @@ type File interface {
 	Sync() error
 	// Truncate changes the size of the file.
 	Truncate(size int64) error
-	// Stat returns the file's metadata.
-	Stat() (os.FileInfo, error)
 	// Fd returns the underlying descriptor (the flock path needs it).
 	// Injected files return the real descriptor of the file they wrap.
 	Fd() uintptr

@@ -415,6 +415,5 @@ func (f *injFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.f.ReadAt(p, off)
 }
 
-func (f *injFile) Stat() (os.FileInfo, error) { return f.f.Stat() }
-func (f *injFile) Fd() uintptr                { return f.f.Fd() }
-func (f *injFile) Name() string               { return f.path }
+func (f *injFile) Fd() uintptr  { return f.f.Fd() }
+func (f *injFile) Name() string { return f.path }

@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -76,11 +78,62 @@ func submitRetry(t *testing.T, tr *Tracked, batch []sim.Action) {
 	}
 }
 
+// failedWALWrites is a fault.FS that remembers every write to wal.log that
+// failed, so a cell can tell what its rule hit.
+type failedWALWrites struct {
+	fault.FS
+	mu     sync.Mutex
+	failed [][]byte
+}
+
+func (fs *failedWALWrites) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != walFileName {
+		return f, err
+	}
+	return walWriteFile{f, fs}, nil
+}
+
+type walWriteFile struct {
+	fault.File
+	fs *failedWALWrites
+}
+
+func (f walWriteFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	if err != nil {
+		f.fs.mu.Lock()
+		f.fs.failed = append(f.fs.failed, append([]byte(nil), p...))
+		f.fs.mu.Unlock()
+	}
+	return n, err
+}
+
+// failedNames reports whether a failed write was a record with a names
+// trailer.
+func (fs *failedWALWrites) failedNames(t *testing.T) bool {
+	t.Helper()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, frame := range fs.failed {
+		n, k := binary.Uvarint(frame[1:])
+		rec, err := decodeWALPayload(frame[1+k : 1+k+int(n)])
+		if err != nil {
+			t.Fatalf("a failed write was not a WAL record: %v", err)
+		}
+		if len(rec.names) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestChaosCrashMatrix drives a durable tracker through a matrix of
 // injected single-fault scenarios — WAL writes/syncs failing (full and
-// torn), every step of the snapshot dance failing, names.log appends
-// failing, and rollback failures that poison the log outright — while a
-// client retries every retryable rejection. The invariants, per cell:
+// torn), every step of the snapshot dance failing, name-mode appends whose
+// record carries new names failing, and rollback failures that poison the
+// log outright — while a client retries every retryable rejection. The
+// invariants, per cell:
 //
 //   - every acknowledged batch survives: a kill -9 (directory copy) after
 //     the last ack recovers, WITHOUT the injector, to a state identical to
@@ -93,13 +146,15 @@ func TestChaosCrashMatrix(t *testing.T) {
 	// Rule paths name the exact files (snapshot.sim2, not "snapshot"): the
 	// subtest name is part of t.TempDir(), so a loose substring would match
 	// every file in the data dir. Boot-time operations on the same files
-	// (the recovery open of snapshot.sim2, the torn-tail truncate of wal.log
-	// and of names.log) are skipped with after= so the fault lands on the
-	// live path the cell is about.
+	// (the recovery open of snapshot.sim2, the torn-tail truncate of wal.log)
+	// are skipped with after= so the fault lands on the live path the cell is
+	// about.
 	cases := []struct {
-		name   string
-		rules  string
-		names  bool // name-mode tracker: exercises the names.log path too
+		name  string
+		rules string
+		// names makes the tracker name-mode, and the cell must fail the append
+		// of a record that carries a names trailer.
+		names  bool
 		rearms bool // expect the poisoned-log re-arm path to have run
 		batch  int  // sim batching: replay must flush where the live loop did
 		// tornCrash kills the server mid-append halfway through the stream (a
@@ -116,8 +171,8 @@ func TestChaosCrashMatrix(t *testing.T) {
 		{name: "snapshot-write-enospc", rules: "op=write,path=snapshot.sim2,times=2,err=ENOSPC"},
 		{name: "snapshot-sync-eio", rules: "op=sync,path=snapshot.sim2,times=1,err=EIO"},
 		{name: "snapshot-rename-eio", rules: "op=rename,path=snapshot.sim2,times=1,err=EIO"},
-		{name: "names-write-eio", rules: "op=write,path=names.log,times=1,err=EIO", names: true},
-		{name: "names-poisoned-rollback", rules: "op=write,path=names.log,times=1,err=EIO;op=truncate,path=names.log,after=1,times=1,err=EIO", names: true, rearms: true},
+		{name: "names-write-eio", rules: "op=write,path=wal.log,times=1,err=EIO", names: true},
+		{name: "names-poisoned-rollback", rules: "op=write,path=wal.log,times=1,err=EIO;op=truncate,path=wal.log,after=1,times=1,err=EIO", names: true, rearms: true},
 		{name: "slow-disk-delay", rules: "op=sync,path=wal.log,times=4,delay=5ms,delayonly"},
 		{name: "wal-write-eio-batch7", rules: "op=write,path=wal.log,after=2,times=1,err=EIO", batch: 7},
 		// The failed write is the third append after the torn crash: its
@@ -158,9 +213,10 @@ func TestChaosCrashMatrix(t *testing.T) {
 			for _, r := range rules {
 				inj.Add(r)
 			}
+			fs := &failedWALWrites{FS: inj}
 			dir := t.TempDir()
 			reg := NewRegistry()
-			reg.SetFS(inj)
+			reg.SetFS(fs)
 			reg.SetDataDir(dir)
 			tr, err := reg.Add("t", spec)
 			if err != nil {
@@ -175,7 +231,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					dir, reg = torn, NewRegistry()
-					reg.SetFS(inj)
+					reg.SetFS(fs)
 					reg.SetDataDir(dir)
 					if tr, err = reg.Add("t", spec); err != nil {
 						t.Fatalf("recovery with torn WAL tail: %v", err)
@@ -193,6 +249,9 @@ func TestChaosCrashMatrix(t *testing.T) {
 			}
 			if inj.Fired() == 0 {
 				t.Fatalf("no fault fired; the %s cell is vacuous", tc.name)
+			}
+			if tc.names && !fs.failedNames(t) {
+				t.Fatal("no failed WAL append carried a names trailer; the cell tests the numeric path")
 			}
 			if tc.rearms {
 				if _, rearms, _, _ := tr.Counters(); rearms == 0 {
@@ -770,13 +829,11 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
-// TestCombinedTornTails crashes a name-mode tracker so that BOTH names.log
-// and wal.log end in torn records. Boot must truncate the two tails
-// consistently: the torn WAL batch was never acknowledged, and the torn
-// name record can only belong to that batch, so dropping both recovers the
-// exact acknowledged state — and further ingest (re-interning the dropped
-// name) works.
-func TestCombinedTornTails(t *testing.T) {
+// TestTornWALRecordDropsFreshName crashes a name-mode tracker mid-append of
+// a WAL record that carries names no earlier record holds: the recovered
+// table must not have them — nothing acknowledged references them — and
+// ingesting the batch again interns them to the IDs they had.
+func TestTornWALRecordDropsFreshName(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
 	reg.SetDataDir(dir)
@@ -786,48 +843,46 @@ func TestCombinedTornTails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reg.Close()
 	actions := durableStream(600)
-	named := internStream(actions, intern.New(0))
 	submitChunks(t, tr, internStream(actions[:500], tr.Names()), 100)
-	want := tr.Snapshot()
+	want, before := *tr.Snapshot(), tr.Names().Len()
+	submitChunks(t, tr, internStream(actions[500:], tr.Names()), 100)
+	if tr.Names().Len() == before {
+		t.Fatal("the last batch interned no name; the test is vacuous")
+	}
+	fresh, _ := tr.Names().Name(uint32(before))
 
+	// The last record, torn: its CRC never made it to disk.
 	crashDir := t.TempDir()
 	copyTree(t, filepath.Join(dir, "t"), filepath.Join(crashDir, "t"))
-	if err := reg.Close(); err != nil {
+	wal := filepath.Join(crashDir, "t", walFileName)
+	st, err := os.Stat(wal)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Tear both tails, as a crash mid-(names append, WAL append) would:
-	// names.log gets a length header promising more bytes than exist, the
-	// WAL gets a truncated record.
-	appendBytes := func(name string, b []byte) {
-		t.Helper()
-		f, err := os.OpenFile(filepath.Join(crashDir, "t", name), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(b); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	if err := os.Truncate(wal, st.Size()-2); err != nil {
+		t.Fatal(err)
 	}
-	appendBytes(namesFileName, []byte{0x20, 'u', '9'})                   // claims 32 bytes, has 2
-	appendBytes(walFileName, []byte{walRecordTag, 0xff, 0x07, 'x', 'y'}) // claims 1023 bytes
 
 	reg2 := NewRegistry()
 	reg2.SetDataDir(crashDir)
 	tr2, err := reg2.Add("t", spec)
 	if err != nil {
-		t.Fatalf("recovery with combined torn tails: %v", err)
+		t.Fatalf("recovery with a torn names record: %v", err)
 	}
 	defer reg2.Close()
-	checkAnswer(t, "combined torn tails", tr2.Snapshot(), *want)
-	if got, wantLen := tr2.Names().Len(), tr.Names().Len(); got > wantLen {
-		t.Fatalf("recovered intern table has %d names, live had %d", got, wantLen)
+	checkAnswer(t, "torn names record", tr2.Snapshot(), want)
+	if got := tr2.Names().Len(); got != before {
+		t.Fatalf("recovered table has %d names, %d were acknowledged", got, before)
+	}
+	if _, ok := tr2.Names().Lookup(fresh); ok {
+		t.Fatalf("recovered table holds %q, named only by the torn record", fresh)
 	}
 
-	// The recovered tracker keeps serving: the remaining actions intern
-	// their names again (same first-appearance order → same dense IDs).
 	submitChunks(t, tr2, internStream(actions[500:], tr2.Names()), 100)
-	checkAnswer(t, "post-torn-tail ingest", tr2.Snapshot(), serialReference(t, named))
+	if id, _ := tr2.Names().Lookup(fresh); id != uint32(before) {
+		t.Fatalf("re-ingest interned %q at %d, it had %d", fresh, id, before)
+	}
+	checkAnswer(t, "re-ingest after the torn record", tr2.Snapshot(), serialReference(t, internStream(actions, intern.New(0))))
 }

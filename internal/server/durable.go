@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,10 +26,9 @@ import (
 //
 // Layout of a tracker's data directory (<registry data dir>/<name>/):
 //
-//	snapshot.sim2       latest complete snapshot (sim.Tracker.SaveTo)
+//	snapshot.sim2       latest complete snapshot (sim.Tracker.SaveTo), name table included
 //	snapshot.sim2.tmp   in-flight snapshot write; never loaded
-//	wal.log             batches applied since that snapshot (see wal.go)
-//	names.log           name-mode trackers: every interned name, in ID order
+//	wal.log             batches applied, names interned, since that snapshot (see wal.go)
 //
 // Write path (all on the tracker's single-writer ingest loop): every batch
 // is appended to the WAL and fsynced BEFORE it is applied and the refreshed
@@ -38,39 +39,35 @@ import (
 // between rename and truncate only leaves WAL entries the snapshot already
 // covers; recovery skips them by ID.
 //
-// Every disk touch goes through the fault.FS seam, so tests and the chaos
-// smoke can fail any single operation deterministically.
-//
 // Failure handling is self-healing rather than fail-stop:
 //
 //   - A failed snapshot write degrades durability (WAL keeps growing) but
 //     retries with capped exponential backoff + jitter instead of
 //     re-attempting on every batch; /v1/healthz reports the condition and
 //     the retry counter until a write succeeds.
-//   - A failed append to either log (both are appendLogs, see appendlog.go)
-//     rejects the batch (503, retryable: the in-memory state never runs
-//     ahead of the log) after rolling the partial record back out of the
-//     file. Only a rollback that itself fails poisons the log; the tracker
+//   - A failed WAL append rejects the batch (503, retryable: the in-memory
+//     state never runs ahead of the log) after rolling the partial record
+//     back out of the file. Only a failed rollback poisons the log; the tracker
 //     then enters degraded-readonly mode (reads keep serving, ingest sheds
 //     with 503 + Retry-After) and a periodic probe runs a checkpoint — fresh
 //     covering snapshot, poisoned log recreated — once the disk heals.
 //
-// Recovery (tracker construction): load snapshot.sim2 if present, then
-// replay wal.log — skipping batches whose newest ID is not beyond the
+// Recovery (tracker construction): load snapshot.sim2 if present, then replay
+// wal.log — rebuilding a name-mode tracker's name table on the way (see
+// foldNames) and skipping batches whose newest ID is not beyond the
 // snapshot — through the same ProcessAll call the live loop makes, so a
 // batch that was partially rejected live (stream-order conflict) replays to
 // the identical partially-applied state. One WAL record is one ProcessAll
 // call, and a call holds nothing over to the next, so sim-level batching
 // (Spec.Batch > 1) cuts the stream in the same places live and on replay:
 // the recovered tracker is the uninterrupted one at any batch size —
-// provided it restarts with the same Batch. A torn WAL tail (the crash's
-// unacknowledged in-flight append) is dropped by the frame parser.
+// provided it restarts with the same Batch.
 const (
 	snapshotFileName = "snapshot.sim2"
 	snapshotTempName = "snapshot.sim2.tmp"
 	walFileName      = "wal.log"
-	namesFileName    = "names.log"
 	lockFileName     = ".lock"
+	namesSection     = "NAME" // snapshot section: the whole name table, as encodeNames writes it
 )
 
 // DefaultSnapshotWALBytes is the WAL size that triggers a snapshot+truncate
@@ -104,13 +101,10 @@ type durability struct {
 	lock     fault.File // exclusive data-dir flock, held for the tracker's lifetime
 	wal      *wal
 	walLimit int64
-	// names persists a name-mode tracker's intern table as an append-only log
-	// of length-prefixed names in ID order (names.log); namesPersisted counts
-	// the names in it. Unlike the WAL it is never emptied: it IS the
-	// authoritative name→ID mapping, append-only by construction since IDs are
-	// dense and stable. Nil for numeric-ID trackers.
-	names          *appendLog
-	namesPersisted int
+	// names is a name-mode tracker's intern table (nil in numeric mode); its
+	// first namesDurable names are on disk, in the snapshot or a WAL trailer.
+	names        *intern.Table
+	namesDurable int
 
 	// snapErr publishes the most recent snapshot failure (reported via
 	// /v1/healthz as a degraded-durability signal: the WAL keeps growing
@@ -146,24 +140,33 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 	if err != nil {
 		return nil, nil, RecoveryInfo{}, err
 	}
-	recovered := false
+	var (
+		tr        *sim.Tracker
+		info      RecoveryInfo
+		recovered bool
+	)
 	defer func() {
-		if !recovered {
-			lock.Close() // releases the flock on every error path
+		if !recovered { // every error path releases the flock and the tracker
+			lock.Close()
+			if tr != nil {
+				tr.Close()
+			}
 		}
 	}()
 	// A leftover temp snapshot is an interrupted write; the real file (if
 	// any) is the authoritative one.
 	_ = fs.Remove(filepath.Join(dir, snapshotTempName))
 
-	var (
-		tr   *sim.Tracker
-		info RecoveryInfo
-	)
 	snapPath := filepath.Join(dir, snapshotFileName)
 	if f, oerr := fs.OpenFile(snapPath, os.O_RDONLY, 0); oerr == nil {
-		tr, err = sim.Load(f, cfg)
+		image, err := io.ReadAll(f)
 		f.Close()
+		if err == nil {
+			tr, err = sim.Load(bytes.NewReader(image), cfg)
+		}
+		if err == nil && names != nil {
+			err = foldSnapshotNames(names, image)
+		}
 		if err != nil {
 			return nil, nil, info, fmt.Errorf("server: loading %s: %w", snapPath, err)
 		}
@@ -181,9 +184,19 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		return nil, nil, info, err
 	}
 
+	legacy, err := foldLegacyNames(fs, dir, names)
+	if err != nil {
+		return nil, nil, info, err
+	}
+
 	last := tr.LastID()
 	var walSize int64
-	info.WALBatches, info.WALActions, walSize, err = replayWAL(fs, filepath.Join(dir, walFileName), func(batch []sim.Action) error {
+	info.WALBatches, info.WALActions, walSize, err = replayWAL(fs, filepath.Join(dir, walFileName), func(rec walRecord) error {
+		// Every trailer is folded, covered records' included: the names a
+		// snapshot holds are checked against them, the rest are new.
+		if err := foldNames(names, rec.first, rec.names); err != nil {
+			return err
+		}
 		// Skip records entirely covered by the snapshot (the crash-window
 		// leftovers between snapshot rename and WAL truncate). Snapshots are
 		// taken at batch boundaries, so coverage is all-or-nothing per
@@ -191,33 +204,24 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		// final element's: a conflict batch (valid prefix applied live, then
 		// a rewinding ID, 409) can end on a low ID while its applied prefix
 		// lies beyond the snapshot.
-		covered := true
-		for _, a := range batch {
-			if a.ID > last {
-				covered = false
-				break
-			}
-		}
-		if covered {
+		if !slices.ContainsFunc(rec.batch, func(a sim.Action) bool { return a.ID > last }) {
 			return nil
 		}
 		// Stream-order rejections replay the live outcome (prefix applied,
 		// batch aborted, client saw 409) — not a recovery failure. Anything
 		// else is.
-		err := tr.ProcessAll(batch)
+		err := tr.ProcessAll(rec.batch)
 		if errors.Is(err, sim.ErrNonMonotonicID) || errors.Is(err, sim.ErrBadParent) {
 			return nil
 		}
 		return err
 	})
 	if err != nil {
-		tr.Close()
 		return nil, nil, info, err
 	}
 
 	w, err := openWAL(fs, filepath.Join(dir, walFileName), walSize)
 	if err != nil {
-		tr.Close()
 		return nil, nil, info, err
 	}
 	if walLimit <= 0 {
@@ -230,78 +234,106 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if names != nil {
-		if err := d.openNames(names); err != nil {
-			tr.Close()
-			w.close()
-			return nil, nil, info, err
-		}
+		d.names, d.namesDurable = names, names.Len()
+	}
+	// A legacy name log is deleted once a snapshot holds its names; a failed
+	// write or remove leaves it for the next boot to fold and migrate again.
+	if legacy != "" && d.writeSnapshot(tr) == nil {
+		_ = fs.Remove(legacy)
 	}
 	recovered = true
 	return tr, d, info, nil
 }
 
-// openNames replays names.log into the intern table — restoring the dense
-// name→ID mapping the snapshot and WAL reference — and opens the log for
-// appending. A torn trailing record (crash mid-append) is cut away; the IDs
-// it would have named cannot appear in the WAL, whose batches are only
-// acknowledged after their names are on disk.
-func (d *durability) openNames(tb *intern.Table) error {
-	path := filepath.Join(d.dir, namesFileName)
-	data, err := d.fs.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("server: reading %s: %w", path, err)
-	}
-	off := 0
-	for off < len(data) {
-		l, n := binary.Uvarint(data[off:])
-		if n <= 0 || off+n+int(l) > len(data) {
-			break // torn tail
+// foldNames adds names, IDs first on, to tb (none if nil): the one rule every
+// source of names on disk is read back by. A name below tb.Len() must be the
+// one there and a new one must land at its ID; anything else is corruption —
+// every source is CRC-checked or cut at its torn tail first.
+func foldNames(tb *intern.Table, first int, names []string) error {
+	for i := 0; tb != nil && i < len(names); i++ {
+		name := names[i]
+		if have, ok := tb.Name(uint32(first + i)); ok && have == name {
+			continue
 		}
-		tb.Intern(string(data[off+n : off+n+int(l)]))
-		off += n + int(l)
+		if got := tb.Intern(name); int(got) != first+i {
+			return fmt.Errorf("server: name %q is on disk with ID %d, the table has it at %d", name, first+i, got)
+		}
 	}
-	if d.names, err = openAppendLog(d.fs, path, int64(off)); err != nil {
-		return err
-	}
-	d.namesPersisted = tb.Len()
 	return nil
 }
 
-// logNames appends names interned since the last call (fsync included);
-// called by the ingest loop BEFORE the WAL append of the batch that may
-// reference them. On failure the batch must not be logged or applied. The
-// in-memory table keeps every name either way — the not-yet-persisted suffix
-// is simply appended again by the next call.
-func (d *durability) logNames(tb *intern.Table) error {
-	fresh := tb.AppendedSince(d.namesPersisted)
-	if len(fresh) == 0 {
+// foldSnapshotNames folds the NAME section of a snapshot image into tb; an
+// image without one (written before the section existed) adds nothing.
+func foldSnapshotNames(tb *intern.Table, image []byte) error {
+	sr, err := dataio.NewSnapshotReader(bytes.NewReader(image))
+	for err == nil {
+		tag, payload, nerr := sr.Next()
+		if err = nerr; err == nil && tag == namesSection {
+			r := wire.NewReader(bytes.NewReader(payload))
+			first, names := decodeNames(r, len(payload))
+			if err = r.Err(); err == nil {
+				err = foldNames(tb, first, names)
+			}
+			return err
+		}
+	}
+	if err == io.EOF {
 		return nil
 	}
-	var rec bytes.Buffer
-	w := wire.NewWriter(&rec)
-	for _, name := range fresh {
-		w.Bytes([]byte(name))
+	return err
+}
+
+// foldLegacyNames folds names.log — the name table of trackers older than its
+// move into the WAL and snapshot, uvarint-length-prefixed names in ID order —
+// into a name-mode tb from ID 0, dropping a torn last record (no acknowledged
+// WAL record used it). It returns the log's path, or "" when there is none.
+func foldLegacyNames(fs fault.FS, dir string, tb *intern.Table) (string, error) {
+	const namesFileName = "names.log"
+	path := filepath.Join(dir, namesFileName)
+	data, err := fs.ReadFile(path)
+	if tb == nil || errors.Is(err, os.ErrNotExist) {
+		return "", nil
 	}
-	if err := d.names.append(rec.Bytes()); err != nil {
+	if err != nil {
+		return "", fmt.Errorf("server: reading %s: %w", path, err)
+	}
+	var names []string
+	for off := 0; off < len(data); {
+		l, n := binary.Uvarint(data[off:])
+		if n <= 0 || l > uint64(len(data)-off-n) {
+			break // torn tail
+		}
+		names = append(names, string(data[off+n:off+n+int(l)]))
+		off += n + int(l)
+	}
+	return path, foldNames(tb, 0, names)
+}
+
+// log makes batch durable before it is applied: one WAL record holding it
+// and every name not yet on disk. On failure the batch must not be applied;
+// its names ride in the next record.
+func (d *durability) log(batch []sim.Action) error {
+	rec := walRecord{batch: batch, first: d.namesDurable}
+	if d.names != nil {
+		rec.names = d.names.AppendedSince(d.namesDurable)
+	}
+	if err := d.wal.append(rec); err != nil {
 		return err
 	}
-	d.namesPersisted += len(fresh)
+	d.namesDurable += len(rec.names)
 	return nil
 }
 
-// poisoned reports whether the durable path is unusable (WAL or names log
-// holding junk a failed rollback left behind): ingest must stop — the
-// degraded-readonly state — until a checkpoint has recreated the log.
-func (d *durability) poisoned() bool {
-	return d.wal.broken != nil || (d.names != nil && d.names.broken != nil)
-}
+// poisoned reports whether the durable path is unusable (the WAL holding junk
+// a failed rollback left behind): ingest must stop — the degraded-readonly
+// state — until a checkpoint has recreated the log.
+func (d *durability) poisoned() bool { return d.wal.broken != nil }
 
 // due reports whether the backoff schedule allows a checkpoint attempt now.
 func (d *durability) due() bool { return !time.Now().Before(d.nextAttempt) }
 
-// checkpoint makes snapshot.sim2 cover everything applied and then puts each
-// log back in order behind it: a poisoned one is recreated (the WAL empty,
-// names.log at its last good size), a healthy WAL is emptied. It is both the
+// checkpoint makes snapshot.sim2 cover everything applied and then empties the
+// WAL behind it, recreating it if it was poisoned. It is both the
 // steady-state snapshot+truncate — taken once the WAL has outgrown its
 // threshold and the backoff allows, or unconditionally when force is set
 // (graceful shutdown, the recovery probe) — and the repair of a poisoned
@@ -330,12 +362,14 @@ func (d *durability) checkpoint(tr *sim.Tracker, force bool) (published bool) {
 	}
 	var err error
 	if d.wal.broken != nil {
-		err = d.wal.rearm(0)
+		// Re-arm: a fresh handle (the old fd may be dead), the junk cut away.
+		_ = d.wal.close()
+		var w *wal
+		if w, err = openWAL(d.fs, filepath.Join(d.dir, walFileName), 0); err == nil {
+			d.wal = w
+		}
 	} else {
 		err = d.wal.reset()
-	}
-	if err == nil && d.names != nil && d.names.broken != nil {
-		err = d.names.rearm(d.names.size)
 	}
 	if err != nil {
 		d.snapshotFailed(err)
@@ -377,24 +411,32 @@ func (d *durability) snapshotErr() string {
 	return s
 }
 
-// writeSnapshot persists tr via the temp-file/fsync/rename dance (see
-// dataio.AtomicWriteFile), so snapshot.sim2 always names a complete
-// snapshot.
+// writeSnapshot persists tr, and on a name-mode tracker the whole name table,
+// via the temp-file/fsync/rename dance (see dataio.AtomicWriteFile), so
+// snapshot.sim2 always names a complete snapshot.
 func (d *durability) writeSnapshot(tr *sim.Tracker) error {
+	var (
+		extra []sim.Section
+		names []string
+	)
+	if d.names != nil {
+		names = d.names.AppendedSince(0)
+		var buf bytes.Buffer
+		encodeNames(wire.NewWriter(&buf), 0, names)
+		extra = append(extra, sim.Section{Tag: namesSection, Payload: buf.Bytes()})
+	}
 	path := filepath.Join(d.dir, snapshotFileName)
-	if err := dataio.AtomicWriteFile(d.fs, path, tr.SaveTo); err != nil {
+	if err := dataio.AtomicWriteFile(d.fs, path, func(w io.Writer) error { return tr.SaveTo(w, extra...) }); err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
+	d.namesDurable = len(names)
 	return nil
 }
 
-// close releases the WAL and names-log handles and the data-dir lock.
+// close releases the WAL handle and the data-dir lock.
 func (d *durability) close() {
 	if d.wal != nil {
 		d.wal.close()
-	}
-	if d.names != nil {
-		d.names.close()
 	}
 	if d.lock != nil {
 		d.lock.Close()

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/api"
+	"repro/intern"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/sim"
@@ -383,6 +384,92 @@ func TestDataDirLock(t *testing.T) {
 	tr.Close()
 }
 
+// TestOneFsyncPerBatch counts the fsyncs of a name-mode tracker fed new names
+// in most of its batches: one per acknowledged batch — its WAL record, the
+// names in it included — plus one per snapshot written, and no other.
+func TestOneFsyncPerBatch(t *testing.T) {
+	inj := fault.NewInjector(fault.OS())
+	snaps := inj.Add(fault.Rule{Op: fault.OpSync, Path: snapshotFileName, DelayOnly: true})
+	wals := inj.Add(fault.Rule{Op: fault.OpSync, Path: walFileName, DelayOnly: true})
+	others := inj.Add(fault.Rule{Op: fault.OpSync, DelayOnly: true})
+	reg := NewRegistry()
+	reg.SetFS(inj)
+	reg.SetDataDir(t.TempDir())
+	spec := durableSpec
+	spec.Names = true
+	spec.SnapshotWALBytes = 2048
+	tr, err := reg.Add("t", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	actions := durableStream(2400)
+	for i := 0; i < len(actions); i += 100 {
+		submitChunks(t, tr, internStream(actions[i:i+100], tr.Names()), 100)
+	}
+	s, _ := inj.Stats(snaps)
+	w, _ := inj.Stats(wals)
+	o, _ := inj.Stats(others)
+	t.Logf("%d batches: %d WAL syncs, %d snapshot syncs, %d other syncs", len(actions)/100, w, s, o)
+	if w != len(actions)/100 || s == 0 || o != 0 {
+		t.Fatalf("%d WAL syncs for %d batches, %d snapshot syncs, %d other syncs", w, len(actions)/100, s, o)
+	}
+}
+
+// TestFoldNames pins the one rule names on disk are read back by: a name at
+// an ID the table has must be the one there, a new one must land at its ID —
+// and a boot whose snapshot and WAL disagree on a name fails rather than
+// serving a table that maps IDs to the wrong users.
+func TestFoldNames(t *testing.T) {
+	tb := intern.New(0)
+	for _, step := range []struct {
+		first int
+		names []string
+		ok    bool
+	}{
+		{0, []string{"a", "b"}, true},
+		{1, []string{"b", "c"}, true}, // overlaps what the table has
+		{1, []string{"x"}, false},     // ID 1 is "b"
+		{5, []string{"d"}, false},     // a gap: ID 3 was never named
+		{3, []string{"a"}, false},     // "a" already has ID 0
+	} {
+		if err := foldNames(tb, step.first, step.names); (err == nil) != step.ok {
+			t.Fatalf("fold %v at %d: err = %v, want ok = %v", step.names, step.first, err, step.ok)
+		}
+	}
+	if err := foldNames(nil, 0, []string{"a"}); err != nil {
+		t.Fatalf("numeric mode folded names: %v", err)
+	}
+
+	dir := t.TempDir()
+	reg := NewRegistry()
+	reg.SetDataDir(dir)
+	spec := durableSpec
+	spec.Names = true
+	tr, err := reg.Add("t", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitChunks(t, tr, internStream(durableStream(200), tr.Names()), 100)
+	if err := reg.Close(); err != nil { // the snapshot holds the names
+		t.Fatal(err)
+	}
+	w, err := openWAL(fault.OS(), filepath.Join(dir, "t", walFileName), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(walRecord{names: []string{"not-u0"}}); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	reg2 := NewRegistry()
+	reg2.SetDataDir(dir)
+	if _, err := reg2.Add("t", spec); err == nil || !strings.Contains(err.Error(), "on disk with ID 0") {
+		reg2.Close()
+		t.Fatalf("boot of a WAL that renames ID 0: err = %v", err)
+	}
+}
+
 // TestWALRollbackPoison: an append whose rollback also fails must poison
 // the log — acknowledging records appended after leftover junk would
 // strand them behind what replay treats as the torn tail.
@@ -392,7 +479,7 @@ func TestWALRollbackPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := []sim.Action{{ID: 1, User: 2, Parent: -1}}
+	good := walRecord{batch: []sim.Action{{ID: 1, User: 2, Parent: -1}}}
 	if err := w.append(good); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +496,7 @@ func TestWALRollbackPoison(t *testing.T) {
 		t.Fatalf("poisoned WAL accepted an append (err = %v)", err)
 	}
 	// The record synced before the failure is still replayable.
-	batches, actions, size, err := replayWAL(fault.OS(), path, func([]sim.Action) error { return nil })
+	batches, actions, size, err := replayWAL(fault.OS(), path, func(walRecord) error { return nil })
 	if err != nil || batches != 1 || actions != 1 || size != w.size {
 		t.Fatalf("replay after poison: batches=%d actions=%d size=%d (appended %d) err=%v", batches, actions, size, w.size, err)
 	}

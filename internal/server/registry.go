@@ -29,8 +29,8 @@ var ErrClosed = errors.New("server: tracker is draining")
 var ErrOverloaded = errors.New("server: ingest queue overloaded")
 
 // ErrReadOnly is returned by Submit while a durable tracker is in
-// degraded-readonly mode: its WAL (or names log) is poisoned, so ingest
-// would lose the durability guarantee. Reads and queries keep answering
+// degraded-readonly mode: its WAL is poisoned, so ingest would lose the
+// durability guarantee. Reads and queries keep answering
 // from the published snapshot; ingest resumes automatically once the
 // periodic probe re-arms the log (HTTP 503 + Retry-After meanwhile).
 var ErrReadOnly = errors.New("server: tracker is read-only (degraded durability)")
@@ -128,8 +128,8 @@ type Tracked struct {
 
 	// names interns external user names to dense IDs on name-mode trackers
 	// (Spec.Names); nil otherwise. Handlers intern concurrently (the table
-	// locks internally); the ingest loop persists new names to names.log
-	// before the WAL batch that references them.
+	// locks internally); the ingest loop persists new names in the WAL
+	// record of the first batch that may reference them.
 	names *intern.Table
 
 	// dur, when non-nil, makes the tracker durable: the loop appends every
@@ -359,21 +359,16 @@ func (t *Tracked) apply(c command) {
 		// Durable trackers log the batch (fsync included) before
 		// applying it: once the caller sees success, the actions are on
 		// disk. A WAL failure rejects the batch unapplied — the
-		// in-memory state never runs ahead of the log. Name-mode
-		// trackers persist newly interned names first, so every ID a
-		// WAL batch references is resolvable on recovery.
+		// in-memory state never runs ahead of the log. On name-mode
+		// trackers the record also carries the names not yet on disk,
+		// so every ID a WAL batch references is resolvable on recovery.
 		if t.dur != nil && t.dur.poisoned() {
 			// Read-only until the probe re-arms the log: accepting the
 			// batch would acknowledge an action the poisoned log cannot
 			// make durable.
 			err = ErrReadOnly
 		} else if t.dur != nil {
-			if t.names != nil {
-				err = t.dur.logNames(t.names)
-			}
-			if err == nil {
-				err = t.dur.wal.append(c.batch)
-			}
+			err = t.dur.log(c.batch)
 		}
 		if err == nil {
 			// One submitted batch — one WAL record — is one ProcessAll call,

@@ -664,73 +664,125 @@ func TestNamesMode(t *testing.T) {
 	}
 }
 
-// TestNamesDurableRecovery round-trips the intern table through names.log:
-// a durable name-mode tracker must come back resolving the same names to
-// the same dense IDs, both for lookups and for continued ingest.
+// TestNamesDurableRecovery round-trips the intern table through each place
+// it lives on disk — the snapshot (graceful shutdown), the WAL's names
+// trailers alone (kill -9 before any snapshot), and a snapshot holding some
+// names with the WAL tail holding the rest: a durable name-mode tracker must
+// come back resolving the same names to the same dense IDs, both for
+// lookups and for continued ingest, as an uninterrupted tracker does.
 func TestNamesDurableRecovery(t *testing.T) {
-	dir := t.TempDir()
 	spec := api.Spec{K: 2, Window: 64, Names: true}
 	ctx := context.Background()
 	np := sim.NoParent
-
-	reg := server.NewRegistry()
-	reg.SetDataDir(dir)
-	if _, err := reg.Add("t", spec); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(server.New(reg))
-	client := api.NewClient(srv.URL)
-	if _, err := client.IngestNamed(ctx, "t", []api.NamedAction{
+	first := []api.NamedAction{
 		{ID: 1, User: "alice", Parent: np},
 		{ID: 2, User: "bob", Parent: 1},
 		{ID: 3, User: "carol", Parent: 1},
-	}); err != nil {
-		t.Fatal(err)
 	}
-	wantInf, err := client.Influence(ctx, "t", "alice")
-	if err != nil {
-		t.Fatal(err)
+	second := []api.NamedAction{
+		{ID: 4, User: "erin", Parent: 3},
+		{ID: 5, User: "bob", Parent: 4},
+		{ID: 6, User: "frank", Parent: 1},
 	}
-	srv.Close()
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
+	more := []api.NamedAction{
+		{ID: 7, User: "dave", Parent: 3},
+		{ID: 8, User: "alice", Parent: 7},
+		{ID: 9, User: "frank", Parent: 8},
 	}
-
-	reg2 := server.NewRegistry()
-	reg2.SetDataDir(dir)
-	if _, err := reg2.Add("t", spec); err != nil {
-		t.Fatalf("recovery Add: %v", err)
-	}
-	defer reg2.Close()
-	srv2 := httptest.NewServer(server.New(reg2))
-	defer srv2.Close()
-	client2 := api.NewClient(srv2.URL)
-
-	inf, err := client2.Influence(ctx, "t", "alice")
-	if err != nil {
-		t.Fatalf("influence by name after recovery: %v", err)
-	}
-	if !reflect.DeepEqual(inf, wantInf) {
-		t.Errorf("recovered influence(alice) = %+v, want %+v", inf, wantInf)
-	}
-	// Continued ingest: an existing name keeps its ID, a new one extends.
-	if _, err := client2.IngestNamed(ctx, "t", []api.NamedAction{
-		{ID: 4, User: "dave", Parent: 3},
-		{ID: 5, User: "alice", Parent: 4},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	seeds, err := client2.Seeds(ctx, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seeds.Names) != len(seeds.Seeds) {
-		t.Fatalf("seeds names out of step: %+v", seeds)
-	}
-	for i, n := range seeds.Names {
-		if n == "" {
-			t.Errorf("seed %d (user %d) has no recovered name", i, seeds.Seeds[i])
+	// serve boots a registry over dir (memory-only when dir is "").
+	serve := func(dir string) (*server.Registry, *api.Client) {
+		t.Helper()
+		reg := server.NewRegistry()
+		if dir != "" {
+			reg.SetDataDir(dir)
 		}
+		if _, err := reg.Add("t", spec); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+		srv := httptest.NewServer(server.New(reg))
+		t.Cleanup(srv.Close)
+		t.Cleanup(func() { reg.Close() })
+		return reg, api.NewClient(srv.URL)
+	}
+	ingest := func(c *api.Client, batch []api.NamedAction) {
+		t.Helper()
+		if _, err := c.IngestNamed(ctx, "t", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// same asserts that c and ref answer identically by name.
+	same := func(label string, c, ref *api.Client) {
+		t.Helper()
+		for _, name := range []string{"alice", "carol", "erin", "frank"} {
+			got, err := c.Influence(ctx, "t", name)
+			if err != nil {
+				t.Fatalf("%s: influence(%s): %v", label, name, err)
+			}
+			want, err := ref.Influence(ctx, "t", name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: influence(%s) = %+v, want %+v", label, name, got, want)
+			}
+		}
+		got, err := c.Seeds(ctx, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Seeds(ctx, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: seeds = %+v, want %+v", label, got, want)
+		}
+	}
+	_, ref := serve("")
+	ingest(ref, first)
+	ingest(ref, second)
+
+	for _, tc := range []struct {
+		name string
+		// snapshotFirst closes gracefully after the first batch, so the
+		// snapshot holds its names and the WAL only the second's.
+		snapshotFirst bool
+		crash         bool // kill -9 after the second batch, no snapshot
+	}{
+		{name: "snapshot"},
+		{name: "wal-trailers", crash: true},
+		{name: "snapshot-and-wal-tail", snapshotFirst: true, crash: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg, c := serve(dir)
+			ingest(c, first)
+			if tc.snapshotFirst {
+				if err := reg.Close(); err != nil {
+					t.Fatal(err)
+				}
+				reg, c = serve(dir)
+			}
+			ingest(c, second)
+			if tc.crash {
+				crash := t.TempDir()
+				if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+					t.Fatal(err)
+				}
+				dir = crash
+			} else if err := reg.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			_, recovered := serve(dir)
+			same("recovered", recovered, ref)
+			ingest(recovered, more)
+			_, cont := serve("")
+			ingest(cont, first)
+			ingest(cont, second)
+			ingest(cont, more)
+			same("continued ingest", recovered, cont)
+		})
 	}
 }
 

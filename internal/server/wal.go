@@ -15,93 +15,145 @@ import (
 	"repro/sim"
 )
 
-// The write-ahead log of a durable tracker: one framed record per applied
-// ingest batch, appended and fsynced BEFORE the batch reaches the tracker,
-// so an acknowledged batch is always recoverable after a crash. Record
-// framing:
+// The write-ahead log of a durable tracker, its only log: one framed record
+// per applied ingest batch, appended and fsynced BEFORE the batch reaches the
+// tracker, so an acknowledged batch is always recoverable after a crash:
 //
 //	'B' · uvarint payload length · payload · CRC-32 (IEEE, LE)
 //	payload: uvarint action count · per action varint ID · uvarint user · varint parent
+//	         [· names trailer: uvarint first ID · uvarint count · per name uvarint length · bytes]
 //
-// Batch boundaries are semantic, not incidental: replay re-submits each
-// record as one ProcessAll batch, so a mid-batch stream-order rejection
-// (the live 409 path, which applies the prefix and drops the rest) replays
-// to exactly the same state.
+// A name-mode record's trailer holds the names interned since the last ones
+// on disk, IDs first, first+1, …: every ID a record references is named once
+// it is durable. Without new names — every numeric-mode record — there is no
+// trailer. Replay re-submits each record as one ProcessAll batch, so a live
+// mid-batch stream-order rejection (prefix applied, 409) replays exactly.
 //
-// The file underneath is an appendLog (appendlog.go): one Write and one fsync
-// per record, a failed append rolled back out of the file, poisoning when the
-// rollback fails too. Replay stops at the first frame that fails to parse or
-// checksum: everything before it was written by a completed, synced append;
-// everything from it on was never acknowledged, and recovery cuts it away
-// before the first new append (openWAL), or the records acknowledged from
-// then on would sit behind it, out of the next replay's reach. A poisoned log
-// is not terminal: once a fresh snapshot has made every acknowledged batch
-// durable again the log is recreated empty (junk and all gone) and appends
-// resume — the serving layer's degraded-readonly → recovering → ok cycle
-// (see registry.go). A crash between that snapshot's rename and the truncate
-// is safe: replay skips snapshot-covered records by ID and stops at the junk
-// tail, before which every record is covered.
+// With one appender (the ingest loop) and one Write and fsync per record, a
+// torn write can only sit at the tail, from a kill -9 mid-append: replay
+// stops at the first frame that fails to parse or checksum, and openWAL cuts
+// it away before the first new append, or what is acknowledged next would sit
+// out of the next replay's reach. A *failed* append is rolled back by
+// truncating to the last good size; if that fails too the log is poisoned and
+// refuses every append until a fresh snapshot covers what it holds and it is
+// reopened empty — the serving layer's degraded-readonly → recovering →
+// ok cycle (registry.go). A crash between that snapshot's rename and the
+// truncate is safe: replay skips covered records by ID and stops at the junk.
+// All file access goes through the fault.FS seam, so every edge is injectable.
+
+// ErrDurability wraps disk failures of the durable path (WAL appends).
+// Batches rejected with it were NOT applied: the in-memory state never runs
+// ahead of the log. The condition is transient — the log was rolled back to
+// its pre-append state — so callers may retry (HTTP: 503 + Retry-After).
+var ErrDurability = errors.New("server: durability failure")
 
 // walRecordTag starts every WAL record.
 const walRecordTag = byte('B')
 
-// maxWALRecordBytes bounds one record's payload; a corrupt length claim at
-// the tail fails fast instead of attempting a giant allocation.
+// maxWALRecordBytes bounds one record's payload claim.
 const maxWALRecordBytes = 1 << 30
 
-// wal frames batches onto an appendLog; size (promoted) is also the
-// snapshot-policy input.
+// walRecord is one record's content: a batch, and the names trailer — names
+// holds the names with IDs first, first+1, …; none means no trailer.
+type walRecord struct {
+	batch []sim.Action
+	first int
+	names []string
+}
+
+// wal is the open log. size is also the snapshot-policy input.
 type wal struct {
-	*appendLog
-	buf   bytes.Buffer // payload scratch, reused across appends
-	frame bytes.Buffer // framed-record scratch, reused across appends
+	f      fault.File
+	size   int64        // bytes of completed appends: the rollback target
+	broken error        // a failed append that could not be rolled back
+	buf    bytes.Buffer // payload scratch, reused across appends
+	frame  []byte       // framed-record scratch, reused across appends
 }
 
 // openWAL opens (creating if needed) the log at path for appending behind its
 // first keep bytes — the length replayWAL parsed — and cuts away the torn tail
 // past them, so the next acknowledged record is one replay will reach.
+// O_APPEND: writes land at the end of the file wherever a truncate has just
+// put it.
 func openWAL(fs fault.FS, path string, keep int64) (*wal, error) {
-	l, err := openAppendLog(fs, path, keep)
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: opening %s: %w", walFileName, err)
 	}
-	return &wal{appendLog: l}, nil
+	if err := f.Truncate(keep); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("server: truncating %s: %w", walFileName, err)
+	}
+	return &wal{f: f, size: keep}, nil
 }
 
-// append frames one batch and appends it; see appendLog.append for what a
-// nil and a non-nil return promise.
-func (w *wal) append(batch []sim.Action) error {
-	// Payload, via the same wire primitives every snapshot layer uses
-	// (bytes.Buffer writes cannot fail, so enc.Err is statically nil).
+// append frames one record and writes it. Only after append returns nil is
+// the record durable and may its batch be applied and acknowledged. A failed
+// append is rolled back, so the error (an ErrDurability) means the log is
+// exactly as it was before the call — or poisoned, refusing everything
+// thereafter.
+func (w *wal) append(rec walRecord) error {
 	w.buf.Reset()
-	enc := wire.NewWriter(&w.buf)
-	enc.Uvarint(uint64(len(batch)))
-	for _, a := range batch {
-		enc.Varint(int64(a.ID))
-		enc.Uvarint(uint64(a.User))
-		enc.Varint(int64(a.Parent))
-	}
+	encodeWALPayload(&w.buf, rec)
 	payload := w.buf.Bytes()
 
 	// Frame around it (header before, CRC after), assembled in one reused
 	// buffer so the record hits the file in a single Write.
-	w.frame.Reset()
-	w.frame.Grow(len(payload) + 16)
-	w.frame.WriteByte(walRecordTag)
-	wire.NewWriter(&w.frame).Uvarint(uint64(len(payload)))
-	w.frame.Write(payload)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	w.frame.Write(crc[:])
-	return w.appendLog.append(w.frame.Bytes())
+	w.frame = append(w.frame[:0], walRecordTag)
+	w.frame = binary.AppendUvarint(w.frame, uint64(len(payload)))
+	w.frame = append(w.frame, payload...)
+	w.frame = binary.LittleEndian.AppendUint32(w.frame, crc32.ChecksumIEEE(payload))
+	return w.write(w.frame)
 }
 
-// replayWAL streams the log's batches to apply in append order and returns,
+// write appends b in a single Write and fsyncs it, rolling a failure back.
+func (w *wal) write(b []byte) error {
+	if w.broken != nil {
+		return fmt.Errorf("%w: %s unusable after failed rollback: %v", ErrDurability, walFileName, w.broken)
+	}
+	_, err := w.f.Write(b)
+	if err != nil {
+		err = fmt.Errorf("%s append: %v", walFileName, err)
+	} else if err = w.f.Sync(); err != nil {
+		// The record may be fully written but is not durable — and is about
+		// to be rejected, so it must not resurface when the log is parsed.
+		err = fmt.Errorf("%s sync: %v", walFileName, err)
+	}
+	if err == nil {
+		w.size += int64(len(b))
+		return nil
+	}
+	// Roll back to the last good size. The truncation is itself synced so the
+	// rejected bytes cannot reappear after a crash.
+	if terr := w.f.Truncate(w.size); terr != nil {
+		w.broken = fmt.Errorf("%v; rollback truncate: %v", err, terr)
+	} else if serr := w.f.Sync(); serr != nil {
+		w.broken = fmt.Errorf("%v; rollback sync: %v", err, serr)
+	}
+	if w.broken != nil {
+		err = w.broken
+	}
+	return fmt.Errorf("%w: %v", ErrDurability, err)
+}
+
+// reset empties the log once a snapshot covers everything in it.
+func (w *wal) reset() error {
+	if err := w.f.Truncate(0); err != nil {
+		return fmt.Errorf("server: %s truncate: %w", walFileName, err)
+	}
+	w.size = 0
+	return nil
+}
+
+// close releases the file handle.
+func (w *wal) close() error { return w.f.Close() }
+
+// replayWAL streams the log's records to apply in append order and returns,
 // as size, the length of the records it parsed. It tolerates a torn tail (see
 // the package comment above): parsing stops cleanly at the first incomplete
 // or checksum-failing frame, size bytes in. A missing file is an empty log.
 // apply errors abort the replay.
-func replayWAL(fs fault.FS, path string, apply func(batch []sim.Action) error) (batches, actions int, size int64, err error) {
+func replayWAL(fs fault.FS, path string, apply func(rec walRecord) error) (batches, actions int, size int64, err error) {
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, 0, 0, nil
@@ -119,57 +171,95 @@ func replayWAL(fs fault.FS, path string, apply func(batch []sim.Action) error) (
 		if err != nil {
 			return batches, actions, size, fmt.Errorf("server: reading WAL: %w", err)
 		}
-		if tag != walRecordTag {
-			return batches, actions, size, nil // torn tail
-		}
+		// A frame that is cut short or fails its checksum is the torn tail.
 		n, err := binary.ReadUvarint(br)
-		if err != nil || n > maxWALRecordBytes {
-			return batches, actions, size, nil // torn tail
+		if tag != walRecordTag || err != nil || n > maxWALRecordBytes {
+			return batches, actions, size, nil
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return batches, actions, size, nil // torn tail
+		// Payload · CRC, read only as far as the file goes: a torn length
+		// claim allocates nothing beyond it.
+		frame, err := io.ReadAll(io.LimitReader(br, int64(n)+4))
+		if err != nil || uint64(len(frame)) != n+4 || crc32.ChecksumIEEE(frame[:n]) != binary.LittleEndian.Uint32(frame[n:]) {
+			return batches, actions, size, nil
 		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return batches, actions, size, nil // torn tail
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return batches, actions, size, nil // torn tail
-		}
-		batch, err := decodeWALBatch(payload)
+		rec, err := decodeWALPayload(frame[:n])
 		if err != nil {
 			// A CRC-valid record that does not decode is real corruption,
 			// not a torn write: surface it.
 			return batches, actions, size, fmt.Errorf("server: WAL record %d: %w", batches+1, err)
 		}
-		if err := apply(batch); err != nil {
+		if err := apply(rec); err != nil {
 			return batches, actions, size, err
 		}
 		batches++
-		actions += len(batch)
+		actions += len(rec.batch)
 		var lenBuf [binary.MaxVarintLen64]byte // tag + length + payload + CRC
-		size += int64(1 + binary.PutUvarint(lenBuf[:], n) + len(payload) + len(crcBuf))
+		size += int64(1 + binary.PutUvarint(lenBuf[:], n) + len(frame))
 	}
 }
 
-// decodeWALBatch parses one record payload (the encoding in append).
-func decodeWALBatch(payload []byte) ([]sim.Action, error) {
+// encodeWALPayload writes rec's payload (the layout in the comment above),
+// via the same wire primitives every snapshot layer uses (bytes.Buffer
+// writes cannot fail, so the writer's error is statically nil).
+func encodeWALPayload(buf *bytes.Buffer, rec walRecord) {
+	enc := wire.NewWriter(buf)
+	enc.Uvarint(uint64(len(rec.batch)))
+	for _, a := range rec.batch {
+		enc.Varint(int64(a.ID))
+		enc.Uvarint(uint64(a.User))
+		enc.Varint(int64(a.Parent))
+	}
+	if len(rec.names) > 0 {
+		encodeNames(enc, rec.first, rec.names)
+	}
+}
+
+// decodeWALPayload parses one record payload, accepting exactly what
+// encodeWALPayload writes: one that does not re-encode to the same bytes —
+// trailing bytes, a user ID past 32 bits, a padded varint — is corrupt.
+func decodeWALPayload(payload []byte) (walRecord, error) {
 	br := bytes.NewReader(payload)
 	r := wire.NewReader(br)
 	n := r.Len(len(payload)) // every action takes >= 3 bytes
-	batch := make([]sim.Action, 0, n)
+	rec := walRecord{batch: make([]sim.Action, 0, n)}
 	for i := 0; i < n && r.Err() == nil; i++ {
 		id := sim.ActionID(r.Varint())
 		user := sim.UserID(r.Uvarint())
 		parent := sim.ActionID(r.Varint())
-		batch = append(batch, sim.Action{ID: id, User: user, Parent: parent})
+		rec.batch = append(rec.batch, sim.Action{ID: id, User: user, Parent: parent})
+	}
+	if br.Len() > 0 && r.Err() == nil {
+		rec.first, rec.names = decodeNames(r, br.Len())
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return walRecord{}, err
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", br.Len())
+	var again bytes.Buffer
+	encodeWALPayload(&again, rec)
+	if !bytes.Equal(again.Bytes(), payload) {
+		return walRecord{}, errors.New("payload is not a record this log writes")
 	}
-	return batch, nil
+	return rec, nil
+}
+
+// encodeNames writes names, the table's entries from ID first on, as a
+// names trailer — also the payload of a snapshot's names section.
+func encodeNames(enc *wire.Writer, first int, names []string) {
+	enc.Uvarint(uint64(first))
+	enc.Uvarint(uint64(len(names)))
+	for _, name := range names {
+		enc.Bytes([]byte(name))
+	}
+}
+
+// decodeNames reads what encodeNames wrote; max bounds the count (every name
+// takes at least a byte). Errors stay in r.
+func decodeNames(r *wire.Reader, max int) (first int, names []string) {
+	first = r.Len(wire.MaxLen)
+	n := r.Len(max)
+	names = make([]string, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		names = append(names, string(r.Bytes(wire.MaxLen)))
+	}
+	return first, names
 }

@@ -11,9 +11,10 @@ import (
 // streamPayloadVersion versions the Save payload independently of the SIM2
 // container that carries it. Version 2 appends the cold tier: the per-user
 // segment-extent table and a manifest of the referenced segments (ID, CRC,
-// size) that Restore verifies against the attached ColdStore. Version 1
-// payloads (no cold tier) are still accepted.
-const streamPayloadVersion = 2
+// size) that Restore verifies against the attached ColdStore. Version 3 drops
+// the four counters and the user set versions 1 and 2 carry between the logs
+// and the cold tier. Both older versions are still accepted.
+const streamPayloadVersion = 3
 
 // Save serializes the stream's complete mutable state — the diffusion index
 // (with reference counts), the per-user contribution logs and the retained
@@ -76,15 +77,6 @@ func (s *Stream) Save(w io.Writer) error {
 			ww.Varint(int64(c.T))
 		}
 	}
-
-	// Where the payload used to carry history-sized state — four cumulative
-	// Table 3 counters and the all-time user set, which grew with every user
-	// ever seen — it now carries zeros and an empty set: the layout stands,
-	// so either side of the change reads the other's payloads.
-	for i := 0; i < 4; i++ {
-		ww.Varint(0)
-	}
-	ww.Uvarint(0)
 
 	// Cold tier (v2): the extent table references segments by ID instead of
 	// embedding their entries, so snapshot size and save time scale with the
@@ -187,13 +179,15 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 		s.capBytes += int64(cap(l.list)) * contribBytes
 	}
 
-	// Four counters and a delta-coded user set nothing reads any more (see
-	// Save); payloads written before that carry real ones.
-	for i := 0; i < 4; i++ {
-		rr.Varint()
-	}
-	for i, n := 0, rr.Len(wire.MaxLen); i < n && rr.Err() == nil; i++ {
-		rr.Uvarint()
+	// Versions 1 and 2 carry four cumulative Table 3 counters and the
+	// all-time user set here, history-sized state nothing reads any more.
+	if version < 3 {
+		for i := 0; i < 4; i++ {
+			rr.Varint()
+		}
+		for i, n := 0, rr.Len(wire.MaxLen); i < n && rr.Err() == nil; i++ {
+			rr.Uvarint()
+		}
 	}
 
 	if version >= 2 {

@@ -13,17 +13,24 @@ import (
 // skipped — the forward-compatibility rule that lets a newer writer add
 // sections without breaking an older reader.
 const (
-	sectionConfig  = "CFG0" // configuration scalars, validated against Load's Config
-	sectionCore    = "CORE" // framework state: stream index + checkpoint chain
-	sectionTracker = "TRK0" // newest accepted ID, an echo of CORE's: written, not read back
+	sectionConfig = "CFG0" // configuration scalars, validated against Load's Config
+	sectionCore   = "CORE" // framework state: stream index + checkpoint chain
 )
+
+// Section is an extra SIM2 section SaveTo writes behind the tracker's own,
+// for state kept beside the tracker that must be exactly as current as the
+// snapshot (the serving layer's name table). Load skips it.
+type Section struct {
+	Tag     string // 4 bytes, neither CFG0 nor CORE
+	Payload []byte
+}
 
 // simConfigVersion versions the CFG0 payload.
 const simConfigVersion = 1
 
 // SaveTo writes a durable snapshot of the tracker — configuration echo,
-// stream index, the full IC/SIC checkpoint chain with every oracle's state,
-// and tracker-level bookkeeping — as a SIM2 container (internal/dataio:
+// stream index and the full IC/SIC checkpoint chain with every oracle's
+// state, then the extra sections — as a SIM2 container (internal/dataio:
 // versioned header, CRC per section, length-prefixed sections that unknown
 // readers can skip).
 //
@@ -31,7 +38,7 @@ const simConfigVersion = 1
 // bit-identical Seeds, Value and CheckpointStarts to one that was never
 // interrupted. SaveTo does not mutate observable state and may be called at
 // any point between Process calls.
-func (t *Tracker) SaveTo(w io.Writer) error {
+func (t *Tracker) SaveTo(w io.Writer, extra ...Section) error {
 	sw, err := dataio.NewSnapshotWriter(w)
 	if err != nil {
 		return err
@@ -69,14 +76,10 @@ func (t *Tracker) SaveTo(w io.Writer) error {
 		return err
 	}
 
-	buf.Reset()
-	tw := wire.NewWriter(&buf)
-	tw.Varint(int64(t.LastID()))
-	if err := tw.Err(); err != nil {
-		return err
-	}
-	if err := sw.Section(sectionTracker, buf.Bytes()); err != nil {
-		return err
+	for _, sec := range extra {
+		if err := sw.Section(sec.Tag, sec.Payload); err != nil {
+			return err
+		}
 	}
 	return sw.Close()
 }
@@ -141,8 +144,8 @@ func (t *Tracker) load(r io.Reader) error {
 			}
 			sawCore = true
 		default:
-			// TRK0 (the stream index in CORE already holds the last ID), or an
-			// unknown section from a newer writer: skip.
+			// A caller's extra section, TRK0 (a last-ID echo older writers
+			// added), or an unknown section from a newer writer: skip.
 		}
 	}
 	if !sawConfig || !sawCore {
