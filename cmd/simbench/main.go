@@ -9,14 +9,15 @@
 //	simbench -window 20000 -k 50   # override individual sizes
 //	simbench -batch 100 -exp fig7  # batched ingestion for any run
 //
-// Experiment IDs: table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// tput (hot-path ns/allocs/B per action), mem (resident bytes under a memory
-// budget) and query (lazy relational operators vs the materialized
-// reference), extensions beyond the paper. The streaming runs feed the
-// tracker one slide per ProcessAll call; -batch groups actions within each
-// call (sim.Config.BatchSize). Performance is gated elsewhere: end to end by
-// benchmark/ (BENCHMARK.json), allocations per action by sim's
-// TestIngestAllocCeiling.
+// Experiment IDs: table2 table3 fig2-4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
+// fig12, the ablations abl-fastpath abl-greedy abl-oracle, and tput (hot-path
+// ns/allocs/B per action) and mem (resident bytes under a memory budget),
+// extensions beyond the paper. The streaming runs feed the tracker one slide
+// per ProcessAll call; -batch groups actions within each call
+// (sim.Config.BatchSize). The figures' shapes are checked by
+// internal/bench's TestPaperClaims, and RESULTS.md holds a default-scale run.
+// Performance is gated elsewhere: end to end by benchmark/ (BENCHMARK.json),
+// allocations per action by sim's TestIngestAllocCeiling.
 // See ARCHITECTURE.md "Paper section → package map" for what each ID
 // exercises and README "Reproducing the paper's evaluation" for the IDs.
 package main

@@ -66,32 +66,6 @@ func TestRunFrameworkProducesMetrics(t *testing.T) {
 	}
 }
 
-func TestICVsSICMetricShapes(t *testing.T) {
-	sc := ScaleSmoke()
-	ds := Datasets(sc)[3]
-	ic := runFramework(ds, sim.IC, sc.K, sc.Window, sc.Slide, 0.2, 1)
-	sic := runFramework(ds, sim.SIC, sc.K, sc.Window, sc.Slide, 0.2, 1)
-	// Fig 6 shape: IC pins ceil(N/L) checkpoints, SIC keeps far fewer.
-	wantIC := float64((sc.Window + sc.Slide - 1) / sc.Slide)
-	if ic.AvgCheckpoints < wantIC-1 {
-		t.Errorf("IC checkpoints = %.1f, want ≈ %.0f", ic.AvgCheckpoints, wantIC)
-	}
-	if sic.AvgCheckpoints >= ic.AvgCheckpoints/2 {
-		t.Errorf("SIC checkpoints %.1f not clearly below IC %.1f", sic.AvgCheckpoints, ic.AvgCheckpoints)
-	}
-	// Fig 5 shape: IC quality >= SIC quality within slack; values comparable.
-	if sic.AvgValue > ic.AvgValue*1.05 {
-		t.Errorf("SIC value %.1f above IC %.1f", sic.AvgValue, ic.AvgValue)
-	}
-	if sic.AvgValue < 0.5*ic.AvgValue {
-		t.Errorf("SIC value %.1f below half of IC %.1f", sic.AvgValue, ic.AvgValue)
-	}
-	// Fig 7 shape: SIC faster than IC.
-	if sic.Throughput <= ic.Throughput {
-		t.Errorf("SIC throughput %.0f <= IC %.0f", sic.Throughput, ic.Throughput)
-	}
-}
-
 func TestRunQualityCoversAllMethods(t *testing.T) {
 	sc := ScaleSmoke()
 	sc.MCRounds = 50
@@ -123,7 +97,7 @@ func TestRunThroughputCoversAllMethods(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"abl-fastpath", "abl-greedy", "abl-oracle", "fig10", "fig11", "fig12", "fig2-4", "fig5", "fig6", "fig7", "fig8", "fig9", "mem", "query", "table2", "table3", "tput"}
+	want := []string{"abl-fastpath", "abl-greedy", "abl-oracle", "fig10", "fig11", "fig12", "fig2-4", "fig5", "fig6", "fig7", "fig8", "fig9", "mem", "table2", "table3", "tput"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("experiments = %d, want %d", len(got), len(want))

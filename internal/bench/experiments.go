@@ -272,12 +272,6 @@ func throughputRow(ds, x string, tp throughputRun) []string {
 func runTable2(sc Scale) Table {
 	s := shrink(sc, 2)
 	ds := Datasets(s)[1] // Twitter-like
-	limit := s.Window
-	if limit > len(ds.Actions) {
-		limit = len(ds.Actions)
-	}
-
-	kinds := []oracle.Kind{oracle.SieveStreaming, oracle.ThresholdStream, oracle.BlogWatch, oracle.MkC}
 	t := Table{
 		ID:     "table2",
 		Title:  "Checkpoint oracles on one window (Table 2, measured)",
@@ -286,39 +280,49 @@ func runTable2(sc Scale) Table {
 			"guarantees: Sieve/Threshold 1/2-beta, BlogWatch/MkC 1/4 (coverage only); greedy reference is (1-1/e)-approximate",
 		},
 	}
-	for _, kind := range kinds {
-		o := oracle.NewFactory(kind, s.Beta, nil)(s.K)
-		st := stream.New()
-		var elems int64
-		start := time.Now()
-		for _, a := range ds.Actions[:limit] {
-			d, err := st.Ingest(a)
-			if err != nil {
-				panic(err)
-			}
-			for _, u := range d.Contributors {
-				o.Process(oracle.Element{User: u, Prefix: st.InfluenceRecency(u, 1)})
-				elems++
-			}
-		}
-		elapsed := time.Since(start)
-
-		// Offline greedy reference over the final influence sets.
-		sets := map[stream.UserID][]stream.UserID{}
-		st.Influencers(1, func(u stream.UserID) bool {
-			sets[u] = st.InfluenceSet(u, 1)
-			return true
-		})
-		_, ref := greedy.SelectSets(sets, s.K, nil)
+	for _, kind := range table2Oracles {
+		o, ref, nsPerElem := runOracle(ds, s, kind)
 		ratio := 0.0
 		if ref > 0 {
 			ratio = o.Value() / ref
 		}
 		t.Rows = append(t.Rows, []string{
-			kind.String(), f1(o.Value()), f2(ratio),
-			fmt.Sprintf("%d", elapsed.Nanoseconds()/max(elems, 1)),
-			i0(o.Stats().Instances),
+			kind.String(), f1(o.Value()), f2(ratio), fmt.Sprintf("%d", nsPerElem), i0(o.Stats().Instances),
 		})
 	}
 	return t
+}
+
+// table2Oracles are the rows of the paper's Table 2.
+var table2Oracles = []oracle.Kind{oracle.SieveStreaming, oracle.ThresholdStream, oracle.BlogWatch, oracle.MkC}
+
+// runOracle feeds one window of ds to a bare oracle of the given kind, every
+// contributor's influence set once per action, and returns the fed oracle,
+// the offline lazy greedy value over the window's final influence sets, and
+// the mean update latency per element.
+func runOracle(ds Dataset, s Scale, kind oracle.Kind) (oracle.Oracle, float64, int64) {
+	limit := min(s.Window, len(ds.Actions))
+	o := oracle.NewFactory(kind, s.Beta, nil)(s.K)
+	st := stream.New()
+	var elems int64
+	start := time.Now()
+	for _, a := range ds.Actions[:limit] {
+		d, err := st.Ingest(a)
+		if err != nil {
+			panic(err)
+		}
+		for _, u := range d.Contributors {
+			o.Process(oracle.Element{User: u, Prefix: st.InfluenceRecency(u, 1)})
+			elems++
+		}
+	}
+	elapsed := time.Since(start)
+
+	sets := map[stream.UserID][]stream.UserID{}
+	st.Influencers(1, func(u stream.UserID) bool {
+		sets[u] = st.InfluenceSet(u, 1)
+		return true
+	})
+	_, ref := greedy.SelectSets(sets, s.K, nil)
+	return o, ref, elapsed.Nanoseconds() / max(elems, 1)
 }

@@ -30,6 +30,9 @@ type runMetrics struct {
 	// with runtime.ReadMemStats. They back the tput experiment.
 	AllocsPerAction float64
 	BytesPerAction  float64
+	// ElementsFed is the number of oracle updates over the whole run (the
+	// O(d·N) term of §4.2): Fig 7's throughput gap without the wall clock.
+	ElementsFed int64
 }
 
 // runFramework streams ds through one tracker configuration, measuring
@@ -77,7 +80,7 @@ func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batch
 	}
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
-	m := runMetrics{}
+	m := runMetrics{ElementsFed: tr.Stats().ElementsFed}
 	if boundaries > 0 {
 		m.AvgValue = sumVal / float64(boundaries)
 		m.AvgCheckpoints = sumCp / float64(boundaries)

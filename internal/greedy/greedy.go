@@ -8,6 +8,7 @@
 // The implementation uses CELF lazy evaluation (Leskovec et al.): cached
 // marginal gains are valid upper bounds under submodularity, so a candidate
 // is re-evaluated only when it surfaces at the top of the priority queue.
+// RankSets is the one CELF loop; Select and SelectSets run through it.
 package greedy
 
 import (
@@ -49,48 +50,22 @@ func (q *queue) Pop() interface{} {
 	return x
 }
 
-// Select runs lazy greedy over the window suffix starting at start and
-// returns up to k seed users with the objective value of their combined
-// influence sets.
+// Select runs lazy greedy (RankSets) over the influence sets of the window
+// suffix starting at start and returns up to k seed users with the objective
+// value of their combined influence sets. The value folds the picks' sets in
+// pick order, the order a coverage built while picking would add them in.
 func Select(st *stream.Stream, start stream.ActionID, k int, w submod.Weights) ([]stream.UserID, float64) {
-	gainOf := func(u stream.UserID, cov *submod.Coverage) float64 {
-		g := 0.0
-		st.Influence(u, start, func(v stream.UserID) bool {
-			g += cov.Gain(v)
-			return true
-		})
-		return g
-	}
-	addTo := func(u stream.UserID, cov *submod.Coverage) {
-		st.Influence(u, start, func(v stream.UserID) bool {
-			cov.Add(v)
-			return true
-		})
-	}
-	cov := submod.NewCoverage(w)
-	q := queue{}
+	sets := map[stream.UserID][]stream.UserID{}
 	st.Influencers(start, func(u stream.UserID) bool {
-		q = append(q, candidate{user: u, gain: gainOf(u, cov), round: 0})
+		sets[u] = st.InfluenceSet(u, start)
 		return true
 	})
-	heap.Init(&q)
-
-	var seeds []stream.UserID
-	for len(seeds) < k && q.Len() > 0 {
-		top := heap.Pop(&q).(candidate)
-		if top.round == len(seeds) {
-			if top.gain <= 0 {
-				break
-			}
-			seeds = append(seeds, top.user)
-			addTo(top.user, cov)
-			continue
-		}
-		top.gain = gainOf(top.user, cov)
-		top.round = len(seeds)
-		heap.Push(&q, top)
+	seeds, _ := RankSets(sets, k, w)
+	picked := make([][]stream.UserID, len(seeds))
+	for i, u := range seeds {
+		picked[i] = sets[u]
 	}
-	return seeds, cov.Value()
+	return seeds, submod.ValueOf(w, picked...)
 }
 
 // SelectNaive is the paper's actual Greedy baseline (§4, §6.1): the

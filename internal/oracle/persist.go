@@ -19,8 +19,8 @@ import (
 //
 // All four Table 2 oracles implement Persistent: the sieve-style grids
 // serialize their candidate instances (OPT guesses, seed lists, coverage
-// sets, gain-bound caches), the swap oracles their seed snapshots, and
-// Exact its per-user set memory.
+// sets, gain-bound caches) and the swap oracles their seed snapshots. Exact
+// does not: no tracker can be configured with it, so nothing saves one.
 type Persistent interface {
 	Oracle
 	// SaveState writes the oracle's state. The write is deterministic:
@@ -34,9 +34,8 @@ type Persistent interface {
 
 // Per-oracle payload versions, bumped independently of the SIM2 container.
 const (
-	gridPayloadVersion  = 1
-	swapPayloadVersion  = 1
-	exactPayloadVersion = 1
+	gridPayloadVersion = 1
+	swapPayloadVersion = 1
 )
 
 // maxLen bounds decoded collection sizes; corrupt claims fail fast. The
@@ -235,50 +234,6 @@ func (s *Swap) RestoreState(r *wire.Reader) error {
 	s.dirtyIDs = true
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("oracle: restoring swap oracle: %w", err)
-	}
-	return nil
-}
-
-// SaveState implements Persistent for the Exact reference oracle: the
-// latest influence set of every user, in first-seen order (enumeration
-// order is the tie-break of the exact answer).
-func (x *Exact) SaveState(w *wire.Writer) error {
-	w.Uvarint(exactPayloadVersion)
-	w.Varint(x.elements)
-	w.Uvarint(uint64(len(x.users)))
-	for _, u := range x.users {
-		w.Uvarint(uint64(u))
-		set := x.sets[u]
-		w.Uvarint(uint64(len(set)))
-		for _, v := range set {
-			w.Uvarint(uint64(v))
-		}
-	}
-	return w.Err()
-}
-
-// RestoreState implements Persistent for Exact.
-func (x *Exact) RestoreState(r *wire.Reader) error {
-	if v := r.Uvarint(); r.Err() == nil && v != exactPayloadVersion {
-		return fmt.Errorf("oracle: unsupported exact payload version %d", v)
-	}
-	x.elements = r.Varint()
-	n := r.Len(maxLen)
-	x.users = make([]stream.UserID, 0, min(n, 1<<16))
-	x.sets = make(map[stream.UserID][]stream.UserID, min(n, 1<<16))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		u := stream.UserID(r.Uvarint())
-		ns := r.Len(maxLen)
-		set := make([]stream.UserID, 0, min(ns, 1<<20))
-		for j := 0; j < ns && r.Err() == nil; j++ {
-			set = append(set, stream.UserID(r.Uvarint()))
-		}
-		x.users = append(x.users, u)
-		x.sets[u] = set
-	}
-	x.dirty = true
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("oracle: restoring exact oracle: %w", err)
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ var persistCases = []struct {
 	}},
 	{"blogwatch", func() Oracle { return NewSwap(4, nil, false) }},
 	{"mkc", func() Oracle { return NewSwap(4, nil, true) }},
-	{"exact", func() Oracle { return NewExact(3, nil) }},
 }
 
 // persistElements yields a deterministic element stream with growing

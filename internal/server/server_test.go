@@ -179,10 +179,12 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSchema, wantRows, err := plan.Materialize(query.Env{Current: &got})
+			rel, err := plan.Open(query.Env{Current: &got})
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantSchema := rel.Schema()
+			wantRows, _ := query.Collect(rel, 0)
 			if !reflect.DeepEqual(res.Columns, []string(wantSchema)) {
 				t.Errorf("query columns = %v, want %v", res.Columns, wantSchema)
 			}

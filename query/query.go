@@ -12,9 +12,9 @@
 // scan → filter → top-k touches every input row exactly once and
 // materializes nothing but the k rows it keeps, so its allocation cost is
 // O(k) — independent of snapshot size. The eager reference evaluator
-// (Plan.Materialize) computes identical results by materializing every
-// intermediate relation; it exists to pin correctness in tests and to
-// quantify what laziness saves (internal/bench's query experiment).
+// (Plan.Materialize, in reference_test.go) computes identical results by
+// materializing every intermediate relation; it lives on the test side, where
+// it pins correctness and BenchmarkQueryTopK quantifies what laziness saves.
 //
 // # Why snapshots
 //

@@ -9,9 +9,10 @@ import (
 // Materialize evaluates the plan eagerly: every source and every operator
 // produces a fully materialized row slice before the next stage runs, joins
 // are nested loops, and top-k is a full stable sort followed by a cut. It is
-// deliberately an independent implementation of the plan semantics — the
-// property tests check the lazy pipeline against it bit for bit, and the
-// bench harness uses it as the baseline that quantifies what laziness saves.
+// deliberately an independent implementation of the plan semantics, kept
+// beside the tests that use it: the property tests check the lazy pipeline
+// against it bit for bit, and BenchmarkQueryTopK uses it as the baseline that
+// quantifies what laziness saves.
 func (p *Plan) Materialize(env Env) (Schema, []Row, error) {
 	if env.Current == nil {
 		return nil, nil, fmt.Errorf("query: no snapshot to query")

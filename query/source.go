@@ -201,8 +201,7 @@ func CompareCheckpoints(old, cur *sim.Snapshot) Relation {
 	return &sliceRelation{schema: compareCheckpointsSchema, rows: rows}
 }
 
-// sliceRelation serves precomputed rows (the compare sources, the eager
-// reference evaluator's intermediates, and Rows).
+// sliceRelation serves precomputed rows (the compare sources and Rows).
 type sliceRelation struct {
 	schema Schema
 	rows   []Row

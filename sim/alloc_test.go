@@ -12,18 +12,15 @@ import (
 // TestIngestAllocCeiling is the allocation guard of the ingest hot path:
 // simbench's smoke-scale tput stream (SYN-O, 8000 actions) through the three
 // configurations that experiment prints, a slide per ProcessAll call, must
-// stay under 4.5 heap allocations per action. The engine measured 3.60
-// (SIC), 3.60 (IC) and 3.54 (SIC, BatchSize = slide) — mostly window fill —
-// when the ceiling was set at that times 1.25 (one allocation added per
-// action to core.Framework.Process read 4.60 and failed), and 2.84, 2.80 and
-// 2.86 since the sieve grids' gain bounds became rows (PR 26, which left the
-// ceiling where it was: it now takes nearly two added allocations to fail).
-// The count is deterministic: no baseline file, no tolerance to tune.
+// stay under 3.5 heap allocations per action — mostly window fill. The
+// engine measures 2.84 (SIC), 2.80 (IC) and 2.86 (SIC, BatchSize = slide),
+// so one allocation added per action fails it. The count is deterministic:
+// no baseline file, no tolerance to tune.
 func TestIngestAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const ceiling = 4.5
+	const ceiling = 3.5
 	const slide = 50
 	actions := gen.Stream(gen.SynO(2000, 8000, 2000, 1))
 	for _, c := range []struct {

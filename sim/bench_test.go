@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -51,35 +52,44 @@ func BenchmarkIngestIC(b *testing.B) { benchIngest(b, sim.IC) }
 // L 50, β 0.1, TwitterLike over 8000 users, seed 1), in process: a window of
 // warm-up, then four windows through ProcessAll in the workload's
 // 2000-action requests. ns/op over actions/op is the µs per action that
-// predicts `bulk`'s ack time, readable without booting a server.
+// predicts `bulk`'s ack time, readable without booting a server. batch=1 is
+// the served configuration; batch=2000 sets BatchSize to the request size,
+// so the two price batching in cost and, through the final value each
+// reports, in quality.
 func BenchmarkIngestBulkShape(b *testing.B) {
 	const window, request = 8000, 2000
 	actions := gen.Stream(gen.TwitterLike(8000, 5*window, window, 1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tr, err := sim.New(sim.Config{
-			K: 50, WindowSize: window, Slide: 50, Beta: 0.1, Framework: sim.SIC,
-			Oracle: sim.SieveStreaming, BatchSize: 1, ExpectedUsers: 8000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.ProcessAll(actions[:window]); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for off := window; off < len(actions); off += request {
-			if err := tr.ProcessAll(actions[off : off+request]); err != nil {
-				b.Fatal(err)
+	for _, batch := range []int{1, request} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			var value float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr, err := sim.New(sim.Config{
+					K: 50, WindowSize: window, Slide: 50, Beta: 0.1, Framework: sim.SIC,
+					Oracle: sim.SieveStreaming, BatchSize: batch, ExpectedUsers: 8000,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tr.ProcessAll(actions[:window]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for off := window; off < len(actions); off += request {
+					if err := tr.ProcessAll(actions[off : off+request]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if value = tr.Value(); value <= 0 {
+					b.Fatal("tracker made no progress")
+				}
+				tr.Close()
+				b.StartTimer()
 			}
-		}
-		b.StopTimer()
-		if tr.Value() <= 0 {
-			b.Fatal("tracker made no progress")
-		}
-		tr.Close()
-		b.StartTimer()
+			b.ReportMetric(float64(len(actions)-window), "actions/op")
+			b.ReportMetric(value, "value")
+		})
 	}
-	b.ReportMetric(float64(len(actions)-window), "actions/op")
 }
