@@ -6,11 +6,20 @@
 //	simctl -addr http://localhost:8384 health
 //	simctl list
 //	simctl seeds default
-//	simgen -preset syn-o -actions 1000 -format ndjson | simctl ingest default -
+//	simctl ingest default actions.tsv
+//	tail -F actions.log | simctl ingest default -
 //	echo '{"plan":{"scan":"seeds","ops":[{"op":"topk","col":"influence","k":3,"desc":true}]}}' |
 //	    simctl query default -
 //	simctl influence default 42
 //	simctl candidates default -ranked
+//
+// ingest reads TSV or NDJSON (NDJSON with string users under -names) as it
+// arrives and POSTs it in chunks of 1 000 actions, sending a partial chunk
+// whenever the input has been quiet for 200 ms — so a file of any size, or a
+// live feed that never ends, enters the tracker through POST /actions. It
+// prints one response at EOF: accepted summed over the chunks, processed
+// from the last. A malformed record stops it before its chunk is sent;
+// the chunks before it stay applied, and the error names the record.
 //
 // Non-2xx responses exit 1 and print the server's error envelope (message +
 // HTTP status) on stderr, so smoke scripts can assert the error contract.
@@ -25,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"repro/api"
 	"repro/internal/dataio"
@@ -47,7 +57,9 @@ commands:
   candidates <tracker> [-ranked]
                              GET /v1/trackers/{name}/candidates (shard-local seed pool; -ranked:
                              what a simserve hands a router — its greedy picks with gains, no sets)
-  ingest <tracker> <file>    POST NDJSON actions ("-" = stdin; string users with -names)
+  ingest <tracker> <file>    POST TSV or NDJSON actions in 1000-action chunks, flushing a
+                             partial chunk after 200ms of quiet input ("-" = stdin;
+                             NDJSON with string users under -names)
   query <tracker> <file>     POST a JSON plan ("-" = stdin; bare plan or {"plan":...,"limit":N})
 
 -router points -addr at a simrouter instead of a simserve: health decodes
@@ -208,30 +220,101 @@ func openArg(args []string, i int) (io.Reader, func(), error) {
 	return f, func() { f.Close() }, nil
 }
 
-// ingest decodes the NDJSON stream client-side (mirroring the server's
-// strict parsing, so errors name the offending record before any bytes hit
-// the wire) and submits it as one batch.
+// ingestChunk is how many actions simctl ingest sends per POST, and
+// ingestIdle how long the input may stay quiet before a partial chunk is
+// sent anyway, so a live feed is served without waiting for a full chunk.
+const (
+	ingestChunk = 1000
+	ingestIdle  = 200 * time.Millisecond
+)
+
+// ingest decodes the stream client-side as it arrives — TSV or NDJSON
+// (dataio.ReadAuto), or name-mode NDJSON — and POSTs it in chunks, so its
+// size is bounded by neither the server's body cap nor EOF. A decode error
+// is reported before the chunk it falls in is sent; earlier chunks stay
+// applied. The result sums Accepted over the chunks and carries the last
+// chunk's Processed; input without actions is sent as one empty batch.
 func ingest(ctx context.Context, c *api.Client, tracker string, names bool, r io.Reader) (api.IngestResponse, error) {
 	if names {
-		var batch []api.NamedAction
-		err := dataio.ReadNDJSONNamed(r, func(a api.NamedAction) bool {
-			batch = append(batch, a)
-			return true
+		return feed(ctx, r, dataio.ReadNDJSONNamed, func(b []api.NamedAction) (api.IngestResponse, error) {
+			return c.IngestNamed(ctx, tracker, b)
 		})
-		if err != nil {
-			return api.IngestResponse{}, err
-		}
-		return c.IngestNamed(ctx, tracker, batch)
 	}
-	var batch []sim.Action
-	err := dataio.ReadNDJSON(r, func(a sim.Action) bool {
-		batch = append(batch, a)
-		return true
+	return feed(ctx, r, dataio.ReadAuto, func(b []sim.Action) (api.IngestResponse, error) {
+		return c.Ingest(ctx, tracker, b)
 	})
-	if err != nil {
-		return api.IngestResponse{}, err
+}
+
+// feed runs read on its own goroutine and posts what it decodes in chunks
+// of ingestChunk, plus a partial chunk whenever the input has been quiet
+// for ingestIdle.
+func feed[A any](ctx context.Context, r io.Reader, read func(io.Reader, func(A) bool) error,
+	post func([]A) (api.IngestResponse, error)) (api.IngestResponse, error) {
+	// A chunk of buffer lets decoding run ahead while a POST is in flight.
+	recs := make(chan A, ingestChunk)
+	readErr := make(chan error, 1)
+	// stop ends the reader at its next action when feed returns early; a
+	// reader blocked in Read on a quiet input stays blocked until the
+	// process exits.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		readErr <- read(r, func(a A) bool {
+			select {
+			case recs <- a:
+				return true
+			case <-stop:
+				return false
+			}
+		})
+		close(recs)
+	}()
+
+	var out api.IngestResponse
+	batch := make([]A, 0, ingestChunk)
+	send := func() error {
+		resp, err := post(batch)
+		if err != nil {
+			return err
+		}
+		out.Accepted += resp.Accepted
+		out.Processed = resp.Processed
+		batch = batch[:0]
+		return nil
 	}
-	return c.Ingest(ctx, tracker, batch)
+	idle := time.NewTimer(ingestIdle)
+	defer idle.Stop()
+	for {
+		select {
+		case a, ok := <-recs:
+			if !ok {
+				if err := <-readErr; err != nil {
+					return out, err
+				}
+				// Nothing sent yet: an empty POST still reports processed.
+				var err error
+				if len(batch) > 0 || out.Accepted == 0 {
+					err = send()
+				}
+				return out, err
+			}
+			batch = append(batch, a)
+			if len(batch) == ingestChunk {
+				if err := send(); err != nil {
+					return out, err
+				}
+			}
+			idle.Reset(ingestIdle)
+		case <-idle.C:
+			if len(batch) > 0 {
+				if err := send(); err != nil {
+					return out, err
+				}
+			}
+		case <-ctx.Done():
+			return out, ctx.Err()
+		}
+	}
 }
 
 // readQueryRequest accepts either the full {"plan": ..., "limit": N}

@@ -1,0 +1,233 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/api"
+	"repro/internal/dataio"
+	"repro/internal/gen"
+	"repro/internal/server"
+	"repro/sim"
+)
+
+// serve starts a server with one tracker, "default", built from spec, and
+// returns a client for it plus the number of ingest POSTs it has received.
+func serve(t *testing.T, spec api.Spec) (*api.Client, *atomic.Int64) {
+	t.Helper()
+	reg := server.NewRegistry()
+	if _, err := reg.Add("default", spec); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg)
+	posts := new(atomic.Int64)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/actions") {
+			posts.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	return api.NewClient(hs.URL), posts
+}
+
+var testSpec = api.Spec{K: 5, Window: 1000}
+
+func testStream() []sim.Action { return gen.Stream(gen.SynO(500, 2500, 1000, 1)) }
+
+// writeFile writes data to a fresh file and returns its path.
+func writeFile(t *testing.T, data []byte) string {
+	t.Helper()
+	path := t.TempDir() + "/actions"
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// ingestFile runs `simctl ingest default <path>`.
+func ingestFile(c *api.Client, names bool, path string) (api.IngestResponse, error) {
+	out, err := run(context.Background(), c, names, false, "ingest", []string{"default", path})
+	if err != nil {
+		return api.IngestResponse{}, err
+	}
+	return out.(api.IngestResponse), nil
+}
+
+// checkServed asserts that the served seeds and value are those of a
+// tracker that applied actions in simctl's chunks, one ProcessAll each.
+func checkServed(t *testing.T, c *api.Client, actions []sim.Action) {
+	t.Helper()
+	ref, err := sim.New(testSpec.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for i := 0; i < len(actions); i += ingestChunk {
+		if err := ref.ProcessAll(actions[i:min(i+ingestChunk, len(actions))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	seeds, err := c.Seeds(ctx, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	value, err := c.Value(ctx, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeds.Processed != int64(len(actions)) || !reflect.DeepEqual(seeds.Seeds, ref.Seeds()) || value.Value != ref.Value() {
+		t.Fatalf("served processed=%d seeds=%v value=%g, want processed=%d seeds=%v value=%g",
+			seeds.Processed, seeds.Seeds, value.Value, len(actions), ref.Seeds(), ref.Value())
+	}
+}
+
+// TestIngestChunks: both formats arrive in 1000-action POSTs, and the
+// tracker answers as if it had applied those chunks itself.
+func TestIngestChunks(t *testing.T) {
+	actions := testStream()
+	for _, format := range []struct {
+		name  string
+		write func(*bytes.Buffer, []sim.Action) error
+	}{
+		{"tsv", func(b *bytes.Buffer, a []sim.Action) error { return dataio.WriteTSV(b, a) }},
+		{"ndjson", func(b *bytes.Buffer, a []sim.Action) error { return dataio.WriteNDJSON(b, a) }},
+	} {
+		t.Run(format.name, func(t *testing.T) {
+			c, posts := serve(t, testSpec)
+			var buf bytes.Buffer
+			if err := format.write(&buf, actions); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := ingestFile(c, false, writeFile(t, buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp != (api.IngestResponse{Accepted: 2500, Processed: 2500}) || posts.Load() != 3 {
+				t.Fatalf("response %+v over %d POSTs, want 2500/2500 over 3", resp, posts.Load())
+			}
+			checkServed(t, c, actions)
+		})
+	}
+}
+
+// TestIngestNames: name-mode NDJSON is interned by the server in order of
+// first appearance, so its seeds are the numeric stream's, renumbered.
+func TestIngestNames(t *testing.T) {
+	spec := testSpec
+	spec.Names = true
+	c, posts := serve(t, spec)
+	actions := testStream()
+	named := make([]api.NamedAction, len(actions))
+	dense := make([]sim.Action, len(actions))
+	ids := map[sim.UserID]sim.UserID{}
+	for i, a := range actions {
+		named[i] = api.NamedAction{ID: a.ID, User: fmt.Sprintf("u%d", a.User), Parent: a.Parent}
+		if _, ok := ids[a.User]; !ok {
+			ids[a.User] = sim.UserID(len(ids))
+		}
+		dense[i] = sim.Action{ID: a.ID, User: ids[a.User], Parent: a.Parent}
+	}
+	var buf bytes.Buffer
+	if err := dataio.WriteNDJSONNamed(&buf, named); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ingestFile(c, true, writeFile(t, buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp != (api.IngestResponse{Accepted: 2500, Processed: 2500}) || posts.Load() != 3 {
+		t.Fatalf("response %+v over %d POSTs, want 2500/2500 over 3", resp, posts.Load())
+	}
+	checkServed(t, c, dense)
+}
+
+// TestIngestEmpty: input without actions is one empty POST, so the
+// tracker's processed count is still printed.
+func TestIngestEmpty(t *testing.T) {
+	c, posts := serve(t, testSpec)
+	resp, err := ingestFile(c, false, writeFile(t, []byte("\n")))
+	if err != nil || resp != (api.IngestResponse{}) || posts.Load() != 1 {
+		t.Fatalf("ingest = %+v, %v over %d POSTs, want 0/0 over 1", resp, err, posts.Load())
+	}
+}
+
+// TestIngestDecodeError: a malformed record stops the ingest before its
+// chunk is sent, the chunks before it stay applied, and the error names it.
+func TestIngestDecodeError(t *testing.T) {
+	c, posts := serve(t, testSpec)
+	actions := testStream()
+	var buf bytes.Buffer
+	if err := dataio.WriteTSV(&buf, actions); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	lines[1699] = "1700\tnot-a-user\t-1\n"
+	_, err := ingestFile(c, false, writeFile(t, []byte(strings.Join(lines, ""))))
+	if err == nil || !strings.Contains(err.Error(), "line 1700") {
+		t.Fatalf("err = %v, want one naming line 1700", err)
+	}
+	if posts.Load() != 1 {
+		t.Fatalf("%d POSTs, want 1: the broken chunk must not be sent", posts.Load())
+	}
+	checkServed(t, c, actions[:1000])
+}
+
+// TestIngestLiveFeed: actions written to an open pipe are served without
+// waiting for a full chunk or for EOF.
+func TestIngestLiveFeed(t *testing.T) {
+	c, posts := serve(t, testSpec)
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdin := os.Stdin
+	os.Stdin = pr
+	t.Cleanup(func() { os.Stdin = stdin; pr.Close() })
+
+	type result struct {
+		resp api.IngestResponse
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := ingestFile(c, false, "-")
+		done <- result{resp, err}
+	}()
+	if _, err := pw.WriteString("1\t7\t-1\n2\t8\t1\n3\t9\t-1\n"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	deadline := time.Now().Add(time.Second)
+	for {
+		v, err := c.Value(ctx, "default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Processed == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("processed = %d one second after the pipe was written, want 3", v.Processed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	pw.Close()
+	res := <-done
+	if res.err != nil || res.resp != (api.IngestResponse{Accepted: 3, Processed: 3}) || posts.Load() != 1 {
+		t.Fatalf("ingest = %+v, %v over %d POSTs, want 3/3 over 1", res.resp, res.err, posts.Load())
+	}
+}

@@ -7,29 +7,21 @@
 //	simgen -preset twitter -users 10000 -actions 100000 > twitter.tsv
 //	simgen -preset syn-o -actions 50000 -format ndjson -out syn.ndjson
 //
-// With -post, simgen becomes a load generator: instead of writing a file it
-// POSTs the stream as NDJSON chunks to a running simserve instance and
-// reports the achieved ingest rate —
+// simgen only writes streams; simctl ingest feeds one to a running simserve:
 //
-//	simserve -addr :8384 -k 10 -window 50000 &
-//	simgen -preset syn-o -actions 100000 -post http://localhost:8384/v1/trackers/default/actions
+//	simgen -preset syn-o -actions 100000 | simctl ingest default -
 //
 // Presets: reddit, twitter, syn-o, syn-n (package internal/gen says how each
 // relates to the paper's datasets: ARCHITECTURE.md "Paper section → package map").
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/dataio"
 	"repro/internal/gen"
-	"repro/internal/stream"
 )
 
 func main() {
@@ -41,8 +33,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		format  = flag.String("format", "tsv", "output format: tsv or ndjson")
 		out     = flag.String("out", "", "output path (default stdout)")
-		post    = flag.String("post", "", "load-generator mode: POST the stream as NDJSON chunks to this simserve ingest URL instead of writing it")
-		chunk   = flag.Int("chunk", 1000, "actions per POST in -post mode")
 	)
 	flag.Parse()
 
@@ -62,14 +52,6 @@ func main() {
 	}
 
 	actionsOut := gen.Stream(cfg)
-
-	if *post != "" {
-		if err := drive(*post, actionsOut, *chunk); err != nil {
-			fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	w := os.Stdout
 	if *out != "" {
@@ -95,36 +77,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// drive is the load-generator mode: POST the stream to a simserve ingest
-// endpoint in NDJSON chunks and report the end-to-end ingest rate.
-func drive(url string, actions []stream.Action, chunk int) error {
-	if chunk < 1 {
-		chunk = 1
-	}
-	client := &http.Client{Timeout: 60 * time.Second}
-	start := time.Now()
-	var buf bytes.Buffer
-	for i := 0; i < len(actions); i += chunk {
-		end := min(i+chunk, len(actions))
-		buf.Reset()
-		if err := dataio.WriteNDJSON(&buf, actions[i:end]); err != nil {
-			return err
-		}
-		resp, err := client.Post(url, "application/x-ndjson", &buf)
-		if err != nil {
-			return fmt.Errorf("chunk at %d: %w", i, err)
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("chunk at %d: status %d: %s", i, resp.StatusCode, bytes.TrimSpace(body))
-		}
-	}
-	elapsed := time.Since(start)
-	rate := float64(len(actions)) / elapsed.Seconds()
-	fmt.Printf("posted %d actions in %d chunks over %v (%.0f actions/s)\n",
-		len(actions), (len(actions)+chunk-1)/chunk, elapsed.Round(time.Millisecond), rate)
-	return nil
 }

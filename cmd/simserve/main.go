@@ -19,9 +19,11 @@
 //	curl -s localhost:8384/v1/trackers/default/seeds
 //	curl -s localhost:8384/metrics
 //
-// -replay feeds a recorded stream (TSV or NDJSON; "-" for stdin) through the
-// same ingest path at startup; -follow keeps tailing the file for appended
-// actions, turning a growing log into a live feed.
+// A recorded stream of any size, or a growing log, is fed with simctl
+// ingest (TSV or NDJSON, in chunks over the same POST /actions):
+//
+//	simctl ingest default actions.tsv
+//	tail -F actions.log | simctl ingest default -
 //
 // -data-dir enables durability: each tracker keeps a SIM2 snapshot plus a
 // write-ahead log under <dir>/<name>/, appends every applied batch to the
@@ -34,20 +36,18 @@
 // The recovered tracker continues exactly as the uninterrupted one would
 // have, at any -batch, provided it restarts with the same -batch.
 //
-// (Re-running -replay of a static file against a recovered tracker will
-// report stream-order conflicts: those actions are already ingested.)
+// (Re-ingesting a static file into a recovered tracker fails with a 409
+// stream-order conflict: those actions are already ingested.)
 //
-// On SIGTERM/SIGINT the server shuts the listener down, stops the replay
-// follower, drains every tracker's ingest queue, takes a final snapshot of
-// durable trackers, and only then exits — no accepted action is lost.
+// On SIGTERM/SIGINT the server shuts the listener down, drains every
+// tracker's ingest queue, takes a final snapshot of durable trackers, and
+// only then exits — no accepted action is lost.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/dataio"
 	"repro/internal/fault"
 	"repro/internal/server"
 	"repro/sim"
@@ -77,9 +76,6 @@ func main() {
 		batch     = flag.Int("batch", 0, "sim ingestion batch size within each submitted batch (1 = per-action)")
 		users     = flag.Int("users", 0, "expected distinct users (stream index pre-sizing hint)")
 		queue     = flag.Int("queue", 0, "ingest queue capacity in batches (0 = default 256)")
-		replay    = flag.String("replay", "", "replay a stream file (TSV/NDJSON, \"-\" = stdin) into the flag-built tracker")
-		follow    = flag.Bool("follow", false, "keep tailing the -replay file for appended actions")
-		chunk     = flag.Int("replay-chunk", 512, "actions per replay ingest batch")
 		dataDir   = flag.String("data-dir", "", "durability root: per-tracker snapshot + write-ahead log under <dir>/<name>/; on boot, trackers recover their state from it")
 		snapBytes = flag.Int64("wal-snapshot-bytes", 0, "WAL size triggering snapshot+truncate for the flag-built tracker (0 = default 4 MiB)")
 		spillDir  = flag.String("spill-dir", "", "cold-tier root: per-tracker spilled segment files under <dir>/<name>/ (default with -data-dir: <data-dir>/<name>/spill)")
@@ -150,15 +146,6 @@ func main() {
 			MemoryBudgetBytes: *memBudget,
 		}
 	}
-	if *replay != "" {
-		sp, ok := specs[*name]
-		if !ok {
-			fatalf("-replay targets unknown tracker %q", *name)
-		}
-		if err := checkReplayTarget(sp); err != nil {
-			fatalf("-replay into tracker %q: %v", *name, err)
-		}
-	}
 	for sname, sp := range specs {
 		t, err := reg.Add(sname, sp)
 		if err != nil {
@@ -174,14 +161,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	replayDone := make(chan error, 1)
-	if *replay != "" {
-		t, _ := reg.Get(*name) // checked against specs above
-		go func() { replayDone <- runReplay(ctx, t, *replay, *follow, *chunk) }()
-	} else {
-		replayDone <- nil
-	}
-
 	httpDone := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s", *addr)
@@ -196,14 +175,11 @@ func main() {
 	}
 
 	// Graceful drain: stop accepting connections and let in-flight requests
-	// finish, stop the replay follower, then drain every ingest queue.
+	// finish, then drain every ingest queue.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
-	}
-	if err := <-replayDone; err != nil && !errors.Is(err, context.Canceled) {
-		log.Printf("replay: %v", err)
 	}
 	if err := srv.Close(); err != nil {
 		log.Printf("drain: %v", err)
@@ -225,132 +201,6 @@ func logRecovery(t *server.Tracked) {
 	snap := t.Snapshot()
 	log.Printf("tracker %q: recovered processed=%d (snapshot: loaded=%v processed=%d; wal: %d batches, %d actions)",
 		t.Name(), snap.Processed, info.SnapshotLoaded, info.SnapshotProcessed, info.WALBatches, info.WALActions)
-}
-
-// checkReplayTarget refuses -replay into a name-mode tracker. The replay
-// reader yields numeric user IDs and Submit takes them as already interned,
-// so they would share one ID space with the dense IDs the intern table hands
-// to HTTP ingest — the mix api.Spec.Names promises cannot happen.
-func checkReplayTarget(sp api.Spec) error {
-	if sp.Names {
-		return errors.New("the tracker is in name mode and -replay feeds numeric user IDs past its intern table: " +
-			"seeds would come back without names, and the WAL would log IDs no name of the table was ever given; " +
-			"POST the stream to /v1/trackers/<name>/actions instead")
-	}
-	return nil
-}
-
-// runReplay streams a recorded action log into t through the same bounded
-// ingest queue the HTTP path uses, in chunks of chunkSize. With follow, the
-// reader keeps tailing the file for appended bytes until ctx is canceled,
-// and a partially filled chunk is flushed whenever the feed goes idle so
-// served answers never lag a paused producer. The final flush runs even
-// after ctx cancellation (drain semantics: whatever was read is fed before
-// the tracker shuts down — main closes the registry only after runReplay
-// returns).
-func runReplay(ctx context.Context, t *server.Tracked, path string, follow bool, chunkSize int) error {
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	batch := make([]sim.Action, 0, chunkSize)
-	count := 0
-	flush := func(fctx context.Context) error {
-		if len(batch) == 0 {
-			return nil
-		}
-		for {
-			_, err := t.Submit(fctx, batch)
-			if err == nil {
-				batch = batch[:0]
-				return nil
-			}
-			if errors.Is(err, server.ErrOverloaded) {
-				// Admission control shed the batch: the replay producer is
-				// exactly the kind of bulk feeder that should yield to live
-				// HTTP traffic, not die. Back off and resubmit.
-				select {
-				case <-fctx.Done():
-				case <-time.After(100 * time.Millisecond):
-					continue
-				}
-			}
-			// Keep the batch: a cancellation-aborted submit is retried by
-			// the final context.Background() drain flush.
-			return fmt.Errorf("after %d actions: %w", count, err)
-		}
-	}
-	if follow {
-		// onIdle runs on this goroutine, between decoder Read calls, so it
-		// may safely flush the partial chunk accumulated so far.
-		r = &tailReader{ctx: ctx, r: r, poll: 200 * time.Millisecond,
-			onIdle: func() error { return flush(ctx) }}
-	}
-	var subErr error
-	err := dataio.ReadAuto(r, func(a sim.Action) bool {
-		batch = append(batch, a)
-		count++
-		if len(batch) >= chunkSize {
-			if subErr = flush(ctx); subErr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if subErr != nil && !errors.Is(subErr, context.Canceled) {
-		// A real ingest error (bad IDs, closed tracker): the kept batch
-		// would only fail again, so report it. Cancellation instead falls
-		// through to the drain flush below.
-		return subErr
-	}
-	if err != nil {
-		return err
-	}
-	// Deliberately not ctx: a SIGTERM that ended a -follow tail (or aborted
-	// a mid-stream flush) must not drop the last partial chunk on the floor.
-	if err := flush(context.Background()); err != nil {
-		return err
-	}
-	log.Printf("replay: fed %d actions from %s", count, path)
-	return nil
-}
-
-// tailReader turns EOF into "wait for more": on underlying EOF it invokes
-// onIdle (flushing replay's partial chunk), then sleeps and retries until
-// its context is canceled, at which point it reports EOF for real. This is
-// what makes -follow a live file feed.
-type tailReader struct {
-	ctx    context.Context
-	r      io.Reader
-	poll   time.Duration
-	onIdle func() error
-}
-
-func (t *tailReader) Read(p []byte) (int, error) {
-	for {
-		n, err := t.r.Read(p)
-		if n > 0 || (err != nil && err != io.EOF) {
-			return n, err
-		}
-		if t.onIdle != nil {
-			if err := t.onIdle(); err != nil {
-				return 0, io.EOF // surface via replay's final flush path
-			}
-		}
-		select {
-		case <-t.ctx.Done():
-			return 0, io.EOF
-		case <-time.After(t.poll):
-		}
-	}
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -86,15 +86,20 @@ func ReadTSV(r io.Reader, visit func(stream.Action) bool) error {
 // is zero actions in any format and succeeds.
 func ReadAuto(r io.Reader, visit func(stream.Action) bool) error {
 	br := bufio.NewReaderSize(r, 1<<20)
-	// Peek far enough to see past leading whitespace. 512 bytes of pure
-	// whitespace before any payload byte means the input is effectively
-	// blank whatever the format; TSV handles that as zero actions.
-	head, _ := br.Peek(512)
-	for _, b := range head {
-		if b == ' ' || b == '\t' || b == '\r' || b == '\n' {
-			continue
+	// Peek one byte further at a time, so a live feed is decided by its
+	// first payload byte instead of waiting for a full sniff window. 512
+	// bytes of pure whitespace before any payload byte means the input is
+	// effectively blank whatever the format; TSV handles that as zero
+	// actions.
+	for n := 1; n <= 512; n++ {
+		head, _ := br.Peek(n)
+		if len(head) < n {
+			break
 		}
-		if b == '{' {
+		switch head[n-1] {
+		case ' ', '\t', '\r', '\n':
+			continue
+		case '{':
 			return ReadNDJSON(br, visit)
 		}
 		break

@@ -2,10 +2,12 @@ package dataio
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/stream"
@@ -77,6 +79,34 @@ func TestReadAutoDetectsBoth(t *testing.T) {
 	got, err = ReadAll(&tsv)
 	if err != nil || len(got) != 4 {
 		t.Fatalf("auto tsv: %v %v", got, err)
+	}
+}
+
+// TestReadAutoLiveFeed: on an open pipe, one complete record is visited
+// without waiting for more input or EOF, in either format.
+func TestReadAutoLiveFeed(t *testing.T) {
+	for _, line := range []string{"1\t7\t-1\n", "{\"id\":1,\"user\":7}\n"} {
+		pr, pw := io.Pipe()
+		got := make(chan stream.Action, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- ReadAuto(pr, func(a stream.Action) bool { got <- a; return true })
+		}()
+		if _, err := pw.Write([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case a := <-got:
+			if a != (stream.Action{ID: 1, User: 7, Parent: stream.NoParent}) {
+				t.Errorf("%q: visited %+v", line, a)
+			}
+		case <-time.After(500 * time.Millisecond):
+			t.Errorf("%q: not visited within 500ms of being written", line)
+		}
+		pw.Close()
+		if err := <-done; err != nil {
+			t.Errorf("%q: %v", line, err)
+		}
 	}
 }
 

@@ -510,8 +510,7 @@ func (t *Tracked) Submit(ctx context.Context, batch []sim.Action) (processed int
 // later snapshots' Processed counts rather than to the caller. The bounded
 // queue still applies backpressure: SubmitAsync blocks while it is full.
 // For embedded producers that want to pipeline ingest ahead of the loop;
-// the HTTP and replay paths use the synchronous Submit so errors reach the
-// producer.
+// the HTTP path uses the synchronous Submit so errors reach the producer.
 func (t *Tracked) SubmitAsync(ctx context.Context, batch []sim.Action) error {
 	return t.enqueue(ctx, command{batch: batch})
 }
