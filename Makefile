@@ -69,9 +69,9 @@ cluster-smoke:
 spill-smoke:
 	sh ./scripts/spill_smoke.sh
 
-# Short fuzz runs of the four hand-written parsers (also a CI step): the
-# SIM2 snapshot container, the stream-format sniffer, the -fault rule grammar
-# and the WAL. Seed corpora live in testdata/fuzz/; new crashers land there too.
+# Short fuzz runs of the five hand-written parsers (also a CI step): the
+# SIM2 snapshot container, the stream-format sniffer, the cold-segment
+# parser, the -fault rule grammar and the WAL. Seed corpora live in testdata/fuzz/; new crashers land there too.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/

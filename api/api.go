@@ -25,6 +25,12 @@
 //	POST /v1/trackers/{name}/query               QueryRequest -> QueryResponse
 //	GET  /metrics                                Prometheus text format
 //
+// TrackerMetricsResponse embeds sim.Counters, the counters sim.Snapshot ends
+// with, and /metrics is the same value again: per tracker, one
+// simserve_<tag>{tracker="<name>"} series for every field with a metric
+// tag, plus the snapshot's processed, value, checkpoints and elements_fed
+// and the serving state as a number.
+//
 // A scatter-gather router (cmd/simrouter) serves the same tracker routes
 // over a shard fleet — every one except {name} itself, {name}/metrics and
 // /metrics — plus a cluster-shaped GET /v1/healthz (ClusterHealthResponse).
@@ -116,10 +122,9 @@ type Spec struct {
 	// segment files at the window's expiry boundary and fault back in on
 	// demand (sim.Config.MemoryBudgetBytes). Answers are bit-identical
 	// with or without a budget; only memory residency and I/O change. 0
-	// (the default) never spills. Requires a spill directory — the
-	// server's -spill-dir flag, or durability (the tracker then spills
-	// under <data-dir>/<name>/spill); a budget without either refuses the
-	// tracker at startup.
+	// (the default) never spills. Requires durability: the tracker spills
+	// under <data-dir>/<name>/spill, and a budget without a data dir
+	// refuses the tracker at startup.
 	MemoryBudgetBytes int64 `json:"memory_budget_bytes,omitempty"`
 }
 
@@ -382,60 +387,36 @@ type ClusterHealthResponse struct {
 }
 
 // TrackerMetricsResponse answers GET /v1/trackers/{name}/metrics: the
-// tracker's self-healing and admission-control counters, for operators
-// and tests that need more than the coarse /stats view.
+// tracker's serving state, its self-healing and admission-control counters
+// and the engine's sim.Counters — the typed form of the tracker's /metrics
+// series, for operators and tests that need more than the coarse /stats
+// view. A field's metric tag names its /metrics series after "simserve_",
+// as on sim.Counters.
 type TrackerMetricsResponse struct {
 	// State is the serving state: "ok", "degraded-readonly" or
 	// "recovering" (see HealthResponse.States).
 	State string `json:"state"`
 	// SnapshotRetries counts failed snapshot-write attempts (each is
 	// retried with capped exponential backoff).
-	SnapshotRetries int64 `json:"snapshot_retries"`
+	SnapshotRetries int64 `json:"snapshot_retries" metric:"snapshot_retries_total"`
 	// WALRearms counts successful durability re-arms: a fresh covering
 	// snapshot published and the WAL recreated empty after a poisoning.
-	WALRearms int64 `json:"wal_rearms"`
+	WALRearms int64 `json:"wal_rearms" metric:"wal_rearms_total"`
 	// ShedRequests counts ingests rejected with 429 because the queue
 	// stayed full past the enqueue deadline.
-	ShedRequests int64 `json:"shed_requests"`
+	ShedRequests int64 `json:"shed_requests" metric:"shed_total"`
 	// QueueDepthHighWater is the deepest the ingest queue has been.
-	QueueDepthHighWater int64 `json:"queue_depth_high_water"`
+	QueueDepthHighWater int64 `json:"queue_depth_high_water" metric:"queue_high_water"`
 	// QueueDepth / QueueCapacity mirror the live /stats values.
-	QueueDepth    int `json:"queue_depth"`
-	QueueCapacity int `json:"queue_capacity"`
+	QueueDepth    int `json:"queue_depth" metric:"queue_depth"`
+	QueueCapacity int `json:"queue_capacity" metric:"queue_capacity"`
 	// DurabilityError is the latest snapshot/WAL failure message, empty
 	// when healthy.
 	DurabilityError string `json:"durability_error,omitempty"`
-	// Tiered window state (see sim.Snapshot): the stream index's estimated
-	// resident footprint, the hot/cold split of contribution-log bytes,
-	// how much of the window currently lives in cold segment files, the
-	// cumulative spill passes and the cumulative cold-segment reads
-	// (query-triggered, residency-neutral). All zero without a memory
-	// budget.
-	ResidentBytes int64 `json:"resident_bytes"`
-	HotLogBytes   int64 `json:"hot_log_bytes"`
-	ColdLogBytes  int64 `json:"cold_log_bytes"`
-	ColdUsers     int   `json:"cold_users"`
-	ColdSegments  int   `json:"cold_segments"`
-	Spills        int64 `json:"spills"`
-	ColdFaults    int64 `json:"cold_faults"`
-	// Oracle-feed work since boot (see sim.Snapshot): how many of the
-	// elements fed to checkpoint oracles (/stats' elements_fed) had their
-	// influence set scanned against the candidate solutions' coverage, and
-	// how many members those scans probed.
-	Scans       int64 `json:"scans"`
-	ScanMembers int64 `json:"scan_members"`
-	// ElementsUnchanged counts, since boot, the (contributor, checkpoint)
-	// pairs ingest touched without changing the influence set and so did not
-	// feed; against /stats' elements_fed — which counts the changed sets, the
-	// only ones fed — it is the share of duplicate offers on this stream.
-	ElementsUnchanged int64 `json:"elements_unchanged"`
-	// How publishes since boot got the snapshot's candidate pool (see
-	// sim.Snapshot): read in full, or carried over from the previous
-	// snapshot with ViewRefreshed entries re-read. ViewReuses ÷ (ViewRebuilds
-	// + ViewReuses) is the hit rate of the incremental view.
-	ViewRebuilds  int64 `json:"view_rebuilds"`
-	ViewReuses    int64 `json:"view_reuses"`
-	ViewRefreshed int64 `json:"view_refreshed"`
+	// Counters are the tracker's counters as of its published snapshot:
+	// oracle-feed work, candidate-pool view and tiered window state since
+	// boot (the tier fields are all zero without a memory budget).
+	sim.Counters
 	// Boot recovery shape, for durable trackers: whether a snapshot was
 	// mapped in (cold segments re-adopted, not replayed) and how much WAL
 	// tail was replayed on top. The spill smoke test asserts segment-mapped

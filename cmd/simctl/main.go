@@ -13,13 +13,14 @@
 //	simctl influence default 42
 //	simctl candidates default -ranked
 //
-// ingest reads TSV or NDJSON (NDJSON with string users under -names) as it
-// arrives and POSTs it in chunks of 1 000 actions, sending a partial chunk
-// whenever the input has been quiet for 200 ms — so a file of any size, or a
-// live feed that never ends, enters the tracker through POST /actions. It
-// prints one response at EOF: accepted summed over the chunks, processed
-// from the last. A malformed record stops it before its chunk is sent;
-// the chunks before it stay applied, and the error names the record.
+// ingest reads TSV or NDJSON (NDJSON with string users when the tracker's
+// spec, as GET /v1/trackers lists it, is name-mode) as it arrives and POSTs
+// it in chunks of 1 000 actions, sending a partial chunk whenever the input
+// has been quiet for 200 ms — so a file of any size, or a live feed that
+// never ends, enters the tracker through POST /actions. It prints one
+// response at EOF: accepted summed over the chunks, processed from the last.
+// A malformed record stops it before its chunk is sent; the chunks before
+// it stay applied, and the error names the record.
 //
 // Non-2xx responses exit 1 and print the server's error envelope (message +
 // HTTP status) on stderr, so smoke scripts can assert the error contract.
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/api"
@@ -42,7 +44,7 @@ import (
 	"repro/sim"
 )
 
-const usage = `usage: simctl [-addr URL] [-names] [-router] [-timeout D] [-retries N] <command> [args]
+const usage = `usage: simctl [-addr URL] [-router] [-timeout D] [-retries N] <command> [args]
 
 commands:
   health                     GET /v1/healthz (cluster-shaped with -router)
@@ -53,13 +55,13 @@ commands:
   checkpoints <tracker>      GET /v1/trackers/{name}/checkpoints
   stats <tracker>            GET /v1/trackers/{name}/stats
   metrics <tracker>          GET /v1/trackers/{name}/metrics (state + self-healing counters)
-  influence <tracker> <user> GET /v1/trackers/{name}/influence (user: ID, or name with -names)
+  influence <tracker> <user> GET /v1/trackers/{name}/influence (user: ID, or name on a name-mode tracker)
   candidates <tracker> [-ranked]
                              GET /v1/trackers/{name}/candidates (shard-local seed pool; -ranked:
                              what a simserve hands a router — its greedy picks with gains, no sets)
   ingest <tracker> <file>    POST TSV or NDJSON actions in 1000-action chunks, flushing a
                              partial chunk after 200ms of quiet input ("-" = stdin;
-                             NDJSON with string users under -names)
+                             NDJSON with string users if the tracker is name-mode)
   query <tracker> <file>     POST a JSON plan ("-" = stdin; bare plan or {"plan":...,"limit":N})
 
 -router points -addr at a simrouter instead of a simserve: health decodes
@@ -69,7 +71,6 @@ the router serves the same routes and merges across its shards.
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8384", "simserve base URL")
-	names := flag.Bool("names", false, `name-mode tracker: ingest NDJSON "user" fields are string names`)
 	router := flag.Bool("router", false, "addr is a simrouter: decode cluster-shaped health")
 	timeout := flag.Duration("timeout", 0, "per-attempt request timeout (0 = client default 30s)")
 	retries := flag.Int("retries", 0, "retry attempts after 429/503 (and transport errors on reads)")
@@ -85,7 +86,7 @@ func main() {
 	client.Retry = api.RetryPolicy{MaxRetries: *retries}
 	ctx := context.Background()
 
-	out, err := run(ctx, client, *names, *router, args[0], args[1:])
+	out, err := run(ctx, client, *router, args[0], args[1:])
 	if err != nil {
 		var apiErr *api.Error
 		if errors.As(err, &apiErr) {
@@ -104,7 +105,7 @@ func main() {
 }
 
 // run dispatches one subcommand and returns the decoded response to print.
-func run(ctx context.Context, c *api.Client, names, router bool, cmd string, args []string) (any, error) {
+func run(ctx context.Context, c *api.Client, router bool, cmd string, args []string) (any, error) {
 	tracker := func() (string, error) {
 		if len(args) < 1 {
 			return "", fmt.Errorf("%s: missing tracker name", cmd)
@@ -186,7 +187,7 @@ func run(ctx context.Context, c *api.Client, names, router bool, cmd string, arg
 			return nil, err
 		}
 		defer closeFn()
-		return ingest(ctx, c, t, names, r)
+		return ingest(ctx, c, t, r)
 	case "query":
 		t, err := tracker()
 		if err != nil {
@@ -229,13 +230,20 @@ const (
 )
 
 // ingest decodes the stream client-side as it arrives — TSV or NDJSON
-// (dataio.ReadAuto), or name-mode NDJSON — and POSTs it in chunks, so its
-// size is bounded by neither the server's body cap nor EOF. A decode error
+// (dataio.ReadAuto), or NDJSON with string users when the tracker's spec
+// says it is name-mode — and POSTs it in chunks, so its size is bounded by
+// neither the server's body cap nor EOF. A tracker the list does not name
+// is fed as numeric, and the first POST reports it unknown. A decode error
 // is reported before the chunk it falls in is sent; earlier chunks stay
 // applied. The result sums Accepted over the chunks and carries the last
 // chunk's Processed; input without actions is sent as one empty batch.
-func ingest(ctx context.Context, c *api.Client, tracker string, names bool, r io.Reader) (api.IngestResponse, error) {
-	if names {
+func ingest(ctx context.Context, c *api.Client, tracker string, r io.Reader) (api.IngestResponse, error) {
+	list, err := c.List(ctx)
+	if err != nil {
+		return api.IngestResponse{}, err
+	}
+	i := slices.IndexFunc(list.Trackers, func(ti api.TrackerInfo) bool { return ti.Name == tracker })
+	if i >= 0 && list.Trackers[i].Spec.Names {
 		return feed(ctx, r, dataio.ReadNDJSONNamed, func(b []api.NamedAction) (api.IngestResponse, error) {
 			return c.IngestNamed(ctx, tracker, b)
 		})

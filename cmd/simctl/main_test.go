@@ -58,8 +58,8 @@ func writeFile(t *testing.T, data []byte) string {
 }
 
 // ingestFile runs `simctl ingest default <path>`.
-func ingestFile(c *api.Client, names bool, path string) (api.IngestResponse, error) {
-	out, err := run(context.Background(), c, names, false, "ingest", []string{"default", path})
+func ingestFile(c *api.Client, path string) (api.IngestResponse, error) {
+	out, err := run(context.Background(), c, false, "ingest", []string{"default", path})
 	if err != nil {
 		return api.IngestResponse{}, err
 	}
@@ -112,7 +112,7 @@ func TestIngestChunks(t *testing.T) {
 			if err := format.write(&buf, actions); err != nil {
 				t.Fatal(err)
 			}
-			resp, err := ingestFile(c, false, writeFile(t, buf.Bytes()))
+			resp, err := ingestFile(c, writeFile(t, buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,8 +124,9 @@ func TestIngestChunks(t *testing.T) {
 	}
 }
 
-// TestIngestNames: name-mode NDJSON is interned by the server in order of
-// first appearance, so its seeds are the numeric stream's, renumbered.
+// TestIngestNames: simctl reads the tracker's name mode from its listed
+// spec, and name-mode NDJSON is interned by the server in order of first
+// appearance, so its seeds are the numeric stream's, renumbered.
 func TestIngestNames(t *testing.T) {
 	spec := testSpec
 	spec.Names = true
@@ -145,7 +146,7 @@ func TestIngestNames(t *testing.T) {
 	if err := dataio.WriteNDJSONNamed(&buf, named); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ingestFile(c, true, writeFile(t, buf.Bytes()))
+	resp, err := ingestFile(c, writeFile(t, buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestIngestNames(t *testing.T) {
 // tracker's processed count is still printed.
 func TestIngestEmpty(t *testing.T) {
 	c, posts := serve(t, testSpec)
-	resp, err := ingestFile(c, false, writeFile(t, []byte("\n")))
+	resp, err := ingestFile(c, writeFile(t, []byte("\n")))
 	if err != nil || resp != (api.IngestResponse{}) || posts.Load() != 1 {
 		t.Fatalf("ingest = %+v, %v over %d POSTs, want 0/0 over 1", resp, err, posts.Load())
 	}
@@ -176,7 +177,7 @@ func TestIngestDecodeError(t *testing.T) {
 	}
 	lines := strings.SplitAfter(buf.String(), "\n")
 	lines[1699] = "1700\tnot-a-user\t-1\n"
-	_, err := ingestFile(c, false, writeFile(t, []byte(strings.Join(lines, ""))))
+	_, err := ingestFile(c, writeFile(t, []byte(strings.Join(lines, ""))))
 	if err == nil || !strings.Contains(err.Error(), "line 1700") {
 		t.Fatalf("err = %v, want one naming line 1700", err)
 	}
@@ -204,7 +205,7 @@ func TestIngestLiveFeed(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := ingestFile(c, false, "-")
+		resp, err := ingestFile(c, "-")
 		done <- result{resp, err}
 	}()
 	if _, err := pw.WriteString("1\t7\t-1\n2\t8\t1\n3\t9\t-1\n"); err != nil {

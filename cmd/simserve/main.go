@@ -75,11 +75,9 @@ func main() {
 		orc       = flag.String("oracle", "sieve", "oracle: sieve, threshold, blogwatch, mkc")
 		batch     = flag.Int("batch", 0, "sim ingestion batch size within each submitted batch (1 = per-action)")
 		users     = flag.Int("users", 0, "expected distinct users (stream index pre-sizing hint)")
-		queue     = flag.Int("queue", 0, "ingest queue capacity in batches (0 = default 256)")
 		dataDir   = flag.String("data-dir", "", "durability root: per-tracker snapshot + write-ahead log under <dir>/<name>/; on boot, trackers recover their state from it")
 		snapBytes = flag.Int64("wal-snapshot-bytes", 0, "WAL size triggering snapshot+truncate for the flag-built tracker (0 = default 4 MiB)")
-		spillDir  = flag.String("spill-dir", "", "cold-tier root: per-tracker spilled segment files under <dir>/<name>/ (default with -data-dir: <data-dir>/<name>/spill)")
-		memBudget = flag.Int64("memory-budget", 0, "resident contribution-log byte budget for the flag-built tracker; past it, idle users' logs spill to the cold tier (0 = never spill; needs -spill-dir or -data-dir)")
+		memBudget = flag.Int64("memory-budget", 0, "resident contribution-log byte budget for the flag-built tracker; past it, idle users' logs spill to the cold tier (0 = never spill; needs -data-dir, segments go under <data-dir>/<name>/spill)")
 		names     = flag.Bool("names", false, "name-mode tracker: NDJSON \"user\" fields are string names, interned to dense IDs")
 		faultSpec = flag.String("fault", "", "TESTING ONLY: inject filesystem faults into the durable path; semicolon-separated rules like op=sync,path=wal.log,after=2,times=1,err=ENOSPC (see internal/fault)")
 		faultSeed = flag.Int64("fault-seed", 0, "TESTING ONLY: derive one deterministic fault rule from this seed (non-zero; composes with -fault)")
@@ -115,9 +113,6 @@ func main() {
 	if *dataDir != "" {
 		reg.SetDataDir(*dataDir)
 	}
-	if *spillDir != "" {
-		reg.SetSpillDir(*spillDir)
-	}
 	specs := map[string]api.Spec{}
 	if *spec != "" {
 		f, err := os.Open(*spec)
@@ -141,7 +136,7 @@ func main() {
 		specs[*name] = api.Spec{
 			K: *k, Window: *window, Slide: *slide, Beta: *beta,
 			Framework: fwk, Oracle: o,
-			Batch: *batch, ExpectedUsers: *users, Queue: *queue,
+			Batch: *batch, ExpectedUsers: *users,
 			SnapshotWALBytes: *snapBytes, Names: *names,
 			MemoryBudgetBytes: *memBudget,
 		}

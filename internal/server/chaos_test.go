@@ -254,7 +254,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 				t.Fatal("no failed WAL append carried a names trailer; the cell tests the numeric path")
 			}
 			if tc.rearms {
-				if _, rearms, _, _ := tr.Counters(); rearms == 0 {
+				if tr.Metrics().WALRearms == 0 {
 					t.Error("poisoning cell never exercised the re-arm path")
 				}
 			}
@@ -682,7 +682,7 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	if st := tr.State(); st != StateOK {
 		t.Fatalf("state after heal = %v, want ok", st)
 	}
-	if _, rearms, _, _ := tr.Counters(); rearms == 0 {
+	if tr.Metrics().WALRearms == 0 {
 		t.Fatal("re-arm counter stayed 0 after a successful recovery")
 	}
 	if h, err := client.Health(ctx); err != nil || h.Status != "ok" || len(h.States) != 0 {
@@ -813,7 +813,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 
 	// The shed bookkeeping surfaced, and the queued batch was not lost.
-	_, _, shed, highWater := tr.Counters()
+	m := tr.Metrics()
+	shed, highWater := m.ShedRequests, m.QueueDepthHighWater
 	if shed < 2 {
 		t.Fatalf("shed counter = %d, want >= 2", shed)
 	}

@@ -178,10 +178,14 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		return nil, nil, info, err
 	}
 
-	// Before replay, while the tracker references exactly the segments the
-	// snapshot names.
-	if err := collectStrays(tr); err != nil {
-		return nil, nil, info, err
+	// The boot GC: delete the cold segment files tr holds no reference to —
+	// strays from a pre-crash spill that never made a snapshot. It runs
+	// before replay, while tr references exactly the segments the snapshot
+	// names: once replay has re-spilled, a zero-reference segment may be one
+	// the on-disk snapshot still names, and those wait for the next covering
+	// snapshot (Tracked.checkpoint), as in steady state.
+	if _, err := tr.GC(); err != nil {
+		return nil, nil, info, fmt.Errorf("server: collecting stray cold segments: %w", err)
 	}
 
 	legacy, err := foldLegacyNames(fs, dir, names)

@@ -115,7 +115,8 @@ func TestLifecycleEdges(t *testing.T) {
 		// Every attempt ended one way or the other, and nothing else entered
 		// recovering: no snapshot is attempted outside the probe while the
 		// log is poisoned.
-		retries, rearms, _, _ := tr.Counters()
+		m := tr.Metrics()
+		retries, rearms := m.SnapshotRetries, m.WALRearms
 		if rearms != 1 || attempts != retries+rearms {
 			t.Fatalf("%d moves into recovering for %d failed + %d successful attempts", attempts, retries, rearms)
 		}

@@ -167,11 +167,12 @@ type Tracked struct {
 // newTracked builds the tracker for spec and starts its ingest loop. A
 // non-empty dataDir makes the tracker durable: its state is recovered from
 // dataDir (snapshot + WAL replay) and every subsequent batch is logged
-// before it is applied. A non-empty spillDir attaches the cold tier there
-// (see sim.Config.SpillDir); cold segments referenced by the recovered
-// snapshot are mapped from it instead of replayed. fs is the environment
-// seam (nil = the real filesystem).
-func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.FS) (*Tracked, error) {
+// before it is applied. Its cold tier lives in dataDir/spill (see
+// sim.Config.SpillDir) — always, even without a budget: it is what re-adopts
+// the cold segments a snapshot taken under one references, instead of
+// replaying them (the budget is a runtime knob). fs is the environment seam
+// (nil = the real filesystem).
+func newTracked(name string, spec api.Spec, dataDir string, fs fault.FS) (*Tracked, error) {
 	var (
 		tr    *sim.Tracker
 		dur   *durability
@@ -184,16 +185,14 @@ func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.F
 	}
 	cfg := spec.Config()
 	cfg.MemoryBudgetBytes = spec.MemoryBudgetBytes
-	if spillDir != "" {
-		cfg.SpillDir = spillDir
+	if dataDir != "" {
+		cfg.SpillDir = filepath.Join(dataDir, "spill")
 		if fs != nil {
 			cfg.SpillFS = fs
 		}
-	}
-	if dataDir != "" {
 		tr, dur, info, err = recoverTracker(fs, dataDir, cfg, spec.SnapshotWALBytes, names)
-	} else if tr, err = sim.New(cfg); err == nil {
-		err = collectStrays(tr) // nothing on disk names a segment
+	} else {
+		tr, err = sim.New(cfg)
 	}
 	if err != nil {
 		return nil, err
@@ -221,22 +220,6 @@ func newTracked(name string, spec api.Spec, dataDir, spillDir string, fs fault.F
 	t.publish() // queries before the first ingest see the recovered snapshot
 	go t.loop()
 	return t, nil
-}
-
-// collectStrays deletes the cold segment files tr holds no reference to. It
-// is the boot GC, valid only while tr's references are exactly those of
-// what is on disk: a tracker just loaded from the snapshot (everything else
-// in the spill dir is a stray from a pre-crash spill that never made a
-// snapshot) or a fresh one. Once WAL replay has re-spilled, a zero-reference
-// segment may be one the on-disk snapshot still names; those wait for the
-// next covering snapshot (Tracked.checkpoint), as in steady state. On failure
-// tr is closed.
-func collectStrays(tr *sim.Tracker) error {
-	if _, err := tr.GC(); err != nil {
-		tr.Close()
-		return fmt.Errorf("server: collecting stray cold segments: %w", err)
-	}
-	return nil
 }
 
 // Recovery reports what boot restored for a durable tracker; ok is false
@@ -280,16 +263,32 @@ func (t *Tracked) move(to TrackerState) {
 	}
 }
 
-// Counters returns the tracker's robustness counters: failed snapshot
-// attempts (retried with backoff), poisoned-log re-arms, requests shed by
-// the enqueue deadline, and the ingest queue's high-water depth. Safe from
-// any goroutine.
-func (t *Tracked) Counters() (snapshotRetries, walRearms, shedRequests, queueHighWater int64) {
-	if t.dur != nil {
-		snapshotRetries = t.dur.snapRetries.Load()
-		walRearms = t.dur.rearms.Load()
+// Metrics returns what GET /v1/trackers/{name}/metrics answers and the
+// tracker's /metrics series report: the serving state, the robustness
+// counters (failed snapshot attempts, poisoned-log re-arms, requests shed by
+// the enqueue deadline, the ingest queue's high-water depth), the queue, the
+// boot recovery of a durable tracker and the published snapshot's
+// sim.Counters. Safe from any goroutine.
+func (t *Tracked) Metrics() api.TrackerMetricsResponse {
+	depth, capacity := t.QueueDepth()
+	m := api.TrackerMetricsResponse{
+		State:               t.State().String(),
+		ShedRequests:        t.shed.Load(),
+		QueueDepthHighWater: t.qHighWater.Load(),
+		QueueDepth:          depth,
+		QueueCapacity:       capacity,
+		DurabilityError:     t.DurabilityError(),
+		Counters:            t.Snapshot().Counters,
 	}
-	return snapshotRetries, walRearms, t.shed.Load(), t.qHighWater.Load()
+	if t.dur != nil {
+		m.SnapshotRetries = t.dur.snapRetries.Load()
+		m.WALRearms = t.dur.rearms.Load()
+		m.RecoveredSnapshot = t.recovered.SnapshotLoaded
+		m.RecoveredSnapshotProcessed = t.recovered.SnapshotProcessed
+		m.RecoveredWALBatches = t.recovered.WALBatches
+		m.RecoveredWALActions = t.recovered.WALActions
+	}
+	return m
 }
 
 // Name returns the tracker's registry name.
@@ -555,11 +554,10 @@ func (t *Tracked) Close() error {
 
 // Registry is the set of named trackers a server instance owns.
 type Registry struct {
-	mu        sync.RWMutex
-	trackers  map[string]*Tracked
-	dataDir   string
-	spillBase string
-	fs        fault.FS
+	mu       sync.RWMutex
+	trackers map[string]*Tracked
+	dataDir  string
+	fs       fault.FS
 }
 
 // NewRegistry returns an empty registry.
@@ -593,16 +591,6 @@ func (r *Registry) DataDir() string {
 	return r.dataDir
 }
 
-// SetSpillDir sets the cold-tier root for trackers added afterwards: each
-// gets <dir>/<name>/ for its spilled segment files. Without it, durable
-// trackers spill under <data dir>/<name>/spill and memory-only trackers
-// cannot take a memory budget. Call before Add.
-func (r *Registry) SetSpillDir(dir string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spillBase = dir
-}
-
 // Add builds the tracker described by spec, registers it under name and
 // starts its ingest loop. On a durable registry (SetDataDir) the tracker
 // first recovers its state from disk. A spec that cannot be served as
@@ -616,30 +604,20 @@ func (r *Registry) Add(name string, spec api.Spec) (*Tracked, error) {
 	if _, ok := r.trackers[name]; ok {
 		return nil, fmt.Errorf("server: tracker %q already exists", name)
 	}
-	dir, spillDir := "", ""
-	if r.dataDir != "" || r.spillBase != "" {
+	dir := ""
+	switch {
+	case r.dataDir != "":
 		// The name becomes a directory component; keep it one.
 		if strings.ContainsAny(name, `/\`) || name == "." || name == ".." {
 			return nil, fmt.Errorf("server: tracker name %q is not usable as a data directory", name)
 		}
-	}
-	if r.dataDir != "" {
 		dir = filepath.Join(r.dataDir, name)
-	}
-	switch {
-	case r.spillBase != "":
-		spillDir = filepath.Join(r.spillBase, name)
-	case dir != "":
-		// Durable trackers always get a cold tier next to their WAL: even
-		// without a budget it is what re-adopts cold segments referenced by
-		// a snapshot taken under one (the budget is a runtime knob).
-		spillDir = filepath.Join(dir, "spill")
 	case spec.MemoryBudgetBytes > 0:
 		return nil, fmt.Errorf(
-			"server: tracker %q: memory_budget_bytes=%d needs a spill directory: pass -spill-dir (or -data-dir, which spills under the tracker's data directory)",
+			"server: tracker %q: memory_budget_bytes=%d needs somewhere to spill: pass -data-dir (segments go under <data-dir>/<name>/spill)",
 			name, spec.MemoryBudgetBytes)
 	}
-	t, err := newTracked(name, spec, dir, spillDir, r.fs)
+	t, err := newTracked(name, spec, dir, r.fs)
 	if err != nil {
 		return nil, fmt.Errorf("server: tracker %q: %w", name, err)
 	}

@@ -146,48 +146,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTrackerMetrics serves one tracker's self-healing and admission
-// counters: serving state, snapshot retry / WAL re-arm / shed totals and
-// the queue high-water mark. The JSON sibling of the Prometheus /metrics
-// endpoint, for scripts and tests that want typed access.
+// handleTrackerMetrics serves one tracker's Metrics: the JSON sibling of
+// its /metrics series, for scripts and tests that want typed access.
 func (s *Server) handleTrackerMetrics(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tracked(w, r)
-	if !ok {
-		return
+	if t, ok := s.tracked(w, r); ok {
+		api.WriteJSON(w, http.StatusOK, t.Metrics())
 	}
-	retries, rearms, shed, highWater := t.Counters()
-	depth, capacity := t.QueueDepth()
-	snap := t.Snapshot()
-	resp := api.TrackerMetricsResponse{
-		State:               t.State().String(),
-		SnapshotRetries:     retries,
-		WALRearms:           rearms,
-		ShedRequests:        shed,
-		QueueDepthHighWater: highWater,
-		QueueDepth:          depth,
-		QueueCapacity:       capacity,
-		DurabilityError:     t.DurabilityError(),
-		ResidentBytes:       snap.ResidentBytes,
-		HotLogBytes:         snap.HotLogBytes,
-		ColdLogBytes:        snap.ColdLogBytes,
-		ColdUsers:           snap.ColdUsers,
-		ColdSegments:        snap.ColdSegments,
-		Spills:              snap.Spills,
-		ColdFaults:          snap.ColdFaults,
-		Scans:               snap.Scans,
-		ScanMembers:         snap.ScanMembers,
-		ElementsUnchanged:   snap.ElementsUnchanged,
-		ViewRebuilds:        snap.ViewRebuilds,
-		ViewReuses:          snap.ViewReuses,
-		ViewRefreshed:       snap.ViewRefreshed,
-	}
-	if info, durable := t.Recovery(); durable {
-		resp.RecoveredSnapshot = info.SnapshotLoaded
-		resp.RecoveredSnapshotProcessed = info.SnapshotProcessed
-		resp.RecoveredWALBatches = info.WALBatches
-		resp.RecoveredWALActions = info.WALActions
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ServeHTTP dispatches to the v1 API.

@@ -891,21 +891,20 @@ func TestRegistryAdd(t *testing.T) {
 }
 
 // TestAddMemoryBudgetNeedsSpillDir pins the spill-directory guard: a memory
-// budget is only accepted when the tracker has somewhere to spill, and the
-// error — which stops simserve's boot — says which flags provide one.
+// budget is only accepted when the tracker has somewhere to spill — its
+// data directory — and the error, which stops simserve's boot, names the
+// flag that provides one.
 func TestAddMemoryBudgetNeedsSpillDir(t *testing.T) {
 	cases := []struct {
 		name     string
 		budget   int64
 		durable  bool
-		spill    bool
 		wantHint string // "" = Add succeeds
 	}{
-		{"no budget", 0, false, false, ""},
-		{"budget, nowhere to spill", 1 << 20, false, false, "-spill-dir"},
-		{"budget with spill dir", 1 << 20, false, true, ""},
-		{"budget with data dir", 1 << 20, true, false, ""},
-		{"negative budget", -1, true, true, "MemoryBudgetBytes"},
+		{"no budget", 0, false, ""},
+		{"budget, nowhere to spill", 1 << 20, false, "-data-dir"},
+		{"budget with data dir", 1 << 20, true, ""},
+		{"negative budget", -1, true, "MemoryBudgetBytes"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -914,13 +913,10 @@ func TestAddMemoryBudgetNeedsSpillDir(t *testing.T) {
 			if c.durable {
 				reg.SetDataDir(t.TempDir())
 			}
-			if c.spill {
-				reg.SetSpillDir(t.TempDir())
-			}
 			_, err := reg.Add("default", api.Spec{K: 5, Window: 100, MemoryBudgetBytes: c.budget})
 			if (err != nil) != (c.wantHint != "") {
-				t.Fatalf("Add(budget=%d durable=%v spill=%v) = %v, want error: %v",
-					c.budget, c.durable, c.spill, err, c.wantHint != "")
+				t.Fatalf("Add(budget=%d durable=%v) = %v, want error: %v",
+					c.budget, c.durable, err, c.wantHint != "")
 			}
 			if err != nil && !strings.Contains(err.Error(), c.wantHint) {
 				t.Errorf("error %q does not mention %q", err, c.wantHint)
@@ -1015,16 +1011,7 @@ func TestCandidatesWireCompatibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Get(c.client.BaseURL + "/v1/trackers/default/candidates")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
+		if got := get(t, c.client.BaseURL+"/v1/trackers/default/candidates"); !bytes.Equal(got, want) {
 			t.Errorf("%s: /candidates body changed:\n got %s\nwant %s", c.golden, got, want)
 		}
 	}

@@ -592,31 +592,41 @@ type Snapshot struct {
 	ElementsFed        int64   `json:"elements_fed"`
 	CheckpointsCreated int64   `json:"checkpoints_created"`
 	CheckpointsDeleted int64   `json:"checkpoints_deleted"`
+	// Counters are the operational counters, last so that the snapshot's
+	// JSON ends with them.
+	Counters
+}
+
+// Counters are a tracker's operational counters: the oracle-feed work
+// behind Snapshot.ElementsFed, how Snapshot got its candidate pool, and the
+// tiered window state. None is saved: after Load the cumulative ones count
+// from zero and the tier gauges describe the loaded state. A field's metric
+// tag names the per-tracker series simserve's /metrics exports it as, after
+// the "simserve_" prefix; an untagged field is not exported there.
+type Counters struct {
 	// ElementsUnchanged counts the (contributor, checkpoint) pairs an action
 	// or batch touched without changing the set — the performer's previous
 	// contribution already lay inside the checkpoint's suffix — and which
 	// were therefore not fed: ElementsUnchanged ÷ (ElementsFed +
 	// ElementsUnchanged) is the share of duplicate offers on this stream.
-	// Not saved, like the scans below: a loaded tracker counts from zero.
-	ElementsUnchanged int64 `json:"elements_unchanged"`
+	ElementsUnchanged int64 `json:"elements_unchanged" metric:"elements_unchanged_total"`
 	// Scans counts the fed elements whose influence set a sieve-style
 	// oracle had to walk because its cached thresholds and gain bounds could
 	// not decide every candidate solution, and ScanMembers the members those
-	// walks probed — the oracle-feed work behind ElementsFed. Unlike the
-	// counters above they are not saved: a loaded tracker counts from zero.
-	// Always zero for the swap oracles, which keep no coverage to scan.
-	Scans       int64 `json:"scans"`
-	ScanMembers int64 `json:"scan_members"`
+	// walks probed — the oracle-feed work behind ElementsFed. Always zero
+	// for the swap oracles, which keep no coverage to scan.
+	Scans       int64 `json:"scans" metric:"scans_total"`
+	ScanMembers int64 `json:"scan_members" metric:"scan_members_total"`
 	// ViewRebuilds / ViewReuses count how this tracker's Snapshot calls got
 	// Candidates: read from the index entry by entry (the answering
 	// checkpoint or its pool changed, or too many logs did to track), or
 	// carried over from the previous snapshot with only the changed entries
 	// re-read — ViewRefreshed counts those. ViewReuses ÷ (ViewRebuilds +
 	// ViewReuses) is the view's hit rate and ViewRefreshed ÷ ViewReuses what
-	// a hit still costs. Counted since construction or Load, like the scans.
-	ViewRebuilds  int64 `json:"view_rebuilds"`
-	ViewReuses    int64 `json:"view_reuses"`
-	ViewRefreshed int64 `json:"view_refreshed"`
+	// a hit still costs.
+	ViewRebuilds  int64 `json:"view_rebuilds" metric:"view_rebuilds_total"`
+	ViewReuses    int64 `json:"view_reuses" metric:"view_reuses_total"`
+	ViewRefreshed int64 `json:"view_refreshed" metric:"view_refreshed_total"`
 	// Tiered window state (memory accounting). ResidentBytes estimates the
 	// stream index's total resident footprint; HotLogBytes and ColdLogBytes
 	// split the contribution-log entries into the in-memory and the
@@ -627,13 +637,13 @@ type Snapshot struct {
 	// log back to RAM) since the tracker started — the observability
 	// surface of simserve's memory-budget mode. All zero on trackers
 	// without a SpillDir.
-	ResidentBytes int64 `json:"resident_bytes"`
-	HotLogBytes   int64 `json:"hot_log_bytes"`
-	ColdLogBytes  int64 `json:"cold_log_bytes"`
+	ResidentBytes int64 `json:"resident_bytes" metric:"resident_bytes"`
+	HotLogBytes   int64 `json:"hot_log_bytes" metric:"hot_log_bytes"`
+	ColdLogBytes  int64 `json:"cold_log_bytes" metric:"cold_log_bytes"`
 	ColdUsers     int   `json:"cold_users"`
-	ColdSegments  int   `json:"cold_segments"`
-	Spills        int64 `json:"spills"`
-	ColdFaults    int64 `json:"cold_faults"`
+	ColdSegments  int   `json:"cold_segments" metric:"cold_segments"`
+	Spills        int64 `json:"spills" metric:"spills_total"`
+	ColdFaults    int64 `json:"cold_faults" metric:"cold_faults_total"`
 }
 
 // Stats returns the snapshot's counters as a Stats value. Defined here, next
@@ -794,19 +804,21 @@ func (t *Tracker) Snapshot() Snapshot {
 		ElementsFed:        fs.ElementsFed,
 		CheckpointsCreated: fs.Created,
 		CheckpointsDeleted: fs.Deleted,
-		ElementsUnchanged:  fs.ElementsUnchanged,
-		Scans:              fs.Scans,
-		ScanMembers:        fs.ScanMembers,
-		ViewRebuilds:       t.view.rebuilds,
-		ViewReuses:         t.view.reuses,
-		ViewRefreshed:      t.view.refreshed,
-		ResidentBytes:      st.RetainedBytesEstimate(),
-		HotLogBytes:        ts.HotLogBytes,
-		ColdLogBytes:       ts.ColdLogBytes,
-		ColdUsers:          ts.ColdUsers,
-		ColdSegments:       coldSegs,
-		Spills:             ts.Spills,
-		ColdFaults:         ts.ColdFaults,
+		Counters: Counters{
+			ElementsUnchanged: fs.ElementsUnchanged,
+			Scans:             fs.Scans,
+			ScanMembers:       fs.ScanMembers,
+			ViewRebuilds:      t.view.rebuilds,
+			ViewReuses:        t.view.reuses,
+			ViewRefreshed:     t.view.refreshed,
+			ResidentBytes:     st.RetainedBytesEstimate(),
+			HotLogBytes:       ts.HotLogBytes,
+			ColdLogBytes:      ts.ColdLogBytes,
+			ColdUsers:         ts.ColdUsers,
+			ColdSegments:      coldSegs,
+			Spills:            ts.Spills,
+			ColdFaults:        ts.ColdFaults,
+		},
 	}
 }
 
