@@ -69,9 +69,9 @@ cluster-smoke:
 spill-smoke:
 	sh ./scripts/spill_smoke.sh
 
-# Short fuzz runs of the five hand-written parsers (also a CI step): the
+# Short fuzz runs of the six hand-written parsers (also a CI step): the
 # SIM2 snapshot container, the stream-format sniffer, the cold-segment
-# parser, the -fault rule grammar and the WAL. Seed corpora live in testdata/fuzz/; new crashers land there too.
+# parser, the -fault rule grammar, the WAL and the stream payload. Seed corpora live in testdata/fuzz/; new crashers land there too.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegment -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamRestore -fuzztime=$(FUZZTIME) ./internal/stream/
 
 # Aggregate coverage profile (also uploaded as a CI artifact).
 cover:

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/wire"
@@ -32,31 +33,37 @@ func (s *Stream) Save(w io.Writer) error {
 	ww.Varint(int64(s.horizon))
 	ww.Varint(int64(s.last))
 
-	// Retained window, oldest first.
-	live := s.window[s.wstart:]
+	// Retained window, oldest first, each action as ingested.
+	live := s.ring[s.tail:]
 	ww.Uvarint(uint64(len(live)))
-	for _, a := range live {
-		ww.Varint(int64(a.ID))
-		ww.Uvarint(uint64(a.User))
-		ww.Varint(int64(a.Parent))
+	for _, e := range live {
+		ww.Varint(int64(e.id))
+		ww.Uvarint(uint64(e.user))
+		ww.Varint(int64(e.parent))
 	}
 
-	// Diffusion index with refcounts. Refs are reconstructible (one liveness
-	// reference per in-window action plus one per retained child), but
-	// storing them keeps Restore a single pass and makes the payload
-	// self-validating.
-	ids := make([]ActionID, 0, len(s.idx))
-	for id := range s.idx {
+	// Diffusion index with refcounts, in ID order: the pinned ancestors,
+	// all below the horizon, then the ring. Refs are reconstructible (one
+	// liveness reference per in-window action plus one per retained child),
+	// but storing them keeps Restore a single pass and makes the payload
+	// self-validating. A cut action's parent is saved as NoParent.
+	ids := make([]ActionID, 0, len(s.pinned))
+	for id := range s.pinned {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ww.Uvarint(uint64(len(ids)))
+	slices.Sort(ids)
+	ww.Uvarint(uint64(len(ids) + len(live)))
+	put := func(e entry) {
+		ww.Varint(int64(e.id))
+		ww.Uvarint(uint64(e.user))
+		ww.Varint(int64(e.up()))
+		ww.Varint(int64(e.count()))
+	}
 	for _, id := range ids {
-		rec := s.idx[id]
-		ww.Varint(int64(id))
-		ww.Uvarint(uint64(rec.user))
-		ww.Varint(int64(rec.parent))
-		ww.Varint(int64(rec.refs))
+		put(s.pinned[id])
+	}
+	for _, e := range live {
+		put(e)
 	}
 
 	// Contribution logs. Entry order within a log is semantic (descending
@@ -136,30 +143,72 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 	s.SetCold(store, budget)
 	s.horizon = ActionID(rr.Varint())
 	s.last = ActionID(rr.Varint())
+	if rr.Err() == nil && s.horizon < 0 {
+		return nil, fmt.Errorf("stream: negative horizon %d", s.horizon)
+	}
 
 	// Length claims are validated loosely here (the SIM2 container already
 	// CRC-protects payloads); capacity hints are clamped so a corrupt claim
 	// cannot force a giant allocation before the decode loop fails.
 	nWindow := rr.Len(wire.MaxLen)
-	s.window = make([]Action, 0, min(nWindow, 1<<20))
+	s.ring = make([]entry, 0, min(nWindow, 1<<20))
 	for i := 0; i < nWindow && rr.Err() == nil; i++ {
-		s.window = append(s.window, Action{
-			ID:     ActionID(rr.Varint()),
-			User:   UserID(rr.Uvarint()),
-			Parent: ActionID(rr.Varint()),
-		})
-	}
-
-	nIdx := rr.Len(wire.MaxLen)
-	s.idx = make(map[ActionID]*record, min(nIdx, 1<<20))
-	for i := 0; i < nIdx && rr.Err() == nil; i++ {
-		id := ActionID(rr.Varint())
-		rec := &record{
+		e := entry{
+			id:     ActionID(rr.Varint()),
 			user:   UserID(rr.Uvarint()),
 			parent: ActionID(rr.Varint()),
-			refs:   int32(rr.Varint()),
 		}
-		s.idx[id] = rec
+		switch {
+		case rr.Err() != nil:
+			continue
+		case e.id < s.horizon || e.id > s.last:
+			return nil, fmt.Errorf("stream: windowed action %d outside [horizon %d, last %d]", e.id, s.horizon, s.last)
+		case len(s.ring) > 0 && e.id <= s.ring[len(s.ring)-1].id:
+			return nil, fmt.Errorf("stream: window IDs do not increase at action %d", e.id)
+		case e.parent != NoParent && e.parent >= e.id:
+			return nil, fmt.Errorf("stream: windowed action %d has parent %d", e.id, e.parent)
+		}
+		s.ring = append(s.ring, e) // refs stay 0 until the index record
+	}
+
+	// Index records at or above the horizon complete their windowed action;
+	// those below it are the pinned ancestors.
+	nIdx := rr.Len(wire.MaxLen)
+	for i := 0; i < nIdx && rr.Err() == nil; i++ {
+		id := ActionID(rr.Varint())
+		user := UserID(rr.Uvarint())
+		parent := ActionID(rr.Varint())
+		refs := rr.Varint()
+		switch {
+		case rr.Err() != nil:
+			continue
+		case refs < 1 || refs >= cutBit:
+			return nil, fmt.Errorf("stream: index record %d has reference count %d", id, refs)
+		case parent != NoParent && parent >= id:
+			return nil, fmt.Errorf("stream: index record %d has parent %d", id, parent)
+		case id < s.horizon:
+			s.pinned[id] = entry{id: id, parent: parent, user: user, refs: uint32(refs)}
+			continue
+		}
+		j := s.slot(id)
+		if j < 0 {
+			return nil, fmt.Errorf("stream: index record %d at or above horizon %d is missing from the window", id, s.horizon)
+		}
+		e := &s.ring[j]
+		if user != e.user || (parent != e.parent && parent != NoParent) {
+			return nil, fmt.Errorf("stream: index record %d disagrees with its windowed action", id)
+		}
+		e.refs = uint32(refs)
+		if parent != e.parent {
+			e.refs |= cutBit
+		}
+	}
+	if rr.Err() == nil {
+		for _, e := range s.ring {
+			if e.refs == 0 {
+				return nil, fmt.Errorf("stream: windowed action %d has no index record", e.id)
+			}
+		}
 	}
 
 	nLogs := rr.Len(wire.MaxLen)
@@ -218,6 +267,9 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 			s.coldBytes += int64(ext.Count) * contribBytes
 		}
 		nSegs := rr.Len(wire.MaxLen)
+		if nSegs > 0 && store == nil {
+			return nil, fmt.Errorf("stream: payload lists %d cold segments but no cold store is configured", nSegs)
+		}
 		for i := 0; i < nSegs && rr.Err() == nil; i++ {
 			seg := SegmentID(rr.Uvarint())
 			crc := uint32(rr.Uvarint())

@@ -5,7 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // genActions builds a deterministic random stream with reply chains.
@@ -133,6 +137,117 @@ func TestRestoreTruncated(t *testing.T) {
 	}
 }
 
+// v3Payload writes a version-3 stream payload with the given window and
+// index sections (records as {id, user, parent, refs}), no logs and no cold
+// tier.
+func v3Payload(horizon, last ActionID, window []Action, index [][4]int64) []byte {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	w.Uvarint(streamPayloadVersion)
+	w.Varint(int64(horizon))
+	w.Varint(int64(last))
+	w.Uvarint(uint64(len(window)))
+	for _, a := range window {
+		w.Varint(int64(a.ID))
+		w.Uvarint(uint64(a.User))
+		w.Varint(int64(a.Parent))
+	}
+	w.Uvarint(uint64(len(index)))
+	for _, r := range index {
+		w.Varint(r[0])
+		w.Uvarint(uint64(r[1]))
+		w.Varint(r[2])
+		w.Varint(r[3])
+	}
+	w.Uvarint(0) // logs
+	w.Uvarint(0) // cold extents
+	w.Uvarint(0) // segment manifest
+	return buf.Bytes()
+}
+
+// TestRestoreRejectsWhatTheRingCannotHold: the window and index sections
+// must describe one ring plus its pinned ancestors. The first case is a
+// consistent payload — action 7 replies to the pinned action 2, action 6's
+// parent 4 was cut — and restores; each other case breaks one rule.
+func TestRestoreRejectsWhatTheRingCannotHold(t *testing.T) {
+	window := []Action{{5, 1, NoParent}, {6, 2, 4}, {7, 3, 2}}
+	index := [][4]int64{{2, 9, -1, 1}, {5, 1, -1, 1}, {6, 2, -1, 1}, {7, 3, 2, 1}}
+	edit := func(i int, r [4]int64) [][4]int64 {
+		out := slices.Clone(index)
+		out[i] = r
+		return out
+	}
+	for _, c := range []struct {
+		name    string
+		horizon ActionID
+		window  []Action
+		index   [][4]int64
+		wantErr string
+	}{
+		{"consistent", 5, window, index, ""},
+		{"windowed action without index record", 5, window, slices.Delete(slices.Clone(index), 2, 3), "has no index record"},
+		{"index record missing from window", 5, window[:2], index, "missing from the window"},
+		{"index record above horizon missing from window", 5, window, append(slices.Clone(index), [4]int64{8, 4, -1, 1}), "missing from the window"},
+		{"reference count zero", 5, window, edit(2, [4]int64{6, 2, -1, 0}), "reference count 0"},
+		{"pinned reference count negative", 5, window, edit(0, [4]int64{2, 9, -1, -3}), "reference count -3"},
+		{"window IDs not increasing", 5, []Action{window[0], window[2], window[1]}, index, "do not increase"},
+		{"window ID repeated", 5, []Action{window[0], window[1], window[1]}, index, "do not increase"},
+		{"windowed action below horizon", 6, window, index, "outside"},
+		{"windowed action after last", 5, append(slices.Clone(window), Action{9, 4, NoParent}), index, "outside"},
+		{"index record with a later parent", 5, window, edit(0, [4]int64{2, 9, 3, 1}), "has parent 3"},
+		{"index record with another user", 5, window, edit(3, [4]int64{7, 4, 2, 1}), "disagrees"},
+		{"index record with another parent", 5, window, edit(3, [4]int64{7, 3, 1, 1}), "disagrees"},
+		{"negative horizon", -2, window, index, "negative horizon"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Restore(bytes.NewReader(v3Payload(c.horizon, 8, c.window, c.index)), nil, 0)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("Restore error %v, want one containing %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// FuzzStreamRestore: Restore either rejects a payload, or returns a stream
+// whose Save restores and saves again to the same bytes.
+func FuzzStreamRestore(f *testing.F) {
+	for _, name := range []string{"payload_v3_0c9a0b9.bin", "payload_v2_pr17.bin"} {
+		b, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add(v3Payload(5, 8, []Action{{5, 1, NoParent}, {6, 2, 4}, {7, 3, 2}},
+		[][4]int64{{2, 9, -1, 1}, {5, 1, -1, 1}, {6, 2, -1, 1}, {7, 3, 2, 1}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Restore(bytes.NewReader(data), nil, 0)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(bytes.NewReader(first.Bytes()), nil, 0)
+		if err != nil {
+			t.Fatalf("Restore of a restored stream's Save: %v", err)
+		}
+		if err := r.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save, restore, save changed the bytes:\n%x\n%x", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
 // TestRestorePrePR18Payload: a version-2 payload written before the stream
 // stopped keeping Table 3 counters and the all-time user set (testdata, saved
 // by the PR 17 tree from exactly the stream rebuilt here) still restores, to
@@ -160,5 +275,72 @@ func TestRestorePrePR18Payload(t *testing.T) {
 	}
 	if got.Len() >= len(old) {
 		t.Fatalf("today's payload is %d bytes, the old one %d: the old one carried the user set", got.Len(), len(old))
+	}
+}
+
+// gappedStream ingests the fixed stream behind testdata/payload_v3_0c9a0b9.bin
+// with the public API only: 900 actions whose IDs step by 1 to 5, 75 %
+// replies to an action up to 150 IDs back — an ID never ingested, or one
+// already collected, is a cut parent — and a 100-ID time window, so that
+// ancestors below the horizon stay pinned by live replies.
+func gappedStream(t *testing.T) *Stream {
+	t.Helper()
+	rng := rand.New(rand.NewSource(29))
+	s := New()
+	id := ActionID(0)
+	for i := 0; i < 900; i++ {
+		id += ActionID(1 + rng.Intn(5))
+		a := Action{ID: id, User: UserID(rng.Intn(50)), Parent: NoParent}
+		if back := ActionID(1 + rng.Intn(150)); rng.Float64() < 0.75 && back < id {
+			a.Parent = id - back
+		}
+		if _, err := s.Ingest(a); err != nil {
+			t.Fatalf("ingest %v: %v", a, err)
+		}
+		s.Advance(id - 99)
+	}
+	return s
+}
+
+// TestPayloadBytesPinned: the ring saves the stream payload byte for byte as
+// the map-and-window index did (testdata, written by that index's Save from
+// gappedStream), and restoring those bytes saves them back unchanged. The
+// stream holds every case the index section encodes: pinned ancestors below
+// the horizon, cut parents and gapped IDs.
+func TestPayloadBytesPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/payload_v3_0c9a0b9.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := gappedStream(t)
+	cut, gaps := 0, 0
+	for i, e := range s.ring[s.tail:] {
+		if e.refs&cutBit != 0 {
+			cut++
+		}
+		if i > 0 && e.id != s.ring[s.tail+i-1].id+1 {
+			gaps++
+		}
+	}
+	if len(s.pinned) == 0 || cut == 0 || gaps == 0 {
+		t.Fatalf("the stream misses a case: %d pinned, %d cut, %d gaps", len(s.pinned), cut, gaps)
+	}
+	var got bytes.Buffer
+	if err := s.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Save wrote %d bytes that differ from the %d-byte golden", got.Len(), len(want))
+	}
+	r, err := Restore(bytes.NewReader(want), nil, 0)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	got.Reset()
+	if err := r.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("the restored golden saves different bytes")
 	}
 }

@@ -161,15 +161,15 @@ func TestSeenClearingKeepsDedup(t *testing.T) {
 		var want []UserID
 		met := map[UserID]bool{}
 		for id := a.ID; id != NoParent; {
-			rec, ok := s.idx[id]
+			e, ok := s.lookup(id)
 			if !ok {
 				break
 			}
-			if !met[rec.user] {
-				met[rec.user] = true
-				want = append(want, rec.user)
+			if !met[e.user] {
+				met[e.user] = true
+				want = append(want, e.user)
 			}
-			id = rec.parent
+			id = e.up()
 		}
 		if !slices.Equal(d.Contributors, want) {
 			t.Fatalf("action %v: contributors %v, its retained chain has %v", a, d.Contributors, want)

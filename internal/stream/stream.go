@@ -1,19 +1,43 @@
 package stream
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
-// record is the retained metadata of one action, kept for ancestor-chain
-// resolution. An action's record must outlive the action itself: at window
+// entry is the retained metadata of one action, kept for ancestor-chain
+// resolution. An action's entry must outlive the action itself: at window
 // W_t the triggering action a' of a live action need not be in W_t anymore
-// (paper §3, Example 1), so records are reference counted. refs counts one
-// "liveness" reference while the action is newer than the retention horizon
-// plus one reference per retained child record.
-type record struct {
+// (paper §3, Example 1), so entries are reference counted. The count holds
+// one "liveness" reference while the action is newer than the retention
+// horizon plus one reference per retained child entry. An entry holds no
+// pointer, so neither the ring nor the pinned map gives the collector
+// anything to mark.
+type entry struct {
+	id     ActionID
+	parent ActionID // as ingested; see cutBit
 	user   UserID
-	parent ActionID
-	refs   int32
+	refs   uint32 // reference count, plus cutBit
+}
+
+// cutBit in entry.refs marks an action whose parent was already collected
+// (or never seen) when it was ingested: the chain treats it as a root, and
+// the index section saves its parent as NoParent. Influence through the
+// missing parent is unrecoverable, which is correct: no retained window
+// suffix can include evidence of it.
+const cutBit = 1 << 31
+
+// count is the entry's reference count.
+func (e entry) count() uint32 { return e.refs &^ cutBit }
+
+// up returns the parent the ancestor chain continues at, NoParent for a root
+// or a cut action.
+func (e entry) up() ActionID {
+	if e.refs&cutBit != 0 {
+		return NoParent
+	}
+	return e.parent
 }
 
 // Contrib pairs an influenced user with the time of the most recent action
@@ -108,12 +132,16 @@ type Delta struct {
 // A Stream is not safe for concurrent use; wrap it in a mutex or confine it
 // to one goroutine (the intended use inside a Tracker).
 type Stream struct {
-	idx  map[ActionID]*record
 	logs map[UserID]*userLog
 
-	// window is a FIFO of retained actions (IDs >= horizon).
-	window  []Action
-	wstart  int // index of first live element of window
+	// ring is the FIFO of retained actions (IDs >= horizon) in ID order:
+	// ingest appends at the head, Advance expires at ring[tail], and a
+	// lookup indexes the ring by its offset from the head (see slot).
+	// pinned holds the entries that passed the horizon while a retained
+	// child still reaches them.
+	ring    []entry
+	tail    int
+	pinned  map[ActionID]entry
 	horizon ActionID
 	last    ActionID
 
@@ -197,7 +225,7 @@ func NewSized(usersHint int) *Stream {
 		usersHint = 0
 	}
 	return &Stream{
-		idx:     map[ActionID]*record{},
+		pinned:  map[ActionID]entry{},
 		logs:    make(map[UserID]*userLog, usersHint),
 		horizon: 0,
 		last:    -1,
@@ -213,7 +241,7 @@ func (s *Stream) Last() ActionID { return s.last }
 func (s *Stream) Horizon() ActionID { return s.horizon }
 
 // Len returns the number of retained actions.
-func (s *Stream) Len() int { return len(s.window) - s.wstart }
+func (s *Stream) Len() int { return len(s.ring) - s.tail }
 
 // nextGen starts a new deduplication generation: nothing is marked. Marks of
 // past generations are dead weight, and a user an action in the window marks
@@ -246,24 +274,15 @@ func (s *Stream) mark(u UserID) bool {
 func (s *Stream) ingest(a Action) int {
 	s.last = a.ID
 
-	rec := &record{user: a.User, parent: a.Parent, refs: 1}
-	if !a.Root() {
-		if p, ok := s.idx[a.Parent]; ok {
-			p.refs++
-		} else {
-			// Parent already collected (or never seen): treat as root for
-			// chain purposes. Influence through it is unrecoverable, which
-			// is correct: no retained window suffix can include evidence of
-			// it.
-			rec.parent = NoParent
-		}
+	e := entry{id: a.ID, parent: a.Parent, user: a.User, refs: 1}
+	if !a.Root() && !s.pin(a.Parent) {
+		e.refs |= cutBit
 	}
-	s.idx[a.ID] = rec
-	s.window = append(s.window, a)
+	s.ring = append(s.ring, e)
 
 	// Resolve the ancestor chain and record contributions.
 	base := len(s.batchArena)
-	arena, depth := s.chain(rec, s.batchArena)
+	arena, depth := s.chain(e, s.batchArena)
 	s.batchArena = arena
 	for _, u := range arena[base:] {
 		// A spilled contributor grows a fresh hot log in front of its cold
@@ -302,30 +321,79 @@ func (s *Stream) ingest(a Action) int {
 	return depth
 }
 
-// chain walks the ancestor chain of the retained record rec and appends the
-// distinct users on it (rec's own user first) to buf, returning the extended
+// chain walks the ancestor chain of the retained entry e and appends the
+// distinct users on it (e's own user first) to buf, returning the extended
 // slice and the number of ancestors walked.
-func (s *Stream) chain(rec *record, buf []UserID) ([]UserID, int) {
+func (s *Stream) chain(e entry, buf []UserID) ([]UserID, int) {
 	s.nextGen()
-	s.mark(rec.user) // nothing else is marked yet
-	buf = append(buf, rec.user)
+	s.mark(e.user) // nothing else is marked yet
+	buf = append(buf, e.user)
 	depth := 0
-	for pid := rec.parent; pid != NoParent; {
-		p, ok := s.idx[pid]
-		if !ok {
+	for pid := e.up(); pid != NoParent; pid = e.up() {
+		var ok bool
+		if e, ok = s.lookup(pid); !ok {
 			break
 		}
 		depth++
-		if s.mark(p.user) {
-			buf = append(buf, p.user)
+		if s.mark(e.user) {
+			buf = append(buf, e.user)
 		}
-		pid = p.parent
 	}
 	return buf, depth
 }
 
+// slot returns the ring position of the retained action id, or -1. The
+// position is id's offset from the head when the ring's IDs are contiguous,
+// the common case and the one a parent a few IDs back hits at once. IDs
+// with gaps (time-based trackers, and every cluster shard, which sees only
+// its own users' actions) put id at or after that offset, where a binary
+// search finds it.
+func (s *Stream) slot(id ActionID) int {
+	n := len(s.ring)
+	if n == s.tail || id < s.ring[s.tail].id || id > s.ring[n-1].id {
+		return -1
+	}
+	// Every entry before position n-1-(head-id) holds an ID below id.
+	lo := max(n-1-int(s.ring[n-1].id-id), s.tail)
+	if s.ring[lo].id == id {
+		return lo
+	}
+	i, ok := slices.BinarySearchFunc(s.ring[lo:], id, func(e entry, id ActionID) int {
+		return cmp.Compare(e.id, id)
+	})
+	if !ok {
+		return -1
+	}
+	return lo + i
+}
+
+// lookup returns the entry of a retained action: one in the ring, or a
+// pinned ancestor below the horizon.
+func (s *Stream) lookup(id ActionID) (entry, bool) {
+	if i := s.slot(id); i >= 0 {
+		return s.ring[i], true
+	}
+	e, ok := s.pinned[id]
+	return e, ok
+}
+
+// pin adds a child's reference to the retained action id, reporting false
+// when id is not retained.
+func (s *Stream) pin(id ActionID) bool {
+	if i := s.slot(id); i >= 0 {
+		s.ring[i].refs++
+		return true
+	}
+	e, ok := s.pinned[id]
+	if ok {
+		e.refs++
+		s.pinned[id] = e
+	}
+	return ok
+}
+
 // Advance raises the retention horizon: actions with ID < horizon are
-// expired, their records released (recursively unpinning ancestor records
+// expired, their entries released (recursively unpinning ancestor entries
 // with no remaining live descendants) and their contribution-log entries
 // pruned. The caller — the checkpoint framework — passes the minimum start
 // time over all live checkpoints, which may be older than the window start
@@ -341,13 +409,13 @@ func (s *Stream) Advance(horizon ActionID) {
 		return
 	}
 	s.horizon = horizon
-	for s.wstart < len(s.window) && s.window[s.wstart].ID < horizon {
-		id := s.window[s.wstart].ID
+	for s.tail < len(s.ring) && s.ring[s.tail].id < horizon {
+		e := s.ring[s.tail]
 		// Prune the logs of exactly the users that contributed to the
 		// expiring action; every stale log entry has the timestamp of some
 		// expiring action, so this touches each log only when needed
 		// instead of sweeping the whole map per call.
-		s.expireBuf = s.Contributors(id, s.expireBuf[:0])
+		s.expireBuf, _ = s.chain(e, s.expireBuf[:0])
 		for _, u := range s.expireBuf {
 			if l := s.logs[u]; l != nil {
 				n0 := len(l.list)
@@ -364,13 +432,13 @@ func (s *Stream) Advance(horizon ActionID) {
 				s.dropDeadExtent(u)
 			}
 		}
-		s.release(id)
-		s.wstart++
+		s.release(e)
+		s.tail++
 	}
-	if s.wstart > len(s.window)/2 && s.wstart > 64 {
-		n := copy(s.window, s.window[s.wstart:])
-		s.window = s.window[:n]
-		s.wstart = 0
+	if s.tail > len(s.ring)/2 && s.tail > 64 {
+		n := copy(s.ring, s.ring[s.tail:])
+		s.ring = s.ring[:n]
+		s.tail = 0
 	}
 	// Spilling happens only here, at the expiry boundary: the per-action
 	// ingest path never performs I/O.
@@ -397,20 +465,25 @@ func (s *Stream) DrainTouched() (users []UserID, ok bool) {
 	return users, ok
 }
 
-// release drops the liveness reference of action id and collects any records
-// whose reference count reaches zero, walking up the ancestor chain.
-func (s *Stream) release(id ActionID) {
-	for id != NoParent {
-		rec, ok := s.idx[id]
-		if !ok {
+// release drops the liveness reference of the expiring entry e. An entry a
+// retained child still reaches moves to the pinned map; one nothing reaches
+// is collected, unpinning its ancestors in turn. Those are all pinned
+// already: a parent precedes its child, and the ring expires in ID order.
+func (s *Stream) release(e entry) {
+	if e.refs--; e.count() > 0 {
+		s.pinned[e.id] = e
+		return
+	}
+	for id := e.up(); id != NoParent; id = e.up() {
+		var ok bool
+		if e, ok = s.pinned[id]; !ok {
 			return
 		}
-		rec.refs--
-		if rec.refs > 0 {
+		if e.refs--; e.count() > 0 {
+			s.pinned[id] = e
 			return
 		}
-		delete(s.idx, id)
-		id = rec.parent
+		delete(s.pinned, id)
 	}
 }
 
@@ -495,11 +568,11 @@ func (s *Stream) Influencers(start ActionID, visit func(UserID) bool) {
 // buf, returning the extended slice. It returns buf unchanged when id is not
 // retained.
 func (s *Stream) Contributors(id ActionID, buf []UserID) []UserID {
-	rec, ok := s.idx[id]
+	e, ok := s.lookup(id)
 	if !ok {
 		return buf
 	}
-	buf, _ = s.chain(rec, buf)
+	buf, _ = s.chain(e, buf)
 	return buf
 }
 
@@ -554,19 +627,20 @@ func Summarize(actions []Action) (Stats, error) {
 // snapshots take it on every publish.
 func (s *Stream) RetainedBytesEstimate() int64 {
 	const (
-		idxEntry  = 48 // 8B key + 8B pointer + 16B record + bucket overhead
+		ringEntry = 24 // one entry, counted at ring capacity
+		pinEntry  = 48 // 8B key + 24B entry + bucket overhead
 		logsEntry = 40 // 4B key + 8B pointer + 24B arena-held header + bucket overhead
 		seenEntry = 24 // 4B key + 8B generation + bucket overhead
 		coldEntry = 56 // 4B key + 32B extent + bucket overhead
 		headerSz  = 24 // one userLog header still unhanded in the arena block
 	)
 	var b int64
-	b += int64(len(s.idx)) * idxEntry
+	b += int64(cap(s.ring)) * ringEntry
+	b += int64(len(s.pinned)) * pinEntry
 	b += int64(len(s.logs)) * logsEntry
 	b += s.capBytes
 	b += int64(len(s.logChunk)) * headerSz
 	b += int64(len(s.seen)) * seenEntry
 	b += int64(len(s.cold)) * coldEntry
-	b += int64(cap(s.window)) * 24
 	return b
 }

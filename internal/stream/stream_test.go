@@ -167,12 +167,12 @@ func TestAdvanceReleasesRecords(t *testing.T) {
 	// A long chain; advancing past everything must empty the index.
 	n := 100
 	ingestAll(t, s, chain(n))
-	if len(s.idx) != n {
-		t.Fatalf("index size = %d, want %d", len(s.idx), n)
+	if got := s.Len() + len(s.pinned); got != n {
+		t.Fatalf("index size = %d, want %d", got, n)
 	}
 	s.Advance(ActionID(n + 1))
-	if len(s.idx) != 0 {
-		t.Fatalf("index size after full advance = %d, want 0", len(s.idx))
+	if got := s.Len() + len(s.pinned); got != 0 {
+		t.Fatalf("index size after full advance = %d, want 0", got)
 	}
 	if len(s.logs) != 0 {
 		t.Fatalf("logs after full advance = %d, want 0", len(s.logs))
@@ -200,8 +200,8 @@ func TestAdvanceKeepsAncestorsOfLiveActions(t *testing.T) {
 	s := New()
 	ingestAll(t, s, chain(50))
 	s.Advance(50) // only action 50 retained, but its whole chain is needed
-	if len(s.idx) != 50 {
-		t.Fatalf("index size = %d, want 50 (full ancestor chain pinned)", len(s.idx))
+	if s.Len() != 1 || len(s.pinned) != 49 {
+		t.Fatalf("ring holds %d, pinned %d: want 1 and 49 (full ancestor chain pinned)", s.Len(), len(s.pinned))
 	}
 	// The chain is still resolvable.
 	contribs := s.Contributors(50, nil)
@@ -294,39 +294,59 @@ func almost(a, b float64) bool {
 // action's ancestor chain, the reference semantics of Definition 1.
 func bruteInfluence(s *Stream, start ActionID) map[UserID]map[UserID]bool {
 	inf := map[UserID]map[UserID]bool{}
-	for _, a := range s.window[s.wstart:] {
-		if a.ID < start {
+	for _, e := range s.ring[s.tail:] {
+		if e.id < start {
 			continue
 		}
-		for _, u := range s.Contributors(a.ID, nil) {
+		for _, u := range s.Contributors(e.id, nil) {
 			if inf[u] == nil {
 				inf[u] = map[UserID]bool{}
 			}
-			inf[u][a.User] = true
+			inf[u][e.user] = true
 		}
 	}
 	return inf
 }
 
+// TestRandomStreamMatchesBruteForce compares the incremental influence sets
+// with the brute-force recomputation on two inputs: contiguous IDs, and IDs
+// that step by 1 to 5 — the ring's binary-search path, which every cluster
+// shard takes.
 func TestRandomStreamMatchesBruteForce(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		maxStep int
+	}{{"contiguous", 1}, {"gapped", 5}} {
+		t.Run(c.name, func(t *testing.T) { matchBruteForce(t, c.maxStep) })
+	}
+}
+
+func matchBruteForce(t *testing.T, maxStep int) {
 	rng := rand.New(rand.NewSource(42))
 	s := New()
 	const n = 3000
 	const users = 60
 	const window = 500
+	ids := make([]ActionID, 0, n)
+	id := ActionID(0)
 	for i := 1; i <= n; i++ {
-		a := Action{ID: ActionID(i), User: UserID(rng.Intn(users))}
+		id++
+		if maxStep > 1 {
+			id += ActionID(rng.Intn(maxStep))
+		}
+		a := Action{ID: id, User: UserID(rng.Intn(users))}
 		if i > 1 && rng.Float64() < 0.7 {
 			back := rng.Intn(min(i-1, 400)) + 1
-			a.Parent = ActionID(i - back)
+			a.Parent = ids[i-1-back]
 		} else {
 			a.Parent = NoParent
 		}
+		ids = append(ids, id)
 		if _, err := s.Ingest(a); err != nil {
 			t.Fatal(err)
 		}
 		if i > window {
-			s.Advance(ActionID(i - window + 1))
+			s.Advance(ids[i-window])
 		}
 		checkLogBytes(t, s)
 		if i%500 != 0 {
@@ -334,20 +354,49 @@ func TestRandomStreamMatchesBruteForce(t *testing.T) {
 		}
 		// Compare incremental influence sets with the brute-force
 		// recomputation at a few suffix starts.
-		for _, start := range []ActionID{s.Horizon(), s.Horizon() + window/2, ActionID(i)} {
+		for _, start := range []ActionID{s.Horizon(), s.Horizon() + window/2, id} {
 			want := bruteInfluence(s, start)
 			s.Influencers(start, func(u UserID) bool {
 				got := map[UserID]bool{}
 				s.Influence(u, start, func(v UserID) bool { got[v] = true; return true })
 				if !reflect.DeepEqual(got, want[u]) {
-					t.Fatalf("t=%d start=%d user=%d: incremental %v != brute %v", i, start, u, got, want[u])
+					t.Fatalf("t=%d start=%d user=%d: incremental %v != brute %v", id, start, u, got, want[u])
 				}
 				return true
 			})
 			for u := range want {
 				if len(s.InfluenceSet(u, start)) != len(want[u]) {
-					t.Fatalf("t=%d start=%d: user %d missing from incremental index", i, start, u)
+					t.Fatalf("t=%d start=%d: user %d missing from incremental index", id, start, u)
 				}
+			}
+		}
+	}
+}
+
+// TestSlotFindsEveryRetainedID: on a ring with gapped IDs, slot finds every
+// ID the ring holds, wherever the head offset lands, and nothing else.
+func TestSlotFindsEveryRetainedID(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s := New()
+	id := ActionID(0)
+	for i := 0; i < 3000; i++ {
+		id += ActionID(1 + rng.Intn(5))
+		ingestAll(t, s, []Action{{ID: id, User: UserID(rng.Intn(40)), Parent: NoParent}})
+		s.Advance(id - 400)
+		if i%97 != 0 {
+			continue
+		}
+		at := map[ActionID]int{}
+		for j := s.tail; j < len(s.ring); j++ {
+			at[s.ring[j].id] = j
+		}
+		for q := s.Horizon() - 3; q <= id+3; q++ {
+			want, ok := at[q]
+			if !ok {
+				want = -1
+			}
+			if got := s.slot(q); got != want {
+				t.Fatalf("after %d: slot(%d) = %d, want %d", id, q, got, want)
 			}
 		}
 	}
