@@ -70,12 +70,14 @@ spill-smoke:
 	sh ./scripts/spill_smoke.sh
 
 # Short fuzz runs of the six hand-written parsers (also a CI step): the
-# SIM2 snapshot container, the stream-format sniffer, the cold-segment
-# parser, the -fault rule grammar, the WAL and the stream payload. Seed corpora live in testdata/fuzz/; new crashers land there too.
+# SIM2 snapshot container, the NDJSON stream decoders (numeric and name
+# mode), the cold-segment parser, the -fault rule grammar, the WAL and the
+# stream payload. Seed corpora live in testdata/fuzz/; new crashers land
+# there too.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
-	$(GO) test -run='^$$' -fuzz=FuzzReadAuto -fuzztime=$(FUZZTIME) ./internal/dataio/
+	$(GO) test -run='^$$' -fuzz=FuzzReadNDJSON -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzSegment -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/server/

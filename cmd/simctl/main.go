@@ -6,21 +6,21 @@
 //	simctl -addr http://localhost:8384 health
 //	simctl list
 //	simctl seeds default
-//	simctl ingest default actions.tsv
+//	simctl ingest default actions.ndjson
 //	tail -F actions.log | simctl ingest default -
 //	echo '{"plan":{"scan":"seeds","ops":[{"op":"topk","col":"influence","k":3,"desc":true}]}}' |
 //	    simctl query default -
 //	simctl influence default 42
 //	simctl candidates default -ranked
 //
-// ingest reads TSV or NDJSON (NDJSON with string users when the tracker's
-// spec, as GET /v1/trackers lists it, is name-mode) as it arrives and POSTs
-// it in chunks of 1 000 actions, sending a partial chunk whenever the input
-// has been quiet for 200 ms — so a file of any size, or a live feed that
-// never ends, enters the tracker through POST /actions. It prints one
-// response at EOF: accepted summed over the chunks, processed from the last.
-// A malformed record stops it before its chunk is sent; the chunks before
-// it stay applied, and the error names the record.
+// ingest reads NDJSON (with string users when the tracker's spec, as GET
+// /v1/trackers lists it, is name-mode) as it arrives and POSTs it in chunks
+// of 1 000 actions, sending a partial chunk whenever the input has been
+// quiet for 200 ms — so a file of any size, or a live feed that never ends,
+// enters the tracker through POST /actions. It prints one response at EOF:
+// accepted summed over the chunks, processed from the last. A malformed
+// record stops it before its chunk is sent; the chunks before it stay
+// applied, and the error names the record.
 //
 // Non-2xx responses exit 1 and print the server's error envelope (message +
 // HTTP status) on stderr, so smoke scripts can assert the error contract.
@@ -59,9 +59,9 @@ commands:
   candidates <tracker> [-ranked]
                              GET /v1/trackers/{name}/candidates (shard-local seed pool; -ranked:
                              what a simserve hands a router — its greedy picks with gains, no sets)
-  ingest <tracker> <file>    POST TSV or NDJSON actions in 1000-action chunks, flushing a
+  ingest <tracker> <file>    POST NDJSON actions in 1000-action chunks, flushing a
                              partial chunk after 200ms of quiet input ("-" = stdin;
-                             NDJSON with string users if the tracker is name-mode)
+                             string users if the tracker is name-mode)
   query <tracker> <file>     POST a JSON plan ("-" = stdin; bare plan or {"plan":...,"limit":N})
 
 -router points -addr at a simrouter instead of a simserve: health decodes
@@ -229,14 +229,14 @@ const (
 	ingestIdle  = 200 * time.Millisecond
 )
 
-// ingest decodes the stream client-side as it arrives — TSV or NDJSON
-// (dataio.ReadAuto), or NDJSON with string users when the tracker's spec
-// says it is name-mode — and POSTs it in chunks, so its size is bounded by
-// neither the server's body cap nor EOF. A tracker the list does not name
-// is fed as numeric, and the first POST reports it unknown. A decode error
-// is reported before the chunk it falls in is sent; earlier chunks stay
-// applied. The result sums Accepted over the chunks and carries the last
-// chunk's Processed; input without actions is sent as one empty batch.
+// ingest decodes the NDJSON stream client-side as it arrives — with string
+// users when the tracker's spec says it is name-mode — and POSTs it in
+// chunks, so its size is bounded by neither the server's body cap nor EOF.
+// A tracker the list does not name is fed as numeric, and the first POST
+// reports it unknown. A decode error is reported before the chunk it falls
+// in is sent; earlier chunks stay applied. The result sums Accepted over the
+// chunks and carries the last chunk's Processed; input without actions is
+// sent as one empty batch.
 func ingest(ctx context.Context, c *api.Client, tracker string, r io.Reader) (api.IngestResponse, error) {
 	list, err := c.List(ctx)
 	if err != nil {
@@ -248,7 +248,7 @@ func ingest(ctx context.Context, c *api.Client, tracker string, r io.Reader) (ap
 			return c.IngestNamed(ctx, tracker, b)
 		})
 	}
-	return feed(ctx, r, dataio.ReadAuto, func(b []sim.Action) (api.IngestResponse, error) {
+	return feed(ctx, r, dataio.ReadNDJSON, func(b []sim.Action) (api.IngestResponse, error) {
 		return c.Ingest(ctx, tracker, b)
 	})
 }

@@ -95,33 +95,25 @@ func checkServed(t *testing.T, c *api.Client, actions []sim.Action) {
 	}
 }
 
-// TestIngestChunks: both formats arrive in 1000-action POSTs, and the
-// tracker answers as if it had applied those chunks itself.
+// TestIngestChunks: a stream arrives in 1000-action POSTs, and the tracker
+// answers as if it had applied those chunks itself.
 func TestIngestChunks(t *testing.T) {
-	actions := testStream()
-	for _, format := range []struct {
-		name  string
-		write func(*bytes.Buffer, []sim.Action) error
-	}{
-		{"tsv", func(b *bytes.Buffer, a []sim.Action) error { return dataio.WriteTSV(b, a) }},
-		{"ndjson", func(b *bytes.Buffer, a []sim.Action) error { return dataio.WriteNDJSON(b, a) }},
-	} {
-		t.Run(format.name, func(t *testing.T) {
-			c, posts := serve(t, testSpec)
-			var buf bytes.Buffer
-			if err := format.write(&buf, actions); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := ingestFile(c, writeFile(t, buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp != (api.IngestResponse{Accepted: 2500, Processed: 2500}) || posts.Load() != 3 {
-				t.Fatalf("response %+v over %d POSTs, want 2500/2500 over 3", resp, posts.Load())
-			}
-			checkServed(t, c, actions)
-		})
-	}
+	t.Run("ndjson", func(t *testing.T) {
+		c, posts := serve(t, testSpec)
+		actions := testStream()
+		var buf bytes.Buffer
+		if err := dataio.WriteNDJSON(&buf, actions); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ingestFile(c, writeFile(t, buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp != (api.IngestResponse{Accepted: 2500, Processed: 2500}) || posts.Load() != 3 {
+			t.Fatalf("response %+v over %d POSTs, want 2500/2500 over 3", resp, posts.Load())
+		}
+		checkServed(t, c, actions)
+	})
 }
 
 // TestIngestNames: simctl reads the tracker's name mode from its listed
@@ -172,19 +164,33 @@ func TestIngestDecodeError(t *testing.T) {
 	c, posts := serve(t, testSpec)
 	actions := testStream()
 	var buf bytes.Buffer
-	if err := dataio.WriteTSV(&buf, actions); err != nil {
+	if err := dataio.WriteNDJSON(&buf, actions); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(buf.String(), "\n")
-	lines[1699] = "1700\tnot-a-user\t-1\n"
+	lines[1699] = `{"id":1700,"user":"not-a-user"}` + "\n"
 	_, err := ingestFile(c, writeFile(t, []byte(strings.Join(lines, ""))))
-	if err == nil || !strings.Contains(err.Error(), "line 1700") {
-		t.Fatalf("err = %v, want one naming line 1700", err)
+	if err == nil || !strings.Contains(err.Error(), "record 1700") {
+		t.Fatalf("err = %v, want one naming record 1700", err)
 	}
 	if posts.Load() != 1 {
 		t.Fatalf("%d POSTs, want 1: the broken chunk must not be sent", posts.Load())
 	}
 	checkServed(t, c, actions[:1000])
+}
+
+// TestIngestRejectsTSV: NDJSON is the one stream format, so a TSV file
+// fails at its first record, before anything is POSTed — it is not read as
+// zero actions.
+func TestIngestRejectsTSV(t *testing.T) {
+	c, posts := serve(t, testSpec)
+	_, err := ingestFile(c, writeFile(t, []byte("1\t7\t-1\n2\t8\t1\n")))
+	if err == nil || !strings.Contains(err.Error(), "record 1:") {
+		t.Fatalf("err = %v, want one naming record 1", err)
+	}
+	if posts.Load() != 0 {
+		t.Fatalf("%d POSTs, want 0", posts.Load())
+	}
 }
 
 // TestIngestLiveFeed: actions written to an open pipe are served without
@@ -208,7 +214,10 @@ func TestIngestLiveFeed(t *testing.T) {
 		resp, err := ingestFile(c, "-")
 		done <- result{resp, err}
 	}()
-	if _, err := pw.WriteString("1\t7\t-1\n2\t8\t1\n3\t9\t-1\n"); err != nil {
+	if _, err := pw.WriteString(`{"id":1,"user":7}
+{"id":2,"user":8,"parent":1}
+{"id":3,"user":9}
+`); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

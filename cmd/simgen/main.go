@@ -1,11 +1,12 @@
-// Command simgen generates synthetic social action streams in the formats
-// consumed by simtrack and simserve: TSV ("id<TAB>user<TAB>parent", parent
-// = -1 for roots) or NDJSON (the simserve ingest body format).
+// Command simgen generates synthetic social action streams as NDJSON, the
+// one stream format: one {"id":…,"user":…,"parent":…} object per line,
+// "parent" omitted for roots — what simtrack reads and what simserve's
+// POST /actions takes.
 //
 // Usage:
 //
-//	simgen -preset twitter -users 10000 -actions 100000 > twitter.tsv
-//	simgen -preset syn-o -actions 50000 -format ndjson -out syn.ndjson
+//	simgen -preset twitter -users 10000 -actions 100000 > twitter.ndjson
+//	simgen -preset syn-o -actions 50000 -out syn.ndjson
 //
 // simgen only writes streams; simctl ingest feeds one to a running simserve:
 //
@@ -31,7 +32,6 @@ func main() {
 		actions = flag.Int("actions", 100000, "stream length")
 		window  = flag.Int("window", 10000, "window size N the stream is scaled for")
 		seed    = flag.Int64("seed", 1, "random seed")
-		format  = flag.String("format", "tsv", "output format: tsv or ndjson")
 		out     = flag.String("out", "", "output path (default stdout)")
 	)
 	flag.Parse()
@@ -63,17 +63,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	var err error
-	switch *format {
-	case "tsv":
-		err = dataio.WriteTSV(w, actionsOut)
-	case "ndjson":
-		err = dataio.WriteNDJSON(w, actionsOut)
-	default:
-		fmt.Fprintf(os.Stderr, "simgen: unknown format %q\n", *format)
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := dataio.WriteNDJSON(w, actionsOut); err != nil {
 		fmt.Fprintf(os.Stderr, "simgen: %v\n", err)
 		os.Exit(1)
 	}

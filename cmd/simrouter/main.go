@@ -9,7 +9,7 @@
 //	simserve -addr :8402 -k 10 -window 50000 &
 //	simrouter -addr :8400 -shards http://127.0.0.1:8401,http://127.0.0.1:8402
 //
-//	simgen -preset syn-o -actions 100000 -format ndjson |
+//	simgen -preset syn-o -actions 100000 |
 //	    curl -s --data-binary @- localhost:8400/v1/trackers/default/actions
 //	simctl -addr http://localhost:8400 -router health   # per-shard view
 //	simctl -addr http://localhost:8400 seeds default    # merged answer

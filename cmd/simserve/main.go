@@ -14,15 +14,15 @@
 //
 // Ingest and query over HTTP:
 //
-//	simgen -preset syn-o -actions 100000 -format ndjson |
+//	simgen -preset syn-o -actions 100000 |
 //	    curl -s --data-binary @- localhost:8384/v1/trackers/default/actions
 //	curl -s localhost:8384/v1/trackers/default/seeds
 //	curl -s localhost:8384/metrics
 //
 // A recorded stream of any size, or a growing log, is fed with simctl
-// ingest (TSV or NDJSON, in chunks over the same POST /actions):
+// ingest (NDJSON, in chunks over the same POST /actions):
 //
-//	simctl ingest default actions.tsv
+//	simctl ingest default actions.ndjson
 //	tail -F actions.log | simctl ingest default -
 //
 // -data-dir enables durability: each tracker keeps a SIM2 snapshot plus a

@@ -2,9 +2,8 @@
 // periodically reports the current influential users — the end-to-end tool a
 // practitioner would run against a live feed.
 //
-// Input is either the TSV format "id<TAB>user<TAB>parent" (parent −1 for
-// roots) or NDJSON, both as produced by simgen, read from a file or stdin
-// (format auto-detected):
+// Input is an NDJSON action stream, as simgen writes it, read from a file or
+// stdin:
 //
 //	simgen -preset twitter | simtrack -k 10 -window 50000 -report 25000
 //	simtrack -in twitter.ndjson -framework ic -oracle threshold
@@ -23,7 +22,7 @@ import (
 
 func main() {
 	var (
-		in        = flag.String("in", "", "input stream file, TSV or NDJSON (default stdin)")
+		in        = flag.String("in", "", "input NDJSON stream file (default stdin)")
 		k         = flag.Int("k", 10, "seed budget k")
 		window    = flag.Int("window", 50000, "window size N")
 		slide     = flag.Int("slide", 1, "slide length L")
@@ -60,7 +59,7 @@ func main() {
 	start := time.Now()
 	var count int64
 	var procErr error
-	err = dataio.ReadAuto(r, func(a sim.Action) bool {
+	err = dataio.ReadNDJSON(r, func(a sim.Action) bool {
 		if procErr = tr.Process(a); procErr != nil {
 			return false
 		}

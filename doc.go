@@ -29,8 +29,8 @@
 // keeps named trackers alive behind an HTTP API with NDJSON streaming
 // ingest, a single-writer ingest loop per tracker, lock-free snapshot
 // reads (sim.Snapshot), a text /metrics endpoint and drain-on-SIGTERM
-// shutdown. cmd/simgen generates workloads in the TSV/NDJSON formats of
-// internal/dataio and doubles as a load generator (-post).
+// shutdown. cmd/simgen generates workloads as NDJSON, the one stream format
+// (internal/dataio), and cmd/simctl ingest feeds them to a server.
 //
 // Tracker state is durable end to end: every layer that owns state
 // carries a versioned Save/Restore contract (stream index, oracle

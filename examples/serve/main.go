@@ -11,7 +11,7 @@
 // The same flow against a real simserve process:
 //
 //	simserve -addr :8384 -k 5 -window 2000 &
-//	simgen -preset syn-o -users 500 -actions 10000 -format ndjson |
+//	simgen -preset syn-o -users 500 -actions 10000 |
 //	    curl -s --data-binary @- localhost:8384/v1/trackers/default/actions
 //	curl -s localhost:8384/v1/trackers/default/seeds
 //	curl -s -X POST localhost:8384/v1/trackers/default/query \

@@ -145,6 +145,21 @@ func TestPaperClaims(t *testing.T) {
 				return throughputLead(runThroughput(ds, sc, sc.K, 2*sc.Window, sc.Slide, sc.Beta), slack)
 			},
 		},
+		// At this scale SIC feeds 0.26 (SYN-N) to 0.96 (SYN-O) of one
+		// checkpoint's share more than IC; slack 1.5 leaves half again.
+		{
+			row: "Fig 11 SIC feed at ten checkpoints", claim: "at ⌈N/L⌉ = 10, SIC feeds at most (1 + slack/10) × IC's elements per action: about one checkpoint's share more, for the expired Λ[x0] it keeps", slack: 1.5,
+			check: func(ds Dataset, slack float64) error {
+				const cps = 10
+				l := (s.Window + cps - 1) / cps
+				sic := runFramework(ds, sim.SIC, s.K, s.Window, l, s.Beta, s.BatchSize).ElementsFed
+				ic := runFramework(ds, sim.IC, s.K, s.Window, l, s.Beta, s.BatchSize).ElementsFed
+				if bound := 1 + slack/cps; float64(sic) > bound*float64(ic) {
+					return fmt.Errorf("L %d: SIC fed %d elements, IC %d: %.3f×, want ≤ %.3f×", l, sic, ic, float64(sic)/float64(ic), bound)
+				}
+				return nil
+			},
+		},
 	}
 
 	dss := Datasets(s)

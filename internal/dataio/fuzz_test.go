@@ -5,8 +5,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-
-	"repro/internal/stream"
 )
 
 // validSnapshot builds a well-formed SIM2 snapshot through the real writer,
@@ -98,41 +96,40 @@ func FuzzSnapshotReader(f *testing.F) {
 	})
 }
 
-// FuzzReadAuto drives the format sniffer ('{' for NDJSON, TSV fallback) with
-// arbitrary bytes. Invariants: no panic, finite work, and the sniff decides
-// the parser — an input whose first non-blank byte is '{' yields what
-// ReadNDJSON yields, any other what ReadTSV yields.
-func FuzzReadAuto(f *testing.F) {
+// FuzzReadNDJSON drives both stream decoders — the bytes every POST
+// /actions carries — with arbitrary input. Invariants: no panic, and every
+// record a decoder accepts, up to its first error, re-encodes and decodes
+// back to itself.
+func FuzzReadNDJSON(f *testing.F) {
 	var nd bytes.Buffer
-	if err := WriteNDJSON(&nd, sim2Actions()); err != nil {
+	if err := WriteNDJSON(&nd, sampleActions()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(nd.Bytes())
 	f.Add([]byte("{\"id\":1,\"user\":2}\n{\"id\":3,\"user\":4,\"parent\":1}\n"))
-	f.Add([]byte("1\t2\t-1\n3\t4\t1\n"))
+	f.Add([]byte("1\t2\t-1\n3\t4\t1\n")) // TSV: rejected at record 1
 	f.Add([]byte("  \r\n\t {\"id\":9,\"user\":1}\n"))
-	f.Add([]byte("# comment\n5\t6\t-1\n"))
-	f.Add([]byte("SIM1\x01\x02\x03")) // the retired binary magic: now one bad TSV line
+	f.Add([]byte("{\"id\":1,\"user\":\"alice\"}\n{\"id\":2,\"user\":\"bob\",\"parent\":1}\n"))
+	f.Add([]byte("SIM1\x01\x02\x03")) // the retired binary magic
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		read := ReadTSV
-		if trimmed := bytes.TrimLeft(data[:min(len(data), 512)], " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
-			read = ReadNDJSON
-		}
-		var got, want []stream.Action
-		gotErr := ReadAuto(bytes.NewReader(data), func(a stream.Action) bool { got = append(got, a); return true })
-		wantErr := read(bytes.NewReader(data), func(a stream.Action) bool { want = append(want, a); return true })
-		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("ReadAuto = %v (err %v), the sniffed format's reader = %v (err %v)", got, gotErr, want, wantErr)
-		}
+		roundTrip(t, data, ReadNDJSON, WriteNDJSON)
+		roundTrip(t, data, ReadNDJSONNamed, WriteNDJSONNamed)
 	})
 }
 
-// sim2Actions is a tiny valid action stream for seeding.
-func sim2Actions() []stream.Action {
-	return []stream.Action{
-		{ID: 1, User: 10, Parent: stream.NoParent},
-		{ID: 2, User: 11, Parent: 1},
-		{ID: 5, User: 12, Parent: 2},
+// roundTrip decodes data with read, then requires the accepted records to
+// survive write and read unchanged.
+func roundTrip[A any](t *testing.T, data []byte, read func(io.Reader, func(A) bool) error, write func(io.Writer, []A) error) {
+	t.Helper()
+	var got []A
+	_ = read(bytes.NewReader(data), func(a A) bool { got = append(got, a); return true })
+	var buf bytes.Buffer
+	if err := write(&buf, got); err != nil {
+		t.Fatalf("re-encoding accepted records %+v: %v", got, err)
+	}
+	var back []A
+	if err := read(&buf, func(a A) bool { back = append(back, a); return true }); err != nil || !reflect.DeepEqual(back, got) {
+		t.Fatalf("accepted %+v, re-encoded as %q, decoded back as %+v (err %v)", got, buf.Bytes(), back, err)
 	}
 }

@@ -2,12 +2,25 @@ package dataio
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
+	"time"
 
+	"repro/internal/gen"
 	"repro/internal/stream"
 )
+
+func sampleActions() []stream.Action {
+	return []stream.Action{
+		{ID: 1, User: 7, Parent: stream.NoParent},
+		{ID: 2, User: 0, Parent: 1},
+		{ID: 5, User: 4294967295, Parent: 2}, // max user, gappy ID
+		{ID: 9, User: 3, Parent: stream.NoParent},
+	}
+}
 
 func TestNDJSONRoundTrip(t *testing.T) {
 	actions := []stream.Action{
@@ -89,16 +102,147 @@ func TestReadNDJSONSkipsBlanksAndReportsLine(t *testing.T) {
 	}
 }
 
-func TestReadAutoSniffsNDJSON(t *testing.T) {
-	in := `{"id":1,"user":2}` + "\n" + `{"id":3,"user":4,"parent":1}` + "\n"
-	got, err := ReadAll(strings.NewReader(in))
-	if err != nil {
+// readAll decodes every numeric action in r.
+func readAll(r io.Reader) ([]stream.Action, error) {
+	var out []stream.Action
+	err := ReadNDJSON(r, func(a stream.Action) bool { out = append(out, a); return true })
+	return out, err
+}
+
+// TestReadNDJSONLiveFeed: on an open pipe, one complete record is visited
+// without waiting for more input or EOF, by either decoder — `tail -F log |
+// simctl ingest` depends on it.
+func TestReadNDJSONLiveFeed(t *testing.T) {
+	for _, c := range []struct {
+		name, line string
+		want       any
+		read       func(io.Reader, func(any)) error
+	}{
+		{"ReadNDJSON", "{\"id\":1,\"user\":7}\n", stream.Action{ID: 1, User: 7, Parent: stream.NoParent},
+			func(r io.Reader, visit func(any)) error {
+				return ReadNDJSON(r, func(a stream.Action) bool { visit(a); return true })
+			}},
+		{"ReadNDJSONNamed", "{\"id\":1,\"user\":\"u7\"}\n", NamedAction{ID: 1, User: "u7", Parent: stream.NoParent},
+			func(r io.Reader, visit func(any)) error {
+				return ReadNDJSONNamed(r, func(a NamedAction) bool { visit(a); return true })
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pr, pw := io.Pipe()
+			got := make(chan any, 1)
+			done := make(chan error, 1)
+			go func() { done <- c.read(pr, func(a any) { got <- a }) }()
+			if _, err := pw.Write([]byte(c.line)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case a := <-got:
+				if a != c.want {
+					t.Errorf("%q: visited %+v", c.line, a)
+				}
+			case <-time.After(500 * time.Millisecond):
+				t.Errorf("%q: not visited within 500ms of being written", c.line)
+			}
+			pw.Close()
+			if err := <-done; err != nil {
+				t.Errorf("%q: %v", c.line, err)
+			}
+		})
+	}
+}
+
+func TestEarlyStop(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteNDJSON(&buf, sampleActions()); err != nil {
 		t.Fatal(err)
 	}
-	want := []stream.Action{{ID: 1, User: 2, Parent: stream.NoParent}, {ID: 3, User: 4, Parent: 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadAuto NDJSON = %v, want %v", got, want)
+	n := 0
+	if err := ReadNDJSON(&buf, func(stream.Action) bool { n++; return n < 2 }); err != nil {
+		t.Fatal(err)
 	}
+	if n != 2 {
+		t.Fatalf("visited %d, want 2", n)
+	}
+}
+
+// TestRoundTripProperty fuzzes random valid streams through the codec.
+func TestRoundTripProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		cfg := gen.Config{Users: 50, Actions: 300, RootProb: 0.4, MeanRespDist: 30, Seed: seed}
+		actions := gen.Stream(cfg)
+		var nd bytes.Buffer
+		if WriteNDJSON(&nd, actions) != nil {
+			return false
+		}
+		got, err := readAll(&nd)
+		return err == nil && reflect.DeepEqual(got, actions)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadNDJSONEdgeCases pins ReadNDJSON on awkward inputs: empty bodies,
+// CRLF line endings, leading whitespace before the first object, and
+// truncation mid-record.
+func TestReadNDJSONEdgeCases(t *testing.T) {
+	t.Run("empty input", func(t *testing.T) {
+		got, err := readAll(strings.NewReader(""))
+		if err != nil {
+			t.Fatalf("empty input: %v", err)
+		}
+		if len(got) != 0 {
+			t.Fatalf("empty input yielded %d actions", len(got))
+		}
+	})
+
+	t.Run("whitespace-only input", func(t *testing.T) {
+		got, err := readAll(strings.NewReader(" \t\r\n\n  \n"))
+		if err != nil {
+			t.Fatalf("whitespace-only input: %v", err)
+		}
+		if len(got) != 0 {
+			t.Fatalf("whitespace-only input yielded %d actions", len(got))
+		}
+	})
+
+	t.Run("CRLF NDJSON", func(t *testing.T) {
+		in := "{\"id\":1,\"user\":7}\r\n{\"id\":2,\"user\":8,\"parent\":1}\r\n"
+		got, err := readAll(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("CRLF NDJSON: %v", err)
+		}
+		want := []stream.Action{
+			{ID: 1, User: 7, Parent: stream.NoParent},
+			{ID: 2, User: 8, Parent: 1},
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("CRLF NDJSON = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("leading whitespace before NDJSON object", func(t *testing.T) {
+		in := "\r\n\n  \t{\"id\":3,\"user\":1}\n"
+		got, err := readAll(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("leading whitespace NDJSON: %v", err)
+		}
+		want := []stream.Action{{ID: 3, User: 1, Parent: stream.NoParent}}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("leading whitespace NDJSON = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("truncated final NDJSON line errors", func(t *testing.T) {
+		in := "{\"id\":1,\"user\":7}\n{\"id\":2,\"us"
+		_, err := readAll(strings.NewReader(in))
+		if err == nil {
+			t.Fatal("truncated final NDJSON line accepted")
+		}
+		if !strings.Contains(err.Error(), "record 2") {
+			t.Fatalf("error does not name the truncated record: %v", err)
+		}
+	})
 }
 
 // TestWriteNDJSONSmallBatchAllocation pins the writers' staging cost to the

@@ -21,7 +21,13 @@ WORK="$(mktemp -d)"
 PID=
 trap 'kill -9 "${PID:-}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-"$BIN/simgen" -preset syn-o -users 300 -actions 1500 -window 600 -seed 7 -format ndjson |
+# simgen writes NDJSON; a build from before TSV was dropped still has
+# -format, and writes TSV unless told otherwise.
+FORMAT=
+if "$BIN/simgen" -h 2>&1 | grep -q -e '^  -format'; then
+    FORMAT="-format ndjson"
+fi
+"$BIN/simgen" -preset syn-o -users 300 -actions 1500 -window 600 -seed 7 $FORMAT |
     sed 's/"user":\([0-9]*\)/"user":"u\1"/' >"$WORK/actions.ndjson"
 split -l 100 "$WORK/actions.ndjson" "$WORK/chunk."
 

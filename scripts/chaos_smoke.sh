@@ -50,7 +50,7 @@ go build -o "$WORK/simctl" ./cmd/simctl
 
 echo "== generate 2000 actions, split into 200-action chunks"
 "$WORK/simgen" -preset syn-o -users 500 -actions 2000 -window 1000 \
-    -format ndjson -out "$WORK/actions.ndjson"
+    -out "$WORK/actions.ndjson"
 split -l 200 "$WORK/actions.ndjson" "$WORK/chunk."
 
 echo "== boot simserve with injected faults (seed $SEED)"

@@ -43,7 +43,7 @@ done
 
 echo "== ingest 2000 generated actions through the router"
 "$WORK/simgen" -preset syn-o -users 500 -actions 2000 -window 2000 \
-    -format ndjson -out "$WORK/actions.ndjson"
+    -out "$WORK/actions.ndjson"
 INGEST="$(ctl ingest default "$WORK/actions.ndjson")"
 echo "$INGEST"
 case "$INGEST" in

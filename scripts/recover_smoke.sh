@@ -60,7 +60,7 @@ echo "== version flag"
 
 echo "== generate 2000 actions, split into 200-action chunks"
 "$WORK/simgen" -preset syn-o -users 500 -actions 2000 -window 1000 \
-    -format ndjson -out "$WORK/actions.ndjson"
+    -out "$WORK/actions.ndjson"
 split -l 200 "$WORK/actions.ndjson" "$WORK/chunk."
 FIRST_HALF=$(ls "$WORK"/chunk.* | sort | head -n 5)
 SECOND_HALF=$(ls "$WORK"/chunk.* | sort | tail -n +6)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # serve_smoke.sh — end-to-end smoke of the simserve serving layer, run by
 # `make serve-smoke` and CI: boot the server, drive it through simctl (the
-# typed api.Client path): pipe 1k generated TSV actions from simgen into
+# typed api.Client path): pipe 1k generated NDJSON actions from simgen into
 # simctl ingest, assert the seeds query returns a non-empty solution, run a
 # relational /query plan, check the error contract on an unknown tracker,
 # then exit through the SIGTERM drain path.
@@ -31,9 +31,9 @@ until ctl health >/dev/null 2>&1; do
     sleep 0.1
 done
 
-echo "== stream 1000 generated TSV actions through the api client"
-INGEST="$("$WORK/simgen" -preset syn-o -users 500 -actions 1000 -window 1000 \
-    -format tsv | ctl ingest default -)"
+echo "== stream 1000 generated actions through the api client"
+INGEST="$("$WORK/simgen" -preset syn-o -users 500 -actions 1000 -window 1000 |
+    ctl ingest default -)"
 echo "$INGEST"
 case "$INGEST" in
 *'"processed": 1000'*) ;;

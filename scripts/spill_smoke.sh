@@ -59,7 +59,7 @@ go build -o "$WORK/simgen" ./cmd/simgen
 
 echo "== generate 3000 actions, split into 100-action chunks"
 "$WORK/simgen" -preset syn-o -users 500 -actions 3000 -window 1500 \
-    -format ndjson -out "$WORK/actions.ndjson"
+    -out "$WORK/actions.ndjson"
 split -l 100 "$WORK/actions.ndjson" "$WORK/chunk."
 FIRST_HALF=$(ls "$WORK"/chunk.* | sort | head -n 15)
 SECOND_HALF=$(ls "$WORK"/chunk.* | sort | tail -n +16)
