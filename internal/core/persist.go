@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/oracle"
 	"repro/internal/stream"
@@ -30,14 +31,19 @@ func (f *Framework) Save(w io.Writer) error {
 	ww := wire.NewWriter(w)
 	ww.Uvarint(corePayloadVersion)
 
-	// Stream payload, length-prefixed so Restore can hand stream.Restore an
-	// exactly delimited reader (layer decoders must not over-read shared
-	// input).
-	var sb bytes.Buffer
-	if err := f.st.Save(&sb); err != nil {
+	// The stream's and each checkpoint's payloads are length-prefixed so
+	// Restore can hand each layer an exactly delimited reader (layer
+	// decoders must not over-read shared input). Each is built in one
+	// pooled scratch buffer, then copied out: no more than the largest of
+	// them is ever held, and the snapshot's sizing pass and writing pass
+	// (sim.Tracker.SaveTo) share the buffer.
+	buf := saveScratch.Get().(*bytes.Buffer)
+	defer saveScratch.Put(buf)
+	buf.Reset()
+	if err := f.st.Save(buf); err != nil {
 		return fmt.Errorf("core: saving stream: %w", err)
 	}
-	ww.Bytes(sb.Bytes())
+	ww.Bytes(buf.Bytes())
 
 	ww.Varint(f.processed)
 	ww.Varint(int64(f.lastCpStart))
@@ -47,22 +53,24 @@ func (f *Framework) Save(w io.Writer) error {
 	ww.Varint(f.elemFed)
 
 	ww.Uvarint(uint64(len(f.cps)))
-	var ob bytes.Buffer
+	ow := wire.NewWriter(buf) // a bytes.Buffer write cannot fail: no sticky error
 	for _, cp := range f.cps {
 		p, ok := cp.oracle.(oracle.Persistent)
 		if !ok {
 			return fmt.Errorf("core: oracle %T does not implement oracle.Persistent", cp.oracle)
 		}
-		ob.Reset()
-		ow := wire.NewWriter(&ob)
+		buf.Reset()
 		if err := p.SaveState(ow); err != nil {
 			return fmt.Errorf("core: saving checkpoint at %d: %w", cp.start, err)
 		}
 		ww.Varint(int64(cp.start))
-		ww.Bytes(ob.Bytes())
+		ww.Bytes(buf.Bytes())
 	}
 	return ww.Err()
 }
+
+// saveScratch holds Save's payload buffers.
+var saveScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Restore replaces the receiver's state with one saved by Save. The
 // receiver must be freshly constructed by New with a Config equivalent to

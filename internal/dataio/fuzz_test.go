@@ -2,7 +2,9 @@ package dataio
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -91,6 +93,91 @@ func FuzzSnapshotReader(f *testing.F) {
 			}
 			if tag != secs[i].tag || !bytes.Equal(payload, secs[i].payload) {
 				t.Fatalf("round-trip section %d: %q/%q != %q/%q", i, tag, payload, secs[i].tag, secs[i].payload)
+			}
+		}
+	})
+}
+
+// FuzzSnapshotSections writes random sections through the streaming
+// section writer, each payload in random write chunks (Write and
+// WriteString mixed), and checks that they read back identical and that
+// the image equals the one Section writes from whole payloads. The input
+// carves the sections: per section a tag byte, a length byte and a repeat
+// byte (so payloads cross the 64 KiB file buffer), then that many payload
+// bytes; seed draws the chunk sizes.
+func FuzzSnapshotSections(f *testing.F) {
+	f.Add([]byte("\x01\x03\x00abc\x02\x00\x00"), uint64(1))
+	f.Add([]byte("\x07\x05\xffhello\x07\x01\x40z"), uint64(42))
+	f.Add([]byte{}, uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		type sec struct {
+			tag     string
+			payload []byte
+		}
+		var secs []sec
+		for len(data) >= 3 {
+			tag, n, rep := data[0], min(int(data[1]), len(data)-3), 1+int(data[2])<<4
+			secs = append(secs, sec{fmt.Sprintf("S%03d", tag), bytes.Repeat(data[3:3+n], rep)})
+			data = data[3+n:]
+		}
+		rng := rand.New(rand.NewPCG(seed, 0))
+		var streamed bytes.Buffer
+		sw, err := NewSnapshotWriter(&streamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range secs {
+			err := sw.WriteSection(s.tag, len(s.payload), func(w io.Writer) error {
+				for rest := s.payload; len(rest) > 0; {
+					c := rest[:1+rng.IntN(min(len(rest), 1<<17))]
+					var err error
+					if rng.IntN(2) == 0 {
+						_, err = w.Write(c)
+					} else {
+						_, err = io.WriteString(w, string(c))
+					}
+					if err != nil {
+						return err
+					}
+					rest = rest[len(c):]
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("section %q: %v", s.tag, err)
+			}
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var whole bytes.Buffer
+		ww, _ := NewSnapshotWriter(&whole)
+		for _, s := range secs {
+			ww.Section(s.tag, s.payload)
+		}
+		if err := ww.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(streamed.Bytes(), whole.Bytes()) {
+			t.Fatal("streamed image differs from the one Section writes")
+		}
+		sr, err := NewSnapshotReader(&streamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			tag, payload, err := sr.Next()
+			if err == io.EOF {
+				if i != len(secs) {
+					t.Fatalf("read %d sections, wrote %d", i, len(secs))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("section %d: %v", i, err)
+			}
+			if tag != secs[i].tag || !bytes.Equal(payload, secs[i].payload) {
+				t.Fatalf("section %d: %q (%d bytes) != %q (%d bytes)", i, tag, len(payload), secs[i].tag, len(secs[i].payload))
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 )
 
 // SIM2 is the repository's snapshot container format: the durable
@@ -26,6 +27,14 @@ import (
 // marker distinguishes a complete snapshot from one truncated by a crash
 // mid-write (a reader hitting EOF before "SEND" reports ErrSnapshotTruncated
 // instead of silently loading a prefix).
+//
+// The writer streams: a section's payload goes through a CRC-and-count tee
+// into one 64 KiB file buffer while its producer writes it, so a snapshot
+// of any size costs the writer that buffer (WriteSection). The length
+// prefix comes first, so a producer states it up front — sim.Tracker.SaveTo
+// runs each section's producer once into PayloadSize's counting writer,
+// then again into the section. The reader does not stream: it reads the
+// whole image (NewSnapshotReader), which only recovery does.
 
 // snapshotMagic starts every SIM2 snapshot.
 var snapshotMagic = [4]byte{'S', 'I', 'M', '2'}
@@ -79,36 +88,130 @@ func NewSnapshotWriter(w io.Writer) (*SnapshotWriter, error) {
 	return sw, nil
 }
 
-// Section writes one tagged, CRC-protected section. tag must be exactly 4
-// bytes and must not be the reserved end tag.
+// Section writes one tagged, CRC-protected section from a payload held in
+// memory: WriteSection with a callback that writes payload.
 func (sw *SnapshotWriter) Section(tag string, payload []byte) error {
+	return sw.WriteSection(tag, len(payload), func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
+// WriteSection writes one tagged, CRC-protected section whose payload,
+// exactly n bytes, write emits into w. The bytes go through a tee that
+// counts them and folds them into the section's CRC on their way into the
+// writer's file buffer, so no payload is ever held whole: a caller that
+// cannot state n up front sizes the payload first with PayloadSize, running
+// the same write into a writer that only counts.
+//
+// tag must be exactly 4 bytes and must not be the reserved end tag. A write
+// past n bytes fails at once and writes nothing; fewer than n bytes, or an
+// error from write, fails when write returns. Every failure is sticky:
+// later calls and Close return it, and the output ends without an end
+// marker, so no reader loads it.
+func (sw *SnapshotWriter) WriteSection(tag string, n int, write func(w io.Writer) error) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if sw.closed {
+	switch {
+	case sw.closed:
 		sw.err = errors.New("dataio: Section after Close")
-		return sw.err
-	}
-	if len(tag) != 4 {
+	case len(tag) != 4:
 		sw.err = fmt.Errorf("dataio: section tag %q must be 4 bytes", tag)
-		return sw.err
-	}
-	if tag == snapshotEndTag {
+	case tag == snapshotEndTag:
 		sw.err = fmt.Errorf("dataio: section tag %q is reserved", tag)
+	case n < 0 || n > maxSectionBytes:
+		sw.err = fmt.Errorf("dataio: section %q of %d bytes", tag, n)
+	}
+	if sw.err != nil {
 		return sw.err
 	}
-	return sw.writeSection(tag, payload)
+	return sw.writeSection(tag, n, write)
 }
 
 // writeSection checks the last write only: a bufio.Writer keeps its first
 // error and returns it from every later call, Flush included.
-func (sw *SnapshotWriter) writeSection(tag string, payload []byte) error {
+func (sw *SnapshotWriter) writeSection(tag string, n int, write func(w io.Writer) error) error {
 	var buf [binary.MaxVarintLen64]byte
 	sw.w.WriteString(tag)
-	sw.w.Write(binary.AppendUvarint(buf[:0], uint64(len(payload))))
-	sw.w.Write(payload)
-	_, sw.err = sw.w.Write(binary.LittleEndian.AppendUint32(buf[:0], crc32.Checksum(payload, snapshotCRC)))
+	sw.w.Write(binary.AppendUvarint(buf[:0], uint64(n)))
+	tee := sectionTee{w: sw.w, left: n}
+	err := write(&tee)
+	if tee.err != nil { // an overrun, whatever write made of it
+		err = tee.err
+	}
+	if err != nil {
+		sw.err = fmt.Errorf("dataio: section %q: %w", tag, err)
+		return sw.err
+	}
+	if tee.left != 0 {
+		sw.err = fmt.Errorf("dataio: section %q: wrote %d of %d announced bytes", tag, n-tee.left, n)
+		return sw.err
+	}
+	_, sw.err = sw.w.Write(binary.LittleEndian.AppendUint32(buf[:0], tee.crc))
 	return sw.err
+}
+
+// sectionTee is the writer a WriteSection callback writes into: it passes
+// the payload to the file buffer while counting it down and folding it into
+// the CRC.
+type sectionTee struct {
+	w    *bufio.Writer
+	left int // bytes still to come
+	crc  uint32
+	err  error // set by the first write past the announced length
+}
+
+func (t *sectionTee) Write(p []byte) (int, error) {
+	if err := t.take(len(p)); err != nil {
+		return 0, err
+	}
+	t.crc = crc32.Update(t.crc, snapshotCRC, p)
+	return t.w.Write(p)
+}
+
+// WriteString is Write without the []byte copy of s (wire.Writer.String).
+func (t *sectionTee) WriteString(s string) (int, error) {
+	if err := t.take(len(s)); err != nil {
+		return 0, err
+	}
+	t.crc = crc32.Update(t.crc, snapshotCRC, unsafe.Slice(unsafe.StringData(s), len(s)))
+	return t.w.WriteString(s)
+}
+
+// take counts n bytes against the announced length. The first write past
+// it fails, and so does every write after that.
+func (t *sectionTee) take(n int) error {
+	if t.err == nil && n > t.left {
+		t.err = errors.New("payload longer than announced")
+	}
+	if t.err != nil {
+		return t.err
+	}
+	t.left -= n
+	return nil
+}
+
+// PayloadSize returns the number of bytes write emits, running it into a
+// writer that only counts: the first pass of a section that WriteSection
+// then writes in a second. write must emit the same bytes on both runs.
+func PayloadSize(write func(w io.Writer) error) (int, error) {
+	var c counter
+	err := write(&c)
+	return int(c), err
+}
+
+// counter is an io.Writer that keeps nothing but the byte count.
+type counter int
+
+func (c *counter) Write(p []byte) (int, error) {
+	*c += counter(len(p))
+	return len(p), nil
+}
+
+func (c *counter) WriteString(s string) (int, error) {
+	*c += counter(len(s))
+	return len(s), nil
 }
 
 // Close writes the end marker and flushes. The snapshot is complete — and
@@ -121,7 +224,7 @@ func (sw *SnapshotWriter) Close() error {
 		return nil
 	}
 	sw.closed = true
-	sw.writeSection(snapshotEndTag, nil)
+	sw.writeSection(snapshotEndTag, 0, func(io.Writer) error { return nil })
 	sw.err = sw.w.Flush()
 	return sw.err
 }

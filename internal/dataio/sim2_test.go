@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -163,6 +164,105 @@ func TestSnapshotWriterTagValidation(t *testing.T) {
 	sw2, _ := NewSnapshotWriter(&buf)
 	if err := sw2.Section("SEND", nil); err == nil {
 		t.Fatal("reserved end tag accepted")
+	}
+}
+
+// TestWriteSectionFailures pins what a section callback that breaks its
+// contract leaves behind: one that writes fewer bytes than it announced,
+// more (with or without heeding the error the extra write returns), or
+// that fails. The error is sticky — the next section and Close return it —
+// and the output does not read back as a snapshot, whether the failure
+// came before the file buffer's first flush or after several.
+func TestWriteSectionFailures(t *testing.T) {
+	boom := errors.New("boom")
+	for _, n := range []int{10, 200_000} { // under and over the 64 KiB buffer
+		payload := bytes.Repeat([]byte{0xa5}, n+1)
+		for _, tc := range []struct {
+			name  string
+			write func(w io.Writer) error
+		}{
+			{"short", func(w io.Writer) error {
+				_, err := w.Write(payload[:n-1])
+				return err
+			}},
+			{"long", func(w io.Writer) error {
+				_, err := w.Write(payload)
+				return err
+			}},
+			{"long-ignored", func(w io.Writer) error {
+				w.Write(payload[:n])
+				w.Write(payload[:1]) // past n: fails, and the callback ignores it
+				return nil
+			}},
+			{"error", func(w io.Writer) error {
+				w.Write(payload[:n/2])
+				return boom
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, n), func(t *testing.T) {
+				var out bytes.Buffer
+				sw, err := NewSnapshotWriter(&out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sw.Section("HEAD", []byte("intact")); err != nil {
+					t.Fatal(err)
+				}
+				err = sw.WriteSection("BODY", n, tc.write)
+				if err == nil {
+					t.Fatal("WriteSection accepted a broken callback")
+				}
+				if tc.name == "error" && !errors.Is(err, boom) {
+					t.Errorf("WriteSection error %v does not wrap the callback's", err)
+				}
+				if again := sw.Section("NEXT", nil); again != err {
+					t.Errorf("next section: %v, want the sticky %v", again, err)
+				}
+				if cerr := sw.Close(); cerr != err {
+					t.Errorf("Close: %v, want the sticky %v", cerr, err)
+				}
+				sr, err := NewSnapshotReader(bytes.NewReader(out.Bytes()))
+				for err == nil {
+					_, _, err = sr.Next()
+				}
+				if err == io.EOF {
+					t.Fatalf("the output of a failed writer (%d bytes) reads back as a snapshot", out.Len())
+				}
+			})
+		}
+	}
+}
+
+// TestWriteSectionStreams pins that a section's payload reaches the
+// underlying writer while the callback is still writing it: at most the
+// file buffer's 64 KiB of it is held.
+func TestWriteSectionStreams(t *testing.T) {
+	const n, chunk = 1 << 20, 4096
+	var out bytes.Buffer
+	sw, err := NewSnapshotWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	piece := bytes.Repeat([]byte{7}, chunk)
+	err = sw.WriteSection("BIG0", n, func(w io.Writer) error {
+		for done := 0; done < n; done += chunk {
+			if held := 5 + done - out.Len(); held > 1<<16 { // 5: magic and version
+				return fmt.Errorf("%d bytes held after writing %d", held, done)
+			}
+			if _, err := w.Write(piece); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAllSections(t, out.Bytes())["BIG0"]; !bytes.Equal(got, bytes.Repeat(piece, n/chunk)) {
+		t.Fatalf("read back %d bytes, not the payload", len(got))
 	}
 }
 

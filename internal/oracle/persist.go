@@ -1,9 +1,10 @@
 package oracle
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -56,55 +57,30 @@ const maxLen = wire.MaxLen
 // to an uninterrupted run.
 //
 // The layout is instance-major although the state is not: it is the format
-// snapshots have always carried, and slot numbers stay out of it. One sweep
-// of cov yields every covered user's row in ascending user order; each
-// instance's member list is that sequence filtered by the instance's bit,
-// and its gain bounds the bounded users' rows filtered by its column.
+// snapshots have always carried, and slot numbers stay out of it. One pass
+// over each table encodes every slot's member list and gain bounds into
+// that slot's own run of bytes (gridSave), and each instance then writes
+// its runs whole.
 func (g *grid) SaveState(w *wire.Writer) error {
+	sc := gridSaves.Get().(*gridSave)
+	defer gridSaves.Put(sc)
+	sc.transpose(g)
 	w.Uvarint(gridPayloadVersion)
 	w.Varint(g.elements)
 	w.F64(g.m)
 	w.Varint(int64(g.jLo))
 	w.Uvarint(uint64(len(g.order)))
-	users, rows := g.cov.sorted()
-	words := g.cov.stride - 1
-	bounded := slices.DeleteFunc(slices.Clone(g.gainUB.index), func(c uint64) bool { return c == 0 })
-	slices.Sort(bounded) // cells lead with the user: ascending user order
 	for _, s := range g.order {
 		w.F64(g.opt[s])
 		w.Uvarint(uint64(len(g.seeds[s])))
 		for _, u := range g.seeds[s] {
 			w.Uvarint(uint64(u))
 		}
-		wi, bit := s>>6, uint64(1)<<(s&63)
-		n := 0
-		for i := range users {
-			if rows[i*words+wi]&bit != 0 {
-				n++
-			}
-		}
-		w.Uvarint(uint64(n))
-		prev := uint32(0)
-		for i, u := range users {
-			if rows[i*words+wi]&bit != 0 {
-				w.Uvarint(uint64(u - prev))
-				prev = u
-			}
-		}
+		w.Uvarint(uint64(sc.members[s].n))
+		w.Raw(sc.members[s].b)
 		w.F64(g.value[s])
-		n = 0
-		for _, c := range bounded {
-			if g.gainUB.at(c)[s] >= 0 {
-				n++
-			}
-		}
-		w.Uvarint(uint64(n))
-		for _, c := range bounded {
-			if ub := g.gainUB.at(c)[s]; ub >= 0 {
-				w.Uvarint(c >> 32)
-				w.F64(ub)
-			}
-		}
+		w.Uvarint(uint64(sc.bounds[s].n))
+		w.Raw(sc.bounds[s].b)
 	}
 	w.F64(g.bestVal)
 	w.Uvarint(uint64(len(g.bestSeeds)))
@@ -115,23 +91,74 @@ func (g *grid) SaveState(w *wire.Writer) error {
 	return w.Err()
 }
 
-// sorted returns the users with a non-zero row in ascending order, and
-// their rows concatenated in the same order.
-func (t *rowTable) sorted() (users []uint32, rows []uint64) {
-	cells := make([]int, 0, t.count) // offsets of the occupied, non-zero cells
-	for o := 0; o < len(t.cells); o += t.stride {
-		if t.cells[o] != 0 && !isZero(t.cells[o+1:o+t.stride]) {
-			cells = append(cells, o)
+// gridSave is SaveState's instance-major view of a grid: per slot, its
+// covered users (ascending, delta-coded) and its gain bounds (ascending
+// user, then the bound), encoded as SaveState writes them. It is scratch,
+// pooled so that the saves of every checkpoint — and the sizing pass and
+// writing pass of a snapshot — reuse one set of runs.
+type gridSave struct {
+	keys    []uint64 // a table's occupied cells, sorted by user
+	members []run
+	bounds  []run
+}
+
+// run is n values encoded into b.
+type run struct {
+	b    []byte
+	n    int
+	last uint32 // the last member encoded: the next one is a delta from it
+}
+
+var gridSaves = sync.Pool{New: func() any { return new(gridSave) }}
+
+// transpose encodes the per-slot runs from g's user-major tables, visiting
+// each covered user's row and each bounded user's row once.
+func (sc *gridSave) transpose(g *grid) {
+	if n := len(g.opt); len(sc.members) < n {
+		sc.members = append(sc.members, make([]run, n-len(sc.members))...)
+		sc.bounds = append(sc.bounds, make([]run, n-len(sc.bounds))...)
+	}
+	for s := range sc.members {
+		sc.members[s] = run{b: sc.members[s].b[:0]}
+		sc.bounds[s] = run{b: sc.bounds[s].b[:0]}
+	}
+
+	cov := &g.cov
+	sc.keys = sc.keys[:0]
+	for o := 0; o < len(cov.cells); o += cov.stride {
+		if cov.cells[o] != 0 && !isZero(cov.cells[o+1:o+cov.stride]) {
+			sc.keys = append(sc.keys, (cov.cells[o]-1)<<32|uint64(o)) // user, cell offset
 		}
 	}
-	slices.SortFunc(cells, func(a, b int) int { return cmp.Compare(t.cells[a], t.cells[b]) })
-	users = make([]uint32, len(cells))
-	rows = make([]uint64, 0, len(cells)*(t.stride-1))
-	for i, o := range cells {
-		users[i] = uint32(t.cells[o] - 1)
-		rows = append(rows, t.cells[o+1:o+t.stride]...)
+	slices.Sort(sc.keys)
+	for _, key := range sc.keys {
+		u, o := uint32(key>>32), int(uint32(key))
+		for wi, word := range cov.cells[o+1 : o+cov.stride] {
+			for ; word != 0; word &= word - 1 {
+				m := &sc.members[wi<<6|bits.TrailingZeros64(word)]
+				m.b = wire.AppendUvarint(m.b, uint64(u-m.last))
+				m.n++
+				m.last = u
+			}
+		}
 	}
-	return users, rows
+
+	sc.keys = sc.keys[:0]
+	for _, c := range g.gainUB.index {
+		if c != 0 {
+			sc.keys = append(sc.keys, c)
+		}
+	}
+	slices.Sort(sc.keys) // cells lead with the user
+	for _, c := range sc.keys {
+		for s, ub := range g.gainUB.at(c) {
+			if ub >= 0 {
+				b := &sc.bounds[s]
+				b.b = wire.AppendF64(wire.AppendUvarint(b.b, c>>32), ub)
+				b.n++
+			}
+		}
+	}
 }
 
 // RestoreState implements Persistent for the sieve-style oracles: saved

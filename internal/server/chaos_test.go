@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -109,6 +110,105 @@ func (f walWriteFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// snapshotWrites is a fault.FS that follows every snapshot attempt: the
+// bytes written to snapshot.sim2.tmp, and for each write that failed, the
+// image up to and including that write and where the write began. A rename
+// that would publish a temp file whose write failed is recorded too.
+type snapshotWrites struct {
+	fault.FS
+	mu        sync.Mutex
+	image     []byte // the current attempt's writes, failed ones included
+	failed    bool   // some write of the current attempt failed
+	failures  []snapshotFailure
+	published int // renames of a temp file after a failed write
+}
+
+type snapshotFailure struct {
+	image []byte
+	at    int // offset of the failed write in image
+}
+
+func (fs *snapshotWrites) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != snapshotFileName+".tmp" {
+		return f, err
+	}
+	fs.mu.Lock()
+	fs.image, fs.failed = nil, false
+	fs.mu.Unlock()
+	return snapshotWriteFile{f, fs}, nil
+}
+
+func (fs *snapshotWrites) Rename(oldpath, newpath string) error {
+	fs.mu.Lock()
+	if filepath.Base(oldpath) == snapshotFileName+".tmp" && fs.failed {
+		fs.published++
+	}
+	fs.mu.Unlock()
+	return fs.FS.Rename(oldpath, newpath)
+}
+
+type snapshotWriteFile struct {
+	fault.File
+	fs *snapshotWrites
+}
+
+func (f snapshotWriteFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	at := len(f.fs.image)
+	f.fs.image = append(f.fs.image, p...)
+	if err != nil {
+		f.fs.failed = true
+		f.fs.failures = append(f.fs.failures, snapshotFailure{bytes.Clone(f.fs.image), at})
+	}
+	return n, err
+}
+
+// checkFailedInCore fails t unless some snapshot write failed, every failed
+// write began inside the CORE section's payload — after its first bytes had
+// already been written, before its last — and no attempt with a failed
+// write was published.
+func (fs *snapshotWrites) checkFailedInCore(t *testing.T) {
+	t.Helper()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if len(fs.failures) == 0 {
+		t.Fatal("no snapshot write failed")
+	}
+	for _, f := range fs.failures {
+		sr, err := dataio.NewSnapshotReader(bytes.NewReader(f.image))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The image ends inside CORE, so Next cannot return the section:
+		// walk the framing by hand past the sections that did complete.
+		off := 5 // magic and container version
+		for {
+			if off+4 > len(f.image) {
+				t.Fatalf("failed write at %d lies past the image's sections", f.at)
+			}
+			tag := string(f.image[off : off+4])
+			n, k := binary.Uvarint(f.image[off+4:])
+			start := off + 4 + k
+			if tag == "CORE" {
+				if f.at <= start || f.at >= start+int(n) {
+					t.Fatalf("failed write at %d is not inside CORE's payload [%d, %d)", f.at, start, start+int(n))
+				}
+				break
+			}
+			if _, _, err := sr.Next(); err != nil {
+				t.Fatalf("section %q before CORE: %v", tag, err)
+			}
+			off = start + int(n) + 4
+		}
+	}
+	if fs.published > 0 {
+		t.Fatalf("%d snapshot attempts with a failed write were published", fs.published)
+	}
+}
+
 // failedNames reports whether a failed write was a record with a names
 // trailer.
 func (fs *failedWALWrites) failedNames(t *testing.T) bool {
@@ -162,6 +262,9 @@ func TestChaosCrashMatrix(t *testing.T) {
 		// image, with no snapshot taken: everything acknowledged since is in
 		// the WAL alone when the final crash comes.
 		tornCrash bool
+		// midCore: the failed snapshot write must land inside the CORE
+		// section, and that attempt must not be published.
+		midCore bool
 	}{
 		{name: "wal-write-eio", rules: "op=write,path=wal.log,after=2,times=1,err=EIO"},
 		{name: "wal-write-torn-enospc", rules: "op=write,path=wal.log,after=1,times=2,err=ENOSPC,short"},
@@ -171,6 +274,9 @@ func TestChaosCrashMatrix(t *testing.T) {
 		{name: "snapshot-write-enospc", rules: "op=write,path=snapshot.sim2,times=2,err=ENOSPC"},
 		{name: "snapshot-sync-eio", rules: "op=sync,path=snapshot.sim2,times=1,err=EIO"},
 		{name: "snapshot-rename-eio", rules: "op=rename,path=snapshot.sim2,times=1,err=EIO"},
+		// The fourth snapshot write, the second snapshot's last, begins at
+		// the 64 KiB file buffer's first boundary: inside CORE's payload.
+		{name: "snapshot-write-midsection", rules: "op=write,path=snapshot.sim2,after=3,times=1,err=EIO", midCore: true},
 		{name: "names-write-eio", rules: "op=write,path=wal.log,times=1,err=EIO", names: true},
 		{name: "names-poisoned-rollback", rules: "op=write,path=wal.log,times=1,err=EIO;op=truncate,path=wal.log,after=1,times=1,err=EIO", names: true, rearms: true},
 		{name: "slow-disk-delay", rules: "op=sync,path=wal.log,times=4,delay=5ms,delayonly"},
@@ -213,7 +319,8 @@ func TestChaosCrashMatrix(t *testing.T) {
 			for _, r := range rules {
 				inj.Add(r)
 			}
-			fs := &failedWALWrites{FS: inj}
+			snaps := &snapshotWrites{FS: inj}
+			fs := &failedWALWrites{FS: snaps}
 			dir := t.TempDir()
 			reg := NewRegistry()
 			reg.SetFS(fs)
@@ -252,6 +359,9 @@ func TestChaosCrashMatrix(t *testing.T) {
 			}
 			if tc.names && !fs.failedNames(t) {
 				t.Fatal("no failed WAL append carried a names trailer; the cell tests the numeric path")
+			}
+			if tc.midCore {
+				snaps.checkFailedInCore(t)
 			}
 			if tc.rearms {
 				if tr.Metrics().WALRearms == 0 {

@@ -425,9 +425,11 @@ func (d *durability) writeSnapshot(tr *sim.Tracker) error {
 	)
 	if d.names != nil {
 		names = d.names.AppendedSince(0)
-		var buf bytes.Buffer
-		encodeNames(wire.NewWriter(&buf), 0, names)
-		extra = append(extra, sim.Section{Tag: namesSection, Payload: buf.Bytes()})
+		extra = append(extra, sim.Section{Tag: namesSection, Write: func(w io.Writer) error {
+			enc := wire.NewWriter(w)
+			encodeNames(enc, 0, names)
+			return enc.Err()
+		}})
 	}
 	path := filepath.Join(d.dir, snapshotFileName)
 	if err := dataio.AtomicWriteFile(d.fs, path, func(w io.Writer) error { return tr.SaveTo(w, extra...) }); err != nil {

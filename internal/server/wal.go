@@ -248,7 +248,7 @@ func encodeNames(enc *wire.Writer, first int, names []string) {
 	enc.Uvarint(uint64(first))
 	enc.Uvarint(uint64(len(names)))
 	for _, name := range names {
-		enc.Bytes([]byte(name))
+		enc.String(name)
 	}
 }
 

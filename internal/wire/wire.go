@@ -35,7 +35,8 @@ var ErrCorrupt = errors.New("wire: corrupt payload")
 const MaxLen = math.MaxInt32
 
 // Writer encodes primitives to an io.Writer with a sticky error. The zero
-// value is not usable; construct with NewWriter.
+// value is not usable; construct with NewWriter. Every primitive is encoded
+// in the Writer's own buffer, so writing one allocates nothing.
 type Writer struct {
 	w   io.Writer
 	buf [binary.MaxVarintLen64]byte
@@ -43,8 +44,8 @@ type Writer struct {
 }
 
 // NewWriter returns a Writer over w. Callers that need buffering wrap w
-// themselves (payloads are typically accumulated in a bytes.Buffer anyway,
-// so sections can be length-prefixed).
+// themselves: a snapshot section's writer already buffers, and a payload
+// that must be length-prefixed is accumulated in a bytes.Buffer.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Err returns the first error encountered, if any.
@@ -60,10 +61,10 @@ func (w *Writer) write(b []byte) {
 }
 
 // Uvarint writes an unsigned varint.
-func (w *Writer) Uvarint(v uint64) {
-	n := binary.PutUvarint(w.buf[:], v)
-	w.write(w.buf[:n])
-}
+func (w *Writer) Uvarint(v uint64) { w.write(AppendUvarint(w.buf[:0], v)) }
+
+// AppendUvarint appends v to b as Uvarint writes it.
+func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
 // Varint writes a signed (zig-zag) varint.
 func (w *Writer) Varint(v int64) {
@@ -78,25 +79,42 @@ func (w *Writer) Int(v int) { w.Varint(int64(v)) }
 // decimal rendering — so accumulated values (coverage sums, oracle
 // thresholds) restore bit-identically and continued runs match
 // uninterrupted ones exactly.
-func (w *Writer) F64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.write(b[:])
+func (w *Writer) F64(v float64) { w.write(AppendF64(w.buf[:0], v)) }
+
+// AppendF64 appends v to b as F64 writes it.
+func AppendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // Bool writes a bool as one byte.
 func (w *Writer) Bool(v bool) {
-	b := byte(0)
+	w.buf[0] = 0
 	if v {
-		b = 1
+		w.buf[0] = 1
 	}
-	w.write([]byte{b})
+	w.write(w.buf[:1])
 }
 
 // Bytes writes a length-prefixed byte string.
 func (w *Writer) Bytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.write(b)
+}
+
+// Raw writes b verbatim: values its caller already encoded with
+// AppendUvarint and AppendF64, batched into one write.
+func (w *Writer) Raw(b []byte) { w.write(b) }
+
+// String writes s as Bytes writes []byte(s), without that copy when the
+// underlying writer is an io.StringWriter. Reader.Bytes reads it back.
+func (w *Writer) String(s string) {
+	w.Uvarint(uint64(len(s)))
+	if w.err != nil {
+		return
+	}
+	if _, err := io.WriteString(w.w, s); err != nil {
+		w.err = err
+	}
 }
 
 // Reader decodes primitives from an io.Reader with a sticky error. The zero

@@ -22,6 +22,8 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.Bytes([]byte("hello"))
 	w.Bytes(nil)
+	w.String("héllo")
+	w.String("")
 	if err := w.Err(); err != nil {
 		t.Fatalf("writer error: %v", err)
 	}
@@ -60,8 +62,58 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Bytes(16); len(got) != 0 {
 		t.Errorf("Bytes = %q, want empty", got)
 	}
+	if got := r.Bytes(16); string(got) != "héllo" {
+		t.Errorf("Bytes of String = %q, want héllo", got)
+	}
+	if got := r.Bytes(16); len(got) != 0 {
+		t.Errorf("Bytes of String = %q, want empty", got)
+	}
 	if err := r.Err(); err != nil {
 		t.Fatalf("reader error: %v", err)
+	}
+}
+
+// TestStringMatchesBytes pins String to Bytes' encoding, through a writer
+// with WriteString and through one without.
+func TestStringMatchesBytes(t *testing.T) {
+	for _, s := range []string{"", "a", "ünïcode", string(make([]byte, 300))} {
+		var want, got bytes.Buffer
+		NewWriter(&want).Bytes([]byte(s))
+		NewWriter(&got).String(s)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("String(%q) = %x, Bytes = %x", s, got.Bytes(), want.Bytes())
+		}
+		got.Reset()
+		NewWriter(struct{ io.Writer }{&got}).String(s)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("String(%q) without WriteString = %x, Bytes = %x", s, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestWriterAllocs pins every primitive at zero allocations into a
+// pre-grown buffer: a snapshot writes hundreds of thousands of them.
+func TestWriterAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Grow(1 << 16)
+	w := NewWriter(&buf)
+	b, s := []byte("bytes"), "string"
+	for name, write := range map[string]func(){
+		"Uvarint": func() { w.Uvarint(1 << 40) },
+		"Varint":  func() { w.Varint(-1 << 40) },
+		"Int":     func() { w.Int(-42) },
+		"F64":     func() { w.F64(math.Pi) },
+		"Bool":    func() { w.Bool(true) },
+		"Bytes":   func() { w.Bytes(b) },
+		"Raw":     func() { w.Raw(b) },
+		"String":  func() { w.String(s) },
+	} {
+		if got := testing.AllocsPerRun(100, func() { buf.Reset(); write() }); got != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, got)
+		}
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

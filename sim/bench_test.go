@@ -47,9 +47,7 @@ func BenchmarkIngestSIC(b *testing.B) { benchIngest(b, sim.SIC) }
 // BenchmarkIngestIC is the dense-checkpoint variant.
 func BenchmarkIngestIC(b *testing.B) { benchIngest(b, sim.IC) }
 
-// BenchmarkIngestBulkShape is the engine as the benchmark's `bulk` workload
-// configures it (benchmark/workloads.go: SIC + SieveStreaming, k 50, N 8000,
-// L 50, β 0.1, TwitterLike over 8000 users, seed 1), in process: a window of
+// BenchmarkIngestBulkShape is bulkShapeConfig in process: a window of
 // warm-up, then four windows through ProcessAll in the workload's
 // 2000-action requests. ns/op over actions/op is the µs per action that
 // predicts `bulk`'s ack time, readable without booting a server. batch=1 is
@@ -58,17 +56,14 @@ func BenchmarkIngestIC(b *testing.B) { benchIngest(b, sim.IC) }
 // reports, in quality.
 func BenchmarkIngestBulkShape(b *testing.B) {
 	const window, request = 8000, 2000
-	actions := gen.Stream(gen.TwitterLike(8000, 5*window, window, 1))
+	actions := bulkShapeStream()
 	for _, batch := range []int{1, request} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			var value float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				tr, err := sim.New(sim.Config{
-					K: 50, WindowSize: window, Slide: 50, Beta: 0.1, Framework: sim.SIC,
-					Oracle: sim.SieveStreaming, BatchSize: batch, ExpectedUsers: 8000,
-				})
+				tr, err := sim.New(bulkShapeConfig(batch))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -92,4 +87,69 @@ func BenchmarkIngestBulkShape(b *testing.B) {
 			b.ReportMetric(value, "value")
 		})
 	}
+}
+
+// BenchmarkSaveTo is one snapshot of BenchmarkIngestBulkShape's batch=1
+// tracker after its five windows — what `bulk` writes every 128 KiB of WAL —
+// into a writer that discards it. bytes/op is the snapshot's size; B/op
+// against it is what writing it costs in memory (TestSaveToAllocBound).
+func BenchmarkSaveTo(b *testing.B) {
+	tr := bulkShapeTracker(b)
+	var written countingWriter
+	b.ReportAllocs()
+	for b.Loop() {
+		written = 0
+		if err := tr.SaveTo(&written); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(written), "bytes/op")
+}
+
+// bulkShapeConfig is the engine as the benchmark's `bulk` workload
+// configures it (benchmark/workloads.go: SIC + SieveStreaming, k 50, N 8000,
+// L 50, β 0.1, TwitterLike over 8000 users, seed 1), and bulkShapeStream its
+// stream: five windows.
+func bulkShapeConfig(batch int) sim.Config {
+	return sim.Config{
+		K: 50, WindowSize: 8000, Slide: 50, Beta: 0.1, Framework: sim.SIC,
+		Oracle: sim.SieveStreaming, BatchSize: batch, ExpectedUsers: 8000,
+	}
+}
+
+func bulkShapeStream() []sim.Action {
+	const window = 8000
+	return gen.Stream(gen.TwitterLike(8000, 5*window, window, 1))
+}
+
+// bulkShapeTracker is BenchmarkIngestBulkShape's batch=1 tracker after its
+// five windows, fed in the workload's 2000-action requests: the state a
+// `bulk` run snapshots.
+func bulkShapeTracker(tb testing.TB) *sim.Tracker {
+	return fedTracker(tb, bulkShapeConfig(1), bulkShapeStream(), 2000)
+}
+
+// fedTracker is a tracker built from cfg that has processed actions, chunk
+// actions per ProcessAll call.
+func fedTracker(tb testing.TB, cfg sim.Config, actions []sim.Action, chunk int) *sim.Tracker {
+	tb.Helper()
+	tr, err := sim.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { tr.Close() })
+	for off := 0; off < len(actions); off += chunk {
+		if err := tr.ProcessAll(actions[off:min(off+chunk, len(actions))]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }

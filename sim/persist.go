@@ -21,8 +21,10 @@ const (
 // for state kept beside the tracker that must be exactly as current as the
 // snapshot (the serving layer's name table). Load skips it.
 type Section struct {
-	Tag     string // 4 bytes, neither CFG0 nor CORE
-	Payload []byte
+	Tag string // 4 bytes, neither CFG0 nor CORE
+	// Write writes the payload. SaveTo calls it twice, to size the payload
+	// and then to write it, and it must write the same bytes both times.
+	Write func(w io.Writer) error
 }
 
 // simConfigVersion versions the CFG0 payload.
@@ -34,6 +36,12 @@ const simConfigVersion = 1
 // versioned header, CRC per section, length-prefixed sections that unknown
 // readers can skip).
 //
+// Every section is written in two passes: one into a writer that only
+// counts, for the length that prefixes it, and one through the container's
+// file buffer. No buffer ever holds a whole section, so what SaveTo
+// allocates is scratch of at most one checkpoint's or the stream's payload,
+// far below the snapshot's size.
+//
 // A tracker restored from it by Load and fed the rest of the stream produces
 // bit-identical Seeds, Value and CheckpointStarts to one that was never
 // interrupted. SaveTo does not mutate observable state and may be called at
@@ -43,9 +51,23 @@ func (t *Tracker) SaveTo(w io.Writer, extra ...Section) error {
 	if err != nil {
 		return err
 	}
+	secs := append([]Section{{sectionConfig, t.saveConfig}, {sectionCore, t.fw.Save}}, extra...)
+	for _, sec := range secs {
+		n, err := dataio.PayloadSize(sec.Write)
+		if err != nil {
+			return err
+		}
+		if err := sw.WriteSection(sec.Tag, n, sec.Write); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
 
-	var buf bytes.Buffer
-	cw := wire.NewWriter(&buf)
+// saveConfig writes the CFG0 payload: the configuration scalars Load
+// checks.
+func (t *Tracker) saveConfig(w io.Writer) error {
+	cw := wire.NewWriter(w)
 	fc := t.fw.Config()
 	cw.Uvarint(simConfigVersion)
 	cw.Int(fc.K)
@@ -61,27 +83,7 @@ func (t *Tracker) SaveTo(w io.Writer, extra ...Section) error {
 	cw.Bool(fc.ByTime)
 	cw.Bool(t.filter != nil)
 	cw.Bool(t.weighted)
-	if err := cw.Err(); err != nil {
-		return err
-	}
-	if err := sw.Section(sectionConfig, buf.Bytes()); err != nil {
-		return err
-	}
-
-	buf.Reset()
-	if err := t.fw.Save(&buf); err != nil {
-		return err
-	}
-	if err := sw.Section(sectionCore, buf.Bytes()); err != nil {
-		return err
-	}
-
-	for _, sec := range extra {
-		if err := sw.Section(sec.Tag, sec.Payload); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
+	return cw.Err()
 }
 
 // Load reconstructs a tracker from a snapshot written by SaveTo. cfg must
