@@ -72,14 +72,17 @@ spill-smoke:
 # Short fuzz runs of the six hand-written parsers and the streaming snapshot
 # writer (also a CI step): the SIM2 snapshot container, sections written
 # through SnapshotWriter.WriteSection in random chunks, the NDJSON stream
-# decoders (numeric and name mode), the cold-segment parser, the -fault rule
-# grammar, the WAL and the stream payload. Seed corpora live in
-# testdata/fuzz/; new crashers land there too.
+# decoders (numeric and name mode; round trip, then against the json.Decoder
+# loop they must match), the NDJSON writers against json.Encoder, the
+# cold-segment parser, the -fault rule grammar, the WAL and the stream
+# payload. Seed corpora live in testdata/fuzz/; new crashers land there too.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotSections -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzReadNDJSON -fuzztime=$(FUZZTIME) ./internal/dataio/
+	$(GO) test -run='^$$' -fuzz=FuzzNDJSONMatchesJSONDecoder -fuzztime=$(FUZZTIME) ./internal/dataio/
+	$(GO) test -run='^$$' -fuzz=FuzzNDJSONWriterBytes -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzSegment -fuzztime=$(FUZZTIME) ./internal/dataio/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/server/

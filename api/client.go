@@ -315,26 +315,20 @@ func (c *Client) Influence(ctx context.Context, name, user string) (InfluenceRes
 
 // Ingest POSTs actions as one NDJSON batch to a numeric-ID tracker.
 func (c *Client) Ingest(ctx context.Context, name string, actions []sim.Action) (IngestResponse, error) {
-	var body bytes.Buffer
-	if err := dataio.WriteNDJSON(&body, actions); err != nil {
-		return IngestResponse{}, fmt.Errorf("api: encoding batch: %w", err)
-	}
-	var out IngestResponse
-	err := c.do(ctx, http.MethodPost, trackerPath(name, "/actions"),
-		"application/x-ndjson", body.Bytes(), &out, false)
-	return out, err
+	return c.ingest(ctx, name, dataio.AppendNDJSON(nil, actions))
 }
 
 // IngestNamed POSTs actions as one NDJSON batch to a name-mode tracker
 // (Spec.Names): users are external string names, interned server-side.
 func (c *Client) IngestNamed(ctx context.Context, name string, actions []NamedAction) (IngestResponse, error) {
-	var body bytes.Buffer
-	if err := dataio.WriteNDJSONNamed(&body, actions); err != nil {
-		return IngestResponse{}, fmt.Errorf("api: encoding batch: %w", err)
-	}
+	return c.ingest(ctx, name, dataio.AppendNDJSONNamed(nil, actions))
+}
+
+// ingest POSTs one NDJSON body to the tracker's /actions.
+func (c *Client) ingest(ctx context.Context, name string, body []byte) (IngestResponse, error) {
 	var out IngestResponse
 	err := c.do(ctx, http.MethodPost, trackerPath(name, "/actions"),
-		"application/x-ndjson", body.Bytes(), &out, false)
+		"application/x-ndjson", body, &out, false)
 	return out, err
 }
 

@@ -9,6 +9,14 @@
 // callback as they decode them, so a stream is never materialized whole and
 // a live feed is served record by record.
 //
+// The codec is reflection-free where the project's own bytes flow. The
+// writers append lines with strconv (AppendNDJSON, AppendNDJSONNamed),
+// byte for byte what encoding/json writes. The readers convert a canonical
+// line — the shape those writers emit — directly (scan.go) and hand the
+// first other line, with the rest of the input, to a json.Decoder, which
+// stays the definition of the accepted language: any input reads to the
+// same actions and the same error either way.
+//
 // The package also holds the SIM2 snapshot container (sim2.go), the cold
 // segment files (segment.go) and atomic file replacement (atomic.go).
 package dataio

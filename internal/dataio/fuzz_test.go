@@ -2,11 +2,16 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
+	"testing/iotest"
+
+	"repro/internal/stream"
 )
 
 // validSnapshot builds a well-formed SIM2 snapshot through the real writer,
@@ -219,4 +224,178 @@ func roundTrip[A any](t *testing.T, data []byte, read func(io.Reader, func(A) bo
 	if err := read(&buf, func(a A) bool { back = append(back, a); return true }); err != nil || !reflect.DeepEqual(back, got) {
 		t.Fatalf("accepted %+v, re-encoded as %q, decoded back as %+v (err %v)", got, buf.Bytes(), back, err)
 	}
+}
+
+// referenceRead is the json.Decoder loop that defines the NDJSON language:
+// one decoder over the whole input, records numbered from 1. ReadNDJSON and
+// ReadNDJSONNamed must visit the same actions and fail with the same text.
+func referenceRead[R interface{ action() (A, error) }, A any](r io.Reader, visit func(A) bool) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	for n := 1; ; n++ {
+		var rec R
+		err := dec.Decode(&rec)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("record %d: dataio: bad NDJSON action: %w", n, err)
+		}
+		a, err := rec.action()
+		if err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
+		}
+		if !visit(a) {
+			return nil
+		}
+	}
+}
+
+// referenceWrite encodes records with one json.Encoder: the bytes
+// WriteNDJSON and WriteNDJSONNamed must write.
+func referenceWrite[R any](records []R) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, rec := range records {
+		if err := enc.Encode(rec); err != nil {
+			panic(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// parentJSON is a record's "parent" field as the json.Encoder writers set
+// it: nil, so omitted, for a root.
+func parentJSON(p stream.ActionID) *int64 {
+	if p == stream.NoParent {
+		return nil
+	}
+	v := int64(p)
+	return &v
+}
+
+// decoded is what one read of an input yields: the actions visited and
+// the error text.
+type decoded[A any] struct {
+	actions []A
+	err     string
+}
+
+// decode runs read over r, visiting at most stop actions (all when stop
+// is 0).
+func decode[A any](read func(io.Reader, func(A) bool) error, r io.Reader, stop int) decoded[A] {
+	var d decoded[A]
+	if err := read(r, func(a A) bool { d.actions = append(d.actions, a); return len(d.actions) != stop }); err != nil {
+		d.err = err.Error()
+	}
+	return d
+}
+
+// canonicalPrefix is about one line buffer of canonical lines, so input
+// appended to it straddles the buffer's first refill.
+var canonicalPrefix = func() []byte {
+	var b []byte
+	for id := 1; len(b) < 4000; id++ {
+		b = AppendNDJSON(b, []stream.Action{{ID: stream.ActionID(id), User: 3, Parent: stream.ActionID(id - 1)}})
+	}
+	return b
+}()
+
+// matchDecoder fails t unless read and ref agree on data, read whole, in
+// one-byte reads, after canonicalPrefix, and stopped after stop actions.
+func matchDecoder[A any](t *testing.T, data []byte, stop int, read, ref func(io.Reader, func(A) bool) error) {
+	t.Helper()
+	inputs := []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"whole", func() io.Reader { return bytes.NewReader(data) }},
+		{"one byte per read", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }},
+		{"after a buffer of canonical lines", func() io.Reader {
+			return bytes.NewReader(append(append([]byte(nil), canonicalPrefix...), data...))
+		}},
+	}
+	for _, in := range inputs {
+		for _, s := range []int{0, stop} {
+			got, want := decode(read, in.r(), s), decode(ref, in.r(), s)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, stop %d: %q\n got %+v\nwant %+v", in.name, s, data, got, want)
+			}
+		}
+	}
+}
+
+// FuzzNDJSONMatchesJSONDecoder: on any input both readers visit the same
+// actions and give the same error text as the json.Decoder loop
+// (referenceRead), however the input arrives and wherever the visitor
+// stops.
+func FuzzNDJSONMatchesJSONDecoder(f *testing.F) {
+	f.Add([]byte("{\"id\":1,\"user\":2}\n{\"id\":3,\"user\":4,\"parent\":1}\n"), uint8(1))
+	f.Add([]byte("{\"id\":1,\"user\":\"alice\"}\r\n\n  \n{\"id\":2,\"user\":\"b\\u00e9\",\"parent\":1}"), uint8(1))
+	f.Add([]byte("{\"id\":1,\"user\":2}{\"id\":2,\"user\":3}\n{\"id\":3,\n\"user\":4}\n"), uint8(2))
+	f.Add([]byte("{\"id\":-0,\"user\":01}\n{\"id\":2,\"user\":4294967296,\"parent\":null}\n"), uint8(0))
+	f.Add([]byte("{\"id\":1,\"user\":\"<&> \",\"parent\":-2}\n{\"ID\":1,\"User\":2}\n"), uint8(0))
+	f.Add([]byte("{\"id\":9223372036854775808,\"user\":1}\n{\"id\":-9223372036854775808,\"user\":1}"), uint8(0))
+	f.Add([]byte("{\"id\":1,\"user\":\"\xff\"}\n{\"id\":2,\"user\":\"\"}\n"), uint8(0))
+	f.Add(append([]byte("{\"id\":1,\"user\":2}"), bytes.Repeat([]byte(" "), 5000)...), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, stop uint8) {
+		matchDecoder(t, data, int(stop), ReadNDJSON, referenceRead[actionJSON])
+		matchDecoder(t, data, int(stop), ReadNDJSONNamed, referenceRead[namedActionJSON])
+	})
+}
+
+// FuzzNDJSONWriterBytes: random actions, and names of random bytes, encode
+// byte for byte as json.Encoder encodes them (referenceWrite). data carves
+// the names, one length byte then that many bytes each; seed draws the IDs.
+func FuzzNDJSONWriterBytes(f *testing.F) {
+	f.Add([]byte("\x05alice\x03bob"), uint64(1))
+	f.Add([]byte{}, uint64(3))
+	// One name per byte class json.Encoder escapes, and some it keeps.
+	for i, name := range []string{"a<b", ">", "&", "\u2028", "\u2029", "\x00", "\n", "\x1f", `"`, `\`,
+		"\xff", "\xed\xa0\x80", "é", "\x7f", "\ufffd", "\U0001F600"} {
+		f.Add(append([]byte{byte(len(name))}, name...), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		id := func() stream.ActionID {
+			switch rng.IntN(4) {
+			case 0:
+				return stream.ActionID([]int64{math.MinInt64, math.MaxInt64, -2, -1, 0}[rng.IntN(5)])
+			case 1:
+				return stream.ActionID(rng.Int64() - rng.Int64())
+			default:
+				return stream.ActionID(rng.IntN(1 << 20))
+			}
+		}
+		var (
+			actions []stream.Action
+			named   []NamedAction
+			recs    []actionJSON
+			nrecs   []namedActionJSON
+		)
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			name := string(data[1 : 1+n])
+			data = data[1+n:]
+			a := stream.Action{ID: id(), User: stream.UserID(rng.Uint32()), Parent: id()}
+			actions = append(actions, a)
+			named = append(named, NamedAction{ID: a.ID, User: name, Parent: a.Parent})
+			recs = append(recs, actionJSON{ID: int64(a.ID), User: uint32(a.User), Parent: parentJSON(a.Parent)})
+			nrecs = append(nrecs, namedActionJSON{ID: int64(a.ID), User: name, Parent: parentJSON(a.Parent)})
+		}
+		var buf bytes.Buffer
+		if err := WriteNDJSON(&buf, actions); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceWrite(recs); !bytes.Equal(buf.Bytes(), want) || !bytes.Equal(AppendNDJSON(nil, actions), want) {
+			t.Fatalf("numeric: wrote %q, json.Encoder writes %q", buf.Bytes(), want)
+		}
+		buf.Reset()
+		if err := WriteNDJSONNamed(&buf, named); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceWrite(nrecs); !bytes.Equal(buf.Bytes(), want) || !bytes.Equal(AppendNDJSONNamed(nil, named), want) {
+			t.Fatalf("named: wrote %q, json.Encoder writes %q", buf.Bytes(), want)
+		}
+	})
 }
