@@ -16,8 +16,9 @@ import (
 // hold at most a quarter more row memory than their rows fill, plus the
 // index. Rows stored inside the hash cells (at most ¾ full, doubling) fail
 // this, and so do rows a recycled grid keeps from its last owner (measured
-// 1.3–1.6). The table is private to package oracle and has no accessor
-// production code would use, so the sizes are read by reflection.
+// 1.3–1.6). A cardinality grid's rows are float32, 4 bytes a bound. The
+// table is private to package oracle and has no accessor production code
+// would use, so the sizes are read by reflection.
 func TestBoundTableFootprint(t *testing.T) {
 	const (
 		k, n, l = 50, 1000, 50
@@ -36,19 +37,25 @@ func TestBoundTableFootprint(t *testing.T) {
 			continue
 		}
 		var rows, held, index int // rows in use, rows of memory held, index cells
-		width := 0
+		rowBytes := 0
 		for _, cp := range fw.cps {
 			tab := reflect.ValueOf(cp.oracle).Elem().FieldByName("grid").FieldByName("gainUB")
-			width = int(tab.FieldByName("width").Int())
+			width := int(tab.FieldByName("width").Int())
 			rows += int(tab.FieldByName("n").Int())
 			index += tab.FieldByName("index").Len()
-			for c, chunks := 0, tab.FieldByName("chunks"); c < chunks.Len(); c++ {
-				held += chunks.Index(c).Cap() / width
+			for _, list := range []string{"chunks32", "chunks64"} {
+				chunks := tab.FieldByName(list)
+				for c := 0; c < chunks.Len(); c++ {
+					if rowBytes = width * int(chunks.Type().Elem().Elem().Size()); rowBytes != 4*width {
+						t.Fatalf("t=%d: a cardinality grid keeps %d-byte rows of %d gain bounds, not 4 bytes a bound", a.ID, rowBytes, width)
+					}
+					held += chunks.Index(c).Cap() / width
+				}
 			}
 		}
 		if float64(held) > 1.25*float64(rows) {
 			t.Fatalf("t=%d: %d checkpoints hold memory for %d gain-bound rows (%d B each, +%d B of index) and use %d",
-				a.ID, len(fw.cps), held, 8*width, 8*index, rows)
+				a.ID, len(fw.cps), held, rowBytes, 8*index, rows)
 		}
 		peakRows = max(peakRows, rows)
 	}

@@ -106,35 +106,80 @@ func (t *rowTable) clearBits(mask []uint64) {
 	}
 }
 
-// boundTable maps a user to a fixed-width row of float64 gain bounds, entry
-// s belonging to instance slot s of the owning grid; a negative entry means
+// boundTable maps a user to a fixed-width row of gain bounds, entry s
+// belonging to instance slot s of the owning grid; a negative entry means
 // "no bound". Rows are packed in arrival order, boundChunk to an allocation,
 // and found through a small open-addressing index, so the table's memory is
-// its rows — a row is width × 8 bytes, an index cell 8 — with neither
-// load-factor slack nor, growing a chunk at a time, copies left as garbage.
-// Unlike the bit-row tables it keeps nothing across reset: a chunk costs one
-// allocation and no copy to get back, and rows kept from a longer-lived
-// owner were a third to a half more memory than the live checkpoints' rows.
+// its rows — a row is width × 4 or width × 8 bytes, an index cell 8 — with
+// neither load-factor slack nor, growing a chunk at a time, copies left as
+// garbage. Unlike the bit-row tables it keeps nothing across reset: a chunk
+// costs one allocation and no copy to get back, and rows kept from a
+// longer-lived owner were a third to a half more memory than the live
+// checkpoints' rows.
+//
+// A bound is a float32 when the table is narrow — the grid's objective is
+// cardinality — and a float64 otherwise. Cardinality gains are member
+// counts, which a float32 holds exactly below 2²⁴, so a narrow table rounds
+// nothing a served window can reach (that takes an influence set of more
+// than 16.7 M distinct users); above it a narrow cell rounds the bound up,
+// never down, so it still bounds the gain and every admission decision
+// stays the one a wide table makes. Weighted bounds are arbitrary sums that
+// a float32 would round, and a snapshot carries every bound as a float64
+// that restoring must give back bit for bit: weighted tables stay wide.
 type boundTable struct {
-	width  int         // bounds per row
-	chunks [][]float64 // row r is chunks[r/boundChunk][r%boundChunk*width:][:width]
-	n      int         // rows in use
-	index  []uint64    // user<<32 | r+1; 0 = empty
+	width    int         // bounds per row
+	narrow   bool        // rows are float32
+	chunks32 [][]float32 // narrow: row r is chunks32[r/boundChunk][r%boundChunk*width:][:width]
+	chunks64 [][]float64 // wide: the same, in float64
+	n        int         // rows in use
+	index    []uint64    // user<<32 | r+1; 0 = empty
 }
 
 const boundChunk = 8
 
-func newBoundTable(width int) boundTable {
-	return boundTable{width: width, index: make([]uint64, minRowCells)}
+func newBoundTable(width int, narrow bool) boundTable {
+	return boundTable{width: width, narrow: narrow, index: make([]uint64, minRowCells)}
 }
 
-// find returns k's row, or nil when k has none.
-func (t *boundTable) find(k uint32) []float64 {
+// boundRow is a view of one user's row: f32 in a narrow table, f64 in a
+// wide one, neither when the user has none.
+type boundRow struct {
+	f32 []float32
+	f64 []float64
+}
+
+// ok reports whether the row exists.
+func (r *boundRow) ok() bool { return r.f32 != nil || r.f64 != nil }
+
+// get returns slot s's bound, negative for none.
+func (r *boundRow) get(s int) float64 {
+	if r.f32 != nil {
+		return float64(r.f32[s])
+	}
+	return r.f64[s]
+}
+
+// set stores v, which is not negative, as slot s's bound. A narrow cell
+// that would round v down takes the next float32 up instead.
+func (r *boundRow) set(s int, v float64) {
+	if r.f32 != nil {
+		f := float32(v)
+		if float64(f) < v {
+			f = math.Float32frombits(math.Float32bits(f) + 1)
+		}
+		r.f32[s] = f
+		return
+	}
+	r.f64[s] = v
+}
+
+// find returns k's row, which is not ok when k has none.
+func (t *boundTable) find(k uint32) boundRow {
 	mask := uint64(len(t.index) - 1)
 	for i := (uint64(k) * fib >> 32) & mask; ; i = (i + 1) & mask {
 		switch c := t.index[i]; {
 		case c == 0:
-			return nil
+			return boundRow{}
 		case uint32(c>>32) == k:
 			return t.at(c)
 		}
@@ -142,17 +187,24 @@ func (t *boundTable) find(k uint32) []float64 {
 }
 
 // at returns the row an index cell names.
-func (t *boundTable) at(cell uint64) []float64 {
+func (t *boundTable) at(cell uint64) boundRow {
 	r := int(uint32(cell)) - 1
-	o := r % boundChunk * t.width
-	return t.chunks[r/boundChunk][o : o+t.width]
+	c, o := r/boundChunk, r%boundChunk*t.width
+	if t.narrow {
+		return boundRow{f32: t.chunks32[c][o : o+t.width]}
+	}
+	return boundRow{f64: t.chunks64[c][o : o+t.width]}
 }
 
 // insert appends a row of no bounds for k, which must have none, and returns
 // it.
-func (t *boundTable) insert(k uint32) []float64 {
-	if t.n == len(t.chunks)*boundChunk {
-		t.chunks = append(t.chunks, make([]float64, boundChunk*t.width))
+func (t *boundTable) insert(k uint32) boundRow {
+	if t.n == (len(t.chunks32)+len(t.chunks64))*boundChunk {
+		if t.narrow {
+			t.chunks32 = append(t.chunks32, make([]float32, boundChunk*t.width))
+		} else {
+			t.chunks64 = append(t.chunks64, make([]float64, boundChunk*t.width))
+		}
 	}
 	if (t.n+1)*4 >= len(t.index)*3 { // keep load factor below 3/4
 		old := t.index
@@ -167,8 +219,11 @@ func (t *boundTable) insert(k uint32) []float64 {
 	cell := uint64(k)<<32 | uint64(t.n)
 	t.place(cell)
 	row := t.at(cell)
-	for s := range row {
-		row[s] = -1
+	for s := range row.f32 {
+		row.f32[s] = -1
+	}
+	for s := range row.f64 {
+		row.f64[s] = -1
 	}
 	return row
 }
@@ -183,14 +238,20 @@ func (t *boundTable) place(cell uint64) {
 }
 
 // reset empties the table and lets its memory go.
-func (t *boundTable) reset() { *t = newBoundTable(t.width) }
+func (t *boundTable) reset() { *t = newBoundTable(t.width, t.narrow) }
 
-// clearSlots removes the bounds of the slots in mask from every row.
+// clearSlots removes the bounds of the slots in mask from every row. One of
+// the two chunk lists is empty.
 func (t *boundTable) clearSlots(mask []uint64) {
 	for wi, m := range mask {
 		for ; m != 0; m &= m - 1 {
 			s := wi<<6 | bits.TrailingZeros64(m)
-			for _, chunk := range t.chunks {
+			for _, chunk := range t.chunks32 {
+				for o := s; o < len(chunk); o += t.width {
+					chunk[o] = -1
+				}
+			}
+			for _, chunk := range t.chunks64 {
 				for o := s; o < len(chunk); o += t.width {
 					chunk[o] = -1
 				}
@@ -264,12 +325,14 @@ type grid struct {
 	// instance). It is user-major like seedOf and cov — one probe per
 	// element finds the user's bounds in every slot — and a row is as wide
 	// as the most instances the grid ever holds, not the 64·W slots of a bit
-	// row. Only users some scan rejected have a row: measured on the
-	// benchmark's bulk stream that is 22–373 users per checkpoint, 5 548 rows
-	// of 50 bounds (2.2 MB) over a tracker, where one sparse map per slot
-	// held the same 54 071 bounds in 178 176 cells (2.85 MB) and cost an
-	// element 18 hash probes, one per slot that passed the singleton test or
-	// ended a scan undecided (ARCHITECTURE.md, "The gain bounds are rows").
+	// row. Only users some scan rejected have a row: on the benchmark's bulk
+	// stream that is 22–373 users per checkpoint and, at the end of a
+	// five-window run, 5 451 rows of 50 bounds over a tracker's 29
+	// checkpoints — 1.09 MB at 4 bytes a bound, the width of a cardinality
+	// objective (boundTable). One sparse map per slot took 3.3 cells a bound
+	// and cost an element 18 hash probes, one per slot that passed the
+	// singleton test or ended a scan undecided (ARCHITECTURE.md, "The gain
+	// bounds are rows").
 	gainUB boundTable
 
 	// Scratch, per element (und, adm, gain) and per retune (retired).
@@ -334,7 +397,7 @@ func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
 		thr:     make([]float64, slots),
 		gain:    make([]float64, slots),
 		seeds:   make([][]stream.UserID, slots),
-		gainUB:  newBoundTable(most),
+		gainUB:  newBoundTable(most, w == nil),
 	}
 }
 
@@ -538,8 +601,8 @@ func (g *grid) feed(e Element, singleton float64) {
 			latestCov = row
 		}
 	}
-	bounds := g.gainUB.find(u) // nil until a scan of e.User's set rejects
-	bounded := e.LatestValid && bounds != nil
+	bounds := g.gainUB.find(u) // absent until a scan of e.User's set rejects
+	bounded := e.LatestValid && bounds.ok()
 	for wi := range g.und {
 		var und uint64
 		for c := g.live[wi] &^ g.full[wi] &^ seedIn[wi]; c != 0; c &= c - 1 {
@@ -550,7 +613,7 @@ func (g *grid) feed(e Element, singleton float64) {
 				continue // gain <= singleton cannot clear the threshold
 			}
 			if bounded {
-				if ub := bounds[s]; ub >= 0 {
+				if ub := bounds.get(s); ub >= 0 {
 					grew := latestCov[wi]&(1<<b) == 0
 					if grew {
 						ub += wLatest
@@ -558,7 +621,7 @@ func (g *grid) feed(e Element, singleton float64) {
 					if ub < thr || ub <= 0 {
 						// Admission needs gain >= thr and gain > 0.
 						if grew {
-							bounds[s] = ub
+							bounds.set(s, ub)
 						}
 						continue
 					}
@@ -606,13 +669,13 @@ func (g *grid) feed(e Element, singleton float64) {
 		}
 	}
 	if !isZero(g.und) {
-		if bounds == nil {
+		if !bounds.ok() {
 			bounds = g.gainUB.insert(u)
 		}
 		for wi, und := range g.und {
 			for ; und != 0; und &= und - 1 {
 				s := wi<<6 | bits.TrailingZeros64(und)
-				bounds[s] = g.gain[s]
+				bounds.set(s, g.gain[s])
 			}
 		}
 	}

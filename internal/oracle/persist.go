@@ -151,8 +151,9 @@ func (sc *gridSave) transpose(g *grid) {
 	}
 	slices.Sort(sc.keys) // cells lead with the user
 	for _, c := range sc.keys {
-		for s, ub := range g.gainUB.at(c) {
-			if ub >= 0 {
+		row := g.gainUB.at(c)
+		for s := range g.gainUB.width {
+			if ub := row.get(s); ub >= 0 {
 				b := &sc.bounds[s]
 				b.b = wire.AppendF64(wire.AppendUvarint(b.b, c>>32), ub)
 				b.n++
@@ -162,7 +163,9 @@ func (sc *gridSave) transpose(g *grid) {
 }
 
 // RestoreState implements Persistent for the sieve-style oracles: saved
-// instance i takes slot i.
+// instance i takes slot i. Gain bounds are saved as float64 whatever the
+// width of the grid's rows, and a narrow grid narrows them here: a
+// cardinality grid saved only integers, which a float32 holds.
 func (g *grid) RestoreState(r *wire.Reader) error {
 	if v := r.Uvarint(); r.Err() == nil && v != gridPayloadVersion {
 		return fmt.Errorf("oracle: unsupported sieve payload version %d", v)
@@ -199,12 +202,14 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 		for j := 0; j < ng && r.Err() == nil; j++ {
 			k := uint32(r.Uvarint())
 			row := g.gainUB.find(k)
-			if row == nil {
+			if !row.ok() {
 				row = g.gainUB.insert(k)
 			}
-			if row[s] = r.F64(); !(row[s] >= 0) && r.Err() == nil {
-				return fmt.Errorf("oracle: sieve payload holds gain bound %v for user %d", row[s], k)
+			ub := r.F64()
+			if !(ub >= 0) && r.Err() == nil {
+				return fmt.Errorf("oracle: sieve payload holds gain bound %v for user %d", ub, k)
 			}
+			row.set(s, ub)
 		}
 		g.thr[s] = g.threshold(s)
 		g.order = append(g.order, s)

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -53,16 +54,21 @@ func BenchmarkIngestIC(b *testing.B) { benchIngest(b, sim.IC) }
 // predicts `bulk`'s ack time, readable without booting a server. batch=1 is
 // the served configuration; batch=2000 sets BatchSize to the request size,
 // so the two price batching in cost and, through the final value each
-// reports, in quality.
+// reports, in quality. live-MB is the heap the tracker keeps reachable at
+// the end, collected before it was built and after its last request
+// (TestTrackerLiveHeap bounds it).
 func BenchmarkIngestBulkShape(b *testing.B) {
 	const window, request = 8000, 2000
 	actions := bulkShapeStream()
 	for _, batch := range []int{1, request} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
-			var value float64
+			var value, live float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				var m0, m1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m0)
 				tr, err := sim.New(bulkShapeConfig(batch))
 				if err != nil {
 					b.Fatal(err)
@@ -77,6 +83,9 @@ func BenchmarkIngestBulkShape(b *testing.B) {
 					}
 				}
 				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&m1)
+				live = float64(m1.HeapAlloc) - float64(m0.HeapAlloc)
 				if value = tr.Value(); value <= 0 {
 					b.Fatal("tracker made no progress")
 				}
@@ -85,6 +94,7 @@ func BenchmarkIngestBulkShape(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(actions)-window), "actions/op")
 			b.ReportMetric(value, "value")
+			b.ReportMetric(live/1e6, "live-MB")
 		})
 	}
 }
