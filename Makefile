@@ -75,7 +75,11 @@ spill-smoke:
 # decoders (numeric and name mode; round trip, then against the json.Decoder
 # loop they must match), the NDJSON writers against json.Encoder, the
 # cold-segment parser, the -fault rule grammar, the WAL and the stream
-# payload. Seed corpora live in testdata/fuzz/; new crashers land there too.
+# payload — plus the sieve grid's gain-bound table against a map of rows,
+# with bounds around 65 535, where a two-byte cell stops holding them. Seed
+# corpora live in testdata/fuzz/; new crashers land there too. A bound-table
+# input runs up to a thousand ops, so its new inputs are minimized for at
+# most 5 s rather than the default minute, which would take the whole run.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
@@ -87,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamRestore -fuzztime=$(FUZZTIME) ./internal/stream/
+	$(GO) test -run='^$$' -fuzz=FuzzBoundTable -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/oracle/
 
 # Aggregate coverage profile (also uploaded as a CI artifact).
 cover:

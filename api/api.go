@@ -90,7 +90,8 @@ type Spec struct {
 	Window int `json:"window"`
 	// Slide, Beta, Framework ("sic"/"ic"), Oracle ("sieve", "threshold",
 	// "blogwatch", "mkc"), TimeBased, Batch and ExpectedUsers
-	// map onto the sim.Config fields of the same meaning.
+	// map onto the sim.Config fields of the same meaning. ExpectedUsers
+	// also pre-sizes a name-mode tracker's intern table.
 	Slide         int           `json:"slide,omitempty"`
 	Beta          float64       `json:"beta,omitempty"`
 	Framework     sim.Framework `json:"framework,omitempty"`

@@ -74,7 +74,7 @@ func main() {
 		framework = flag.String("framework", "sic", "framework: sic or ic")
 		orc       = flag.String("oracle", "sieve", "oracle: sieve, threshold, blogwatch, mkc")
 		batch     = flag.Int("batch", 0, "sim ingestion batch size within each submitted batch (1 = per-action)")
-		users     = flag.Int("users", 0, "expected distinct users (stream index pre-sizing hint)")
+		users     = flag.Int("users", 0, "expected distinct users (name-interning pre-sizing hint)")
 		dataDir   = flag.String("data-dir", "", "durability root: per-tracker snapshot + write-ahead log under <dir>/<name>/; on boot, trackers recover their state from it")
 		snapBytes = flag.Int64("wal-snapshot-bytes", 0, "WAL size triggering snapshot+truncate for the flag-built tracker (0 = default 4 MiB)")
 		memBudget = flag.Int64("memory-budget", 0, "resident contribution-log byte budget for the flag-built tracker; past it, idle users' logs spill to the cold tier (0 = never spill; needs -data-dir, segments go under <data-dir>/<name>/spill)")

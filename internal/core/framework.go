@@ -73,9 +73,6 @@ type Config struct {
 	// guarantees carry over unchanged — the checkpoints still cover exactly
 	// the suffixes of the current window.
 	ByTime bool
-	// UsersHint pre-sizes the stream index's per-user maps for the expected
-	// number of distinct users (0 = grow incrementally).
-	UsersHint int
 	// Cold, when non-nil together with a positive ColdBudget, attaches a
 	// cold tier to the stream index: expired-but-retained contribution logs
 	// spill to immutable segment files at the window's expiry boundary
@@ -176,7 +173,7 @@ func New(cfg Config) (*Framework, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &Framework{cfg: cfg, st: stream.NewSized(cfg.UsersHint)}
+	f := &Framework{cfg: cfg, st: stream.New()}
 	f.st.SetCold(cfg.Cold, cfg.ColdBudget)
 	return f, nil
 }

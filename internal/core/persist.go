@@ -75,8 +75,7 @@ var saveScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // Restore replaces the receiver's state with one saved by Save. The
 // receiver must be freshly constructed by New with a Config equivalent to
 // the saving framework's (same K, N, L, Beta, Sparse, ByTime and an Oracle
-// factory producing the same oracle kind with the same weights); UsersHint
-// is free to differ — it changes execution, never results.
+// factory producing the same oracle kind with the same weights).
 func (f *Framework) Restore(r io.Reader) error {
 	rr := wire.NewReader(r)
 	if v := rr.Uvarint(); rr.Err() == nil && v != corePayloadVersion {

@@ -110,26 +110,28 @@ func (t *rowTable) clearBits(mask []uint64) {
 // belonging to instance slot s of the owning grid; a negative entry means
 // "no bound". Rows are packed in arrival order, boundChunk to an allocation,
 // and found through a small open-addressing index, so the table's memory is
-// its rows — a row is width × 4 or width × 8 bytes, an index cell 8 — with
+// its rows — a row is width × 2 or width × 8 bytes, an index cell 8 — with
 // neither load-factor slack nor, growing a chunk at a time, copies left as
 // garbage. Unlike the bit-row tables it keeps nothing across reset: a chunk
 // costs one allocation and no copy to get back, and rows kept from a
 // longer-lived owner were a third to a half more memory than the live
 // checkpoints' rows.
 //
-// A bound is a float32 when the table is narrow — the grid's objective is
+// A bound is a uint16 when the table is narrow — the grid's objective is
 // cardinality — and a float64 otherwise. Cardinality gains are member
-// counts, which a float32 holds exactly below 2²⁴, so a narrow table rounds
-// nothing a served window can reach (that takes an influence set of more
-// than 16.7 M distinct users); above it a narrow cell rounds the bound up,
-// never down, so it still bounds the gain and every admission decision
-// stays the one a wide table makes. Weighted bounds are arbitrary sums that
-// a float32 would round, and a snapshot carries every bound as a float64
-// that restoring must give back bit for bit: weighted tables stay wide.
+// counts, integers a uint16 holds exactly below noBound16; a narrow cell
+// rounds a fractional bound up, and a bound of noBound16 or more — an
+// influence set of 65 535 distinct users or more — stores noBound16, which
+// reads back as no bound. Either way a decision the bound makes is one the
+// wide table makes: a rounded-up bound still bounds the gain, and a missing
+// one only sends the slot to scan the influence set, which finds the gain
+// itself. Weighted bounds are arbitrary sums that a uint16 cannot hold, and
+// a snapshot carries every bound as a float64 that restoring must give back
+// bit for bit: weighted tables stay wide.
 type boundTable struct {
 	width    int         // bounds per row
-	narrow   bool        // rows are float32
-	chunks32 [][]float32 // narrow: row r is chunks32[r/boundChunk][r%boundChunk*width:][:width]
+	narrow   bool        // rows are uint16
+	chunks16 [][]uint16  // narrow: row r is chunks16[r/boundChunk][r%boundChunk*width:][:width]
 	chunks64 [][]float64 // wide: the same, in float64
 	n        int         // rows in use
 	index    []uint64    // user<<32 | r+1; 0 = empty
@@ -137,37 +139,45 @@ type boundTable struct {
 
 const boundChunk = 8
 
+// noBound16 is a narrow cell holding no bound.
+const noBound16 = math.MaxUint16
+
 func newBoundTable(width int, narrow bool) boundTable {
 	return boundTable{width: width, narrow: narrow, index: make([]uint64, minRowCells)}
 }
 
-// boundRow is a view of one user's row: f32 in a narrow table, f64 in a
+// boundRow is a view of one user's row: u16 in a narrow table, f64 in a
 // wide one, neither when the user has none.
 type boundRow struct {
-	f32 []float32
+	u16 []uint16
 	f64 []float64
 }
 
 // ok reports whether the row exists.
-func (r *boundRow) ok() bool { return r.f32 != nil || r.f64 != nil }
+func (r *boundRow) ok() bool { return r.u16 != nil || r.f64 != nil }
 
 // get returns slot s's bound, negative for none.
 func (r *boundRow) get(s int) float64 {
-	if r.f32 != nil {
-		return float64(r.f32[s])
+	if r.u16 != nil {
+		if c := r.u16[s]; c != noBound16 {
+			return float64(c)
+		}
+		return -1
 	}
 	return r.f64[s]
 }
 
 // set stores v, which is not negative, as slot s's bound. A narrow cell
-// that would round v down takes the next float32 up instead.
+// rounds v up to an integer, and stores no bound from noBound16 up.
 func (r *boundRow) set(s int, v float64) {
-	if r.f32 != nil {
-		f := float32(v)
-		if float64(f) < v {
-			f = math.Float32frombits(math.Float32bits(f) + 1)
+	if r.u16 != nil {
+		c := uint16(noBound16)
+		if v < noBound16 {
+			if c = uint16(v); float64(c) < v {
+				c++
+			}
 		}
-		r.f32[s] = f
+		r.u16[s] = c
 		return
 	}
 	r.f64[s] = v
@@ -191,7 +201,7 @@ func (t *boundTable) at(cell uint64) boundRow {
 	r := int(uint32(cell)) - 1
 	c, o := r/boundChunk, r%boundChunk*t.width
 	if t.narrow {
-		return boundRow{f32: t.chunks32[c][o : o+t.width]}
+		return boundRow{u16: t.chunks16[c][o : o+t.width]}
 	}
 	return boundRow{f64: t.chunks64[c][o : o+t.width]}
 }
@@ -199,9 +209,9 @@ func (t *boundTable) at(cell uint64) boundRow {
 // insert appends a row of no bounds for k, which must have none, and returns
 // it.
 func (t *boundTable) insert(k uint32) boundRow {
-	if t.n == (len(t.chunks32)+len(t.chunks64))*boundChunk {
+	if t.n == (len(t.chunks16)+len(t.chunks64))*boundChunk {
 		if t.narrow {
-			t.chunks32 = append(t.chunks32, make([]float32, boundChunk*t.width))
+			t.chunks16 = append(t.chunks16, make([]uint16, boundChunk*t.width))
 		} else {
 			t.chunks64 = append(t.chunks64, make([]float64, boundChunk*t.width))
 		}
@@ -219,8 +229,8 @@ func (t *boundTable) insert(k uint32) boundRow {
 	cell := uint64(k)<<32 | uint64(t.n)
 	t.place(cell)
 	row := t.at(cell)
-	for s := range row.f32 {
-		row.f32[s] = -1
+	for s := range row.u16 {
+		row.u16[s] = noBound16
 	}
 	for s := range row.f64 {
 		row.f64[s] = -1
@@ -246,9 +256,9 @@ func (t *boundTable) clearSlots(mask []uint64) {
 	for wi, m := range mask {
 		for ; m != 0; m &= m - 1 {
 			s := wi<<6 | bits.TrailingZeros64(m)
-			for _, chunk := range t.chunks32 {
+			for _, chunk := range t.chunks16 {
 				for o := s; o < len(chunk); o += t.width {
-					chunk[o] = -1
+					chunk[o] = noBound16
 				}
 			}
 			for _, chunk := range t.chunks64 {
@@ -328,8 +338,9 @@ type grid struct {
 	// row. Only users some scan rejected have a row: on the benchmark's bulk
 	// stream that is 22–373 users per checkpoint and, at the end of a
 	// five-window run, 5 451 rows of 50 bounds over a tracker's 29
-	// checkpoints — 1.09 MB at 4 bytes a bound, the width of a cardinality
-	// objective (boundTable). One sparse map per slot took 3.3 cells a bound
+	// checkpoints — 0.55 MB at 2 bytes a bound, the width of a cardinality
+	// objective (boundTable), where a bound of 65 535 or more is kept as
+	// none and costs a scan. One sparse map per slot took 3.3 cells a bound
 	// and cost an element 18 hash probes, one per slot that passed the
 	// singleton test or ended a scan undecided (ARCHITECTURE.md, "The gain
 	// bounds are rows").

@@ -165,7 +165,9 @@ func (sc *gridSave) transpose(g *grid) {
 // RestoreState implements Persistent for the sieve-style oracles: saved
 // instance i takes slot i. Gain bounds are saved as float64 whatever the
 // width of the grid's rows, and a narrow grid narrows them here: a
-// cardinality grid saved only integers, which a float32 holds.
+// cardinality grid saved only integers below 65 535, which a uint16 holds.
+// A larger one — a snapshot of four-byte rows may hold it — restores as no
+// bound, which costs the restored grid a scan and changes no decision.
 func (g *grid) RestoreState(r *wire.Reader) error {
 	if v := r.Uvarint(); r.Err() == nil && v != gridPayloadVersion {
 		return fmt.Errorf("oracle: unsupported sieve payload version %d", v)

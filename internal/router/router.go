@@ -546,10 +546,13 @@ func mergeQuery(h head, parts []api.QueryResponse) api.QueryResponse {
 // cache first and then the shard fleet's /v1/trackers (any healthy shard will
 // do: the fleet is homogeneously configured). The spec drives the routing
 // decision the router cannot infer from a request alone: whether the tracker
-// is name-mode (hash raw names) or numeric (hash IDs). When it cannot be had
-// the answer is the last asked shard's own error, 503 for a shard that could
-// not be reached, 404 when none could be asked; ok=false means that response
-// is already written.
+// is name-mode (hash raw names) or numeric (hash IDs). Shards marked down are
+// asked only when no other shard is, the way handleClusterHealth probes
+// them: a down shard is no evidence that the tracker is unknown. When the
+// spec cannot be had the answer is the last asked shard's own error, 503 for
+// a shard that could not be reached; 404 means a shard answered and the
+// fleet does not know the name. ok=false means that response is already
+// written.
 func (rt *Router) spec(w http.ResponseWriter, r *http.Request) (name string, sp api.Spec, ok bool) {
 	name = r.PathValue("name")
 	cached := func() bool {
@@ -563,12 +566,22 @@ func (rt *Router) spec(w http.ResponseWriter, r *http.Request) (name string, sp 
 	}
 	unknown := &api.Error{Code: http.StatusNotFound, Message: fmt.Sprintf("unknown tracker %q", name)}
 	fail := unknown
+	ask := make([]int, 0, len(rt.shards)) // the healthy shards; every shard when none is
 	for i, s := range rt.shards {
-		if s.isDown() {
-			continue
+		if !s.isDown() {
+			ask = append(ask, i)
 		}
+	}
+	if len(ask) == 0 {
+		for i := range rt.shards {
+			ask = append(ask, i)
+		}
+	}
+	for _, i := range ask {
+		s := rt.shards[i]
 		resp, err := s.client.List(r.Context())
 		if err == nil {
+			s.markUp()
 			rt.note(name, i, &resp)
 			if cached() {
 				return name, sp, true

@@ -54,15 +54,17 @@ func TestIngestAllocCeiling(t *testing.T) {
 }
 
 // TestTrackerLiveHeap is the footprint guard of the engine's live state:
-// the bulk-shaped tracker after its five windows keeps under 4.5 MB of heap
-// reachable. 1.09 MB of it is the sieve grids' gain-bound rows, 4 bytes a
-// bound on a cardinality objective; the tracker measures 3.9 MB so, and
+// the bulk-shaped tracker after its five windows keeps under 3.2 MB of heap
+// reachable. The tracker measures 2.75 MB, with the sieve grids' gain-bound
+// rows at 2 bytes a bound on a cardinality objective (0.55 MB of it) and
+// the stream index's per-user maps grown to the users the window holds; it
+// measured 3.9 MB with 4-byte rows and maps presized for 8 000 users, and
 // 4.9 MB with 8-byte rows.
 func TestTrackerLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const ceiling = 4.5e6
+	const ceiling = 3.2e6
 	actions := bulkShapeStream()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
@@ -81,15 +83,15 @@ func TestTrackerLiveHeap(t *testing.T) {
 
 // TestIngestBytesCeiling bounds what BenchmarkIngestBulkShape/batch=1
 // allocates: past the warm-up window, the bulk-shaped stream at batch 1 in
-// its 2000-action requests allocates under 1 400 bytes per action. About
-// half of it is the gain-bound rows of checkpoints born and dead within the
-// run: the engine measures 1 198 with 4-byte bounds and 1 757 with 8-byte
-// ones.
+// its 2000-action requests allocates under 1 000 bytes per action. Much of
+// it is the gain-bound rows of checkpoints born and dead within the run:
+// the engine measures 842 with 2-byte bounds, 1 198 with 4-byte ones and
+// 1 757 with 8-byte ones.
 func TestIngestBytesCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const ceiling = 1400
+	const ceiling = 1000
 	const window, request = 8000, 2000
 	actions := bulkShapeStream()
 	tr := fedTracker(t, bulkShapeConfig(1), actions[:window], request)

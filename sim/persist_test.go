@@ -137,8 +137,8 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 }
 
 // TestSaveLoadAcrossRuntimeKnobs pins that ExpectedUsers is a runtime knob
-// of the snapshot contract: a snapshot from a tracker grown incrementally
-// loads into a pre-sized one and continues identically.
+// of the snapshot contract: a snapshot from a tracker built without it
+// loads into one configured with it and continues identically.
 func TestSaveLoadAcrossRuntimeKnobs(t *testing.T) {
 	ds := identityDatasets()[2] // SYN-O
 	base := sim.Config{K: 6, WindowSize: 700, Slide: 50, Beta: 0.1}
@@ -185,10 +185,10 @@ func TestSaveLoadAcrossRuntimeKnobs(t *testing.T) {
 		}
 	}
 	if v, rv := resumed.Value(), ref.Value(); v != rv {
-		t.Fatalf("pre-sized resumed value %v != reference %v", v, rv)
+		t.Fatalf("resumed value %v != reference %v", v, rv)
 	}
 	if s, rs := resumed.Seeds(), ref.Seeds(); !reflect.DeepEqual(s, rs) {
-		t.Fatalf("pre-sized resumed seeds %v != reference %v", s, rs)
+		t.Fatalf("resumed seeds %v != reference %v", s, rs)
 	}
 }
 

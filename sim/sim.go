@@ -266,10 +266,11 @@ type Config struct {
 	// depend on where the calls cut the stream: hand ProcessAll what arrived
 	// between two slide boundaries.
 	BatchSize int
-	// ExpectedUsers, when positive, pre-sizes the stream index's per-user
-	// maps for that many distinct users, avoiding rehash churn during the
-	// initial window fill. Purely a capacity hint: results and limits are
-	// unaffected. 0 (the default) grows incrementally, the legacy behavior.
+	// ExpectedUsers is validated (it must not be negative) and otherwise
+	// ignored: the stream index's per-user maps grow with the users the
+	// window holds, which on a long stream is far fewer than the stream
+	// has. The field stays for the benchmark harness, which sets it; the
+	// serving layer's spec field of the same name pre-sizes name interning.
 	ExpectedUsers int
 	// SpillDir, when non-empty, attaches a cold tier to the stream index:
 	// whenever the resident contribution-log bytes exceed
@@ -355,7 +356,6 @@ func New(cfg Config) (*Tracker, error) {
 		Oracle:     oracle.NewFactory(cfg.Oracle.kind(), cfg.Beta, cfg.Weights),
 		Sparse:     cfg.Framework == SIC,
 		ByTime:     cfg.TimeBased,
-		UsersHint:  cfg.ExpectedUsers,
 		Cold:       cold,
 		ColdBudget: cfg.MemoryBudgetBytes,
 	})
