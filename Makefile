@@ -126,4 +126,4 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-ci: fmt-check lint build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke
+ci: fmt-check lint build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover

@@ -55,7 +55,3 @@ func BenchmarkFig11ThroughputL(b *testing.B) { runExperiment(b, "fig11") }
 
 // BenchmarkFig12ThroughputU regenerates Fig 12 (throughput vs user count).
 func BenchmarkFig12ThroughputU(b *testing.B) { runExperiment(b, "fig12") }
-
-// BenchmarkTput regenerates the streaming ingestion hot-path experiment
-// (ns/op, allocs/op and B/op per ingested action).
-func BenchmarkTput(b *testing.B) { runExperiment(b, "tput") }

@@ -141,13 +141,6 @@ func Datasets(sc Scale) []Dataset {
 	return out
 }
 
-// synODataset materializes only the SYN-O stream — for experiments that
-// need just the paper's headline dataset, without generating all four.
-func synODataset(sc Scale) Dataset {
-	c := gen.SynO(sc.Users, sc.StreamLen, sc.Window, sc.Seed)
-	return Dataset{Name: c.Name, Users: c.Users, Actions: gen.Stream(c)}
-}
-
 // Experiment is a registered reproduction target.
 type Experiment struct {
 	ID    string

@@ -97,7 +97,7 @@ func TestRunThroughputCoversAllMethods(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"abl-fastpath", "abl-greedy", "abl-oracle", "fig10", "fig11", "fig12", "fig2-4", "fig5", "fig6", "fig7", "fig8", "fig9", "mem", "table2", "table3", "tput"}
+	want := []string{"abl-fastpath", "abl-greedy", "abl-oracle", "fig10", "fig11", "fig12", "fig2-4", "fig5", "fig6", "fig7", "fig8", "fig9", "mem", "table2", "table3"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("experiments = %d, want %d", len(got), len(want))

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/graph"
@@ -22,14 +21,6 @@ type runMetrics struct {
 	AvgCheckpoints float64
 	// Throughput is actions per second after warm-up (Figs 7, 9–12).
 	Throughput float64
-	// NsPerAction is mean wall time per action after warm-up (1e9/Throughput).
-	NsPerAction float64
-	// AllocsPerAction and BytesPerAction are mean heap allocations per
-	// ingested action over the WHOLE ingest loop (warm-up included; tracker
-	// construction excluded — measurement starts after sim.New), measured
-	// with runtime.ReadMemStats. They back the tput experiment.
-	AllocsPerAction float64
-	BytesPerAction  float64
 	// ElementsFed is the number of oracle updates over the whole run (the
 	// O(d·N) term of §4.2): Fig 7's throughput gap without the wall clock.
 	ElementsFed int64
@@ -57,9 +48,6 @@ func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batch
 	var sumVal, sumCp float64
 	var boundaries int
 	var elapsed time.Duration
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	var timedActions int
 	for off := 0; off < len(ds.Actions); off += l {
 		slide := ds.Actions[off:min(off+l, len(ds.Actions))]
@@ -78,8 +66,6 @@ func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batch
 			boundaries++
 		}
 	}
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
 	m := runMetrics{ElementsFed: tr.Stats().ElementsFed}
 	if boundaries > 0 {
 		m.AvgValue = sumVal / float64(boundaries)
@@ -87,11 +73,6 @@ func runFramework(ds Dataset, fw sim.Framework, k, n, l int, beta float64, batch
 	}
 	if timedActions > 0 && elapsed > 0 {
 		m.Throughput = float64(timedActions) / elapsed.Seconds()
-		m.NsPerAction = float64(elapsed.Nanoseconds()) / float64(timedActions)
-	}
-	if n := len(ds.Actions); n > 0 {
-		m.AllocsPerAction = float64(m1.Mallocs-m0.Mallocs) / float64(n)
-		m.BytesPerAction = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
 	}
 	return m
 }

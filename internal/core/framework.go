@@ -162,7 +162,7 @@ type Framework struct {
 	elemUnchanged int64
 	// Scan work of the oracles already deleted; Stats adds the live ones'.
 	// Not saved, like the oracle counters it sums.
-	deadScans, deadScanMembers int64
+	deadScans, deadScanMembers, deadSlotVisits int64
 }
 
 // New validates cfg and returns an empty framework.
@@ -369,6 +369,7 @@ func (f *Framework) retire(cp *checkpoint) {
 	st := cp.oracle.Stats()
 	f.deadScans += st.Scans
 	f.deadScanMembers += st.ScanMembers
+	f.deadSlotVisits += st.SlotVisits
 	if r, ok := cp.oracle.(recycler); ok && len(f.free) < maxFreeOracles {
 		r.Reset()
 		f.free = append(f.free, r)
@@ -590,6 +591,10 @@ type FrameworkStats struct {
 	// restart at zero on a restored framework.
 	Scans       int64
 	ScanMembers int64
+	// SlotVisits sums oracle.Stats.SlotVisits the same way: the instance
+	// slots the sieve grids' threshold sweeps visited. Like Scans it is not
+	// saved and not a tracker counter.
+	SlotVisits int64
 }
 
 // Stats returns cumulative maintenance counters.
@@ -602,11 +607,13 @@ func (f *Framework) Stats() FrameworkStats {
 		ElementsUnchanged: f.elemUnchanged,
 		Scans:             f.deadScans,
 		ScanMembers:       f.deadScanMembers,
+		SlotVisits:        f.deadSlotVisits,
 	}
 	for _, cp := range f.cps {
 		st := cp.oracle.Stats()
 		s.Scans += st.Scans
 		s.ScanMembers += st.ScanMembers
+		s.SlotVisits += st.SlotVisits
 	}
 	if f.processed > 0 {
 		s.AvgCheckpoints = float64(f.cpSamples) / float64(f.processed)

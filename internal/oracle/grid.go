@@ -357,6 +357,7 @@ type grid struct {
 	elements    int64
 	scans       int64 // elements whose influence set was scanned
 	scanMembers int64 // members probed by those scans
+	slotVisits  int64 // slots the threshold sweep visited
 
 	// bestVal/bestSeeds remember the best solution ever observed (kept
 	// monotone for SIC's Lemma 2: instance deletion during retune could
@@ -474,7 +475,7 @@ func (g *grid) Reset() {
 	for s := range g.seeds {
 		g.seeds[s] = g.seeds[s][:0]
 	}
-	g.elements, g.scans, g.scanMembers = 0, 0, 0
+	g.elements, g.scans, g.scanMembers, g.slotVisits = 0, 0, 0, 0
 	g.bestVal, g.bestSeeds, g.dirty = 0, g.bestSeeds[:0], false
 	g.poolVer++
 }
@@ -616,7 +617,9 @@ func (g *grid) feed(e Element, singleton float64) {
 	bounded := e.LatestValid && bounds.ok()
 	for wi := range g.und {
 		var und uint64
-		for c := g.live[wi] &^ g.full[wi] &^ seedIn[wi]; c != 0; c &= c - 1 {
+		cand := g.live[wi] &^ g.full[wi] &^ seedIn[wi]
+		g.slotVisits += int64(bits.OnesCount64(cand))
+		for c := cand; c != 0; c &= c - 1 {
 			b := bits.TrailingZeros64(c)
 			s := wi<<6 | b
 			thr := g.thr[s]
@@ -774,5 +777,5 @@ func (g *grid) PoolVersion() uint64 {
 
 // Stats implements Oracle.
 func (g *grid) Stats() Stats {
-	return Stats{Instances: len(g.order), Elements: g.elements, Scans: g.scans, ScanMembers: g.scanMembers}
+	return Stats{Instances: len(g.order), Elements: g.elements, Scans: g.scans, ScanMembers: g.scanMembers, SlotVisits: g.slotVisits}
 }

@@ -85,6 +85,11 @@ type Stats struct {
 	// the oracles that keep no coverage to scan.
 	Scans       int64
 	ScanMembers int64
+	// SlotVisits is the number of instance slots the threshold sweep
+	// visited: for each element, the live, non-full slots that do not yet
+	// hold its user as a seed — the g of O(d·g·N), counted where it is
+	// paid. Counted and reset like Scans; zero for the swap oracles.
+	SlotVisits int64
 }
 
 // Oracle is an append-only streaming submodular maximizer under a

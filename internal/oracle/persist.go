@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -168,12 +169,20 @@ func (sc *gridSave) transpose(g *grid) {
 // cardinality grid saved only integers below 65 535, which a uint16 holds.
 // A larger one — a snapshot of four-byte rows may hold it — restores as no
 // bound, which costs the restored grid a scan and changes no decision.
+//
+// A payload no grid of this configuration writes is an error, not state:
+// more instances than a gain-bound row has columns, more than k seeds in a
+// slot or in the best-ever set, and a negative or non-finite m, OPT guess,
+// slot value or best value (a NaN m would restore, then answer 0 for good).
 func (g *grid) RestoreState(r *wire.Reader) error {
 	if v := r.Uvarint(); r.Err() == nil && v != gridPayloadVersion {
 		return fmt.Errorf("oracle: unsupported sieve payload version %d", v)
 	}
 	g.elements = r.Varint()
 	g.m = r.F64()
+	if r.Err() == nil && !sane(g.m) {
+		return fmt.Errorf("oracle: sieve payload holds m = %v", g.m)
+	}
 	g.jLo = int(r.Varint())
 	n := r.Len(maxLen)
 	if most := g.gainUB.width; r.Err() == nil && n > most {
@@ -185,6 +194,9 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 		g.live[wi] |= bit
 		g.opt[s] = r.F64()
 		ns := r.Len(maxLen)
+		if r.Err() == nil && (!sane(g.opt[s]) || ns > g.k) {
+			return fmt.Errorf("oracle: sieve payload instance %d holds OPT guess %v and %d seeds, k=%d", s, g.opt[s], ns, g.k)
+		}
 		for j := 0; j < ns && r.Err() == nil; j++ {
 			u := stream.UserID(r.Uvarint())
 			g.seeds[s] = append(g.seeds[s], u)
@@ -200,6 +212,9 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 			g.cov.row(prev)[wi] |= bit
 		}
 		g.value[s] = r.F64()
+		if r.Err() == nil && !sane(g.value[s]) {
+			return fmt.Errorf("oracle: sieve payload instance %d holds value %v", s, g.value[s])
+		}
 		ng := r.Len(maxLen)
 		for j := 0; j < ng && r.Err() == nil; j++ {
 			k := uint32(r.Uvarint())
@@ -218,6 +233,9 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 	}
 	g.bestVal = r.F64()
 	nb := r.Len(maxLen)
+	if r.Err() == nil && (!sane(g.bestVal) || nb > g.k) {
+		return fmt.Errorf("oracle: sieve payload holds best value %v over %d seeds, k=%d", g.bestVal, nb, g.k)
+	}
 	g.bestSeeds = g.bestSeeds[:0]
 	for i := 0; i < nb && r.Err() == nil; i++ {
 		g.bestSeeds = append(g.bestSeeds, stream.UserID(r.Uvarint()))
@@ -247,7 +265,9 @@ func (s *Swap) SaveState(w *wire.Writer) error {
 	return w.Err()
 }
 
-// RestoreState implements Persistent for the swap oracles.
+// RestoreState implements Persistent for the swap oracles. More than k
+// seeds, or a negative or non-finite value, is a payload no swap oracle of
+// this k writes, and an error.
 func (s *Swap) RestoreState(r *wire.Reader) error {
 	if v := r.Uvarint(); r.Err() == nil && v != swapPayloadVersion {
 		return fmt.Errorf("oracle: unsupported swap payload version %d", v)
@@ -255,6 +275,9 @@ func (s *Swap) RestoreState(r *wire.Reader) error {
 	s.elements = r.Varint()
 	s.value = r.F64()
 	n := r.Len(maxLen)
+	if r.Err() == nil && (!sane(s.value) || n > s.k) {
+		return fmt.Errorf("oracle: swap payload holds value %v over %d seeds, k=%d", s.value, n, s.k)
+	}
 	s.seeds = make([]swapSeed, 0, min(n, 1<<16))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		sd := swapSeed{user: stream.UserID(r.Uvarint())}
@@ -271,3 +294,7 @@ func (s *Swap) RestoreState(r *wire.Reader) error {
 	}
 	return nil
 }
+
+// sane reports whether x is a value an oracle can hold: neither negative nor
+// infinite nor NaN.
+func sane(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -79,7 +80,7 @@ func TestPersistRoundTripContinuation(t *testing.T) {
 				t.Fatalf("restored Seeds = %v, want %v", got, want)
 			}
 			want := src.Stats()
-			want.Scans, want.ScanMembers = 0, 0 // work counters are not saved
+			want.Scans, want.ScanMembers, want.SlotVisits = 0, 0, 0 // work counters are not saved
 			if got := dst.Stats(); got != want {
 				t.Fatalf("restored Stats = %+v, want %+v", got, want)
 			}
@@ -147,44 +148,130 @@ func TestPersistTruncated(t *testing.T) {
 // TestRestoreRejectsWhatNoGridSaves: hand-built version-1 sieve payloads a
 // grid of this k and β cannot have written are errors, not state — one more
 // instance than the grid ever holds (a gain-bound row has no column for it),
-// and a negative gain bound (which a row reads as "no bound").
+// a negative gain bound (which a row reads as "no bound"), more than k seeds
+// in a slot or in the best-ever set, and a negative or non-finite m, OPT
+// guess, slot value or best value (a NaN m used to restore and then answer 0
+// where a sane one answers 24).
 func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
-	most := NewSieve(4, 0.2, nil).gainUB.width
-	payload := func(instances int, bound float64) []byte {
+	const k = 4
+	most := NewSieve(k, 0.2, nil).gainUB.width
+	type fields struct {
+		instances, seeds, best        int
+		m, opt, value, bestVal, bound float64
+	}
+	good := fields{instances: most, seeds: k, best: k, m: 1, opt: 1, value: 4, bestVal: 4, bound: 2}
+	payload := func(g fields) []byte {
 		var buf bytes.Buffer
 		w := wire.NewWriter(&buf)
 		w.Uvarint(gridPayloadVersion)
 		w.Varint(1) // elements
-		w.F64(1)    // m
+		w.F64(g.m)
 		w.Varint(0) // jLo
-		w.Uvarint(uint64(instances))
-		for i := 0; i < instances; i++ {
-			w.F64(1)     // opt
-			w.Uvarint(0) // seeds
+		w.Uvarint(uint64(g.instances))
+		for i := 0; i < g.instances; i++ {
+			w.F64(g.opt)
+			w.Uvarint(uint64(g.seeds))
+			for u := range g.seeds {
+				w.Uvarint(uint64(u))
+			}
 			w.Uvarint(0) // covered members
-			w.F64(0)     // value
+			w.F64(g.value)
 			w.Uvarint(1) // gain bounds
 			w.Uvarint(7)
-			w.F64(bound)
+			w.F64(g.bound)
 		}
-		w.F64(0)     // best value
-		w.Uvarint(0) // best seeds
+		w.F64(g.bestVal)
+		w.Uvarint(uint64(g.best))
+		for u := range g.best {
+			w.Uvarint(uint64(u))
+		}
 		w.Bool(false)
 		if err := w.Err(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	restore := func(b []byte) error {
-		return NewSieve(4, 0.2, nil).RestoreState(wire.NewReader(bytes.NewReader(b)))
+	restore := func(g fields) error {
+		return NewSieve(k, 0.2, nil).RestoreState(wire.NewReader(bytes.NewReader(payload(g))))
 	}
-	if err := restore(payload(most, 2)); err != nil {
-		t.Fatalf("%d instances, the most a grid holds: %v", most, err)
+	if err := restore(good); err != nil {
+		t.Fatalf("%d instances of %d seeds, the most a grid holds: %v", most, k, err)
 	}
-	if err := restore(payload(most+1, 2)); err == nil {
-		t.Fatalf("payload with %d instances restored into a grid that holds %d", most+1, most)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		edit func(*fields)
+	}{
+		{"one instance too many", func(g *fields) { g.instances = most + 1 }},
+		{"negative gain bound", func(g *fields) { g.bound = -2 }},
+		{"k+1 seeds in a slot", func(g *fields) { g.seeds = k + 1 }},
+		{"k+1 best seeds", func(g *fields) { g.best = k + 1 }},
+		{"m NaN", func(g *fields) { g.m = nan }},
+		{"m +Inf", func(g *fields) { g.m = inf }},
+		{"m negative", func(g *fields) { g.m = -1 }},
+		{"opt NaN", func(g *fields) { g.opt = nan }},
+		{"opt +Inf", func(g *fields) { g.opt = inf }},
+		{"opt negative", func(g *fields) { g.opt = -1 }},
+		{"value NaN", func(g *fields) { g.value = nan }},
+		{"value -Inf", func(g *fields) { g.value = math.Inf(-1) }},
+		{"value negative", func(g *fields) { g.value = -1 }},
+		{"best value NaN", func(g *fields) { g.bestVal = nan }},
+		{"best value +Inf", func(g *fields) { g.bestVal = inf }},
+		{"best value negative", func(g *fields) { g.bestVal = -1 }},
+	} {
+		g := good
+		c.edit(&g)
+		if err := restore(g); err == nil {
+			t.Errorf("%s: payload restored", c.name)
+		}
 	}
-	if err := restore(payload(1, -2)); err == nil {
-		t.Fatal("payload with a negative gain bound restored")
+}
+
+// TestSwapRestoreRejectsWhatNoSwapSaves: the swap oracles' twin of the grid
+// test above — a payload holding more than k seeds, or a negative or
+// non-finite value, is an error, so a restored BlogWatch or MkC tracker
+// cannot serve more than k seeds.
+func TestSwapRestoreRejectsWhatNoSwapSaves(t *testing.T) {
+	const k = 3
+	payload := func(seeds int, value float64) []byte {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		w.Uvarint(swapPayloadVersion)
+		w.Varint(int64(seeds)) // elements
+		w.F64(value)
+		w.Uvarint(uint64(seeds))
+		for u := range seeds {
+			w.Uvarint(uint64(u)) // user
+			w.Uvarint(1)         // influence set
+			w.Uvarint(uint64(u))
+		}
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, c := range []struct {
+		name  string
+		seeds int
+		value float64
+		ok    bool
+	}{
+		{"k seeds", k, k, true},
+		{"no seeds", 0, 0, true},
+		{"k+1 seeds", k + 1, k + 1, false},
+		{"value NaN", k, math.NaN(), false},
+		{"value +Inf", k, math.Inf(1), false},
+		{"value negative", k, -1, false},
+	} {
+		for _, full := range []bool{false, true} {
+			s := NewSwap(k, nil, full)
+			err := s.RestoreState(wire.NewReader(bytes.NewReader(payload(c.seeds, c.value))))
+			if c.ok && err != nil {
+				t.Errorf("%s (MkC %v): %v", c.name, full, err)
+			}
+			if !c.ok && err == nil {
+				t.Errorf("%s (MkC %v): payload restored with %d seeds, value %v", c.name, full, len(s.Seeds()), s.Value())
+			}
+		}
 	}
 }

@@ -573,10 +573,10 @@ func TestGridMatchesReference(t *testing.T) {
 								t.Fatalf("element %d: candidates %v, reference %v", i, gc, rc)
 							}
 							gs, rs := got.Stats(), ref.Stats()
-							if gs.Scans > gs.Elements || gs.ScanMembers < gs.Scans {
-								t.Fatalf("element %d: stats %+v: more scans than elements, or scans that probed nothing", i, gs)
+							if gs.Scans > gs.Elements || gs.ScanMembers < gs.Scans || gs.SlotVisits < gs.Scans {
+								t.Fatalf("element %d: stats %+v: more scans than elements, or scans that probed nothing or visited no slot", i, gs)
 							}
-							gs.Scans, gs.ScanMembers = 0, 0 // the reference does not count its work
+							gs.Scans, gs.ScanMembers, gs.SlotVisits = 0, 0, 0 // the reference does not count its work
 							if gs != rs {
 								t.Fatalf("element %d: stats %+v, reference %+v", i, gs, rs)
 							}

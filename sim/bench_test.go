@@ -9,45 +9,6 @@ import (
 	"repro/sim"
 )
 
-// benchIngest measures the streaming ingestion hot path end to end: one
-// full pass of an RMAT-generated SYN-O stream through a Tracker. Allocations
-// are reported per processed action, which makes `go test -bench=Ingest
-// -benchmem ./sim` the regression gate for the zero-allocation element path.
-func benchIngest(b *testing.B, fw sim.Framework) {
-	b.Helper()
-	actions := gen.Stream(gen.SynO(800, 6000, 1500, 42))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tr, err := sim.New(sim.Config{
-			K: 8, WindowSize: 1500, Slide: 100, Beta: 0.1, Framework: fw,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for _, a := range actions {
-			if err := tr.Process(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if tr.Value() <= 0 {
-			b.Fatal("tracker made no progress")
-		}
-		tr.Close()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(len(actions)), "actions/op")
-}
-
-// BenchmarkIngestSIC is the paper's headline configuration.
-func BenchmarkIngestSIC(b *testing.B) { benchIngest(b, sim.SIC) }
-
-// BenchmarkIngestIC is the dense-checkpoint variant.
-func BenchmarkIngestIC(b *testing.B) { benchIngest(b, sim.IC) }
-
 // BenchmarkIngestBulkShape is bulkShapeConfig in process: a window of
 // warm-up, then four windows through ProcessAll in the workload's
 // 2000-action requests. ns/op over actions/op is the µs per action that

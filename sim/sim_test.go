@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -206,10 +207,13 @@ func TestStatsSnapshot(t *testing.T) {
 // contribution to it (Delta.Prev) and hold a non-empty set — and the
 // checkpoints it skips are ElementsUnchanged. Under IC with a window as long
 // as the stream nothing expires, so the checkpoints live after an action are
-// the ones it fed.
+// the ones it fed. The grids' slot visits lie between the scans and the
+// elements fed times the most instances a grid holds, and survive the
+// deletion of a checkpoint.
 func TestScanCountersWithinFeed(t *testing.T) {
+	const k, beta = 5, 0.1
 	actions := randomActions(8, 1500, 40)
-	tr, err := sim.New(sim.Config{K: 5, WindowSize: len(actions), Slide: 25, Framework: sim.IC})
+	tr, err := sim.New(sim.Config{K: k, WindowSize: len(actions), Slide: 25, Beta: beta, Framework: sim.IC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +252,34 @@ func TestScanCountersWithinFeed(t *testing.T) {
 	}
 	if snap.ScanMembers < snap.Scans || snap.ScanMembers > members {
 		t.Fatalf("scan members = %d, want in [%d scans, %d members fed]", snap.ScanMembers, snap.Scans, members)
+	}
+	// A scan needs an undecided slot, and an element visits each of the
+	// grid's live instances at most once: ⌊log₁₊β 2k⌋ + 2 of them.
+	most := int64(math.Floor(math.Log(2*k)/math.Log1p(beta)+1e-9)) + 2
+	if v := tr.Internal().Stats().SlotVisits; v < snap.Scans || v > fed*most {
+		t.Fatalf("slot visits = %d, want in [%d scans, %d elements fed × %d instances]", v, snap.Scans, fed, most)
+	}
+
+	// Under SIC with a short window checkpoints die, and their oracles are
+	// reset for reuse: the framework banks a retired oracle's visits first,
+	// so the total never falls from one action to the next.
+	sic, err := sim.New(sim.Config{K: k, WindowSize: 100, Slide: 10, Beta: beta, Framework: sim.SIC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last int64
+	for i, a := range actions {
+		if err := sic.Process(a); err != nil {
+			t.Fatal(err)
+		}
+		v := sic.Internal().Stats().SlotVisits
+		if v < last {
+			t.Fatalf("action %d: slot visits fell from %d to %d", i, last, v)
+		}
+		last = v
+	}
+	if st := sic.Internal().Stats(); st.Deleted == 0 || last == 0 {
+		t.Fatalf("short-window SIC run deleted %d checkpoints and visited %d slots: retire never ran", st.Deleted, last)
 	}
 }
 
