@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race benchmark-test bench loc fmt fmt-check vet lint ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
+.PHONY: all build test race benchmark-test bench loc fmt fmt-check vet lint inline-check ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
 
 all: build
 
@@ -75,11 +75,13 @@ spill-smoke:
 # decoders (numeric and name mode; round trip, then against the json.Decoder
 # loop they must match), the NDJSON writers against json.Encoder, the
 # cold-segment parser, the -fault rule grammar, the WAL and the stream
-# payload — plus the sieve grid's gain-bound table against a map of rows,
-# with bounds around 65 535, where a two-byte cell stops holding them. Seed
-# corpora live in testdata/fuzz/; new crashers land there too. A bound-table
-# input runs up to a thousand ops, so its new inputs are minimized for at
-# most 5 s rather than the default minute, which would take the whole run.
+# payload — plus two model tests: the stream's action index (circular ring
+# and pinned-ancestor list) against a map, over ingest/Advance sequences,
+# and the sieve grid's gain-bound table against a map of rows, with bounds
+# around 255, where a one-byte cell stops holding them. Seed corpora live in
+# testdata/fuzz/; new crashers land there too. An index or bound-table input
+# runs hundreds of ops, so its new inputs are minimized for at most 5 s
+# rather than the default minute, which would take the whole run.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
@@ -91,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamRestore -fuzztime=$(FUZZTIME) ./internal/stream/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/stream/
 	$(GO) test -run='^$$' -fuzz=FuzzBoundTable -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/oracle/
 
 # Aggregate coverage profile (also uploaded as a CI artifact).
@@ -126,4 +129,15 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-ci: fmt-check lint build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
+# The hot path's smallest helpers must stay inlined: the gain-bound cell
+# accessors, on every element's threshold sweep (an out-of-line bound store
+# measured +15-20 % cpu_us_per_action), and the stream ring's index helper,
+# on every parent lookup. The compiler reports each call it inlines.
+INLINED := '(*boundRow).get' '(*boundRow).set' '(*Stream).at'
+inline-check:
+	@out="$$($(GO) build -gcflags=-m ./internal/oracle ./internal/stream 2>&1)" || { echo "$$out" >&2; exit 1; }; \
+	for f in $(INLINED); do \
+		echo "$$out" | grep -qF "inlining call to $$f" || { echo "$$f is no longer inlined" >&2; exit 1; }; \
+	done; echo "inlined: $(INLINED)"
+
+ci: fmt-check lint inline-check build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover

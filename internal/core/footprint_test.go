@@ -16,7 +16,7 @@ import (
 // hold at most a quarter more row memory than their rows fill, plus the
 // index. Rows stored inside the hash cells (at most ¾ full, doubling) fail
 // this, and so do rows a recycled grid keeps from its last owner (measured
-// 1.3–1.6). A cardinality grid's rows are uint16, 2 bytes a bound. The
+// 1.3–1.6). A cardinality grid's rows are uint8, 1 byte a bound. The
 // table is private to package oracle and has no accessor production code
 // would use, so the sizes are read by reflection.
 func TestBoundTableFootprint(t *testing.T) {
@@ -43,11 +43,11 @@ func TestBoundTableFootprint(t *testing.T) {
 			width := int(tab.FieldByName("width").Int())
 			rows += int(tab.FieldByName("n").Int())
 			index += tab.FieldByName("index").Len()
-			for _, list := range []string{"chunks16", "chunks64"} {
+			for _, list := range []string{"chunks8", "chunks64"} {
 				chunks := tab.FieldByName(list)
 				for c := 0; c < chunks.Len(); c++ {
-					if rowBytes = width * int(chunks.Type().Elem().Elem().Size()); rowBytes != 2*width {
-						t.Fatalf("t=%d: a cardinality grid keeps %d-byte rows of %d gain bounds, not 2 bytes a bound", a.ID, rowBytes, width)
+					if rowBytes = width * int(chunks.Type().Elem().Elem().Size()); rowBytes != width {
+						t.Fatalf("t=%d: a cardinality grid keeps %d-byte rows of %d gain bounds, not 1 byte a bound", a.ID, rowBytes, width)
 					}
 					held += chunks.Index(c).Cap() / width
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -33,17 +34,31 @@ func (f *Framework) Save(w io.Writer) error {
 
 	// The stream's and each checkpoint's payloads are length-prefixed so
 	// Restore can hand each layer an exactly delimited reader (layer
-	// decoders must not over-read shared input). Each is built in one
-	// pooled scratch buffer, then copied out: no more than the largest of
-	// them is ever held, and the snapshot's sizing pass and writing pass
-	// (sim.Tracker.SaveTo) share the buffer.
-	buf := saveScratch.Get().(*bytes.Buffer)
-	defer saveScratch.Put(buf)
-	buf.Reset()
-	if err := f.st.Save(buf); err != nil {
+	// decoders must not over-read shared input). The stream's, the largest
+	// by far, is sized arithmetically (stream.PayloadSize) and then written
+	// through a small pooled buffer, which gathers its varints into writes
+	// of a few KiB. Each checkpoint's is built in one pooled scratch buffer,
+	// then copied out: no more than the largest of them is ever held, and
+	// the snapshot's sizing pass and writing pass (sim.Tracker.SaveTo) share
+	// the buffer.
+	n, err := f.st.PayloadSize()
+	if err != nil {
 		return fmt.Errorf("core: saving stream: %w", err)
 	}
-	ww.Bytes(buf.Bytes())
+	ww.Uvarint(uint64(n))
+	if ww.Err() == nil {
+		bw := streamWriters.Get().(*bufio.Writer)
+		bw.Reset(w)
+		err := f.st.Save(bw)
+		if err == nil {
+			err = bw.Flush()
+		}
+		bw.Reset(nil)
+		streamWriters.Put(bw)
+		if err != nil {
+			return fmt.Errorf("core: saving stream: %w", err)
+		}
+	}
 
 	ww.Varint(f.processed)
 	ww.Varint(int64(f.lastCpStart))
@@ -53,6 +68,8 @@ func (f *Framework) Save(w io.Writer) error {
 	ww.Varint(f.elemFed)
 
 	ww.Uvarint(uint64(len(f.cps)))
+	buf := saveScratch.Get().(*bytes.Buffer)
+	defer saveScratch.Put(buf)
 	ow := wire.NewWriter(buf) // a bytes.Buffer write cannot fail: no sticky error
 	for _, cp := range f.cps {
 		p, ok := cp.oracle.(oracle.Persistent)
@@ -69,8 +86,12 @@ func (f *Framework) Save(w io.Writer) error {
 	return ww.Err()
 }
 
-// saveScratch holds Save's payload buffers.
-var saveScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// saveScratch holds Save's checkpoint payload buffers, streamWriters the
+// buffers the stream payload passes through.
+var (
+	saveScratch   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	streamWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 4096) }}
+)
 
 // Restore replaces the receiver's state with one saved by Save. The
 // receiver must be freshly constructed by New with a Config equivalent to

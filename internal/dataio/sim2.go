@@ -32,7 +32,7 @@ import (
 // into one 64 KiB file buffer while its producer writes it, so a snapshot
 // of any size costs the writer that buffer (WriteSection). The length
 // prefix comes first, so a producer states it up front — sim.Tracker.SaveTo
-// runs each section's producer once into PayloadSize's counting writer,
+// runs each section's producer once into wire.Size's counting writer,
 // then again into the section. The reader does not stream: it reads the
 // whole image (NewSnapshotReader), which only recovery does.
 
@@ -101,7 +101,7 @@ func (sw *SnapshotWriter) Section(tag string, payload []byte) error {
 // exactly n bytes, write emits into w. The bytes go through a tee that
 // counts them and folds them into the section's CRC on their way into the
 // writer's file buffer, so no payload is ever held whole: a caller that
-// cannot state n up front sizes the payload first with PayloadSize, running
+// cannot state n up front sizes the payload first with wire.Size, running
 // the same write into a writer that only counts.
 //
 // tag must be exactly 4 bytes and must not be the reserved end tag. A write
@@ -190,28 +190,6 @@ func (t *sectionTee) take(n int) error {
 	}
 	t.left -= n
 	return nil
-}
-
-// PayloadSize returns the number of bytes write emits, running it into a
-// writer that only counts: the first pass of a section that WriteSection
-// then writes in a second. write must emit the same bytes on both runs.
-func PayloadSize(write func(w io.Writer) error) (int, error) {
-	var c counter
-	err := write(&c)
-	return int(c), err
-}
-
-// counter is an io.Writer that keeps nothing but the byte count.
-type counter int
-
-func (c *counter) Write(p []byte) (int, error) {
-	*c += counter(len(p))
-	return len(p), nil
-}
-
-func (c *counter) WriteString(s string) (int, error) {
-	*c += counter(len(s))
-	return len(s), nil
 }
 
 // Close writes the end marker and flushes. The snapshot is complete — and

@@ -15,10 +15,10 @@ import (
 // TestBoundTableMatchesModel drives a boundTable and a map of rows with the
 // same random finds, bound writes (inserting on a user's first), column
 // clears and resets, over enough users to grow the index and the chunk list
-// several times, every seed once with narrow (uint16) and once with wide
+// several times, every seed once with narrow (uint8) and once with wide
 // (float64) rows. The users are the two ends of the key space and a random
 // spread of full-range keys. Half the bounds written are small, some
-// fractional, and half lie around 65 535, where a narrow cell stops holding
+// fractional, and half lie around 255, where a narrow cell stops holding
 // them. The ops are FuzzBoundTable's encoding, drawn the way the seeds draw
 // them, and the whole table is compared after every insert.
 func TestBoundTableMatchesModel(t *testing.T) {
@@ -57,8 +57,8 @@ const maxBoundOps = 1000
 const boundOpLen = 7
 
 // boundValue is the bound a write stores: below 128 a half-integer from 0
-// to 63.5, 255 a bound past 2²⁴, and the rest a half-integer within 64 of
-// 65 535, where a narrow cell stops holding bounds.
+// to 63.5, 255 a bound past 2²⁴, and the rest a half-integer within 32 of
+// 255, where a narrow cell stops holding bounds.
 func boundValue(b byte) float64 {
 	switch {
 	case b < 128:
@@ -66,7 +66,7 @@ func boundValue(b byte) float64 {
 	case b == 255:
 		return 1<<24 + 1
 	}
-	return noBound16 + float64(int(b)-192)/2
+	return noBound8 + float64(int(b)-192)/2
 }
 
 // randomBoundOps draws a row width and n ops, 40 % finds, 55 % writes, 4 %
@@ -104,7 +104,7 @@ func rowOf(row boundRow, width int) []float64 {
 
 // checkBoundTable runs ops against a boundTable and a map of rows. A wide
 // cell reads back what was written; a narrow one the value rounded up to an
-// integer, or no bound from 65 535 up. A fresh row holds no bound whatever
+// integer, or no bound from 255 up. A fresh row holds no bound whatever
 // the chunk held before, and after every clear, reset and index growth —
 // and, with full, after every insert — the whole table is compared: no
 // insert disturbed another user's row, and a bound written under slot s
@@ -118,7 +118,7 @@ func checkBoundTable(t *testing.T, width int, narrow bool, ops []byte, full bool
 		if !narrow {
 			return v
 		}
-		if c := math.Ceil(v); c < 65535 {
+		if c := math.Ceil(v); c < noBound8 {
 			return c
 		}
 		return -1
@@ -128,8 +128,8 @@ func checkBoundTable(t *testing.T, width int, narrow bool, ops []byte, full bool
 		if tab.n != len(model) {
 			t.Fatalf("width %d narrow=%v op %d: %d rows, model %d", width, narrow, op, tab.n, len(model))
 		}
-		if tab.n > 0 && (len(tab.chunks16) > 0) != narrow {
-			t.Fatalf("width %d narrow=%v op %d: rows in %d uint16 and %d float64 chunks", width, narrow, op, len(tab.chunks16), len(tab.chunks64))
+		if tab.n > 0 && (len(tab.chunks8) > 0) != narrow {
+			t.Fatalf("width %d narrow=%v op %d: rows in %d uint8 and %d float64 chunks", width, narrow, op, len(tab.chunks8), len(tab.chunks64))
 		}
 		for k, want := range model {
 			if got := rowOf(tab.find(k), width); !slices.Equal(got, want) {
@@ -179,9 +179,9 @@ func checkBoundTable(t *testing.T, width int, narrow bool, ops []byte, full bool
 			tab.reset()
 			clear(model)
 			check(op)
-			if len(tab.chunks16)+len(tab.chunks64) != 0 || len(tab.index) != minRowCells {
+			if len(tab.chunks8)+len(tab.chunks64) != 0 || len(tab.index) != minRowCells {
 				t.Fatalf("width %d narrow=%v op %d: reset kept %d chunks, %d index cells",
-					width, narrow, op, len(tab.chunks16)+len(tab.chunks64), len(tab.index))
+					width, narrow, op, len(tab.chunks8)+len(tab.chunks64), len(tab.index))
 			}
 		}
 	}
@@ -199,22 +199,22 @@ var sieveKinds = []struct {
 }
 
 // TestNarrowBoundsMatchWide: a cardinality grid keeps its gain bounds as
-// uint16 and a weighted one as float64. The same set-stream goes to a grid
+// uint8 and a weighted one as float64. The same set-stream goes to a grid
 // with no weights (narrow rows) and to one whose every weight is 1 (wide
 // rows).
 //
-// On an integer objective whose bounds stay below 65 535 the narrow rows
-// round nothing: both admission rules must save the same bytes, answer the
-// same Value, Seeds and Candidates and do the same scans at every point
+// On an integer objective whose bounds stay below 255 the narrow rows round
+// nothing: both admission rules must save the same bytes, answer the same
+// Value, Seeds and Candidates and do the same scans at every point
 // compared.
 //
-// Where a bound reaches 65 535 a narrow cell keeps none, so the narrow grid
+// Where a bound reaches 255 a narrow cell keeps none, so the narrow grid
 // scans where the wide one rejects from its bound — and decides the same.
-// On bigSetElements at k = 2 (the "past-65535" cases) the thresholds of the
-// highest guesses pass 65 535, a scan there rejects a user whose gain is
-// past it, and the narrow grid must store no bound for that real one; after
+// On bigSetElements at k = 2 (the "past-255" cases) the thresholds of the
+// highest guesses pass 255, a scan there rejects a user whose gain is past
+// it, and the narrow grid must store no bound for that real one; after
 // every element both grids answer the same Value, Seeds and Candidates, and
-// the narrow grid has scanned at least as often.
+// the narrow grid has scanned more often.
 func TestNarrowBoundsMatchWide(t *testing.T) {
 	for _, c := range sieveKinds {
 		t.Run(c.name, func(t *testing.T) {
@@ -245,7 +245,7 @@ func TestNarrowBoundsMatchWide(t *testing.T) {
 	elems := bigSetElements(12)
 	checkLatestContract(t, elems)
 	for _, c := range sieveKinds {
-		t.Run(c.name+"-past-65535", func(t *testing.T) {
+		t.Run(c.name+"-past-255", func(t *testing.T) {
 			narrow, wide := c.mk(2, nil), c.mk(2, submod.Cardinality{})
 			sentinels := 0
 			for i, e := range elems {
@@ -258,7 +258,7 @@ func TestNarrowBoundsMatchWide(t *testing.T) {
 				sentinels += sentinelCells(narrow, wide)
 			}
 			if sentinels == 0 {
-				t.Fatal("no narrow cell stored the sentinel for a bound of 65 535 or more")
+				t.Fatal("no narrow cell stored the sentinel for a bound of 255 or more")
 			}
 			ns, ws := narrow.Stats().Scans, wide.Stats().Scans
 			if ns == ws {
@@ -284,9 +284,9 @@ func compareGrids(t *testing.T, i int, narrow, wide *grid) {
 	}
 }
 
-// sentinelCells counts the cells where the wide grid keeps a bound of
-// 65 535 or more and the narrow grid's row for the same user and slot holds
-// the sentinel.
+// sentinelCells counts the cells where the wide grid keeps a bound of 255
+// or more and the narrow grid's row for the same user and slot holds the
+// sentinel.
 func sentinelCells(narrow, wide *grid) int {
 	n := 0
 	for _, c := range wide.gainUB.index {
@@ -299,7 +299,7 @@ func sentinelCells(narrow, wide *grid) int {
 		}
 		wr := wide.gainUB.at(c)
 		for s := range wide.gainUB.width {
-			if wr.get(s) >= noBound16 && nr.u16[s] == noBound16 {
+			if wr.get(s) >= noBound8 && nr.u8[s] == noBound8 {
 				n++
 			}
 		}
@@ -307,14 +307,14 @@ func sentinelCells(narrow, wide *grid) int {
 	return n
 }
 
-// bigSetElements is a stream whose influence sets pass 65 535 members.
-// User 1 comes first with members [0, 110 000), the largest singleton, so
-// every instance admits it and, at k = 2, the thresholds of the highest
-// guesses lie between 70 000 and 110 000. Users 2 and 3 follow with 105 000
-// and 100 000 members that user 1 covers 35 000 and 15 000 of: those
-// instances scan them and reject a gain of 70 000 or 85 000. Then both
-// take rounds turns gaining one fresh member, which Latest names; their
-// sets stay below the first singleton, so no guess moves.
+// bigSetElements is a stream whose marginal gains pass 255. User 1 comes
+// first with members [0, 440), the largest singleton, so every instance
+// admits it and, at k = 2, the thresholds of the highest guesses lie
+// between 280 and 440. Users 2 and 3 follow with 420 and 400 members that
+// user 1 covers 140 and 60 of: those instances scan them and reject a gain
+// of 280 or 340. Then both take rounds turns gaining one fresh member,
+// which Latest names; their sets stay below the first singleton, so no
+// guess moves.
 func bigSetElements(rounds int) []Element {
 	members := func(from stream.UserID, n int) []stream.Contrib {
 		out := make([]stream.Contrib, n, n+rounds)
@@ -323,7 +323,7 @@ func bigSetElements(rounds int) []Element {
 		}
 		return out
 	}
-	sets := [][]stream.Contrib{members(0, 110_000), members(75_000, 105_000), members(95_000, 100_000)}
+	sets := [][]stream.Contrib{members(0, 440), members(300, 420), members(380, 400)}
 	var out []Element
 	for u, s := range sets {
 		out = append(out, Element{User: stream.UserID(1 + u), Prefix: s})
@@ -339,14 +339,14 @@ func bigSetElements(rounds int) []Element {
 	return out
 }
 
-// TestNarrowBoundRoundsUp: a narrow cell holds an integer below 65 535. It
+// TestNarrowBoundRoundsUp: a narrow cell holds an integer below 255. It
 // rounds a fractional bound up to the next integer — still an upper bound
-// on the gain — keeps 65 534, and reads 65 535 and anything larger as no
-// bound, which costs a scan; a wide row keeps every bound exactly.
+// on the gain — keeps 254, and reads 255 and anything larger as no bound,
+// which costs a scan; a wide row keeps every bound exactly.
 func TestNarrowBoundRoundsUp(t *testing.T) {
 	for _, c := range []struct {
 		v, narrow float64
-	}{{2.5, 3}, {65_533.25, 65_534}, {65_534, 65_534}, {65_535, -1}, {1<<24 + 1, -1}} {
+	}{{2.5, 3}, {253.25, 254}, {254, 254}, {254.5, -1}, {255, -1}, {65_535, -1}, {1<<24 + 1, -1}} {
 		for _, narrow := range []bool{true, false} {
 			tab := newBoundTable(3, narrow)
 			row := tab.insert(7)

@@ -3,6 +3,7 @@ package oracle
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/stream"
@@ -110,28 +111,30 @@ func (t *rowTable) clearBits(mask []uint64) {
 // belonging to instance slot s of the owning grid; a negative entry means
 // "no bound". Rows are packed in arrival order, boundChunk to an allocation,
 // and found through a small open-addressing index, so the table's memory is
-// its rows — a row is width × 2 or width × 8 bytes, an index cell 8 — with
+// its rows — a row is width × 1 or width × 8 bytes, an index cell 8 — with
 // neither load-factor slack nor, growing a chunk at a time, copies left as
 // garbage. Unlike the bit-row tables it keeps nothing across reset: a chunk
 // costs one allocation and no copy to get back, and rows kept from a
 // longer-lived owner were a third to a half more memory than the live
 // checkpoints' rows.
 //
-// A bound is a uint16 when the table is narrow — the grid's objective is
+// A bound is a uint8 when the table is narrow — the grid's objective is
 // cardinality — and a float64 otherwise. Cardinality gains are member
-// counts, integers a uint16 holds exactly below noBound16; a narrow cell
-// rounds a fractional bound up, and a bound of noBound16 or more — an
-// influence set of 65 535 distinct users or more — stores noBound16, which
-// reads back as no bound. Either way a decision the bound makes is one the
-// wide table makes: a rounded-up bound still bounds the gain, and a missing
-// one only sends the slot to scan the influence set, which finds the gain
-// itself. Weighted bounds are arbitrary sums that a uint16 cannot hold, and
-// a snapshot carries every bound as a float64 that restoring must give back
-// bit for bit: weighted tables stay wide.
+// counts, integers a uint8 holds exactly below noBound8; a narrow cell
+// rounds a fractional bound up, and a bound of noBound8 or more — a gain of
+// 255 users or more — stores noBound8, which reads back as no bound. Either
+// way a decision the bound makes is one the wide table makes: a rounded-up
+// bound still bounds the gain, and a missing one only sends the slot to
+// scan the influence set, which finds the gain itself. A rejected gain is
+// below the slot's threshold, so a bound only stays in a cell when the
+// threshold it must stay under is small; on the benchmark's bulk stream no
+// store reaches 255. Weighted bounds are arbitrary sums that a uint8 cannot
+// hold, and a snapshot carries every bound as a float64 that restoring must
+// give back bit for bit: weighted tables stay wide.
 type boundTable struct {
 	width    int         // bounds per row
-	narrow   bool        // rows are uint16
-	chunks16 [][]uint16  // narrow: row r is chunks16[r/boundChunk][r%boundChunk*width:][:width]
+	narrow   bool        // rows are uint8
+	chunks8  [][]uint8   // narrow: row r is chunks8[r/boundChunk][r%boundChunk*width:][:width]
 	chunks64 [][]float64 // wide: the same, in float64
 	n        int         // rows in use
 	index    []uint64    // user<<32 | r+1; 0 = empty
@@ -139,27 +142,27 @@ type boundTable struct {
 
 const boundChunk = 8
 
-// noBound16 is a narrow cell holding no bound.
-const noBound16 = math.MaxUint16
+// noBound8 is a narrow cell holding no bound.
+const noBound8 = math.MaxUint8
 
 func newBoundTable(width int, narrow bool) boundTable {
 	return boundTable{width: width, narrow: narrow, index: make([]uint64, minRowCells)}
 }
 
-// boundRow is a view of one user's row: u16 in a narrow table, f64 in a
+// boundRow is a view of one user's row: u8 in a narrow table, f64 in a
 // wide one, neither when the user has none.
 type boundRow struct {
-	u16 []uint16
+	u8  []uint8
 	f64 []float64
 }
 
 // ok reports whether the row exists.
-func (r *boundRow) ok() bool { return r.u16 != nil || r.f64 != nil }
+func (r *boundRow) ok() bool { return r.u8 != nil || r.f64 != nil }
 
 // get returns slot s's bound, negative for none.
 func (r *boundRow) get(s int) float64 {
-	if r.u16 != nil {
-		if c := r.u16[s]; c != noBound16 {
+	if r.u8 != nil {
+		if c := r.u8[s]; c != noBound8 {
 			return float64(c)
 		}
 		return -1
@@ -168,16 +171,16 @@ func (r *boundRow) get(s int) float64 {
 }
 
 // set stores v, which is not negative, as slot s's bound. A narrow cell
-// rounds v up to an integer, and stores no bound from noBound16 up.
+// rounds v up to an integer, and stores no bound from noBound8 up.
 func (r *boundRow) set(s int, v float64) {
-	if r.u16 != nil {
-		c := uint16(noBound16)
-		if v < noBound16 {
-			if c = uint16(v); float64(c) < v {
+	if r.u8 != nil {
+		c := uint8(noBound8)
+		if v < noBound8 {
+			if c = uint8(v); float64(c) < v {
 				c++
 			}
 		}
-		r.u16[s] = c
+		r.u8[s] = c
 		return
 	}
 	r.f64[s] = v
@@ -201,7 +204,7 @@ func (t *boundTable) at(cell uint64) boundRow {
 	r := int(uint32(cell)) - 1
 	c, o := r/boundChunk, r%boundChunk*t.width
 	if t.narrow {
-		return boundRow{u16: t.chunks16[c][o : o+t.width]}
+		return boundRow{u8: t.chunks8[c][o : o+t.width]}
 	}
 	return boundRow{f64: t.chunks64[c][o : o+t.width]}
 }
@@ -209,9 +212,9 @@ func (t *boundTable) at(cell uint64) boundRow {
 // insert appends a row of no bounds for k, which must have none, and returns
 // it.
 func (t *boundTable) insert(k uint32) boundRow {
-	if t.n == (len(t.chunks16)+len(t.chunks64))*boundChunk {
+	if t.n == (len(t.chunks8)+len(t.chunks64))*boundChunk {
 		if t.narrow {
-			t.chunks16 = append(t.chunks16, make([]uint16, boundChunk*t.width))
+			t.chunks8 = append(t.chunks8, make([]uint8, boundChunk*t.width))
 		} else {
 			t.chunks64 = append(t.chunks64, make([]float64, boundChunk*t.width))
 		}
@@ -229,8 +232,8 @@ func (t *boundTable) insert(k uint32) boundRow {
 	cell := uint64(k)<<32 | uint64(t.n)
 	t.place(cell)
 	row := t.at(cell)
-	for s := range row.u16 {
-		row.u16[s] = noBound16
+	for s := range row.u8 {
+		row.u8[s] = noBound8
 	}
 	for s := range row.f64 {
 		row.f64[s] = -1
@@ -256,9 +259,9 @@ func (t *boundTable) clearSlots(mask []uint64) {
 	for wi, m := range mask {
 		for ; m != 0; m &= m - 1 {
 			s := wi<<6 | bits.TrailingZeros64(m)
-			for _, chunk := range t.chunks16 {
+			for _, chunk := range t.chunks8 {
 				for o := s; o < len(chunk); o += t.width {
-					chunk[o] = noBound16
+					chunk[o] = noBound8
 				}
 			}
 			for _, chunk := range t.chunks64 {
@@ -338,9 +341,9 @@ type grid struct {
 	// row. Only users some scan rejected have a row: on the benchmark's bulk
 	// stream that is 22–373 users per checkpoint and, at the end of a
 	// five-window run, 5 451 rows of 50 bounds over a tracker's 29
-	// checkpoints — 0.55 MB at 2 bytes a bound, the width of a cardinality
-	// objective (boundTable), where a bound of 65 535 or more is kept as
-	// none and costs a scan. One sparse map per slot took 3.3 cells a bound
+	// checkpoints — 0.27 MB at 1 byte a bound, the width of a cardinality
+	// objective (boundTable), where a bound of 255 or more is kept as none
+	// and costs a scan. One sparse map per slot took 3.3 cells a bound
 	// and cost an element 18 hash probes, one per slot that passed the
 	// singleton test or ended a scan undecided (ARCHITECTURE.md, "The gain
 	// bounds are rows").
@@ -489,8 +492,7 @@ func (g *grid) Reset() {
 // dipping when instances are dropped.
 func (g *grid) retune() {
 	g.refresh() // bank the current best before dropping instances
-	lo := int(math.Ceil(math.Log(g.m)/g.logB - 1e-9))
-	hi := int(math.Floor(math.Log(2*float64(g.k)*g.m)/g.logB + 1e-9))
+	lo, hi := g.guesses()
 	next := g.spare[:hi-lo+1]
 	for i := range next {
 		next[i] = -1
@@ -520,6 +522,14 @@ func (g *grid) retune() {
 		}
 	}
 	g.order, g.spare, g.jLo = next, g.order[:0], lo
+}
+
+// guesses returns the exponent range [lo, hi] of the OPT guesses (1+β)^j
+// in [m, 2km]: the instances retune keeps alive for the current m.
+func (g *grid) guesses() (lo, hi int) {
+	lo = int(math.Ceil(math.Log(g.m)/g.logB - 1e-9))
+	hi = int(math.Floor(math.Log(2*float64(g.k)*g.m)/g.logB + 1e-9))
+	return lo, hi
 }
 
 // open claims the lowest free slot for a fresh instance guessing opt. The
@@ -703,7 +713,7 @@ func (g *grid) feed(e Element, singleton float64) {
 		for ; adm != 0; adm &= adm - 1 {
 			b := bits.TrailingZeros64(adm)
 			s := wi<<6 | b
-			g.seeds[s] = append(g.seeds[s], e.User)
+			g.addSeed(s, e.User)
 			if len(g.seeds[s]) >= g.k {
 				g.full[wi] |= 1 << b
 			}
@@ -714,6 +724,16 @@ func (g *grid) feed(e Element, singleton float64) {
 	for _, c := range e.Prefix {
 		g.cover(c.V, g.adm)
 	}
+}
+
+// addSeed appends u to slot s's seed list. A full list grows fourfold from
+// a first capacity of 8, never past k: grown one append at a time it
+// reallocated at every size class on the way to k.
+func (g *grid) addSeed(s int, u stream.UserID) {
+	if seeds := g.seeds[s]; len(seeds) == cap(seeds) {
+		g.seeds[s] = slices.Grow(seeds, min(max(8, 4*cap(seeds)), g.k)-len(seeds))
+	}
+	g.seeds[s] = append(g.seeds[s], u)
 }
 
 // refresh folds the current best instance into the monotone best-ever

@@ -166,14 +166,18 @@ func (sc *gridSave) transpose(g *grid) {
 // RestoreState implements Persistent for the sieve-style oracles: saved
 // instance i takes slot i. Gain bounds are saved as float64 whatever the
 // width of the grid's rows, and a narrow grid narrows them here: a
-// cardinality grid saved only integers below 65 535, which a uint16 holds.
-// A larger one — a snapshot of four-byte rows may hold it — restores as no
-// bound, which costs the restored grid a scan and changes no decision.
+// cardinality grid of one-byte rows saved only integers below 255, which a
+// uint8 holds. A larger one — a snapshot of wider rows may hold it —
+// restores as no bound, which costs the restored grid a scan and changes no
+// decision.
 //
 // A payload no grid of this configuration writes is an error, not state:
 // more instances than a gain-bound row has columns, more than k seeds in a
-// slot or in the best-ever set, and a negative or non-finite m, OPT guess,
-// slot value or best value (a NaN m would restore, then answer 0 for good).
+// slot or in the best-ever set, a seed twice in one slot, a negative or
+// non-finite m, OPT guess, slot value or best value (a NaN m would restore,
+// then answer 0 for good), a lowest guess other than the one retune derives
+// from a positive m, and — on a cardinality grid, whose slot value is the
+// count of users it covers — a slot value that is not that count.
 func (g *grid) RestoreState(r *wire.Reader) error {
 	if v := r.Uvarint(); r.Err() == nil && v != gridPayloadVersion {
 		return fmt.Errorf("oracle: unsupported sieve payload version %d", v)
@@ -184,6 +188,9 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 		return fmt.Errorf("oracle: sieve payload holds m = %v", g.m)
 	}
 	g.jLo = int(r.Varint())
+	if lo, _ := g.guesses(); r.Err() == nil && g.m > 0 && g.jLo != lo {
+		return fmt.Errorf("oracle: sieve payload holds lowest guess exponent %d, m = %v gives %d", g.jLo, g.m, lo)
+	}
 	n := r.Len(maxLen)
 	if most := g.gainUB.width; r.Err() == nil && n > most {
 		return fmt.Errorf("oracle: sieve payload holds %d instances, k=%d beta=%v allows %d", n, g.k, g.beta, most)
@@ -199,21 +206,29 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 		}
 		for j := 0; j < ns && r.Err() == nil; j++ {
 			u := stream.UserID(r.Uvarint())
+			row := g.seedOf.row(uint32(u))
+			if row[wi]&bit != 0 && r.Err() == nil {
+				return fmt.Errorf("oracle: sieve payload instance %d holds seed %d twice", s, u)
+			}
 			g.seeds[s] = append(g.seeds[s], u)
-			g.seedOf.row(uint32(u))[wi] |= bit
+			row[wi] |= bit
 		}
 		if len(g.seeds[s]) >= g.k {
 			g.full[wi] |= bit
 		}
 		nm := r.Len(maxLen)
-		prev := uint32(0)
+		prev, covered := uint32(0), 0
 		for j := 0; j < nm && r.Err() == nil; j++ {
 			prev += uint32(r.Uvarint())
-			g.cov.row(prev)[wi] |= bit
+			row := g.cov.row(prev)
+			if row[wi]&bit == 0 {
+				covered++
+			}
+			row[wi] |= bit
 		}
 		g.value[s] = r.F64()
-		if r.Err() == nil && !sane(g.value[s]) {
-			return fmt.Errorf("oracle: sieve payload instance %d holds value %v", s, g.value[s])
+		if r.Err() == nil && (!sane(g.value[s]) || g.w == nil && g.value[s] != float64(covered)) {
+			return fmt.Errorf("oracle: sieve payload instance %d holds value %v over %d covered users", s, g.value[s], covered)
 		}
 		ng := r.Len(maxLen)
 		for j := 0; j < ng && r.Err() == nil; j++ {

@@ -149,32 +149,42 @@ func TestPersistTruncated(t *testing.T) {
 // grid of this k and β cannot have written are errors, not state — one more
 // instance than the grid ever holds (a gain-bound row has no column for it),
 // a negative gain bound (which a row reads as "no bound"), more than k seeds
-// in a slot or in the best-ever set, and a negative or non-finite m, OPT
-// guess, slot value or best value (a NaN m used to restore and then answer 0
-// where a sane one answers 24).
+// in a slot or in the best-ever set, a seed twice in one slot, a negative or
+// non-finite m, OPT guess, slot value or best value (a NaN m used to restore
+// and then answer 0 where a sane one answers 24), a lowest guess exponent
+// jLo other than the one retune derives from m, and a slot value other than
+// the number of users the slot covers (this grid's objective is
+// cardinality).
 func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
 	const k = 4
 	most := NewSieve(k, 0.2, nil).gainUB.width
 	type fields struct {
-		instances, seeds, best        int
-		m, opt, value, bestVal, bound float64
+		instances, seeds, best, covered, jLo int
+		m, opt, value, bestVal, bound        float64
+		dupSeed                              bool
 	}
-	good := fields{instances: most, seeds: k, best: k, m: 1, opt: 1, value: 4, bestVal: 4, bound: 2}
+	good := fields{instances: most, seeds: k, best: k, covered: 4, m: 1, opt: 1, value: 4, bestVal: 4, bound: 2}
 	payload := func(g fields) []byte {
 		var buf bytes.Buffer
 		w := wire.NewWriter(&buf)
 		w.Uvarint(gridPayloadVersion)
 		w.Varint(1) // elements
 		w.F64(g.m)
-		w.Varint(0) // jLo
+		w.Varint(int64(g.jLo))
 		w.Uvarint(uint64(g.instances))
 		for i := 0; i < g.instances; i++ {
 			w.F64(g.opt)
 			w.Uvarint(uint64(g.seeds))
 			for u := range g.seeds {
+				if g.dupSeed && u == g.seeds-1 {
+					u = 0
+				}
 				w.Uvarint(uint64(u))
 			}
-			w.Uvarint(0) // covered members
+			w.Uvarint(uint64(g.covered)) // users 0, 1, … delta-coded
+			for u := range g.covered {
+				w.Uvarint(uint64(min(u, 1)))
+			}
 			w.F64(g.value)
 			w.Uvarint(1) // gain bounds
 			w.Uvarint(7)
@@ -218,6 +228,11 @@ func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
 		{"best value NaN", func(g *fields) { g.bestVal = nan }},
 		{"best value +Inf", func(g *fields) { g.bestVal = inf }},
 		{"best value negative", func(g *fields) { g.bestVal = -1 }},
+		{"a seed twice in a slot", func(g *fields) { g.dupSeed = true }},
+		{"jLo not m's lowest guess", func(g *fields) { g.jLo = 1 }},
+		{"jLo below m's lowest guess", func(g *fields) { g.jLo = -1 }},
+		{"value above the covered count", func(g *fields) { g.covered = 3 }},
+		{"value below the covered count", func(g *fields) { g.covered = 5 }},
 	} {
 		g := good
 		c.edit(&g)

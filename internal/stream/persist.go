@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"repro/internal/wire"
@@ -34,36 +33,34 @@ func (s *Stream) Save(w io.Writer) error {
 	ww.Varint(int64(s.last))
 
 	// Retained window, oldest first, each action as ingested.
-	live := s.ring[s.tail:]
-	ww.Uvarint(uint64(len(live)))
-	for _, e := range live {
+	ww.Uvarint(uint64(s.rlen))
+	for i := range s.rlen {
+		e := &s.ring[s.at(i)]
 		ww.Varint(int64(e.id))
 		ww.Uvarint(uint64(e.user))
 		ww.Varint(int64(e.parent))
 	}
 
-	// Diffusion index with refcounts, in ID order: the pinned ancestors,
-	// all below the horizon, then the ring. Refs are reconstructible (one
-	// liveness reference per in-window action plus one per retained child),
-	// but storing them keeps Restore a single pass and makes the payload
-	// self-validating. A cut action's parent is saved as NoParent.
-	ids := make([]ActionID, 0, len(s.pinned))
-	for id := range s.pinned {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	ww.Uvarint(uint64(len(ids) + len(live)))
-	put := func(e entry) {
+	// Diffusion index with refcounts, in ID order: the live pinned
+	// ancestors, all below the horizon, then the ring. Refs are
+	// reconstructible (one liveness reference per in-window action plus one
+	// per retained child), but storing them keeps Restore a single pass and
+	// makes the payload self-validating. A cut action's parent is saved as
+	// NoParent.
+	ww.Uvarint(uint64(s.pins() + s.rlen))
+	put := func(e *entry) {
 		ww.Varint(int64(e.id))
 		ww.Uvarint(uint64(e.user))
 		ww.Varint(int64(e.up()))
 		ww.Varint(int64(e.count()))
 	}
-	for _, id := range ids {
-		put(s.pinned[id])
+	for i := range s.pinned {
+		if s.pinned[i].count() > 0 {
+			put(&s.pinned[i])
+		}
 	}
-	for _, e := range live {
-		put(e)
+	for i := range s.rlen {
+		put(&s.ring[s.at(i)])
 	}
 
 	// Contribution logs. Entry order within a log is semantic (descending
@@ -85,10 +82,15 @@ func (s *Stream) Save(w io.Writer) error {
 		}
 	}
 
-	// Cold tier (v2): the extent table references segments by ID instead of
-	// embedding their entries, so snapshot size and save time scale with the
-	// HOT state only — the segments themselves are already durable files.
-	// Spilled logs are never faulted in by Save.
+	return s.saveCold(ww)
+}
+
+// saveCold writes the cold tier (v2), the payload's last part. The extent
+// table references segments by ID instead of embedding their entries, so
+// snapshot size and save time scale with the HOT state only — the segments
+// themselves are already durable files. Spilled logs are never faulted in
+// by Save.
+func (s *Stream) saveCold(ww *wire.Writer) error {
 	coldUsers := make([]UserID, 0, len(s.cold))
 	for u := range s.cold {
 		coldUsers = append(coldUsers, u)
@@ -123,6 +125,41 @@ func (s *Stream) Save(w io.Writer) error {
 		ww.Varint(st.Size)
 	}
 	return ww.Err()
+}
+
+// PayloadSize returns the number of bytes Save writes, without encoding the
+// hot state: its varints' lengths are summed from the values Save would
+// write (wire.UvarintLen, wire.VarintLen), and only the cold tier — a few
+// fields per spilled user — is encoded, into a writer that counts. A
+// caller that must prefix the payload with its length (core.Framework.Save)
+// then writes it straight through instead of buffering it. Like Save, it
+// fails when a cold segment cannot be stat'ed.
+func (s *Stream) PayloadSize() (int, error) {
+	n := wire.UvarintLen(streamPayloadVersion) + wire.VarintLen(int64(s.horizon)) + wire.VarintLen(int64(s.last))
+	n += wire.UvarintLen(uint64(s.rlen)) + wire.UvarintLen(uint64(s.pins()+s.rlen))
+	index := func(e *entry) int {
+		return wire.VarintLen(int64(e.id)) + wire.UvarintLen(uint64(e.user)) +
+			wire.VarintLen(int64(e.up())) + wire.VarintLen(int64(e.count()))
+	}
+	for i := range s.rlen {
+		e := &s.ring[s.at(i)]
+		n += wire.VarintLen(int64(e.id)) + wire.UvarintLen(uint64(e.user)) + wire.VarintLen(int64(e.parent))
+		n += index(e)
+	}
+	for i := range s.pinned {
+		if s.pinned[i].count() > 0 {
+			n += index(&s.pinned[i])
+		}
+	}
+	n += wire.UvarintLen(uint64(len(s.logs)))
+	for u, l := range s.logs {
+		n += wire.UvarintLen(uint64(u)) + wire.UvarintLen(uint64(len(l.list)))
+		for _, c := range l.list {
+			n += wire.UvarintLen(uint64(c.V)) + wire.VarintLen(int64(c.T))
+		}
+	}
+	cold, err := wire.Size(func(w io.Writer) error { return s.saveCold(wire.NewWriter(w)) })
+	return n + cold, err
 }
 
 // Restore deserializes a stream saved by Save. The returned stream is fully
@@ -170,9 +207,11 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 		}
 		s.ring = append(s.ring, e) // refs stay 0 until the index record
 	}
+	s.rlen = len(s.ring)
 
 	// Index records at or above the horizon complete their windowed action;
-	// those below it are the pinned ancestors.
+	// those below it are the pinned ancestors, in the ascending ID order
+	// Save writes them in.
 	nIdx := rr.Len(wire.MaxLen)
 	for i := 0; i < nIdx && rr.Err() == nil; i++ {
 		id := ActionID(rr.Varint())
@@ -187,7 +226,10 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 		case parent != NoParent && parent >= id:
 			return nil, fmt.Errorf("stream: index record %d has parent %d", id, parent)
 		case id < s.horizon:
-			s.pinned[id] = entry{id: id, parent: parent, user: user, refs: uint32(refs)}
+			if n := len(s.pinned); n > 0 && id <= s.pinned[n-1].id {
+				return nil, fmt.Errorf("stream: pinned index records do not increase at %d", id)
+			}
+			s.pinned = append(s.pinned, entry{id: id, parent: parent, user: user, refs: uint32(refs)})
 			continue
 		}
 		j := s.slot(id)

@@ -168,7 +168,9 @@ func v3Payload(horizon, last ActionID, window []Action, index [][4]int64) []byte
 // TestRestoreRejectsWhatTheRingCannotHold: the window and index sections
 // must describe one ring plus its pinned ancestors. The first case is a
 // consistent payload — action 7 replies to the pinned action 2, action 6's
-// parent 4 was cut — and restores; each other case breaks one rule.
+// parent 4 was cut — and restores; each other case breaks one rule. The
+// pinned ancestors, which Save writes in ascending ID order, must come in
+// that order: the restored list is searched by binary search.
 func TestRestoreRejectsWhatTheRingCannotHold(t *testing.T) {
 	window := []Action{{5, 1, NoParent}, {6, 2, 4}, {7, 3, 2}}
 	index := [][4]int64{{2, 9, -1, 1}, {5, 1, -1, 1}, {6, 2, -1, 1}, {7, 3, 2, 1}}
@@ -198,6 +200,8 @@ func TestRestoreRejectsWhatTheRingCannotHold(t *testing.T) {
 		{"index record with another user", 5, window, edit(3, [4]int64{7, 4, 2, 1}), "disagrees"},
 		{"index record with another parent", 5, window, edit(3, [4]int64{7, 3, 1, 1}), "disagrees"},
 		{"negative horizon", -2, window, index, "negative horizon"},
+		{"pinned IDs not increasing", 5, window, append([][4]int64{{3, 8, -1, 1}}, index...), "do not increase at 2"},
+		{"pinned ID repeated", 5, window, append([][4]int64{{2, 9, -1, 1}}, index...), "do not increase at 2"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Restore(bytes.NewReader(v3Payload(c.horizon, 8, c.window, c.index)), nil, 0)
@@ -214,8 +218,56 @@ func TestRestoreRejectsWhatTheRingCannotHold(t *testing.T) {
 	}
 }
 
+// TestPayloadSizeMatchesSave: PayloadSize, which sums varint lengths
+// instead of encoding, is the length Save writes — on an empty stream, on
+// gappedStream (pinned ancestors, cut parents, gapped IDs), on a stream
+// whose IDs, users and log times need long varints, and on a stream with
+// spilled logs, whose cold tier it does encode; and it fails where Save
+// does, on a segment that cannot be stat'ed.
+func TestPayloadSizeMatchesSave(t *testing.T) {
+	far := New()
+	for i := range ActionID(300) {
+		a := Action{ID: 1<<40 + i*(1<<20), User: UserID(1<<31 + i%7), Parent: NoParent}
+		if i%3 > 0 {
+			a.Parent = a.ID - 1<<20
+		}
+		if _, err := far.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+		far.Advance(a.ID - 100<<20)
+	}
+	store := newFakeStore()
+	cold := New()
+	cold.SetCold(store, 100)
+	for id := ActionID(1); id <= 40; id++ {
+		if _, err := cold.Ingest(Action{ID: id, User: UserID(id % 13), Parent: max(id-3, NoParent)}); err != nil {
+			t.Fatal(err)
+		}
+		cold.Advance(id - 20)
+	}
+	if len(cold.cold) == 0 {
+		t.Fatal("no log was spilled")
+	}
+	for name, s := range map[string]*Stream{"empty": New(), "gapped": gappedStream(t), "far": far, "cold": cold} {
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := s.PayloadSize(); n != buf.Len() || err != nil {
+			t.Fatalf("%s: PayloadSize = %d, %v; Save wrote %d bytes", name, n, err, buf.Len())
+		}
+	}
+	for seg := range store.segs {
+		delete(store.segs, seg)
+	}
+	if _, err := cold.PayloadSize(); err == nil {
+		t.Fatal("PayloadSize stat'ed a segment the store no longer has")
+	}
+}
+
 // FuzzStreamRestore: Restore either rejects a payload, or returns a stream
-// whose Save restores and saves again to the same bytes.
+// whose Save restores and saves again to the same bytes, and whose
+// PayloadSize is the length of those bytes.
 func FuzzStreamRestore(f *testing.F) {
 	for _, name := range []string{"payload_v3_0c9a0b9.bin", "payload_v2_pr17.bin"} {
 		b, err := os.ReadFile("testdata/" + name)
@@ -234,6 +286,9 @@ func FuzzStreamRestore(f *testing.F) {
 		var first, second bytes.Buffer
 		if err := s.Save(&first); err != nil {
 			t.Fatal(err)
+		}
+		if n, _ := s.PayloadSize(); n != first.Len() {
+			t.Fatalf("PayloadSize %d, Save wrote %d bytes", n, first.Len())
 		}
 		r, err := Restore(bytes.NewReader(first.Bytes()), nil, 0)
 		if err != nil {
@@ -314,16 +369,17 @@ func TestPayloadBytesPinned(t *testing.T) {
 	}
 	s := gappedStream(t)
 	cut, gaps := 0, 0
-	for i, e := range s.ring[s.tail:] {
+	for i := range s.rlen {
+		e := s.ring[s.at(i)]
 		if e.refs&cutBit != 0 {
 			cut++
 		}
-		if i > 0 && e.id != s.ring[s.tail+i-1].id+1 {
+		if i > 0 && e.id != s.ring[s.at(i-1)].id+1 {
 			gaps++
 		}
 	}
-	if len(s.pinned) == 0 || cut == 0 || gaps == 0 {
-		t.Fatalf("the stream misses a case: %d pinned, %d cut, %d gaps", len(s.pinned), cut, gaps)
+	if s.pins() == 0 || cut == 0 || gaps == 0 {
+		t.Fatalf("the stream misses a case: %d pinned, %d cut, %d gaps", s.pins(), cut, gaps)
 	}
 	var got bytes.Buffer
 	if err := s.Save(&got); err != nil {

@@ -12,7 +12,7 @@ import (
 // (paper §3, Example 1), so entries are reference counted. The count holds
 // one "liveness" reference while the action is newer than the retention
 // horizon plus one reference per retained child entry. An entry holds no
-// pointer, so neither the ring nor the pinned map gives the collector
+// pointer, so neither the ring nor the pinned list gives the collector
 // anything to mark.
 type entry struct {
 	id     ActionID
@@ -134,14 +134,22 @@ type Delta struct {
 type Stream struct {
 	logs map[UserID]*userLog
 
-	// ring is the FIFO of retained actions (IDs >= horizon) in ID order:
-	// ingest appends at the head, Advance expires at ring[tail], and a
-	// lookup indexes the ring by its offset from the head (see slot).
-	// pinned holds the entries that passed the horizon while a retained
-	// child still reaches them.
-	ring    []entry
-	tail    int
-	pinned  map[ActionID]entry
+	// ring is the FIFO of retained actions (IDs >= horizon) in ID order, a
+	// circular buffer of len(ring) slots: the i-th oldest of the rlen
+	// retained entries is ring[at(i)], the oldest ring[rstart]. ingest adds
+	// at the head, growing a full buffer by a quarter; Advance expires the
+	// oldest without moving the rest; a lookup indexes the ring by its
+	// offset from the head (see slot).
+	ring   []entry
+	rstart int
+	rlen   int
+	// pinned holds, in ascending ID order, the entries that passed the
+	// horizon while a retained child still reaches them: they enter in ID
+	// order as Advance expires them, and are found by binary search. An
+	// entry whose count fell to 0 is dead (dead counts them) and stays in
+	// place until more than half the list is dead, when Advance compacts it.
+	pinned  []entry
+	dead    int
 	horizon ActionID
 	last    ActionID
 
@@ -225,7 +233,6 @@ func NewSized(usersHint int) *Stream {
 		usersHint = 0
 	}
 	return &Stream{
-		pinned:  map[ActionID]entry{},
 		logs:    make(map[UserID]*userLog, usersHint),
 		horizon: 0,
 		last:    -1,
@@ -241,7 +248,32 @@ func (s *Stream) Last() ActionID { return s.last }
 func (s *Stream) Horizon() ActionID { return s.horizon }
 
 // Len returns the number of retained actions.
-func (s *Stream) Len() int { return len(s.ring) - s.tail }
+func (s *Stream) Len() int { return s.rlen }
+
+// at returns the ring slot of the i-th oldest retained action, 0 <= i <
+// len(ring): the ring wraps once, so one subtraction replaces a modulo.
+func (s *Stream) at(i int) int {
+	if i += s.rstart; i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	return i
+}
+
+// push appends e at the ring's head, first growing a full ring by a quarter
+// (at least minRing slots) into a buffer that starts at its oldest entry.
+func (s *Stream) push(e entry) {
+	if s.rlen == len(s.ring) {
+		grown := make([]entry, max(minRing, len(s.ring)+len(s.ring)/4))
+		n := copy(grown, s.ring[s.rstart:])
+		copy(grown[n:], s.ring[:s.rstart])
+		s.ring, s.rstart = grown, 0
+	}
+	s.ring[s.at(s.rlen)] = e
+	s.rlen++
+}
+
+// minRing is the slot count of a ring's first buffer.
+const minRing = 16
 
 // nextGen starts a new deduplication generation: nothing is marked. Marks of
 // past generations are dead weight, and a user an action in the window marks
@@ -278,7 +310,7 @@ func (s *Stream) ingest(a Action) int {
 	if !a.Root() && !s.pin(a.Parent) {
 		e.refs |= cutBit
 	}
-	s.ring = append(s.ring, e)
+	s.push(e)
 
 	// Resolve the ancestor chain and record contributions.
 	base := len(s.batchArena)
@@ -342,30 +374,54 @@ func (s *Stream) chain(e entry, buf []UserID) ([]UserID, int) {
 	return buf, depth
 }
 
-// slot returns the ring position of the retained action id, or -1. The
+// slot returns the ring slot of the retained action id, or -1. The
 // position is id's offset from the head when the ring's IDs are contiguous,
 // the common case and the one a parent a few IDs back hits at once. IDs
 // with gaps (time-based trackers, and every cluster shard, which sees only
 // its own users' actions) put id at or after that offset, where a binary
 // search finds it.
 func (s *Stream) slot(id ActionID) int {
-	n := len(s.ring)
-	if n == s.tail || id < s.ring[s.tail].id || id > s.ring[n-1].id {
+	n := s.rlen
+	if n == 0 {
+		return -1
+	}
+	head := s.ring[s.at(n-1)].id
+	if id < s.ring[s.rstart].id || id > head {
 		return -1
 	}
 	// Every entry before position n-1-(head-id) holds an ID below id.
-	lo := max(n-1-int(s.ring[n-1].id-id), s.tail)
-	if s.ring[lo].id == id {
-		return lo
+	lo := max(n-1-int(head-id), 0)
+	if j := s.at(lo); s.ring[j].id == id {
+		return j
 	}
-	i, ok := slices.BinarySearchFunc(s.ring[lo:], id, func(e entry, id ActionID) int {
+	for lo, hi := lo+1, n; lo < hi; {
+		m := int(uint(lo+hi) >> 1)
+		switch j := s.at(m); {
+		case s.ring[j].id == id:
+			return j
+		case s.ring[j].id < id:
+			lo = m + 1
+		default:
+			hi = m
+		}
+	}
+	return -1
+}
+
+// pinnedAt returns the position of the live pinned ancestor id in pinned,
+// or -1.
+func (s *Stream) pinnedAt(id ActionID) int {
+	i, ok := slices.BinarySearchFunc(s.pinned, id, func(e entry, id ActionID) int {
 		return cmp.Compare(e.id, id)
 	})
-	if !ok {
+	if !ok || s.pinned[i].count() == 0 {
 		return -1
 	}
-	return lo + i
+	return i
 }
+
+// pins returns the number of live pinned ancestors.
+func (s *Stream) pins() int { return len(s.pinned) - s.dead }
 
 // lookup returns the entry of a retained action: one in the ring, or a
 // pinned ancestor below the horizon.
@@ -373,8 +429,10 @@ func (s *Stream) lookup(id ActionID) (entry, bool) {
 	if i := s.slot(id); i >= 0 {
 		return s.ring[i], true
 	}
-	e, ok := s.pinned[id]
-	return e, ok
+	if i := s.pinnedAt(id); i >= 0 {
+		return s.pinned[i], true
+	}
+	return entry{}, false
 }
 
 // pin adds a child's reference to the retained action id, reporting false
@@ -384,12 +442,11 @@ func (s *Stream) pin(id ActionID) bool {
 		s.ring[i].refs++
 		return true
 	}
-	e, ok := s.pinned[id]
-	if ok {
-		e.refs++
-		s.pinned[id] = e
+	if i := s.pinnedAt(id); i >= 0 {
+		s.pinned[i].refs++
+		return true
 	}
-	return ok
+	return false
 }
 
 // Advance raises the retention horizon: actions with ID < horizon are
@@ -409,8 +466,8 @@ func (s *Stream) Advance(horizon ActionID) {
 		return
 	}
 	s.horizon = horizon
-	for s.tail < len(s.ring) && s.ring[s.tail].id < horizon {
-		e := s.ring[s.tail]
+	for s.rlen > 0 && s.ring[s.rstart].id < horizon {
+		e := s.ring[s.rstart]
 		// Prune the logs of exactly the users that contributed to the
 		// expiring action; every stale log entry has the timestamp of some
 		// expiring action, so this touches each log only when needed
@@ -433,12 +490,16 @@ func (s *Stream) Advance(horizon ActionID) {
 			}
 		}
 		s.release(e)
-		s.tail++
+		s.rstart, s.rlen = s.at(1), s.rlen-1
 	}
-	if s.tail > len(s.ring)/2 && s.tail > 64 {
-		n := copy(s.ring, s.ring[s.tail:])
-		s.ring = s.ring[:n]
-		s.tail = 0
+	if 2*s.dead > len(s.pinned) {
+		live := s.pinned[:0]
+		for _, e := range s.pinned {
+			if e.count() > 0 {
+				live = append(live, e)
+			}
+		}
+		s.pinned, s.dead = live, 0
 	}
 	// Spilling happens only here, at the expiry boundary: the per-action
 	// ingest path never performs I/O.
@@ -466,24 +527,27 @@ func (s *Stream) DrainTouched() (users []UserID, ok bool) {
 }
 
 // release drops the liveness reference of the expiring entry e. An entry a
-// retained child still reaches moves to the pinned map; one nothing reaches
-// is collected, unpinning its ancestors in turn. Those are all pinned
-// already: a parent precedes its child, and the ring expires in ID order.
+// retained child still reaches is appended to the pinned list — every
+// entry there expired earlier, so the list stays in ID order; one nothing
+// reaches is collected, unpinning its ancestors in turn. Those are all
+// pinned already: a parent precedes its child, and the ring expires in ID
+// order. A collected ancestor stays in the list, dead.
 func (s *Stream) release(e entry) {
 	if e.refs--; e.count() > 0 {
-		s.pinned[e.id] = e
+		s.pinned = append(s.pinned, e)
 		return
 	}
 	for id := e.up(); id != NoParent; id = e.up() {
-		var ok bool
-		if e, ok = s.pinned[id]; !ok {
+		i := s.pinnedAt(id)
+		if i < 0 {
 			return
 		}
-		if e.refs--; e.count() > 0 {
-			s.pinned[id] = e
+		p := &s.pinned[i]
+		if p.refs--; p.count() > 0 {
 			return
 		}
-		delete(s.pinned, id)
+		s.dead++
+		e = *p
 	}
 }
 
@@ -621,22 +685,22 @@ func Summarize(actions []Action) (Stats, error) {
 // — what the stream actually holds in RAM, excluding spilled cold-tier
 // entries — used by memory-focused benchmarks and the ablation comparing
 // shared logs against per-checkpoint influence sets. Per-entry constants
-// fold in map bucket overhead; log entries are counted at capacity (the
-// bytes actually pinned), a Contrib being 16 bytes with alignment padding.
+// fold in map bucket overhead; the ring and the pinned list, 24-byte
+// entries, are counted at the slots they hold, and log entries at capacity
+// (the bytes actually pinned), a Contrib being 16 bytes with alignment
+// padding.
 // Every term is a length or a maintained counter, so the estimate is O(1):
 // snapshots take it on every publish.
 func (s *Stream) RetainedBytesEstimate() int64 {
 	const (
-		ringEntry = 24 // one entry, counted at ring capacity
-		pinEntry  = 48 // 8B key + 24B entry + bucket overhead
+		ringEntry = 24 // one entry, counted at ring and pinned-list capacity
 		logsEntry = 40 // 4B key + 8B pointer + 24B arena-held header + bucket overhead
 		seenEntry = 24 // 4B key + 8B generation + bucket overhead
 		coldEntry = 56 // 4B key + 32B extent + bucket overhead
 		headerSz  = 24 // one userLog header still unhanded in the arena block
 	)
 	var b int64
-	b += int64(cap(s.ring)) * ringEntry
-	b += int64(len(s.pinned)) * pinEntry
+	b += int64(len(s.ring)+cap(s.pinned)) * ringEntry
 	b += int64(len(s.logs)) * logsEntry
 	b += s.capBytes
 	b += int64(len(s.logChunk)) * headerSz

@@ -167,11 +167,11 @@ func TestAdvanceReleasesRecords(t *testing.T) {
 	// A long chain; advancing past everything must empty the index.
 	n := 100
 	ingestAll(t, s, chain(n))
-	if got := s.Len() + len(s.pinned); got != n {
+	if got := s.Len() + s.pins(); got != n {
 		t.Fatalf("index size = %d, want %d", got, n)
 	}
 	s.Advance(ActionID(n + 1))
-	if got := s.Len() + len(s.pinned); got != 0 {
+	if got := s.Len() + s.pins(); got != 0 {
 		t.Fatalf("index size after full advance = %d, want 0", got)
 	}
 	if len(s.logs) != 0 {
@@ -200,8 +200,8 @@ func TestAdvanceKeepsAncestorsOfLiveActions(t *testing.T) {
 	s := New()
 	ingestAll(t, s, chain(50))
 	s.Advance(50) // only action 50 retained, but its whole chain is needed
-	if s.Len() != 1 || len(s.pinned) != 49 {
-		t.Fatalf("ring holds %d, pinned %d: want 1 and 49 (full ancestor chain pinned)", s.Len(), len(s.pinned))
+	if s.Len() != 1 || s.pins() != 49 {
+		t.Fatalf("ring holds %d, pinned %d: want 1 and 49 (full ancestor chain pinned)", s.Len(), s.pins())
 	}
 	// The chain is still resolvable.
 	contribs := s.Contributors(50, nil)
@@ -294,7 +294,8 @@ func almost(a, b float64) bool {
 // action's ancestor chain, the reference semantics of Definition 1.
 func bruteInfluence(s *Stream, start ActionID) map[UserID]map[UserID]bool {
 	inf := map[UserID]map[UserID]bool{}
-	for _, e := range s.ring[s.tail:] {
+	for i := range s.rlen {
+		e := s.ring[s.at(i)]
 		if e.id < start {
 			continue
 		}
@@ -387,8 +388,8 @@ func TestSlotFindsEveryRetainedID(t *testing.T) {
 			continue
 		}
 		at := map[ActionID]int{}
-		for j := s.tail; j < len(s.ring); j++ {
-			at[s.ring[j].id] = j
+		for i := range s.rlen {
+			at[s.ring[s.at(i)].id] = s.at(i)
 		}
 		for q := s.Horizon() - 3; q <= id+3; q++ {
 			want, ok := at[q]

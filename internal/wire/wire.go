@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // ErrCorrupt is wrapped by Reader errors caused by malformed input (as
@@ -45,7 +46,8 @@ type Writer struct {
 
 // NewWriter returns a Writer over w. Callers that need buffering wrap w
 // themselves: a snapshot section's writer already buffers, and a payload
-// that must be length-prefixed is accumulated in a bytes.Buffer.
+// that must be length-prefixed is sized by Size or accumulated in a
+// bytes.Buffer.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Err returns the first error encountered, if any.
@@ -65,6 +67,13 @@ func (w *Writer) Uvarint(v uint64) { w.write(AppendUvarint(w.buf[:0], v)) }
 
 // AppendUvarint appends v to b as Uvarint writes it.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// UvarintLen returns the number of bytes Uvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen returns the number of bytes Varint writes for v: the zig-zag
+// code's.
+func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Varint writes a signed (zig-zag) varint.
 func (w *Writer) Varint(v int64) {
@@ -115,6 +124,29 @@ func (w *Writer) String(s string) {
 	if _, err := io.WriteString(w.w, s); err != nil {
 		w.err = err
 	}
+}
+
+// Size returns the number of bytes write emits, running it into a writer
+// that only counts: the first pass of a payload that must be
+// length-prefixed and is then written in a second. write must emit the
+// same bytes on both runs.
+func Size(write func(w io.Writer) error) (int, error) {
+	var c counter
+	err := write(&c)
+	return int(c), err
+}
+
+// counter is an io.Writer that keeps nothing but the byte count.
+type counter int
+
+func (c *counter) Write(p []byte) (int, error) {
+	*c += counter(len(p))
+	return len(p), nil
+}
+
+func (c *counter) WriteString(s string) (int, error) {
+	*c += counter(len(s))
+	return len(s), nil
 }
 
 // Reader decodes primitives from an io.Reader with a sticky error. The zero

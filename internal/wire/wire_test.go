@@ -205,3 +205,39 @@ func TestPlainReaderAdapter(t *testing.T) {
 		t.Fatalf("Bool through adapter failed: %v", r.Err())
 	}
 }
+
+// TestVarintLen: UvarintLen and VarintLen give the length Uvarint and Varint
+// write, at every length boundary and its neighbours, both signs.
+func TestVarintLen(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for shift := 0; shift < 64; shift++ {
+		for _, d := range []int64{-1, 0, 1} {
+			u := uint64(1)<<shift + uint64(d)
+			buf.Reset()
+			w.Uvarint(u)
+			if got := UvarintLen(u); got != buf.Len() {
+				t.Fatalf("UvarintLen(%d) = %d, Uvarint writes %d bytes", u, got, buf.Len())
+			}
+			for _, v := range []int64{int64(u), -int64(u), int64(u >> 1), -int64(u >> 1)} {
+				buf.Reset()
+				w.Varint(v)
+				if got := VarintLen(v); got != buf.Len() {
+					t.Fatalf("VarintLen(%d) = %d, Varint writes %d bytes", v, got, buf.Len())
+				}
+			}
+		}
+	}
+	for _, v := range []int64{math.MinInt64, math.MaxInt64} {
+		buf.Reset()
+		w.Varint(v)
+		if got := VarintLen(v); got != buf.Len() {
+			t.Fatalf("VarintLen(%d) = %d, Varint writes %d bytes", v, got, buf.Len())
+		}
+	}
+	buf.Reset()
+	w.Uvarint(math.MaxUint64)
+	if got := UvarintLen(math.MaxUint64); got != buf.Len() {
+		t.Fatalf("UvarintLen(MaxUint64) = %d, Uvarint writes %d bytes", got, buf.Len())
+	}
+}

@@ -39,8 +39,8 @@ const simConfigVersion = 1
 // Every section is written in two passes: one into a writer that only
 // counts, for the length that prefixes it, and one through the container's
 // file buffer. No buffer ever holds a whole section, so what SaveTo
-// allocates is scratch of at most one checkpoint's or the stream's payload,
-// far below the snapshot's size.
+// allocates is scratch of at most one checkpoint's payload, far below the
+// snapshot's size.
 //
 // A tracker restored from it by Load and fed the rest of the stream produces
 // bit-identical Seeds, Value and CheckpointStarts to one that was never
@@ -53,7 +53,7 @@ func (t *Tracker) SaveTo(w io.Writer, extra ...Section) error {
 	}
 	secs := append([]Section{{sectionConfig, t.saveConfig}, {sectionCore, t.fw.Save}}, extra...)
 	for _, sec := range secs {
-		n, err := dataio.PayloadSize(sec.Write)
+		n, err := wire.Size(sec.Write)
 		if err != nil {
 			return err
 		}

@@ -89,10 +89,17 @@ func TestSaveToConcurrent(t *testing.T) {
 }
 
 // TestSaveToAllocBound is the snapshot writer's memory bound: SaveTo on the
-// bulk-shaped tracker allocates at most half the bytes it writes. Sections
-// stream through the container's file buffer, so what it allocates is that
-// buffer and per-payload scratch; a writer that assembled the core section
-// in memory allocated 4.4 times what it wrote.
+// bulk-shaped tracker allocates at most half the bytes it writes with warm
+// scratch pools, and at most 0.6 times with cold ones. Sections stream
+// through the container's file buffer, so what it allocates is that buffer
+// and per-payload scratch; a writer that assembled the core section in
+// memory allocated 4.4 times what it wrote.
+//
+// The server snapshots with cold pools: collections run every few tens of
+// milliseconds under load, snapshots come hundreds apart, and two
+// collections empty a sync.Pool. There the scratch is allocated afresh, and
+// a stream payload built in a pooled buffer only to learn its length
+// allocated 1.02 times what SaveTo wrote.
 func TestSaveToAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -102,19 +109,30 @@ func TestSaveToAllocBound(t *testing.T) {
 	if err := tr.SaveTo(&written); err != nil { // warm the scratch pools
 		t.Fatal(err)
 	}
-	// The least of a few runs: a collection between them may empty a pool.
-	least := ^uint64(0)
-	for range 3 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if err := tr.SaveTo(io.Discard); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		cold  bool
+		bound float64
+	}{{"warm", false, 0.5}, {"cold", true, 0.6}} {
+		// The least of a few runs: a collection between them may empty a
+		// warm pool.
+		least := ^uint64(0)
+		for range 3 {
+			if c.cold {
+				runtime.GC()
+				runtime.GC()
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := tr.SaveTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
 		}
-		runtime.ReadMemStats(&m1)
-		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
-	}
-	t.Logf("SaveTo writes %d bytes and allocates %d", written, least)
-	if float64(least) > 0.5*float64(written) {
-		t.Fatalf("SaveTo allocates %d bytes to write %d: more than half", least, written)
+		t.Logf("%s pools: SaveTo writes %d bytes and allocates %d (%.2f×)", c.name, written, least, float64(least)/float64(written))
+		if float64(least) > c.bound*float64(written) {
+			t.Errorf("%s pools: SaveTo allocates %d bytes to write %d: more than %.1f×", c.name, least, written, c.bound)
+		}
 	}
 }
