@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race benchmark-test bench loc fmt fmt-check vet lint inline-check ci serve serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
+.PHONY: all build test race benchmark-test bench loc fmt fmt-check vet lint inline-check ci serve smoke spill-smoke fuzz-smoke cover
 
 all: build
 
@@ -35,31 +35,12 @@ SERVE_FLAGS ?= -k 10 -window 50000
 serve:
 	$(GO) run ./cmd/simserve $(SERVE_FLAGS)
 
-# End-to-end serving smoke (also a CI step): boot simserve, POST 1k
-# generated actions over HTTP, assert non-empty seeds, SIGTERM drain.
-serve-smoke:
-	sh ./scripts/serve_smoke.sh
-
-# End-to-end crash-recovery smoke (also a CI step): boot simserve with
-# -data-dir, ingest, kill -9, restart twice (snapshot path then WAL-replay
-# path) and assert the answer matches an uninterrupted serial run.
-recover-smoke:
-	sh ./scripts/recover_smoke.sh
-
-# End-to-end fault-injection smoke (also a CI step): boot simserve with a
-# deterministic fault plan (-fault rules + -fault-seed, CHAOS_SEED=42),
-# ingest through the retrying client so 429/503s are ridden over, kill -9,
-# restart clean and assert no acked action was lost and the answer matches
-# an uninterrupted run.
-chaos-smoke:
-	sh ./scripts/chaos_smoke.sh
-
-# End-to-end sharded-serving smoke (also a CI step): boot two simserve
-# shards behind a simrouter, ingest through the router (consistent-hash
-# partitioned), assert merged seeds/value/cluster health, kill one shard
-# and assert flagged partial results without router downtime.
-cluster-smoke:
-	sh ./scripts/cluster_smoke.sh
+# End-to-end smokes against real processes (also a CI step): the serve,
+# recover, chaos and cluster tests of internal/proc build the binaries once
+# and drive them on free loopback ports. The smoke build tag keeps the
+# package out of ./..., so vet and staticcheck name the tag.
+smoke:
+	$(GO) test -tags smoke -count=1 ./internal/proc/
 
 # End-to-end tiered-storage smoke (also a CI step): boot simserve under a
 # tight -memory-budget, ingest until logs spill to cold segments, kill -9,
@@ -117,14 +98,14 @@ fmt-check:
 # The second line compiles the non-unix halves (lock_other.go) that no other
 # step builds, so "runs off unix" is checked rather than assumed.
 vet:
-	$(GO) vet ./...
+	$(GO) vet -tags smoke ./...
 	GOOS=windows GOARCH=amd64 $(GO) build ./... && GOOS=windows GOARCH=amd64 $(GO) vet ./internal/dataio ./internal/server
 
 # staticcheck when installed (CI installs it; locally this soft-skips so a
 # bare container can still run `make ci`).
 lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
-		staticcheck ./...; \
+		staticcheck -tags smoke ./...; \
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
@@ -140,4 +121,4 @@ inline-check:
 		echo "$$out" | grep -qF "inlining call to $$f" || { echo "$$f is no longer inlined" >&2; exit 1; }; \
 	done; echo "inlined: $(INLINED)"
 
-ci: fmt-check lint inline-check build race benchmark-test bench serve-smoke recover-smoke chaos-smoke cluster-smoke spill-smoke fuzz-smoke cover
+ci: fmt-check lint inline-check build race benchmark-test bench smoke spill-smoke fuzz-smoke cover

@@ -1,6 +1,6 @@
 // Command simctl is a thin operational CLI over the typed api.Client: every
 // subcommand maps to one /v1 endpoint and prints the response as JSON, so
-// shell pipelines (and scripts/serve_smoke.sh) exercise the exact same
+// shell pipelines (and the smoke tests in internal/proc) exercise the same
 // client path as embedded Go callers.
 //
 //	simctl -addr http://localhost:8384 health
