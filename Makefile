@@ -56,13 +56,14 @@ spill-smoke:
 # decoders (numeric and name mode; round trip, then against the json.Decoder
 # loop they must match), the NDJSON writers against json.Encoder, the
 # cold-segment parser, the -fault rule grammar, the WAL and the stream
-# payload — plus two model tests: the stream's action index (circular ring
+# payload — plus three model tests: the stream's action index (circular ring
 # and pinned-ancestor list) against a map, over ingest/Advance sequences,
-# and the sieve grid's gain-bound table against a map of rows, with bounds
-# around 255, where a one-byte cell stops holding them. Seed corpora live in
-# testdata/fuzz/; new crashers land there too. An index or bound-table input
-# runs hundreds of ops, so its new inputs are minimized for at most 5 s
-# rather than the default minute, which would take the whole run.
+# the sieve grid's gain-bound table against a map of rows, with bounds
+# around 255, where a one-byte cell stops holding them, and a tracker's
+# published candidate view against the pool read from scratch. Seed corpora
+# live in testdata/fuzz/; new crashers land there too. An index, bound-table
+# or view input runs hundreds of ops, so its new inputs are minimized for at
+# most 5 s rather than the default minute, which would take the whole run.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamRestore -fuzztime=$(FUZZTIME) ./internal/stream/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/stream/
 	$(GO) test -run='^$$' -fuzz=FuzzBoundTable -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/oracle/
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotView -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./sim/
 
 # Aggregate coverage profile (also uploaded as a CI artifact).
 cover:

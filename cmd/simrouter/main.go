@@ -42,7 +42,6 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8400", "HTTP listen address")
 		shards  = flag.String("shards", "", "comma-separated shard base URLs (required), e.g. http://127.0.0.1:8401,http://127.0.0.1:8402")
-		retries = flag.Int("retries", 2, "per-shard retry attempts after 429/503 (and transport errors on reads)")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-shard attempt timeout")
 		probe   = flag.Duration("probe-interval", time.Second, "down-shard re-probe interval")
 		maxBody = flag.Int64("max-body-bytes", 0, "ingest body cap in bytes (0 = default 64 MiB)")
@@ -67,7 +66,6 @@ func main() {
 	}
 
 	rt, err := router.New(addrs, router.Options{
-		Retries:       *retries,
 		Timeout:       *timeout,
 		ProbeInterval: *probe,
 		MaxBodyBytes:  *maxBody,

@@ -501,9 +501,9 @@ func (f *Framework) Seeds() []stream.UserID {
 // CandidateSeeds returns the answering checkpoint's candidate pool: the
 // union of every live candidate solution's users when the oracle exposes one
 // (the sieve-style oracles), otherwise just Seeds(). Either way the slice is
-// freshly allocated and sorted ascending, so membership is a binary search.
-// A distributed merge layer ranks each partition's pool and merges the
-// rankings; see internal/router.
+// sorted ascending, so membership is a binary search, and must not be
+// modified by the caller. A distributed merge layer ranks each partition's
+// pool and merges the rankings; see internal/router.
 func (f *Framework) CandidateSeeds() []stream.UserID {
 	cp := f.answer()
 	if cp == nil {
@@ -515,24 +515,6 @@ func (f *Framework) CandidateSeeds() []stream.UserID {
 	pool := slices.Clone(cp.oracle.Seeds())
 	slices.Sort(pool)
 	return pool
-}
-
-// PoolVersion identifies the pool CandidateSeeds returns, for callers that
-// keep something derived from it: the answering checkpoint's start and its
-// oracle's pool-change counter (oracle.CandidateSource). While both stay
-// what they were, CandidateSeeds returns the same users. ok is false when
-// there is no checkpoint or its oracle keeps no such counter (the swap
-// oracles): the pool must then be read again every time.
-func (f *Framework) PoolVersion() (start stream.ActionID, version uint64, ok bool) {
-	cp := f.answer()
-	if cp == nil {
-		return 0, 0, false
-	}
-	cs, ok := cp.oracle.(oracle.CandidateSource)
-	if !ok {
-		return 0, 0, false
-	}
-	return cp.start, cs.PoolVersion(), true
 }
 
 // Value returns the influence value f(I_t(S)) of the current solution as

@@ -97,6 +97,12 @@ var (
 // receiver must be freshly constructed by New with a Config equivalent to
 // the saving framework's (same K, N, L, Beta, Sparse, ByTime and an Oracle
 // factory producing the same oracle kind with the same weights).
+//
+// A checkpoint chain no framework saves is an error, not state: starts that
+// do not strictly ascend, a start after the stream's last action, more
+// starts before the window start than expire keeps (none under IC, Λ[x0]
+// under SIC), and a first start before the stream's horizon, which
+// ProcessBatch never advances past the oldest checkpoint.
 func (f *Framework) Restore(r io.Reader) error {
 	rr := wire.NewReader(r)
 	if v := rr.Uvarint(); rr.Err() == nil && v != corePayloadVersion {
@@ -121,11 +127,28 @@ func (f *Framework) Restore(r io.Reader) error {
 
 	n := rr.Len(wire.MaxLen)
 	cps := make([]*checkpoint, 0, min(n, 1<<16))
+	ws, expired, keep := st.Last()-stream.ActionID(f.cfg.N)+1, 0, 0
+	if f.cfg.Sparse {
+		keep = 1
+	}
 	for i := 0; i < n && rr.Err() == nil; i++ {
 		start := stream.ActionID(rr.Varint())
 		payload := rr.Bytes(wire.MaxLen)
 		if rr.Err() != nil {
 			break
+		}
+		if start < ws {
+			expired++
+		}
+		switch {
+		case i > 0 && start <= cps[i-1].start:
+			return fmt.Errorf("core: checkpoint starts %d then %d: not ascending", cps[i-1].start, start)
+		case start > st.Last():
+			return fmt.Errorf("core: checkpoint at %d after the stream's last action %d", start, st.Last())
+		case expired > keep:
+			return fmt.Errorf("core: %d checkpoints start before the window start %d, the framework keeps %d", expired, ws, keep)
+		case i == 0 && start < st.Horizon():
+			return fmt.Errorf("core: checkpoint at %d before the stream's horizon %d", start, st.Horizon())
 		}
 		orc := f.cfg.Oracle(f.cfg.K)
 		p, ok := orc.(oracle.Persistent)

@@ -4,11 +4,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/stream"
 	"repro/internal/submod"
-	"repro/internal/uintset"
 )
 
 // fib is 2^64 / phi, the Fibonacci hashing multiplier (as in uintset).
@@ -105,6 +103,16 @@ func (t *rowTable) clearBits(mask []uint64) {
 			t.cells[o+1+wi] &^= m
 		}
 	}
+}
+
+// appendSet appends to dst every key whose row has a bit set.
+func (t *rowTable) appendSet(dst []stream.UserID) []stream.UserID {
+	for o := 0; o < len(t.cells); o += t.stride {
+		if t.cells[o] != 0 && !isZero(t.cells[o+1:o+t.stride]) {
+			dst = append(dst, stream.UserID(t.cells[o]-1))
+		}
+	}
+	return dst
 }
 
 // boundTable maps a user to a fixed-width row of gain bounds, entry s
@@ -372,12 +380,13 @@ type grid struct {
 	bestSeeds []stream.UserID
 	dirty     bool
 
-	// poolVer counts the changes to what Candidates returns: a seed admitted
-	// to a slot, slots retired by retune, a new best-ever seed set, Reset.
-	// It is what lets a caller keep work it derived from the pool
-	// (PoolVersion); it is not saved state, and RestoreState, which only
-	// ever fills a fresh grid, leaves it alone.
-	poolVer uint64
+	// pool caches Candidates, built when poolVer was poolAt. poolVer counts
+	// the changes to the pool: a seed admitted to a slot, slots retired by
+	// retune, a new best-ever seed set, Reset. None of the three is saved
+	// state: RestoreState only ever fills a fresh grid, whose cache is
+	// unbuilt (poolAt 0, poolVer 1).
+	pool            []stream.UserID
+	poolVer, poolAt uint64
 }
 
 func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
@@ -413,6 +422,7 @@ func newGrid(k int, beta float64, w submod.Weights, flat bool) grid {
 		gain:    make([]float64, slots),
 		seeds:   make([][]stream.UserID, slots),
 		gainUB:  newBoundTable(most, w == nil),
+		poolVer: 1,
 	}
 }
 
@@ -768,31 +778,19 @@ func (g *grid) Seeds() []stream.UserID {
 // live instance's seed set plus the monotone best-ever answer, sorted
 // ascending. Instances with different OPT guesses admit different users, so
 // the union is a strictly richer pool than Seeds() — exactly what a
-// distributed merge layer wants to re-score.
+// distributed merge layer wants to re-score. The live seeds are the users
+// with a seedOf bit set. The result is cached until the pool changes; a
+// rebuild allocates anew, so a returned slice is never written again.
 func (g *grid) Candidates() []stream.UserID {
 	g.refresh()
-	seen := uintset.New(8)
-	var out []stream.UserID
-	add := func(users []stream.UserID) {
-		for _, u := range users {
-			if !seen.Has(uint32(u)) {
-				seen.Add(uint32(u))
-				out = append(out, u)
-			}
-		}
+	if g.poolAt == g.poolVer {
+		return g.pool
 	}
-	add(g.bestSeeds)
-	for _, s := range g.order {
-		add(g.seeds[s])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PoolVersion implements CandidateSource.
-func (g *grid) PoolVersion() uint64 {
-	g.refresh()
-	return g.poolVer
+	pool := make([]stream.UserID, 0, len(g.bestSeeds)+g.seedOf.count)
+	pool = g.seedOf.appendSet(append(pool, g.bestSeeds...))
+	slices.Sort(pool)
+	g.pool, g.poolAt = slices.Compact(pool), g.poolVer
+	return g.pool
 }
 
 // Stats implements Oracle.

@@ -118,16 +118,9 @@ type Oracle interface {
 // solution simply don't implement this; callers fall back to Seeds().
 type CandidateSource interface {
 	// Candidates returns the deduplicated union of all live candidate
-	// solutions' users, sorted ascending. The slice is freshly allocated
-	// and owned by the caller.
+	// solutions' users, sorted ascending. The slice must not be modified by
+	// the caller.
 	Candidates() []stream.UserID
-	// PoolVersion returns a counter that has moved whenever Candidates
-	// would return a different slice than it did at the previous call: equal
-	// versions mean an equal pool, so a caller can keep what it derived from
-	// one (sim.Tracker's published candidate view does). The counter belongs
-	// to this oracle value only — it is neither saved nor comparable across
-	// oracles — and may also move when the pool did not change.
-	PoolVersion() uint64
 }
 
 // Factory creates a fresh oracle for a cardinality constraint k. The IC and

@@ -430,26 +430,38 @@ func BenchmarkSwapProcess(b *testing.B) {
 	}
 }
 
-// TestPoolVersionTracksCandidates: whenever Candidates returns a different
-// pool than at the previous element, PoolVersion has moved — the promise
-// sim.Tracker's published candidate view is built on. The stream mixes
-// ordinary admissions with the retune churn that retires instances, and a
-// Reset in the middle hands the oracle to a "new checkpoint".
+// scratchPool is the pool Candidates must return, read from scratch: the
+// union of the live slots' seed lists and the best-ever answer, ascending.
+func scratchPool(g *grid) []stream.UserID {
+	pool := slices.Clone(g.Seeds())
+	for _, s := range g.order {
+		pool = append(pool, g.seeds[s]...)
+	}
+	slices.Sort(pool)
+	return slices.Compact(pool)
+}
+
+// TestPoolVersionTracksCandidates pins the grid's cached pool: after every
+// element and every Reset, Candidates equals the pool read from scratch.
+// The stream mixes ordinary admissions with the retune churn that retires
+// instances, and a Reset in the middle hands the oracle to a "new
+// checkpoint". Each of the four poolVer bumps — admission, retirement, new
+// best-ever answer, Reset — is needed here or in TestPoolVersionCountsNewBest.
 func TestPoolVersionTracksCandidates(t *testing.T) {
 	for _, flat := range []bool{false, true} {
 		g := newGrid(4, 0.2, nil, flat)
 		elems := append(randomElements(5, 40, 1500, 30), churnElements(60)...)
-		pool, ver, moved := g.Candidates(), g.PoolVersion(), 0
+		pool, moved := g.Candidates(), 0
 		step := func(label string, i int) {
 			t.Helper()
-			p, v := g.Candidates(), g.PoolVersion()
+			p := g.Candidates()
+			if want := scratchPool(&g); !slices.Equal(p, want) {
+				t.Fatalf("flat=%v %s %d: Candidates = %v, from scratch %v", flat, label, i, p, want)
+			}
 			if !slices.Equal(p, pool) {
 				moved++
-				if v == ver {
-					t.Fatalf("flat=%v %s %d: pool went %v -> %v at version %d", flat, label, i, pool, p, v)
-				}
 			}
-			pool, ver = p, v
+			pool = p
 		}
 		for i, e := range elems {
 			g.Process(e)
@@ -469,7 +481,7 @@ func TestPoolVersionTracksCandidates(t *testing.T) {
 // retirement announces. User 7 is admitted only by the low guesses; user 1's
 // growing set retires those, leaving 7 in the pool through the best-ever
 // answer alone; once a surviving instance overtakes that answer, 7 drops out
-// of the pool on a refresh — and the version must move with it.
+// of the pool on a refresh — and the cached pool must drop it too.
 func TestPoolVersionCountsNewBest(t *testing.T) {
 	g := newGrid(2, 0.2, nil, false)
 	set := func(lo, n int) []stream.UserID {
@@ -481,7 +493,7 @@ func TestPoolVersionCountsNewBest(t *testing.T) {
 	}
 	g.Process(SliceElement(1, set(100, 10)))
 	g.Process(SliceElement(7, set(200, 3)))
-	pool, ver := g.Candidates(), g.PoolVersion()
+	pool := g.Candidates()
 	if !slices.Equal(pool, []stream.UserID{1, 7}) {
 		t.Fatalf("pool = %v, want [1 7]", pool)
 	}
@@ -492,14 +504,12 @@ func TestPoolVersionCountsNewBest(t *testing.T) {
 		before := g.poolVer
 		g.Process(e)
 		unannounced := g.poolVer == before
-		p, v := g.Candidates(), g.PoolVersion()
-		if !slices.Equal(p, pool) {
-			if v == ver {
-				t.Fatalf("|I(1)|=%d: pool went %v -> %v at version %d", n, pool, p, v)
-			}
-			quiet = quiet || unannounced
+		p := g.Candidates()
+		if want := scratchPool(&g); !slices.Equal(p, want) {
+			t.Fatalf("|I(1)|=%d: Candidates = %v, from scratch %v", n, p, want)
 		}
-		pool, ver = p, v
+		quiet = quiet || unannounced && !slices.Equal(p, pool)
+		pool = p
 	}
 	if !slices.Equal(pool, []stream.UserID{1}) || !quiet {
 		t.Fatalf("pool = %v, changed by a refresh alone: %v; the script no longer reaches the case", pool, quiet)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/api"
 	"repro/query"
@@ -144,31 +145,48 @@ const (
 
 // TestChaos ingests through a retrying client into a simserve with injected
 // filesystem faults, kill -9s it and restarts it on a healed disk: no acked
-// action is lost and the seeds equal an uninterrupted run's.
+// action is lost and the seeds equal an uninterrupted run's. Ingest goes on,
+// a request at a time with pauses that outlast the snapshot backoff, until
+// both snapshot rules have failed an attempt — the write at the first, the
+// seeded rename at the fifth that reaches a rename — so the restart loads
+// the snapshot a success left and replays only the WAL behind it.
 func TestChaos(t *testing.T) {
 	t.Parallel()
-	actions := stream(t, 2000, 1000)
+	ctx := context.Background()
+	actions := stream(t, 10000, 1000)
 	dir := t.TempDir()
 
 	srv := start(t, "simserve", durable(dir, "-wal-snapshot-bytes", "4096",
 		"-fault", chaosFaults, "-fault-seed", chaosSeed)...)
 	c := srv.client()
 	c.Retry = api.RetryPolicy{MaxRetries: 8}
-	ingest(t, c, actions, 200)
-	m, err := c.TrackerMetrics(context.Background(), "default")
-	if err != nil {
-		t.Fatalf("metrics after the faulted run: %v", err)
+	var m api.TrackerMetricsResponse
+	sent := 0
+	for ; m.SnapshotRetries < 2; sent += 200 {
+		if sent == len(actions) {
+			t.Fatalf("the stream ran out with %d snapshot retries: a snapshot rule never fired", m.SnapshotRetries)
+		}
+		ingest(t, c, actions[sent:sent+200], 200)
+		time.Sleep(100 * time.Millisecond)
+		var err error
+		if m, err = c.TrackerMetrics(ctx, "default"); err != nil {
+			t.Fatalf("metrics during the faulted run: %v", err)
+		}
 	}
-	t.Logf("after the faulted run: state %s, %d snapshot retries, %d WAL re-arms",
-		m.State, m.SnapshotRetries, m.WALRearms)
+	t.Logf("after the faulted run of %d actions: state %s, %d snapshot retries, %d WAL re-arms",
+		sent, m.State, m.SnapshotRetries, m.WALRearms)
 
 	srv.kill()
 	srv.restart(durable(dir)...)
 	got := seeds(t, srv.client())
-	if got.Processed != 2000 {
-		t.Fatalf("acked actions lost: processed = %d, want 2000", got.Processed)
+	if got.Processed != int64(sent) {
+		t.Fatalf("acked actions lost: processed = %d, want %d", got.Processed, sent)
 	}
-	if want := reference(t, actions); !reflect.DeepEqual(got, want) {
+	r, err := srv.client().TrackerMetrics(ctx, "default")
+	if err != nil || !r.RecoveredSnapshot || r.RecoveredWALActions >= sent {
+		t.Fatalf("restart recovered %+v, %v; want a snapshot and a WAL tail shorter than the %d actions", r, err, sent)
+	}
+	if want := reference(t, actions[:sent]); !reflect.DeepEqual(got, want) {
 		t.Fatalf("chaos-recovered seeds %+v, uninterrupted run %+v", got, want)
 	}
 }

@@ -53,7 +53,6 @@ func newCluster(t *testing.T, n int, spec api.Spec) *cluster {
 		addrs[i] = ts.URL
 	}
 	rt, err := router.New(addrs, router.Options{
-		Retries:       0,
 		Timeout:       10 * time.Second,
 		ProbeInterval: 50 * time.Millisecond,
 	})
@@ -581,7 +580,7 @@ func TestClusterShardDownPartial(t *testing.T) {
 	}
 	px := newProxy(t, shardURLs[0])
 	addrs := append([]string{"http://" + px.addr}, shardURLs[1:]...)
-	rt, err := router.New(addrs, router.Options{Retries: 0, Timeout: 5 * time.Second, ProbeInterval: 50 * time.Millisecond})
+	rt, err := router.New(addrs, router.Options{Timeout: 5 * time.Second, ProbeInterval: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

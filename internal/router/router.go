@@ -26,11 +26,12 @@ var Version = "dev"
 // it unreachable; the background probe will bring it back.
 var errShardDown = errors.New("router: shard is down")
 
+// shardRetries is the per-shard api.Client retry budget (see
+// api.RetryPolicy for the safety rules).
+const shardRetries = 2
+
 // Options configures a Router. The zero value is serviceable.
 type Options struct {
-	// Retries is the per-shard api.Client retry budget (see
-	// api.RetryPolicy for the safety rules); 0 means 2.
-	Retries int
 	// Timeout bounds each shard attempt; 0 means 10s.
 	Timeout time.Duration
 	// ProbeInterval paces the background re-probe of down shards; 0 means
@@ -41,9 +42,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
 	if o.Timeout == 0 {
 		o.Timeout = 10 * time.Second
 	}
@@ -131,7 +129,7 @@ func New(addrs []string, opts Options) (*Router, error) {
 	for _, a := range addrs {
 		c := api.NewClient(a)
 		c.Timeout = opts.Timeout
-		c.Retry = api.RetryPolicy{MaxRetries: opts.Retries, MinBackoff: 50 * time.Millisecond}
+		c.Retry = api.RetryPolicy{MaxRetries: shardRetries, MinBackoff: 50 * time.Millisecond}
 		rt.shards = append(rt.shards, &shard{addr: strings.TrimRight(a, "/"), client: c})
 	}
 	m := http.NewServeMux()

@@ -77,6 +77,48 @@ func BenchmarkSaveTo(b *testing.B) {
 	b.ReportMetric(float64(written), "bytes/op")
 }
 
+// BenchmarkSnapshotTrickleShape prices a publish in process: each op is one
+// of `trickle`'s 4-action requests through ProcessAll on the bulk-shaped
+// tracker, then the Snapshot the server publishes after it. ns/op and
+// allocs/op are what the candidate view costs a request beside the ingest
+// it follows. A sixth window feeds the ops; when it runs out, a fresh
+// tracker is fed the first five, off the clock.
+func BenchmarkSnapshotTrickleShape(b *testing.B) {
+	const window, request = 8000, 4
+	actions := gen.Stream(gen.TwitterLike(8000, 6*window, window, 1))
+	var tr *sim.Tracker
+	off := len(actions)
+	b.ReportAllocs()
+	// Not b.Loop: it measures its time budget from the last StartTimer,
+	// so the refills below would keep it from ever ending.
+	for i := 0; i < b.N; i++ {
+		if off+request > len(actions) {
+			b.StopTimer()
+			if tr != nil {
+				tr.Close()
+			}
+			var err error
+			if tr, err = sim.New(bulkShapeConfig(1)); err != nil {
+				b.Fatal(err)
+			}
+			for off = 0; off < 5*window; off += 2000 {
+				if err := tr.ProcessAll(actions[off : off+2000]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if err := tr.ProcessAll(actions[off : off+request]); err != nil {
+			b.Fatal(err)
+		}
+		if snap := tr.Snapshot(); len(snap.Candidates) == 0 {
+			b.Fatal("empty candidate pool")
+		}
+		off += request
+	}
+	tr.Close()
+}
+
 // bulkShapeConfig is the engine as the benchmark's `bulk` workload
 // configures it (benchmark/workloads.go: SIC + SieveStreaming, k 50, N 8000,
 // L 50, β 0.1, TwitterLike over 8000 users, seed 1), and bulkShapeStream its

@@ -456,7 +456,7 @@ func (t *Tracker) Value() float64 { return t.fw.Value() }
 // gather router unions these pools across shards and re-scores the merged
 // pool with one exact greedy pass. The slice is freshly allocated and owned
 // by the caller.
-func (t *Tracker) Candidates() []UserID { return t.fw.CandidateSeeds() }
+func (t *Tracker) Candidates() []UserID { return slices.Clone(t.fw.CandidateSeeds()) }
 
 // InfluenceSet returns the users currently influenced by u within the
 // window (Definition 1 of the paper).
@@ -618,12 +618,13 @@ type Counters struct {
 	Scans       int64 `json:"scans" metric:"scans_total"`
 	ScanMembers int64 `json:"scan_members" metric:"scan_members_total"`
 	// ViewRebuilds / ViewReuses count how this tracker's Snapshot calls got
-	// Candidates: read from the index entry by entry (the answering
-	// checkpoint or its pool changed, or too many logs did to track), or
-	// carried over from the previous snapshot with only the changed entries
-	// re-read — ViewRefreshed counts those. ViewReuses ÷ (ViewRebuilds +
-	// ViewReuses) is the view's hit rate and ViewRefreshed ÷ ViewReuses what
-	// a hit still costs.
+	// Candidates: merged into a new slice because the pool's membership
+	// changed (also the first publish, and one after too many logs changed
+	// to track, which re-reads every entry), or carried over from the
+	// previous snapshot with only the changed entries re-read —
+	// ViewRefreshed counts those. ViewReuses ÷ (ViewRebuilds + ViewReuses)
+	// is the view's hit rate and ViewRefreshed ÷ ViewReuses what a hit still
+	// costs.
 	ViewRebuilds  int64 `json:"view_rebuilds" metric:"view_rebuilds_total"`
 	ViewReuses    int64 `json:"view_reuses" metric:"view_reuses_total"`
 	ViewRefreshed int64 `json:"view_refreshed" metric:"view_refreshed_total"`
@@ -680,14 +681,10 @@ func poolIndex(pool []SeedInfluence, u UserID) (int, bool) {
 // poolView is the candidate pool as the last Snapshot published it, kept so
 // that the next one re-reads only what moved. The pool slice and the sets in
 // it are shared with published snapshots and therefore never written: a
-// refresh replaces entries in a copy of the slice.
+// refresh replaces entries in a copy of the slice. pool is nil until the
+// first publish.
 type poolView struct {
-	// start and version are core.Framework.PoolVersion when the view was
-	// built; valid is false until then, and for oracles that have none.
-	valid   bool
-	start   ActionID
-	version uint64
-	pool    []SeedInfluence
+	pool []SeedInfluence
 	// goodTo[i] is the time of pool[i]'s oldest member: the entry stands
 	// until the window start passes it (math.MaxInt64 for an empty set,
 	// which has nothing to lose), or until its user's log is touched, which
@@ -698,33 +695,40 @@ type poolView struct {
 }
 
 // publishPool brings the view up to the tracker's current state at window
-// start ws and returns the pool to publish. An entry is re-read from the
-// index only if its user's log was touched since the last publish or its
-// oldest member left the window; everything is re-read when the answering
-// checkpoint or the membership of its pool changed, or when the stream lost
-// track of which logs were touched.
+// start ws and returns the pool to publish. A published set depends only on
+// its user and ws, so an entry whose user is still in the pool is kept
+// unless that user's log was touched since the last publish or the entry's
+// oldest member left the window; joiners are read and leavers drop out.
+// Everything is read on the first publish and when the stream lost track of
+// which logs were touched.
 func (t *Tracker) publishPool(fw *core.Framework, ws ActionID) []SeedInfluence {
 	v := &t.view
 	st := fw.Stream()
-	touched, tracked := st.DrainTouched()
-	start, version, versioned := fw.PoolVersion()
-	if !v.valid || !versioned || !tracked || start != v.start || version != v.version {
-		users := fw.CandidateSeeds()
-		v.pool = make([]SeedInfluence, len(users))
-		v.goodTo = slices.Grow(v.goodTo[:0], len(users))[:len(users)]
-		for i, u := range users {
-			v.pool[i], v.goodTo[i] = readInfluence(st, u, ws)
+	if touched, tracked := st.DrainTouched(); !tracked {
+		v.pool = nil // some touched logs went unrecorded: keep nothing
+	} else {
+		for _, u := range touched {
+			if i, ok := poolIndex(v.pool, u); ok {
+				v.goodTo[i] = math.MinInt64
+			}
 		}
-		v.valid, v.start, v.version = versioned, start, version
+	}
+	users := fw.CandidateSeeds()
+	if v.pool == nil || !slices.EqualFunc(v.pool, users, func(c SeedInfluence, u UserID) bool { return c.User == u }) {
 		v.rebuilds++
+		pool := make([]SeedInfluence, len(users))
+		goodTo := make([]ActionID, len(users))
+		for i, u := range users {
+			if j, ok := poolIndex(v.pool, u); ok && v.goodTo[j] >= ws {
+				pool[i], goodTo[i] = v.pool[j], v.goodTo[j]
+			} else {
+				pool[i], goodTo[i] = readInfluence(st, u, ws)
+			}
+		}
+		v.pool, v.goodTo = pool, goodTo
 		return v.pool
 	}
 	v.reuses++
-	for _, u := range touched {
-		if i, ok := poolIndex(v.pool, u); ok {
-			v.goodTo[i] = math.MinInt64
-		}
-	}
 	shared := true // v.pool is still the slice the last snapshot holds
 	for i, c := range v.pool {
 		if v.goodTo[i] >= ws {
@@ -773,15 +777,11 @@ func (t *Tracker) Snapshot() Snapshot {
 	ws := fw.WindowStart()
 	st := fw.Stream()
 	pool := t.publishPool(fw, ws)
-	// Seeds are pool members, so their sets are already captured; an oracle
-	// whose pool left one out gets it read here.
+	// Every oracle's pool holds its seeds, so their sets are captured.
 	infl := make([]SeedInfluence, len(seeds))
 	for i, u := range seeds {
-		if j, ok := poolIndex(pool, u); ok {
-			infl[i] = pool[j]
-		} else {
-			infl[i], _ = readInfluence(st, u, ws)
-		}
+		j, _ := poolIndex(pool, u)
+		infl[i] = pool[j]
 	}
 	ts := st.TierStats()
 	coldSegs := 0
