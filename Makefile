@@ -60,10 +60,12 @@ spill-smoke:
 # and pinned-ancestor list) against a map, over ingest/Advance sequences,
 # the sieve grid's gain-bound table against a map of rows, with bounds
 # around 255, where a one-byte cell stops holding them, and a tracker's
-# published candidate view against the pool read from scratch. Seed corpora
-# live in testdata/fuzz/; new crashers land there too. An index, bound-table
-# or view input runs hundreds of ops, so its new inputs are minimized for at
-# most 5 s rather than the default minute, which would take the whole run.
+# published candidate view against the pool read from scratch — and sim.Load
+# over whole tracker images (load, save, reload, save the same bytes, then
+# ingest). Seed corpora live in testdata/fuzz/; new crashers land there too.
+# An index, bound-table, view or tracker-image input runs hundreds of ops, so
+# its new inputs are minimized for at most 5 s rather than the default
+# minute, which would take the whole run.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotReader -fuzztime=$(FUZZTIME) ./internal/dataio/
@@ -78,8 +80,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/stream/
 	$(GO) test -run='^$$' -fuzz=FuzzBoundTable -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/oracle/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotView -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./sim/
+	$(GO) test -run='^$$' -fuzz=FuzzTrackerLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./sim/
 
-# Aggregate coverage profile (also uploaded as a CI artifact).
+# Aggregate coverage profile (also uploaded as a CI artifact). A second full
+# run on purpose: -race forces -covermode=atomic, and folding the profile into
+# the race run took the race step from 302 s to 526 s on 2 vCPUs (query and
+# the oracle grid ran 2.4-5x slower), against the 38 s this run takes.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1

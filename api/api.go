@@ -108,11 +108,12 @@ type Spec struct {
 	Names bool `json:"names,omitempty"`
 	// Queue is the ingest queue capacity in commands (batches), the bound
 	// behind the Submit backpressure. 0 means the server default (256).
+	// Validate refuses a negative value, here and in the two fields below.
 	Queue int `json:"queue,omitempty"`
 	// EnqueueDeadlineMillis bounds how long an ingest waits for space in a
 	// full queue before the server sheds it with 429 (admission control: a
 	// wedged ingest loop must not wedge HTTP handlers). 0 means the server
-	// default (2000 ms); ReadSpecs rejects a negative value.
+	// default (2000 ms).
 	EnqueueDeadlineMillis int `json:"enqueue_deadline_ms,omitempty"`
 	// SnapshotWALBytes is the write-ahead-log size that triggers a
 	// snapshot+truncate on a durable registry (one with a data dir). 0
@@ -127,6 +128,22 @@ type Spec struct {
 	// under <data-dir>/<name>/spill, and a budget without a data dir
 	// refuses the tracker at startup.
 	MemoryBudgetBytes int64 `json:"memory_budget_bytes,omitempty"`
+}
+
+// Validate refuses a negative queue, enqueue_deadline_ms or
+// snapshot_wal_bytes, naming the JSON field: 0 is each one's server
+// default, and no negative value means anything. ReadSpecs and
+// server.Registry.Add both call it; sim.New checks the rest.
+func (s Spec) Validate() error {
+	switch {
+	case s.Queue < 0:
+		return fmt.Errorf("queue must be >= 0, got %d", s.Queue)
+	case s.EnqueueDeadlineMillis < 0:
+		return fmt.Errorf("enqueue_deadline_ms must be >= 0, got %d", s.EnqueueDeadlineMillis)
+	case s.SnapshotWALBytes < 0:
+		return fmt.Errorf("snapshot_wal_bytes must be >= 0, got %d", s.SnapshotWALBytes)
+	}
+	return nil
 }
 
 // Config converts the spec to the sim.Config it describes.
@@ -164,8 +181,8 @@ func ReadSpecs(r io.Reader) (map[string]Spec, error) {
 		return nil, fmt.Errorf("api: spec declares no trackers")
 	}
 	for name, sp := range f.Trackers {
-		if sp.EnqueueDeadlineMillis < 0 {
-			return nil, fmt.Errorf("api: tracker %q: enqueue_deadline_ms must be >= 0, got %d", name, sp.EnqueueDeadlineMillis)
+		if err := sp.Validate(); err != nil {
+			return nil, fmt.Errorf("api: tracker %q: %w", name, err)
 		}
 	}
 	return f.Trackers, nil
@@ -335,10 +352,13 @@ type HealthResponse struct {
 	// Durable reports whether the registry persists tracker state (a data
 	// dir is configured).
 	Durable bool `json:"durable"`
-	// Degraded maps tracker names to their latest snapshot-write failure.
-	// Present (and Status "degraded") only while a durable tracker cannot
-	// snapshot: batches stay safe in its ever-growing WAL, but recovery
-	// replays lengthen until the underlying condition clears.
+	// Degraded maps tracker names to what degrades them: the latest
+	// snapshot-write failure while a durable tracker cannot snapshot
+	// (batches stay safe in its ever-growing WAL, but recovery replays
+	// lengthen until the underlying condition clears), else the first
+	// failed cold-tier operation — a segment read, whose answers fell back
+	// to the hot tier, or a spill write. The cold-tier entry stays until the
+	// tracker restarts. Status is "degraded" whenever Degraded is present.
 	Degraded map[string]string `json:"degraded,omitempty"`
 	// States maps tracker names to their serving state: "ok" (full
 	// service), "degraded-readonly" (the durability path is poisoned —
@@ -346,18 +366,6 @@ type HealthResponse struct {
 	// re-arms), or "recovering" (a re-arm attempt is running right now).
 	// Status is "degraded" whenever any tracker is not "ok".
 	States map[string]string `json:"states,omitempty"`
-	// Memory maps tracker names to their tiered-window memory facts —
-	// present only for trackers running with a memory budget, so a probe
-	// can watch residency and cold-tier growth without per-tracker calls.
-	Memory map[string]TrackerMemory `json:"memory,omitempty"`
-}
-
-// TrackerMemory is one tracker's entry in HealthResponse.Memory: the
-// resident-footprint estimate and the cold tier's current extent.
-type TrackerMemory struct {
-	ResidentBytes int64 `json:"resident_bytes"`
-	ColdSegments  int   `json:"cold_segments"`
-	ColdFaults    int64 `json:"cold_faults"`
 }
 
 // ShardHealth is one shard's entry in ClusterHealthResponse, as observed by

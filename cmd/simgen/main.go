@@ -1,6 +1,6 @@
 // Command simgen generates synthetic social action streams as NDJSON, the
 // one stream format: one {"id":…,"user":…,"parent":…} object per line,
-// "parent" omitted for roots — what simtrack reads and what simserve's
+// "parent" omitted for roots — what simctl ingest reads and what simserve's
 // POST /actions takes.
 //
 // Usage:

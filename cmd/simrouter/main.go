@@ -44,7 +44,6 @@ func main() {
 		shards  = flag.String("shards", "", "comma-separated shard base URLs (required), e.g. http://127.0.0.1:8401,http://127.0.0.1:8402")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-shard attempt timeout")
 		probe   = flag.Duration("probe-interval", time.Second, "down-shard re-probe interval")
-		maxBody = flag.Int64("max-body-bytes", 0, "ingest body cap in bytes (0 = default 64 MiB)")
 		version = flag.Bool("version", false, "print build/version info and exit")
 	)
 	flag.Parse()
@@ -68,7 +67,6 @@ func main() {
 	rt, err := router.New(addrs, router.Options{
 		Timeout:       *timeout,
 		ProbeInterval: *probe,
-		MaxBodyBytes:  *maxBody,
 	})
 	if err != nil {
 		log.Fatalf("simrouter: %v", err)

@@ -4,7 +4,7 @@
 // Action streams have one format, NDJSON: one {"id":…,"user":…,"parent":…}
 // object per line, "parent" omitted for roots, with "user" a number or, for
 // name-mode trackers, a string (ndjson.go, named.go). It is what simgen
-// writes, what simtrack and simctl ingest read, and the body of POST
+// writes, what simctl ingest reads, and the body of POST
 // /actions on simserve and simrouter. Readers deliver actions through a
 // callback as they decode them, so a stream is never materialized whole and
 // a live feed is served record by record.

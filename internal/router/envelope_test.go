@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/api"
 	"repro/internal/router"
@@ -75,15 +76,29 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 		})
 	}()
 	<-parked
-	if err := tk.SubmitAsync(context.Background(), []sim.Action{{ID: 6, User: 1, Parent: sim.NoParent}}); err != nil {
-		t.Fatal(err)
-	}
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := tk.Submit(context.Background(), []sim.Action{{ID: 6, User: 1, Parent: sim.NoParent}})
+		submitted <- err
+	}()
 	t.Cleanup(func() {
 		close(release)
 		if err := <-loopDone; err != nil {
 			t.Errorf("parked closure: %v", err)
 		}
+		if err := <-submitted; err != nil {
+			t.Errorf("the batch that filled the queue: %v", err)
+		}
 	})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		depth, capacity := tk.QueueDepth()
+		if depth == capacity {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d of %d: not full", depth, capacity)
+		}
+	}
 
 	big := strings.Repeat(`{"id":9,"user":1}`+"\n", 200) // > 1 KiB
 	one := `{"id":9,"user":1}` + "\n"

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -469,6 +471,12 @@ func TestChaosSpillMatrix(t *testing.T) {
 					tier.SpillErrs, tier.ColdReadErrs, tc.spillErrs, tc.readErrs)
 			}
 			checkAnswer(t, "live under spill faults", tr.Snapshot(), want)
+			// The tracker's first failed cold-tier operation, a read whose
+			// answer fell back to the hot tier or a spill write, stays
+			// listed under "degraded" until the tracker restarts.
+			if h := probeHealth(t, reg); h.Status != "degraded" || !strings.HasPrefix(h.Degraded["t"], "cold tier: ") {
+				t.Fatalf("/v1/healthz after %d failed spills and %d failed cold reads: %+v", tier.SpillErrs, tier.ColdReadErrs, h)
+			}
 
 			// kill -9 after the final ack: recover the copied directory with
 			// a clean filesystem.
@@ -485,7 +493,59 @@ func TestChaosSpillMatrix(t *testing.T) {
 			}
 			defer reg2.Close()
 			checkAnswer(t, "spill-chaos-recovered", tr2.Snapshot(), want)
+			if h := probeHealth(t, reg2); h.Status != "ok" {
+				t.Fatalf("/v1/healthz after recovery on a clean disk: %+v", h)
+			}
 		})
+	}
+}
+
+// probeHealth answers GET /v1/healthz from a Server over reg.
+func probeHealth(t *testing.T, reg *Registry) api.HealthResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	New(reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	var h api.HealthResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestColdReadFailureInQueryShowsOnHealth: a cold read that fails inside a
+// loop query (/influence of a user outside the candidate pool) degrades
+// /v1/healthz at once, not only after the next ingested batch publishes.
+func TestColdReadFailureInQueryShowsOnHealth(t *testing.T) {
+	inj := fault.NewInjector(fault.OS())
+	reg := NewRegistry()
+	reg.SetFS(inj)
+	reg.SetDataDir(t.TempDir())
+	defer reg.Close()
+	spec := durableSpec
+	spec.MemoryBudgetBytes = 4096
+	tr, err := reg.Add("t", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitChunks(t, tr, durableStream(2400), 100)
+	if h := probeHealth(t, reg); h.Status != "ok" {
+		t.Fatalf("/v1/healthz before the fault: %+v", h)
+	}
+	inj.Add(fault.Rule{Op: fault.OpRead, Path: "spill/seg-", Times: 1, Err: errEIO})
+	var readErrs int64
+	if err := tr.Query(context.Background(), func(st *sim.Tracker) {
+		for u := range sim.UserID(400) {
+			st.InfluenceSet(u)
+		}
+		readErrs = st.Internal().Stream().TierStats().ColdReadErrs
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if readErrs != 1 {
+		t.Fatalf("%d failed cold reads, want the one the rule causes", readErrs)
+	}
+	if h := probeHealth(t, reg); h.Status != "degraded" || !strings.HasPrefix(h.Degraded["t"], "cold tier: ") {
+		t.Fatalf("/v1/healthz after a failed cold read in a query: %+v", h)
 	}
 }
 
@@ -895,7 +955,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 	// Fill the (capacity 1) queue behind the wedged loop.
 	batch := durableStream(10)
-	if err := tr.SubmitAsync(ctx, batch); err != nil {
+	if err := tr.enqueue(ctx, command{batch: batch}); err != nil {
 		t.Fatalf("filling queue: %v", err)
 	}
 

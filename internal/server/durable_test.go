@@ -2,10 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -513,21 +510,7 @@ func TestHealthDegradedOnSnapshotFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	srv := httptest.NewServer(New(reg))
-	defer srv.Close()
-
-	health := func() api.HealthResponse {
-		resp, err := http.Get(srv.URL + "/v1/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var h api.HealthResponse
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
+	health := func() api.HealthResponse { return probeHealth(t, reg) }
 
 	if h := health(); h.Status != "ok" || !h.Durable || len(h.Degraded) != 0 {
 		t.Fatalf("healthy probe: %+v", h)

@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/fault"
+	"repro/internal/gen"
+	"repro/sim"
 )
 
 // edge is one serving-state transition as Tracked.move reports it.
@@ -151,4 +154,57 @@ func TestMoveRefusesUnlistedEdge(t *testing.T) {
 		}
 	}()
 	(&Tracked{name: "t"}).move(StateRecovering)
+}
+
+// TestShutdownDrainsQueue fills the bounded ingest queue through enqueue,
+// without waiting for the loop, and closes the registry: every queued batch
+// must be applied before Close returns, and the drained state must match a
+// serial replay.
+func TestShutdownDrainsQueue(t *testing.T) {
+	reg := NewRegistry()
+	tk, err := reg.Add("default", api.Spec{K: 5, Window: 400, Queue: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions := gen.Stream(gen.SynO(300, 3000, 500, 42))
+	ctx := context.Background()
+	for i := 0; i < len(actions); i += 50 {
+		end := min(i+50, len(actions))
+		if err := tk.enqueue(ctx, command{batch: actions[i:end]}); err != nil {
+			t.Fatalf("enqueue at %d: %v", i, err)
+		}
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := tk.Snapshot()
+	if snap.Processed != int64(len(actions)) {
+		t.Fatalf("drained %d actions, want %d", snap.Processed, len(actions))
+	}
+	ref, err := sim.New(api.Spec{K: 5, Window: 400}.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.ProcessAll(actions); err != nil {
+		t.Fatal(err)
+	}
+	// The replay publishes once where the server published per batch; the
+	// view counters tell the two histories apart, the state must not.
+	got, want := *snap, ref.Snapshot()
+	got.ViewRebuilds, got.ViewReuses, got.ViewRefreshed = want.ViewRebuilds, want.ViewReuses, want.ViewRefreshed
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("drained snapshot differs from serial replay:\n got %+v\nwant %+v", got, want)
+	}
+
+	// After Close, all entry points fail with ErrClosed.
+	if _, err := tk.Submit(ctx, actions[:1]); err != ErrClosed {
+		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	}
+	if err := tk.Query(ctx, func(*sim.Tracker) {}); err != ErrClosed {
+		t.Errorf("Query after Close = %v, want ErrClosed", err)
+	}
+	// Close is idempotent.
+	if err := reg.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
 }

@@ -142,6 +142,10 @@ type Tracked struct {
 	// state is the serving state (ok / degraded-readonly / recovering),
 	// written by the ingest loop through move, read by handlers and Submit.
 	state atomic.Int32
+	// coldErr is the message of the first failed cold-tier operation (the
+	// stream's ColdErr), published by the loop in noteColdErr; nil while
+	// none.
+	coldErr atomic.Pointer[string]
 
 	// enqueueDeadline bounds the wait for space in a full queue before
 	// shedding (ErrOverloaded).
@@ -237,6 +241,19 @@ func (t *Tracked) DurabilityError() string {
 		return ""
 	}
 	return t.dur.snapshotErr()
+}
+
+// degradation returns what GET /v1/healthz lists for the tracker under
+// "degraded": its latest snapshot failure, else its first cold-tier
+// failure, else "".
+func (t *Tracked) degradation() string {
+	if msg := t.DurabilityError(); msg != "" {
+		return msg
+	}
+	if msg := t.coldErr.Load(); msg != nil {
+		return *msg
+	}
+	return ""
 }
 
 // State returns the tracker's serving state: StateOK, or — for durable
@@ -388,8 +405,9 @@ func (t *Tracked) apply(c command) {
 		}
 	case c.query != nil:
 		// Nothing to publish afterwards: reads leave the tracker's answer
-		// as it was.
+		// as it was. A read may have failed on the cold tier, though.
 		c.query(t.tr)
+		t.noteColdErr()
 	}
 	if c.reply != nil {
 		c.reply <- outcome{err: err, processed: t.snap.Load().Processed}
@@ -436,6 +454,21 @@ func (t *Tracked) publish() {
 		t.prev.Store(old)
 	}
 	t.snap.Store(&s)
+	t.noteColdErr()
+}
+
+// noteColdErr publishes the stream's first cold-tier error, once it
+// appears, for /v1/healthz. Called on the goroutine that owns t.tr after
+// anything that may touch the cold tier: ingest and its publish, or a
+// query closure.
+func (t *Tracked) noteColdErr() {
+	if t.coldErr.Load() != nil {
+		return
+	}
+	if err := t.tr.Internal().Stream().ColdErr(); err != nil {
+		msg := "cold tier: " + err.Error()
+		t.coldErr.Store(&msg)
+	}
 }
 
 // enqueue hands c to the loop. A full queue applies backpressure only up
@@ -502,16 +535,6 @@ func (t *Tracked) Submit(ctx context.Context, batch []sim.Action) (processed int
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
-}
-
-// SubmitAsync enqueues a batch without waiting for it to be applied; the
-// returned error covers enqueueing only, and ingestion errors surface in
-// later snapshots' Processed counts rather than to the caller. The bounded
-// queue still applies backpressure: SubmitAsync blocks while it is full.
-// For embedded producers that want to pipeline ingest ahead of the loop;
-// the HTTP path uses the synchronous Submit so errors reach the producer.
-func (t *Tracked) SubmitAsync(ctx context.Context, batch []sim.Action) error {
-	return t.enqueue(ctx, command{batch: batch})
 }
 
 // Query runs fn on the tracker from the single-writer loop, after
@@ -598,6 +621,9 @@ func (r *Registry) DataDir() string {
 func (r *Registry) Add(name string, spec api.Spec) (*Tracked, error) {
 	if name == "" {
 		return nil, errors.New("server: tracker name must not be empty")
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("server: tracker %q: %w", name, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -90,21 +90,20 @@ func New(reg *Registry) *Server {
 
 // handleHealth serves the probe endpoint. Status degrades when a durable
 // tracker's snapshot writes are failing (ingestion still works, the WAL
-// keeps every batch, but the log grows until the condition clears) or when
-// a tracker's durability path is poisoned outright and it is serving in
-// degraded-readonly mode; per-tracker detail lives in "degraded" (latest
-// failure message) and "states" (serving state).
+// keeps every batch, but the log grows until the condition clears), when a
+// cold-tier operation has failed, or when a tracker's durability path is
+// poisoned outright and it is serving in degraded-readonly mode; per-tracker
+// detail lives in "degraded" (failure message) and "states" (serving state).
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	names := s.reg.Names()
 	var degraded map[string]string
 	var states map[string]string
-	var memory map[string]api.TrackerMemory
 	for _, n := range names {
 		t, ok := s.reg.Get(n)
 		if !ok {
 			continue
 		}
-		if msg := t.DurabilityError(); msg != "" {
+		if msg := t.degradation(); msg != "" {
 			if degraded == nil {
 				degraded = make(map[string]string)
 			}
@@ -115,18 +114,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 				states = make(map[string]string)
 			}
 			states[n] = st.String()
-		}
-		// Report memory facts for trackers running a tiered window (spills
-		// observed or cold state held) so a probe can watch residency.
-		if snap := t.Snapshot(); snap.Spills > 0 || snap.ColdSegments > 0 || snap.ColdUsers > 0 {
-			if memory == nil {
-				memory = make(map[string]api.TrackerMemory)
-			}
-			memory[n] = api.TrackerMemory{
-				ResidentBytes: snap.ResidentBytes,
-				ColdSegments:  snap.ColdSegments,
-				ColdFaults:    snap.ColdFaults,
-			}
 		}
 	}
 	status := "ok"
@@ -142,7 +129,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Durable:       s.reg.DataDir() != "",
 		Degraded:      degraded,
 		States:        states,
-		Memory:        memory,
 	})
 }
 

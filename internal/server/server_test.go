@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/api"
 	"repro/internal/dataio"
@@ -203,6 +204,21 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 	}
 }
 
+// waitQueueFull waits until tk's ingest queue is at capacity: a Submit
+// started behind a wedged loop has landed in it.
+func waitQueueFull(t *testing.T, tk *server.Tracked) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		depth, capacity := tk.QueueDepth()
+		if depth == capacity {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d of %d: not full", depth, capacity)
+		}
+	}
+}
+
 // TestQueryBlockedLoopIndependence is the HTAP-split proof: reads must
 // answer even while the single-writer ingest loop is wedged and its queue is
 // full, because they touch only the atomically published snapshot — /query,
@@ -236,6 +252,7 @@ func TestQueryBlockedLoopIndependence(t *testing.T) {
 
 	release := make(chan struct{})
 	loopDone := make(chan error, len(regs))
+	submitted := make(chan error, len(regs))
 	for _, reg := range regs {
 		tk, _ := reg.Get("default")
 		parked := make(chan struct{})
@@ -247,12 +264,11 @@ func TestQueryBlockedLoopIndependence(t *testing.T) {
 		}()
 		<-parked // the ingest loop is now blocked inside the closure
 		next := actions[len(actions)-1].ID + 1
-		if err := tk.SubmitAsync(ctx, []sim.Action{{ID: next, User: 1, Parent: sim.NoParent}}); err != nil {
-			t.Fatalf("filling the queue: %v", err)
-		}
-		if depth, capacity := tk.QueueDepth(); depth != capacity {
-			t.Fatalf("queue holds %d of %d: not full", depth, capacity)
-		}
+		go func() {
+			_, err := tk.Submit(ctx, []sim.Action{{ID: next, User: 1, Parent: sim.NoParent}})
+			submitted <- err
+		}()
+		waitQueueFull(t, tk)
 	}
 
 	client := shards[0]
@@ -315,6 +331,9 @@ func TestQueryBlockedLoopIndependence(t *testing.T) {
 	for range regs {
 		if err := <-loopDone; err != nil {
 			t.Fatal(err)
+		}
+		if err := <-submitted; err != nil {
+			t.Fatalf("the batch that filled the queue: %v", err)
 		}
 	}
 	// Unwedged, the same request goes through the loop and answers.
@@ -441,55 +460,34 @@ func TestQueryEndpointShapes(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsQueue fills the bounded ingest queue asynchronously and
-// closes the registry: every queued batch must be applied before Close
-// returns, and the drained state must match a serial replay.
-func TestShutdownDrainsQueue(t *testing.T) {
-	reg := server.NewRegistry()
-	tk, err := reg.Add("default", api.Spec{K: 5, Window: 400, Queue: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	actions := testStream(3000)
-	ctx := context.Background()
-	for i := 0; i < len(actions); i += 50 {
-		end := min(i+50, len(actions))
-		if err := tk.SubmitAsync(ctx, actions[i:end]); err != nil {
-			t.Fatalf("enqueue at %d: %v", i, err)
-		}
-	}
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap := tk.Snapshot()
-	if snap.Processed != int64(len(actions)) {
-		t.Fatalf("drained %d actions, want %d", snap.Processed, len(actions))
-	}
-	ref, err := sim.New(api.Spec{K: 5, Window: 400}.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.ProcessAll(actions); err != nil {
-		t.Fatal(err)
-	}
-	// The replay publishes once where the server published per batch; the
-	// view counters tell the two histories apart, the state must not.
-	got, want := *snap, ref.Snapshot()
-	got.ViewRebuilds, got.ViewReuses, got.ViewRefreshed = want.ViewRebuilds, want.ViewReuses, want.ViewRefreshed
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("drained snapshot differs from serial replay:\n got %+v\nwant %+v", got, want)
-	}
-
-	// After Close, all entry points fail with ErrClosed.
-	if _, err := tk.Submit(ctx, actions[:1]); err != server.ErrClosed {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
-	}
-	if err := tk.Query(ctx, func(*sim.Tracker) {}); err != server.ErrClosed {
-		t.Errorf("Query after Close = %v, want ErrClosed", err)
-	}
-	// Close is idempotent.
-	if err := reg.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
+// TestSpecRefusesNegatives: a negative queue, enqueue deadline or WAL
+// snapshot threshold is refused, by its JSON name, at both ways a spec
+// enters a server — a -spec file (api.ReadSpecs) and Registry.Add, which
+// flag-built specs and Go callers reach — instead of being read as the
+// default.
+func TestSpecRefusesNegatives(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		spec  api.Spec
+	}{
+		{"queue", api.Spec{K: 3, Window: 10, Queue: -1}},
+		{"enqueue_deadline_ms", api.Spec{K: 3, Window: 10, EnqueueDeadlineMillis: -1}},
+		{"snapshot_wal_bytes", api.Spec{K: 3, Window: 10, SnapshotWALBytes: -1}},
+	} {
+		t.Run("ReadSpecs/"+tc.field, func(t *testing.T) {
+			doc := fmt.Sprintf(`{"trackers": {"a": {"k": 3, "window": 10, %q: -1}}}`, tc.field)
+			if _, err := api.ReadSpecs(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("err = %v, want a refusal naming %s", err, tc.field)
+			}
+		})
+		t.Run("Add/"+tc.field, func(t *testing.T) {
+			reg := server.NewRegistry()
+			reg.SetDataDir(t.TempDir()) // snapshot_wal_bytes is read by durable trackers only
+			defer reg.Close()
+			if _, err := reg.Add("a", tc.spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("err = %v, want a refusal naming %s", err, tc.field)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,11 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -330,4 +334,118 @@ func TestSaveLoadFreshTracker(t *testing.T) {
 	if got := resumed.Processed(); got != 1 {
 		t.Fatalf("Processed = %d, want 1", got)
 	}
+}
+
+// FuzzTrackerLoad: Load of an image, under the configuration the input's
+// oracle and framework bytes pick, either fails or returns a tracker whose
+// image s1 loads and saves back to exactly s1, and that takes 200 further
+// actions without panicking. Section CRCs are recomputed before Load, so a
+// byte mutation reaches the section decoders instead of stopping at the
+// checksum. The seeds are the images of small SYN-O trackers, one per oracle
+// × framework, and a snapshot simserve wrote under a memory budget
+// (internal/server's names-in-wal data dir), whose cold segments are copied
+// into the spill directory every Load opens, so its extents resolve.
+func FuzzTrackerLoad(f *testing.F) {
+	const row = "../internal/server/testdata/datadirs/names-in-wal/"
+	oracles := []sim.Oracle{sim.SieveStreaming, sim.ThresholdStream, sim.BlogWatch, sim.MkC}
+	frameworks := []sim.Framework{sim.SIC, sim.IC}
+	spill := f.TempDir()
+	segs, err := os.ReadDir(row + "spill")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range segs {
+		b, err := os.ReadFile(row + "spill/" + e.Name())
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(spill, e.Name()), b, 0o644); err != nil {
+			f.Fatal(err)
+		}
+	}
+	// The data dir's query: simserve -k 5 -window 300 -slide 100.
+	config := func(orc, fwk uint8) sim.Config {
+		return sim.Config{K: 5, WindowSize: 300, Slide: 100, SpillDir: spill,
+			Oracle: oracles[int(orc)%len(oracles)], Framework: frameworks[int(fwk)%len(frameworks)]}
+	}
+	actions := gen.Stream(gen.SynO(100, 800, 300, 3))
+	for orc := range uint8(len(oracles)) {
+		for fwk := range uint8(len(frameworks)) {
+			tr, err := sim.New(config(orc, fwk))
+			if err != nil {
+				f.Fatal(err)
+			}
+			var img bytes.Buffer
+			if err := tr.ProcessAll(actions); err != nil {
+				f.Fatal(err)
+			}
+			if err := tr.SaveTo(&img); err != nil {
+				f.Fatal(err)
+			}
+			tr.Close()
+			f.Add(orc, fwk, img.Bytes())
+		}
+	}
+	img, err := os.ReadFile(row + "snapshot.sim2")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), uint8(0), img)
+	more := gen.Stream(gen.SynO(100, 200, 300, 5))
+	f.Fuzz(func(t *testing.T, orc, fwk uint8, image []byte) {
+		cfg := config(orc, fwk)
+		tr, err := sim.Load(bytes.NewReader(reseal(image)), cfg)
+		if err != nil {
+			return
+		}
+		defer tr.Close()
+		var s1, s2 bytes.Buffer
+		if err := tr.SaveTo(&s1); err != nil {
+			t.Fatal(err)
+		}
+		again, err := sim.Load(bytes.NewReader(s1.Bytes()), cfg)
+		if err != nil {
+			t.Fatalf("Load of a loaded tracker's image: %v", err)
+		}
+		defer again.Close()
+		if err := again.SaveTo(&s2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
+			t.Fatalf("load, save, load, save changed the image: %d then %d bytes", s1.Len(), s2.Len())
+		}
+		// Errors (an ID at or below the loaded last one) are answers; only
+		// a panic fails.
+		base := tr.LastID() + 1
+		for _, a := range more {
+			a.ID += base
+			if a.Parent != sim.NoParent {
+				a.Parent += base
+			}
+			_ = tr.Process(a)
+		}
+	})
+}
+
+// reseal returns a copy of a SIM2 image with the CRC of every section whose
+// framing fits the image recomputed.
+func reseal(image []byte) []byte {
+	b := bytes.Clone(image)
+	if len(b) < 4 {
+		return b
+	}
+	_, n := binary.Uvarint(b[4:])
+	for off := 4 + n; n > 0 && off+4 < len(b); {
+		plen, m := binary.Uvarint(b[off+4:])
+		if m <= 0 || plen > uint64(len(b)) {
+			break
+		}
+		end := off + 4 + m + int(plen)
+		if end+4 > len(b) {
+			break
+		}
+		binary.LittleEndian.PutUint32(b[end:], crc32.ChecksumIEEE(b[off+4+m:end]))
+		off = end + 4
+	}
+	return b
 }
