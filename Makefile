@@ -1,4 +1,5 @@
-# Mirrors .github/workflows/ci.yml so local runs and CI are identical.
+# The one definition of every CI step: .github/workflows/ci.yml runs these
+# targets, one per step, and `make ci` runs them all locally.
 
 GO ?= go
 
@@ -111,7 +112,7 @@ vet:
 
 # staticcheck when installed (CI installs it; locally this soft-skips so a
 # bare container can still run `make ci`).
-lint: vet
+lint:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck -tags smoke ./...; \
 	else \
@@ -129,4 +130,4 @@ inline-check:
 		echo "$$out" | grep -qF "inlining call to $$f" || { echo "$$f is no longer inlined" >&2; exit 1; }; \
 	done; echo "inlined: $(INLINED)"
 
-ci: fmt-check lint inline-check build race benchmark-test bench smoke spill-smoke fuzz-smoke cover
+ci: fmt-check vet lint inline-check build race benchmark-test bench smoke spill-smoke fuzz-smoke cover

@@ -156,10 +156,10 @@ type SegmentStore struct {
 	nextID stream.SegmentID
 	segs   map[stream.SegmentID]*segment
 	raw    []byte // extent bytes of the ReadLog in progress, reused
-	// invalid holds files that failed validation at open: they are never
-	// served (a snapshot referencing one fails its Retain loudly) and are
-	// deleted by the next GC.
-	invalid []string
+	// invalid holds files that failed validation at open, by path, with the
+	// reason: they are never served (a snapshot referencing one fails its
+	// Retain loudly, naming the file) and are deleted by the next GC.
+	invalid map[string]error
 }
 
 // OpenSegmentStore scans dir (created if missing) for existing segment
@@ -174,10 +174,11 @@ func OpenSegmentStore(fs fault.FS, dir string) (*SegmentStore, error) {
 		return nil, fmt.Errorf("dataio: opening segment store: %w", err)
 	}
 	st := &SegmentStore{
-		fs:     fs,
-		dir:    dir,
-		nextID: 1,
-		segs:   map[stream.SegmentID]*segment{},
+		fs:      fs,
+		dir:     dir,
+		nextID:  1,
+		segs:    map[stream.SegmentID]*segment{},
+		invalid: map[string]error{},
 	}
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
@@ -199,7 +200,7 @@ func OpenSegmentStore(fs fault.FS, dir string) (*SegmentStore, error) {
 		path := filepath.Join(dir, name)
 		seg, err := st.loadSegment(id, path)
 		if err != nil {
-			st.invalid = append(st.invalid, path)
+			st.invalid[path] = err
 			continue
 		}
 		st.segs[id] = seg
@@ -345,6 +346,10 @@ func (st *SegmentStore) readAt(seg *segment, off int64, n int) error {
 func (st *SegmentStore) Retain(seg stream.SegmentID) error {
 	s, ok := st.segs[seg]
 	if !ok {
+		path := filepath.Join(st.dir, SegmentFileName(seg))
+		if err, bad := st.invalid[path]; bad {
+			return fmt.Errorf("dataio: segment %d: %s: %w", uint64(seg), path, err)
+		}
 		return fmt.Errorf("dataio: retain of unknown segment %d", uint64(seg))
 	}
 	s.refs++
@@ -397,8 +402,10 @@ func (st *SegmentStore) GC() (removed int, err error) {
 			doomed = append(doomed, s.path)
 		}
 	}
-	doomed = append(doomed, st.invalid...)
-	st.invalid = nil
+	for path := range st.invalid {
+		doomed = append(doomed, path)
+	}
+	clear(st.invalid)
 	for _, path := range doomed {
 		if rerr := st.fs.Remove(path); rerr == nil {
 			removed++

@@ -8,10 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/api"
-	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/sim"
 )
@@ -72,13 +72,33 @@ func bootRow(t *testing.T, dir string) (*Registry, *Tracked) {
 	return reg, tr
 }
 
+// tornRecord is a torn WAL record, as a kill -9 mid-append leaves one: a
+// record header promising 1 023 payload bytes with 2 behind it. It was never
+// acknowledged.
+const tornRecord = "B\377\007xy"
+
+// tearWAL appends tornRecord to the wal.log of the tracker directory dir.
+func tearWAL(t *testing.T, dir string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(tornRecord); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBootsEveryCommittedDataDir boots every row of testdata/datadirs — data
 // directories written and then kill -9'd by simserve builds of past commits
-// (README.md there says which and how) — and asserts the answers the writer
-// served before the kill, which equal an uninterrupted replay of the same
-// stream: every row is decision-identical to this tree. Boot migrates a row
-// with a names.log into the snapshot and removes the file; a crash right
-// after that boot must come back with the same answers.
+// (README.md there says which and how) — and a torn twin of each, its WAL
+// ending in tornRecord. It asserts the answers the writer served before the
+// kill, which equal an uninterrupted replay of the same stream: every row is
+// decision-identical to this tree. A crash right after the boot must come
+// back with the same answers.
 func TestBootsEveryCommittedDataDir(t *testing.T) {
 	rows, err := filepath.Glob(filepath.Join("testdata", "datadirs", "*", "answers.json"))
 	if err != nil || len(rows) == 0 {
@@ -98,48 +118,63 @@ func TestBootsEveryCommittedDataDir(t *testing.T) {
 
 	for _, row := range rows {
 		row := filepath.Dir(row)
-		t.Run(filepath.Base(row), func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join(row, "answers.json"))
-			if err != nil {
-				t.Fatal(err)
+		raw, err := os.ReadFile(filepath.Join(row, "answers.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recorded corpusAnswers
+		if err := json.Unmarshal(raw, &recorded); err != nil {
+			t.Fatal(err)
+		}
+		for _, torn := range []bool{false, true} {
+			name := filepath.Base(row)
+			if torn {
+				name += "-torn"
 			}
-			var recorded corpusAnswers
-			if err := json.Unmarshal(raw, &recorded); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(recorded, uninterrupted) {
-				t.Fatalf("the row's writer served %+v, an uninterrupted replay serves %+v", recorded, uninterrupted)
-			}
+			t.Run(name, func(t *testing.T) {
+				if !reflect.DeepEqual(recorded, uninterrupted) {
+					t.Fatalf("the row's writer served %+v, an uninterrupted replay serves %+v", recorded, uninterrupted)
+				}
+				dir := t.TempDir() // boot cuts the torn tail
+				copyTree(t, row, filepath.Join(dir, "default"))
+				if torn {
+					tearWAL(t, filepath.Join(dir, "default"))
+				}
+				reg, _ := bootRow(t, dir)
+				if got := serveAnswers(t, reg); !reflect.DeepEqual(got, recorded) {
+					t.Fatalf("booted row serves %+v, its writer served %+v", got, recorded)
+				}
+				walSize := func(dir string) int64 {
+					fi, err := os.Stat(filepath.Join(dir, walFileName))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fi.Size()
+				}
+				if got, want := walSize(filepath.Join(dir, "default")), walSize(row); got != want {
+					t.Fatalf("boot left wal.log at %d bytes, the row's is %d: the torn tail was not cut", got, want)
+				}
 
-			dir := t.TempDir() // boot cuts torn tails and removes names.log
-			copyTree(t, row, filepath.Join(dir, "default"))
-			reg, _ := bootRow(t, dir)
-			if got := serveAnswers(t, reg); !reflect.DeepEqual(got, recorded) {
-				t.Fatalf("booted row serves %+v, its writer served %+v", got, recorded)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "default", "names.log")); !os.IsNotExist(err) {
-				t.Fatalf("names.log survived the boot (%v)", err)
-			}
-
-			crash := t.TempDir()
-			copyTree(t, filepath.Join(dir, "default"), filepath.Join(crash, "default"))
-			reg2, _ := bootRow(t, crash)
-			if got := serveAnswers(t, reg2); !reflect.DeepEqual(got, recorded) {
-				t.Fatalf("second boot serves %+v, want %+v", got, recorded)
-			}
-		})
+				crash := t.TempDir()
+				copyTree(t, filepath.Join(dir, "default"), filepath.Join(crash, "default"))
+				reg2, _ := bootRow(t, crash)
+				if got := serveAnswers(t, reg2); !reflect.DeepEqual(got, recorded) {
+					t.Fatalf("second boot serves %+v, want %+v", got, recorded)
+				}
+			})
+		}
 	}
 }
 
-// TestCombinedTornTails boots the corpus row whose legacy names.log and
-// wal.log both end in a torn record, as a crash mid-(names append, WAL
-// append) left them: the torn WAL batch was never acknowledged and the torn
-// name record can only belong to it, so dropping both recovers the exact
-// acknowledged state — and further ingest, interning new names behind the
-// migrated table, matches an uninterrupted tracker's.
+// TestCombinedTornTails boots the names-in-wal row with its WAL ending in
+// tornRecord, as a crash mid-append left it: the torn batch was never
+// acknowledged, and any name only it carried is not in the table. Dropping
+// it recovers the exact acknowledged state — and further ingest, interning
+// new names behind the recovered table, matches an uninterrupted tracker's.
 func TestCombinedTornTails(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "datadirs", "8915565-torn"), filepath.Join(dir, "default"))
+	copyTree(t, filepath.Join("testdata", "datadirs", "names-in-wal"), filepath.Join(dir, "default"))
+	tearWAL(t, filepath.Join(dir, "default"))
 	_, tr := bootRow(t, dir)
 
 	ref := NewRegistry()
@@ -178,54 +213,69 @@ func TestCombinedTornTails(t *testing.T) {
 	}
 }
 
-// TestChaosLegacyRemoveFails is the crash matrix's migration cell: booting a
-// legacy row whose names.log cannot be removed once the snapshot has taken
-// it over, then a kill -9. The row is then in the state a crash between the
-// migration's snapshot and its remove leaves — the table in the snapshot and
-// in names.log both — and must boot to the recorded answers, migrating this
-// time.
-func TestChaosLegacyRemoveFails(t *testing.T) {
-	row := filepath.Join("testdata", "datadirs", "8915565")
-	raw, err := os.ReadFile(filepath.Join(row, "answers.json"))
+// TestBootsDamagedDataDir damages one file of a copy of the names-in-wal
+// row at a time — snapshot.sim2, wal.log and its first cold segment, each
+// cut to half its length or with one bit of its middle byte flipped — and
+// boots it. Boot must either refuse, naming the damaged file, or serve
+// exactly what an unbudgeted tracker fed the stream's first Processed
+// actions serves: an acknowledged prefix, never a state no prefix has.
+func TestBootsDamagedDataDir(t *testing.T) {
+	row := filepath.Join("testdata", "datadirs", "names-in-wal")
+	segs, err := filepath.Glob(filepath.Join(row, "spill", "seg-*.sim2"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("the row has no cold segment (%v)", err)
+	}
+	seg, err := filepath.Rel(row, segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recorded corpusAnswers
-	if err := json.Unmarshal(raw, &recorded); err != nil {
-		t.Fatal(err)
+	damages := []struct {
+		name string
+		do   func([]byte) []byte
+	}{
+		{"half", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"bitflip", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }},
 	}
-	dir := t.TempDir()
-	copyTree(t, row, filepath.Join(dir, "default"))
-	rules, err := fault.ParseRules("op=remove,path=names.log,times=1,err=EIO")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.NewInjector(fault.OS())
-	inj.Add(rules[0])
-	reg := NewRegistry()
-	reg.SetFS(inj)
-	reg.SetDataDir(dir)
-	if _, err := reg.Add("default", corpusSpec); err != nil {
-		t.Fatalf("a failed remove failed the boot: %v", err)
-	}
-	defer reg.Close()
-	if inj.Fired() != 1 {
-		t.Fatalf("%d faults fired; the cell is vacuous", inj.Fired())
-	}
-	if got := serveAnswers(t, reg); !reflect.DeepEqual(got, recorded) {
-		t.Fatalf("booted row serves %+v, its writer served %+v", got, recorded)
-	}
-
-	crash := t.TempDir()
-	copyTree(t, filepath.Join(dir, "default"), filepath.Join(crash, "default"))
-	if _, err := os.Stat(filepath.Join(crash, "default", "names.log")); err != nil {
-		t.Fatalf("names.log is gone although its remove failed: %v", err)
-	}
-	reg2, _ := bootRow(t, crash)
-	if got := serveAnswers(t, reg2); !reflect.DeepEqual(got, recorded) {
-		t.Fatalf("boot after the failed remove serves %+v, want %+v", got, recorded)
-	}
-	if _, err := os.Stat(filepath.Join(crash, "default", "names.log")); !os.IsNotExist(err) {
-		t.Fatalf("names.log survived the second boot (%v)", err)
+	all := corpusStream()
+	for _, file := range []string{snapshotFileName, walFileName, seg} {
+		for _, dmg := range damages {
+			t.Run(filepath.Base(file)+"/"+dmg.name, func(t *testing.T) {
+				dir := t.TempDir()
+				copyTree(t, row, filepath.Join(dir, "default"))
+				path := filepath.Join(dir, "default", file)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, dmg.do(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				reg := NewRegistry()
+				reg.SetDataDir(dir)
+				defer reg.Close()
+				tr, err := reg.Add("default", corpusSpec)
+				if err != nil {
+					if !strings.Contains(err.Error(), path) {
+						t.Fatalf("boot refused without naming %s: %v", file, err)
+					}
+					t.Logf("refused: %v", err)
+					return
+				}
+				processed := tr.Snapshot().Processed
+				t.Logf("booted at %d of %d actions", processed, len(all))
+				ref := NewRegistry()
+				defer ref.Close()
+				spec := corpusSpec
+				spec.MemoryBudgetBytes = 0
+				want, err := ref.Add("default", spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				submitChunks(t, want, internStream(all[:processed], want.Names()), 100)
+				if got, prefix := serveAnswers(t, reg), serveAnswers(t, ref); !reflect.DeepEqual(got, prefix) {
+					t.Fatalf("booted at %d actions, serves %+v; the first %d actions serve %+v", processed, got, processed, prefix)
+				}
+			})
+		}
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -128,7 +127,11 @@ type durability struct {
 // recoverTracker rebuilds a tracker from dir (snapshot + WAL replay) and
 // returns it with the open durable state. With no prior files it starts
 // fresh. A snapshot that exists but fails to load is a hard error: silently
-// starting empty would masquerade as data loss.
+// starting empty would masquerade as data loss. So is a data dir written in
+// the other name mode: a name-mode tracker refuses a snapshot without a NAME
+// section and a replayed record with an ID no name is on disk for, a
+// numeric one a NAME section and a names trailer. Each error names the file,
+// and for a WAL record also the record's number.
 func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, names *intern.Table) (*sim.Tracker, *durability, RecoveryInfo, error) {
 	if fs == nil {
 		fs = fault.OS()
@@ -159,13 +162,22 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 
 	snapPath := filepath.Join(dir, snapshotFileName)
 	if f, oerr := fs.OpenFile(snapPath, os.O_RDONLY, 0); oerr == nil {
-		image, err := io.ReadAll(f)
+		sawNames := false
+		tr, err = sim.Load(f, cfg, sim.Section{Tag: namesSection, Read: func(payload []byte) error {
+			sawNames = true
+			if names == nil {
+				return errors.New("a numeric tracker cannot load a snapshot with a name table")
+			}
+			r := wire.NewReader(bytes.NewReader(payload))
+			first, list := decodeNames(r, len(payload))
+			if err := r.Err(); err != nil {
+				return err
+			}
+			return foldNames(names, first, list)
+		}})
 		f.Close()
-		if err == nil {
-			tr, err = sim.Load(bytes.NewReader(image), cfg)
-		}
-		if err == nil && names != nil {
-			err = foldSnapshotNames(names, image)
+		if err == nil && names != nil && !sawNames {
+			err = errors.New("a name-mode tracker cannot load a snapshot without a name table")
 		}
 		if err != nil {
 			return nil, nil, info, fmt.Errorf("server: loading %s: %w", snapPath, err)
@@ -188,14 +200,12 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		return nil, nil, info, fmt.Errorf("server: collecting stray cold segments: %w", err)
 	}
 
-	legacy, err := foldLegacyNames(fs, dir, names)
-	if err != nil {
-		return nil, nil, info, err
-	}
-
 	last := tr.LastID()
 	var walSize int64
 	info.WALBatches, info.WALActions, walSize, err = replayWAL(fs, filepath.Join(dir, walFileName), func(rec walRecord) error {
+		if names == nil && len(rec.names) > 0 {
+			return errors.New("a numeric tracker cannot replay a record with a names trailer")
+		}
 		// Every trailer is folded, covered records' included: the names a
 		// snapshot holds are checked against them, the rest are new.
 		if err := foldNames(names, rec.first, rec.names); err != nil {
@@ -210,6 +220,14 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 		// lies beyond the snapshot.
 		if !slices.ContainsFunc(rec.batch, func(a sim.Action) bool { return a.ID > last }) {
 			return nil
+		}
+		// Every ID a replayed record references is named by now: by the
+		// snapshot, this record's trailer or an earlier one.
+		if names != nil {
+			n := names.Len()
+			if i := slices.IndexFunc(rec.batch, func(a sim.Action) bool { return int(a.User) >= n }); i >= 0 {
+				return fmt.Errorf("user ID %d has no name (the table holds %d)", rec.batch[i].User, n)
+			}
 		}
 		// Stream-order rejections replay the live outcome (prefix applied,
 		// batch aborted, client saw 409) — not a recovery failure. Anything
@@ -240,11 +258,6 @@ func recoverTracker(fs fault.FS, dir string, cfg sim.Config, walLimit int64, nam
 	if names != nil {
 		d.names, d.namesDurable = names, names.Len()
 	}
-	// A legacy name log is deleted once a snapshot holds its names; a failed
-	// write or remove leaves it for the next boot to fold and migrate again.
-	if legacy != "" && d.writeSnapshot(tr) == nil {
-		_ = fs.Remove(legacy)
-	}
 	recovered = true
 	return tr, d, info, nil
 }
@@ -264,53 +277,6 @@ func foldNames(tb *intern.Table, first int, names []string) error {
 		}
 	}
 	return nil
-}
-
-// foldSnapshotNames folds the NAME section of a snapshot image into tb; an
-// image without one (written before the section existed) adds nothing.
-func foldSnapshotNames(tb *intern.Table, image []byte) error {
-	sr, err := dataio.NewSnapshotReader(bytes.NewReader(image))
-	for err == nil {
-		tag, payload, nerr := sr.Next()
-		if err = nerr; err == nil && tag == namesSection {
-			r := wire.NewReader(bytes.NewReader(payload))
-			first, names := decodeNames(r, len(payload))
-			if err = r.Err(); err == nil {
-				err = foldNames(tb, first, names)
-			}
-			return err
-		}
-	}
-	if err == io.EOF {
-		return nil
-	}
-	return err
-}
-
-// foldLegacyNames folds names.log — the name table of trackers older than its
-// move into the WAL and snapshot, uvarint-length-prefixed names in ID order —
-// into a name-mode tb from ID 0, dropping a torn last record (no acknowledged
-// WAL record used it). It returns the log's path, or "" when there is none.
-func foldLegacyNames(fs fault.FS, dir string, tb *intern.Table) (string, error) {
-	const namesFileName = "names.log"
-	path := filepath.Join(dir, namesFileName)
-	data, err := fs.ReadFile(path)
-	if tb == nil || errors.Is(err, os.ErrNotExist) {
-		return "", nil
-	}
-	if err != nil {
-		return "", fmt.Errorf("server: reading %s: %w", path, err)
-	}
-	var names []string
-	for off := 0; off < len(data); {
-		l, n := binary.Uvarint(data[off:])
-		if n <= 0 || l > uint64(len(data)-off-n) {
-			break // torn tail
-		}
-		names = append(names, string(data[off+n:off+n+int(l)]))
-		off += n + int(l)
-	}
-	return path, foldNames(tb, 0, names)
 }
 
 // log makes batch durable before it is applied: one WAL record holding it

@@ -467,6 +467,84 @@ func TestFoldNames(t *testing.T) {
 	}
 }
 
+// TestBootRefusesTheOtherNameMode: a data dir holds the evidence of the
+// name mode it was written in — a NAME section in every name-mode snapshot,
+// a names trailer on every name-mode record that interned a name — and a
+// boot in the other mode refuses it, naming the file (and a WAL record's
+// number), instead of serving IDs under the wrong names or none. So does a
+// name-mode boot that replays a record referencing an ID no name is on disk
+// for.
+func TestBootRefusesTheOtherNameMode(t *testing.T) {
+	// write runs a tracker over 200 actions and returns the data-dir root:
+	// stopped gracefully (the snapshot holds everything, the WAL is empty)
+	// or, with crash set, copied while running (the WAL holds everything).
+	write := func(t *testing.T, names, crash bool) string {
+		reg := NewRegistry()
+		dir := t.TempDir()
+		reg.SetDataDir(dir)
+		spec := durableSpec
+		spec.Names = names
+		tr, err := reg.Add("t", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actions := durableStream(200)
+		if names {
+			actions = internStream(actions, tr.Names())
+		}
+		submitChunks(t, tr, actions, 100)
+		if crash {
+			crashDir := t.TempDir()
+			copyTree(t, filepath.Join(dir, "t"), filepath.Join(crashDir, "t"))
+			dir = crashDir
+		}
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	snapshot := filepath.Join("t", snapshotFileName)
+	record1 := filepath.Join("t", walFileName) + " record 1: "
+	cases := []struct {
+		name         string
+		names, crash bool // how the dir was written; the boot is in the other mode
+		unnamed      bool // instead: a name-mode record of an unnamed ID, booted in name mode
+		want1, want2 string
+	}{
+		{name: "numeric-snapshot-as-names", want1: snapshot, want2: "without a name table"},
+		{name: "numeric-wal-as-names", crash: true, want1: record1, want2: "has no name (the table holds 0)"},
+		{name: "names-snapshot-as-numeric", names: true, want1: snapshot, want2: "with a name table"},
+		{name: "names-wal-as-numeric", names: true, crash: true, want1: record1, want2: "names trailer"},
+		{name: "unnamed-id", names: true, unnamed: true, want1: record1, want2: "user ID 100000 has no name"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := write(t, tc.names, tc.crash)
+			spec := durableSpec
+			spec.Names = !tc.names
+			if tc.unnamed {
+				spec.Names = true
+				w, err := openWAL(fault.OS(), filepath.Join(dir, "t", walFileName), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = w.append(walRecord{batch: []sim.Action{{ID: 1 << 20, User: 100000, Parent: sim.NoParent}}})
+				w.close()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg := NewRegistry()
+			reg.SetDataDir(dir)
+			defer reg.Close()
+			_, err := reg.Add("t", spec)
+			if err == nil || !strings.Contains(err.Error(), tc.want1) || !strings.Contains(err.Error(), tc.want2) {
+				t.Fatalf("boot: err = %v, want one naming %q and %q", err, tc.want1, tc.want2)
+			}
+		})
+	}
+}
+
 // TestWALRollbackPoison: an append whose rollback also fails must poison
 // the log — acknowledging records appended after leftover junk would
 // strand them behind what replay treats as the torn tail.

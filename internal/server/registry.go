@@ -142,9 +142,9 @@ type Tracked struct {
 	// state is the serving state (ok / degraded-readonly / recovering),
 	// written by the ingest loop through move, read by handlers and Submit.
 	state atomic.Int32
-	// coldErr is the message of the first failed cold-tier operation (the
-	// stream's ColdErr), published by the loop in noteColdErr; nil while
-	// none.
+	// coldErr is the message of the stream's ColdErr — its first failed
+	// cold read, else its latest spill if that failed — published by the
+	// loop in noteColdErr; nil while none.
 	coldErr atomic.Pointer[string]
 
 	// enqueueDeadline bounds the wait for space in a full queue before
@@ -244,8 +244,8 @@ func (t *Tracked) DurabilityError() string {
 }
 
 // degradation returns what GET /v1/healthz lists for the tracker under
-// "degraded": its latest snapshot failure, else its first cold-tier
-// failure, else "".
+// "degraded": its latest snapshot failure, else its cold-tier failure
+// (noteColdErr), else "".
 func (t *Tracked) degradation() string {
 	if msg := t.DurabilityError(); msg != "" {
 		return msg
@@ -457,18 +457,17 @@ func (t *Tracked) publish() {
 	t.noteColdErr()
 }
 
-// noteColdErr publishes the stream's first cold-tier error, once it
-// appears, for /v1/healthz. Called on the goroutine that owns t.tr after
-// anything that may touch the cold tier: ingest and its publish, or a
-// query closure.
+// noteColdErr publishes the stream's ColdErr for /v1/healthz: a failed cold
+// read until the tracker restarts, a failed spill until a spill succeeds.
+// Called on the goroutine that owns t.tr after anything that may touch the
+// cold tier: ingest and its publish, or a query closure.
 func (t *Tracked) noteColdErr() {
-	if t.coldErr.Load() != nil {
-		return
-	}
+	var msg *string
 	if err := t.tr.Internal().Stream().ColdErr(); err != nil {
-		msg := "cold tier: " + err.Error()
-		t.coldErr.Store(&msg)
+		m := "cold tier: " + err.Error()
+		msg = &m
 	}
+	t.coldErr.Store(msg)
 }
 
 // enqueue hands c to the loop. A full queue applies backpressure only up

@@ -6,9 +6,8 @@
 # The script generates a deterministic name-mode stream, ingests it into a
 # durable, budgeted simserve in 100-action posts, records the /seeds, /value
 # and /stats answers in ROW/answers.json, kill -9s the server and copies its
-# tracker directory to ROW. With TORN=1 it then tears the tails of the row's
-# logs the way a kill -9 mid-append would: a torn names.log record (when the
-# row has that file) and a torn wal.log record.
+# tracker directory to ROW. A torn twin of every row — its wal.log ending in
+# a torn record, as a kill -9 mid-append leaves it — is made at test time.
 #
 # The parameters here are the ones the test regenerates the stream and the
 # tracker spec from; change one and the test must change with it.
@@ -21,13 +20,7 @@ WORK="$(mktemp -d)"
 PID=
 trap 'kill -9 "${PID:-}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# simgen writes NDJSON; a build from before TSV was dropped still has
-# -format, and writes TSV unless told otherwise.
-FORMAT=
-if "$BIN/simgen" -h 2>&1 | grep -q -e '^  -format'; then
-    FORMAT="-format ndjson"
-fi
-"$BIN/simgen" -preset syn-o -users 300 -actions 1500 -window 600 -seed 7 $FORMAT |
+"$BIN/simgen" -preset syn-o -users 300 -actions 1500 -window 600 -seed 7 |
     sed 's/"user":\([0-9]*\)/"user":"u\1"/' >"$WORK/actions.ndjson"
 split -l 100 "$WORK/actions.ndjson" "$WORK/chunk."
 
@@ -56,10 +49,3 @@ mkdir -p "$ROW"
 cp -R "$WORK/data/default/." "$ROW/"
 rm -f "$ROW/.lock"
 cp "$WORK/answers.json" "$ROW/answers.json"
-
-if [ "${TORN:-0}" = 1 ]; then
-    # A names.log length header promising 32 bytes where 2 follow, and a WAL
-    # record header promising 1 023: neither was acknowledged.
-    [ ! -f "$ROW/names.log" ] || printf ' u9' >>"$ROW/names.log"
-    printf 'B\377\007xy' >>"$ROW/wal.log"
-fi

@@ -152,7 +152,7 @@ func (w *wal) close() error { return w.f.Close() }
 // as size, the length of the records it parsed. It tolerates a torn tail (see
 // the package comment above): parsing stops cleanly at the first incomplete
 // or checksum-failing frame, size bytes in. A missing file is an empty log.
-// apply errors abort the replay.
+// apply errors abort the replay, named by file and record number.
 func replayWAL(fs fault.FS, path string, apply func(rec walRecord) error) (batches, actions int, size int64, err error) {
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if errors.Is(err, os.ErrNotExist) {
@@ -182,14 +182,14 @@ func replayWAL(fs fault.FS, path string, apply func(rec walRecord) error) (batch
 		if err != nil || uint64(len(frame)) != n+4 || crc32.ChecksumIEEE(frame[:n]) != binary.LittleEndian.Uint32(frame[n:]) {
 			return batches, actions, size, nil
 		}
+		// A CRC-valid record that does not decode is real corruption, not a
+		// torn write: surface it, as any record apply refuses.
 		rec, err := decodeWALPayload(frame[:n])
-		if err != nil {
-			// A CRC-valid record that does not decode is real corruption,
-			// not a torn write: surface it.
-			return batches, actions, size, fmt.Errorf("server: WAL record %d: %w", batches+1, err)
+		if err == nil {
+			err = apply(rec)
 		}
-		if err := apply(rec); err != nil {
-			return batches, actions, size, err
+		if err != nil {
+			return batches, actions, size, fmt.Errorf("server: %s record %d: %w", path, batches+1, err)
 		}
 		batches++
 		actions += len(rec.batch)

@@ -140,9 +140,16 @@ func (s *Stream) TierStats() TierStats {
 
 // ColdErr returns the first cold-tier I/O error encountered by a query
 // that has no error return of its own (a failed cold read inside Influence
-// or friends). The extent stays cold, so the condition is transient if the
-// underlying fault is; the error is sticky for observability.
-func (s *Stream) ColdErr() error { return s.coldErr }
+// or friends), else the latest spill attempt's failure. The extent stays
+// cold, so a read failure is transient if the underlying fault is; it is
+// sticky for observability. A failed spill leaves every log hot and every
+// answer exact, and the next successful spill clears it.
+func (s *Stream) ColdErr() error {
+	if s.coldErr != nil {
+		return s.coldErr
+	}
+	return s.spillErr
+}
 
 // logPrefix returns u's influence prefix for the suffix starting at start:
 // the hot entries with T >= start followed by the cold entries with
@@ -194,21 +201,15 @@ func (s *Stream) logPrefix(u UserID, start ActionID) ([]Contrib, error) {
 func (s *Stream) readCold(ext Extent) ([]Contrib, error) {
 	list, err := s.store.ReadLog(ext, s.readBuf[:0])
 	if err != nil {
-		s.tierFailed(&s.tier.ColdReadErrs, err)
+		s.tier.ColdReadErrs++
+		if s.coldErr == nil {
+			s.coldErr = err
+		}
 		return nil, err
 	}
 	s.readBuf = list[:0]
 	s.tier.ColdFaults++
 	return list, nil
-}
-
-// tierFailed counts one failed cold-tier operation and keeps the first such
-// error for ColdErr.
-func (s *Stream) tierFailed(counter *int64, err error) {
-	*counter++
-	if s.coldErr == nil {
-		s.coldErr = err
-	}
 }
 
 // mergeTiers appends to dst the merged log of a user present in both tiers:
@@ -353,9 +354,11 @@ func (s *Stream) maybeSpill() {
 	if err != nil {
 		// The segment was not published: every log stays hot and correct,
 		// we are merely still over budget. The next Advance retries.
-		s.tierFailed(&s.tier.SpillErrs, err)
+		s.tier.SpillErrs++
+		s.spillErr = err
 		return
 	}
+	s.spillErr = nil
 	if s.cold == nil {
 		s.cold = make(map[UserID]Extent, len(exts))
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 // streamPayloadVersion versions the Save payload independently of the SIM2
-// container that carries it. Version 2 appends the cold tier: the per-user
+// container that carries it. Version 3 ends in the cold tier: the per-user
 // segment-extent table and a manifest of the referenced segments (ID, CRC,
-// size) that Restore verifies against the attached ColdStore. Version 3 drops
-// the four counters and the user set versions 1 and 2 carry between the logs
-// and the cold tier. Both older versions are still accepted.
+// size) that Restore verifies against the attached ColdStore. It is the only
+// version Restore accepts; versions 1 and 2 carried four cumulative counters
+// and the all-time user set.
 const streamPayloadVersion = 3
 
 // Save serializes the stream's complete mutable state — the diffusion index
@@ -85,7 +85,7 @@ func (s *Stream) Save(w io.Writer) error {
 	return s.saveCold(ww)
 }
 
-// saveCold writes the cold tier (v2), the payload's last part. The extent
+// saveCold writes the cold tier, the payload's last part. The extent
 // table references segments by ID instead of embedding their entries, so
 // snapshot size and save time scale with the HOT state only — the segments
 // themselves are already durable files. Spilled logs are never faulted in
@@ -164,16 +164,17 @@ func (s *Stream) PayloadSize() (int, error) {
 
 // Restore deserializes a stream saved by Save. The returned stream is fully
 // independent of the reader's backing storage except for the cold tier: a
-// version-2 payload with cold extents re-adopts the referenced segment
-// files from store (verifying each segment's CRC and size against the
-// saved manifest) instead of rehydrating their entries — the boot-time
-// mapping that keeps restart cost proportional to hot state. store and
-// budget are attached to the restored stream either way (see SetCold); a
-// payload with cold extents but a nil store is an error.
+// payload with cold extents re-adopts the referenced segment files from
+// store (verifying each segment's CRC and size against the saved manifest)
+// instead of rehydrating their entries — the boot-time mapping that keeps
+// restart cost proportional to hot state. store and budget are attached to
+// the restored stream either way (see SetCold); a payload with cold extents
+// but a nil store is an error, and so is one of a version other than
+// streamPayloadVersion.
 func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 	rr := wire.NewReader(r)
 	version := rr.Uvarint()
-	if rr.Err() == nil && (version < 1 || version > streamPayloadVersion) {
+	if rr.Err() == nil && version != streamPayloadVersion {
 		return nil, fmt.Errorf("stream: unsupported payload version %d", version)
 	}
 	s := New()
@@ -270,63 +271,50 @@ func Restore(r io.Reader, store ColdStore, budget int64) (*Stream, error) {
 		s.capBytes += int64(cap(l.list)) * contribBytes
 	}
 
-	// Versions 1 and 2 carry four cumulative Table 3 counters and the
-	// all-time user set here, history-sized state nothing reads any more.
-	if version < 3 {
-		for i := 0; i < 4; i++ {
-			rr.Varint()
-		}
-		for i, n := 0, rr.Len(wire.MaxLen); i < n && rr.Err() == nil; i++ {
-			rr.Uvarint()
-		}
+	nCold := rr.Len(wire.MaxLen)
+	if nCold > 0 && store == nil {
+		return nil, fmt.Errorf("stream: payload references %d cold extents but no cold store is configured", nCold)
 	}
-
-	if version >= 2 {
-		nCold := rr.Len(wire.MaxLen)
-		if nCold > 0 && store == nil {
-			return nil, fmt.Errorf("stream: payload references %d cold extents but no cold store is configured", nCold)
+	if nCold > 0 {
+		s.cold = make(map[UserID]Extent, min(nCold, 1<<20))
+	}
+	for i := 0; i < nCold && rr.Err() == nil; i++ {
+		u := UserID(rr.Uvarint())
+		ext := Extent{
+			Seg:   SegmentID(rr.Uvarint()),
+			Off:   rr.Varint(),
+			Count: int(rr.Uvarint()),
+			MaxT:  ActionID(rr.Varint()),
 		}
-		if nCold > 0 {
-			s.cold = make(map[UserID]Extent, min(nCold, 1<<20))
+		if rr.Err() != nil {
+			break
 		}
-		for i := 0; i < nCold && rr.Err() == nil; i++ {
-			u := UserID(rr.Uvarint())
-			ext := Extent{
-				Seg:   SegmentID(rr.Uvarint()),
-				Off:   rr.Varint(),
-				Count: int(rr.Uvarint()),
-				MaxT:  ActionID(rr.Varint()),
-			}
-			if rr.Err() != nil {
-				break
-			}
-			// Re-adopt the extent: one store reference per extent, exactly
-			// mirroring what WriteLogs handed out at spill time.
-			if err := store.Retain(ext.Seg); err != nil {
-				return nil, fmt.Errorf("stream: restoring cold extent for user %d: %w", u, err)
-			}
-			s.cold[u] = ext
-			s.coldBytes += int64(ext.Count) * contribBytes
+		// Re-adopt the extent: one store reference per extent, exactly
+		// mirroring what WriteLogs handed out at spill time.
+		if err := store.Retain(ext.Seg); err != nil {
+			return nil, fmt.Errorf("stream: restoring cold extent for user %d: %w", u, err)
 		}
-		nSegs := rr.Len(wire.MaxLen)
-		if nSegs > 0 && store == nil {
-			return nil, fmt.Errorf("stream: payload lists %d cold segments but no cold store is configured", nSegs)
+		s.cold[u] = ext
+		s.coldBytes += int64(ext.Count) * contribBytes
+	}
+	nSegs := rr.Len(wire.MaxLen)
+	if nSegs > 0 && store == nil {
+		return nil, fmt.Errorf("stream: payload lists %d cold segments but no cold store is configured", nSegs)
+	}
+	for i := 0; i < nSegs && rr.Err() == nil; i++ {
+		seg := SegmentID(rr.Uvarint())
+		crc := uint32(rr.Uvarint())
+		size := rr.Varint()
+		if rr.Err() != nil {
+			break
 		}
-		for i := 0; i < nSegs && rr.Err() == nil; i++ {
-			seg := SegmentID(rr.Uvarint())
-			crc := uint32(rr.Uvarint())
-			size := rr.Varint()
-			if rr.Err() != nil {
-				break
-			}
-			st, err := store.Stat(seg)
-			if err != nil {
-				return nil, fmt.Errorf("stream: verifying segment %d: %w", seg, err)
-			}
-			if st.CRC != crc || st.Size != size {
-				return nil, fmt.Errorf("stream: segment %d does not match manifest (crc %08x/%08x, size %d/%d)",
-					seg, st.CRC, crc, st.Size, size)
-			}
+		st, err := store.Stat(seg)
+		if err != nil {
+			return nil, fmt.Errorf("stream: verifying segment %d: %w", seg, err)
+		}
+		if st.CRC != crc || st.Size != size {
+			return nil, fmt.Errorf("stream: segment %d does not match manifest (crc %08x/%08x, size %d/%d)",
+				seg, st.CRC, crc, st.Size, size)
 		}
 	}
 	if err := rr.Err(); err != nil {

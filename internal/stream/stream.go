@@ -194,7 +194,8 @@ type Stream struct {
 	capBytes  int64 // the same logs at capacity: contribBytes per allocated entry
 	coldBytes int64 // on-disk log-entry bytes across live extents
 	tier      TierStats
-	coldErr   error
+	coldErr   error     // the first failed cold read; sticky
+	spillErr  error     // the latest spill attempt's failure; nil once one succeeds
 	readBuf   []Contrib // scratch for cold-extent decodes (logPrefix, spill folds)
 	mergeBuf  []Contrib // scratch for merged both-tier views (logPrefix)
 	// coldMiss lists the (contributor, performer) touches of the current

@@ -17,14 +17,19 @@ const (
 	sectionCore   = "CORE" // framework state: stream index + checkpoint chain
 )
 
-// Section is an extra SIM2 section SaveTo writes behind the tracker's own,
-// for state kept beside the tracker that must be exactly as current as the
-// snapshot (the serving layer's name table). Load skips it.
+// Section is an extra SIM2 section beside the tracker's own, for state kept
+// next to the tracker that must be exactly as current as the snapshot (the
+// serving layer's name table): SaveTo writes it behind them, and Load hands
+// its payload back in the same pass that restores the tracker.
 type Section struct {
 	Tag string // 4 bytes, neither CFG0 nor CORE
 	// Write writes the payload. SaveTo calls it twice, to size the payload
 	// and then to write it, and it must write the same bytes both times.
 	Write func(w io.Writer) error
+	// Read receives the payload of the snapshot's section with this tag;
+	// Load fails with its error. It is not called when the snapshot has no
+	// such section.
+	Read func(payload []byte) error
 }
 
 // simConfigVersion versions the CFG0 payload.
@@ -51,7 +56,7 @@ func (t *Tracker) SaveTo(w io.Writer, extra ...Section) error {
 	if err != nil {
 		return err
 	}
-	secs := append([]Section{{sectionConfig, t.saveConfig}, {sectionCore, t.fw.Save}}, extra...)
+	secs := append([]Section{{Tag: sectionConfig, Write: t.saveConfig}, {Tag: sectionCore, Write: t.fw.Save}}, extra...)
 	for _, sec := range secs {
 		n, err := wire.Size(sec.Write)
 		if err != nil {
@@ -97,15 +102,18 @@ func (t *Tracker) saveConfig(w io.Writer) error {
 // saving configuration without changing the restored state (a different
 // BatchSize groups the actions that follow differently).
 //
+// Each section of the snapshot whose tag matches one of extra goes to that
+// Section's Read; every other tag is skipped.
+//
 // The returned tracker owns an open segment store when cfg.SpillDir is set,
 // exactly as if built by New; release it with Close. A failed Load closes
 // the store itself.
-func Load(r io.Reader, cfg Config) (*Tracker, error) {
+func Load(r io.Reader, cfg Config, extra ...Section) (*Tracker, error) {
 	t, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.load(r); err != nil {
+	if err := t.load(r, extra); err != nil {
 		if t.store != nil {
 			t.store.Close()
 		}
@@ -114,8 +122,9 @@ func Load(r io.Reader, cfg Config) (*Tracker, error) {
 	return t, nil
 }
 
-// load applies the snapshot's sections to a freshly built tracker.
-func (t *Tracker) load(r io.Reader) error {
+// load applies the snapshot's sections to a freshly built tracker, and hands
+// the extra ones to their readers.
+func (t *Tracker) load(r io.Reader, extra []Section) error {
 	sr, err := dataio.NewSnapshotReader(r)
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -146,8 +155,15 @@ func (t *Tracker) load(r io.Reader) error {
 			}
 			sawCore = true
 		default:
-			// A caller's extra section, TRK0 (a last-ID echo older writers
-			// added), or an unknown section from a newer writer: skip.
+			// A caller's extra section, or an unknown one from a newer
+			// writer: skipped unless the caller reads it.
+			for _, sec := range extra {
+				if sec.Tag == tag && sec.Read != nil {
+					if err := sec.Read(payload); err != nil {
+						return err
+					}
+				}
+			}
 		}
 	}
 	if !sawConfig || !sawCore {

@@ -3,8 +3,10 @@ package sim_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -333,6 +335,46 @@ func TestSaveLoadFreshTracker(t *testing.T) {
 	}
 	if got := resumed.Processed(); got != 1 {
 		t.Fatalf("Processed = %d, want 1", got)
+	}
+}
+
+// TestLoadHandsExtraSections: Load hands the payload of an extra section
+// SaveTo wrote to the Section's Read in its one pass, fails with Read's
+// error, and skips the section when the caller does not read it.
+func TestLoadHandsExtraSections(t *testing.T) {
+	cfg := sim.Config{K: 3, WindowSize: 100}
+	tr, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var snap bytes.Buffer
+	write := func(w io.Writer) error { _, err := io.WriteString(w, "payload"); return err }
+	if err := tr.SaveTo(&snap, sim.Section{Tag: "XTRA", Write: write}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	read := func(p []byte) error { got = append(got, string(p)); return nil }
+	refuse := errors.New("refused")
+	for _, tc := range []struct {
+		name  string
+		extra []sim.Section
+		err   error
+		got   []string
+	}{
+		{"read", []sim.Section{{Tag: "XTRA", Read: read}}, nil, []string{"payload"}},
+		{"other tag", []sim.Section{{Tag: "OTHR", Read: read}}, nil, nil},
+		{"none", nil, nil, nil},
+		{"refused", []sim.Section{{Tag: "XTRA", Read: func([]byte) error { return refuse }}}, refuse, nil},
+	} {
+		got = nil
+		loaded, err := sim.Load(bytes.NewReader(snap.Bytes()), cfg, tc.extra...)
+		if !errors.Is(err, tc.err) || !reflect.DeepEqual(got, tc.got) {
+			t.Fatalf("%s: Load err = %v and read %q, want %v and %q", tc.name, err, got, tc.err, tc.got)
+		}
+		if loaded != nil {
+			loaded.Close()
+		}
 	}
 }
 
