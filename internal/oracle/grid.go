@@ -137,8 +137,7 @@ func (t *rowTable) appendSet(dst []stream.UserID) []stream.UserID {
 // below the slot's threshold, so a bound only stays in a cell when the
 // threshold it must stay under is small; on the benchmark's bulk stream no
 // store reaches 255. Weighted bounds are arbitrary sums that a uint8 cannot
-// hold, and a snapshot carries every bound as a float64 that restoring must
-// give back bit for bit: weighted tables stay wide.
+// hold: weighted tables stay wide.
 type boundTable struct {
 	width    int         // bounds per row
 	narrow   bool        // rows are uint8
@@ -308,9 +307,10 @@ func (t *boundTable) clearSlots(mask []uint64) {
 // order mapping each to its slot; retune retires the slots whose guess left
 // [m, 2km] — one sweep each clears their bit from both tables and their
 // column from the gain bounds — and hands them to the guesses entering it.
-// Slot numbers never reach an answer: refresh, Candidates and SaveState walk
-// order, and instances do not interact, so every admission decision equals
-// the one an instance with private sets would make.
+// Slot numbers never reach an answer: refresh and Candidates walk order,
+// and instances do not interact, so every admission decision equals the one
+// an instance with private sets would make. SaveState writes them, so a
+// restored grid holds each instance where the saved one did.
 type grid struct {
 	k    int
 	beta float64

@@ -21,7 +21,7 @@ import (
 //
 // All four Table 2 oracles implement Persistent: the sieve-style grids
 // serialize their candidate instances (OPT guesses, seed lists, coverage
-// sets, gain-bound caches) and the swap oracles their seed snapshots. Exact
+// sets) and the swap oracles their seed snapshots. Exact
 // does not: no tracker can be configured with it, so nothing saves one.
 type Persistent interface {
 	Oracle
@@ -35,8 +35,11 @@ type Persistent interface {
 }
 
 // Per-oracle payload versions, bumped independently of the SIM2 container.
+// A grid reads gridPayloadV1 too: the instance-major layout snapshots
+// carried before the grid wrote its tables as memory holds them.
 const (
-	gridPayloadVersion = 1
+	gridPayloadVersion = 2
+	gridPayloadV1      = 1
 	swapPayloadVersion = 1
 )
 
@@ -45,11 +48,13 @@ const (
 const maxLen = wire.MaxLen
 
 // SaveState implements Persistent for the sieve-style oracles. Per
-// instance, in exponent order, it serializes the OPT guess (as float bits —
-// thresholds must restore exactly), the admitted seed list in admission
-// order (order is semantic: it is the tie-break of the best-instance
-// answer), the covered users sorted and delta-coded with the accumulated
-// value, and the CELF-style gain-bound cache.
+// instance, in exponent order, it serializes the slot the instance holds,
+// its OPT guess (as float bits — thresholds must restore exactly), its seed
+// list in admission order (order is semantic: it is the tie-break of the
+// best-instance answer) and its accumulated value. The cov table follows as
+// memory holds it: its non-zero rows, ascending by user (the bytes are then
+// canonical whatever order the table filled in), each a delta-coded user
+// and the row's words.
 //
 // The value is stored as raw float bits rather than recomputed on restore:
 // under weighted objectives the accumulated sum depends on the historical
@@ -57,32 +62,49 @@ const maxLen = wire.MaxLen
 // oracle's admission thresholds — and therefore its decisions — identical
 // to an uninterrupted run.
 //
-// The layout is instance-major although the state is not: it is the format
-// snapshots have always carried, and slot numbers stay out of it. One pass
-// over each table encodes every slot's member list and gain bounds into
-// that slot's own run of bytes (gridSave), and each instance then writes
-// its runs whole.
+// Nothing else is saved. seedOf is the seed lists again, and the gain
+// bounds are a cache that decides nothing: a restored grid without them
+// scans where the uninterrupted one would have read a bound, and admits
+// and rejects exactly as it does.
 func (g *grid) SaveState(w *wire.Writer) error {
-	sc := gridSaves.Get().(*gridSave)
-	defer gridSaves.Put(sc)
-	sc.transpose(g)
 	w.Uvarint(gridPayloadVersion)
 	w.Varint(g.elements)
 	w.F64(g.m)
 	w.Varint(int64(g.jLo))
 	w.Uvarint(uint64(len(g.order)))
 	for _, s := range g.order {
+		w.Uvarint(uint64(s))
 		w.F64(g.opt[s])
 		w.Uvarint(uint64(len(g.seeds[s])))
 		for _, u := range g.seeds[s] {
 			w.Uvarint(uint64(u))
 		}
-		w.Uvarint(uint64(sc.members[s].n))
-		w.Raw(sc.members[s].b)
 		w.F64(g.value[s])
-		w.Uvarint(uint64(sc.bounds[s].n))
-		w.Raw(sc.bounds[s].b)
 	}
+
+	keys := rowKeys.Get().(*[]uint64)
+	defer rowKeys.Put(keys)
+	cov := &g.cov
+	rows := (*keys)[:0]
+	for o := 0; o < len(cov.cells); o += cov.stride {
+		if cov.cells[o] != 0 && !isZero(cov.cells[o+1:o+cov.stride]) {
+			rows = append(rows, (cov.cells[o]-1)<<32|uint64(o)) // user, cell offset
+		}
+	}
+	slices.Sort(rows)
+	*keys = rows
+	w.Uvarint(uint64(len(rows)))
+	prev := uint64(0) // one past the last row's user: the first row's delta is its user + 1
+	for _, key := range rows {
+		next := key>>32 + 1
+		w.Uvarint(next - prev)
+		prev = next
+		o := int(uint32(key))
+		for _, word := range cov.cells[o+1 : o+cov.stride] {
+			w.U64(word)
+		}
+	}
+
 	w.F64(g.bestVal)
 	w.Uvarint(uint64(len(g.bestSeeds)))
 	for _, s := range g.bestSeeds {
@@ -92,94 +114,29 @@ func (g *grid) SaveState(w *wire.Writer) error {
 	return w.Err()
 }
 
-// gridSave is SaveState's instance-major view of a grid: per slot, its
-// covered users (ascending, delta-coded) and its gain bounds (ascending
-// user, then the bound), encoded as SaveState writes them. It is scratch,
-// pooled so that the saves of every checkpoint — and the sizing pass and
-// writing pass of a snapshot — reuse one set of runs.
-type gridSave struct {
-	keys    []uint64 // a table's occupied cells, sorted by user
-	members []run
-	bounds  []run
-}
+// rowKeys holds SaveState's scratch: the cov rows to write, sorted.
+var rowKeys = sync.Pool{New: func() any { return new([]uint64) }}
 
-// run is n values encoded into b.
-type run struct {
-	b    []byte
-	n    int
-	last uint32 // the last member encoded: the next one is a delta from it
-}
-
-var gridSaves = sync.Pool{New: func() any { return new(gridSave) }}
-
-// transpose encodes the per-slot runs from g's user-major tables, visiting
-// each covered user's row and each bounded user's row once.
-func (sc *gridSave) transpose(g *grid) {
-	if n := len(g.opt); len(sc.members) < n {
-		sc.members = append(sc.members, make([]run, n-len(sc.members))...)
-		sc.bounds = append(sc.bounds, make([]run, n-len(sc.bounds))...)
-	}
-	for s := range sc.members {
-		sc.members[s] = run{b: sc.members[s].b[:0]}
-		sc.bounds[s] = run{b: sc.bounds[s].b[:0]}
-	}
-
-	cov := &g.cov
-	sc.keys = sc.keys[:0]
-	for o := 0; o < len(cov.cells); o += cov.stride {
-		if cov.cells[o] != 0 && !isZero(cov.cells[o+1:o+cov.stride]) {
-			sc.keys = append(sc.keys, (cov.cells[o]-1)<<32|uint64(o)) // user, cell offset
-		}
-	}
-	slices.Sort(sc.keys)
-	for _, key := range sc.keys {
-		u, o := uint32(key>>32), int(uint32(key))
-		for wi, word := range cov.cells[o+1 : o+cov.stride] {
-			for ; word != 0; word &= word - 1 {
-				m := &sc.members[wi<<6|bits.TrailingZeros64(word)]
-				m.b = wire.AppendUvarint(m.b, uint64(u-m.last))
-				m.n++
-				m.last = u
-			}
-		}
-	}
-
-	sc.keys = sc.keys[:0]
-	for _, c := range g.gainUB.index {
-		if c != 0 {
-			sc.keys = append(sc.keys, c)
-		}
-	}
-	slices.Sort(sc.keys) // cells lead with the user
-	for _, c := range sc.keys {
-		row := g.gainUB.at(c)
-		for s := range g.gainUB.width {
-			if ub := row.get(s); ub >= 0 {
-				b := &sc.bounds[s]
-				b.b = wire.AppendF64(wire.AppendUvarint(b.b, c>>32), ub)
-				b.n++
-			}
-		}
-	}
-}
-
-// RestoreState implements Persistent for the sieve-style oracles: saved
-// instance i takes slot i. Gain bounds are saved as float64 whatever the
-// width of the grid's rows, and a narrow grid narrows them here: a
-// cardinality grid of one-byte rows saved only integers below 255, which a
-// uint8 holds. A larger one — a snapshot of wider rows may hold it —
-// restores as no bound, which costs the restored grid a scan and changes no
-// decision.
+// RestoreState implements Persistent for the sieve-style oracles. A version
+// 2 payload puts every instance back in its saved slot; open takes the
+// lowest free one, so the restored grid goes on to allocate slots as the
+// uninterrupted one does and saves the same bytes. A version 1 payload puts
+// saved instance i in slot i, with its sorted, delta-coded members, and its
+// gain bounds are dropped.
 //
 // A payload no grid of this configuration writes is an error, not state:
-// more instances than a gain-bound row has columns, more than k seeds in a
-// slot or in the best-ever set, a seed twice in one slot, a negative or
-// non-finite m, OPT guess, slot value or best value (a NaN m would restore,
-// then answer 0 for good), a lowest guess other than the one retune derives
-// from a positive m, and — on a cardinality grid, whose slot value is the
-// count of users it covers — a slot value that is not that count.
+// more instances than a gain-bound row has columns, a slot at or past that
+// width or held twice, more than k seeds in a slot or in the best-ever set,
+// a seed twice in one slot, a negative or non-finite m, OPT guess, slot
+// value, best value or (version 1) gain bound (a NaN m would restore, then
+// answer 0 for good), a lowest guess other than the one retune derives from
+// a positive m, cov rows that do not strictly ascend by user, a zero row or
+// a bit in a slot no instance holds, and — on a cardinality grid, whose
+// slot value is the count of users it covers — a slot value that is not
+// that count.
 func (g *grid) RestoreState(r *wire.Reader) error {
-	if v := r.Uvarint(); r.Err() == nil && v != gridPayloadVersion {
+	v := r.Uvarint()
+	if r.Err() == nil && v != gridPayloadVersion && v != gridPayloadV1 {
 		return fmt.Errorf("oracle: unsupported sieve payload version %d", v)
 	}
 	g.elements = r.Varint()
@@ -195,20 +152,28 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 	if most := g.gainUB.width; r.Err() == nil && n > most {
 		return fmt.Errorf("oracle: sieve payload holds %d instances, k=%d beta=%v allows %d", n, g.k, g.beta, most)
 	}
+	covered := make([]int, len(g.opt)) // per slot, the users whose cov row holds its bit
 	g.order = g.order[:0]
-	for s := 0; s < n && r.Err() == nil; s++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s := i
+		if v == gridPayloadVersion {
+			s = r.Len(maxLen)
+			if r.Err() == nil && (s >= g.gainUB.width || g.live[s>>6]&(1<<(s&63)) != 0) {
+				return fmt.Errorf("oracle: sieve payload instance %d holds slot %d: taken, or past the %d a grid has", i, s, g.gainUB.width)
+			}
+		}
 		wi, bit := s>>6, uint64(1)<<(s&63)
 		g.live[wi] |= bit
 		g.opt[s] = r.F64()
 		ns := r.Len(maxLen)
 		if r.Err() == nil && (!sane(g.opt[s]) || ns > g.k) {
-			return fmt.Errorf("oracle: sieve payload instance %d holds OPT guess %v and %d seeds, k=%d", s, g.opt[s], ns, g.k)
+			return fmt.Errorf("oracle: sieve payload instance %d holds OPT guess %v and %d seeds, k=%d", i, g.opt[s], ns, g.k)
 		}
 		for j := 0; j < ns && r.Err() == nil; j++ {
 			u := stream.UserID(r.Uvarint())
 			row := g.seedOf.row(uint32(u))
 			if row[wi]&bit != 0 && r.Err() == nil {
-				return fmt.Errorf("oracle: sieve payload instance %d holds seed %d twice", s, u)
+				return fmt.Errorf("oracle: sieve payload instance %d holds seed %d twice", i, u)
 			}
 			g.seeds[s] = append(g.seeds[s], u)
 			row[wi] |= bit
@@ -216,35 +181,57 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 		if len(g.seeds[s]) >= g.k {
 			g.full[wi] |= bit
 		}
-		nm := r.Len(maxLen)
-		prev, covered := uint32(0), 0
-		for j := 0; j < nm && r.Err() == nil; j++ {
-			prev += uint32(r.Uvarint())
-			row := g.cov.row(prev)
-			if row[wi]&bit == 0 {
-				covered++
+		if v == gridPayloadV1 {
+			nm, u := r.Len(maxLen), uint32(0)
+			for j := 0; j < nm && r.Err() == nil; j++ {
+				u += uint32(r.Uvarint())
+				if row := g.cov.row(u); row[wi]&bit == 0 {
+					row[wi] |= bit
+					covered[s]++
+				}
 			}
-			row[wi] |= bit
 		}
 		g.value[s] = r.F64()
-		if r.Err() == nil && (!sane(g.value[s]) || g.w == nil && g.value[s] != float64(covered)) {
-			return fmt.Errorf("oracle: sieve payload instance %d holds value %v over %d covered users", s, g.value[s], covered)
+		if r.Err() == nil && !sane(g.value[s]) {
+			return fmt.Errorf("oracle: sieve payload instance %d holds value %v", i, g.value[s])
 		}
-		ng := r.Len(maxLen)
-		for j := 0; j < ng && r.Err() == nil; j++ {
-			k := uint32(r.Uvarint())
-			row := g.gainUB.find(k)
-			if !row.ok() {
-				row = g.gainUB.insert(k)
+		if v == gridPayloadV1 { // the gain bounds: checked, then dropped
+			ng := r.Len(maxLen)
+			for j := 0; j < ng && r.Err() == nil; j++ {
+				if u, ub := r.Uvarint(), r.F64(); !(ub >= 0) && r.Err() == nil {
+					return fmt.Errorf("oracle: sieve payload holds gain bound %v for user %d", ub, u)
+				}
 			}
-			ub := r.F64()
-			if !(ub >= 0) && r.Err() == nil {
-				return fmt.Errorf("oracle: sieve payload holds gain bound %v for user %d", ub, k)
+		}
+		g.order = append(g.order, s)
+	}
+	rows := 0
+	if v == gridPayloadVersion {
+		rows = r.Len(maxLen)
+	}
+	for i, next := 0, uint64(0); i < rows && r.Err() == nil; i++ { // next: one past the last row's user
+		d := r.Uvarint()
+		if r.Err() == nil && (d == 0 || d > math.MaxUint32+1-next) {
+			return fmt.Errorf("oracle: sieve payload cov row %d: users do not strictly ascend", i)
+		}
+		next += d
+		row, set, stray := g.cov.row(uint32(next-1)), uint64(0), uint64(0)
+		for wi := range row {
+			row[wi] = r.U64()
+			set, stray = set|row[wi], stray|row[wi]&^g.live[wi]
+			for word := row[wi]; word != 0; word &= word - 1 {
+				covered[wi<<6|bits.TrailingZeros64(word)]++
 			}
-			row.set(s, ub)
+		}
+		if r.Err() == nil && (set == 0 || stray != 0) {
+			return fmt.Errorf("oracle: sieve payload cov row of user %d holds %x, live slots %x", next-1, row, g.live)
+		}
+	}
+	for i, s := range g.order {
+		if r.Err() == nil && g.w == nil && g.value[s] != float64(covered[s]) {
+			return fmt.Errorf("oracle: sieve payload instance %d holds value %v over %d covered users", i, g.value[s], covered[s])
 		}
 		g.thr[s] = g.threshold(s)
-		g.order = append(g.order, s)
 	}
 	g.bestVal = r.F64()
 	nb := r.Len(maxLen)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -145,7 +146,7 @@ func TestPersistTruncated(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsWhatNoGridSaves: hand-built version-1 sieve payloads a
+// TestRestoreRejectsWhatNoGridSaves: hand-built version 1 sieve payloads a
 // grid of this k and β cannot have written are errors, not state — one more
 // instance than the grid ever holds (a gain-bound row has no column for it),
 // a negative gain bound (which a row reads as "no bound"), more than k seeds
@@ -167,7 +168,7 @@ func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
 	payload := func(g fields) []byte {
 		var buf bytes.Buffer
 		w := wire.NewWriter(&buf)
-		w.Uvarint(gridPayloadVersion)
+		w.Uvarint(gridPayloadV1)
 		w.Varint(1) // elements
 		w.F64(g.m)
 		w.Varint(int64(g.jLo))
@@ -235,6 +236,87 @@ func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
 		{"value below the covered count", func(g *fields) { g.covered = 5 }},
 	} {
 		g := good
+		c.edit(&g)
+		if err := restore(g); err == nil {
+			t.Errorf("%s: payload restored", c.name)
+		}
+	}
+}
+
+// TestRestoreRejectsWhatNoGridSavesV2: the version 2 twin of the test
+// above, for what the slot numbers and the user-major cov rows can state
+// that the version 1 layout could not — a slot at or past the width of a
+// gain-bound row, one slot held by two instances, rows that do not strictly
+// ascend by user, a zero row, a bit in a slot no instance holds, and a slot
+// value other than the number of rows with its bit (this grid's objective is
+// cardinality).
+func TestRestoreRejectsWhatNoGridSavesV2(t *testing.T) {
+	const k = 4
+	most := NewSieve(k, 0.2, nil).gainUB.width
+	type row struct {
+		delta uint64
+		word  uint64
+	}
+	type fields struct {
+		slots []int
+		rows  []row
+		value float64
+	}
+	// Slots 0 and 3 each cover users 4 and 9; slot 3 also covers user 10.
+	good := fields{slots: []int{3, 0}, rows: []row{{5, 1<<0 | 1<<3}, {5, 1<<0 | 1<<3}, {1, 1 << 3}}}
+	payload := func(g fields) []byte {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		w.Uvarint(gridPayloadVersion)
+		w.Varint(1) // elements
+		w.F64(1)    // m
+		w.Varint(0) // jLo
+		w.Uvarint(uint64(len(g.slots)))
+		for i, s := range g.slots {
+			w.Uvarint(uint64(s))
+			w.F64(1)     // OPT guess
+			w.Uvarint(1) // one seed
+			w.Uvarint(uint64(i))
+			covered := 0
+			for _, r := range g.rows {
+				covered += int(r.word >> s & 1)
+			}
+			w.F64(float64(covered) + g.value)
+		}
+		w.Uvarint(uint64(len(g.rows)))
+		for _, r := range g.rows {
+			w.Uvarint(r.delta)
+			w.U64(r.word)
+		}
+		w.F64(3)
+		w.Uvarint(0) // best seeds
+		w.Bool(false)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	restore := func(g fields) error {
+		return NewSieve(k, 0.2, nil).RestoreState(wire.NewReader(bytes.NewReader(payload(g))))
+	}
+	if err := restore(good); err != nil {
+		t.Fatalf("two instances in slots 3 and 0: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*fields)
+	}{
+		{"slot at the row width", func(g *fields) { g.slots[1] = most }},
+		{"one slot twice", func(g *fields) { g.slots[1] = 3 }},
+		{"a user twice", func(g *fields) { g.rows[1].delta = 0 }},
+		{"users past uint32", func(g *fields) { g.rows[1].delta = 1 << 32 }},
+		{"a zero row", func(g *fields) { g.rows[2].word = 0 }},
+		{"a bit in a free slot", func(g *fields) { g.rows[2].word |= 1 << 1 }},
+		{"value above the covered count", func(g *fields) { g.value = 1 }},
+	} {
+		g := good
+		g.slots = slices.Clone(good.slots)
+		g.rows = slices.Clone(good.rows)
 		c.edit(&g)
 		if err := restore(g); err == nil {
 			t.Errorf("%s: payload restored", c.name)

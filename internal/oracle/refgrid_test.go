@@ -2,8 +2,10 @@ package oracle
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -286,7 +288,7 @@ func (g *refGrid) Stats() Stats { return Stats{Instances: len(g.insts), Elements
 // coverage set sorted and delta-coded the way submod.Coverage.Save wrote it
 // when the sets were private.
 func (g *refGrid) SaveState(w *wire.Writer) error {
-	w.Uvarint(gridPayloadVersion)
+	w.Uvarint(gridPayloadV1)
 	w.Varint(g.elements)
 	w.F64(g.m)
 	w.Varint(int64(g.jLo))
@@ -439,89 +441,136 @@ func stateBytes(t *testing.T, o interface{ SaveState(*wire.Writer) error }) []by
 	return buf.Bytes()
 }
 
-// gridPayload is a version-1 sieve payload taken apart: rest is everything
-// but the gain bounds, in payload order (floats as their bits), and
-// bounds[i] instance i's.
-type gridPayload struct {
-	rest   []uint64
-	bounds []map[stream.UserID]float64
+// gridState is a sieve grid's state in one shape for the grid's version 2
+// payload and the reference's instances: floats as their bits, instances in
+// exponent order, each with its covered users ascending.
+type gridState struct {
+	elements  int64
+	m         uint64
+	jLo       int64
+	insts     []instState
+	bestVal   uint64
+	bestSeeds []stream.UserID
+	dirty     bool
 }
 
-func parseGridPayload(t *testing.T, payload []byte) gridPayload {
+type instState struct {
+	slot       int // the payload's; the reference has none
+	opt, value uint64
+	seeds, cov []stream.UserID
+}
+
+// savedState takes g's version 2 payload apart.
+func savedState(t *testing.T, g *grid) gridState {
 	t.Helper()
-	r := wire.NewReader(bytes.NewReader(payload))
-	p := gridPayload{rest: make([]uint64, 0, len(payload))} // a value takes at least a byte
-	keep := func(v ...uint64) { p.rest = append(p.rest, v...) }
-	f64 := func() uint64 { return math.Float64bits(r.F64()) }
-	users := func() {
-		n := r.Len(maxLen)
-		keep(uint64(n))
-		for i := 0; i < n && r.Err() == nil; i++ {
-			keep(r.Uvarint())
+	r := wire.NewReader(bytes.NewReader(stateBytes(t, g)))
+	users := func() []stream.UserID {
+		us := []stream.UserID{}
+		for i, n := 0, r.Len(maxLen); i < n && r.Err() == nil; i++ {
+			us = append(us, stream.UserID(r.Uvarint()))
+		}
+		return us
+	}
+	if v := r.Uvarint(); v != gridPayloadVersion {
+		t.Fatalf("payload version %d, want %d", v, gridPayloadVersion)
+	}
+	st := gridState{elements: r.Varint(), m: r.U64(), jLo: r.Varint()}
+	inst := map[int]int{} // slot → instance
+	for i, n := 0, r.Len(maxLen); i < n && r.Err() == nil; i++ {
+		slot := int(r.Uvarint())
+		inst[slot] = i
+		st.insts = append(st.insts, instState{slot: slot, opt: r.U64(), seeds: users(), value: r.U64(), cov: []stream.UserID{}})
+	}
+	user := uint64(0)
+	for i, n := 0, r.Len(maxLen); i < n && r.Err() == nil; i++ {
+		user += r.Uvarint()
+		for wi := range g.live {
+			for word := r.U64(); word != 0; word &= word - 1 {
+				j := inst[wi<<6|bits.TrailingZeros64(word)]
+				st.insts[j].cov = append(st.insts[j].cov, stream.UserID(user-1))
+			}
 		}
 	}
-	keep(r.Uvarint(), uint64(r.Varint()), f64(), uint64(r.Varint()))
-	n := r.Len(maxLen)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		keep(f64())
-		users() // seeds
-		users() // covered members, delta-coded
-		keep(f64())
-		ub := map[stream.UserID]float64{}
-		for j, ng := 0, r.Len(maxLen); j < ng && r.Err() == nil; j++ {
-			u := stream.UserID(r.Uvarint())
-			ub[u] = r.F64()
-		}
-		p.bounds = append(p.bounds, ub)
-	}
-	keep(f64())
-	users() // best seeds
-	dirty := uint64(0)
-	if r.Bool() {
-		dirty = 1
-	}
-	keep(dirty)
+	st.bestVal, st.bestSeeds, st.dirty = r.U64(), users(), r.Bool()
 	if err := r.Err(); err != nil {
 		t.Fatalf("parsing sieve payload: %v", err)
 	}
-	return p
+	return st
 }
 
-// checkStateAgainstReference compares the grid's saved state with the
-// reference's. Everything but the gain bounds must be equal. The bounds are
-// where the two rules differ — the reference adds Latest's weight on every
-// re-offer, the grid only where the slot does not cover Latest, and each
-// rescans when its own bound reaches the threshold — so the grid's are held
-// to what makes them bounds. Both rules cache an entry at the same moments
-// (a first scan that rejects), so the entries are the same; and for every
-// entry an instance can still read, the user's true marginal gain,
-// recomputed from the reference's private coverage and the user's latest
-// set, is at most the grid's bound, which is at most the set's full value
-// (every weight the rule adds belongs to a distinct member).
-func checkStateAgainstReference(t *testing.T, got interface{ SaveState(*wire.Writer) error }, ref *refGrid, last map[stream.UserID]Element) {
+// refState is the reference's state in savedState's shape.
+func refState(g *refGrid) gridState {
+	st := gridState{
+		elements: g.elements, m: math.Float64bits(g.m), jLo: int64(g.jLo),
+		bestVal: math.Float64bits(g.bestVal), bestSeeds: append([]stream.UserID{}, g.bestSeeds...), dirty: g.dirty,
+	}
+	for _, inst := range g.insts {
+		cov := []stream.UserID{}
+		for v := stream.UserID(0); len(cov) < inst.cov.Len(); v++ {
+			if inst.cov.Has(v) {
+				cov = append(cov, v)
+			}
+		}
+		st.insts = append(st.insts, instState{
+			slot: -1, opt: math.Float64bits(inst.opt), value: math.Float64bits(inst.cov.Value()),
+			seeds: append([]stream.UserID{}, inst.seeds...), cov: cov,
+		})
+	}
+	return st
+}
+
+// checkStateAgainstReference compares the grid's state with the
+// reference's. What the grid saves must be the reference's instances, each
+// in the slot the grid's order gives it. The gain bounds, which the grid
+// does not save, are where the two rules differ — the reference adds
+// Latest's weight on every re-offer, the grid only where the slot does not
+// cover Latest, and each rescans when its own bound reaches the threshold —
+// so the grid's, read from its table, are held to what makes them bounds.
+// Both rules cache an entry at the same moments (a first scan that
+// rejects), so the entries are the same; and for every entry an instance
+// can still read, the user's true marginal gain, recomputed from the
+// reference's private coverage and the user's latest set, is at most the
+// grid's bound, which is at most the set's full value (every weight the
+// rule adds belongs to a distinct member).
+func checkStateAgainstReference(t *testing.T, g *grid, ref *refGrid, last map[stream.UserID]Element) {
 	t.Helper()
-	gp, rp := parseGridPayload(t, stateBytes(t, got)), parseGridPayload(t, stateBytes(t, ref))
-	if !slices.Equal(gp.rest, rp.rest) {
-		t.Fatal("SaveState payloads differ from the reference's outside the gain bounds")
+	got, want := savedState(t, g), refState(ref)
+	for i := range got.insts {
+		if s := got.insts[i].slot; s != g.order[i] {
+			t.Fatalf("instance %d saved in slot %d, the grid holds it in %d", i, s, g.order[i])
+		}
+		got.insts[i].slot = -1
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the saved state differs from the reference's")
 	}
 	const ulps = 1e-9 // bound and gain sum the same weights in different orders
 	for i, inst := range ref.insts {
-		if len(gp.bounds[i]) != len(rp.bounds[i]) {
-			t.Fatalf("instance %d: %d gain bounds, reference %d", i, len(gp.bounds[i]), len(rp.bounds[i]))
+		bounds := map[stream.UserID]float64{}
+		for _, c := range g.gainUB.index {
+			if c == 0 {
+				continue
+			}
+			if row := g.gainUB.at(c); row.get(g.order[i]) >= 0 {
+				bounds[stream.UserID(c>>32)] = row.get(g.order[i])
+			}
 		}
-		for u := range rp.bounds[i] {
-			ub, ok := gp.bounds[i][u]
+		if len(bounds) != len(inst.gainUB) {
+			t.Fatalf("instance %d: %d gain bounds, reference %d", i, len(bounds), len(inst.gainUB))
+		}
+		for u := range inst.gainUB {
+			ub, ok := bounds[stream.UserID(u)]
 			if !ok {
 				t.Fatalf("instance %d: no gain bound for user %d", i, u)
 			}
-			if len(inst.seeds) >= ref.k || inst.inSeeds.Has(uint32(u)) {
+			if len(inst.seeds) >= ref.k || inst.inSeeds.Has(u) {
 				continue // full, or u admitted since: the entry is never read again
 			}
 			gain := 0.0
-			for _, c := range last[u].Prefix {
+			for _, c := range last[stream.UserID(u)].Prefix {
 				gain += inst.cov.Gain(c.V)
 			}
-			if full := ref.singleton(last[u]); ub < gain-ulps || ub > full+ulps {
+			if full := ref.singleton(last[stream.UserID(u)]); ub < gain-ulps || ub > full+ulps {
 				t.Fatalf("instance %d user %d: bound %v outside [true gain %v, set value %v]", i, u, ub, gain, full)
 			}
 		}
@@ -628,7 +677,7 @@ func TestInstanceRecycling(t *testing.T) {
 	if !reflect.DeepEqual(got.Seeds(), ref.Seeds()) {
 		t.Fatalf("seeds diverged: %v vs %v", got.Seeds(), ref.Seeds())
 	}
-	checkStateAgainstReference(t, got, ref, last)
+	checkStateAgainstReference(t, &got.grid, ref, last)
 }
 
 // TestGridResetIsFresh: a grid that ran one stream and was Reset is a fresh
@@ -686,9 +735,10 @@ func TestGridResetIsFresh(t *testing.T) {
 	}
 }
 
-// goldenCases name SaveState payloads written by the instance-major grid at
-// the commit before the layout change (testdata/grid_v1_<name>.bin), each
-// after goldenStream's written part.
+// goldenCases name the SaveState payloads in testdata, each written after
+// goldenStream's written part: grid_v1_<name>.bin by the instance-major grid
+// at the commit before the layout change, grid_v2_<name>.bin by the grid
+// that wrote its tables as memory holds them (TestGoldenStateV2 -update).
 var goldenCases = []struct {
 	name     string
 	kind     Kind
@@ -700,6 +750,8 @@ var goldenCases = []struct {
 	{"threshold_k10_b10_weighted", ThresholdStream, 10, 0.1, true},
 	{"sieve_k200_b03_weighted", SieveStreaming, 200, 0.03, true},
 }
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/grid_v2_*.bin from this tree's grid")
 
 // goldenRandom is how many setStream elements open the golden stream.
 const goldenRandom = 3000
@@ -729,12 +781,42 @@ func goldenStream() (written, cont []Element) {
 	return written, cont
 }
 
+// restoreGolden restores payload onto a fresh oracle of tc's configuration.
+func restoreGolden(t *testing.T, kind Kind, k int, beta float64, w submod.Weights, payload []byte) Persistent {
+	t.Helper()
+	o := NewFactory(kind, beta, w)(k).(Persistent)
+	if err := o.RestoreState(wire.NewReader(bytes.NewReader(payload))); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	return o
+}
+
+// decidesLikeReference feeds cont to o and to a reference that was fed
+// written first, and fails unless the two agree on the value after every
+// element and on the seeds and candidates at the end.
+func decidesLikeReference(t *testing.T, o Persistent, ref *refGrid, cont []Element) {
+	t.Helper()
+	for i, e := range cont {
+		o.Process(e)
+		ref.Process(e)
+		if rv, fv := o.Value(), ref.Value(); rv != fv {
+			t.Fatalf("element %d after restore: value %v, reference %v", i, rv, fv)
+		}
+	}
+	if rs, fs := o.Seeds(), ref.Seeds(); !reflect.DeepEqual(rs, fs) {
+		t.Fatalf("after restore: seeds %v, reference %v", rs, fs)
+	}
+	if rc, fc := o.(CandidateSource).Candidates(), ref.Candidates(); !reflect.DeepEqual(rc, fc) {
+		t.Fatalf("after restore: candidates %v, reference %v", rc, fc)
+	}
+}
+
 // TestGoldenStateV1 is the upgrade contract: payloads written before the
-// layout change restore and re-save byte for byte, are what the reference
-// (the rule that wrote them) still writes after the same stream, and a grid
-// restored from one keeps deciding like that reference — the bounds an old
-// snapshot carries are looser than the grid would have cached, and still
-// bounds.
+// layout change restore, are what the reference (the rule that wrote them)
+// still writes after the same stream, and a grid restored from one keeps
+// deciding like that reference. The bounds an old snapshot carries are
+// dropped. The restored grid saves version 2, which loads and re-saves
+// byte for byte.
 func TestGoldenStateV1(t *testing.T) {
 	written, cont := goldenStream()
 	if len(cont) != 500 {
@@ -750,12 +832,10 @@ func TestGoldenStateV1(t *testing.T) {
 			if tc.weighted {
 				w = testWeights()
 			}
-			restored := NewFactory(tc.kind, tc.beta, w)(tc.k).(Persistent)
-			if err := restored.RestoreState(wire.NewReader(bytes.NewReader(want))); err != nil {
-				t.Fatalf("RestoreState: %v", err)
-			}
-			if !bytes.Equal(stateBytes(t, restored), want) {
-				t.Fatal("restored payload does not re-save byte-identically")
+			restored := restoreGolden(t, tc.kind, tc.k, tc.beta, w, want)
+			v2 := stateBytes(t, restored)
+			if !bytes.Equal(stateBytes(t, restoreGolden(t, tc.kind, tc.k, tc.beta, w, v2)), v2) {
+				t.Fatal("the version 2 payload a restored grid saves does not re-save byte-identically")
 			}
 			ref := newRefGrid(tc.k, tc.beta, w, tc.kind == ThresholdStream)
 			for _, e := range written {
@@ -764,19 +844,49 @@ func TestGoldenStateV1(t *testing.T) {
 			if !bytes.Equal(stateBytes(t, ref), want) {
 				t.Fatal("the reference no longer reproduces the payload from its stream")
 			}
-			for i, e := range cont {
-				restored.Process(e)
-				ref.Process(e)
-				if rv, fv := restored.Value(), ref.Value(); rv != fv {
-					t.Fatalf("element %d after restore: value %v, reference %v", i, rv, fv)
+			decidesLikeReference(t, restored, ref, cont)
+		})
+	}
+}
+
+// TestGoldenStateV2 pins the version 2 payload: the grid fed goldenStream's
+// written part still saves the committed bytes, a grid restored from them
+// re-saves them byte for byte, and it keeps deciding like the reference fed
+// the same stream.
+func TestGoldenStateV2(t *testing.T) {
+	written, cont := goldenStream()
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "grid_v2_"+tc.name+".bin")
+			var w submod.Weights
+			if tc.weighted {
+				w = testWeights()
+			}
+			fed := NewFactory(tc.kind, tc.beta, w)(tc.k).(Persistent)
+			for _, e := range written {
+				fed.Process(e)
+			}
+			if *updateGolden {
+				if err := os.WriteFile(path, stateBytes(t, fed), 0o644); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if rs, fs := restored.Seeds(), ref.Seeds(); !reflect.DeepEqual(rs, fs) {
-				t.Fatalf("after restore: seeds %v, reference %v", rs, fs)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if rc, fc := restored.(CandidateSource).Candidates(), ref.Candidates(); !reflect.DeepEqual(rc, fc) {
-				t.Fatalf("after restore: candidates %v, reference %v", rc, fc)
+			if !bytes.Equal(stateBytes(t, fed), want) {
+				t.Fatal("the grid fed the golden stream no longer saves the committed payload")
 			}
+			restored := restoreGolden(t, tc.kind, tc.k, tc.beta, w, want)
+			if !bytes.Equal(stateBytes(t, restored), want) {
+				t.Fatal("restored payload does not re-save byte-identically")
+			}
+			ref := newRefGrid(tc.k, tc.beta, w, tc.kind == ThresholdStream)
+			for _, e := range written {
+				ref.Process(e)
+			}
+			decidesLikeReference(t, restored, ref, cont)
 		})
 	}
 }

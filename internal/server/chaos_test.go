@@ -276,8 +276,9 @@ func TestChaosCrashMatrix(t *testing.T) {
 		{name: "snapshot-write-enospc", rules: "op=write,path=snapshot.sim2,times=2,err=ENOSPC"},
 		{name: "snapshot-sync-eio", rules: "op=sync,path=snapshot.sim2,times=1,err=EIO"},
 		{name: "snapshot-rename-eio", rules: "op=rename,path=snapshot.sim2,times=1,err=EIO"},
-		// The fourth snapshot write, the second snapshot's last, begins at
-		// the 64 KiB file buffer's first boundary: inside CORE's payload.
+		// The fourth snapshot write, the third snapshot's last (the first two
+		// fit the 64 KiB file buffer, one write each), begins at the buffer's
+		// first boundary: inside CORE's payload.
 		{name: "snapshot-write-midsection", rules: "op=write,path=snapshot.sim2,after=3,times=1,err=EIO", midCore: true},
 		{name: "names-write-eio", rules: "op=write,path=wal.log,times=1,err=EIO", names: true},
 		{name: "names-poisoned-rollback", rules: "op=write,path=wal.log,times=1,err=EIO;op=truncate,path=wal.log,after=1,times=1,err=EIO", names: true, rearms: true},

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -277,5 +280,78 @@ func TestBootsDamagedDataDir(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWALRefusesMidLogCorruption flips one bit in the middle of each record
+// of the names-in-wal row's wal.log, one record at a time, and boots. A torn
+// write can only be the last record, so a bad record with a valid one behind
+// it is corruption: boot must refuse it, naming the file and the record, and
+// leave the log as it found it. A bad last record is the torn tail: boot
+// cuts it and serves the acknowledged prefix before it.
+func TestWALRefusesMidLogCorruption(t *testing.T) {
+	row := filepath.Join("testdata", "datadirs", "names-in-wal")
+	log, err := os.ReadFile(filepath.Join(row, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []int // each record's first byte: tag · uvarint length · payload · CRC-32
+	for off := 0; off < len(log); {
+		starts = append(starts, off)
+		n, k := binary.Uvarint(log[off+1:])
+		off += 1 + k + int(n) + 4
+	}
+	if len(starts) < 3 {
+		t.Fatalf("the row's log holds %d records, too few to corrupt one mid-log", len(starts))
+	}
+	all := corpusStream()
+	for i, start := range starts {
+		t.Run(fmt.Sprintf("record-%d-of-%d", i+1, len(starts)), func(t *testing.T) {
+			end := len(log)
+			if i+1 < len(starts) {
+				end = starts[i+1]
+			}
+			damaged := bytes.Clone(log)
+			damaged[(start+end)/2] ^= 0x10
+			dir := t.TempDir()
+			copyTree(t, row, filepath.Join(dir, "default"))
+			path := filepath.Join(dir, "default", walFileName)
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := NewRegistry()
+			reg.SetDataDir(dir)
+			defer reg.Close()
+			tr, err := reg.Add("default", corpusSpec)
+			if i+1 < len(starts) {
+				if want := fmt.Sprintf("%s record %d:", path, i+1); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("boot: %v; want a refusal naming %q", err, want)
+				}
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, damaged) {
+					t.Fatalf("the refused boot changed %s (%v)", walFileName, err)
+				}
+				t.Logf("refused: %v", err)
+				return
+			}
+			if err != nil {
+				t.Fatalf("boot with the last record torn: %v", err)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(start) {
+				t.Fatalf("boot left %s with %v bytes (%v), want the %d before the torn record", walFileName, fi.Size(), err, start)
+			}
+			processed := tr.Snapshot().Processed
+			ref := NewRegistry()
+			defer ref.Close()
+			spec := corpusSpec
+			spec.MemoryBudgetBytes = 0
+			want, err := ref.Add("default", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submitChunks(t, want, internStream(all[:processed], want.Names()), 100)
+			if got, prefix := serveAnswers(t, reg), serveAnswers(t, ref); !reflect.DeepEqual(got, prefix) {
+				t.Fatalf("booted at %d actions, serves %+v; the first %d actions serve %+v", processed, got, processed, prefix)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/fault"
@@ -33,12 +34,14 @@ import (
 // torn write can only sit at the tail, from a kill -9 mid-append: replay
 // stops at the first frame that fails to parse or checksum, and openWAL cuts
 // it away before the first new append, or what is acknowledged next would sit
-// out of the next replay's reach. A *failed* append is rolled back by
-// truncating to the last good size; if that fails too the log is poisoned and
-// refuses every append until a fresh snapshot covers what it holds and it is
-// reopened empty — the serving layer's degraded-readonly → recovering →
-// ok cycle (registry.go). A crash between that snapshot's rename and the
-// truncate is safe: replay skips covered records by ID and stops at the junk.
+// out of the next replay's reach. A bad frame with a valid record anywhere
+// behind it is no torn write but corruption, and replay refuses the log. A
+// *failed* append is rolled back by truncating to the last good size; if
+// that fails too the log is poisoned and refuses every append until a fresh
+// snapshot covers what it holds and it is reopened empty — the serving
+// layer's degraded-readonly → recovering → ok cycle (registry.go). A crash
+// between that snapshot's rename and the truncate is safe: replay skips
+// covered records by ID and stops at the junk.
 // All file access goes through the fault.FS seam, so every edge is injectable.
 
 // ErrDurability wraps disk failures of the durable path (WAL appends).
@@ -150,8 +153,10 @@ func (w *wal) close() error { return w.f.Close() }
 
 // replayWAL streams the log's records to apply in append order and returns,
 // as size, the length of the records it parsed. It tolerates a torn tail (see
-// the package comment above): parsing stops cleanly at the first incomplete
-// or checksum-failing frame, size bytes in. A missing file is an empty log.
+// the package comment above): parsing stops cleanly at the first frame that
+// is cut short or fails its checksum, size bytes in — unless a valid record
+// follows it, which no torn write leaves: that is corruption, refused with
+// the record's number and nothing truncated. A missing file is an empty log.
 // apply errors abort the replay, named by file and record number.
 func replayWAL(fs fault.FS, path string, apply func(rec walRecord) error) (batches, actions int, size int64, err error) {
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
@@ -164,27 +169,18 @@ func replayWAL(fs fault.FS, path string, apply func(rec walRecord) error) (batch
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
 	for {
-		tag, err := br.ReadByte()
-		if err == io.EOF {
+		if _, err := br.Peek(1); err == io.EOF {
 			return batches, actions, size, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return batches, actions, size, fmt.Errorf("server: reading WAL: %w", err)
 		}
-		// A frame that is cut short or fails its checksum is the torn tail.
-		n, err := binary.ReadUvarint(br)
-		if tag != walRecordTag || err != nil || n > maxWALRecordBytes {
-			return batches, actions, size, nil
-		}
-		// Payload · CRC, read only as far as the file goes: a torn length
-		// claim allocates nothing beyond it.
-		frame, err := io.ReadAll(io.LimitReader(br, int64(n)+4))
-		if err != nil || uint64(len(frame)) != n+4 || crc32.ChecksumIEEE(frame[:n]) != binary.LittleEndian.Uint32(frame[n:]) {
-			return batches, actions, size, nil
+		payload, n, bad := readFrame(br)
+		if bad != "" {
+			return batches, actions, size, corruptAfter(f, path, batches+1, size, bad)
 		}
 		// A CRC-valid record that does not decode is real corruption, not a
 		// torn write: surface it, as any record apply refuses.
-		rec, err := decodeWALPayload(frame[:n])
+		rec, err := decodeWALPayload(payload)
 		if err == nil {
 			err = apply(rec)
 		}
@@ -193,9 +189,66 @@ func replayWAL(fs fault.FS, path string, apply func(rec walRecord) error) (batch
 		}
 		batches++
 		actions += len(rec.batch)
-		var lenBuf [binary.MaxVarintLen64]byte // tag + length + payload + CRC
-		size += int64(1 + binary.PutUvarint(lenBuf[:], n) + len(frame))
+		size += n
 	}
+}
+
+// readFrame reads the frame r starts with, returning its payload and its
+// length, or why r does not start with a whole, intact frame.
+func readFrame(r interface {
+	io.Reader
+	io.ByteReader
+}) (payload []byte, size int64, bad string) {
+	if tag, err := r.ReadByte(); err != nil || tag != walRecordTag {
+		return nil, 0, "no record tag"
+	}
+	// The length, in the bytes append writes it in: a padded varint is no
+	// frame the log writes, and would throw size off by its padding.
+	k, last := 0, byte(0)
+	n, err := binary.ReadUvarint(byteReader(func() (b byte, err error) {
+		b, err = r.ReadByte()
+		k, last = k+1, b
+		return b, err
+	}))
+	if err != nil || n > maxWALRecordBytes || k > 1 && last == 0 {
+		return nil, 0, "a malformed length"
+	}
+	// Payload · CRC, read only as far as the input goes: a torn length claim
+	// allocates nothing beyond it.
+	frame, err := io.ReadAll(io.LimitReader(r, int64(n)+4))
+	if err != nil || uint64(len(frame)) != n+4 {
+		return nil, 0, "cut short"
+	}
+	if crc32.ChecksumIEEE(frame[:n]) != binary.LittleEndian.Uint32(frame[n:]) {
+		return nil, 0, "a checksum mismatch"
+	}
+	return frame[:n], int64(1 + k + len(frame)), ""
+}
+
+// byteReader is a function as an io.ByteReader.
+type byteReader func() (byte, error)
+
+func (f byteReader) ReadByte() (byte, error) { return f() }
+
+// corruptAfter returns nil when nothing in f past the bad frame at off
+// starts a record — the frame is the torn tail — and otherwise the error that
+// refuses the log, naming the bad frame as record.
+func corruptAfter(f fault.File, path string, record int, off int64, bad string) error {
+	rest, err := io.ReadAll(io.NewSectionReader(f, off, math.MaxInt64-off))
+	if err != nil {
+		return fmt.Errorf("server: reading WAL: %w", err)
+	}
+	r := bytes.NewReader(nil)
+	for i := 1; i < len(rest); i++ {
+		r.Reset(rest[i:])
+		if payload, _, why := readFrame(r); why == "" {
+			if _, err := decodeWALPayload(payload); err == nil {
+				return fmt.Errorf("server: %s record %d: %s, and a valid record starts %d bytes after it: %d bytes follow the last good record, which a torn write does not leave",
+					path, record, bad, i, len(rest))
+			}
+		}
+	}
+	return nil
 }
 
 // encodeWALPayload writes rec's payload (the layout in the comment above),

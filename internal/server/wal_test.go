@@ -103,20 +103,37 @@ func TestAppendLog(t *testing.T) {
 
 // FuzzWALReplay feeds arbitrary bytes to the WAL parser as a log file. The
 // laws: replay never panics; the length it parsed is at most the input's;
-// and appending the records it parsed to an empty log writes exactly the
+// appending the records it parsed to an empty log writes exactly the
 // input's first size bytes — the parser takes nothing the writer would not
-// have written, torn tail or not.
+// have written, torn tail or not; and what follows those bytes is a torn
+// tail, which replay accepts, exactly when no later offset starts a record
+// replay would apply — else replay refuses it as corruption.
 func FuzzWALReplay(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var recs []walRecord
+	replay := func(data []byte, apply func(walRecord) error) (int64, error) {
 		in := memFS{f: &memFile{}}
 		in.f.buf.Write(data)
-		_, _, size, _ := replayWAL(in, walFileName, func(rec walRecord) error {
+		_, _, size, err := replayWAL(in, walFileName, apply)
+		return size, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var recs []walRecord
+		size, err := replay(data, func(rec walRecord) error {
 			recs = append(recs, rec)
 			return nil
 		})
 		if size > int64(len(data)) {
 			t.Fatalf("parsed %d bytes of %d", size, len(data))
+		}
+		later := -1 // the first offset past the parsed bytes that starts a record
+		for off := int(size) + 1; off < len(data) && later < 0; off++ {
+			replay(data[off:], func(walRecord) error {
+				later = off
+				return errors.New("found")
+			})
+		}
+		corrupt := err != nil && strings.Contains(err.Error(), "a valid record starts")
+		if err == nil && later >= 0 || corrupt && later < 0 {
+			t.Fatalf("replay stopped %d bytes in with %v; the first record after that starts at %d", size, err, later)
 		}
 		again := &memFile{}
 		w := &wal{f: again}
@@ -135,10 +152,20 @@ func FuzzWALReplay(f *testing.F) {
 // call of one, and nothing else; memFS opens it under any name.
 type memFile struct {
 	fault.File
-	buf bytes.Buffer
+	buf  bytes.Buffer
+	read int64 // Read's offset
 }
 
-func (f *memFile) Read(p []byte) (int, error)  { return f.buf.Read(p) }
+func (f *memFile) Read(p []byte) (int, error) {
+	n, err := f.ReadAt(p, f.read)
+	f.read += int64(n)
+	return n, err
+}
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(f.buf.Bytes()).ReadAt(p, off)
+}
+
 func (f *memFile) Write(p []byte) (int, error) { return f.buf.Write(p) }
 func (f *memFile) Sync() error                 { return nil }
 func (f *memFile) Close() error                { return nil }

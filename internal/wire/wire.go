@@ -63,10 +63,7 @@ func (w *Writer) write(b []byte) {
 }
 
 // Uvarint writes an unsigned varint.
-func (w *Writer) Uvarint(v uint64) { w.write(AppendUvarint(w.buf[:0], v)) }
-
-// AppendUvarint appends v to b as Uvarint writes it.
-func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+func (w *Writer) Uvarint(v uint64) { w.write(binary.AppendUvarint(w.buf[:0], v)) }
 
 // UvarintLen returns the number of bytes Uvarint writes for v.
 func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -88,12 +85,11 @@ func (w *Writer) Int(v int) { w.Varint(int64(v)) }
 // decimal rendering — so accumulated values (coverage sums, oracle
 // thresholds) restore bit-identically and continued runs match
 // uninterrupted ones exactly.
-func (w *Writer) F64(v float64) { w.write(AppendF64(w.buf[:0], v)) }
+func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// AppendF64 appends v to b as F64 writes it.
-func AppendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
+// U64 writes v as eight bytes, little-endian: a word whose bits are the
+// value (a bit row), which a varint would only lengthen.
+func (w *Writer) U64(v uint64) { w.write(binary.LittleEndian.AppendUint64(w.buf[:0], v)) }
 
 // Bool writes a bool as one byte.
 func (w *Writer) Bool(v bool) {
@@ -109,10 +105,6 @@ func (w *Writer) Bytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.write(b)
 }
-
-// Raw writes b verbatim: values its caller already encoded with
-// AppendUvarint and AppendF64, batched into one write.
-func (w *Writer) Raw(b []byte) { w.write(b) }
 
 // String writes s as Bytes writes []byte(s), without that copy when the
 // underlying writer is an io.StringWriter. Reader.Bytes reads it back.
@@ -237,7 +229,10 @@ func (r *Reader) Len(max int) int {
 }
 
 // F64 reads a float64 written by Writer.F64.
-func (r *Reader) F64() float64 {
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// U64 reads a word written by Writer.U64.
+func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -246,7 +241,7 @@ func (r *Reader) F64() float64 {
 		r.fail(err)
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Bool reads a bool written by Writer.Bool.

@@ -105,7 +105,7 @@ func TestWriterAllocs(t *testing.T) {
 		"F64":     func() { w.F64(math.Pi) },
 		"Bool":    func() { w.Bool(true) },
 		"Bytes":   func() { w.Bytes(b) },
-		"Raw":     func() { w.Raw(b) },
+		"U64":     func() { w.U64(1 << 63) },
 		"String":  func() { w.String(s) },
 	} {
 		if got := testing.AllocsPerRun(100, func() { buf.Reset(); write() }); got != 0 {

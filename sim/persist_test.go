@@ -51,8 +51,8 @@ func identityDatasets() []struct {
 // tracker contract: for every generated dataset, both frameworks (IC and
 // SIC) and both window modes (sequence- and time-based), interrupting a run
 // at an arbitrary mid-stream point with SaveTo, reconstructing with Load
-// and finishing the stream yields Seeds, Value and CheckpointStarts
-// bit-identical to a run that was never interrupted — checked at every
+// and finishing the stream yields Seeds, Value, CheckpointStarts and SaveTo
+// bytes identical to a run that was never interrupted — checked at every
 // slide boundary of the remainder, plus the cumulative Stats at the end.
 // Run under -race in CI.
 func TestSaveLoadRoundTripIdentity(t *testing.T) {
@@ -110,6 +110,7 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 					if got, want := resumed.LastID(), ref.LastID(); got != want {
 						t.Fatalf("restored LastID = %d, want %d", got, want)
 					}
+					var got, want bytes.Buffer
 					for i, a := range ds.actions[cut:] {
 						if err := ref.Process(a); err != nil {
 							t.Fatal(err)
@@ -128,6 +129,17 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 						}
 						if c, rc := resumed.CheckpointStarts(), ref.CheckpointStarts(); !reflect.DeepEqual(c, rc) {
 							t.Fatalf("action %d: resumed checkpoints %v != uninterrupted %v", cut+i+1, c, rc)
+						}
+						got.Reset()
+						want.Reset()
+						if err := resumed.SaveTo(&got); err != nil {
+							t.Fatal(err)
+						}
+						if err := ref.SaveTo(&want); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got.Bytes(), want.Bytes()) {
+							t.Fatalf("action %d: the resumed tracker's snapshot differs from the uninterrupted one's", cut+i+1)
 						}
 					}
 					if st, rst := resumed.Stats(), ref.Stats(); st != rst {

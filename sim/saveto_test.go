@@ -16,9 +16,12 @@ import (
 // TestSaveToBytesPinned pins the SHA-256 of SaveTo for three trackers that
 // between them reach every payload writer: the bulk-shaped SIC tracker over
 // SieveStreaming, an IC tracker over ThresholdStream with weights, and a
-// time-based SIC tracker over the BlogWatch swap oracle. The sums were
-// computed at 56d60cb, whose SaveTo built every section in memory before
-// writing it: streaming the sections must not move a byte.
+// time-based SIC tracker over the BlogWatch swap oracle. The BlogWatch sum
+// was computed at 56d60cb, whose SaveTo built every section in memory
+// before writing it: streaming the sections must not move a byte. The two
+// sieve-grid sums were recomputed when the grid payload went to version 2
+// (slots and the user-major cov rows, no gain bounds), the one change to
+// their bytes since.
 func TestSaveToBytesPinned(t *testing.T) {
 	weights := sim.WeightTable{W: map[sim.UserID]float64{}, Default: 1}
 	for u := sim.UserID(0); u < 600; u += 3 {
@@ -30,13 +33,13 @@ func TestSaveToBytesPinned(t *testing.T) {
 		sum  string
 	}{
 		{"bulk-sic-sieve", func(t *testing.T) *sim.Tracker { return bulkShapeTracker(t) },
-			"6fb882dc77dbba33ab86576347ef43105b961b05bad195e3bcd9c295ee2a8ecb"},
+			"832b011b4416c98fbce5b209f48f78d6413d9a7595c3cd038f5f1f2af304c2f2"},
 		{"weighted-ic-threshold", func(t *testing.T) *sim.Tracker {
 			return fedTracker(t, sim.Config{
 				K: 8, WindowSize: 1500, Slide: 100, Beta: 0.2, Framework: sim.IC,
 				Oracle: sim.ThresholdStream, Weights: weights,
 			}, gen.Stream(gen.SynO(600, 5000, 1500, 7)), 100)
-		}, "124544728a05a8e9a4e37a66a15988488fe294433d25479ccb95ae5e5d21f280"},
+		}, "07d8d04397bbed065bf0fcf832380be923d65f46b815ddf807915b50cfe95c46"},
 		{"timebased-sic-blogwatch", func(t *testing.T) *sim.Tracker {
 			return fedTracker(t, sim.Config{
 				K: 6, WindowSize: 900, Slide: 60, Beta: 0.1, Framework: sim.SIC,
