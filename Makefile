@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race benchmark-test bench loc fmt fmt-check vet lint inline-check ci serve smoke spill-smoke fuzz-smoke cover
+.PHONY: all build test race benchmark-test bench loc fmt fmt-check vet lint inline-check ci serve smoke fuzz-smoke cover
 
 all: build
 
@@ -37,19 +37,13 @@ serve:
 	$(GO) run ./cmd/simserve $(SERVE_FLAGS)
 
 # End-to-end smokes against real processes (also a CI step): the serve,
-# recover, chaos and cluster tests of internal/proc build the binaries once
-# and drive them on free loopback ports. The smoke build tag keeps the
-# package out of ./..., so vet and staticcheck name the tag.
+# recover, chaos, cluster and spill tests of internal/proc build the
+# binaries once and drive them on free loopback ports. The spill test boots
+# simserve under a tight -memory-budget, kill -9s it once logs have spilled
+# to cold segments, and checks the restart mapped them. The smoke build tag
+# keeps the package out of ./..., so vet and staticcheck name the tag.
 smoke:
 	$(GO) test -tags smoke -count=1 ./internal/proc/
-
-# End-to-end tiered-storage smoke (also a CI step): boot simserve under a
-# tight -memory-budget, ingest until logs spill to cold segments, kill -9,
-# restart and assert recovery MAPPED the segments (cold state back, WAL
-# replay covers only the tail) and the answer matches an uninterrupted
-# unbudgeted run.
-spill-smoke:
-	sh ./scripts/spill_smoke.sh
 
 # Short fuzz runs of the six hand-written parsers and the streaming snapshot
 # writer (also a CI step): the SIM2 snapshot container, sections written
@@ -130,4 +124,4 @@ inline-check:
 		echo "$$out" | grep -qF "inlining call to $$f" || { echo "$$f is no longer inlined" >&2; exit 1; }; \
 	done; echo "inlined: $(INLINED)"
 
-ci: fmt-check vet lint inline-check build race benchmark-test bench smoke spill-smoke fuzz-smoke cover
+ci: fmt-check vet lint inline-check build race benchmark-test bench smoke fuzz-smoke cover

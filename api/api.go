@@ -121,8 +121,9 @@ type Spec struct {
 	SnapshotWALBytes int64 `json:"snapshot_wal_bytes,omitempty"`
 	// MemoryBudgetBytes bounds the tracker's resident contribution-log
 	// bytes: past it, the longest-idle users' logs spill to immutable cold
-	// segment files at the window's expiry boundary and fault back in on
-	// demand (sim.Config.MemoryBudgetBytes). Answers are bit-identical
+	// segment files at the window's expiry boundary and stay there until
+	// they expire — reads go through to them without moving them back into
+	// RAM (sim.Config.MemoryBudgetBytes). Answers are bit-identical
 	// with or without a budget; only memory residency and I/O change. 0
 	// (the default) never spills. Requires durability: the tracker spills
 	// under <data-dir>/<name>/spill, and a budget without a data dir
@@ -428,8 +429,8 @@ type TrackerMetricsResponse struct {
 	sim.Counters
 	// Boot recovery shape, for durable trackers: whether a snapshot was
 	// mapped in (cold segments re-adopted, not replayed) and how much WAL
-	// tail was replayed on top. The spill smoke test asserts segment-mapped
-	// recovery through these.
+	// tail was replayed on top. internal/proc's TestSpill asserts
+	// segment-mapped recovery through these.
 	RecoveredSnapshot          bool  `json:"recovered_snapshot,omitempty"`
 	RecoveredSnapshotProcessed int64 `json:"recovered_snapshot_processed,omitempty"`
 	RecoveredWALBatches        int   `json:"recovered_wal_batches,omitempty"`

@@ -35,11 +35,13 @@ type RetryPolicy struct {
 	// disables retrying.
 	MaxRetries int
 	// MinBackoff seeds the exponential backoff between attempts; 0 means
-	// 100ms. Each retry doubles it, capped at MaxBackoff (0 means 5s). A
-	// server Retry-After hint is honored when it is longer.
+	// 100ms. Each retry doubles it, capped at 5s (maxBackoff). A server
+	// Retry-After hint is honored when it is longer.
 	MinBackoff time.Duration
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps the wait the retry loop's doubling reaches.
+const maxBackoff = 5 * time.Second
 
 // Client is a typed client for the simserve HTTP API. The zero value is not
 // usable; construct with NewClient. Methods return *Error for any non-2xx
@@ -117,10 +119,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 	backoff := c.Retry.MinBackoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
-	}
-	maxBackoff := c.Retry.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
 	}
 	for attempt := 0; ; attempt++ {
 		err := c.doOnce(ctx, method, path, contentType, body, out)

@@ -85,7 +85,7 @@ func TestRetryAfterMalformed(t *testing.T) {
 }
 
 // TestRetryBackoffDoublingAndCap: with no Retry-After at all the waits
-// double from MinBackoff and clamp at MaxBackoff.
+// double from MinBackoff and clamp at 5 s.
 func TestRetryBackoffDoublingAndCap(t *testing.T) {
 	rs := newRetryServer(t,
 		retryStep{503, "", `{"error":"a","code":503}`},
@@ -93,13 +93,11 @@ func TestRetryBackoffDoublingAndCap(t *testing.T) {
 		retryStep{503, "", `{"error":"c","code":503}`},
 		retryStep{503, "", `{"error":"d","code":503}`},
 	)
-	c, slept := retryClient(rs, RetryPolicy{
-		MaxRetries: 4, MinBackoff: 10 * time.Millisecond, MaxBackoff: 25 * time.Millisecond,
-	})
+	c, slept := retryClient(rs, RetryPolicy{MaxRetries: 4, MinBackoff: 2 * time.Second})
 	if _, err := c.Ingest(context.Background(), "x", retryBatch); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 25 * time.Millisecond}
+	want := []time.Duration{2 * time.Second, 4 * time.Second, 5 * time.Second, 5 * time.Second}
 	if len(*slept) != len(want) {
 		t.Fatalf("slept %v, want %v", *slept, want)
 	}

@@ -76,11 +76,12 @@ type Config struct {
 	// Cold, when non-nil together with a positive ColdBudget, attaches a
 	// cold tier to the stream index: expired-but-retained contribution logs
 	// spill to immutable segment files at the window's expiry boundary
-	// whenever resident log bytes exceed the budget, and fault back in on
-	// demand. Results are bit-identical with or without a cold tier; only
-	// memory residency and I/O change. The store is runtime environment,
-	// not logical configuration — it is shared, never serialized, and must
-	// outlive the framework (the owner closes it).
+	// whenever resident log bytes exceed the budget, and stay there until
+	// they expire: reads go through to the segments without moving a log
+	// back into RAM. Results are bit-identical with or without a cold
+	// tier; only memory residency and I/O change. The store is runtime
+	// environment, not logical configuration — it is shared, never
+	// serialized, and must outlive the framework (the owner closes it).
 	Cold stream.ColdStore
 	// ColdBudget is the resident hot-log byte budget that triggers spilling
 	// (0 = never spill).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -108,5 +109,23 @@ func TestRestoreRefusesChainsNoFrameworkSaves(t *testing.T) {
 				t.Fatalf("a refused Restore committed state: last %d, %d checkpoints, %d processed", g.Stream().Last(), len(g.cps), g.processed)
 			}
 		})
+	}
+}
+
+// TestRestoreRefusesUnwrittenVersion: a payload one version past the one
+// Save writes is refused, and the error names the version.
+func TestRestoreRefusesUnwrittenVersion(t *testing.T) {
+	cfg := Config{K: 3, N: 200, L: 10, Beta: 0.2, Oracle: oracle.NewFactory(oracle.SieveStreaming, 0.2, nil)}
+	f := MustNew(cfg)
+	feed(t, f, randomActions(3, 300, 40, 60, 0.7))
+	var saved bytes.Buffer
+	if err := f.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	b := saved.Bytes()
+	b[0] = corePayloadVersion + 1 // a one-byte uvarint
+	err := MustNew(cfg).Restore(bytes.NewReader(b))
+	if want := fmt.Sprintf("version %d", corePayloadVersion+1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Restore: %v, want an error naming %s", err, want)
 	}
 }

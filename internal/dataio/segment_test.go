@@ -3,10 +3,12 @@ package dataio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -297,6 +299,20 @@ func validSegmentBytes(tb testing.TB, logs [][]stream.Contrib) []byte {
 		tb.Fatal(err)
 	}
 	return raw
+}
+
+// TestParseSegmentRefusesUnwrittenVersion: a segment whose header is one
+// layout version past the one WriteLogs writes is refused as corrupt, and
+// the error names the version.
+func TestParseSegmentRefusesUnwrittenVersion(t *testing.T) {
+	sections := readAllSections(t, validSegmentBytes(t, segLogs()))
+	header := bytes.Clone(sections[segHeaderTag])
+	header[0] = segFormatVersion + 1 // a one-byte uvarint
+	sections[segHeaderTag] = header
+	_, err := parseSegment(buildSnapshot(t, sections, []string{segHeaderTag, segDataTag}))
+	if want := fmt.Sprintf("version %d", segFormatVersion+1); !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("parseSegment: %v, want a corrupt-snapshot error naming %s", err, want)
+	}
 }
 
 // FuzzSegment throws arbitrary bytes at the segment validator — the

@@ -35,11 +35,9 @@ type Persistent interface {
 }
 
 // Per-oracle payload versions, bumped independently of the SIM2 container.
-// A grid reads gridPayloadV1 too: the instance-major layout snapshots
-// carried before the grid wrote its tables as memory holds them.
+// Each oracle reads only the version it writes.
 const (
 	gridPayloadVersion = 2
-	gridPayloadV1      = 1
 	swapPayloadVersion = 1
 )
 
@@ -117,26 +115,23 @@ func (g *grid) SaveState(w *wire.Writer) error {
 // rowKeys holds SaveState's scratch: the cov rows to write, sorted.
 var rowKeys = sync.Pool{New: func() any { return new([]uint64) }}
 
-// RestoreState implements Persistent for the sieve-style oracles. A version
-// 2 payload puts every instance back in its saved slot; open takes the
-// lowest free one, so the restored grid goes on to allocate slots as the
-// uninterrupted one does and saves the same bytes. A version 1 payload puts
-// saved instance i in slot i, with its sorted, delta-coded members, and its
-// gain bounds are dropped.
+// RestoreState implements Persistent for the sieve-style oracles. It puts
+// every instance back in its saved slot; open takes the lowest free one, so
+// the restored grid goes on to allocate slots as the uninterrupted one does
+// and saves the same bytes.
 //
 // A payload no grid of this configuration writes is an error, not state:
-// more instances than a gain-bound row has columns, a slot at or past that
-// width or held twice, more than k seeds in a slot or in the best-ever set,
-// a seed twice in one slot, a negative or non-finite m, OPT guess, slot
-// value, best value or (version 1) gain bound (a NaN m would restore, then
-// answer 0 for good), a lowest guess other than the one retune derives from
-// a positive m, cov rows that do not strictly ascend by user, a zero row or
-// a bit in a slot no instance holds, and — on a cardinality grid, whose
-// slot value is the count of users it covers — a slot value that is not
-// that count.
+// a version other than gridPayloadVersion, more instances than a gain-bound
+// row has columns, a slot at or past that width or held twice, more than k
+// seeds in a slot or in the best-ever set, a seed twice in one slot, a
+// negative or non-finite m, OPT guess, slot value or best value (a NaN m
+// would restore, then answer 0 for good), a lowest guess other than the one
+// retune derives from a positive m, cov rows that do not strictly ascend by
+// user, a zero row or a bit in a slot no instance holds, and — on a
+// cardinality grid, whose slot value is the count of users it covers — a
+// slot value that is not that count.
 func (g *grid) RestoreState(r *wire.Reader) error {
-	v := r.Uvarint()
-	if r.Err() == nil && v != gridPayloadVersion && v != gridPayloadV1 {
+	if v := r.Uvarint(); r.Err() == nil && v != gridPayloadVersion {
 		return fmt.Errorf("oracle: unsupported sieve payload version %d", v)
 	}
 	g.elements = r.Varint()
@@ -155,12 +150,9 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 	covered := make([]int, len(g.opt)) // per slot, the users whose cov row holds its bit
 	g.order = g.order[:0]
 	for i := 0; i < n && r.Err() == nil; i++ {
-		s := i
-		if v == gridPayloadVersion {
-			s = r.Len(maxLen)
-			if r.Err() == nil && (s >= g.gainUB.width || g.live[s>>6]&(1<<(s&63)) != 0) {
-				return fmt.Errorf("oracle: sieve payload instance %d holds slot %d: taken, or past the %d a grid has", i, s, g.gainUB.width)
-			}
+		s := r.Len(maxLen)
+		if r.Err() == nil && (s >= g.gainUB.width || g.live[s>>6]&(1<<(s&63)) != 0) {
+			return fmt.Errorf("oracle: sieve payload instance %d holds slot %d: taken, or past the %d a grid has", i, s, g.gainUB.width)
 		}
 		wi, bit := s>>6, uint64(1)<<(s&63)
 		g.live[wi] |= bit
@@ -181,34 +173,13 @@ func (g *grid) RestoreState(r *wire.Reader) error {
 		if len(g.seeds[s]) >= g.k {
 			g.full[wi] |= bit
 		}
-		if v == gridPayloadV1 {
-			nm, u := r.Len(maxLen), uint32(0)
-			for j := 0; j < nm && r.Err() == nil; j++ {
-				u += uint32(r.Uvarint())
-				if row := g.cov.row(u); row[wi]&bit == 0 {
-					row[wi] |= bit
-					covered[s]++
-				}
-			}
-		}
 		g.value[s] = r.F64()
 		if r.Err() == nil && !sane(g.value[s]) {
 			return fmt.Errorf("oracle: sieve payload instance %d holds value %v", i, g.value[s])
 		}
-		if v == gridPayloadV1 { // the gain bounds: checked, then dropped
-			ng := r.Len(maxLen)
-			for j := 0; j < ng && r.Err() == nil; j++ {
-				if u, ub := r.Uvarint(), r.F64(); !(ub >= 0) && r.Err() == nil {
-					return fmt.Errorf("oracle: sieve payload holds gain bound %v for user %d", ub, u)
-				}
-			}
-		}
 		g.order = append(g.order, s)
 	}
-	rows := 0
-	if v == gridPayloadVersion {
-		rows = r.Len(maxLen)
-	}
+	rows := r.Len(maxLen)
 	for i, next := 0, uint64(0); i < rows && r.Err() == nil; i++ { // next: one past the last row's user
 		d := r.Uvarint()
 		if r.Err() == nil && (d == 0 || d > math.MaxUint32+1-next) {

@@ -2,10 +2,11 @@ package oracle
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/stream"
@@ -146,182 +147,203 @@ func TestPersistTruncated(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsWhatNoGridSaves: hand-built version 1 sieve payloads a
-// grid of this k and β cannot have written are errors, not state — one more
-// instance than the grid ever holds (a gain-bound row has no column for it),
-// a negative gain bound (which a row reads as "no bound"), more than k seeds
-// in a slot or in the best-ever set, a seed twice in one slot, a negative or
-// non-finite m, OPT guess, slot value or best value (a NaN m used to restore
-// and then answer 0 where a sane one answers 24), a lowest guess exponent
-// jLo other than the one retune derives from m, and a slot value other than
-// the number of users the slot covers (this grid's objective is
-// cardinality).
-func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
-	const k = 4
-	most := NewSieve(k, 0.2, nil).gainUB.width
-	type fields struct {
-		instances, seeds, best, covered, jLo int
-		m, opt, value, bestVal, bound        float64
-		dupSeed                              bool
+// TestRestoreRefusesUnwrittenVersions: a payload one version past the one
+// its oracle writes — grid version 3, swap version 2 — is refused, and the
+// error names the version.
+func TestRestoreRefusesUnwrittenVersions(t *testing.T) {
+	for _, tc := range persistCases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.mk()
+			for _, e := range persistElements(100, 9) {
+				o.Process(e)
+			}
+			var buf bytes.Buffer
+			if err := o.(Persistent).SaveState(wire.NewWriter(&buf)); err != nil {
+				t.Fatalf("SaveState: %v", err)
+			}
+			b := buf.Bytes() // the version is its first byte, a one-byte uvarint
+			b[0]++
+			err := tc.mk().(Persistent).RestoreState(wire.NewReader(bytes.NewReader(b)))
+			if want := fmt.Sprintf("version %d", b[0]); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("RestoreState: %v, want an error naming %s", err, want)
+			}
+		})
 	}
-	good := fields{instances: most, seeds: k, best: k, covered: 4, m: 1, opt: 1, value: 4, bestVal: 4, bound: 2}
-	payload := func(g fields) []byte {
-		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		w.Uvarint(gridPayloadV1)
-		w.Varint(1) // elements
-		w.F64(g.m)
-		w.Varint(int64(g.jLo))
-		w.Uvarint(uint64(g.instances))
-		for i := 0; i < g.instances; i++ {
-			w.F64(g.opt)
-			w.Uvarint(uint64(g.seeds))
-			for u := range g.seeds {
-				if g.dupSeed && u == g.seeds-1 {
-					u = 0
-				}
-				w.Uvarint(uint64(u))
+}
+
+// gridPayload describes a hand-built sieve payload for a grid of k =
+// payloadK and β = 0.2; its bytes method writes it in the current grid
+// payload layout.
+type gridPayload struct {
+	slots           []int
+	rows            []gridPayloadRow
+	seeds, best     int // per slot, and best-ever
+	jLo             int
+	m, opt, bestVal float64
+	value           float64 // added to each slot's covered count
+	dupSeed         bool
+	weighted        bool
+}
+
+// gridPayloadRow is one cov row: the user as a delta from the row before,
+// and the word of slots that cover the user.
+type gridPayloadRow struct {
+	delta uint64
+	word  uint64
+}
+
+const payloadK = 4
+
+// goodGridPayload is a payload a grid can have written: slots 0 and 3 each
+// cover users 4 and 9; slot 3 also covers user 10.
+func goodGridPayload() gridPayload {
+	return gridPayload{slots: []int{3, 0}, rows: []gridPayloadRow{{5, 1<<0 | 1<<3}, {5, 1<<0 | 1<<3}, {1, 1 << 3}},
+		seeds: payloadK, best: payloadK, m: 1, opt: 1, bestVal: 3}
+}
+
+// instances edits g to hold n instances in slots 0 … n-1, covering no one.
+func (g *gridPayload) instances(n int) {
+	g.slots, g.rows = make([]int, n), nil
+	for i := range g.slots {
+		g.slots[i] = i
+	}
+}
+
+func (g gridPayload) bytes(t *testing.T) []byte {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	w.Uvarint(gridPayloadVersion)
+	w.Varint(1) // elements
+	w.F64(g.m)
+	w.Varint(int64(g.jLo))
+	w.Uvarint(uint64(len(g.slots)))
+	for _, s := range g.slots {
+		w.Uvarint(uint64(s))
+		w.F64(g.opt)
+		w.Uvarint(uint64(g.seeds))
+		for u := range g.seeds {
+			if g.dupSeed && u == g.seeds-1 {
+				u = 0
 			}
-			w.Uvarint(uint64(g.covered)) // users 0, 1, … delta-coded
-			for u := range g.covered {
-				w.Uvarint(uint64(min(u, 1)))
-			}
-			w.F64(g.value)
-			w.Uvarint(1) // gain bounds
-			w.Uvarint(7)
-			w.F64(g.bound)
-		}
-		w.F64(g.bestVal)
-		w.Uvarint(uint64(g.best))
-		for u := range g.best {
 			w.Uvarint(uint64(u))
 		}
-		w.Bool(false)
-		if err := w.Err(); err != nil {
-			t.Fatal(err)
+		covered := 0
+		for _, r := range g.rows {
+			covered += int(r.word >> s & 1)
 		}
-		return buf.Bytes()
+		w.F64(float64(covered) + g.value)
 	}
-	restore := func(g fields) error {
-		return NewSieve(k, 0.2, nil).RestoreState(wire.NewReader(bytes.NewReader(payload(g))))
+	w.Uvarint(uint64(len(g.rows)))
+	for _, r := range g.rows {
+		w.Uvarint(r.delta)
+		w.U64(r.word)
 	}
-	if err := restore(good); err != nil {
-		t.Fatalf("%d instances of %d seeds, the most a grid holds: %v", most, k, err)
+	w.F64(g.bestVal)
+	w.Uvarint(uint64(g.best))
+	for u := range g.best {
+		w.Uvarint(uint64(u))
 	}
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, c := range []struct {
-		name string
-		edit func(*fields)
-	}{
-		{"one instance too many", func(g *fields) { g.instances = most + 1 }},
-		{"negative gain bound", func(g *fields) { g.bound = -2 }},
-		{"k+1 seeds in a slot", func(g *fields) { g.seeds = k + 1 }},
-		{"k+1 best seeds", func(g *fields) { g.best = k + 1 }},
-		{"m NaN", func(g *fields) { g.m = nan }},
-		{"m +Inf", func(g *fields) { g.m = inf }},
-		{"m negative", func(g *fields) { g.m = -1 }},
-		{"opt NaN", func(g *fields) { g.opt = nan }},
-		{"opt +Inf", func(g *fields) { g.opt = inf }},
-		{"opt negative", func(g *fields) { g.opt = -1 }},
-		{"value NaN", func(g *fields) { g.value = nan }},
-		{"value -Inf", func(g *fields) { g.value = math.Inf(-1) }},
-		{"value negative", func(g *fields) { g.value = -1 }},
-		{"best value NaN", func(g *fields) { g.bestVal = nan }},
-		{"best value +Inf", func(g *fields) { g.bestVal = inf }},
-		{"best value negative", func(g *fields) { g.bestVal = -1 }},
-		{"a seed twice in a slot", func(g *fields) { g.dupSeed = true }},
-		{"jLo not m's lowest guess", func(g *fields) { g.jLo = 1 }},
-		{"jLo below m's lowest guess", func(g *fields) { g.jLo = -1 }},
-		{"value above the covered count", func(g *fields) { g.covered = 3 }},
-		{"value below the covered count", func(g *fields) { g.covered = 5 }},
-	} {
-		g := good
+	w.Bool(false)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func (g gridPayload) restore(t *testing.T) error {
+	var w submod.Weights
+	if g.weighted {
+		w = testWeights()
+	}
+	return NewSieve(payloadK, 0.2, w).RestoreState(wire.NewReader(bytes.NewReader(g.bytes(t))))
+}
+
+// rejectGridPayloads applies each edit to a fresh goodGridPayload and
+// fails the test for every edited payload that restores.
+func rejectGridPayloads(t *testing.T, cases []struct {
+	name string
+	edit func(*gridPayload)
+}) {
+	t.Helper()
+	for _, c := range cases {
+		g := goodGridPayload()
 		c.edit(&g)
-		if err := restore(g); err == nil {
+		if err := g.restore(t); err == nil {
 			t.Errorf("%s: payload restored", c.name)
 		}
 	}
 }
 
-// TestRestoreRejectsWhatNoGridSavesV2: the version 2 twin of the test
-// above, for what the slot numbers and the user-major cov rows can state
-// that the version 1 layout could not — a slot at or past the width of a
-// gain-bound row, one slot held by two instances, rows that do not strictly
-// ascend by user, a zero row, a bit in a slot no instance holds, and a slot
-// value other than the number of rows with its bit (this grid's objective is
-// cardinality).
-func TestRestoreRejectsWhatNoGridSavesV2(t *testing.T) {
-	const k = 4
-	most := NewSieve(k, 0.2, nil).gainUB.width
-	type row struct {
-		delta uint64
-		word  uint64
-	}
-	type fields struct {
-		slots []int
-		rows  []row
-		value float64
-	}
-	// Slots 0 and 3 each cover users 4 and 9; slot 3 also covers user 10.
-	good := fields{slots: []int{3, 0}, rows: []row{{5, 1<<0 | 1<<3}, {5, 1<<0 | 1<<3}, {1, 1 << 3}}}
-	payload := func(g fields) []byte {
-		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		w.Uvarint(gridPayloadVersion)
-		w.Varint(1) // elements
-		w.F64(1)    // m
-		w.Varint(0) // jLo
-		w.Uvarint(uint64(len(g.slots)))
-		for i, s := range g.slots {
-			w.Uvarint(uint64(s))
-			w.F64(1)     // OPT guess
-			w.Uvarint(1) // one seed
-			w.Uvarint(uint64(i))
-			covered := 0
-			for _, r := range g.rows {
-				covered += int(r.word >> s & 1)
-			}
-			w.F64(float64(covered) + g.value)
+// TestRestoreRejectsWhatNoGridSaves: hand-built sieve payloads a grid of
+// this k and β cannot have written are errors, not state — one instance
+// more than a gain-bound row has columns, more than k seeds in a slot or in
+// the best-ever set, a seed twice in one slot, a negative or non-finite m,
+// OPT guess, slot value or best value (a NaN m used to restore and then
+// answer 0 where a sane one answers 24), and a lowest guess exponent jLo
+// other than the one retune derives from m. The non-finite and negative
+// slot values are restored onto a weighted grid, where no count check
+// stands behind the sanity check.
+func TestRestoreRejectsWhatNoGridSaves(t *testing.T) {
+	most := NewSieve(payloadK, 0.2, nil).gainUB.width
+	for _, weighted := range []bool{false, true} {
+		g := goodGridPayload()
+		g.weighted = weighted
+		if err := g.restore(t); err != nil {
+			t.Fatalf("two instances of %d seeds in slots 3 and 0 (weighted %v): %v", payloadK, weighted, err)
 		}
-		w.Uvarint(uint64(len(g.rows)))
-		for _, r := range g.rows {
-			w.Uvarint(r.delta)
-			w.U64(r.word)
-		}
-		w.F64(3)
-		w.Uvarint(0) // best seeds
-		w.Bool(false)
-		if err := w.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
 	}
-	restore := func(g fields) error {
-		return NewSieve(k, 0.2, nil).RestoreState(wire.NewReader(bytes.NewReader(payload(g))))
+	full := goodGridPayload()
+	full.instances(most)
+	if err := full.restore(t); err != nil {
+		t.Fatalf("%d instances, the most a grid holds: %v", most, err)
 	}
-	if err := restore(good); err != nil {
-		t.Fatalf("two instances in slots 3 and 0: %v", err)
-	}
-	for _, c := range []struct {
+	nan, inf := math.NaN(), math.Inf(1)
+	rejectGridPayloads(t, []struct {
 		name string
-		edit func(*fields)
+		edit func(*gridPayload)
 	}{
-		{"slot at the row width", func(g *fields) { g.slots[1] = most }},
-		{"one slot twice", func(g *fields) { g.slots[1] = 3 }},
-		{"a user twice", func(g *fields) { g.rows[1].delta = 0 }},
-		{"users past uint32", func(g *fields) { g.rows[1].delta = 1 << 32 }},
-		{"a zero row", func(g *fields) { g.rows[2].word = 0 }},
-		{"a bit in a free slot", func(g *fields) { g.rows[2].word |= 1 << 1 }},
-		{"value above the covered count", func(g *fields) { g.value = 1 }},
-	} {
-		g := good
-		g.slots = slices.Clone(good.slots)
-		g.rows = slices.Clone(good.rows)
-		c.edit(&g)
-		if err := restore(g); err == nil {
-			t.Errorf("%s: payload restored", c.name)
-		}
-	}
+		{"one instance too many", func(g *gridPayload) { g.instances(most + 1) }},
+		{"k+1 seeds in a slot", func(g *gridPayload) { g.seeds = payloadK + 1 }},
+		{"k+1 best seeds", func(g *gridPayload) { g.best = payloadK + 1 }},
+		{"a seed twice in a slot", func(g *gridPayload) { g.dupSeed = true }},
+		{"m NaN", func(g *gridPayload) { g.m = nan }},
+		{"m +Inf", func(g *gridPayload) { g.m = inf }},
+		{"m negative", func(g *gridPayload) { g.m = -1 }},
+		{"opt NaN", func(g *gridPayload) { g.opt = nan }},
+		{"opt +Inf", func(g *gridPayload) { g.opt = inf }},
+		{"opt negative", func(g *gridPayload) { g.opt = -1 }},
+		{"value NaN", func(g *gridPayload) { g.value, g.weighted = nan, true }},
+		{"value -Inf", func(g *gridPayload) { g.value, g.weighted = math.Inf(-1), true }},
+		{"value negative", func(g *gridPayload) { g.value, g.weighted = -10, true }},
+		{"best value NaN", func(g *gridPayload) { g.bestVal = nan }},
+		{"best value +Inf", func(g *gridPayload) { g.bestVal = inf }},
+		{"best value negative", func(g *gridPayload) { g.bestVal = -1 }},
+		{"jLo one above m's lowest guess", func(g *gridPayload) { g.jLo = 1 }},
+		{"jLo one below m's lowest guess", func(g *gridPayload) { g.jLo = -1 }},
+	})
+}
+
+// TestRestoreRejectsWhatNoGridSavesV2: what the slot numbers and the
+// user-major cov rows of the version 2 layout can state and no grid writes
+// — a slot at or past the width of a gain-bound row, one slot held by two
+// instances, rows that do not strictly ascend by user, a zero row, a bit in
+// a slot no instance holds, and a slot value other than the number of rows
+// with its bit (this grid's objective is cardinality).
+func TestRestoreRejectsWhatNoGridSavesV2(t *testing.T) {
+	most := NewSieve(payloadK, 0.2, nil).gainUB.width
+	rejectGridPayloads(t, []struct {
+		name string
+		edit func(*gridPayload)
+	}{
+		{"slot at the row width", func(g *gridPayload) { g.slots[1] = most }},
+		{"one slot twice", func(g *gridPayload) { g.slots[1] = 3 }},
+		{"a user twice", func(g *gridPayload) { g.rows[1].delta = 0 }},
+		{"users past uint32", func(g *gridPayload) { g.rows[1].delta = 1 << 32 }},
+		{"a zero row", func(g *gridPayload) { g.rows[2].word = 0 }},
+		{"a bit in a free slot", func(g *gridPayload) { g.rows[2].word |= 1 << 1 }},
+		{"value above the covered count", func(g *gridPayload) { g.value = 1 }},
+		{"value below the covered count", func(g *gridPayload) { g.value = -1 }},
+	})
 }
 
 // TestSwapRestoreRejectsWhatNoSwapSaves: the swap oracles' twin of the grid

@@ -236,3 +236,69 @@ func TestCluster(t *testing.T) {
 		t.Fatalf("seeds with a shard down not flagged partial: %+v", s)
 	}
 }
+
+// TestSpill runs a durable simserve under an 8 KiB memory budget: ingest
+// spills contribution logs to cold segment files, and after a kill -9 the
+// restart maps those segments from the snapshot instead of replaying the
+// spilled history. The answer after the whole stream equals an
+// uninterrupted, unbudgeted, memory-only run's.
+func TestSpill(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	tracker := []string{"-k", "5", "-window", "1500"}
+	actions := stream(t, 3000, 1500)
+	dir := t.TempDir()
+	budgeted := append([]string{"-data-dir", dir, "-wal-snapshot-bytes", "2048", "-memory-budget", "8192"}, tracker...)
+	metrics := func(c *api.Client) api.TrackerMetricsResponse {
+		t.Helper()
+		m, err := c.TrackerMetrics(ctx, "default")
+		if err != nil {
+			t.Fatalf("metrics: %v", err)
+		}
+		return m
+	}
+
+	srv := start(t, "simserve", budgeted...)
+	ingest(t, srv.client(), actions[:1500], 100)
+	if s := seeds(t, srv.client()); s.Processed != 1500 {
+		t.Fatalf("after the first half processed = %d, want 1500", s.Processed)
+	}
+	if m := metrics(srv.client()); m.ColdSegments == 0 || m.Spills == 0 {
+		t.Fatalf("the budget spilled nothing: %d cold segments, %d spill passes", m.ColdSegments, m.Spills)
+	}
+	if segs, err := filepath.Glob(filepath.Join(dir, "default", "spill", "*.sim2")); err != nil || len(segs) == 0 {
+		t.Fatalf("no segment file under the spill directory (%v)", err)
+	}
+
+	srv.kill()
+	srv.restart(budgeted...)
+	if s := seeds(t, srv.client()); s.Processed != 1500 {
+		t.Fatalf("after the restart processed = %d, want 1500", s.Processed)
+	}
+	// The 2048-byte WAL threshold keeps the tail behind the snapshot to a
+	// few hundred actions; replaying near the 1500 ingested would mean the
+	// restart rebuilt the spilled history instead of mapping it.
+	m := metrics(srv.client())
+	if !m.RecoveredSnapshot || m.ColdSegments == 0 || m.RecoveredWALActions >= 500 {
+		t.Fatalf("restart recovered snapshot %v, %d cold segments, %d WAL actions; want a snapshot, mapped segments and under 500 WAL actions",
+			m.RecoveredSnapshot, m.ColdSegments, m.RecoveredWALActions)
+	}
+	t.Logf("restart mapped %d cold segments and replayed %d WAL actions", m.ColdSegments, m.RecoveredWALActions)
+
+	ingest(t, srv.client(), actions[1500:], 100)
+	got := seeds(t, srv.client())
+	if got.Processed != 3000 {
+		t.Fatalf("after the second half processed = %d, want 3000", got.Processed)
+	}
+	ref := start(t, "simserve", tracker...)
+	ingest(t, ref.client(), actions, len(actions))
+	if want := seeds(t, ref.client()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("budgeted, kill -9-recovered seeds %+v, unbudgeted run %+v", got, want)
+	}
+
+	for _, p := range []*proc{srv, ref} {
+		if err := p.stop(syscall.SIGTERM); err != nil {
+			t.Fatalf("%s after SIGTERM: %v, want exit 0", p.name, err)
+		}
+	}
+}

@@ -169,14 +169,14 @@ func TestBootsEveryCommittedDataDir(t *testing.T) {
 	}
 }
 
-// TestCombinedTornTails boots the names-in-wal row with its WAL ending in
+// TestCombinedTornTails boots the grid-v2 row with its WAL ending in
 // tornRecord, as a crash mid-append left it: the torn batch was never
 // acknowledged, and any name only it carried is not in the table. Dropping
 // it recovers the exact acknowledged state — and further ingest, interning
 // new names behind the recovered table, matches an uninterrupted tracker's.
 func TestCombinedTornTails(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "datadirs", "names-in-wal"), filepath.Join(dir, "default"))
+	copyTree(t, filepath.Join("testdata", "datadirs", "grid-v2"), filepath.Join(dir, "default"))
 	tearWAL(t, filepath.Join(dir, "default"))
 	_, tr := bootRow(t, dir)
 
@@ -216,14 +216,14 @@ func TestCombinedTornTails(t *testing.T) {
 	}
 }
 
-// TestBootsDamagedDataDir damages one file of a copy of the names-in-wal
-// row at a time — snapshot.sim2, wal.log and its first cold segment, each
+// TestBootsDamagedDataDir damages one file of a copy of the grid-v2 row at
+// a time — snapshot.sim2, wal.log and its first cold segment, each
 // cut to half its length or with one bit of its middle byte flipped — and
 // boots it. Boot must either refuse, naming the damaged file, or serve
 // exactly what an unbudgeted tracker fed the stream's first Processed
 // actions serves: an acknowledged prefix, never a state no prefix has.
 func TestBootsDamagedDataDir(t *testing.T) {
-	row := filepath.Join("testdata", "datadirs", "names-in-wal")
+	row := filepath.Join("testdata", "datadirs", "grid-v2")
 	segs, err := filepath.Glob(filepath.Join(row, "spill", "seg-*.sim2"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("the row has no cold segment (%v)", err)
@@ -284,13 +284,13 @@ func TestBootsDamagedDataDir(t *testing.T) {
 }
 
 // TestWALRefusesMidLogCorruption flips one bit in the middle of each record
-// of the names-in-wal row's wal.log, one record at a time, and boots. A torn
+// of the grid-v2 row's wal.log, one record at a time, and boots. A torn
 // write can only be the last record, so a bad record with a valid one behind
 // it is corruption: boot must refuse it, naming the file and the record, and
 // leave the log as it found it. A bad last record is the torn tail: boot
 // cuts it and serves the acknowledged prefix before it.
 func TestWALRefusesMidLogCorruption(t *testing.T) {
-	row := filepath.Join("testdata", "datadirs", "names-in-wal")
+	row := filepath.Join("testdata", "datadirs", "grid-v2")
 	log, err := os.ReadFile(filepath.Join(row, walFileName))
 	if err != nil {
 		t.Fatal(err)

@@ -322,6 +322,33 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesUnwrittenConfigVersion: an image whose CFG0 section is one
+// version past the one SaveTo writes (section CRCs recomputed, as
+// FuzzTrackerLoad does) is refused, and the error names the version.
+func TestLoadRefusesUnwrittenConfigVersion(t *testing.T) {
+	cfg := sim.Config{K: 5, WindowSize: 500}
+	tr, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var img bytes.Buffer
+	if err := tr.SaveTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	b := img.Bytes()
+	tag := bytes.Index(b, []byte("CFG0"))
+	if tag < 0 {
+		t.Fatal("the image has no CFG0 section")
+	}
+	_, n := binary.Uvarint(b[tag+4:])
+	b[tag+4+n]++ // the payload's first byte: the version, a one-byte uvarint
+	_, err = sim.Load(bytes.NewReader(reseal(b)), cfg)
+	if want := fmt.Sprintf("config version %d", b[tag+4+n]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Load: %v, want an error naming %s", err, want)
+	}
+}
+
 // TestSaveLoadFreshTracker round-trips a tracker that has processed
 // nothing: the degenerate snapshot must load and then ingest normally.
 func TestSaveLoadFreshTracker(t *testing.T) {
@@ -397,10 +424,10 @@ func TestLoadHandsExtraSections(t *testing.T) {
 // byte mutation reaches the section decoders instead of stopping at the
 // checksum. The seeds are the images of small SYN-O trackers, one per oracle
 // × framework, and a snapshot simserve wrote under a memory budget
-// (internal/server's names-in-wal data dir), whose cold segments are copied
+// (internal/server's grid-v2 data dir), whose cold segments are copied
 // into the spill directory every Load opens, so its extents resolve.
 func FuzzTrackerLoad(f *testing.F) {
-	const row = "../internal/server/testdata/datadirs/names-in-wal/"
+	const row = "../internal/server/testdata/datadirs/grid-v2/"
 	oracles := []sim.Oracle{sim.SieveStreaming, sim.ThresholdStream, sim.BlogWatch, sim.MkC}
 	frameworks := []sim.Framework{sim.SIC, sim.IC}
 	spill := f.TempDir()

@@ -276,9 +276,11 @@ type Config struct {
 	// whenever the resident contribution-log bytes exceed
 	// MemoryBudgetBytes, the longest-idle users' logs are spilled to
 	// immutable segment files under this directory at the window's expiry
-	// boundary and faulted back in on demand. Results are bit-identical
-	// with or without spilling; only memory residency and I/O change. The
-	// directory is created if missing and must be private to this tracker.
+	// boundary. A spilled log stays cold until it expires: reads go
+	// through to the segment without moving it back into RAM. Results are
+	// bit-identical with or without spilling; only memory residency and I/O
+	// change. The directory is created if missing and must be private to
+	// this tracker.
 	// Trackers with a SpillDir own an open segment store; release it with
 	// Close.
 	SpillDir string
