@@ -82,8 +82,11 @@ import (
 )
 
 // Spec is the JSON/flag-configurable description of one served tracker: the
-// sim.Config knobs plus serving-only settings. The zero value of every
-// optional field means "sim's default".
+// sim.Config knobs plus its name mode, WAL snapshot threshold and memory
+// budget. The zero value of every optional field means the default. The
+// ingest queue (256 commands) and its enqueue deadline (2 s) are server
+// constants, not spec fields: ReadSpecs refuses "queue" and
+// "enqueue_deadline_ms" as unknown.
 type Spec struct {
 	// K and Window are sim.Config.K and sim.Config.WindowSize; mandatory.
 	K      int `json:"k"`
@@ -106,18 +109,10 @@ type Spec struct {
 	// (and string ones are rejected without Names) so the two ID spaces
 	// cannot mix.
 	Names bool `json:"names,omitempty"`
-	// Queue is the ingest queue capacity in commands (batches), the bound
-	// behind the Submit backpressure. 0 means the server default (256).
-	// Validate refuses a negative value, here and in the two fields below.
-	Queue int `json:"queue,omitempty"`
-	// EnqueueDeadlineMillis bounds how long an ingest waits for space in a
-	// full queue before the server sheds it with 429 (admission control: a
-	// wedged ingest loop must not wedge HTTP handlers). 0 means the server
-	// default (2000 ms).
-	EnqueueDeadlineMillis int `json:"enqueue_deadline_ms,omitempty"`
 	// SnapshotWALBytes is the write-ahead-log size that triggers a
 	// snapshot+truncate on a durable registry (one with a data dir). 0
-	// means the server default (4 MiB). Ignored without durability.
+	// means the server default (4 MiB). Ignored without durability;
+	// Validate refuses a negative value.
 	SnapshotWALBytes int64 `json:"snapshot_wal_bytes,omitempty"`
 	// MemoryBudgetBytes bounds the tracker's resident contribution-log
 	// bytes: past it, the longest-idle users' logs spill to immutable cold
@@ -131,17 +126,11 @@ type Spec struct {
 	MemoryBudgetBytes int64 `json:"memory_budget_bytes,omitempty"`
 }
 
-// Validate refuses a negative queue, enqueue_deadline_ms or
-// snapshot_wal_bytes, naming the JSON field: 0 is each one's server
-// default, and no negative value means anything. ReadSpecs and
-// server.Registry.Add both call it; sim.New checks the rest.
+// Validate refuses a negative snapshot_wal_bytes, naming the JSON field:
+// 0 is the server default, and no negative value means anything. ReadSpecs
+// and server.Registry.Add both call it; sim.New checks the rest.
 func (s Spec) Validate() error {
-	switch {
-	case s.Queue < 0:
-		return fmt.Errorf("queue must be >= 0, got %d", s.Queue)
-	case s.EnqueueDeadlineMillis < 0:
-		return fmt.Errorf("enqueue_deadline_ms must be >= 0, got %d", s.EnqueueDeadlineMillis)
-	case s.SnapshotWALBytes < 0:
+	if s.SnapshotWALBytes < 0 {
 		return fmt.Errorf("snapshot_wal_bytes must be >= 0, got %d", s.SnapshotWALBytes)
 	}
 	return nil
@@ -341,6 +330,13 @@ type StatsResponse struct {
 	// Partial marks a router answer computed without every shard.
 	Partial bool `json:"partial,omitempty"`
 }
+
+// Version is the build version simserve and simrouter report: both print
+// it for -version and put it in their GET /v1/healthz answers. Override it
+// at link time:
+//
+//	go build -ldflags "-X repro/api.Version=v1.2.3" ./cmd/simserve ./cmd/simrouter
+var Version = "dev"
 
 // HealthResponse answers GET /v1/healthz: build info plus the coarse
 // liveness facts an orchestration probe wants.

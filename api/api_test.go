@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,7 @@ import (
 func TestReadSpecs(t *testing.T) {
 	specs, err := ReadSpecs(strings.NewReader(
 		`{"trackers": {"a": {"k": 3, "window": 100, "framework": "ic", "oracle": "threshold"},
-		               "b": {"k": 1, "window": 50, "batch": 10, "queue": 7, "names": true}}}`))
+		               "b": {"k": 1, "window": 50, "batch": 10, "names": true}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,26 +31,24 @@ func TestReadSpecs(t *testing.T) {
 	if a.K != 3 || a.Window != 100 || a.Framework != sim.IC || a.Oracle != sim.ThresholdStream {
 		t.Errorf("spec a = %+v", a)
 	}
-	if b := specs["b"]; b.Batch != 10 || b.Queue != 7 || !b.Names {
+	if b := specs["b"]; b.Batch != 10 || !b.Names {
 		t.Errorf("spec b = %+v", b)
 	}
 	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "windoww": 9}}}`)); err == nil {
 		t.Error("typo in spec field should fail")
 	}
-	// The removed "parallelism" field is rejected by name, not ignored: a
-	// spec that still sets it says so at startup.
-	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "window": 10, "parallelism": 4}}}`)); err == nil ||
-		!strings.Contains(err.Error(), `unknown field "parallelism"`) {
-		t.Errorf(`spec with "parallelism": err = %v, want an unknown-field error naming it`, err)
+	// Removed fields are rejected by name, not ignored: a spec that still
+	// sets one says so at startup. The queue (256 commands) and the enqueue
+	// deadline (2 s) are server constants now.
+	for _, field := range []string{"parallelism", "queue", "enqueue_deadline_ms"} {
+		doc := fmt.Sprintf(`{"trackers": {"a": {"k": 3, "window": 10, %q: 4}}}`, field)
+		if _, err := ReadSpecs(strings.NewReader(doc)); err == nil ||
+			!strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf(`spec with %q: err = %v, want an unknown-field error naming it`, field, err)
+		}
 	}
 	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {}}`)); err == nil {
 		t.Error("empty spec should fail")
-	}
-	// A negative enqueue deadline used to mean "never shed"; nothing set it,
-	// the mode is gone, and a spec that asks for it is told so.
-	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "window": 10, "enqueue_deadline_ms": -1}}}`)); err == nil ||
-		!strings.Contains(err.Error(), "enqueue_deadline_ms") {
-		t.Errorf("negative enqueue_deadline_ms: err = %v, want a rejection naming the field", err)
 	}
 	if _, err := ReadSpecs(strings.NewReader(`{"trackers": {"a": {"k": 3, "window": 10, "oracle": "bogus"}}}`)); err == nil {
 		t.Error("unknown oracle name should fail")

@@ -217,6 +217,14 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	return out, err
 }
 
+// HealthJSON fetches GET /v1/healthz undecoded, as whichever binary sent
+// it: a simserve's HealthResponse or a simrouter's ClusterHealthResponse.
+func (c *Client) HealthJSON(ctx context.Context) (json.RawMessage, error) {
+	var out json.RawMessage
+	err := c.do(ctx, http.MethodGet, "/v1/healthz", "", nil, &out, true)
+	return out, err
+}
+
 // List fetches GET /v1/trackers.
 func (c *Client) List(ctx context.Context) (ListResponse, error) {
 	var out ListResponse

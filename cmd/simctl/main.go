@@ -44,10 +44,10 @@ import (
 	"repro/sim"
 )
 
-const usage = `usage: simctl [-addr URL] [-router] [-timeout D] [-retries N] <command> [args]
+const usage = `usage: simctl [-addr URL] [-timeout D] [-retries N] <command> [args]
 
 commands:
-  health                     GET /v1/healthz (cluster-shaped with -router)
+  health                     GET /v1/healthz, printed as received (a simrouter's has per-shard health)
   list                       GET /v1/trackers
   snapshot <tracker>         GET /v1/trackers/{name}
   seeds <tracker>            GET /v1/trackers/{name}/seeds
@@ -64,14 +64,12 @@ commands:
                              string users if the tracker is name-mode)
   query <tracker> <file>     POST a JSON plan ("-" = stdin; bare plan or {"plan":...,"limit":N})
 
--router points -addr at a simrouter instead of a simserve: health decodes
-the cluster DTO (per-shard reachability), every other command is unchanged —
-the router serves the same routes and merges across its shards.
+-addr may name a simrouter: it serves the same routes, merged across its
+shards.
 `
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8384", "simserve base URL")
-	router := flag.Bool("router", false, "addr is a simrouter: decode cluster-shaped health")
+	addr := flag.String("addr", "http://127.0.0.1:8384", "simserve or simrouter base URL")
 	timeout := flag.Duration("timeout", 0, "per-attempt request timeout (0 = client default 30s)")
 	retries := flag.Int("retries", 0, "retry attempts after 429/503 (and transport errors on reads)")
 	flag.Usage = func() { fmt.Fprint(os.Stderr, usage) }
@@ -86,7 +84,7 @@ func main() {
 	client.Retry = api.RetryPolicy{MaxRetries: *retries}
 	ctx := context.Background()
 
-	out, err := run(ctx, client, *router, args[0], args[1:])
+	out, err := run(ctx, client, args[0], args[1:])
 	if err != nil {
 		var apiErr *api.Error
 		if errors.As(err, &apiErr) {
@@ -96,16 +94,21 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	if err := printJSON(os.Stdout, out); err != nil {
 		fmt.Fprintf(os.Stderr, "simctl: %v\n", err)
 		os.Exit(1)
 	}
 }
 
+// printJSON writes a response as indented JSON.
+func printJSON(w io.Writer, out any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
 // run dispatches one subcommand and returns the decoded response to print.
-func run(ctx context.Context, c *api.Client, router bool, cmd string, args []string) (any, error) {
+func run(ctx context.Context, c *api.Client, cmd string, args []string) (any, error) {
 	tracker := func() (string, error) {
 		if len(args) < 1 {
 			return "", fmt.Errorf("%s: missing tracker name", cmd)
@@ -114,10 +117,7 @@ func run(ctx context.Context, c *api.Client, router bool, cmd string, args []str
 	}
 	switch cmd {
 	case "health":
-		if router {
-			return c.ClusterHealth(ctx)
-		}
-		return c.Health(ctx)
+		return c.HealthJSON(ctx)
 	case "list":
 		return c.List(ctx)
 	case "snapshot":

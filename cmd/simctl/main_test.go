@@ -16,6 +16,7 @@ import (
 	"repro/api"
 	"repro/internal/dataio"
 	"repro/internal/gen"
+	"repro/internal/router"
 	"repro/internal/server"
 	"repro/sim"
 )
@@ -59,7 +60,7 @@ func writeFile(t *testing.T, data []byte) string {
 
 // ingestFile runs `simctl ingest default <path>`.
 func ingestFile(c *api.Client, path string) (api.IngestResponse, error) {
-	out, err := run(context.Background(), c, false, "ingest", []string{"default", path})
+	out, err := run(context.Background(), c, "ingest", []string{"default", path})
 	if err != nil {
 		return api.IngestResponse{}, err
 	}
@@ -239,5 +240,40 @@ func TestIngestLiveFeed(t *testing.T) {
 	res := <-done
 	if res.err != nil || res.resp != (api.IngestResponse{Accepted: 3, Processed: 3}) || posts.Load() != 1 {
 		t.Fatalf("ingest = %+v, %v over %d POSTs, want 3/3 over 1", res.resp, res.err, posts.Load())
+	}
+}
+
+// TestHealthPrintsTheBody: health prints the /v1/healthz body as it
+// arrives, so a simrouter's per-shard answer needs no flag and loses no
+// field, and a simserve's keeps its own.
+func TestHealthPrintsTheBody(t *testing.T) {
+	shard, _ := serve(t, testSpec)
+	rt, err := router.New([]string{shard.BaseURL}, router.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	for _, tc := range []struct {
+		name, addr string
+		want       []string
+	}{
+		{"simserve", shard.BaseURL, []string{`"status": "ok"`, `"trackers": 1`, `"durable": false`}},
+		{"simrouter", front.URL, []string{`"status": "ok"`, `"healthy": 1`, `"shards": [`, `"addr": "` + shard.BaseURL + `"`}},
+	} {
+		out, err := run(context.Background(), api.NewClient(tc.addr), "health", nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var buf bytes.Buffer
+		if err := printJSON(&buf, out); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(buf.String(), w) {
+				t.Errorf("%s: health printed\n%s\nwant it to contain %s", tc.name, buf.String(), w)
+			}
+		}
 	}
 }

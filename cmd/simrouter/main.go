@@ -11,13 +11,13 @@
 //
 //	simgen -preset syn-o -actions 100000 |
 //	    curl -s --data-binary @- localhost:8400/v1/trackers/default/actions
-//	simctl -addr http://localhost:8400 -router health   # per-shard view
-//	simctl -addr http://localhost:8400 seeds default    # merged answer
+//	simctl -addr http://localhost:8400 health          # per-shard view
+//	simctl -addr http://localhost:8400 seeds default   # merged answer
 //
 // Every shard must serve the same tracker specs (start them from one spec
 // file). When a shard dies the router marks it down, answers reads from
 // the survivors with the X-Partial: true header and the DTO Partial flag,
-// and re-probes in the background until the shard returns; ingest that
+// and re-probes it every second until the shard returns; ingest that
 // needs a down shard is refused (503, retryable) rather than
 // half-applied.
 package main
@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/api"
 	"repro/internal/router"
 )
 
@@ -43,13 +44,12 @@ func main() {
 		addr    = flag.String("addr", ":8400", "HTTP listen address")
 		shards  = flag.String("shards", "", "comma-separated shard base URLs (required), e.g. http://127.0.0.1:8401,http://127.0.0.1:8402")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-shard attempt timeout")
-		probe   = flag.Duration("probe-interval", time.Second, "down-shard re-probe interval")
 		version = flag.Bool("version", false, "print build/version info and exit")
 	)
 	flag.Parse()
 
 	if *version {
-		fmt.Printf("simrouter %s (%s, %s/%s)\n", router.Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+		fmt.Printf("simrouter %s (%s, %s/%s)\n", api.Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		return
 	}
 
@@ -64,10 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rt, err := router.New(addrs, router.Options{
-		Timeout:       *timeout,
-		ProbeInterval: *probe,
-	})
+	rt, err := router.New(addrs, router.Options{Timeout: *timeout})
 	if err != nil {
 		log.Fatalf("simrouter: %v", err)
 	}

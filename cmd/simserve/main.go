@@ -86,7 +86,7 @@ func main() {
 	flag.Parse()
 
 	if *version {
-		fmt.Printf("simserve %s (%s, %s/%s)\n", server.Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+		fmt.Printf("simserve %s (%s, %s/%s)\n", api.Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		return
 	}
 

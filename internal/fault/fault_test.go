@@ -116,22 +116,32 @@ type sleepRecorder struct{ total time.Duration }
 
 func (s *sleepRecorder) Sleep(d time.Duration) { s.total += d }
 
-// TestInjectorDelayOnly: a latency rule delays but never fails.
+// TestInjectorDelayOnly: a latency rule delays but never fails; a rule
+// with a delay and no delayonly sleeps, then fails like any other (EIO
+// when it names no error).
 func TestInjectorDelayOnly(t *testing.T) {
-	rec := &sleepRecorder{}
-	inj := NewInjector(OS())
-	inj.Sleep = rec
-	inj.Add(Rule{Op: OpSync, Delay: 25 * time.Millisecond, DelayOnly: true})
-	f, err := inj.OpenFile(filepath.Join(t.TempDir(), "x"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil {
-		t.Fatalf("delay-only sync failed: %v", err)
-	}
-	if rec.total != 25*time.Millisecond {
-		t.Fatalf("slept %v, want 25ms", rec.total)
+	for _, tc := range []struct {
+		rule Rule
+		want error
+	}{
+		{Rule{Op: OpSync, Delay: 25 * time.Millisecond, DelayOnly: true}, nil},
+		{Rule{Op: OpSync, Delay: 25 * time.Millisecond}, syscall.EIO},
+	} {
+		rec := &sleepRecorder{}
+		inj := NewInjector(OS())
+		inj.Sleep = rec
+		inj.Add(tc.rule)
+		f, err := inj.OpenFile(filepath.Join(t.TempDir(), "x"), os.O_CREATE|os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: sync err = %v, want %v", tc.rule.String(), err, tc.want)
+		}
+		if rec.total != 25*time.Millisecond {
+			t.Errorf("%s: slept %v, want 25ms", tc.rule.String(), rec.total)
+		}
+		f.Close()
 	}
 }
 

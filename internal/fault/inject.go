@@ -71,10 +71,12 @@ type Rule struct {
 	// ShortWrite makes a fired write deliver half its bytes before failing
 	// (only meaningful for OpWrite): the torn-write shape of a power cut.
 	ShortWrite bool
-	// Delay is injected latency before the operation proceeds. A rule with
-	// a Delay but no Err (and Times 0) is a pure slow-disk simulation.
+	// Delay is injected latency: a firing rule sleeps for it first, then
+	// fails the operation as above (with EIO when Err is nil) unless
+	// DelayOnly is set.
 	Delay time.Duration
 	// DelayOnly marks the rule as latency-only: it delays but never fails.
+	// A pure slow-disk simulation is a rule with a Delay and DelayOnly.
 	DelayOnly bool
 
 	// matched / fired count matching and firing ops; read via Injector.
@@ -133,7 +135,9 @@ func errName(err error) string {
 //	op=write,path=snapshot,times=3,err=EIO,short;op=rename,path=snapshot,times=1
 //
 // Fields: op (required), path (substring), after, times, err
-// (EIO/ENOSPC/EACCES/EBADF), short, delay (Go duration), delayonly.
+// (EIO/ENOSPC/EACCES/EBADF), short, delay (Go duration slept before the
+// operation, which still fails unless delayonly is also given), delayonly
+// (delay, never fail).
 func ParseRules(spec string) ([]Rule, error) {
 	var rules []Rule
 	for _, rs := range strings.Split(spec, ";") {

@@ -8,7 +8,8 @@
 //
 //	go test -tags smoke -count=1 ./internal/proc/
 //
-// TestMain builds simserve, simrouter, simctl and simgen once per run.
+// TestMain builds simserve, simrouter, simctl and simgen once per run, with
+// api.Version set to buildVersion at link time.
 package proc
 
 import (
@@ -32,6 +33,9 @@ import (
 // binDir holds the binaries TestMain builds.
 var binDir string
 
+// buildVersion is the api.Version TestMain links into every binary.
+const buildVersion = "proc-smoke-build"
+
 func TestMain(m *testing.M) {
 	os.Exit(run(m))
 }
@@ -44,7 +48,7 @@ func run(m *testing.M) int {
 	}
 	defer os.RemoveAll(dir)
 	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"repro/cmd/simserve", "repro/cmd/simrouter", "repro/cmd/simctl", "repro/cmd/simgen")
+		"-ldflags", "-X repro/api.Version="+buildVersion, "repro/cmd/simserve", "repro/cmd/simrouter", "repro/cmd/simctl", "repro/cmd/simgen")
 	if out, err := build.CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "building the binaries: %v\n%s", err, out)
 		return 1

@@ -191,6 +191,26 @@ func TestChaos(t *testing.T) {
 	}
 }
 
+// TestVersion: the one link-time version, api.Version, is what simserve and
+// simrouter both print for -version and report on /v1/healthz.
+func TestVersion(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"simserve", "simrouter"} {
+		out, err := exec.Command(bin(name), "-version").Output()
+		if want := name + " " + buildVersion + " ("; err != nil || !strings.HasPrefix(string(out), want) {
+			t.Errorf("%s -version: %q, %v; want it to start %q", name, out, err, want)
+		}
+	}
+	srv := start(t, "simserve", trackerFlags...)
+	rt := start(t, "simrouter", "-shards", srv.url())
+	if h, err := srv.client().Health(context.Background()); err != nil || h.Version != buildVersion {
+		t.Errorf("simserve healthz: %+v, %v; want version %q", h, err, buildVersion)
+	}
+	if h, err := rt.client().ClusterHealth(context.Background()); err != nil || h.Version != buildVersion {
+		t.Errorf("simrouter healthz: %+v, %v; want version %q", h, err, buildVersion)
+	}
+}
+
 // TestCluster boots two simserve shards behind a simrouter, ingests through
 // the router, checks the merged answers and cluster health, then stops one
 // shard: reads keep answering, flagged partial, and health reads degraded.
@@ -198,7 +218,7 @@ func TestCluster(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
 	shards := []*proc{start(t, "simserve", trackerFlags...), start(t, "simserve", trackerFlags...)}
-	rt := start(t, "simrouter", "-shards", shards[0].url()+","+shards[1].url(), "-probe-interval", "200ms")
+	rt := start(t, "simrouter", "-shards", shards[0].url()+","+shards[1].url())
 	c := rt.client()
 	waitFor(t, "2 healthy shards", func() bool {
 		h, err := c.ClusterHealth(ctx)

@@ -52,10 +52,8 @@ func newCluster(t *testing.T, n int, spec api.Spec) *cluster {
 		c.regs = append(c.regs, reg)
 		addrs[i] = ts.URL
 	}
-	rt, err := router.New(addrs, router.Options{
-		Timeout:       10 * time.Second,
-		ProbeInterval: 50 * time.Millisecond,
-	})
+	router.SetProbeInterval(t, 50*time.Millisecond)
+	rt, err := router.New(addrs, router.Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +578,8 @@ func TestClusterShardDownPartial(t *testing.T) {
 	}
 	px := newProxy(t, shardURLs[0])
 	addrs := append([]string{"http://" + px.addr}, shardURLs[1:]...)
-	rt, err := router.New(addrs, router.Options{Timeout: 5 * time.Second, ProbeInterval: 50 * time.Millisecond})
+	router.SetProbeInterval(t, 50*time.Millisecond)
+	rt, err := router.New(addrs, router.Options{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

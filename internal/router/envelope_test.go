@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,9 +23,17 @@ import (
 // draining-tracker 503s from the tree before PR 19 took away the refused
 // pseudo-state they used to show; SHARD and ADDR stand for a shard's base URL
 // and host:port where a message names them.
+//
+// The server's own body cap and queue are not settable from this package:
+// its 413 comes from a 1 KiB http.MaxBytesHandler in front of it (the
+// server reports the limit of the reader that tripped), and its 429 from
+// filling its real ingest queue behind a wedged loop and waiting out the
+// real enqueue deadline. The router's shard is that server behind a stub
+// that answers default's ingest and influence with the server's overload
+// envelope, so the router's 429 pins see the shard's 429 at once.
 func TestErrorEnvelopeBytes(t *testing.T) {
 	reg := server.NewRegistry()
-	tk, err := reg.Add("default", api.Spec{K: 2, Window: 100, Queue: 1, EnqueueDeadlineMillis: 50})
+	tk, err := reg.Add("default", api.Spec{K: 2, Window: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +46,24 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := server.New(reg)
-	srv.MaxBodyBytes = 1 << 10
-	shard := httptest.NewServer(srv)
+	shard := httptest.NewServer(http.MaxBytesHandler(srv, 1<<10))
 	t.Cleanup(shard.Close)
 	t.Cleanup(func() { _ = reg.Close() })
+	var overloaded atomic.Bool
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/trackers/default/actions", "/v1/trackers/default/influence":
+			if overloaded.Load() {
+				(&api.Error{Code: http.StatusTooManyRequests, Message: server.ErrOverloaded.Error(), RetryAfter: time.Second}).Write(w)
+				return
+			}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(stub.Close)
 
-	rt, err := router.New([]string{shard.URL}, router.Options{MaxBodyBytes: 1 << 10})
+	router.CapBody(t, 1<<10)
+	rt, err := router.New([]string{stub.URL}, router.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +85,7 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 		[]sim.Action{{ID: 5, User: 1, Parent: sim.NoParent}}); err != nil {
 		t.Fatal(err)
 	}
+	overloaded.Store(true)
 	// Wedge the shard's ingest loop and fill its queue, so whatever still has
 	// to ride the loop is shed with 429.
 	release := make(chan struct{})
@@ -76,18 +98,20 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 		})
 	}()
 	<-parked
-	submitted := make(chan error, 1)
-	go func() {
-		_, err := tk.Submit(context.Background(), []sim.Action{{ID: 6, User: 1, Parent: sim.NoParent}})
-		submitted <- err
-	}()
+	_, capacity := tk.QueueDepth()
+	queued := make(chan error, capacity)
+	for range capacity {
+		go func() { queued <- tk.Query(context.Background(), func(*sim.Tracker) {}) }()
+	}
 	t.Cleanup(func() {
 		close(release)
 		if err := <-loopDone; err != nil {
 			t.Errorf("parked closure: %v", err)
 		}
-		if err := <-submitted; err != nil {
-			t.Errorf("the batch that filled the queue: %v", err)
+		for range capacity {
+			if err := <-queued; err != nil {
+				t.Errorf("a command that filled the queue: %v", err)
+			}
 		}
 	})
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -127,7 +151,7 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			t.Parallel() // the 429s ride out the router's retries, a second apiece
+			t.Parallel() // the 429s ride out the enqueue deadline or the router's retries
 			req, err := http.NewRequest(c.method, c.base+c.path, strings.NewReader(c.body))
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +165,7 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			body := strings.NewReplacer(shard.URL, "SHARD", dead, "SHARD", strings.TrimPrefix(dead, "http://"), "ADDR").Replace(string(raw))
+			body := strings.NewReplacer(stub.URL, "SHARD", dead, "SHARD", strings.TrimPrefix(dead, "http://"), "ADDR").Replace(string(raw))
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q", ct)
 			}

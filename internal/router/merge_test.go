@@ -87,7 +87,8 @@ func TestClusterSeedsMergePartial(t *testing.T) {
 	}
 	px := newProxy(t, shardURLs[0])
 	addrs := append([]string{"http://" + px.addr}, shardURLs[1:]...)
-	rt, err := router.New(addrs, router.Options{Timeout: 5 * time.Second, ProbeInterval: time.Hour})
+	router.SetProbeInterval(t, time.Hour)
+	rt, err := router.New(addrs, router.Options{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

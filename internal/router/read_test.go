@@ -150,8 +150,9 @@ func downCluster(t *testing.T, spec api.Spec) (c *cluster, shard1 *proxy) {
 		c.shards, c.regs = append(c.shards, ts), append(c.regs, reg)
 	}
 	shard1 = newProxy(t, c.shards[1].URL)
+	router.SetProbeInterval(t, time.Hour)
 	rt, err := router.New([]string{c.shards[0].URL, "http://" + shard1.addr},
-		router.Options{Timeout: 5 * time.Second, ProbeInterval: time.Hour})
+		router.Options{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

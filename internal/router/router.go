@@ -18,10 +18,6 @@ import (
 	"repro/sim"
 )
 
-// Version is the build version reported by the router's /v1/healthz.
-// Override at link time like internal/server.Version.
-var Version = "dev"
-
 // errShardDown marks a shard skipped because the router already considers
 // it unreachable; the background probe will bring it back.
 var errShardDown = errors.New("router: shard is down")
@@ -30,28 +26,18 @@ var errShardDown = errors.New("router: shard is down")
 // api.RetryPolicy for the safety rules).
 const shardRetries = 2
 
+// probeInterval paces the background re-probe of down shards, and
+// maxBodyBytes caps an ingest body. They are variables only so tests can
+// shrink them (export_test.go); New reads probeInterval once.
+var (
+	probeInterval       = time.Second
+	maxBodyBytes  int64 = api.DefaultMaxBodyBytes
+)
+
 // Options configures a Router. The zero value is serviceable.
 type Options struct {
 	// Timeout bounds each shard attempt; 0 means 10s.
 	Timeout time.Duration
-	// ProbeInterval paces the background re-probe of down shards; 0 means
-	// 1s.
-	ProbeInterval time.Duration
-	// MaxBodyBytes caps ingest bodies; 0 means api.DefaultMaxBodyBytes.
-	MaxBodyBytes int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Timeout == 0 {
-		o.Timeout = 10 * time.Second
-	}
-	if o.ProbeInterval == 0 {
-		o.ProbeInterval = time.Second
-	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = api.DefaultMaxBodyBytes
-	}
-	return o
 }
 
 // shard is one backend simserve instance plus the router's view of its
@@ -117,7 +103,9 @@ func New(addrs []string, opts Options) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("router: need at least one shard address")
 	}
-	opts = opts.withDefaults()
+	if opts.Timeout == 0 {
+		opts.Timeout = 10 * time.Second
+	}
 	rt := &Router{
 		ring:      NewRing(len(addrs)),
 		opts:      opts,
@@ -147,7 +135,7 @@ func New(addrs []string, opts Options) (*Router, error) {
 	m.HandleFunc("POST /v1/trackers/{name}/actions", rt.handleIngest)
 	m.HandleFunc("GET /v1/trackers/{name}/influence", rt.handleInfluence)
 	rt.mux = m
-	go rt.probeLoop()
+	go rt.probeLoop(time.NewTicker(probeInterval))
 	return rt, nil
 }
 
@@ -175,9 +163,8 @@ func (rt *Router) Ring() *Ring { return rt.ring }
 // probeLoop periodically re-probes down shards with a plain health check
 // and marks them up on success, so a restarted shard rejoins reads without
 // operator action.
-func (rt *Router) probeLoop() {
+func (rt *Router) probeLoop(t *time.Ticker) {
 	defer close(rt.done)
-	t := time.NewTicker(rt.opts.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -600,7 +587,7 @@ func (rt *Router) spec(w http.ResponseWriter, r *http.Request) (name string, sp 
 // doubles as an on-demand probe — and reports per-shard health with the
 // rolled-up status: "ok" only when every shard answers and reports "ok".
 func (rt *Router) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
-	resp := api.ClusterHealthResponse{Version: Version, Shards: make([]api.ShardHealth, len(rt.shards))}
+	resp := api.ClusterHealthResponse{Version: api.Version, Shards: make([]api.ShardHealth, len(rt.shards))}
 	var wg sync.WaitGroup
 	for i, s := range rt.shards {
 		wg.Add(1)
@@ -652,7 +639,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	n := len(rt.shards)
 	numParts := make([][]sim.Action, n)
 	nameParts := make([][]api.NamedAction, n)

@@ -48,15 +48,9 @@ func internStream(actions []sim.Action, tb *intern.Table) []sim.Action {
 // mutating the package variables is safe.
 func compressTimers(t *testing.T) {
 	t.Helper()
-	probe, base, max := rearmProbeInterval, snapshotBackoffBase, snapshotBackoffMax
-	rearmProbeInterval = 5 * time.Millisecond
-	snapshotBackoffBase = 1 * time.Millisecond
-	snapshotBackoffMax = 10 * time.Millisecond
-	t.Cleanup(func() {
-		rearmProbeInterval = probe
-		snapshotBackoffBase = base
-		snapshotBackoffMax = max
-	})
+	setForTest(t, &rearmProbeInterval, 5*time.Millisecond)
+	setForTest(t, &snapshotBackoffBase, 1*time.Millisecond)
+	setForTest(t, &snapshotBackoffMax, 10*time.Millisecond)
 }
 
 // submitRetry submits one batch, retrying the retryable rejections — WAL
@@ -985,10 +979,8 @@ func TestIngestWALFailure503(t *testing.T) {
 // 429 + Retry-After over HTTP — instead of hanging every producer.
 func TestAdmissionControlSheds(t *testing.T) {
 	reg := NewRegistry()
-	spec := durableSpec
-	spec.Queue = 1
-	spec.EnqueueDeadlineMillis = 50
-	tr, err := reg.Add("default", spec)
+	ShrinkQueue(t, 1, 50*time.Millisecond)
+	tr, err := reg.Add("default", durableSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,8 @@ func TestMoveRefusesUnlistedEdge(t *testing.T) {
 // serial replay.
 func TestShutdownDrainsQueue(t *testing.T) {
 	reg := NewRegistry()
-	tk, err := reg.Add("default", api.Spec{K: 5, Window: 400, Queue: 128})
+	setForTest(t, &queueLen, 128)
+	tk, err := reg.Add("default", api.Spec{K: 5, Window: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

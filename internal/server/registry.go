@@ -35,14 +35,16 @@ var ErrOverloaded = errors.New("server: ingest queue overloaded")
 // periodic probe re-arms the log (HTTP 503 + Retry-After meanwhile).
 var ErrReadOnly = errors.New("server: tracker is read-only (degraded durability)")
 
-// defaultQueueLen is the ingest queue capacity, in commands, when a Spec
-// does not set one.
-const defaultQueueLen = 256
-
-// DefaultEnqueueDeadline bounds how long Submit/Query wait for space in a
-// full ingest queue before shedding with ErrOverloaded, when the Spec does
-// not set its own deadline.
-const DefaultEnqueueDeadline = 2 * time.Second
+// queueLen is a tracker's ingest queue capacity, in commands (batches and
+// loop-side reads), the bound behind the Submit backpressure; and
+// enqueueDeadline bounds how long Submit/Query wait for space in a full
+// queue before shedding with ErrOverloaded (admission control: a wedged
+// ingest loop must not wedge HTTP handlers). Registry.Add reads both; they
+// are variables only so tests can shrink them (export_test.go).
+var (
+	queueLen        = 256
+	enqueueDeadline = 2 * time.Second
+)
 
 // rearmProbeInterval paces the degraded-readonly recovery probe (and is a
 // variable so the chaos tests can compress time).
@@ -201,25 +203,17 @@ func newTracked(name string, spec api.Spec, dataDir string, fs fault.FS) (*Track
 	if err != nil {
 		return nil, err
 	}
-	queue := spec.Queue
-	if queue <= 0 {
-		queue = defaultQueueLen
-	}
-	deadline := DefaultEnqueueDeadline
-	if spec.EnqueueDeadlineMillis != 0 {
-		deadline = time.Duration(spec.EnqueueDeadlineMillis) * time.Millisecond
-	}
 	t := &Tracked{
 		name:            name,
 		spec:            spec,
 		tr:              tr,
-		in:              make(chan command, queue),
+		in:              make(chan command, queueLen),
 		quit:            make(chan struct{}),
 		done:            make(chan struct{}),
 		names:           names,
 		dur:             dur,
 		recovered:       info,
-		enqueueDeadline: deadline,
+		enqueueDeadline: enqueueDeadline,
 	}
 	t.publish() // queries before the first ingest see the recovered snapshot
 	go t.loop()

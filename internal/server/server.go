@@ -51,21 +51,15 @@ import (
 	"repro/sim"
 )
 
-// Version is the build version reported by GET /v1/healthz and the
-// simserve -version flag. Override at link time:
-//
-//	go build -ldflags "-X repro/internal/server.Version=v1.2.3" ./cmd/simserve
-var Version = "dev"
+// maxBodyBytes caps an ingest request body. It is a variable only so tests
+// can reach 413 with a small body (export_test.go).
+var maxBodyBytes int64 = api.DefaultMaxBodyBytes
 
 // Server is the HTTP front of a Registry. It implements http.Handler.
 type Server struct {
 	reg     *Registry
 	mux     *http.ServeMux
 	started time.Time
-
-	// MaxBodyBytes caps ingest request bodies; 0 means api.DefaultMaxBodyBytes.
-	// Set before serving.
-	MaxBodyBytes int64
 }
 
 // New returns a Server over reg.
@@ -122,7 +116,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	api.WriteJSON(w, http.StatusOK, api.HealthResponse{
 		Status:        status,
-		Version:       Version,
+		Version:       api.Version,
 		GoVersion:     runtime.Version(),
 		Trackers:      len(names),
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -194,11 +188,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeRetryable(w, http.StatusServiceUnavailable, ErrReadOnly)
 		return
 	}
-	maxBody := s.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = api.DefaultMaxBodyBytes
-	}
-	body := http.MaxBytesReader(w, r.Body, maxBody)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var batch []sim.Action
 	var err error
 	if tb := t.Names(); tb != nil {

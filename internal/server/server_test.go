@@ -228,7 +228,8 @@ func waitQueueFull(t *testing.T, tk *server.Tracked) {
 // /influence for a user outside the snapshot is the one read that still rides
 // the loop: it is shed with 429 once the enqueue deadline passes.
 func TestQueryBlockedLoopIndependence(t *testing.T) {
-	spec := api.Spec{K: 3, Window: 200, Queue: 1, EnqueueDeadlineMillis: 50}
+	server.ShrinkQueue(t, 1, 50*time.Millisecond)
+	spec := api.Spec{K: 3, Window: 200}
 	ctx := context.Background()
 	var shards []*api.Client
 	var regs []*server.Registry
@@ -460,18 +461,15 @@ func TestQueryEndpointShapes(t *testing.T) {
 	}
 }
 
-// TestSpecRefusesNegatives: a negative queue, enqueue deadline or WAL
-// snapshot threshold is refused, by its JSON name, at both ways a spec
-// enters a server — a -spec file (api.ReadSpecs) and Registry.Add, which
-// flag-built specs and Go callers reach — instead of being read as the
-// default.
+// TestSpecRefusesNegatives: a negative WAL snapshot threshold is refused,
+// by its JSON name, at both ways a spec enters a server — a -spec file
+// (api.ReadSpecs) and Registry.Add, which flag-built specs and Go callers
+// reach — instead of being read as the default.
 func TestSpecRefusesNegatives(t *testing.T) {
 	for _, tc := range []struct {
 		field string
 		spec  api.Spec
 	}{
-		{"queue", api.Spec{K: 3, Window: 10, Queue: -1}},
-		{"enqueue_deadline_ms", api.Spec{K: 3, Window: 10, EnqueueDeadlineMillis: -1}},
 		{"snapshot_wal_bytes", api.Spec{K: 3, Window: 10, SnapshotWALBytes: -1}},
 	} {
 		t.Run("ReadSpecs/"+tc.field, func(t *testing.T) {
@@ -499,9 +497,8 @@ func TestErrorContract(t *testing.T) {
 	if _, err := reg.Add("default", api.Spec{K: 2, Window: 100}); err != nil {
 		t.Fatal(err)
 	}
-	handler := server.New(reg)
-	handler.MaxBodyBytes = 1 << 10 // make 413 reachable with a small body
-	srv := httptest.NewServer(handler)
+	server.CapBody(t, 1<<10) // make 413 reachable with a small body
+	srv := httptest.NewServer(server.New(reg))
 	defer srv.Close()
 
 	// Seed one action so a duplicate-ID replay conflicts below.
