@@ -59,9 +59,10 @@
 //	     tracker's enqueue deadline; the batch was NOT applied — back off
 //	     and retry (a Retry-After header carries a hint in seconds)
 //	503  tracker (or server) is draining, the request's context expired
-//	     while queued, a WAL append failed (the batch was NOT applied and
-//	     may be retried), or a degraded tracker is serving reads only
-//	     while it re-arms its durability path (Retry-After hints when)
+//	     while queued, or a WAL append failed (in each the batch was NOT
+//	     applied and may be retried), or a degraded tracker is serving
+//	     reads only while it re-arms its durability path (Retry-After
+//	     hints when)
 //
 // 429 and 503 are the retryable statuses; on ingest both guarantee the
 // batch was not applied, so retrying cannot double-apply. The Client
@@ -84,8 +85,8 @@ import (
 // Spec is the JSON/flag-configurable description of one served tracker: the
 // sim.Config knobs plus its name mode, WAL snapshot threshold and memory
 // budget. The zero value of every optional field means the default. The
-// ingest queue (256 commands) and its enqueue deadline (2 s) are server
-// constants, not spec fields: ReadSpecs refuses "queue" and
+// ingest queue (256 waiting callers) and its enqueue deadline (2 s) are
+// server constants, not spec fields: ReadSpecs refuses "queue" and
 // "enqueue_deadline_ms" as unknown.
 type Spec struct {
 	// K and Window are sim.Config.K and sim.Config.WindowSize; mandatory.
@@ -280,7 +281,7 @@ type CandidateSeed struct {
 // serves only the full form; it ignores the parameter.
 //
 // Both forms are computed from the tracker's published snapshot and never
-// wait for the ingest loop.
+// wait for the tracker's writer.
 type CandidatesResponse struct {
 	Candidates []CandidateSeed `json:"candidates"`
 	// K echoes the tracker's cardinality budget.
@@ -436,7 +437,7 @@ type TrackerMetricsResponse struct {
 // QueryRequest is the body of POST /v1/trackers/{name}/query: a relational
 // plan (see package query for the plan language) executed lazily against
 // the tracker's atomically published snapshot — never the live tracker, so
-// queries of any cost run without touching the ingest loop.
+// queries of any cost run without waiting for the tracker's writer.
 type QueryRequest struct {
 	Plan query.Plan `json:"plan"`
 	// Limit caps the returned rows; 0 means the server default (10000).

@@ -6,7 +6,6 @@
 //	simbench                       # run everything at the default scale
 //	simbench -exp fig5,fig7        # run selected experiments
 //	simbench -scale smoke          # fast pass (seconds, coarser numbers)
-//	simbench -window 20000 -k 50   # override individual sizes
 //	simbench -batch 100 -exp fig7  # batched ingestion for any run
 //
 // Experiment IDs: table2 table3 fig2-4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
@@ -35,19 +34,10 @@ import (
 
 func main() {
 	var (
-		exps    = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		scale   = flag.String("scale", "default", "base scale: 'default' or 'smoke'")
-		users   = flag.Int("users", 0, "override user count |U|")
-		stream  = flag.Int("stream", 0, "override stream length")
-		window  = flag.Int("window", 0, "override window size N")
-		slide   = flag.Int("slide", 0, "override slide length L")
-		k       = flag.Int("k", 0, "override seed budget k")
-		beta    = flag.Float64("beta", 0, "override default beta")
-		mc      = flag.Int("mc", 0, "override Monte-Carlo rounds")
-		samples = flag.Int("samples", 0, "override quality sample count")
-		seed    = flag.Int64("seed", 0, "override random seed")
-		batch   = flag.Int("batch", 0, "ingestion batch size within each slide-sized ProcessAll call of the streaming runs (1 = per-action)")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
+		exps  = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
+		scale = flag.String("scale", "default", "base scale: 'default' or 'smoke'")
+		batch = flag.Int("batch", 0, "ingestion batch size within each slide-sized ProcessAll call of the streaming runs (1 = per-action)")
+		list  = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
 
@@ -67,33 +57,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "simbench: unknown scale %q\n", *scale)
 		os.Exit(2)
-	}
-	if *users > 0 {
-		sc.Users = *users
-	}
-	if *stream > 0 {
-		sc.StreamLen = *stream
-	}
-	if *window > 0 {
-		sc.Window = *window
-	}
-	if *slide > 0 {
-		sc.Slide = *slide
-	}
-	if *k > 0 {
-		sc.K = *k
-	}
-	if *beta > 0 {
-		sc.Beta = *beta
-	}
-	if *mc > 0 {
-		sc.MCRounds = *mc
-	}
-	if *samples > 0 {
-		sc.Samples = *samples
-	}
-	if *seed != 0 {
-		sc.Seed = *seed
 	}
 	if *batch > 0 {
 		sc.BatchSize = *batch

@@ -27,8 +27,8 @@
 //
 // The repository also runs as a service: cmd/simserve (internal/server)
 // keeps named trackers alive behind an HTTP API with NDJSON streaming
-// ingest, a single-writer ingest loop per tracker, lock-free snapshot
-// reads (sim.Snapshot), a text /metrics endpoint and drain-on-SIGTERM
+// ingest, one writer per tracker at a time (whichever caller holds its
+// gate), lock-free snapshot reads (sim.Snapshot), a text /metrics endpoint and drain-on-SIGTERM
 // shutdown. cmd/simgen generates workloads as NDJSON, the one stream format
 // (internal/dataio), and cmd/simctl ingest feeds them to a server.
 //

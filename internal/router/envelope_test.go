@@ -27,7 +27,7 @@ import (
 // The server's own body cap and queue are not settable from this package:
 // its 413 comes from a 1 KiB http.MaxBytesHandler in front of it (the
 // server reports the limit of the reader that tripped), and its 429 from
-// filling its real ingest queue behind a wedged loop and waiting out the
+// filling its real ingest queue behind a wedged gate and waiting out the
 // real enqueue deadline. The router's shard is that server behind a stub
 // that answers default's ingest and influence with the server's overload
 // envelope, so the router's 429 pins see the shard's 429 at once.
@@ -86,8 +86,8 @@ func TestErrorEnvelopeBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	overloaded.Store(true)
-	// Wedge the shard's ingest loop and fill its queue, so whatever still has
-	// to ride the loop is shed with 429.
+	// Wedge the shard's gate and fill its queue, so whatever still has to
+	// wait for the gate is shed with 429.
 	release := make(chan struct{})
 	parked := make(chan struct{})
 	loopDone := make(chan error, 1)

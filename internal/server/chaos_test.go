@@ -252,7 +252,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 		// of a record that carries a names trailer.
 		names  bool
 		rearms bool // expect the poisoned-log re-arm path to have run
-		batch  int  // sim batching: replay must flush where the live loop did
+		batch  int  // sim batching: replay must flush where live ingest did
 		// tornCrash kills the server mid-append halfway through the stream (a
 		// torn record at the WAL's tail) and carries on from the recovered
 		// image, with no snapshot taken: everything acknowledged since is in
@@ -304,8 +304,8 @@ func TestChaosCrashMatrix(t *testing.T) {
 			}
 			if tc.batch > 1 {
 				// Batched answers depend on where the stream is flushed: the
-				// reference flushes after each 100-action submit, as the
-				// loop does.
+				// reference flushes after each 100-action submit, as live
+				// ingest does.
 				want = chunkedReference(t, spec, actions, 100)
 			}
 			rules, err := fault.ParseRules(tc.rules)
@@ -345,7 +345,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 				batch := rest[:n]
 				if tc.names {
 					// Mirror the HTTP handler: intern external names to the
-					// dense IDs the loop and WAL operate on.
+					// dense IDs the tracker and WAL operate on.
 					batch = internStream(batch, tr.Names())
 				}
 				submitRetry(t, tr, batch)
@@ -511,7 +511,7 @@ func probeHealth(t *testing.T, reg *Registry) api.HealthResponse {
 }
 
 // TestColdReadFailureInQueryShowsOnHealth: a cold read that fails inside a
-// loop query (/influence of a user outside the candidate pool) degrades
+// gate query (/influence of a user outside the candidate pool) degrades
 // /v1/healthz at once, not only after the next ingested batch publishes.
 func TestColdReadFailureInQueryShowsOnHealth(t *testing.T) {
 	inj := fault.NewInjector(fault.OS())
@@ -843,9 +843,9 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	if _, err := tr.Submit(ctx, actions[400:420]); !errors.Is(err, ErrDurability) {
 		t.Fatalf("poisoning submit: err = %v, want ErrDurability", err)
 	}
-	// The probe runs on the loop goroutine and may already have moved the
-	// tracker on to recovering by the time Submit returns, so the move is
-	// read from the trace, not from State.
+	// The probe may take the gate as soon as Submit lets go of it, so it
+	// may already have moved the tracker on to recovering by the time
+	// Submit returns; the move is read from the trace, not from State.
 	if m := moves(); len(m) == 0 || m[0] != (edge{StateOK, StateDegradedReadOnly}) {
 		t.Fatalf("moves after poisoning = %v, want ok → degraded-readonly first", m)
 	}
@@ -974,7 +974,7 @@ func TestIngestWALFailure503(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlSheds wedges a tracker's ingest loop and asserts the
+// TestAdmissionControlSheds wedges a tracker's gate and asserts the
 // enqueue deadline sheds further work quickly — ErrOverloaded at the API,
 // 429 + Retry-After over HTTP — instead of hanging every producer.
 func TestAdmissionControlSheds(t *testing.T) {
@@ -989,23 +989,18 @@ func TestAdmissionControlSheds(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 
-	// Wedge the loop: a query closure that blocks until released.
-	started := make(chan struct{})
+	// Wedge the gate: a query closure that blocks until released.
 	release := make(chan struct{})
-	queryDone := make(chan error, 1)
-	go func() {
-		queryDone <- tr.Query(ctx, func(*sim.Tracker) {
-			close(started)
-			<-release
-		})
-	}()
-	<-started
+	queryDone := parkGate(tr, release)
 
-	// Fill the (capacity 1) queue behind the wedged loop.
+	// Fill the (capacity 1) queue behind the wedged gate.
 	batch := durableStream(10)
-	if err := tr.enqueue(ctx, command{batch: batch}); err != nil {
-		t.Fatalf("filling queue: %v", err)
-	}
+	filled := make(chan error, 1)
+	go func() {
+		_, err := tr.Submit(ctx, batch)
+		filled <- err
+	}()
+	waitDepth(t, tr, 1)
 
 	// Now the queue is full and the consumer is stuck: Submit must shed
 	// within the deadline, not hang for the caller's lifetime.
@@ -1032,6 +1027,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 	close(release)
 	if err := <-queryDone; err != nil {
 		t.Fatalf("wedge query: %v", err)
+	}
+	if err := <-filled; err != nil {
+		t.Fatalf("filling queue: %v", err)
 	}
 
 	// The shed bookkeeping surfaced, and the queued batch was not lost.

@@ -29,11 +29,11 @@ import (
 //	snapshot.sim2.tmp   in-flight snapshot write; never loaded
 //	wal.log             batches applied, names interned, since that snapshot (see wal.go)
 //
-// Write path (all on the tracker's single-writer ingest loop): every batch
+// Write path (all under the tracker's gate, by its one writer): every batch
 // is appended to the WAL and fsynced BEFORE it is applied and the refreshed
 // snapshot published — an acknowledged action is on disk, so a kill -9
 // mid-ingest loses nothing acknowledged. Once the WAL exceeds its size
-// threshold the loop writes a fresh snapshot to snapshot.sim2.tmp, fsyncs,
+// threshold the writer takes a fresh snapshot to snapshot.sim2.tmp, fsyncs,
 // atomically renames it over snapshot.sim2 and truncates the WAL. A crash
 // between rename and truncate only leaves WAL entries the snapshot already
 // covers; recovery skips them by ID.
@@ -54,7 +54,7 @@ import (
 // Recovery (tracker construction): load snapshot.sim2 if present, then replay
 // wal.log — rebuilding a name-mode tracker's name table on the way (see
 // foldNames) and skipping batches whose newest ID is not beyond the
-// snapshot — through the same ProcessAll call the live loop makes, so a
+// snapshot — through the same ProcessAll call live ingest makes, so a
 // batch that was partially rejected live (stream-order conflict) replays to
 // the identical partially-applied state. One WAL record is one ProcessAll
 // call, and a call holds nothing over to the next, so sim-level batching
@@ -93,7 +93,8 @@ type RecoveryInfo struct {
 }
 
 // durability is the per-tracker durable state, owned — like the tracker
-// itself — by the single-writer ingest loop after construction.
+// itself — by whichever goroutine holds the tracker's gate after
+// construction.
 type durability struct {
 	dir      string
 	fs       fault.FS
@@ -109,15 +110,15 @@ type durability struct {
 	// /v1/healthz as a degraded-durability signal: the WAL keeps growing
 	// and every reboot replays more, so an operator must hear about it;
 	// appends failing is surfaced per-request instead). Written only by
-	// the ingest loop, read by the HTTP health handler — hence atomic.
+	// the gate holder, read by the HTTP health handler — hence atomic.
 	// Holds a string; empty means healthy.
 	snapErr atomic.Value
 	// snapRetries counts failed checkpoint attempts; rearms counts recoveries
-	// from a poisoned log. Loop-written, handler-read.
+	// from a poisoned log. Written by the gate holder, read by handlers.
 	snapRetries atomic.Int64
 	rearms      atomic.Int64
 
-	// backoff / nextAttempt gate snapshot retries (loop-owned): after a
+	// backoff / nextAttempt pace snapshot retries (gate-owned): after a
 	// failure no new attempt is made before nextAttempt.
 	backoff     time.Duration
 	nextAttempt time.Time
@@ -307,7 +308,7 @@ func (d *durability) due() bool { return !time.Now().Before(d.nextAttempt) }
 // steady-state snapshot+truncate — taken once the WAL has outgrown its
 // threshold and the backoff allows, or unconditionally when force is set
 // (graceful shutdown, the recovery probe) — and the repair of a poisoned
-// path. Runs on the ingest loop; tr is safe to use.
+// path. Runs under the tracker's gate; tr is safe to use.
 //
 // It reports whether a fresh snapshot was published: the caller may then
 // collect cold segments the new manifest no longer references, even if a log

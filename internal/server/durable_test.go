@@ -45,8 +45,8 @@ func serialReference(t *testing.T, actions []sim.Action) sim.Snapshot {
 }
 
 // chunkedReference replays actions through a bare sim.Tracker built from
-// spec, one ProcessAll call per chunk actions the way the ingest loop makes
-// one per submitted batch. At Batch <= 1 the chunking is immaterial.
+// spec, one ProcessAll call per chunk actions the way live ingest makes one
+// per submitted batch. At Batch <= 1 the chunking is immaterial.
 func chunkedReference(t *testing.T, spec api.Spec, actions []sim.Action, chunk int) sim.Snapshot {
 	t.Helper()
 	tr, err := sim.New(spec.Config())

@@ -59,7 +59,7 @@ func ExampleServer() {
 	// top seed: user=3 influence=4
 }
 
-// ExampleTracked is the embedded client path: the same serving loop without
+// ExampleTracked is the embedded client path: the same serving path without
 // HTTP — submit batches through the bounded queue and read the published
 // snapshot from any goroutine.
 func ExampleTracked() {

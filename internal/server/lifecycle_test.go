@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ type edge struct{ from, to TrackerState }
 
 // recordMoves installs the move trace for the rest of the test. Call it
 // before the tracker is built and after the registry's Close is deferred
-// with t.Cleanup, so the hook outlives the loop that reads it.
+// with t.Cleanup, so the hook outlives the probe and batches that read it.
 func recordMoves(t *testing.T) (moves func() []edge) {
 	t.Helper()
 	var mu sync.Mutex
@@ -156,10 +158,35 @@ func TestMoveRefusesUnlistedEdge(t *testing.T) {
 	(&Tracked{name: "t"}).move(StateRecovering)
 }
 
-// TestShutdownDrainsQueue fills the bounded ingest queue through enqueue,
-// without waiting for the loop, and closes the registry: every queued batch
-// must be applied before Close returns, and the drained state must match a
-// serial replay.
+// parkGate runs a Query whose closure blocks until release is closed, and
+// returns once it holds the tracker's gate; the returned channel yields the
+// Query's error.
+func parkGate(tk *Tracked, release <-chan struct{}) <-chan error {
+	parked := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- tk.Query(context.Background(), func(*sim.Tracker) {
+			close(parked)
+			<-release
+		})
+	}()
+	<-parked
+	return done
+}
+
+// waitDepth waits until n callers wait for tk's gate.
+func waitDepth(t *testing.T, tk *Tracked, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("queue depth %d", n), func() bool {
+		depth, _ := tk.QueueDepth()
+		return depth == n
+	})
+}
+
+// TestShutdownDrainsQueue fills the bounded ingest queue behind a parked
+// gate and closes the registry while they wait: every queued batch must be
+// applied before Close returns, and the drained state must match a serial
+// replay.
 func TestShutdownDrainsQueue(t *testing.T) {
 	reg := NewRegistry()
 	setForTest(t, &queueLen, 128)
@@ -169,13 +196,33 @@ func TestShutdownDrainsQueue(t *testing.T) {
 	}
 	actions := gen.Stream(gen.SynO(300, 3000, 500, 42))
 	ctx := context.Background()
+	release := make(chan struct{})
+	parked := parkGate(tk, release)
+	var submits []chan error
 	for i := 0; i < len(actions); i += 50 {
 		end := min(i+50, len(actions))
-		if err := tk.enqueue(ctx, command{batch: actions[i:end]}); err != nil {
-			t.Fatalf("enqueue at %d: %v", i, err)
+		done := make(chan error, 1)
+		go func() {
+			_, err := tk.Submit(ctx, actions[i:end])
+			done <- err
+		}()
+		submits = append(submits, done)
+		// One at a time, so the batches reach the gate in stream order.
+		waitDepth(t, tk, len(submits))
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- reg.Close() }()
+	<-tk.quit // draining has begun; the queued batches still hold their slots
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked query: %v", err)
+	}
+	for i, done := range submits {
+		if err := <-done; err != nil {
+			t.Fatalf("submit at %d: %v", i*50, err)
 		}
 	}
-	if err := reg.Close(); err != nil {
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	snap := tk.Snapshot()
@@ -207,5 +254,62 @@ func TestShutdownDrainsQueue(t *testing.T) {
 	// Close is idempotent.
 	if err := reg.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestAbandonedWaiterNeverRuns: a caller whose context ends while it waits
+// for the gate gets the context's error, and its work never runs — neither
+// an ingest batch (so a 503 for it means "not applied") nor a query closure.
+func TestAbandonedWaiterNeverRuns(t *testing.T) {
+	reg := NewRegistry()
+	tk, err := reg.Add("default", api.Spec{K: 5, Window: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	actions := gen.Stream(gen.SynO(300, 100, 500, 42))
+
+	// waitThenCancel queues call behind a parked gate, cancels its context
+	// once it is queued, and returns call's error after the gate is free
+	// again and one more caller has run behind it.
+	waitThenCancel := func(call func(ctx context.Context) error) error {
+		release := make(chan struct{})
+		parked := parkGate(tk, release)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- call(ctx) }()
+		waitDepth(t, tk, 1)
+		cancel()
+		err := <-done
+		close(release)
+		if err := <-parked; err != nil {
+			t.Fatalf("parked query: %v", err)
+		}
+		if err := tk.Query(context.Background(), func(*sim.Tracker) {}); err != nil {
+			t.Fatalf("query behind the abandoned caller: %v", err)
+		}
+		return err
+	}
+
+	err = waitThenCancel(func(ctx context.Context) error {
+		_, err := tk.Submit(ctx, actions)
+		return err
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned Submit = %v, want context.Canceled", err)
+	}
+	if got := tk.Snapshot().Processed; got != 0 {
+		t.Fatalf("abandoned batch was applied: processed = %d", got)
+	}
+
+	var ran atomic.Bool
+	err = waitThenCancel(func(ctx context.Context) error {
+		return tk.Query(ctx, func(*sim.Tracker) { ran.Store(true) })
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned Query = %v, want context.Canceled", err)
+	}
+	if ran.Load() {
+		t.Fatal("abandoned query closure ran")
 	}
 }

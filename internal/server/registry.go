@@ -22,10 +22,10 @@ import (
 // registry) has started draining.
 var ErrClosed = errors.New("server: tracker is draining")
 
-// ErrOverloaded is returned by Submit and Query when the ingest queue stays
-// full past the enqueue deadline: the tracker is shedding load (HTTP 429)
-// instead of wedging its callers behind a slow consumer. The command was
-// NOT enqueued; retry after backing off.
+// ErrOverloaded is returned by Submit and Query when every waiting slot
+// stays taken past the enqueue deadline: the tracker is shedding load (HTTP
+// 429) instead of wedging its callers behind a slow writer. The work did NOT
+// run; retry after backing off.
 var ErrOverloaded = errors.New("server: ingest queue overloaded")
 
 // ErrReadOnly is returned by Submit while a durable tracker is in
@@ -35,12 +35,12 @@ var ErrOverloaded = errors.New("server: ingest queue overloaded")
 // periodic probe re-arms the log (HTTP 503 + Retry-After meanwhile).
 var ErrReadOnly = errors.New("server: tracker is read-only (degraded durability)")
 
-// queueLen is a tracker's ingest queue capacity, in commands (batches and
-// loop-side reads), the bound behind the Submit backpressure; and
-// enqueueDeadline bounds how long Submit/Query wait for space in a full
-// queue before shedding with ErrOverloaded (admission control: a wedged
-// ingest loop must not wedge HTTP handlers). Registry.Add reads both; they
-// are variables only so tests can shrink them (export_test.go).
+// queueLen is a tracker's ingest queue capacity: how many callers (batches
+// and gate-side reads) may wait for its gate at once, the bound behind the
+// Submit backpressure; and enqueueDeadline bounds how long Submit/Query wait
+// for a slot in a full queue before shedding with ErrOverloaded (admission
+// control: a wedged writer must not wedge HTTP handlers). Registry.Add reads
+// both; they are variables only so tests can shrink them (export_test.go).
 var (
 	queueLen        = 256
 	enqueueDeadline = 2 * time.Second
@@ -91,75 +91,62 @@ func (s TrackerState) String() string {
 	}
 }
 
-// command is one unit of work for a Tracked's single-writer loop: either an
-// ingest batch or a read closure. reply (when non-nil) receives the batch's
-// outcome; it must be buffered so the loop never blocks on a caller that
-// gave up.
-type command struct {
-	batch []sim.Action
-	query func(*sim.Tracker)
-	reply chan outcome
-}
-
-// outcome is what the loop reports back for one command: the ingestion
-// error and the tracker's processed count at the moment the command was
-// applied (so callers see their own batch's effect, not a later one's).
-type outcome struct {
-	err       error
-	processed int64
-}
-
-// Tracked is one served tracker: a sim.Tracker owned by a single-writer
-// goroutine, fed through a bounded command channel (backpressure: Submit
-// blocks while the queue is full), with an atomically published read
-// snapshot refreshed after every applied batch.
+// Tracked is one served tracker: a sim.Tracker owned by whichever caller
+// holds its gate, with a bounded queue of callers waiting for it
+// (backpressure: Submit blocks while the queue is full) and an atomically
+// published read snapshot refreshed after every applied batch.
 //
 // The split mirrors the serve/analyze separation argued for by Polynesia:
-// the write path (ingest loop) is strictly serial — sim.Tracker is not safe
-// for concurrent use — while reads consume the immutable published Snapshot
-// (no coordination at all). The exception is state the snapshot does not
-// carry — the influence set of a user outside the candidate pool — which is
-// read by a closure on the loop itself (Query).
+// the write path is strictly serial — sim.Tracker is not safe for
+// concurrent use, so only the gate holder touches it — while reads consume
+// the immutable published Snapshot (no coordination at all). The exception
+// is state the snapshot does not carry — the influence set of a user outside
+// the candidate pool — which is read by a closure under the gate (Query).
 type Tracked struct {
 	name string
 	spec api.Spec
 	tr   *sim.Tracker
-	in   chan command
-	quit chan struct{} // closed by Close: unblocks pending enqueues
-	done chan struct{} // closed when the loop has drained and exited
+	// gate (capacity 1) is held by the one goroutine that owns tr; slots
+	// (capacity queueLen) by the callers waiting for it, each giving its slot
+	// back once it holds the gate. Waiters take the gate in arrival order.
+	gate  chan struct{}
+	slots chan struct{}
+	quit  chan struct{} // closed by Close: unblocks callers waiting for a slot
+	// probing tracks the durable tracker's re-arm probe; Close waits for it.
+	probing sync.WaitGroup
 
 	// names interns external user names to dense IDs on name-mode trackers
 	// (Spec.Names); nil otherwise. Handlers intern concurrently (the table
-	// locks internally); the ingest loop persists new names in the WAL
-	// record of the first batch that may reference them.
+	// locks internally); ingest persists new names in the WAL record of the
+	// first batch that may reference them.
 	names *intern.Table
 
-	// dur, when non-nil, makes the tracker durable: the loop appends every
+	// dur, when non-nil, makes the tracker durable: ingest appends every
 	// batch to a write-ahead log before applying it and periodically
-	// snapshots + truncates (see durable.go). Owned by the loop after
+	// snapshots + truncates (see durable.go). Owned by the gate holder after
 	// construction. recovered describes what boot restored.
 	dur       *durability
 	recovered RecoveryInfo
 
 	// state is the serving state (ok / degraded-readonly / recovering),
-	// written by the ingest loop through move, read by handlers and Submit.
+	// written by the gate holder through move, read by handlers and Submit.
 	state atomic.Int32
 	// coldErr is the message of the stream's ColdErr — its first failed
 	// cold read, else its latest spill if that failed — published by the
-	// loop in noteColdErr; nil while none.
+	// gate holder in noteColdErr; nil while none.
 	coldErr atomic.Pointer[string]
 
-	// enqueueDeadline bounds the wait for space in a full queue before
+	// enqueueDeadline bounds the wait for a slot in a full queue before
 	// shedding (ErrOverloaded).
 	enqueueDeadline time.Duration
-	// shed counts commands rejected by the enqueue deadline; qHighWater is
-	// the deepest the queue has been at an enqueue.
+	// shed counts callers rejected by the enqueue deadline; qHighWater is
+	// the deepest the queue has been when a caller took a slot.
 	shed       atomic.Int64
 	qHighWater atomic.Int64
 
 	mu         sync.Mutex // guards closed
 	closed     bool
-	submitters sync.WaitGroup // enqueues in flight past the closed check
+	submitters sync.WaitGroup // callers in flight past the closed check
 	closeOnce  sync.Once
 	closeErr   error
 
@@ -170,8 +157,9 @@ type Tracked struct {
 	prev atomic.Pointer[sim.Snapshot]
 }
 
-// newTracked builds the tracker for spec and starts its ingest loop. A
-// non-empty dataDir makes the tracker durable: its state is recovered from
+// newTracked builds the tracker for spec; a memory-only one starts no
+// goroutine, a durable one its re-arm probe. A non-empty dataDir makes the
+// tracker durable: its state is recovered from
 // dataDir (snapshot + WAL replay) and every subsequent batch is logged
 // before it is applied. Its cold tier lives in dataDir/spill (see
 // sim.Config.SpillDir) — always, even without a budget: it is what re-adopts
@@ -207,16 +195,19 @@ func newTracked(name string, spec api.Spec, dataDir string, fs fault.FS) (*Track
 		name:            name,
 		spec:            spec,
 		tr:              tr,
-		in:              make(chan command, queueLen),
+		gate:            make(chan struct{}, 1),
+		slots:           make(chan struct{}, queueLen),
 		quit:            make(chan struct{}),
-		done:            make(chan struct{}),
 		names:           names,
 		dur:             dur,
 		recovered:       info,
 		enqueueDeadline: enqueueDeadline,
 	}
 	t.publish() // queries before the first ingest see the recovered snapshot
-	go t.loop()
+	if dur != nil {
+		t.probing.Add(1)
+		go t.probe()
+	}
 	return t, nil
 }
 
@@ -257,8 +248,8 @@ func (t *Tracked) degradation() string {
 // the log.
 func (t *Tracked) State() TrackerState { return TrackerState(t.state.Load()) }
 
-// move takes the lifecycle edge from the current state to to, on the loop
-// goroutine. Asking for the state the tracker is already in is not a move;
+// move takes the lifecycle edge from the current state to to, under the
+// gate. Asking for the state the tracker is already in is not a move;
 // asking for an edge the table does not hold is a bug.
 func (t *Tracked) move(to TrackerState) {
 	from := t.State()
@@ -312,9 +303,9 @@ func (t *Tracked) Spec() api.Spec { return t.spec }
 // (Spec.Names), nil otherwise.
 func (t *Tracked) Names() *intern.Table { return t.names }
 
-// QueueDepth returns the number of commands waiting for the ingest loop and
-// the queue's capacity.
-func (t *Tracked) QueueDepth() (depth, capacity int) { return len(t.in), cap(t.in) }
+// QueueDepth returns the number of callers waiting for the tracker's gate
+// and the queue's capacity.
+func (t *Tracked) QueueDepth() (depth, capacity int) { return len(t.slots), cap(t.slots) }
 
 // Snapshot returns the most recently published read snapshot. The snapshot
 // is immutable and shared; callers must not modify its slices.
@@ -325,91 +316,71 @@ func (t *Tracked) Snapshot() *sim.Snapshot { return t.snap.Load() }
 // nil when nothing has been ingested since boot.
 func (t *Tracked) PrevSnapshot() *sim.Snapshot { return t.prev.Load() }
 
-// loop is the single writer: it owns t.tr, applies commands in arrival
-// order, and republishes the read snapshot after each batch. Durable trackers
-// additionally run a periodic recovery probe: while the durable path is
+// probe is a durable tracker's recovery probe: while the durable path is
 // poisoned (degraded-readonly), each tick the backoff allows attempts a
-// checkpoint — fresh covering snapshot, poisoned log recreated — so ingest
-// resumes by itself once the disk heals. The loop exits when the command
-// channel is closed (by Close) after draining everything still queued — the
-// graceful-drain guarantee.
-func (t *Tracked) loop() {
-	defer close(t.done)
-	var probeC <-chan time.Time
-	if t.dur != nil {
-		probe := time.NewTicker(rearmProbeInterval)
-		defer probe.Stop()
-		probeC = probe.C
-	}
+// checkpoint under the gate — fresh covering snapshot, poisoned log
+// recreated — so ingest resumes by itself once the disk heals. It exits
+// when Close begins.
+func (t *Tracked) probe() {
+	defer t.probing.Done()
+	tick := time.NewTicker(rearmProbeInterval)
+	defer tick.Stop()
 	for {
 		select {
-		case c, ok := <-t.in:
-			if !ok {
-				// Drained: take a final snapshot so the next boot skips WAL
-				// replay entirely. Still on the loop goroutine, so t.tr is
-				// safe to serialize.
-				if t.dur != nil {
-					t.checkpoint(true)
-					t.dur.close()
-				}
+		case <-tick.C:
+			if t.State() != StateDegradedReadOnly {
+				continue
+			}
+			select {
+			case t.gate <- struct{}{}:
+				t.tryRearm()
+				<-t.gate
+			case <-t.quit:
 				return
 			}
-			t.apply(c)
-		case <-probeC:
-			t.tryRearm()
+		case <-t.quit:
+			return
 		}
 	}
 }
 
-// apply executes one command on the loop goroutine.
-func (t *Tracked) apply(c command) {
+// ingest applies one batch under the gate. Durable trackers log the batch
+// (fsync included) before applying it: once the caller sees success, the
+// actions are on disk. A WAL failure rejects the batch unapplied — the
+// in-memory state never runs ahead of the log. On name-mode trackers the
+// record also carries the names not yet on disk, so every ID a WAL batch
+// references is resolvable on recovery.
+func (t *Tracked) ingest(batch []sim.Action) error {
 	var err error
-	switch {
-	case c.batch != nil:
-		// Durable trackers log the batch (fsync included) before
-		// applying it: once the caller sees success, the actions are on
-		// disk. A WAL failure rejects the batch unapplied — the
-		// in-memory state never runs ahead of the log. On name-mode
-		// trackers the record also carries the names not yet on disk,
-		// so every ID a WAL batch references is resolvable on recovery.
-		if t.dur != nil && t.dur.poisoned() {
-			// Read-only until the probe re-arms the log: accepting the
-			// batch would acknowledge an action the poisoned log cannot
-			// make durable.
-			err = ErrReadOnly
-		} else if t.dur != nil {
-			err = t.dur.log(c.batch)
-		}
-		if err == nil {
-			// One submitted batch — one WAL record — is one ProcessAll call,
-			// here and on replay (recoverTracker): the call holds nothing
-			// over, so both cut the stream into the same ingestion batches.
-			err = t.tr.ProcessAll(c.batch)
-		}
-		t.publish()
-		if t.dur != nil {
-			if t.dur.poisoned() {
-				// This batch's failure (or an earlier one's) left junk the
-				// rollback could not remove: degraded-readonly; the probe
-				// takes it from here.
-				t.move(StateDegradedReadOnly)
-			} else {
-				t.checkpoint(false)
-			}
-		}
-	case c.query != nil:
-		// Nothing to publish afterwards: reads leave the tracker's answer
-		// as it was. A read may have failed on the cold tier, though.
-		c.query(t.tr)
-		t.noteColdErr()
+	if t.dur != nil && t.dur.poisoned() {
+		// Read-only until the probe re-arms the log: accepting the batch
+		// would acknowledge an action the poisoned log cannot make durable.
+		err = ErrReadOnly
+	} else if t.dur != nil {
+		err = t.dur.log(batch)
 	}
-	if c.reply != nil {
-		c.reply <- outcome{err: err, processed: t.snap.Load().Processed}
+	if err == nil {
+		// One submitted batch — one WAL record — is one ProcessAll call,
+		// here and on replay (recoverTracker): the call holds nothing over,
+		// so both cut the stream into the same ingestion batches.
+		err = t.tr.ProcessAll(batch)
 	}
+	t.publish()
+	if t.dur != nil {
+		if t.dur.poisoned() {
+			// This batch's failure (or an earlier one's) left junk the
+			// rollback could not remove: degraded-readonly; the probe takes
+			// it from here.
+			t.move(StateDegradedReadOnly)
+		} else {
+			t.checkpoint(false)
+		}
+	}
+	return err
 }
 
-// tryRearm attempts to recover a poisoned durable path, on the loop
-// goroutine: recovering while the attempt runs, ok on success, back to
+// tryRearm attempts to recover a poisoned durable path, under the gate:
+// recovering while the attempt runs, ok on success, back to
 // degraded-readonly on failure. A tick inside the backoff the last failure
 // scheduled attempts nothing and moves nothing.
 func (t *Tracked) tryRearm() {
@@ -440,8 +411,8 @@ func (t *Tracked) checkpoint(force bool) {
 
 // publish refreshes the shared read snapshot, rotating the old one into
 // prev when ingest progressed — window-compare queries diff the two. Called
-// only from the goroutine that owns t.tr (the loop, or newTracked before
-// the loop starts).
+// only by the goroutine that owns t.tr (the gate holder, or newTracked
+// before anyone else can reach the tracker).
 func (t *Tracked) publish() {
 	s := t.tr.Snapshot()
 	if old := t.snap.Load(); old != nil && old.Processed != s.Processed {
@@ -453,7 +424,7 @@ func (t *Tracked) publish() {
 
 // noteColdErr publishes the stream's ColdErr for /v1/healthz: a failed cold
 // read until the tracker restarts, a failed spill until a spill succeeds.
-// Called on the goroutine that owns t.tr after anything that may touch the
+// Called by the goroutine that owns t.tr after anything that may touch the
 // cold tier: ingest and its publish, or a query closure.
 func (t *Tracked) noteColdErr() {
 	var msg *string
@@ -464,12 +435,14 @@ func (t *Tracked) noteColdErr() {
 	t.coldErr.Store(msg)
 }
 
-// enqueue hands c to the loop. A full queue applies backpressure only up
-// to the tracker's enqueue deadline; past it the command is shed with
-// ErrOverloaded (admission control: a wedged consumer must not wedge HTTP
-// handlers too). It fails with ErrClosed once draining has begun and with
-// ctx.Err() if the caller's context expires first.
-func (t *Tracked) enqueue(ctx context.Context, c command) error {
+// run takes a slot in the tracker's queue, then its gate, and runs fn as
+// the tracker's one writer. A full queue applies backpressure only up to the
+// tracker's enqueue deadline; past it the caller is shed with ErrOverloaded
+// (admission control: a wedged writer must not wedge HTTP handlers too). It
+// fails with ErrClosed once draining has begun and with ctx.Err() if the
+// caller's context ends before it holds the gate; in every failure fn never
+// runs. A caller that holds a slot when Close begins still runs.
+func (t *Tracked) run(ctx context.Context, fn func()) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -478,91 +451,99 @@ func (t *Tracked) enqueue(ctx context.Context, c command) error {
 	t.submitters.Add(1)
 	t.mu.Unlock()
 	defer t.submitters.Done()
-	select {
-	case t.in <- c:
-		t.noteQueueDepth()
-		return nil
-	default:
+	if err := t.takeSlot(ctx); err != nil {
+		return err
 	}
-	timer := time.NewTimer(t.enqueueDeadline)
-	defer timer.Stop()
 	select {
-	case t.in <- c:
-		t.noteQueueDepth()
-		return nil
-	case <-timer.C:
-		t.shed.Add(1)
-		return ErrOverloaded
-	case <-t.quit:
-		return ErrClosed
+	case t.gate <- struct{}{}:
 	case <-ctx.Done():
+		<-t.slots
 		return ctx.Err()
 	}
+	<-t.slots
+	defer func() { <-t.gate }()
+	if err := ctx.Err(); err != nil {
+		return err // ended while the gate was being taken
+	}
+	fn()
+	return nil
 }
 
-// noteQueueDepth records the queue's depth after an enqueue in the
-// high-water gauge.
-func (t *Tracked) noteQueueDepth() {
-	depth := int64(len(t.in))
+// takeSlot waits for room in the queue, up to the enqueue deadline, and
+// records the depth it found in the high-water gauge.
+func (t *Tracked) takeSlot(ctx context.Context) error {
+	select {
+	case t.slots <- struct{}{}:
+	default:
+		timer := time.NewTimer(t.enqueueDeadline)
+		defer timer.Stop()
+		select {
+		case t.slots <- struct{}{}:
+		case <-timer.C:
+			t.shed.Add(1)
+			return ErrOverloaded
+		case <-t.quit:
+			return ErrClosed
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	depth := int64(len(t.slots))
 	for {
 		hw := t.qHighWater.Load()
 		if depth <= hw || t.qHighWater.CompareAndSwap(hw, depth) {
-			return
+			return nil
 		}
 	}
 }
 
-// Submit ingests one batch of actions through the single-writer loop and
-// waits for the result, returning the tracker's lifetime accepted-action
-// count as of the moment this batch was applied (not a later snapshot's).
-// Actions are applied in submission order; an error (e.g. a non-monotonic
-// ID) aborts the batch at the offending action.
+// Submit ingests one batch of actions as the tracker's one writer and
+// returns its lifetime accepted-action count as of this batch (not a later
+// one's). Batches are applied in the order their callers reached the gate;
+// an error (e.g. a non-monotonic ID) aborts the batch at the offending
+// action.
 func (t *Tracked) Submit(ctx context.Context, batch []sim.Action) (processed int64, err error) {
-	c := command{batch: batch, reply: make(chan outcome, 1)}
-	if err := t.enqueue(ctx, c); err != nil {
-		return 0, err
+	if rerr := t.run(ctx, func() {
+		err = t.ingest(batch)
+		processed = t.snap.Load().Processed
+	}); rerr != nil {
+		return 0, rerr
 	}
-	select {
-	case out := <-c.reply:
-		return out.processed, out.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
+	return processed, err
 }
 
-// Query runs fn on the tracker from the single-writer loop, after
-// everything submitted before it, and waits for completion. fn may call any
-// of the Tracker's read methods but must copy out what it needs; it must not
-// retain the *sim.Tracker, and it must not ingest — nothing is published
-// after it.
+// Query runs fn on the tracker under its gate, after every caller that
+// reached the gate before it. fn may call any of the Tracker's read methods
+// but must copy out what it needs; it must not retain the *sim.Tracker, and
+// it must not ingest — nothing is published after it.
 func (t *Tracked) Query(ctx context.Context, fn func(*sim.Tracker)) error {
-	c := command{query: fn, reply: make(chan outcome, 1)}
-	if err := t.enqueue(ctx, c); err != nil {
-		return err
-	}
-	select {
-	case <-c.reply:
-		return nil
-	case <-ctx.Done():
-		// fn may still run later; the caller must discard its results.
-		return ctx.Err()
-	}
+	return t.run(ctx, func() {
+		// Nothing to publish afterwards: reads leave the tracker's answer as
+		// it was. A read may have failed on the cold tier, though.
+		fn(t.tr)
+		t.noteColdErr()
+	})
 }
 
 // Close drains and stops the tracker: new submissions fail with ErrClosed,
-// everything already queued is applied, and only then are the tracker's
-// worker goroutines released. Safe to call concurrently and more than
-// once: every caller returns only after the full shutdown sequence has
-// finished, and all see the same error.
+// every caller already holding a slot is applied, the re-arm probe exits,
+// and a durable tracker takes its final snapshot so the next boot skips WAL
+// replay. Safe to call concurrently and more than once: every caller returns
+// only after the full shutdown sequence has finished, and all see the same
+// error.
 func (t *Tracked) Close() error {
 	t.closeOnce.Do(func() {
 		t.mu.Lock()
 		t.closed = true
 		t.mu.Unlock()
-		close(t.quit)       // unblock enqueues waiting on a full queue
-		t.submitters.Wait() // no enqueue past the closed check is still in flight
-		close(t.in)         // loop drains the queue, then exits
-		<-t.done
+		close(t.quit)       // refuse callers still waiting for a slot
+		t.submitters.Wait() // every caller holding a slot has run
+		t.probing.Wait()
+		// Nobody else can reach the gate now, so t.tr is safe to serialize.
+		if t.dur != nil {
+			t.checkpoint(true)
+			t.dur.close()
+		}
 		t.closeErr = t.tr.Close()
 	})
 	return t.closeErr
@@ -607,10 +588,10 @@ func (r *Registry) DataDir() string {
 	return r.dataDir
 }
 
-// Add builds the tracker described by spec, registers it under name and
-// starts its ingest loop. On a durable registry (SetDataDir) the tracker
-// first recovers its state from disk. A spec that cannot be served as
-// configured is an error, whatever is wrong with it.
+// Add builds the tracker described by spec and registers it under name. On
+// a durable registry (SetDataDir) the tracker first recovers its state from
+// disk. A spec that cannot be served as configured is an error, whatever is
+// wrong with it.
 func (r *Registry) Add(name string, spec api.Spec) (*Tracked, error) {
 	if name == "" {
 		return nil, errors.New("server: tracker name must not be empty")

@@ -6,24 +6,26 @@
 // # Architecture
 //
 // A Registry owns named Tracked instances. Each Tracked wraps one
-// sim.Tracker behind a single-writer ingest goroutine fed by a bounded
-// command channel: POST bodies, replay batches and read closures all enter
-// that queue, so the tracker only ever sees one goroutine and ingestion
-// order is total. A full queue applies backpressure briefly, then admission
-// control sheds the request (ErrOverloaded → 429) once it has waited past
-// the tracker's enqueue deadline, so a wedged loop cannot wedge every HTTP
-// handler goroutine with it. After every applied batch the loop publishes an
-// immutable sim.Snapshot through an atomic pointer; the GET handlers for
+// sim.Tracker behind a gate that one caller holds at a time: POST bodies,
+// replay batches and read closures all wait for it in a bounded queue and
+// run on the caller's own goroutine once they hold it, so the tracker only
+// ever has one writer and ingestion order is total. A full queue applies
+// backpressure briefly, then admission control sheds the request
+// (ErrOverloaded → 429) once it has waited past the tracker's enqueue
+// deadline, so a wedged writer cannot wedge every HTTP handler goroutine
+// with it. A caller whose context ends before it holds the gate never runs.
+// After every applied batch the writer publishes an immutable sim.Snapshot
+// through an atomic pointer; the GET handlers for
 // seeds, value, window, checkpoints, stats and candidates — and the
 // relational /query endpoint (package query) — read only that snapshot and
 // therefore never contend with ingestion, and no read publishes one. The
 // snapshot carries the candidate pool's influence sets, so /influence reads
 // it too for any pool member; only for a user outside the pool does it run
-// as a closure on the ingest loop itself (Tracked.Query), serialized with
-// the writes. Closing a Tracked
-// first rejects new work, then drains everything already queued, then
-// releases the tracker's worker goroutines — the graceful-drain path wired
-// to SIGTERM in cmd/simserve.
+// as a closure under the gate itself (Tracked.Query), serialized with the
+// writes. Closing a Tracked first rejects new work, then drains everything
+// already queued, then stops the durable tracker's re-arm probe and takes
+// its final snapshot — the graceful-drain path wired to SIGTERM in
+// cmd/simserve.
 //
 // Name-mode trackers (api.Spec.Names) accept external string user names on
 // ingest, interned to dense IDs (package intern) before the batch enters
@@ -167,23 +169,24 @@ func (s *Server) tracked(w http.ResponseWriter, r *http.Request) (*Tracked, bool
 	return t, true
 }
 
-// handleIngest parses an NDJSON body and applies it as one batch through
-// the tracker's single-writer loop. On name-mode trackers the "user" field
-// is a string name, interned here — concurrently safe — so the loop only
-// ever sees dense IDs. Responses: 200 IngestResponse, 400 for malformed
+// handleIngest parses an NDJSON body and applies it as one batch under the
+// tracker's gate. On name-mode trackers the "user" field is a string name,
+// interned here — concurrently safe — so the writer only ever sees dense
+// IDs. Responses: 200 IngestResponse, 400 for malformed
 // NDJSON (including a numeric user on a name-mode tracker and vice versa),
 // 409 for stream-order violations (non-monotonic IDs, future parents), 413
 // over the body cap, 429 when admission control sheds the request, 503
-// while draining, after a WAL append failure, or while the tracker is in
-// degraded-readonly mode — all three 503 causes guarantee the batch was
-// not applied, so retrying is safe.
+// while draining, after a WAL append failure, while the tracker is in
+// degraded-readonly mode, or when the request's context ended before the
+// batch reached the gate — every 503 cause guarantees the batch was not
+// applied, so retrying is safe.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tracked(w, r)
 	if !ok {
 		return
 	}
 	if t.State() == StateDegradedReadOnly {
-		// Fast path: no point parsing megabytes of NDJSON that the loop
+		// Fast path: no point parsing megabytes of NDJSON that ingest
 		// will refuse. Reads stay up; ingest resumes after the re-arm.
 		writeRetryable(w, http.StatusServiceUnavailable, ErrReadOnly)
 		return
@@ -253,8 +256,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleQuery executes a relational plan (package query) against the
 // tracker's published snapshot — and, for window-compare sources, the
-// previously published one. Execution never touches the ingest loop or the
-// live tracker: a query of any cost runs concurrently with ingestion.
+// previously published one. Execution never waits for the gate or touches
+// the live tracker: a query of any cost runs concurrently with ingestion.
 // Responses: 200 QueryResponse, 400 for an undecodable body or a plan that
 // fails compilation (unknown source/op/column, bad comparator).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -427,9 +430,9 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 
 // handleInfluence serves per-user influence sets: from the published
 // snapshot when it holds the user's set (the candidate pool, seeds
-// included), otherwise from the live stream index, as a closure on the
-// ingest loop serialized after everything already queued — the one read that
-// can wait for ingest or be shed by its queue. The user parameter is a
+// included), otherwise from the live stream index, as a closure under the
+// tracker's gate serialized after everything already queued — the one read
+// that can wait for ingest or be shed by its queue. The user parameter is a
 // decimal ID on numeric trackers and an external name on name-mode ones
 // (404 when the name has never been ingested).
 func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {

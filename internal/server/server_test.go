@@ -51,7 +51,7 @@ func newTestServer(t *testing.T, spec api.Spec) (*api.Client, *server.Registry) 
 // reads, including relational /query plans, hammering the server
 // concurrently — must leave the served tracker bit-identical to a serial
 // sim.Tracker replay. Run under -race this also proves the read path never
-// races the single-writer ingest loop.
+// races the tracker's writer.
 func TestIngestQueryRoundTripIdentity(t *testing.T) {
 	specs := map[string]api.Spec{
 		"sic-sieve":    {K: 5, Window: 400},
@@ -114,8 +114,8 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 
 			// Serial reference replay of the same actions, mirroring the
 			// served call sequence: the boot publish, then one ProcessAll
-			// per POSTed chunk followed by a snapshot (the ingest loop
-			// flushes sim batching and publishes after every applied batch).
+			// per POSTed chunk followed by a snapshot (ingest flushes sim
+			// batching and publishes after every applied batch).
 			// The concurrent reads above must not have added a publish: the
 			// snapshot counts them (ViewRebuilds + ViewReuses).
 			ref, err := sim.New(spec.Config())
@@ -205,7 +205,7 @@ func TestIngestQueryRoundTripIdentity(t *testing.T) {
 }
 
 // waitQueueFull waits until tk's ingest queue is at capacity: a Submit
-// started behind a wedged loop has landed in it.
+// started behind a wedged gate has landed in it.
 func waitQueueFull(t *testing.T, tk *server.Tracked) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -220,13 +220,13 @@ func waitQueueFull(t *testing.T, tk *server.Tracked) {
 }
 
 // TestQueryBlockedLoopIndependence is the HTAP-split proof: reads must
-// answer even while the single-writer ingest loop is wedged and its queue is
-// full, because they touch only the atomically published snapshot — /query,
-// both forms of /candidates, /influence for a user the snapshot holds, and so
-// a router's merged /seeds over two shards in that state. A closure parked on
-// each loop simulates the wedge and one queued batch fills each queue.
-// /influence for a user outside the snapshot is the one read that still rides
-// the loop: it is shed with 429 once the enqueue deadline passes.
+// answer even while the tracker's gate is wedged and its queue is full,
+// because they touch only the atomically published snapshot — /query, both
+// forms of /candidates, /influence for a user the snapshot holds, and so a
+// router's merged /seeds over two shards in that state. A closure parked on
+// each gate simulates the wedge and one queued batch fills each queue.
+// /influence for a user outside the snapshot is the one read that still
+// waits for the gate: it is shed with 429 once the enqueue deadline passes.
 func TestQueryBlockedLoopIndependence(t *testing.T) {
 	server.ShrinkQueue(t, 1, 50*time.Millisecond)
 	spec := api.Spec{K: 3, Window: 200}
@@ -263,7 +263,7 @@ func TestQueryBlockedLoopIndependence(t *testing.T) {
 				<-release
 			})
 		}()
-		<-parked // the ingest loop is now blocked inside the closure
+		<-parked // the gate is now held by the blocked closure
 		next := actions[len(actions)-1].ID + 1
 		go func() {
 			_, err := tk.Submit(ctx, []sim.Action{{ID: next, User: 1, Parent: sim.NoParent}})
@@ -337,7 +337,7 @@ func TestQueryBlockedLoopIndependence(t *testing.T) {
 			t.Fatalf("the batch that filled the queue: %v", err)
 		}
 	}
-	// Unwedged, the same request goes through the loop and answers.
+	// Unwedged, the same request takes the gate and answers.
 	if inf, err := client.Influence(ctx, "default", fmt.Sprint(outsider)); err != nil || inf.Count != 0 {
 		t.Fatalf("influence of an unpublished user after release: %+v, %v", inf, err)
 	}
@@ -985,10 +985,11 @@ func candidatesFixture(t *testing.T, names bool) *api.Client {
 }
 
 // TestCandidatesWireCompatibility pins the full form of /candidates to the
-// bytes the endpoint produced when it still ran on the ingest loop (the
-// golden files were written by that implementation): the ranked form and the
-// move to the snapshot must not show on the wire — no "gain" key, candidates
-// ascending by user, an empty pool as [] rather than null. The files pin the
+// bytes the endpoint produced when it still ran as a closure on the live
+// tracker (the golden files were written by that implementation): the
+// ranked form and the move to the snapshot must not show on the wire — no
+// "gain" key, candidates ascending by user, an empty pool as [] rather than
+// null. The files pin the
 // pool's content too, so the two non-empty ones were re-captured when the
 // feed stopped re-offering unchanged sets (PR 20): user 32 left the pool and
 // user 17 joined it, every key and every other member as before.

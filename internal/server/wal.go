@@ -30,7 +30,7 @@ import (
 // trailer. Replay re-submits each record as one ProcessAll batch, so a live
 // mid-batch stream-order rejection (prefix applied, 409) replays exactly.
 //
-// With one appender (the ingest loop) and one Write and fsync per record, a
+// With one appender (the gate holder) and one Write and fsync per record, a
 // torn write can only sit at the tail, from a kill -9 mid-append: replay
 // stops at the first frame that fails to parse or checksum, and openWAL cuts
 // it away before the first new append, or what is acknowledged next would sit

@@ -544,8 +544,8 @@ type SeedInfluence struct {
 // again, by the Tracker or anyone else, so it may be published to — and read
 // by — any number of goroutines while the owning goroutine keeps ingesting.
 // This is the read path of the serving layer (internal/server): the
-// single-writer ingest loop calls Tracker.Snapshot after each applied batch
-// and read handlers only ever touch the published Snapshot.
+// tracker's one writer (whichever caller holds its gate) calls
+// Tracker.Snapshot after each applied batch and read handlers only ever touch the published Snapshot.
 //
 // Consecutive snapshots of one Tracker share memory with each other, never
 // with the live index: the Influenced slice of a Candidates entry whose set
@@ -584,7 +584,7 @@ type Snapshot struct {
 	// a lookup is a binary search (Snapshot.Influence), each with its
 	// influence set at WindowStart. It is what lets the serving layer
 	// answer /candidates — the shard half of a cluster's merged /seeds — and
-	// /influence for any pool member without going to the ingest loop.
+	// /influence for any pool member without waiting for the writer.
 	Candidates []SeedInfluence `json:"candidates"`
 	// AvgCheckpoints / ElementsFed / CheckpointsCreated /
 	// CheckpointsDeleted are the cumulative maintenance counters of Stats
