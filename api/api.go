@@ -360,8 +360,8 @@ type HealthResponse struct {
 	Degraded map[string]string `json:"degraded,omitempty"`
 	// States maps tracker names to their serving state: "ok" (full
 	// service), "degraded-readonly" (the durability path is poisoned —
-	// reads and queries keep answering, ingest gets 503 until the tracker
-	// re-arms), or "recovering" (a re-arm attempt is running right now).
+	// reads and queries keep answering, ingest gets 503 until a batch finds
+	// the disk healed and re-arms the log; that batch is applied).
 	// Status is "degraded" whenever any tracker is not "ok".
 	States map[string]string `json:"states,omitempty"`
 }
@@ -400,8 +400,8 @@ type ClusterHealthResponse struct {
 // view. A field's metric tag names its /metrics series after "simserve_",
 // as on sim.Counters.
 type TrackerMetricsResponse struct {
-	// State is the serving state: "ok", "degraded-readonly" or
-	// "recovering" (see HealthResponse.States).
+	// State is the serving state: "ok" or "degraded-readonly" (see
+	// HealthResponse.States).
 	State string `json:"state"`
 	// SnapshotRetries counts failed snapshot-write attempts (each is
 	// retried with capped exponential backoff).

@@ -42,13 +42,12 @@ func internStream(actions []sim.Action, tb *intern.Table) []sim.Action {
 	return out
 }
 
-// compressTimers shrinks the recovery probe and snapshot backoff for the
-// duration of a test so self-healing happens in milliseconds, restoring the
-// production values afterwards. Tests in this package run sequentially, so
-// mutating the package variables is safe.
+// compressTimers shrinks the snapshot backoff for the duration of a test so
+// self-healing happens in milliseconds, restoring the production values
+// afterwards. Tests in this package run sequentially, so mutating the
+// package variables is safe.
 func compressTimers(t *testing.T) {
 	t.Helper()
-	setForTest(t, &rearmProbeInterval, 5*time.Millisecond)
 	setForTest(t, &snapshotBackoffBase, 1*time.Millisecond)
 	setForTest(t, &snapshotBackoffMax, 10*time.Millisecond)
 }
@@ -235,8 +234,8 @@ func (fs *failedWALWrites) failedNames(t *testing.T) bool {
 //     the last ack recovers, WITHOUT the injector, to a state identical to
 //     an uninterrupted serial replay;
 //   - the poisoning cells additionally exercise the self-healing path
-//     (degraded-readonly → probe re-arm → ingest resumes), visible in the
-//     re-arm counter.
+//     (degraded-readonly → a retried batch re-arms the log → ingest
+//     resumes), visible in the re-arm counter.
 func TestChaosCrashMatrix(t *testing.T) {
 	compressTimers(t)
 	// Rule paths name the exact files (snapshot.sim2, not "snapshot"): the
@@ -811,20 +810,19 @@ func TestChaosCorruptReferencedSegment(t *testing.T) {
 // TestDegradedReadOnlyMode pins the full degraded-mode contract over HTTP:
 // a poisoned WAL flips the tracker to degraded-readonly, where ingest gets
 // 503 + Retry-After but snapshot reads, queries and metrics keep answering;
-// once the disk heals the periodic probe re-arms the log and ingest resumes
-// with nothing lost.
+// once the disk heals the next ingest re-arms the log and is applied, with
+// nothing lost.
 func TestDegradedReadOnlyMode(t *testing.T) {
 	compressTimers(t)
 	inj := fault.NewInjector(fault.OS())
 	reg := NewRegistry()
 	reg.SetFS(inj)
 	reg.SetDataDir(t.TempDir())
-	moves := recordMoves(t)
 	tr, err := reg.Add("default", durableSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close() // runs before recordMoves' cleanup
+	defer reg.Close()
 	srv := httptest.NewServer(New(reg))
 	defer srv.Close()
 	client := api.NewClient(srv.URL)
@@ -843,11 +841,8 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	if _, err := tr.Submit(ctx, actions[400:420]); !errors.Is(err, ErrDurability) {
 		t.Fatalf("poisoning submit: err = %v, want ErrDurability", err)
 	}
-	// The probe may take the gate as soon as Submit lets go of it, so it
-	// may already have moved the tracker on to recovering by the time
-	// Submit returns; the move is read from the trace, not from State.
-	if m := moves(); len(m) == 0 || m[0] != (edge{StateOK, StateDegradedReadOnly}) {
-		t.Fatalf("moves after poisoning = %v, want ok → degraded-readonly first", m)
+	if st := tr.State(); st != StateDegradedReadOnly {
+		t.Fatalf("state after poisoning = %v, want degraded-readonly", st)
 	}
 
 	// Ingest: 503 + Retry-After, batch not applied.
@@ -861,6 +856,21 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	}
 	if !apiErr.Temporary() {
 		t.Fatal("degraded 503 not Temporary()")
+	}
+	// The body is read before the batch meets the poisoned log: a malformed
+	// one is refused as anywhere, an empty one has nothing to refuse.
+	for _, c := range []struct {
+		body string
+		code int
+	}{{"not json\n", http.StatusBadRequest}, {"", http.StatusOK}} {
+		resp, err := http.Post(srv.URL+"/v1/trackers/default/actions", "application/x-ndjson", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Fatalf("degraded ingest of %q: %d, want %d", c.body, resp.StatusCode, c.code)
+		}
 	}
 
 	// Reads and queries keep answering from the published snapshot.
@@ -882,8 +892,8 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 		t.Fatalf("degraded metrics: %+v, %v", m, err)
 	}
 
-	// Heal the disk: the probe must re-arm the WAL and ingest must resume,
-	// all without outside intervention.
+	// Heal the disk: the client's next retry must re-arm the WAL and be
+	// applied, with no restart and no operator step.
 	inj.Clear()
 	var resp api.IngestResponse
 	deadline := time.Now().Add(10 * time.Second)

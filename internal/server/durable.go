@@ -48,8 +48,10 @@ import (
 //     state never runs ahead of the log) after rolling the partial record
 //     back out of the file. Only a failed rollback poisons the log; the tracker
 //     then enters degraded-readonly mode (reads keep serving, ingest sheds
-//     with 503 + Retry-After) and a periodic probe runs a checkpoint — fresh
-//     covering snapshot, poisoned log recreated — once the disk heals.
+//     with 503 + Retry-After). Each batch that arrives runs a checkpoint
+//     first, when the backoff allows — fresh covering snapshot, poisoned log
+//     recreated — so the first batch after the disk heals re-arms the log
+//     and is applied.
 //
 // Recovery (tracker construction): load snapshot.sim2 if present, then replay
 // wal.log — rebuilding a name-mode tracker's name table on the way (see
@@ -300,15 +302,14 @@ func (d *durability) log(batch []sim.Action) error {
 // state — until a checkpoint has recreated the log.
 func (d *durability) poisoned() bool { return d.wal.broken != nil }
 
-// due reports whether the backoff schedule allows a checkpoint attempt now.
-func (d *durability) due() bool { return !time.Now().Before(d.nextAttempt) }
-
 // checkpoint makes snapshot.sim2 cover everything applied and then empties the
 // WAL behind it, recreating it if it was poisoned. It is both the
 // steady-state snapshot+truncate — taken once the WAL has outgrown its
 // threshold and the backoff allows, or unconditionally when force is set
-// (graceful shutdown, the recovery probe) — and the repair of a poisoned
-// path. Runs under the tracker's gate; tr is safe to use.
+// (graceful shutdown) — and the one repair of a poisoned path, attempted
+// whenever the backoff allows, whatever the WAL's size; a repair that
+// recreates the log counts one re-arm. Runs under the tracker's gate; tr is
+// safe to use.
 //
 // It reports whether a fresh snapshot was published: the caller may then
 // collect cold segments the new manifest no longer references, even if a log
@@ -324,7 +325,7 @@ func (d *durability) checkpoint(tr *sim.Tracker, force bool) (published bool) {
 	if d.wal.size == 0 && !d.poisoned() {
 		return false // the last snapshot (or empty state) already covers everything
 	}
-	if !force && (d.wal.size < d.walLimit || !d.due()) {
+	if !force && (time.Now().Before(d.nextAttempt) || d.wal.size < d.walLimit && !d.poisoned()) {
 		return false
 	}
 	if err := d.writeSnapshot(tr); err != nil {
@@ -332,7 +333,8 @@ func (d *durability) checkpoint(tr *sim.Tracker, force bool) (published bool) {
 		return false
 	}
 	var err error
-	if d.wal.broken != nil {
+	rearm := d.poisoned()
+	if rearm {
 		// Re-arm: a fresh handle (the old fd may be dead), the junk cut away.
 		_ = d.wal.close()
 		var w *wal
@@ -344,8 +346,11 @@ func (d *durability) checkpoint(tr *sim.Tracker, force bool) (published bool) {
 	}
 	if err != nil {
 		d.snapshotFailed(err)
-	} else {
-		d.snapshotSucceeded()
+		return true
+	}
+	d.snapshotSucceeded()
+	if rearm {
+		d.rearms.Add(1)
 	}
 	return true
 }

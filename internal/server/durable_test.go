@@ -603,6 +603,40 @@ func TestHealthDegradedOnSnapshotFailure(t *testing.T) {
 	}
 }
 
+// TestCloseReportsFailedFinalSnapshot: a shutdown whose final snapshot
+// fails says so — the next boot replays the whole WAL — and that boot still
+// recovers every acknowledged action.
+func TestCloseReportsFailedFinalSnapshot(t *testing.T) {
+	inj := fault.NewInjector(fault.OS())
+	inj.Add(fault.Rule{Op: fault.OpRename, Path: snapshotFileName})
+	dir := t.TempDir()
+	reg := NewRegistry()
+	reg.SetFS(inj)
+	reg.SetDataDir(dir)
+	tr, err := reg.Add("default", durableSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions := durableStream(300)
+	submitChunks(t, tr, actions, 100)
+	err = reg.Close()
+	if err == nil || !strings.Contains(err.Error(), `server: tracker "default": final snapshot: `) {
+		t.Fatalf("Close = %v, want the failed final snapshot named", err)
+	}
+
+	reg2 := NewRegistry()
+	reg2.SetDataDir(dir)
+	tr2, err := reg2.Add("default", durableSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	if info, _ := tr2.Recovery(); info.SnapshotLoaded || info.WALActions != len(actions) {
+		t.Fatalf("recovery %+v, want no snapshot and all %d actions replayed", info, len(actions))
+	}
+	checkAnswer(t, "rebooted after a failed final snapshot", tr2.Snapshot(), serialReference(t, actions))
+}
+
 // copyTree copies a small directory tree of regular files (recursing into
 // subdirectories, e.g. a durable tracker's spill/ directory).
 func copyTree(t *testing.T, src, dst string) {

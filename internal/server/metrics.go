@@ -14,8 +14,8 @@ import (
 // exposition format (gauges only, no client library needed): the server's
 // uptime and tracker count, then for each tracker one series per
 // metric-tagged field of the struct below — four snapshot values, the
-// serving state (0 ok, 1 degraded-readonly, 2 recovering) and the tracker's
-// Metrics, sim.Counters included — labelled with the tracker's name. The
+// serving state (0 ok, 1 degraded-readonly) and the tracker's Metrics,
+// sim.Counters included — labelled with the tracker's name. The
 // fields' docs are the series' documentation; rate() of
 // simserve_ingested_total is the ingest rate.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

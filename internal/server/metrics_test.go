@@ -113,7 +113,7 @@ func TestMetricsSeriesMatchJSON(t *testing.T) {
 			t.Errorf("%s: tracker metrics say %v, the snapshot %v", key, tm[key], snap[key])
 		}
 	}
-	state := slices.Index([]string{"ok", "degraded-readonly", "recovering"}, tm["state"].(string))
+	state := slices.Index([]string{"ok", "degraded-readonly"}, tm["state"].(string))
 	want := map[string]any{
 		"ingested_total":           snap["processed"],
 		"value":                    snap["value"],

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,8 +30,9 @@ var ErrOverloaded = errors.New("server: ingest queue overloaded")
 // ErrReadOnly is returned by Submit while a durable tracker is in
 // degraded-readonly mode: its WAL is poisoned, so ingest would lose the
 // durability guarantee. Reads and queries keep answering
-// from the published snapshot; ingest resumes automatically once the
-// periodic probe re-arms the log (HTTP 503 + Retry-After meanwhile).
+// from the published snapshot; ingest resumes with the first batch that
+// finds the disk healed, once the snapshot backoff allows an attempt: that
+// batch re-arms the log and is applied (HTTP 503 + Retry-After meanwhile).
 var ErrReadOnly = errors.New("server: tracker is read-only (degraded durability)")
 
 // queueLen is a tracker's ingest queue capacity: how many callers (batches
@@ -46,10 +46,6 @@ var (
 	enqueueDeadline = 2 * time.Second
 )
 
-// rearmProbeInterval paces the degraded-readonly recovery probe (and is a
-// variable so the chaos tests can compress time).
-var rearmProbeInterval = 1 * time.Second
-
 // TrackerState is the serving state of one tracker, reported by
 // /v1/healthz and /v1/trackers/{name}/metrics.
 type TrackerState int32
@@ -58,37 +54,16 @@ const (
 	// StateOK: fully serving; ingest and reads both available.
 	StateOK TrackerState = iota
 	// StateDegradedReadOnly: the durable log is poisoned; reads and queries
-	// keep answering, ingest sheds with 503 until the disk heals.
+	// keep answering, ingest sheds with 503 until a batch finds the disk
+	// healed and re-arms the log.
 	StateDegradedReadOnly
-	// StateRecovering: a recovery attempt is running right now (fresh
-	// snapshot + log recreation); ok on success, back to degraded on failure.
-	StateRecovering
 )
 
-// lifecycle is every transition a tracker's serving state can make, from →
-// to: an append whose rollback failed degrades it, a recovery attempt the
-// backoff lets run takes it to recovering, and the attempt's outcome decides
-// the rest. Tracked.move is the only writer of the state and takes no other
-// edge.
-var lifecycle = map[TrackerState][]TrackerState{
-	StateOK:               {StateDegradedReadOnly},
-	StateDegradedReadOnly: {StateRecovering},
-	StateRecovering:       {StateOK, StateDegradedReadOnly},
-}
-
-// traceMove, when non-nil, sees every transition move makes. Tests set it
-// before building a tracker; nothing else does.
-var traceMove func(t *Tracked, from, to TrackerState)
-
 func (s TrackerState) String() string {
-	switch s {
-	case StateDegradedReadOnly:
+	if s == StateDegradedReadOnly {
 		return "degraded-readonly"
-	case StateRecovering:
-		return "recovering"
-	default:
-		return "ok"
 	}
+	return "ok"
 }
 
 // Tracked is one served tracker: a sim.Tracker owned by whichever caller
@@ -112,8 +87,6 @@ type Tracked struct {
 	gate  chan struct{}
 	slots chan struct{}
 	quit  chan struct{} // closed by Close: unblocks callers waiting for a slot
-	// probing tracks the durable tracker's re-arm probe; Close waits for it.
-	probing sync.WaitGroup
 
 	// names interns external user names to dense IDs on name-mode trackers
 	// (Spec.Names); nil otherwise. Handlers intern concurrently (the table
@@ -128,8 +101,8 @@ type Tracked struct {
 	dur       *durability
 	recovered RecoveryInfo
 
-	// state is the serving state (ok / degraded-readonly / recovering),
-	// written by the gate holder through move, read by handlers and Submit.
+	// state is the serving state (ok / degraded-readonly), stored by the
+	// gate holder after each checkpoint, read by handlers.
 	state atomic.Int32
 	// coldErr is the message of the stream's ColdErr — its first failed
 	// cold read, else its latest spill if that failed — published by the
@@ -157,11 +130,10 @@ type Tracked struct {
 	prev atomic.Pointer[sim.Snapshot]
 }
 
-// newTracked builds the tracker for spec; a memory-only one starts no
-// goroutine, a durable one its re-arm probe. A non-empty dataDir makes the
-// tracker durable: its state is recovered from
-// dataDir (snapshot + WAL replay) and every subsequent batch is logged
-// before it is applied. Its cold tier lives in dataDir/spill (see
+// newTracked builds the tracker for spec; it starts no goroutine, durable
+// or not. A non-empty dataDir makes the tracker durable: its state is
+// recovered from dataDir (snapshot + WAL replay) and every subsequent batch
+// is logged before it is applied. Its cold tier lives in dataDir/spill (see
 // sim.Config.SpillDir) — always, even without a budget: it is what re-adopts
 // the cold segments a snapshot taken under one references, instead of
 // replaying them (the budget is a runtime knob). fs is the environment seam
@@ -204,10 +176,6 @@ func newTracked(name string, spec api.Spec, dataDir string, fs fault.FS) (*Track
 		enqueueDeadline: enqueueDeadline,
 	}
 	t.publish() // queries before the first ingest see the recovered snapshot
-	if dur != nil {
-		t.probing.Add(1)
-		go t.probe()
-	}
 	return t, nil
 }
 
@@ -241,29 +209,12 @@ func (t *Tracked) degradation() string {
 	return ""
 }
 
-// State returns the tracker's serving state: StateOK, or — for durable
-// trackers whose log is poisoned — StateDegradedReadOnly/StateRecovering.
-// In the degraded states snapshot reads and queries keep answering; only
-// ingest is refused (503 + Retry-After) until the recovery probe re-arms
-// the log.
+// State returns the tracker's serving state: StateOK, or
+// StateDegradedReadOnly for a durable tracker whose log is poisoned. While
+// degraded, snapshot reads and queries keep answering; only ingest is
+// refused (503 + Retry-After) until a batch re-arms the log. It is what the
+// last Submit (or Close) left: no goroutine moves it in between.
 func (t *Tracked) State() TrackerState { return TrackerState(t.state.Load()) }
-
-// move takes the lifecycle edge from the current state to to, under the
-// gate. Asking for the state the tracker is already in is not a move;
-// asking for an edge the table does not hold is a bug.
-func (t *Tracked) move(to TrackerState) {
-	from := t.State()
-	if from == to {
-		return
-	}
-	if !slices.Contains(lifecycle[from], to) {
-		panic(fmt.Sprintf("server: tracker %q: no lifecycle edge %v → %v", t.name, from, to))
-	}
-	t.state.Store(int32(to))
-	if traceMove != nil {
-		traceMove(t, from, to)
-	}
-}
 
 // Metrics returns what GET /v1/trackers/{name}/metrics answers and the
 // tracker's /metrics series report: the serving state, the robustness
@@ -316,34 +267,6 @@ func (t *Tracked) Snapshot() *sim.Snapshot { return t.snap.Load() }
 // nil when nothing has been ingested since boot.
 func (t *Tracked) PrevSnapshot() *sim.Snapshot { return t.prev.Load() }
 
-// probe is a durable tracker's recovery probe: while the durable path is
-// poisoned (degraded-readonly), each tick the backoff allows attempts a
-// checkpoint under the gate — fresh covering snapshot, poisoned log
-// recreated — so ingest resumes by itself once the disk heals. It exits
-// when Close begins.
-func (t *Tracked) probe() {
-	defer t.probing.Done()
-	tick := time.NewTicker(rearmProbeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if t.State() != StateDegradedReadOnly {
-				continue
-			}
-			select {
-			case t.gate <- struct{}{}:
-				t.tryRearm()
-				<-t.gate
-			case <-t.quit:
-				return
-			}
-		case <-t.quit:
-			return
-		}
-	}
-}
-
 // ingest applies one batch under the gate. Durable trackers log the batch
 // (fsync included) before applying it: once the caller sees success, the
 // actions are on disk. A WAL failure rejects the batch unapplied — the
@@ -352,12 +275,19 @@ func (t *Tracked) probe() {
 // references is resolvable on recovery.
 func (t *Tracked) ingest(batch []sim.Action) error {
 	var err error
-	if t.dur != nil && t.dur.poisoned() {
-		// Read-only until the probe re-arms the log: accepting the batch
-		// would acknowledge an action the poisoned log cannot make durable.
-		err = ErrReadOnly
-	} else if t.dur != nil {
-		err = t.dur.log(batch)
+	if t.dur != nil {
+		if t.dur.poisoned() {
+			// Only a batch retries a poisoned log: re-arm it first, if the
+			// backoff allows, so a healed disk takes this very batch.
+			t.checkpoint(false)
+		}
+		if t.dur.poisoned() {
+			// Still read-only: accepting the batch would acknowledge an
+			// action the poisoned log cannot make durable.
+			err = ErrReadOnly
+		} else {
+			err = t.dur.log(batch)
+		}
 	}
 	if err == nil {
 		// One submitted batch — one WAL record — is one ProcessAll call,
@@ -367,34 +297,12 @@ func (t *Tracked) ingest(batch []sim.Action) error {
 	}
 	t.publish()
 	if t.dur != nil {
-		if t.dur.poisoned() {
-			// This batch's failure (or an earlier one's) left junk the
-			// rollback could not remove: degraded-readonly; the probe takes
-			// it from here.
-			t.move(StateDegradedReadOnly)
-		} else {
-			t.checkpoint(false)
-		}
+		// A log this batch poisoned is retried at once unless an earlier
+		// failure's backoff is still running, so a fault that has already
+		// passed clears in this call.
+		t.checkpoint(false)
 	}
 	return err
-}
-
-// tryRearm attempts to recover a poisoned durable path, under the gate:
-// recovering while the attempt runs, ok on success, back to
-// degraded-readonly on failure. A tick inside the backoff the last failure
-// scheduled attempts nothing and moves nothing.
-func (t *Tracked) tryRearm() {
-	if !t.dur.poisoned() || !t.dur.due() {
-		return
-	}
-	t.move(StateRecovering)
-	t.checkpoint(true)
-	if t.dur.poisoned() {
-		t.move(StateDegradedReadOnly)
-		return
-	}
-	t.dur.rearms.Add(1)
-	t.move(StateOK)
 }
 
 // checkpoint runs durability.checkpoint and, when that published a snapshot,
@@ -402,11 +310,17 @@ func (t *Tracked) tryRearm() {
 // snapshot's segment manifest matches the in-memory extents exactly, so they
 // are unreachable from any recovery. A failed collection is benign — the
 // files are retried after the next snapshot — and goes unreported: a stray
-// file costs disk, never correctness.
+// file costs disk, never correctness. Its outcome sets the serving state:
+// degraded-readonly while the log is still poisoned, ok once it is not.
 func (t *Tracked) checkpoint(force bool) {
 	if t.dur.checkpoint(t.tr, force) {
 		_, _ = t.tr.GC()
 	}
+	state := StateOK
+	if t.dur.poisoned() {
+		state = StateDegradedReadOnly
+	}
+	t.state.Store(int32(state))
 }
 
 // publish refreshes the shared read snapshot, rotating the old one into
@@ -526,11 +440,12 @@ func (t *Tracked) Query(ctx context.Context, fn func(*sim.Tracker)) error {
 }
 
 // Close drains and stops the tracker: new submissions fail with ErrClosed,
-// every caller already holding a slot is applied, the re-arm probe exits,
-// and a durable tracker takes its final snapshot so the next boot skips WAL
-// replay. Safe to call concurrently and more than once: every caller returns
-// only after the full shutdown sequence has finished, and all see the same
-// error.
+// every caller already holding a slot is applied, and a durable tracker
+// takes its final snapshot so the next boot skips WAL replay. A final
+// snapshot that fails is an error — the next boot replays the whole WAL —
+// joined with the tracker's own. Safe to call concurrently and more than
+// once: every caller returns only after the full shutdown sequence has
+// finished, and all see the same error.
 func (t *Tracked) Close() error {
 	t.closeOnce.Do(func() {
 		t.mu.Lock()
@@ -538,13 +453,16 @@ func (t *Tracked) Close() error {
 		t.mu.Unlock()
 		close(t.quit)       // refuse callers still waiting for a slot
 		t.submitters.Wait() // every caller holding a slot has run
-		t.probing.Wait()
 		// Nobody else can reach the gate now, so t.tr is safe to serialize.
+		var snapErr error
 		if t.dur != nil {
 			t.checkpoint(true)
+			if msg := t.dur.snapshotErr(); msg != "" {
+				snapErr = fmt.Errorf("server: tracker %q: final snapshot: %s", t.name, msg)
+			}
 			t.dur.close()
 		}
-		t.closeErr = t.tr.Close()
+		t.closeErr = errors.Join(snapErr, t.tr.Close())
 	})
 	return t.closeErr
 }

@@ -23,9 +23,9 @@
 // it too for any pool member; only for a user outside the pool does it run
 // as a closure under the gate itself (Tracked.Query), serialized with the
 // writes. Closing a Tracked first rejects new work, then drains everything
-// already queued, then stops the durable tracker's re-arm probe and takes
-// its final snapshot — the graceful-drain path wired to SIGTERM in
-// cmd/simserve.
+// already queued, then takes a durable tracker's final snapshot — the
+// graceful-drain path wired to SIGTERM in cmd/simserve. No tracker runs a
+// goroutine of its own: a poisoned log is re-armed by the next batch.
 //
 // Name-mode trackers (api.Spec.Names) accept external string user names on
 // ingest, interned to dense IDs (package intern) before the batch enters
@@ -179,16 +179,13 @@ func (s *Server) tracked(w http.ResponseWriter, r *http.Request) (*Tracked, bool
 // while draining, after a WAL append failure, while the tracker is in
 // degraded-readonly mode, or when the request's context ended before the
 // batch reached the gate — every 503 cause guarantees the batch was not
-// applied, so retrying is safe.
+// applied, so retrying is safe. The body is read before any of that, in
+// degraded-readonly mode too: a malformed body is a 400 and an empty one a
+// 200 there as anywhere, and a batch is what re-arms a poisoned log, so one
+// that finds the disk healed is applied in the same request.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tracked(w, r)
 	if !ok {
-		return
-	}
-	if t.State() == StateDegradedReadOnly {
-		// Fast path: no point parsing megabytes of NDJSON that ingest
-		// will refuse. Reads stay up; ingest resumes after the re-arm.
-		writeRetryable(w, http.StatusServiceUnavailable, ErrReadOnly)
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -228,9 +225,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				// enqueue deadline. Shed, not applied — back off and retry.
 				writeRetryable(w, http.StatusTooManyRequests, err)
 			case errors.Is(err, ErrReadOnly):
-				// Degraded-readonly: the durability path is poisoned.
-				// Rejected unapplied; the tracker re-arms itself when the
-				// disk heals.
+				// Degraded-readonly: the durability path is poisoned and
+				// this batch could not re-arm it. Rejected unapplied; a
+				// later batch re-arms the log once the disk heals.
 				writeRetryable(w, http.StatusServiceUnavailable, err)
 			case errors.Is(err, ErrDurability):
 				// WAL append failed: the batch was rejected unapplied so

@@ -39,9 +39,9 @@ import (
 // *failed* append is rolled back by truncating to the last good size; if
 // that fails too the log is poisoned and refuses every append until a fresh
 // snapshot covers what it holds and it is reopened empty — the serving
-// layer's degraded-readonly → recovering → ok cycle (registry.go). A crash
-// between that snapshot's rename and the truncate is safe: replay skips
-// covered records by ID and stops at the junk.
+// layer's degraded-readonly → ok cycle, run by the next batch (registry.go).
+// A crash between that snapshot's rename and the truncate is safe: replay
+// skips covered records by ID and stops at the junk.
 // All file access goes through the fault.FS seam, so every edge is injectable.
 
 // ErrDurability wraps disk failures of the durable path (WAL appends).
